@@ -51,6 +51,7 @@ from .verify import (
     ConnectionData,
     GaugePolicy,
     ResidualReport,
+    SamplePoint,
     VerifyError,
     check_csc_identities,
     check_prop1,

@@ -29,8 +29,8 @@ from .gaussmap import (
     gauge_normalize,
     gauss_map,
     mean_curvature,
+    mod_pi_distance,
     palmer_residual,
-    second_fundamental_form,
     structure_operators,
 )
 from .hypersurfaces import (
@@ -38,7 +38,6 @@ from .hypersurfaces import (
     ChartError,
     HypersurfaceChart,
     cartan_tube,
-    principal_curvatures,
     product_spheres,
     round_sphere,
 )
@@ -59,15 +58,13 @@ from .rotational import (
 from .verify import (
     GaugePolicy,
     ResidualReport,
+    SamplePoint,
     VerifyError,
     check_csc_identities,
     check_prop1,
     classify_by_angles,
     codazzi_residual,
-    connection_and_s,
-    field_derivatives,
     gauss_equation_residual,
-    gauss_metric_fn,
     sectional_curvature,
     sectional_from_metric,
 )
@@ -117,10 +114,9 @@ DEFAULT_TOLERANCES = {
 
 SECTIONAL_TARGETS = {"sphere": 2.0, "cartan": 0.125}
 
-
-def _mod_pi_gap(a: float, b: float) -> float:
-    d = abs(a - b) % np.pi
-    return min(d, np.pi - d)
+# steps of the coarsest of the three order-probe integrations: coarse enough
+# that RK4's global error dominates round-off, whatever --steps is
+ORDER_PROBE_STEPS = 250
 
 
 class ConfigError(Exception):
@@ -143,6 +139,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ConfigError("n must be at least 1")
         if self.grid < 1:
             raise ConfigError("grid must be at least 1")
         if not (1e-7 < self.h < 1e-2):
@@ -180,15 +178,24 @@ class RunConfig:
 # deterministic sample points
 # ---------------------------------------------------------------------------
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def _primes(count: int) -> list[int]:
+    """The first count primes, by trial division."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % q for q in primes if q * q <= k):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def kronecker_points(box: Box, count: int, seed: int, margin: float) -> list[np.ndarray]:
     """Low-discrepancy interior points: additive irrational rotations per axis."""
     dim = box.dim
-    alphas = np.array([np.sqrt(p) % 1.0 for p in _PRIMES[:dim]])
+    primes = _primes(2 * dim)
+    alphas = np.array([np.sqrt(p) % 1.0 for p in primes[:dim]])
     start = np.array(
-        [((seed + 1) * np.sqrt(_PRIMES[dim + i]) ) % 1.0 for i in range(dim)]
+        [((seed + 1) * np.sqrt(primes[dim + i])) % 1.0 for i in range(dim)]
     )
     lows = box.lows + margin
     spans = (box.highs - margin) - lows
@@ -232,8 +239,15 @@ def build_example(cfg: RunConfig) -> HypersurfaceChart:
 # verification per sample point
 # ---------------------------------------------------------------------------
 
-def _point_report(chart: HypersurfaceChart, x, cfg: RunConfig) -> ResidualReport:
-    steps = cfg.steps()
+def _sample_point(chart: HypersurfaceChart, x, cfg: RunConfig) -> SamplePoint:
+    """Per-point data with the configured gauge held fixed over the stencils."""
+    jet = gauss_map(chart, x, cfg.steps())
+    phi = 0.0 if cfg.gauge == "canonical" else gauge_normalize(jet).phi
+    return SamplePoint(jet, GaugePolicy("fixed", phi))
+
+
+def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
+    chart, x, jet, steps = pt.chart, pt.p, pt.jet, pt.steps
     report = ResidualReport(example=cfg.example, point=list(map(float, x)))
 
     inv = chart.validate_at(x, steps.first)
@@ -248,42 +262,35 @@ def _point_report(chart: HypersurfaceChart, x, cfg: RunConfig) -> ResidualReport
         cfg.tol("chart_rank_margin"),
     )
 
-    jet = gauss_map(chart, x, steps)
     report.add("lagrangian", jet.lagrangian_residual(), cfg.tol("lagrangian"))
     report.add("horizontality", jet.horizontality_residual(), cfg.tol("horizontality"))
 
-    phi = 0.0 if cfg.gauge == "canonical" else gauge_normalize(jet).phi
-    gauge = StructureGauge(phi)
-    policy = GaugePolicy("fixed", phi)
-    b, c = structure_operators(jet, gauge)
+    b, c = structure_operators(jet, StructureGauge(pt.phi))
     eye = np.eye(jet.dim)
     report.add(
         "structure_unit_norm", np.abs(b @ b + c @ c - eye).max(), cfg.tol("structure_unit_norm")
     )
     report.add("structure_commute", np.abs(b @ c - c @ b).max(), cfg.tol("structure_commute"))
 
-    spec0 = angle_spectrum(jet, StructureGauge(0.0))
     cot_res = 0.0
     lams = np.sort(jet.lambdas)[::-1]
-    ths = spec0.thetas  # ascending pairs with descending curvatures
+    ths = pt.spec0.thetas  # ascending pairs with descending curvatures
     for lam, th in zip(lams, ths):
         if abs(np.sin(th)) > 1e-3:
             cot_res = max(cot_res, abs(lam - np.cos(th) / np.sin(th)))
     report.add("curvature_angle_cotangent", cot_res, cfg.tol("curvature_angle_cotangent"))
 
-    spec = angle_spectrum(jet, gauge)
-    ff = second_fundamental_form(jet, spec)
+    spec, ff = pt.spec, pt.ff
     report.add("cubic_symmetry", ff.symmetry_defect, cfg.tol("cubic_symmetry"))
     report.add(
         "mean_curvature_norm",
         float(np.linalg.norm(mean_curvature(ff))),
         cfg.tol("mean_curvature_norm"),
     )
-    palmer = palmer_residual(chart, x, steps)
+    palmer = palmer_residual(jet)
     report.add("palmer_formula", palmer["residual"], cfg.tol("palmer_formula"))
 
-    fd = field_derivatives(chart, x, policy, steps, with_cubic=True)
-    conn = connection_and_s(chart, x, policy, steps, fields=fd)
+    conn = pt.connection
     if cfg.gauge == "normalized":
         report.add("gauge_one_form", np.abs(conn.s).max(), cfg.tol("gauge_one_form"))
     report.add(
@@ -291,27 +298,17 @@ def _point_report(chart: HypersurfaceChart, x, cfg: RunConfig) -> ResidualReport
         conn.antisymmetry_defect,
         cfg.tol("connection_antisymmetry"),
     )
-    prop1 = check_prop1(
-        chart,
-        x,
-        policy,
-        steps,
-        tol_gradient=cfg.tol("angle_gradient_identity"),
-        tol_rotation=cfg.tol("frame_rotation_identity"),
-        fields=fd,
-    )
-    report.merge(prop1)
     report.merge(
-        gauss_equation_residual(
-            chart, x, policy, steps, tol=cfg.tol("gauss_equation"), jet=jet, spec=spec, ff=ff
+        check_prop1(
+            pt,
+            tol_gradient=cfg.tol("angle_gradient_identity"),
+            tol_rotation=cfg.tol("frame_rotation_identity"),
         )
     )
-    report.merge(
-        codazzi_residual(chart, x, policy, steps, tol=cfg.tol("codazzi_equation"), fields=fd)
-    )
+    report.merge(gauss_equation_residual(pt, tol=cfg.tol("gauss_equation")))
+    report.merge(codazzi_residual(pt, tol=cfg.tol("codazzi_equation")))
 
     k_alg = sectional_curvature(spec, ff)
-    metric_fn = gauss_metric_fn(chart, steps)
     two_route = 0.0
     value_res = 0.0
     target = SECTIONAL_TARGETS.get(cfg.example)
@@ -320,7 +317,7 @@ def _point_report(chart: HypersurfaceChart, x, cfg: RunConfig) -> ResidualReport
     for i in range(jet.dim):
         for j in range(i + 1, jet.dim):
             k_met = sectional_from_metric(
-                metric_fn, x, spec.frame_vel[i], spec.frame_vel[j], steps.metric
+                pt.curvature, pt.metric, spec.frame_vel[i], spec.frame_vel[j]
             )
             two_route = max(two_route, abs(k_alg[i, j] - k_met))
             if target is not None:
@@ -332,7 +329,7 @@ def _point_report(chart: HypersurfaceChart, x, cfg: RunConfig) -> ResidualReport
     if cfg.example == "sphere":
         th = spec.thetas
         gap = max(
-            (_mod_pi_gap(th[i], th[j]) for i in range(len(th)) for j in range(i + 1, len(th))),
+            (mod_pi_distance(th[i], th[j]) for i in range(len(th)) for j in range(i + 1, len(th))),
             default=0.0,
         )
         report.add("angles_equal", gap, cfg.tol("angles_equal"))
@@ -402,9 +399,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     results = []
     sample_specs = []
     for x in points:
-        rep = _point_report(chart, x, cfg)
-        results.append(rep)
-        sample_specs.append(angle_spectrum(gauss_map(chart, x, cfg.steps())))
+        pt = _sample_point(chart, x, cfg)
+        results.append(_point_report(pt, cfg))
+        sample_specs.append(pt.spec0)
     distinct = None
     if chart.meta.get("isoparametric"):
         thetas = np.array([np.sort(s.thetas) for s in sample_specs])
@@ -471,7 +468,7 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
     report.add(
         "ode_forms_equivalent", ode_equivalence_residual(traj), cfg.tol("ode_forms_equivalent")
     )
-    order = ode_order_ratio(cfg.n, alpha0, dalpha0, span, max(steps_n // 16, 50))
+    order = ode_order_ratio(cfg.n, alpha0, dalpha0, span, ORDER_PROBE_STEPS)
     curve = profile_curve(traj)
     payload: dict = {
         "config": cfg.to_dict(),
@@ -597,7 +594,10 @@ def _config_from_args(args) -> RunConfig:
         name, _, value = item.partition("=")
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance '{name}'")
-        tolerances[name] = float(value)
+        try:
+            tolerances[name] = float(value)
+        except ValueError:
+            raise ConfigError(f"tolerance '{name}' needs a number, got '{value}'") from None
     return RunConfig(
         command=args.command,
         example=args.example,

@@ -13,12 +13,13 @@ are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hypersurfaces import HypersurfaceChart, tangent_data
+from .hypersurfaces import ChartError, HypersurfaceChart, principal_curvatures
 from .numerics import (
-    NumericsError,
+    axis,
     first_derivative,
     mixed_derivative,
     second_derivative,
@@ -46,6 +47,7 @@ __all__ = [
     "second_fundamental_form",
     "mean_curvature",
     "palmer_residual",
+    "mod_pi_distance",
 ]
 
 ANGLE_CLUSTER_GAP = 1e-7
@@ -93,7 +95,6 @@ class GaussJet:
     point: np.ndarray
     lift: StiefelPoint
     coord_first: np.ndarray  # (n, n+2) complex, d(lift)/dx_a
-    coord_second: np.ndarray  # (n, n, n+2) complex
     induced_metric: np.ndarray  # (n, n) real
     on_frame_vel: np.ndarray  # (n, n) velocities of an orthonormal frame
     lambdas: np.ndarray  # principal curvatures, descending
@@ -104,6 +105,20 @@ class GaussJet:
     @property
     def dim(self) -> int:
         return self.chart.dim
+
+    @cached_property
+    def coord_second(self) -> np.ndarray:
+        """(n, n, n+2) complex second chart derivatives of the lift."""
+        n, p, h2 = self.dim, self.point, self.steps.second
+        lift = self.chart.lift
+        second = np.empty((n, n, n + 2), dtype=complex)
+        for a in range(n):
+            second[a, a] = second_derivative(lift, p, axis(n, a), h2)
+            for b in range(a + 1, n):
+                m = mixed_derivative(lift, p, axis(n, a), axis(n, b), h2)
+                second[a, b] = m
+                second[b, a] = m
+        return second
 
     @property
     def frame(self) -> list[HorizontalVector]:
@@ -136,17 +151,12 @@ class GaussJet:
         )
 
 
-def _axis(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
-
-
 def gauss_map(
     chart: HypersurfaceChart, p, steps: FdSteps | None = None
 ) -> GaussJet:
-    """Evaluate the Gauss-map lift with first and second chart derivatives.
+    """Evaluate the Gauss-map lift with its first chart derivatives.
 
+    The second derivatives follow on first use of GaussJet.coord_second.
     Raises GaussMapError when the Lagrangian residual exceeds 1e-6, which
     signals an inconsistent chart/normal pair rather than a step-size issue.
     """
@@ -159,30 +169,18 @@ def gauss_map(
             f"for stencil margin {steps.stencil_margin:.3g}"
         )
 
-    def lift_fn(q):
-        return (chart.embed(q) + 1j * chart.normal(q)) / np.sqrt(2.0)
-
-    value = lift_fn(p)
     try:
-        lift = StiefelPoint.from_complex(value).validate(1e-9)
+        lift = StiefelPoint.from_complex(chart.lift(p)).validate(1e-9)
     except GeometryError as exc:
         raise GaussMapError(
             f"chart '{chart.name}' does not lift to the Stiefel manifold at "
             f"{p}: {exc}"
         ) from exc
 
-    h1, h2 = steps.first, steps.second
+    h1 = steps.first
     coord_first = np.array(
-        [first_derivative(lift_fn, p, _axis(n, a), h1) for a in range(n)]
+        [first_derivative(chart.lift, p, axis(n, a), h1) for a in range(n)]
     )
-    coord_second = np.empty((n, n, n + 2), dtype=complex)
-    for a in range(n):
-        coord_second[a, a] = second_derivative(lift_fn, p, _axis(n, a), h2)
-        for b in range(a + 1, n):
-            m = mixed_derivative(lift_fn, p, _axis(n, a), _axis(n, b), h2)
-            coord_second[a, b] = m
-            coord_second[b, a] = m
-
     induced = (coord_first @ np.conj(coord_first.T)).real
     induced = 0.5 * (induced + induced.T)
 
@@ -193,35 +191,23 @@ def gauss_map(
     on_frame_vel = (v / np.sqrt(w_eval)).T
 
     # principal curvature data from the hypersurface side
-    _, t_frame, t_vel = tangent_data(chart, p, h1)
-    db = np.array(
-        [first_derivative(chart.normal, p, _axis(n, i), h1) for i in range(n)]
-    )
     try:
-        s_mat = symmetrize(-(t_vel @ db) @ t_frame.T, tol=1e-4)
-    except NumericsError as exc:
+        shape = principal_curvatures(chart, p, h1)
+    except ChartError as exc:
         raise GaussMapError(
-            f"shape operator is far from symmetric at {p} on chart "
-            f"'{chart.name}': the normal field is inconsistent ({exc})"
+            f"no principal curvatures at {p} on chart '{chart.name}': {exc}"
         ) from exc
-    lam, vec = symmetric_eigen(s_mat)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    vec = vec[:, order]
-    principal_vel = vec.T @ t_vel
-    principal_ambient = vec.T @ t_frame
 
     jet = GaussJet(
         chart=chart,
         point=p,
         lift=lift,
         coord_first=coord_first,
-        coord_second=coord_second,
         induced_metric=induced,
         on_frame_vel=on_frame_vel,
-        lambdas=lam,
-        principal_vel=principal_vel,
-        principal_ambient=principal_ambient,
+        lambdas=shape.lambdas,
+        principal_vel=shape.directions_chart,
+        principal_ambient=shape.directions_ambient,
         steps=steps,
     )
     res = jet.lagrangian_residual()
@@ -232,10 +218,10 @@ def gauss_map(
         )
     # frame relation: d(lift) along the j-th principal direction must be
     # (1 - i lambda_j)/sqrt(2) times that direction
-    for k in range(n):
-        predicted = (1.0 - 1j * lam[k]) / np.sqrt(2.0) * principal_ambient[k]
-        actual = principal_vel[k] @ coord_first
-        if np.abs(actual - predicted).max() > 1e-5 * (1.0 + abs(lam[k])):
+    for k, lam in enumerate(jet.lambdas):
+        predicted = (1.0 - 1j * lam) / np.sqrt(2.0) * jet.principal_ambient[k]
+        actual = jet.principal_vel[k] @ coord_first
+        if np.abs(actual - predicted).max() > 1e-5 * (1.0 + abs(lam)):
             raise GaussMapError(
                 f"lift derivative does not match principal data at {p} "
                 f"(direction {k}, defect "
@@ -290,6 +276,12 @@ class AngleSpectrum:
         return np.cos(2.0 * self.thetas), np.sin(2.0 * self.thetas)
 
 
+def mod_pi_distance(a: float, b: float) -> float:
+    """Distance between two angles taken mod pi, in [0, pi/2]."""
+    d = abs(a - b) % np.pi
+    return min(d, np.pi - d)
+
+
 def _cluster(values: np.ndarray, gap: float) -> list[list[int]]:
     order = np.argsort(values, kind="stable")
     clusters = [[int(order[0])]]
@@ -334,8 +326,9 @@ def angle_spectrum(jet: GaussJet, gauge: StructureGauge | None = None) -> AngleS
         )
     cos2 = np.diag(b_diag)
     sin2 = np.diag(c_diag)
-    thetas = 0.5 * np.arctan2(sin2, cos2)
-    thetas = np.mod(thetas, np.pi)
+    thetas = np.mod(0.5 * np.arctan2(sin2, cos2), np.pi)
+    # a tiny negative angle reduces to a representative that rounds to pi
+    thetas[thetas >= np.pi] = 0.0
     order = np.argsort(thetas, kind="stable")
     thetas = thetas[order]
     rot = rot[:, order]
@@ -435,32 +428,27 @@ def mean_curvature(ff: FundamentalForm) -> np.ndarray:
     return np.einsum("jji->i", ff.h) / n
 
 
-def palmer_residual(
-    chart: HypersurfaceChart, p, steps: FdSteps | None = None
-) -> dict[str, float]:
+def palmer_residual(jet: GaussJet) -> dict[str, float]:
     """Residual of the mean-curvature/principal-curvature gradient formula.
 
     Compares the frame components of the mean curvature vector of the Gauss
-    map with the (1/n) gradient of the summed principal-curvature arctangents,
-    both computed independently. Returns the residual together with the
-    magnitudes of both sides.
+    map at the jet's point with the (1/n) gradient of the summed
+    principal-curvature arctangents, both computed independently. Returns the
+    residual together with the magnitudes of both sides.
     """
-    steps = steps or FdSteps()
-    jet = gauss_map(chart, p, steps)
     spec = angle_spectrum(jet, StructureGauge(0.0))
-    ff = second_fundamental_form(jet, spec)
-    hvec = mean_curvature(ff)
+    hvec = mean_curvature(second_fundamental_form(jet, spec))
     n = jet.dim
 
     def angle_sum(q):
-        jq = gauss_map(chart, q, steps)
+        jq = gauss_map(jet.chart, q, jet.steps)
         return np.array([np.sum(np.arctan(jq.lambdas))])
 
     residual = 0.0
     lhs_mag = 0.0
     rhs_mag = 0.0
     for i in range(n):
-        d = first_derivative(angle_sum, p, spec.frame_vel[i], steps.field)[0]
+        d = first_derivative(angle_sum, jet.point, spec.frame_vel[i], jet.steps.field)[0]
         lhs = -hvec[i]
         # with the complex structure fixed as multiplication by +i the
         # gradient side enters with the opposite sign of the usual statement

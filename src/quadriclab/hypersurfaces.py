@@ -17,6 +17,7 @@ import numpy as np
 
 from .numerics import (
     NumericsError,
+    axis,
     first_derivative,
     gram_schmidt,
     spd_solve,
@@ -94,13 +95,17 @@ class HypersurfaceChart:
     name: str = ""
     meta: dict = field(default_factory=dict)
 
+    def lift(self, q) -> np.ndarray:
+        """Gauss-map lift (embed + i normal)/sqrt(2) at q, as a complex vector."""
+        return (self.embed(q) + 1j * self.normal(q)) / np.sqrt(2.0)
+
     def validate_at(self, p, h: float = 1e-4) -> dict[str, float]:
         """Pointwise invariant residuals (norms, orthogonality, rank)."""
         p = np.asarray(p, dtype=float)
         a = self.embed(p)
         b = self.normal(p)
         e = np.array(
-            [first_derivative(self.embed, p, _axis(self.dim, i), h) for i in range(self.dim)]
+            [first_derivative(self.embed, p, axis(self.dim, i), h) for i in range(self.dim)]
         )
         sv = np.sqrt(np.maximum(symmetric_eigen(e @ e.T)[0], 0.0))
         normal_tangency = float(np.abs(e @ b).max())
@@ -117,12 +122,6 @@ class HypersurfaceChart:
         worst = max(v for k, v in res.items() if k != "min_singular_value")
         if worst > tol or res["min_singular_value"] <= 1e-6:
             raise ChartError(f"chart '{self.name}' invalid at {p}: {res}")
-
-
-def _axis(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ def tangent_data(chart: HypersurfaceChart, p, h: float):
     p = np.asarray(p, dtype=float)
     n = chart.dim
     e = np.array(
-        [first_derivative(chart.embed, p, _axis(n, i), h) for i in range(n)]
+        [first_derivative(chart.embed, p, axis(n, i), h) for i in range(n)]
     )
     gram = e @ e.T
     spectrum, _ = symmetric_eigen(gram)
@@ -222,7 +221,7 @@ def _shape_data(chart: HypersurfaceChart, p, h: float):
     n = chart.dim
     e, t, m = tangent_data(chart, p, h)
     db = np.array(
-        [first_derivative(chart.normal, p, _axis(n, i), h) for i in range(n)]
+        [first_derivative(chart.normal, p, axis(n, i), h) for i in range(n)]
     )
     # -<d_b(T_j), T_k> with d along the frame velocities
     raw = -(m @ db) @ t.T

@@ -1,4 +1,4 @@
-"""Small dense numerics: symmetric eigensolver, orthonormalization, difference jets.
+"""Small dense numerics: symmetric eigensolver, orthonormalization, finite-difference stencils.
 
 Everything here operates on plain numpy arrays (float or complex) and is pure:
 no global state, safe to call concurrently. Matrices are small (n <= 32), so a
@@ -8,8 +8,6 @@ avoid LAPACK so that convergence failures surface as explicit diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -17,12 +15,11 @@ __all__ = [
     "ConvergenceError",
     "RankDeficiencyError",
     "StencilError",
-    "Jet2",
     "symmetrize",
     "symmetric_eigen",
     "spd_solve",
     "gram_schmidt",
-    "central_diff_jet",
+    "axis",
     "first_derivative",
     "second_derivative",
     "mixed_derivative",
@@ -166,19 +163,6 @@ def gram_schmidt(vectors, dependence_tol: float = 1e-10) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Jet2:
-    """Value, first and second directional derivatives of a map at a point.
-
-    first[i] approximates d f / d x_i, second[i, j] the mixed second
-    derivative; second is symmetric in (i, j) up to stencil noise.
-    """
-
-    value: np.ndarray
-    first: np.ndarray
-    second: np.ndarray
-
-
 def _eval(f, x) -> np.ndarray:
     y = np.asarray(f(np.asarray(x, dtype=float)))
     if not np.all(np.isfinite(y)):
@@ -186,36 +170,11 @@ def _eval(f, x) -> np.ndarray:
     return y
 
 
-def central_diff_jet(f, p, h: float = 1e-4) -> Jet2:
-    """O(h^2) central-difference jet of f: R^n -> R^m (or C^m) at p."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    n = p.size
-    f0 = _eval(f, p)
-    plus = []
-    minus = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        plus.append(_eval(f, p + e))
-        minus.append(_eval(f, p - e))
-    first = np.array([(plus[i] - minus[i]) / (2.0 * h) for i in range(n)])
-    second = np.empty((n, n) + f0.shape, dtype=first.dtype)
-    for i in range(n):
-        second[i, i] = (plus[i] - 2.0 * f0 + minus[i]) / h**2
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            corner = (
-                _eval(f, p + ei + ej)
-                - _eval(f, p + ei - ej)
-                - _eval(f, p - ei + ej)
-                + _eval(f, p - ei - ej)
-            ) / (4.0 * h**2)
-            second[i, j] = corner
-            second[j, i] = corner
-    return Jet2(value=f0, first=first, second=second)
+def axis(n: int, i: int) -> np.ndarray:
+    """The i-th coordinate unit vector of R^n."""
+    e = np.zeros(n)
+    e[i] = 1.0
+    return e
 
 
 def first_derivative(f, p, v, h: float, order: int = 4) -> np.ndarray:

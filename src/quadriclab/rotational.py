@@ -500,21 +500,23 @@ def warped_curvature_check(
     and the fiber curvature formula chains correctly through the warp factor
     and arclength derivatives.
     """
-    from .verify import gauss_metric_fn, sectional_from_metric  # cycle-free import
+    from .verify import (  # cycle-free import
+        curvature_from_metric,
+        gauss_metric_fn,
+        sectional_from_metric,
+    )
 
     steps = steps or FdSteps()
     p = chart.box.center.copy()
     report = ResidualReport(example=chart.name, point=list(p))
-
-    def metric_at(x):
-        return gauss_metric_fn(chart, steps)(x)
+    metric = gauss_metric_fn(chart, steps)
 
     def orbit_round_metric(x):
         _, dsigma = sphere_chart_with_derivatives(n - 1, x[1:])
         return dsigma @ dsigma.T
 
     def warp_at(x):
-        g = metric_at(x)
+        g = metric(x)
         m = orbit_round_metric(x)
         block = g[1:, 1:]
         off = np.abs(g[0, 1:]).max() if n > 1 else 0.0
@@ -532,48 +534,40 @@ def warped_curvature_check(
     # all one-dimensional differences in the profile coordinate
     dth = steps.field
 
-    def profile_samples(fn):
-        vals = []
-        for c in (1.0, 0.5, -0.5, -1.0):
-            x = p.copy()
-            x[0] += c * dth
-            vals.append(fn(x))
-        return vals
+    def shifted(x, dt):
+        y = x.copy()
+        y[0] += dt
+        return y
 
-    def d_dtheta(vals):
-        f_p1, f_p05, f_m05, f_m1 = vals
+    def d_dtheta(fn, x):
+        f_p1, f_p05, f_m05, f_m1 = [fn(shifted(x, c * dth)) for c in (1.0, 0.5, -0.5, -1.0)]
         return (-f_p1 + 8 * f_p05 - 8 * f_m05 + f_m1) / (12 * 0.5 * dth)
-
-    g_theta = float(metric_at(p)[0, 0])
-    drho = d_dtheta(profile_samples(lambda x: warp_at(x)[0]))
-    dalpha = d_dtheta(profile_samples(lambda x: _alpha_from_gauss(chart, x, steps)))
-    e1_rho = drho / np.sqrt(g_theta)
-    e1_alpha = dalpha / np.sqrt(g_theta)
 
     # fiber curvature via the metric route in an orbit plane
     ortho = np.zeros(n)
     ortho[1] = 1.0
     ortho2 = np.zeros(n)
     ortho2[2 if n > 2 else 1] = 1.0
-    k_orbit = sectional_from_metric(gauss_metric_fn(chart, steps), p, ortho, ortho2, steps.metric)
-    k_fiber = rho**2 * (k_orbit + (e1_rho / rho) ** 2)
+
+    def fiber_curvature(x):
+        rho_x = warp_at(x)[0]
+        g_x = metric(x)
+        e1_rho = d_dtheta(lambda y: warp_at(y)[0], x) / np.sqrt(float(g_x[0, 0]))
+        k_orbit = sectional_from_metric(
+            curvature_from_metric(metric, x, steps.metric), g_x, ortho, ortho2
+        )
+        return rho_x**2 * (k_orbit + (e1_rho / rho_x) ** 2)
+
+    # one fiber curvature per profile sample; the middle sample is p itself
+    kf_samples = [fiber_curvature(shifted(p, c * 5 * dth)) for c in (-1.0, 0.0, 1.0)]
+    k_fiber = kf_samples[1]
+    e1_alpha = d_dtheta(lambda x: _alpha_from_gauss(chart, x, steps), p) / np.sqrt(
+        float(metric(p)[0, 0])
+    )
     rhs_chain = (c1 * np.sin(n * alpha) ** (-1.0 / n)) ** 2 * (
         2.0 + e1_alpha**2 * np.sin(n * alpha) ** (-2.0)
     )
     report.add("fiber_curvature_normalized", abs(k_fiber - 1.0), tol_fiber)
     report.add("fiber_curvature_chain", abs(k_fiber - rhs_chain), tol_fiber)
-
-    # constancy of the fiber curvature along the profile
-    kf_samples = []
-    for c in (-1.0, 0.0, 1.0):
-        x = p.copy()
-        x[0] += c * 5 * dth
-        rho_x, _, _ = warp_at(x)
-        drho_x = d_dtheta(
-            [warp_at(x + np.eye(n)[0] * cc * dth)[0] for cc in (1.0, 0.5, -0.5, -1.0)]
-        )
-        g_thx = float(metric_at(x)[0, 0])
-        k_ox = sectional_from_metric(gauss_metric_fn(chart, steps), x, ortho, ortho2, steps.metric)
-        kf_samples.append(rho_x**2 * (k_ox + (drho_x / np.sqrt(g_thx) / rho_x) ** 2))
     report.add("fiber_curvature_variance", float(np.var(kf_samples)), 1e-4)
     return report

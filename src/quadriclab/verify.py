@@ -10,6 +10,7 @@ route cannot hide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -21,11 +22,12 @@ from .gaussmap import (
     GaussJet,
     angle_spectrum,
     gauss_map,
+    mod_pi_distance,
     normalized_phase,
     second_fundamental_form,
 )
 from .hypersurfaces import Box, HypersurfaceChart
-from .numerics import symmetric_eigen
+from .numerics import axis, first_derivative, symmetric_eigen
 from .quadric import StiefelPoint, StructureGauge
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "CheckResult",
     "ResidualReport",
     "GaugePolicy",
+    "SamplePoint",
     "ConnectionData",
     "FieldDerivatives",
     "field_derivatives",
@@ -119,14 +122,76 @@ class GaugePolicy:
         raise VerifyError(f"unknown gauge mode '{self.mode}'")
 
 
+class SamplePoint:
+    """Every quantity the checks read at one sample point, each built once.
+
+    Wraps the Gauss-map jet at the point; the gauge policy sets the structure
+    gauge there and how it varies over the field-derivative stencils. Each
+    other field is computed on first use and kept, so checks sharing a point
+    share its spectra, cubic form, field derivatives and curvature tensor.
+    """
+
+    def __init__(self, jet: GaussJet, policy: GaugePolicy | None = None):
+        self.jet = jet
+        self.policy = policy or GaugePolicy()
+
+    @property
+    def chart(self) -> HypersurfaceChart:
+        return self.jet.chart
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.jet.point
+
+    @property
+    def steps(self) -> FdSteps:
+        return self.jet.steps
+
+    @cached_property
+    def phi(self) -> float:
+        """Structure gauge angle at the point under the policy."""
+        return self.policy.phi_at(self.jet)
+
+    @cached_property
+    def spec(self) -> AngleSpectrum:
+        """Angle spectrum in the policy gauge."""
+        return angle_spectrum(self.jet, StructureGauge(self.phi))
+
+    @cached_property
+    def spec0(self) -> AngleSpectrum:
+        """Angle spectrum in the canonical gauge (phi = 0)."""
+        return angle_spectrum(self.jet, StructureGauge(0.0))
+
+    @cached_property
+    def ff(self) -> FundamentalForm:
+        return second_fundamental_form(self.jet, self.spec)
+
+    @cached_property
+    def fields(self) -> FieldDerivatives:
+        return field_derivatives(self)
+
+    @cached_property
+    def connection(self) -> ConnectionData:
+        return connection_and_s(self)
+
+    @cached_property
+    def metric_fn(self):
+        return gauss_metric_fn(self.chart, self.steps)
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """Induced metric of the Gauss map at the point, in chart coordinates."""
+        return self.metric_fn(self.p)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """Coordinate curvature tensor of the induced metric (metric route)."""
+        return curvature_from_metric(self.metric_fn, self.p, self.steps.metric)
+
+
 # ---------------------------------------------------------------------------
 # frame transport and field derivatives
 # ---------------------------------------------------------------------------
-
-def _mod_pi_distance(a: float, b: float) -> float:
-    d = abs(a - b) % np.pi
-    return min(d, np.pi - d)
-
 
 def _polar_orthogonal(m: np.ndarray) -> np.ndarray:
     """Orthogonal polar factor of a near-orthogonal square matrix."""
@@ -151,20 +216,20 @@ def _align_to_reference(
     n = ref.dim
     clusters: list[list[int]] = [[0]]
     for k in range(1, n):
-        if _mod_pi_distance(ref.thetas[k], ref.thetas[clusters[-1][-1]]) <= 1e-6:
+        if mod_pi_distance(ref.thetas[k], ref.thetas[clusters[-1][-1]]) <= 1e-6:
             clusters[-1].append(k)
         else:
             clusters.append([k])
     if (
         len(clusters) > 1
-        and _mod_pi_distance(ref.thetas[clusters[0][0]], ref.thetas[clusters[-1][-1]])
+        and mod_pi_distance(ref.thetas[clusters[0][0]], ref.thetas[clusters[-1][-1]])
         <= 1e-6
     ):
         clusters[0].extend(clusters.pop())
     assignment: list[list[int]] = [[] for _ in clusters]
     for j in range(n):
         dists = [
-            min(_mod_pi_distance(spec.thetas[j], ref.thetas[k]) for k in cl)
+            min(mod_pi_distance(spec.thetas[j], ref.thetas[k]) for k in cl)
             for cl in clusters
         ]
         assignment[int(np.argmin(dists))].append(j)
@@ -212,44 +277,22 @@ class FieldDerivatives:
     direction i (the i-th frame vector of the reference spectrum at p).
     """
 
-    jet: GaussJet
-    spec: AngleSpectrum
-    ff: FundamentalForm
-    phi: float
-    d_cos2: np.ndarray  # (n, n): e_i(cos 2 theta_j)
-    d_sin2: np.ndarray  # (n, n)
+    d_theta: np.ndarray  # (n, n): e_i(theta_j), via the doubled angles (branch free)
     d_frame: np.ndarray  # (n, n, n+2) complex: e_i(frame_j lift)
-    d_cubic: np.ndarray | None  # (n, n, n, n): e_i(h_jk^l)
+    d_cubic: np.ndarray  # (n, n, n, n): e_i(h_jk^l)
     d_normal_lift: np.ndarray  # (n, n+2) complex: e_i(gauged conjugate lift)
 
-    def d_theta(self) -> np.ndarray:
-        """e_i(theta_j) via the doubled-angle derivatives (branch free)."""
-        cos2, sin2 = self.spec.cos_sin()
-        return 0.5 * (cos2[None, :] * self.d_sin2 - sin2[None, :] * self.d_cos2)
 
-
-def field_derivatives(
-    chart: HypersurfaceChart,
-    p,
-    policy: GaugePolicy | None = None,
-    steps: FdSteps | None = None,
-    with_cubic: bool = True,
-) -> FieldDerivatives:
+def field_derivatives(pt: SamplePoint) -> FieldDerivatives:
     """Fourth-order derivatives of angles, frame, cubic form and normal lift.
 
     Evaluates the whole pointwise pipeline at p +- {H, H/2} along every frame
     direction, aligns the stencil frames to the center frame and differences
     the aligned fields.
     """
-    steps = steps or FdSteps()
-    policy = policy or GaugePolicy()
-    p = np.asarray(p, dtype=float)
-    jet = gauss_map(chart, p, steps)
-    phi0 = policy.phi_at(jet)
-    spec = angle_spectrum(jet, StructureGauge(phi0))
-    ff = second_fundamental_form(jet, spec)
-    n = jet.dim
-    h_step = steps.field
+    spec = pt.spec
+    n = pt.jet.dim
+    h_step = pt.steps.field
     offsets = (1.0, 0.5, -0.5, -1.0)
 
     def normal_lift(jet_q: GaussJet, phi_q: float) -> np.ndarray:
@@ -258,15 +301,15 @@ def field_derivatives(
     d_cos2 = np.empty((n, n))
     d_sin2 = np.empty((n, n))
     d_frame = np.empty((n, n, n + 2), dtype=complex)
-    d_cubic = np.empty((n, n, n, n)) if with_cubic else None
+    d_cubic = np.empty((n, n, n, n))
     d_normal = np.empty((n, n + 2), dtype=complex)
     for i in range(n):
         vel = spec.frame_vel[i]
         cos2_s, sin2_s, frame_s, cubic_s, lift_s = [], [], [], [], []
         for c in offsets:
-            q = p + c * h_step * vel
-            jet_q = gauss_map(chart, q, steps)
-            phi_q = policy.phi_at(jet_q, ref_phi=phi0)
+            q = pt.p + c * h_step * vel
+            jet_q = gauss_map(pt.chart, q, pt.steps)
+            phi_q = pt.policy.phi_at(jet_q, ref_phi=pt.phi)
             spec_q = _align_to_reference(
                 angle_spectrum(jet_q, StructureGauge(phi_q)), spec
             )
@@ -275,8 +318,7 @@ def field_derivatives(
             sin2_s.append(sin2_q)
             frame_s.append(spec_q.frame_ambient)
             lift_s.append(normal_lift(jet_q, phi_q))
-            if with_cubic:
-                cubic_s.append(second_fundamental_form(jet_q, spec_q).h)
+            cubic_s.append(second_fundamental_form(jet_q, spec_q).h)
 
         # five-point first derivative with substep H/2; offsets are
         # (+1, +1/2, -1/2, -1) in units of H
@@ -288,15 +330,10 @@ def field_derivatives(
         d_sin2[i] = deriv(sin2_s)
         d_frame[i] = deriv(frame_s)
         d_normal[i] = deriv(lift_s)
-        if with_cubic:
-            d_cubic[i] = deriv(cubic_s)
+        d_cubic[i] = deriv(cubic_s)
+    cos2, sin2 = spec.cos_sin()
     return FieldDerivatives(
-        jet=jet,
-        spec=spec,
-        ff=ff,
-        phi=phi0,
-        d_cos2=d_cos2,
-        d_sin2=d_sin2,
+        d_theta=0.5 * (cos2[None, :] * d_sin2 - sin2[None, :] * d_cos2),
         d_frame=d_frame,
         d_cubic=d_cubic,
         d_normal_lift=d_normal,
@@ -321,49 +358,36 @@ class ConnectionData:
     antisymmetry_defect: float
 
 
-def connection_and_s(
-    chart: HypersurfaceChart,
-    p,
-    policy: GaugePolicy | None = None,
-    steps: FdSteps | None = None,
-    fields: FieldDerivatives | None = None,
-) -> ConnectionData:
+def connection_and_s(pt: SamplePoint) -> ConnectionData:
     """Connection forms and the gauge one-form from frame-field derivatives."""
-    fd = fields or field_derivatives(chart, p, policy, steps, with_cubic=False)
-    frame = fd.spec.frame_ambient
+    fd = pt.fields
+    frame = pt.spec.frame_ambient
     raw = np.einsum("ijm,km->ijk", fd.d_frame, np.conj(frame)).real
     omega = 0.5 * (raw - np.transpose(raw, (0, 2, 1)))
     defect = float(np.abs(raw + np.transpose(raw, (0, 2, 1))).max())
-    xi = np.exp(1j * fd.phi) * np.conj(fd.spec.lift.z)
+    xi = np.exp(1j * pt.phi) * np.conj(pt.spec.lift.z)
     s_vals = np.einsum("im,m->i", fd.d_normal_lift, np.conj(1j * xi)).real
     return ConnectionData(omega=omega, s=s_vals, antisymmetry_defect=defect)
 
 
 def check_prop1(
-    chart: HypersurfaceChart,
-    p,
-    policy: GaugePolicy | None = None,
-    steps: FdSteps | None = None,
-    tol_gradient: float = 1e-4,
-    tol_rotation: float = 1e-4,
-    fields: FieldDerivatives | None = None,
+    pt: SamplePoint, tol_gradient: float = 1e-4, tol_rotation: float = 1e-4
 ) -> ResidualReport:
     """First-order identities: angle gradients and frame rotation rates.
 
     angle_gradient_identity: e_i(theta_j) = h_jj^i - s(e_i)/2.
     frame_rotation_identity: sin(dtheta) omega = cos(dtheta) h for j != k.
     """
-    fd = fields or field_derivatives(chart, p, policy, steps, with_cubic=True)
-    conn = connection_and_s(chart, p, policy, steps, fields=fd)
-    n = fd.jet.dim
-    d_theta = fd.d_theta()
-    h = fd.ff.h
+    conn = pt.connection
+    n = pt.jet.dim
+    d_theta = pt.fields.d_theta
+    h = pt.ff.h
     res1 = 0.0
     for i in range(n):
         for j in range(n):
             res1 = max(res1, abs(d_theta[i, j] - h[j, j, i] + 0.5 * conn.s[i]))
     res2 = 0.0
-    th = fd.spec.thetas
+    th = pt.spec.thetas
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -372,7 +396,7 @@ def check_prop1(
                 lhs = np.sin(th[j] - th[k]) * conn.omega[i, j, k]
                 rhs = np.cos(th[j] - th[k]) * h[i, j, k]
                 res2 = max(res2, abs(lhs - rhs))
-    report = ResidualReport(example=chart.name, point=list(np.asarray(p, float)))
+    report = ResidualReport(example=pt.chart.name, point=list(pt.p))
     report.add("angle_gradient_identity", res1, tol_gradient)
     report.add("frame_rotation_identity", res2, tol_rotation)
     return report
@@ -386,22 +410,11 @@ def gauss_metric_fn(chart: HypersurfaceChart, steps: FdSteps | None = None):
     """Function q -> induced metric of the Gauss map in chart coordinates."""
     steps = steps or FdSteps()
     n = chart.dim
-    sqrt2 = np.sqrt(2.0)
-
-    def lift_fn(q):
-        return (chart.embed(q) + 1j * chart.normal(q)) / sqrt2
 
     def metric(q):
-        q = np.asarray(q, dtype=float)
-        d = np.empty((n, n + 2), dtype=complex)
-        for a in range(n):
-            e = np.zeros(n)
-            e[a] = 1.0
-            fp1 = lift_fn(q + steps.first * e)
-            fm1 = lift_fn(q - steps.first * e)
-            fp2 = lift_fn(q + 2 * steps.first * e)
-            fm2 = lift_fn(q - 2 * steps.first * e)
-            d[a] = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * steps.first)
+        d = np.array(
+            [first_derivative(chart.lift, q, axis(n, a), steps.first) for a in range(n)]
+        )
         g = (d @ np.conj(d.T)).real
         return 0.5 * (g + g.T)
 
@@ -418,15 +431,9 @@ def curvature_from_metric(metric_fn, p, h: float) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     n = p.size
     g0 = metric_fn(p)
-
-    def axis(i):
-        e = np.zeros(n)
-        e[i] = 1.0
-        return e
-
     dg = np.empty((n, n, n))
     for c in range(n):
-        e = axis(c)
+        e = axis(n, c)
         f_p1 = metric_fn(p + 0.5 * h * e)
         f_m1 = metric_fn(p - 0.5 * h * e)
         f_p2 = metric_fn(p + h * e)
@@ -434,14 +441,14 @@ def curvature_from_metric(metric_fn, p, h: float) -> np.ndarray:
         dg[c] = (-f_p2 + 8 * f_p1 - 8 * f_m1 + f_m2) / (6.0 * h)
     ddg = np.empty((n, n, n, n))
     for c in range(n):
-        e = axis(c)
+        e = axis(n, c)
         f_p1 = metric_fn(p + h * e)
         f_m1 = metric_fn(p - h * e)
         f_p2 = metric_fn(p + 2 * h * e)
         f_m2 = metric_fn(p - 2 * h * e)
         ddg[c, c] = (-f_p2 + 16 * f_p1 - 30 * g0 + 16 * f_m1 - f_m2) / (12.0 * h**2)
         for d in range(c + 1, n):
-            ed = axis(d)
+            ed = axis(n, d)
 
             def corner(step):
                 return (
@@ -483,10 +490,11 @@ def curvature_from_metric(metric_fn, p, h: float) -> np.ndarray:
     return r
 
 
-def sectional_from_metric(metric_fn, p, x, y, h: float) -> float:
-    """Sectional curvature of span(x, y) from the metric alone."""
-    r = curvature_from_metric(metric_fn, p, h)
-    g = metric_fn(np.asarray(p, dtype=float))
+def sectional_from_metric(r: np.ndarray, g: np.ndarray, x, y) -> float:
+    """Sectional curvature of span(x, y) from a coordinate curvature tensor.
+
+    r is curvature_from_metric's tensor at a point and g the metric there.
+    """
     num = np.einsum("abcd,a,b,c,d->", r, x, y, y, x)
     gxx = x @ g @ x
     gyy = y @ g @ y
@@ -494,32 +502,14 @@ def sectional_from_metric(metric_fn, p, x, y, h: float) -> float:
     return float(num / (gxx * gyy - gxy**2))
 
 
-def gauss_equation_residual(
-    chart: HypersurfaceChart,
-    p,
-    policy: GaugePolicy | None = None,
-    steps: FdSteps | None = None,
-    tol: float = 1e-3,
-    jet: GaussJet | None = None,
-    spec: AngleSpectrum | None = None,
-    ff: FundamentalForm | None = None,
-) -> ResidualReport:
+def gauss_equation_residual(pt: SamplePoint, tol: float = 1e-3) -> ResidualReport:
     """Full curvature comparison: metric route against the algebraic route."""
-    steps = steps or FdSteps()
-    policy = policy or GaugePolicy()
-    p = np.asarray(p, dtype=float)
-    if jet is None:
-        jet = gauss_map(chart, p, steps)
-    if spec is None:
-        spec = angle_spectrum(jet, StructureGauge(policy.phi_at(jet)))
-    if ff is None:
-        ff = second_fundamental_form(jet, spec)
-    n = jet.dim
-    r_coord = curvature_from_metric(gauss_metric_fn(chart, steps), p, steps.metric)
+    spec = pt.spec
+    n = pt.jet.dim
     f = spec.frame_vel
-    r_frame = np.einsum("abcd,ia,jb,kc,ld->ijkl", r_coord, f, f, f, f)
+    r_frame = np.einsum("abcd,ia,jb,kc,ld->ijkl", pt.curvature, f, f, f, f)
     cos2, sin2 = spec.cos_sin()
-    h = ff.h
+    h = pt.ff.h
     delta = np.eye(n)
     pair = 1.0 + np.outer(cos2, cos2) + np.outer(sin2, sin2)
     rhs = (
@@ -529,25 +519,17 @@ def gauss_equation_residual(
         - np.einsum("ikm,jlm->ijkl", h, h)
     )
     residual = float(np.abs(r_frame - rhs).max())
-    report = ResidualReport(example=chart.name, point=list(p))
+    report = ResidualReport(example=pt.chart.name, point=list(pt.p))
     report.add("gauss_equation", residual, tol)
     return report
 
 
-def codazzi_residual(
-    chart: HypersurfaceChart,
-    p,
-    policy: GaugePolicy | None = None,
-    steps: FdSteps | None = None,
-    tol: float = 1e-3,
-    fields: FieldDerivatives | None = None,
-) -> ResidualReport:
+def codazzi_residual(pt: SamplePoint, tol: float = 1e-3) -> ResidualReport:
     """Residual of the antisymmetrized covariant derivative of the cubic form."""
-    fd = fields or field_derivatives(chart, p, policy, steps, with_cubic=True)
-    conn = connection_and_s(chart, p, policy, steps, fields=fd)
-    n = fd.jet.dim
-    h = fd.ff.h
-    dh = fd.d_cubic
+    conn = pt.connection
+    n = pt.jet.dim
+    h = pt.ff.h
+    dh = pt.fields.d_cubic
     omega = conn.omega
     nabla = (
         dh
@@ -555,7 +537,7 @@ def codazzi_residual(
         - np.einsum("ijm,mkl->ijkl", omega, h)
         - np.einsum("ikm,jml->ijkl", omega, h)
     )
-    th = fd.spec.thetas
+    th = pt.spec.thetas
     delta = np.eye(n)
     sin2d = np.sin(2.0 * (th[None, :] - th[:, None]))  # [i, j] = sin(2(theta_j - theta_i))
     rhs = np.einsum("ij,jk,il->ijkl", sin2d, delta, delta) + np.einsum(
@@ -563,7 +545,7 @@ def codazzi_residual(
     )
     lhs = nabla - np.transpose(nabla, (1, 0, 2, 3))
     residual = float(np.abs(lhs - rhs).max())
-    report = ResidualReport(example=chart.name, point=list(np.asarray(p, float)))
+    report = ResidualReport(example=pt.chart.name, point=list(pt.p))
     report.add("codazzi_equation", residual, tol)
     return report
 
@@ -649,8 +631,11 @@ def classify_by_angles(
     base = np.sort(spectra[0].thetas)
     for s in spectra[1:]:
         other = np.sort(s.thetas)
-        spread = max(
-            _mod_pi_distance(a, b) for a, b in zip(base, other)
+        # sorted representatives of the same angles mod pi differ by a cyclic
+        # shift when one angle crosses 0 = pi
+        spread = min(
+            max(mod_pi_distance(a, b) for a, b in zip(base, np.roll(other, k)))
+            for k in range(len(other))
         )
         if spread**2 > variance_tol:
             raise VerifyError(
@@ -661,10 +646,10 @@ def classify_by_angles(
     n = len(angles)
     distinct = 1
     for k in range(1, n):
-        if _mod_pi_distance(angles[k], angles[k - 1]) > cluster_tol:
+        if mod_pi_distance(angles[k], angles[k - 1]) > cluster_tol:
             distinct += 1
     # the first and last representative may be the same angle mod pi
-    if distinct > 1 and _mod_pi_distance(angles[0], angles[-1]) <= cluster_tol:
+    if distinct > 1 and mod_pi_distance(angles[0], angles[-1]) <= cluster_tol:
         distinct -= 1
     if distinct not in (1, 2, 3, 4, 6):
         raise VerifyError(
@@ -678,9 +663,7 @@ def gauss_lift_field(chart: HypersurfaceChart) -> Callable[[np.ndarray], Stiefel
     """Smooth field of Gauss-map lifts of a chart."""
 
     def lift(p: np.ndarray) -> StiefelPoint:
-        a = chart.embed(p)
-        b = chart.normal(p)
-        return StiefelPoint(u=a / np.sqrt(2.0), v=b / np.sqrt(2.0))
+        return StiefelPoint.from_complex(chart.lift(p))
 
     return lift
 

@@ -49,8 +49,10 @@ from quadriclab.rotational import (
 )
 from quadriclab.verify import (
     GaugePolicy,
+    SamplePoint,
     check_prop1,
     codazzi_residual,
+    curvature_from_metric,
     gauss_equation_residual,
     gauss_lift_field,
     gauss_metric_fn,
@@ -110,12 +112,12 @@ def test_criterion_02_sphere_gauss_map():
     steps = FdSteps()
     for n in (2, 3, 4):
         chart = round_sphere(n, 1.0 / np.sqrt(2.0))
-        metric_fn = gauss_metric_fn(chart, steps)
         for x in sample_points(chart, 10, seed=n):
-            spec = angle_spectrum(gauss_map(chart, x, steps))
+            pt = SamplePoint(gauss_map(chart, x, steps))
+            spec = pt.spec0
             worst_gap = max(worst_gap, float(np.ptp(spec.thetas)))
             k = sectional_from_metric(
-                metric_fn, x, spec.frame_vel[0], spec.frame_vel[1], steps.metric
+                pt.curvature, pt.metric, spec.frame_vel[0], spec.frame_vel[1]
             )
             worst_k = max(worst_k, abs(k - 2.0))
     elapsed = time.monotonic() - start
@@ -134,7 +136,10 @@ def test_criterion_03_flat_torus():
     worst = 0.0
     for x in sample_points(chart, 5):
         k = sectional_from_metric(
-            metric_fn, x, np.array([1.0, 0.0]), np.array([0.0, 1.0]), steps.metric
+            curvature_from_metric(metric_fn, x, steps.metric),
+            metric_fn(x),
+            np.array([1.0, 0.0]),
+            np.array([0.0, 1.0]),
         )
         worst = max(worst, abs(k))
     report(3, worst < 1e-3, f"torus Gauss map is flat; worst |K| = {worst:.2e}")
@@ -144,10 +149,10 @@ def test_criterion_04_cartan_tube():
     start = time.monotonic()
     chart = cartan_tube(0.35)
     steps = FdSteps()
-    metric_fn = gauss_metric_fn(chart, steps)
     worst_gap = worst_h = worst_k = 0.0
     for x in sample_points(chart, 3):
         jet = gauss_map(chart, x, steps)
+        pt = SamplePoint(jet)
         spec = angle_spectrum(jet, gauge_normalize(jet))
         th = np.sort(spec.thetas)
         worst_gap = max(
@@ -160,7 +165,7 @@ def test_criterion_04_cartan_tube():
         for i in range(3):
             for j in range(i + 1, 3):
                 k = sectional_from_metric(
-                    metric_fn, x, spec.frame_vel[i], spec.frame_vel[j], steps.metric
+                    pt.curvature, pt.metric, spec.frame_vel[i], spec.frame_vel[j]
                 )
                 worst_k = max(worst_k, abs(k - 0.125))
     elapsed = time.monotonic() - start
@@ -181,7 +186,7 @@ def test_criterion_05_minimality():
             jet = gauss_map(chart, x, steps)
             ff = second_fundamental_form(jet, angle_spectrum(jet))
             worst_h = max(worst_h, float(np.linalg.norm(mean_curvature(ff))))
-            worst_p = max(worst_p, palmer_residual(chart, x, steps)["residual"])
+            worst_p = max(worst_p, palmer_residual(jet)["residual"])
     report(
         5,
         worst_h < 1e-5 and worst_p < 1e-5,
@@ -242,10 +247,10 @@ def test_criterion_08_first_order_identities(rotational_chart):
     worst_iso = 0.0
     for chart in isoparametric_catalog():
         x = chart.box.center + 0.05
-        rep = check_prop1(chart, x, GaugePolicy("normalized"), steps)
+        rep = check_prop1(SamplePoint(gauss_map(chart, x, steps), GaugePolicy("normalized")))
         worst_iso = max(worst_iso, max(e.residual for e in rep.entries.values()))
     x = rotational_chart.box.center
-    rep = check_prop1(rotational_chart, x, GaugePolicy("normalized"), steps)
+    rep = check_prop1(SamplePoint(gauss_map(rotational_chart, x, steps), GaugePolicy("normalized")))
     worst_rot = max(e.residual for e in rep.entries.values())
     report(
         8,
@@ -261,8 +266,9 @@ def test_criterion_09_gauss_codazzi(rotational_chart):
     charts = isoparametric_catalog() + [rotational_chart]
     for chart in charts:
         x = chart.box.center + (0.05 if chart.name != "rotational" else 0.0)
-        g = gauss_equation_residual(chart, x, GaugePolicy("normalized"), steps)
-        c = codazzi_residual(chart, x, GaugePolicy("normalized"), steps)
+        pt = SamplePoint(gauss_map(chart, x, steps), GaugePolicy("normalized"))
+        g = gauss_equation_residual(pt)
+        c = codazzi_residual(pt)
         worst = max(
             worst,
             g.entries["gauss_equation"].residual,

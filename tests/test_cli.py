@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from quadriclab import cli
 from quadriclab.cli import RunConfig, ConfigError, kronecker_points, main
-from quadriclab.hypersurfaces import Box
+from quadriclab.hypersurfaces import Box, round_sphere
 
 
 def run(tmp_path, *args):
@@ -30,6 +32,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(command="verify", grid=0)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_positive(self, tmp_path, n):
+        with pytest.raises(ConfigError):
+            RunConfig(command="verify", n=n)
+        assert run(tmp_path, "verify", "--n", str(n)) == 2
+
+    def test_non_numeric_tolerance_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path, "verify", "--tol", "gauss_equation=abc") == 2
+        assert "gauss_equation" in capsys.readouterr().err
+
     def test_tolerance_override(self):
         cfg = RunConfig(command="verify", tolerances={"gauss_equation": 1e-2})
         assert cfg.tol("gauss_equation") == 1e-2
@@ -48,6 +60,13 @@ class TestSamplePoints:
         box = Box.cube(2, 0.4)
         for x in kronecker_points(box, 50, seed=0, margin=0.03):
             assert box.contains(x, margin=0.029)
+
+    def test_beyond_twelve_primes(self, tmp_path):
+        # dimension 7 needs the 13th and 14th primes for its start offsets
+        box = Box.cube(7, 0.4)
+        for x in kronecker_points(box, 3, seed=0, margin=0.03):
+            assert box.contains(x, margin=0.029)
+        assert run(tmp_path, "verify", "--n", "7", "--grid", "1") == 0
 
     def test_seed_changes_points(self):
         box = Box.cube(2, 0.4)
@@ -106,6 +125,30 @@ class TestVerifyCommand:
                 assert set(c) == {"name", "residual", "tolerance", "pass"}
         assert isinstance(rep["summary"]["skipped"], list)
 
+    def test_chart_evaluation_budget(self, monkeypatch):
+        # embed and normal evaluations for one verified point of the round
+        # 3-sphere; each per-point quantity is built once, so a change that
+        # rebuilds one moves this count
+        calls = []
+
+        def counted(fn):
+            def wrapper(q):
+                calls.append(1)
+                return fn(q)
+
+            return wrapper
+
+        def build(cfg):
+            chart = round_sphere(3, 1.0 / np.sqrt(2.0))
+            return dataclasses.replace(
+                chart, embed=counted(chart.embed), normal=counted(chart.normal)
+            )
+
+        monkeypatch.setattr(cli, "build_example", build)
+        code, _ = cli.cmd_verify(RunConfig(command="verify", grid=1))
+        assert code == 0
+        assert len(calls) == 3478
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         run(d1, "verify", "--example", "product", "--n", "2", "--grid", "2", "--seed", "3")
@@ -138,6 +181,29 @@ class TestAnglesCommand:
         assert rep["summary"]["distinct_angles"] == 2
 
 
+    def test_product_n3_normalized_defaults(self, tmp_path):
+        # one angle sits at 0 = pi in the normalized gauge; its representative
+        # must not split the count
+        assert run(tmp_path, "angles", "--example", "product", "--n", "3") == 0
+        rep = load_report(tmp_path, "angles", "product")
+        assert rep["summary"]["distinct_angles"] == 2
+
+    def test_cartan_small_grid_seed_3(self, tmp_path):
+        assert run(tmp_path, "angles", "--example", "cartan", "--grid", "4", "--seed", "3") == 0
+        rep = load_report(tmp_path, "angles", "cartan")
+        assert rep["summary"]["distinct_angles"] == 3
+
+    def test_angles_below_pi(self, tmp_path):
+        code = run(
+            tmp_path, "angles", "--example", "sphere", "--n", "3", "--r", "0.7071067811865475",
+            "--grid", "12", "--gauge", "normalized", "--seed", "296007",
+        )
+        assert code == 0
+        rep = load_report(tmp_path, "angles", "sphere")
+        angles = [a for row in rep["results"] for a in row["angles"]]
+        assert all(0.0 <= a < np.pi for a in angles)
+
+
 class TestOdeCommand:
     def test_defaults_pass(self, tmp_path):
         code = run(tmp_path, "ode", "--n", "3", "--steps", "2000", "--span", "0.6")
@@ -146,6 +212,13 @@ class TestOdeCommand:
         names = {c["name"] for r in rep["results"] for c in r["checks"]}
         assert "first_integral" in names
         assert "warp_factor_law" in names
+        assert 12.0 <= rep["trajectory"]["order_ratio"] <= 20.0
+
+    def test_order_probe_at_many_steps(self, tmp_path):
+        # the order probe keeps its own step count, so a fine --steps does not
+        # push it into round-off
+        assert run(tmp_path, "ode", "--steps", "16000") == 0
+        rep = load_report(tmp_path, "ode", "rotational")
         assert 12.0 <= rep["trajectory"]["order_ratio"] <= 20.0
 
     def test_csv_columns(self, tmp_path):

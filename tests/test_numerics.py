@@ -8,9 +8,10 @@ from quadriclab.numerics import (
     ConvergenceError,
     NumericsError,
     RankDeficiencyError,
-    central_diff_jet,
     first_derivative,
     gram_schmidt,
+    mixed_derivative,
+    second_derivative,
     spd_solve,
     symmetric_eigen,
     symmetrize,
@@ -116,18 +117,28 @@ class TestSpdSolve:
             spd_solve(np.diag([1.0, -1.0]), np.ones(2))
 
 
+E0, E1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+
 class TestCentralDiffJet:
+    """Central-difference jets: the first, second and mixed derivative stencils."""
+
     def test_square_function(self):
-        jet = central_diff_jet(lambda x: np.array([x[0] ** 2]), np.array([1.0]), 1e-4)
-        assert abs(jet.first[0][0] - 2.0) < 1e-7
-        assert abs(jet.second[0, 0][0] - 2.0) < 1e-4
+        f = lambda x: np.array([x[0] ** 2])
+        p, e = np.array([1.0]), np.array([1.0])
+        assert abs(first_derivative(f, p, e, 1e-4)[0] - 2.0) < 1e-7
+        assert abs(second_derivative(f, p, e, 1e-4)[0] - 2.0) < 1e-4
 
     def test_linear_has_zero_second(self):
-        jet = central_diff_jet(
-            lambda x: np.array([3.0 * x[0] - 2.0 * x[1]]), np.array([0.4, -0.3]), 1e-4
-        )
-        # roundoff floor of plain second differences is ~eps/h^2
-        assert np.abs(jet.second).max() < 1e-7
+        f = lambda x: np.array([3.0 * x[0] - 2.0 * x[1]])
+        p = np.array([0.4, -0.3])
+        seconds = [
+            second_derivative(f, p, E0, 1e-4),
+            second_derivative(f, p, E1, 1e-4),
+            mixed_derivative(f, p, E0, E1, 1e-4),
+        ]
+        # roundoff floor of second differences is ~eps/h^2
+        assert np.abs(seconds).max() < 1e-7
 
     def test_closed_form_partials(self):
         # f(x, y) = sin x cos y against its analytic first and second partials
@@ -135,34 +146,35 @@ class TestCentralDiffJet:
             return np.array([math.sin(x[0]) * math.cos(x[1])])
 
         p = np.array([0.3, 0.7])
-        jet = central_diff_jet(f, p, 1e-4)
         sx, cx = math.sin(0.3), math.cos(0.3)
         sy, cy = math.sin(0.7), math.cos(0.7)
-        assert abs(jet.first[0][0] - cx * cy) < 1e-6
-        assert abs(jet.first[1][0] + sx * sy) < 1e-6
-        assert abs(jet.second[0, 0][0] + sx * cy) < 1e-6
-        assert abs(jet.second[0, 1][0] + cx * sy) < 1e-6
-        assert abs(jet.second[1, 1][0] + sx * cy) < 1e-6
+        assert abs(first_derivative(f, p, E0, 1e-4)[0] - cx * cy) < 1e-6
+        assert abs(first_derivative(f, p, E1, 1e-4)[0] + sx * sy) < 1e-6
+        assert abs(second_derivative(f, p, E0, 1e-4)[0] + sx * cy) < 1e-6
+        assert abs(mixed_derivative(f, p, E0, E1, 1e-4)[0] + cx * sy) < 1e-6
+        assert abs(second_derivative(f, p, E1, 1e-4)[0] + sx * cy) < 1e-6
 
     def test_mixed_second_symmetric(self):
         def f(x):
             return np.array([np.exp(x[0] * x[1]) + x[0] ** 3])
 
-        jet = central_diff_jet(f, np.array([0.2, 0.5]), 1e-4)
-        defect = np.abs(jet.second[0, 1] - jet.second[1, 0]).max()
-        assert defect < 10 * 1e-8 * (1 + np.abs(jet.value).max())
+        p = np.array([0.2, 0.5])
+        defect = np.abs(
+            mixed_derivative(f, p, E0, E1, 1e-4) - mixed_derivative(f, p, E1, E0, 1e-4)
+        ).max()
+        assert defect < 10 * 1e-8 * (1 + np.abs(f(p)).max())
 
     def test_convergence_order(self):
-        # halving h shrinks the first-derivative error by at least 3x
+        # halving h shrinks the second-order first-derivative error by at least 3x
         def f(x):
             return np.array([math.sin(x[0])])
 
         p = np.array([0.9])
         exact = math.cos(0.9)
-        errs = []
-        for h in (2e-3, 1e-3):
-            jet = central_diff_jet(f, p, h)
-            errs.append(abs(jet.first[0][0] - exact))
+        errs = [
+            abs(first_derivative(f, p, np.array([1.0]), h, order=2)[0] - exact)
+            for h in (2e-3, 1e-3)
+        ]
         assert errs[0] / errs[1] >= 3.0
 
     def test_non_finite_raises(self):
@@ -173,7 +185,7 @@ class TestCentralDiffJet:
                 return np.array([1.0 / x[0]])
 
         with pytest.raises(StencilError):
-            central_diff_jet(f, np.array([0.0]), 1e-4)
+            second_derivative(f, np.array([0.0]), np.array([1.0]), 1e-4)
 
 
 def test_fourth_order_first_derivative():

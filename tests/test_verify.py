@@ -6,13 +6,14 @@ from quadriclab.hypersurfaces import principal_curvatures, round_sphere
 from quadriclab.quadric import StructureGauge, quadric_distance
 from quadriclab.verify import (
     GaugePolicy,
+    SamplePoint,
     VerifyError,
     check_csc_identities,
     check_prop1,
     classify_by_angles,
     codazzi_residual,
     connection_and_s,
-    field_derivatives,
+    curvature_from_metric,
     gauss_equation_residual,
     gauss_lift_field,
     gauss_metric_fn,
@@ -24,14 +25,18 @@ from quadriclab.verify import (
 P3 = np.array([0.1, -0.2, 0.15])
 
 
+def point(chart, p, policy=None):
+    return SamplePoint(gauss_map(chart, p), policy)
+
+
 class TestConnection:
     def test_antisymmetry(self, tube):
-        conn = connection_and_s(tube, P3)
+        conn = connection_and_s(point(tube, P3))
         assert conn.antisymmetry_defect < 1e-8
 
     def test_gauge_one_form_vanishes_minimal_normalized(self, tube, sphere_half):
         for chart in (tube, sphere_half):
-            conn = connection_and_s(chart, P3, GaugePolicy("normalized"))
+            conn = connection_and_s(point(chart, P3, GaugePolicy("normalized")))
             assert np.abs(conn.s).max() < 1e-5
 
     def test_gauge_one_form_nonzero_on_nonminimal(self, wavy_sphere):
@@ -39,48 +44,44 @@ class TestConnection:
         # varying gauge; its one-form must show up and intcond-style
         # consistency must still hold (checked via prop1 below)
         p = np.array([0.1, -0.15])
-        conn = connection_and_s(wavy_sphere, p, GaugePolicy("normalized"))
+        conn = connection_and_s(point(wavy_sphere, p, GaugePolicy("normalized")))
         assert np.abs(conn.s).max() > 1e-3
 
     def test_cartan_rotation_rate_nonzero(self, tube):
-        conn = connection_and_s(tube, P3, GaugePolicy("normalized"))
+        conn = connection_and_s(point(tube, P3, GaugePolicy("normalized")))
         assert np.abs(conn.omega).max() > 0.1
 
 
 class TestProp1:
     def test_isoparametric_tight(self, sphere_half, product_13, tube):
         for chart in (sphere_half, product_13, tube):
-            rep = check_prop1(chart, P3, GaugePolicy("normalized"))
+            rep = check_prop1(point(chart, P3, GaugePolicy("normalized")))
             for entry in rep.entries.values():
                 assert entry.residual < 1e-8
 
     def test_rotational_nontrivial(self, rotational_chart):
-        fd = field_derivatives(
-            rotational_chart, rotational_chart.box.center, GaugePolicy("normalized")
-        )
+        pt = point(rotational_chart, rotational_chart.box.center, GaugePolicy("normalized"))
         # the angle gradients along the profile direction are genuinely nonzero
-        assert np.abs(fd.d_theta()).max() > 0.1
-        assert np.abs(fd.ff.h).max() > 0.1
-        rep = check_prop1(
-            rotational_chart, rotational_chart.box.center, fields=fd
-        )
+        assert np.abs(pt.fields.d_theta).max() > 0.1
+        assert np.abs(pt.ff.h).max() > 0.1
+        rep = check_prop1(pt)
         for entry in rep.entries.values():
             assert entry.residual < 1e-4
 
     def test_nonminimal_with_varying_gauge(self, wavy_sphere):
         # s != 0 here, so the angle-gradient identity exercises its s-term
         p = np.array([0.1, -0.15])
-        rep = check_prop1(wavy_sphere, p, GaugePolicy("normalized"))
+        rep = check_prop1(point(wavy_sphere, p, GaugePolicy("normalized")))
         assert rep.entries["angle_gradient_identity"].residual < 1e-4
         assert rep.entries["frame_rotation_identity"].residual < 1e-4
 
     def test_cartan_rotation_identity_content(self, tube):
         # sin(dtheta) * omega = cos(dtheta) * h with all factors nonzero
-        fd = field_derivatives(tube, P3, GaugePolicy("normalized"))
-        conn = connection_and_s(tube, P3, fields=fd)
-        th = fd.spec.thetas
+        pt = point(tube, P3, GaugePolicy("normalized"))
+        conn = connection_and_s(pt)
+        th = pt.spec.thetas
         lhs = np.sin(th[0] - th[1]) * conn.omega[2, 0, 1]
-        rhs = np.cos(th[0] - th[1]) * fd.ff.h[2, 0, 1]
+        rhs = np.cos(th[0] - th[1]) * pt.ff.h[2, 0, 1]
         assert abs(lhs) > 0.1
         assert abs(lhs - rhs) < 1e-8
 
@@ -91,22 +92,24 @@ class TestCurvature:
         def metric(q):
             return np.diag([np.cos(q[1]) ** 2, 1.0])
 
+        p = np.array([0.2, 0.3])
         k = sectional_from_metric(
-            metric, np.array([0.2, 0.3]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 2e-3
+            curvature_from_metric(metric, p, 2e-3), metric(p), np.array([1.0, 0.0]), np.array([0.0, 1.0])
         )
         assert abs(k - 1.0) < 1e-8
 
     def test_sphere_gauss_map_curvature_two(self, sphere_half):
         metric = gauss_metric_fn(sphere_half)
         k = sectional_from_metric(
-            metric, P3, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), 2.5e-3
+            curvature_from_metric(metric, P3, 2.5e-3), metric(P3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
         )
         assert abs(k - 2.0) < 1e-3
 
     def test_flat_torus(self, clifford_torus):
         metric = gauss_metric_fn(clifford_torus)
+        p = np.array([0.2, -0.1])
         k = sectional_from_metric(
-            metric, np.array([0.2, -0.1]), np.array([1.0, 0]), np.array([0, 1.0]), 2.5e-3
+            curvature_from_metric(metric, p, 2.5e-3), metric(p), np.array([1.0, 0]), np.array([0, 1.0])
         )
         assert abs(k) < 1e-3
 
@@ -144,19 +147,19 @@ class TestCurvature:
             (tube, P3),
             (rotational_chart, rotational_chart.box.center),
         ):
-            rep = gauss_equation_residual(chart, p, GaugePolicy("normalized"))
+            rep = gauss_equation_residual(point(chart, p, GaugePolicy("normalized")))
             assert rep.entries["gauss_equation"].residual < 1e-3
 
 
 class TestCodazzi:
     def test_totally_geodesic_charts(self, sphere_half, product_13):
         for chart in (sphere_half, product_13):
-            rep = codazzi_residual(chart, P3, GaugePolicy("normalized"))
+            rep = codazzi_residual(point(chart, P3, GaugePolicy("normalized")))
             assert rep.entries["codazzi_equation"].residual < 1e-3
 
     def test_cartan_and_rotational(self, tube, rotational_chart):
         for chart, p in ((tube, P3), (rotational_chart, rotational_chart.box.center)):
-            rep = codazzi_residual(chart, p, GaugePolicy("normalized"))
+            rep = codazzi_residual(point(chart, p, GaugePolicy("normalized")))
             assert rep.entries["codazzi_equation"].residual < 1e-3
 
     def test_cartan_cyclic_component_relations(self, tube):
@@ -174,7 +177,7 @@ class TestCodazzi:
             assert abs(h2 - c) < 1e-3
 
     def test_wavy_sphere(self, wavy_sphere):
-        rep = codazzi_residual(wavy_sphere, np.array([0.1, -0.15]), GaugePolicy("normalized"))
+        rep = codazzi_residual(point(wavy_sphere, np.array([0.1, -0.15]), GaugePolicy("normalized")))
         assert rep.entries["codazzi_equation"].residual < 1e-3
 
 
