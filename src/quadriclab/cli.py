@@ -24,6 +24,7 @@ import numpy as np
 
 from .gaussmap import (
     FdSteps,
+    GaussJet,
     GaussMapError,
     angle_spectrum,
     gauge_normalize,
@@ -246,6 +247,26 @@ def _sample_point(chart: HypersurfaceChart, x, cfg: RunConfig) -> SamplePoint:
     return SamplePoint(jet, GaugePolicy("fixed", phi))
 
 
+def _sectional_target(cfg: RunConfig) -> float | None:
+    """Constant sectional curvature of the configured example, if it has one."""
+    if cfg.example == "product" and cfg.n == 2:
+        return 0.0
+    return SECTIONAL_TARGETS.get(cfg.example)
+
+
+def _principal_pattern_residual(jet: GaussJet, n: int) -> float:
+    """Principal curvatures against the (1, n-1) cotangent pattern of the profile angle."""
+    alpha = jet.chart.meta["interp"].value(float(jet.point[0]))
+    prof_th, orbit_th = rotational_angles(alpha, n)
+    expected = np.sort(
+        np.array(
+            [np.cos(prof_th) / np.sin(prof_th)]
+            + [np.cos(orbit_th) / np.sin(orbit_th)] * (n - 1)
+        )
+    )
+    return float(np.abs(np.sort(jet.lambdas) - expected).max())
+
+
 def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
     chart, x, jet, steps = pt.chart, pt.p, pt.jet, pt.steps
     report = ResidualReport(example=cfg.example, point=list(map(float, x)))
@@ -311,9 +332,7 @@ def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
     k_alg = sectional_curvature(spec, ff)
     two_route = 0.0
     value_res = 0.0
-    target = SECTIONAL_TARGETS.get(cfg.example)
-    if cfg.example == "product" and cfg.n == 2:
-        target = 0.0
+    target = _sectional_target(cfg)
     for i in range(jet.dim):
         for j in range(i + 1, jet.dim):
             k_met = sectional_from_metric(
@@ -344,19 +363,12 @@ def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
             abs(ff.h[0, 1, 2] ** 2 - 0.375),
             cfg.tol("cubic_component_squared"),
         )
-    if cfg.example in ("sphere", "cartan") or (cfg.example == "product" and cfg.n == 2):
-        csc = check_csc_identities(spec, ff, tol=cfg.tol("csc_diagonal_balance"))
-        report.merge(csc)
+    if target is not None:
+        report.merge(check_csc_identities(spec, ff, tol=cfg.tol("csc_diagonal_balance")))
     if cfg.example == "rotational":
-        alpha = chart.meta["interp"].value(float(x[0]))
-        prof_th, orbit_th = rotational_angles(alpha, cfg.n)
-        lam_prof = np.cos(prof_th) / np.sin(prof_th)
-        lam_orb = np.cos(orbit_th) / np.sin(orbit_th)
-        lam_sorted = np.sort(jet.lambdas)
-        expected = np.sort(np.array([lam_prof] + [lam_orb] * (cfg.n - 1)))
         report.add(
             "principal_vs_angle_pattern",
-            float(np.abs(lam_sorted - expected).max()),
+            _principal_pattern_residual(jet, cfg.n),
             cfg.tol("principal_vs_angle_pattern"),
         )
     return report
@@ -364,18 +376,13 @@ def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
 
 def _skipped_checks(cfg: RunConfig) -> list[dict]:
     skipped = []
-    if cfg.example not in SECTIONAL_TARGETS and not (
-        cfg.example == "product" and cfg.n == 2
-    ):
+    if _sectional_target(cfg) is None:
         skipped.append(
             {
                 "name": "sectional_value",
                 "reason": f"'{cfg.example}' (n={cfg.n}) has no constant-curvature target",
             }
         )
-    if cfg.example not in ("sphere", "cartan") and not (
-        cfg.example == "product" and cfg.n == 2
-    ):
         skipped.append(
             {
                 "name": "csc_identities",
@@ -487,19 +494,10 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
         profile_ode_residual_from_chart(chart, cfg.steps()),
         cfg.tol("profile_second_order_ode"),
     )
-    x = chart.box.center
-    jet = gauss_map(chart, x, cfg.steps())
-    alpha = chart.meta["interp"].value(float(x[0]))
-    prof_th, orbit_th = rotational_angles(alpha, cfg.n)
-    expected = np.sort(
-        np.array(
-            [np.cos(prof_th) / np.sin(prof_th)]
-            + [np.cos(orbit_th) / np.sin(orbit_th)] * (cfg.n - 1)
-        )
-    )
+    center_jet = gauss_map(chart, chart.box.center, cfg.steps())
     report.add(
         "principal_vs_angle_pattern",
-        float(np.abs(np.sort(jet.lambdas) - expected).max()),
+        _principal_pattern_residual(center_jet, cfg.n),
         cfg.tol("principal_vs_angle_pattern"),
     )
     order_ok = 12.0 <= order <= 20.0

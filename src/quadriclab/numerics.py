@@ -20,6 +20,8 @@ __all__ = [
     "spd_solve",
     "gram_schmidt",
     "axis",
+    "central_first",
+    "central_second",
     "first_derivative",
     "second_derivative",
     "mixed_derivative",
@@ -177,31 +179,34 @@ def axis(n: int, i: int) -> np.ndarray:
     return e
 
 
-def first_derivative(f, p, v, h: float, order: int = 4) -> np.ndarray:
-    """Directional derivative of f at p along v (order 2 or 4 stencil)."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if order == 2:
-        return (_eval(f, p + h * v) - _eval(f, p - h * v)) / (2.0 * h)
-    fp1 = _eval(f, p + h * v)
-    fm1 = _eval(f, p - h * v)
-    fp2 = _eval(f, p + 2 * h * v)
-    fm2 = _eval(f, p - 2 * h * v)
+def central_first(fp2, fp1, fm1, fm2, h: float):
+    """Five-point first derivative from samples at +2h, +h, -h, -2h (order 4)."""
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
 
-def second_derivative(f, p, v, h: float, order: int = 4) -> np.ndarray:
-    """Second directional derivative along one direction v."""
+def central_second(fp2, fp1, f0, fm1, fm2, h: float):
+    """Five-point second derivative from samples at +2h, +h, 0, -h, -2h (order 4)."""
+    return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h**2)
+
+
+def first_derivative(f, p, v, h: float) -> np.ndarray:
+    """Directional derivative of f at p along v (order 4)."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    f0 = _eval(f, p)
-    fp1 = _eval(f, p + h * v)
-    fm1 = _eval(f, p - h * v)
-    if order == 2:
-        return (fp1 - 2.0 * f0 + fm1) / h**2
-    fp2 = _eval(f, p + 2 * h * v)
-    fm2 = _eval(f, p - 2 * h * v)
-    return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h**2)
+    return central_first(
+        _eval(f, p + 2 * h * v), _eval(f, p + h * v),
+        _eval(f, p - h * v), _eval(f, p - 2 * h * v), h,
+    )
+
+
+def second_derivative(f, p, v, h: float) -> np.ndarray:
+    """Second directional derivative along one direction v (order 4)."""
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return central_second(
+        _eval(f, p + 2 * h * v), _eval(f, p + h * v), _eval(f, p),
+        _eval(f, p - h * v), _eval(f, p - 2 * h * v), h,
+    )
 
 
 def _corner(f, p, u, v, h):
@@ -213,13 +218,9 @@ def _corner(f, p, u, v, h):
     ) / (4.0 * h**2)
 
 
-def mixed_derivative(f, p, u, v, h: float, order: int = 4) -> np.ndarray:
-    """Mixed second derivative d^2 f / (du dv); order 4 uses Richardson."""
+def mixed_derivative(f, p, u, v, h: float) -> np.ndarray:
+    """Mixed second derivative d^2 f / (du dv): Richardson over steps h and h/2 (order 4)."""
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    c_h = _corner(f, p, u, v, h)
-    if order == 2:
-        return c_h
-    c_h2 = _corner(f, p, u, v, 0.5 * h)
-    return (4.0 * c_h2 - c_h) / 3.0
+    return (4.0 * _corner(f, p, u, v, 0.5 * h) - _corner(f, p, u, v, h)) / 3.0

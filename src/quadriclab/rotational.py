@@ -17,6 +17,7 @@ import numpy as np
 
 from .hypersurfaces import Box, HypersurfaceChart, sphere_chart, sphere_chart_with_derivatives
 from .gaussmap import FdSteps, angle_spectrum, gauss_map
+from .numerics import axis, central_first, central_second, first_derivative
 from .verify import ResidualReport
 
 __all__ = [
@@ -93,16 +94,21 @@ def integrate_alpha(
     """
     if steps < 1:
         raise OdeError("steps must be positive")
+    if np.isscalar(theta_span):
+        t0, t1 = 0.0, float(theta_span)
+    else:
+        t0, t1 = float(theta_span[0]), float(theta_span[1])
+    if not np.all(np.isfinite([alpha0, dalpha0, t0, t1])):
+        raise OdeError(
+            f"non-finite initial data: alpha0 = {alpha0}, dalpha0 = {dalpha0}, "
+            f"span = ({t0}, {t1})"
+        )
     if abs(dalpha0) >= 1.0 - GUARD_BAND:
         raise OdeError(f"|dalpha0| = {abs(dalpha0)} violates the |alpha'| < 1 bound")
     if abs(np.sin(n * alpha0)) <= GUARD_BAND:
         raise OdeError(
             f"sin(n alpha0) = {np.sin(n * alpha0):.2e} too close to zero"
         )
-    if np.isscalar(theta_span):
-        t0, t1 = 0.0, float(theta_span)
-    else:
-        t0, t1 = float(theta_span[0]), float(theta_span[1])
     h = (t1 - t0) / steps
     states = [ProfileState(t0, float(alpha0), float(dalpha0))]
     a, p = float(alpha0), float(dalpha0)
@@ -251,14 +257,10 @@ def ode_equivalence_residual(traj: AlphaTrajectory, n: int | None = None) -> flo
     sn = np.sin(n * al)
     ds_dtheta = -w / (np.sqrt(2.0) * sn)
     q = pa / ds_dtheta  # d alpha / d s
-    dtheta = th[1] - th[0]
-    worst = 0.0
-    for k in range(2, len(th) - 2):
-        dq_dtheta = (-q[k + 2] + 8 * q[k + 1] - 8 * q[k - 1] + q[k - 2]) / (12 * dtheta)
-        dq_ds = dq_dtheta / ds_dtheta[k]
-        resid = dq_ds - (n + 1) / np.tan(n * al[k]) * q[k] ** 2 - np.sin(2 * n * al[k])
-        worst = max(worst, abs(resid))
-    return worst
+    dq_ds = central_first(q[4:], q[3:-1], q[1:-3], q[:-4], th[1] - th[0]) / ds_dtheta[2:-2]
+    mid_al, mid_q = al[2:-2], q[2:-2]
+    resid = dq_ds - (n + 1) / np.tan(n * mid_al) * mid_q**2 - np.sin(2 * n * mid_al)
+    return float(np.abs(resid).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +470,9 @@ def profile_ode_residual_from_chart(
     h = 0.5 * delta
     us = {c: u_at(t0 + c * h) for c in (-2, -1, 0, 1, 2)}
     vs = {c: v_at(t0 + c * h) for c in (-2, -1, 0, 1, 2)}
-    du = (-us[2] + 8 * us[1] - 8 * us[-1] + us[-2]) / (12 * h)
-    ddu = (-us[2] + 16 * us[1] - 30 * us[0] + 16 * us[-1] - us[-2]) / (12 * h * h)
-    dv = (-vs[2] + 8 * vs[1] - 8 * vs[-1] + vs[-2]) / (12 * h)
+    du = central_first(us[2], us[1], us[-1], us[-2], h)
+    ddu = central_second(us[2], us[1], us[0], us[-1], us[-2], h)
+    dv = central_first(vs[2], vs[1], vs[-1], vs[-2], h)
     v0 = vs[0]
     alpha = us[0]
     e1_alpha = du / v0
@@ -540,8 +542,7 @@ def warped_curvature_check(
         return y
 
     def d_dtheta(fn, x):
-        f_p1, f_p05, f_m05, f_m1 = [fn(shifted(x, c * dth)) for c in (1.0, 0.5, -0.5, -1.0)]
-        return (-f_p1 + 8 * f_p05 - 8 * f_m05 + f_m1) / (12 * 0.5 * dth)
+        return first_derivative(fn, x, axis(n, 0), 0.5 * dth)
 
     # fiber curvature via the metric route in an orbit plane
     ortho = np.zeros(n)

@@ -27,7 +27,14 @@ from .gaussmap import (
     second_fundamental_form,
 )
 from .hypersurfaces import Box, HypersurfaceChart
-from .numerics import axis, first_derivative, symmetric_eigen
+from .numerics import (
+    axis,
+    central_first,
+    central_second,
+    first_derivative,
+    mixed_derivative,
+    symmetric_eigen,
+)
 from .quadric import StiefelPoint, StructureGauge
 
 __all__ = [
@@ -178,10 +185,10 @@ class SamplePoint:
     def metric_fn(self):
         return gauss_metric_fn(self.chart, self.steps)
 
-    @cached_property
+    @property
     def metric(self) -> np.ndarray:
         """Induced metric of the Gauss map at the point, in chart coordinates."""
-        return self.metric_fn(self.p)
+        return self.jet.induced_metric
 
     @cached_property
     def curvature(self) -> np.ndarray:
@@ -320,17 +327,13 @@ def field_derivatives(pt: SamplePoint) -> FieldDerivatives:
             lift_s.append(normal_lift(jet_q, phi_q))
             cubic_s.append(second_fundamental_form(jet_q, spec_q).h)
 
-        # five-point first derivative with substep H/2; offsets are
-        # (+1, +1/2, -1/2, -1) in units of H
-        def deriv(values):
-            f_p1, f_p05, f_m05, f_m1 = [np.asarray(v) for v in values]
-            return (-f_p1 + 8.0 * f_p05 - 8.0 * f_m05 + f_m1) / (12.0 * (0.5 * h_step))
-
-        d_cos2[i] = deriv(cos2_s)
-        d_sin2[i] = deriv(sin2_s)
-        d_frame[i] = deriv(frame_s)
-        d_normal[i] = deriv(lift_s)
-        d_cubic[i] = deriv(cubic_s)
+        # five-point first derivative with substep H/2: the offsets
+        # (+1, +1/2, -1/2, -1) in units of H are its +2h, +h, -h, -2h
+        d_cos2[i] = central_first(*cos2_s, 0.5 * h_step)
+        d_sin2[i] = central_first(*sin2_s, 0.5 * h_step)
+        d_frame[i] = central_first(*frame_s, 0.5 * h_step)
+        d_normal[i] = central_first(*lift_s, 0.5 * h_step)
+        d_cubic[i] = central_first(*cubic_s, 0.5 * h_step)
     cos2, sin2 = spec.cos_sin()
     return FieldDerivatives(
         d_theta=0.5 * (cos2[None, :] * d_sin2 - sin2[None, :] * d_cos2),
@@ -432,35 +435,16 @@ def curvature_from_metric(metric_fn, p, h: float) -> np.ndarray:
     n = p.size
     g0 = metric_fn(p)
     dg = np.empty((n, n, n))
-    for c in range(n):
-        e = axis(n, c)
-        f_p1 = metric_fn(p + 0.5 * h * e)
-        f_m1 = metric_fn(p - 0.5 * h * e)
-        f_p2 = metric_fn(p + h * e)
-        f_m2 = metric_fn(p - h * e)
-        dg[c] = (-f_p2 + 8 * f_p1 - 8 * f_m1 + f_m2) / (6.0 * h)
     ddg = np.empty((n, n, n, n))
     for c in range(n):
         e = axis(n, c)
-        f_p1 = metric_fn(p + h * e)
-        f_m1 = metric_fn(p - h * e)
-        f_p2 = metric_fn(p + 2 * h * e)
-        f_m2 = metric_fn(p - 2 * h * e)
-        ddg[c, c] = (-f_p2 + 16 * f_p1 - 30 * g0 + 16 * f_m1 - f_m2) / (12.0 * h**2)
+        dg[c] = first_derivative(metric_fn, p, e, 0.5 * h)
+        ddg[c, c] = central_second(
+            metric_fn(p + 2 * h * e), metric_fn(p + h * e), g0,
+            metric_fn(p - h * e), metric_fn(p - 2 * h * e), h,
+        )
         for d in range(c + 1, n):
-            ed = axis(n, d)
-
-            def corner(step):
-                return (
-                    metric_fn(p + step * (e + ed))
-                    - metric_fn(p + step * (e - ed))
-                    - metric_fn(p - step * (e - ed))
-                    + metric_fn(p - step * (e + ed))
-                ) / (4.0 * step**2)
-
-            mixed = (4.0 * corner(0.5 * h) - corner(h)) / 3.0
-            ddg[c, d] = mixed
-            ddg[d, c] = mixed
+            ddg[c, d] = ddg[d, c] = mixed_derivative(metric_fn, p, e, axis(n, d), h)
     g_inv = np.linalg.inv(g0)
     # Christoffel symbols of the second kind; dg[c, a, b] = d_c g_ab
     gamma = np.empty((n, n, n))

@@ -147,7 +147,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "build_example", build)
         code, _ = cli.cmd_verify(RunConfig(command="verify", grid=1))
         assert code == 0
-        assert len(calls) == 3478
+        assert len(calls) == 3454
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -233,6 +233,20 @@ class TestOdeCommand:
 
     def test_singular_initial_angle_exits_2(self, tmp_path):
         assert run(tmp_path, "ode", "--n", "3", "--alpha0", "0") == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ode", "--span", "nan"],
+            ["ode", "--alpha0", "nan"],
+            ["verify", "--example", "rotational", "--span", "nan", "--grid", "1"],
+        ],
+    )
+    def test_non_finite_flow_input_exits_2(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite initial data")
+        assert len(err.strip().splitlines()) == 1
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QUADRICLAB_OUT_DIR", str(tmp_path / "env"))

@@ -8,6 +8,8 @@ from quadriclab.numerics import (
     ConvergenceError,
     NumericsError,
     RankDeficiencyError,
+    central_first,
+    central_second,
     first_derivative,
     gram_schmidt,
     mixed_derivative,
@@ -165,17 +167,17 @@ class TestCentralDiffJet:
         assert defect < 10 * 1e-8 * (1 + np.abs(f(p)).max())
 
     def test_convergence_order(self):
-        # halving h shrinks the second-order first-derivative error by at least 3x
+        # halving h shrinks the fourth-order first-derivative error by at least 12x
         def f(x):
             return np.array([math.sin(x[0])])
 
         p = np.array([0.9])
         exact = math.cos(0.9)
         errs = [
-            abs(first_derivative(f, p, np.array([1.0]), h, order=2)[0] - exact)
-            for h in (2e-3, 1e-3)
+            abs(first_derivative(f, p, np.array([1.0]), h)[0] - exact)
+            for h in (2e-2, 1e-2)
         ]
-        assert errs[0] / errs[1] >= 3.0
+        assert errs[0] / errs[1] >= 12.0
 
     def test_non_finite_raises(self):
         from quadriclab.numerics import StencilError
@@ -190,5 +192,24 @@ class TestCentralDiffJet:
 
 def test_fourth_order_first_derivative():
     f = lambda x: np.array([math.exp(x[0])])
-    d = first_derivative(f, np.array([0.3]), np.array([1.0]), 1e-3, order=4)
+    d = first_derivative(f, np.array([0.3]), np.array([1.0]), 1e-3)
     assert abs(d[0] - math.exp(0.3)) < 1e-12
+
+
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+    st.floats(-1.0, 1.0),
+    st.floats(1e-3, 0.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_five_point_rules_exact_on_quartics(coeffs, x, h):
+    # both rules are exact on polynomials of degree <= 4, so only round-off
+    # of the samples (scaled by the rule's weights over h^k) remains
+    quartic = np.polynomial.Polynomial(coeffs)
+    f = [quartic(x + k * h) for k in (2, 1, 0, -1, -2)]
+    scale = 1.0 + max(abs(v) for v in f)
+    eps = np.finfo(float).eps
+    d1 = central_first(f[0], f[1], f[3], f[4], h)
+    d2 = central_second(*f, h)
+    assert abs(d1 - quartic.deriv(1)(x)) <= 64 * eps * scale / h
+    assert abs(d2 - quartic.deriv(2)(x)) <= 256 * eps * scale / h**2
