@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadriclab import numerics
 from quadriclab.numerics import (
     ConvergenceError,
     NumericsError,
@@ -65,12 +66,37 @@ class TestSymmetricEigen:
         with pytest.raises(NumericsError):
             symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_convergence_error_names_matrix(self):
+    def test_convergence_error_names_matrix(self, monkeypatch):
         m = np.diag([1.0, 2.0, 3.0]) + 0.3
         m = symmetrize(m)
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            w, v = eigh(a)
+            return w + 1e-6, v
+
+        monkeypatch.setattr(numerics.np.linalg, "eigh", perturbed)
         with pytest.raises(ConvergenceError) as err:
-            symmetric_eigen(m, max_sweeps=0)
-        assert "sweeps" in str(err.value)
+            symmetric_eigen(m)
+        assert "residual" in str(err.value)
+        assert str(m) in str(err.value)
+
+    def test_column_sign_rule(self, monkeypatch):
+        # the largest-magnitude entry of every column is positive, whatever
+        # signs the underlying solver returns
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((5, 5))
+        m = m + m.T
+        w, v = symmetric_eigen(m)
+        cols = np.arange(5)
+        assert np.all(v[np.argmax(np.abs(v), axis=0), cols] > 0)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            numerics.np.linalg, "eigh", lambda a: (eigh(a)[0], -eigh(a)[1])
+        )
+        w_flipped, v_flipped = symmetric_eigen(m)
+        np.testing.assert_array_equal(w_flipped, w)
+        np.testing.assert_array_equal(v_flipped, v)
 
 
 class TestGramSchmidt:
