@@ -26,7 +26,6 @@ from .gaussmap import (
     FdSteps,
     GaussJet,
     GaussMapError,
-    angle_spectrum,
     gauge_normalize,
     gauss_map,
     mean_curvature,
@@ -152,6 +151,9 @@ class RunConfig:
             )
         if self.gauge not in ("canonical", "normalized"):
             raise ConfigError("gauge must be 'canonical' or 'normalized'")
+        flow = self.command == "ode" or self.example == "rotational"
+        if flow and "span" in self.params and self.params["span"] <= 0.0:
+            raise ConfigError(f"span must be positive, got {self.params['span']}")
 
     def tol(self, name: str) -> float:
         if name in self.tolerances:
@@ -247,6 +249,15 @@ def _sample_point(chart: HypersurfaceChart, x, cfg: RunConfig) -> SamplePoint:
     return SamplePoint(jet, GaugePolicy("fixed", phi))
 
 
+def _sample_points(chart: HypersurfaceChart, cfg: RunConfig) -> list[SamplePoint]:
+    """Per-point data at the run's sample points, kept clear of every stencil."""
+    margin = max(0.03, 3.0 * cfg.steps().stencil_margin)
+    return [
+        _sample_point(chart, x, cfg)
+        for x in kronecker_points(chart.box, cfg.grid, cfg.seed, margin)
+    ]
+
+
 def _sectional_target(cfg: RunConfig) -> float | None:
     """Constant sectional curvature of the configured example, if it has one."""
     if cfg.example == "product" and cfg.n == 2:
@@ -268,10 +279,10 @@ def _principal_pattern_residual(jet: GaussJet, n: int) -> float:
 
 
 def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
-    chart, x, jet, steps = pt.chart, pt.p, pt.jet, pt.steps
-    report = ResidualReport(example=cfg.example, point=list(map(float, x)))
+    jet = pt.jet
+    report = ResidualReport(example=cfg.example, point=list(map(float, pt.p)))
 
-    inv = chart.validate_at(x, steps.first)
+    inv = jet.stencil.invariants()
     report.add(
         "chart_invariants",
         max(v for k, v in inv.items() if k != "min_singular_value"),
@@ -401,14 +412,9 @@ def _skipped_checks(cfg: RunConfig) -> list[dict]:
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     chart = build_example(cfg)
-    margin = max(0.03, 3.0 * cfg.steps().stencil_margin)
-    points = kronecker_points(chart.box, cfg.grid, cfg.seed, margin)
-    results = []
-    sample_specs = []
-    for x in points:
-        pt = _sample_point(chart, x, cfg)
-        results.append(_point_report(pt, cfg))
-        sample_specs.append(pt.spec0)
+    points = _sample_points(chart, cfg)
+    results = [_point_report(pt, cfg) for pt in points]
+    sample_specs = [pt.spec0 for pt in points]
     distinct = None
     if chart.meta.get("isoparametric"):
         thetas = np.array([np.sort(s.thetas) for s in sample_specs])
@@ -437,26 +443,19 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
 def cmd_angles(cfg: RunConfig) -> tuple[int, dict]:
     chart = build_example(cfg)
-    margin = max(0.03, 3.0 * cfg.steps().stencil_margin)
-    points = kronecker_points(chart.box, cfg.grid, cfg.seed, margin)
-    rows = []
-    specs = []
-    for x in points:
-        jet = gauss_map(chart, x, cfg.steps())
-        phi = 0.0 if cfg.gauge == "canonical" else gauge_normalize(jet).phi
-        spec = angle_spectrum(jet, StructureGauge(phi))
-        specs.append(spec)
-        rows.append(
-            {
-                "point": [float(v) for v in x],
-                "gauge_phi": float(phi),
-                "angles": [float(t) for t in spec.thetas],
-                "principal_curvatures": [float(l) for l in jet.lambdas],
-            }
-        )
+    points = _sample_points(chart, cfg)
+    rows = [
+        {
+            "point": [float(v) for v in pt.p],
+            "gauge_phi": float(pt.phi),
+            "angles": [float(t) for t in pt.spec.thetas],
+            "principal_curvatures": [float(l) for l in pt.jet.lambdas],
+        }
+        for pt in points
+    ]
     summary = {"all_pass": True, "skipped": []}
     if chart.meta.get("isoparametric"):
-        summary["distinct_angles"] = classify_by_angles(specs)
+        summary["distinct_angles"] = classify_by_angles([pt.spec for pt in points])
     payload = {"config": cfg.to_dict(), "results": rows, "summary": summary}
     return 0, payload
 

@@ -17,12 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .hypersurfaces import ChartError, HypersurfaceChart, principal_curvatures
+from .hypersurfaces import ChartError, ChartStencil, HypersurfaceChart
 from .numerics import (
     axis,
+    central_second,
     first_derivative,
     mixed_derivative,
-    second_derivative,
+    stencil_value,
     symmetric_eigen,
     symmetrize,
 )
@@ -91,16 +92,26 @@ class FdSteps:
 class GaussJet:
     """Second-order data of the Gauss-map lift at one chart point."""
 
-    chart: HypersurfaceChart
-    point: np.ndarray
+    stencil: ChartStencil  # embed, normal and lift with first derivatives
     lift: StiefelPoint
-    coord_first: np.ndarray  # (n, n+2) complex, d(lift)/dx_a
-    induced_metric: np.ndarray  # (n, n) real
     on_frame_vel: np.ndarray  # (n, n) velocities of an orthonormal frame
     lambdas: np.ndarray  # principal curvatures, descending
     principal_vel: np.ndarray  # (n, n) velocities of unit principal directions
     principal_ambient: np.ndarray  # (n, n+2) their images in the sphere
     steps: FdSteps
+
+    @property
+    def chart(self) -> HypersurfaceChart:
+        return self.stencil.chart
+
+    @property
+    def point(self) -> np.ndarray:
+        return self.stencil.point
+
+    @property
+    def coord_first(self) -> np.ndarray:
+        """(n, n+2) complex first chart derivatives of the lift."""
+        return self.stencil.d_lift
 
     @property
     def dim(self) -> int:
@@ -113,9 +124,12 @@ class GaussJet:
         lift = self.chart.lift
         second = np.empty((n, n, n + 2), dtype=complex)
         for a in range(n):
-            second[a, a] = second_derivative(lift, p, axis(n, a), h2)
+            e = axis(n, a)
+            # the diagonal rule reads the lift at p from the first-order stencil
+            at = {c: stencil_value(lift, p + c * h2 * e) for c in (2, 1, -1, -2)}
+            second[a, a] = central_second(at[2], at[1], self.stencil.lift, at[-1], at[-2], h2)
             for b in range(a + 1, n):
-                m = mixed_derivative(lift, p, axis(n, a), axis(n, b), h2)
+                m = mixed_derivative(lift, p, e, axis(n, b), h2)
                 second[a, b] = m
                 second[b, a] = m
         return second
@@ -162,48 +176,38 @@ def gauss_map(
     """
     steps = steps or FdSteps()
     p = np.asarray(p, dtype=float)
-    n = chart.dim
     if not chart.box.contains(p, margin=steps.stencil_margin):
         raise GaussMapError(
             f"point {p} too close to the boundary of chart '{chart.name}' "
             f"for stencil margin {steps.stencil_margin:.3g}"
         )
 
+    st = ChartStencil(chart, p, steps.first)
     try:
-        lift = StiefelPoint.from_complex(chart.lift(p)).validate(1e-9)
+        lift = StiefelPoint.from_complex(st.lift).validate(1e-9)
     except GeometryError as exc:
         raise GaussMapError(
             f"chart '{chart.name}' does not lift to the Stiefel manifold at "
             f"{p}: {exc}"
         ) from exc
 
-    h1 = steps.first
-    coord_first = np.array(
-        [first_derivative(chart.lift, p, axis(n, a), h1) for a in range(n)]
-    )
-    induced = (coord_first @ np.conj(coord_first.T)).real
-    induced = 0.5 * (induced + induced.T)
-
     # orthonormal frame for the induced metric, as coordinate velocities
-    w_eval, v = symmetric_eigen(induced)
+    w_eval, v = symmetric_eigen(st.lift_metric)
     if w_eval[0] <= 1e-10:
         raise GaussMapError(f"degenerate induced metric at {p}: spectrum {w_eval}")
     on_frame_vel = (v / np.sqrt(w_eval)).T
 
     # principal curvature data from the hypersurface side
     try:
-        shape = principal_curvatures(chart, p, h1)
+        shape = st.principal_curvatures()
     except ChartError as exc:
         raise GaussMapError(
             f"no principal curvatures at {p} on chart '{chart.name}': {exc}"
         ) from exc
 
     jet = GaussJet(
-        chart=chart,
-        point=p,
+        stencil=st,
         lift=lift,
-        coord_first=coord_first,
-        induced_metric=induced,
         on_frame_vel=on_frame_vel,
         lambdas=shape.lambdas,
         principal_vel=shape.directions_chart,
@@ -220,7 +224,7 @@ def gauss_map(
     # (1 - i lambda_j)/sqrt(2) times that direction
     for k, lam in enumerate(jet.lambdas):
         predicted = (1.0 - 1j * lam) / np.sqrt(2.0) * jet.principal_ambient[k]
-        actual = jet.principal_vel[k] @ coord_first
+        actual = jet.principal_vel[k] @ jet.coord_first
         if np.abs(actual - predicted).max() > 1e-5 * (1.0 + abs(lam)):
             raise GaussMapError(
                 f"lift derivative does not match principal data at {p} "
@@ -302,7 +306,6 @@ def angle_spectrum(jet: GaussJet, gauge: StructureGauge | None = None) -> AngleS
     """
     gauge = gauge or StructureGauge(0.0)
     b, c = structure_operators(jet, gauge)
-    n = jet.dim
     wb, vb = symmetric_eigen(b)
     rot = vb.copy()
     for cluster in _cluster(wb, ANGLE_CLUSTER_GAP):
@@ -395,7 +398,6 @@ def second_fundamental_form(
     the connection corrections are killed by that pairing. Fully symmetrized,
     with the defect checked against 1e-4.
     """
-    n = jet.dim
     f = spec.frame_ambient
     vel = spec.frame_vel
     second = np.einsum("ia,jb,abm->ijm", vel, vel, jet.coord_second)

@@ -1,7 +1,8 @@
 """Parametrized hypersurfaces of the unit sphere with unit normal fields.
 
 Charts are immutable bundles of two callables (embedding and unit normal, both
-landing in R^(n+2)) over a closed coordinate box. The catalog covers the three
+landing in R^(n+2)) over a closed coordinate box; a ChartStencil evaluates both
+once on the first-order stencil of a point. The catalog covers the three
 isoparametric families with at most three distinct principal curvatures:
 geodesic spheres, products of spheres, and tubes around the Veronese surface,
 plus parallel hypersurfaces of any chart and a perturbed (non-isoparametric)
@@ -11,6 +12,7 @@ sphere used to exercise the non-minimal code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -18,9 +20,10 @@ import numpy as np
 from .numerics import (
     NumericsError,
     axis,
-    first_derivative,
+    central_first,
     gram_schmidt,
     spd_solve,
+    stencil_value,
     symmetric_eigen,
 )
 
@@ -29,6 +32,7 @@ __all__ = [
     "FocalRadiusError",
     "Box",
     "HypersurfaceChart",
+    "ChartStencil",
     "ShapeSpectrum",
     "sphere_chart",
     "sphere_chart_with_derivatives",
@@ -97,31 +101,85 @@ class HypersurfaceChart:
 
     def lift(self, q) -> np.ndarray:
         """Gauss-map lift (embed + i normal)/sqrt(2) at q, as a complex vector."""
-        return (self.embed(q) + 1j * self.normal(q)) / np.sqrt(2.0)
+        return _lift(self.embed(q), self.normal(q))
 
     def validate_at(self, p, h: float = 1e-4) -> dict[str, float]:
         """Pointwise invariant residuals (norms, orthogonality, rank)."""
-        p = np.asarray(p, dtype=float)
-        a = self.embed(p)
-        b = self.normal(p)
-        e = np.array(
-            [first_derivative(self.embed, p, axis(self.dim, i), h) for i in range(self.dim)]
-        )
-        sv = np.sqrt(np.maximum(symmetric_eigen(e @ e.T)[0], 0.0))
-        normal_tangency = float(np.abs(e @ b).max())
+        return ChartStencil(self, p, h).invariants()
+
+
+def _lift(a, b):
+    """The one lift formula: (a + i b)/sqrt(2) from embed values a and normal values b."""
+    return (a + 1j * b) / np.sqrt(2.0)
+
+
+class ChartStencil:
+    """embed and normal on the first-order stencil of a point, each evaluated once.
+
+    The stencil is p +- h e_i and p +- 2h e_i along every coordinate axis. The
+    five-point first derivatives of embed, normal and the Gauss-map lift all
+    difference these values, and every first-order quantity at the point
+    (tangent frame, shape operator, chart invariants, induced metric of the
+    lift) reads them. The values at p itself are evaluated on first use: the
+    metric route needs the derivatives only.
+    """
+
+    def __init__(self, chart: HypersurfaceChart, p, h: float):
+        self.chart = chart
+        self.point = p = np.asarray(p, dtype=float)
+        n = chart.dim
+        # (4, n, 2, n+2): offset (+2h, +h, -h, -2h), axis, (embed, normal)
+        values = np.array(
+            [[self._value(p + c * h * axis(n, i)) for c in (2, 1, -1, -2)] for i in range(n)]
+        ).swapaxes(0, 1)
+        a, b = values[:, :, 0], values[:, :, 1]
+        self.d_embed = central_first(*a, h)
+        self.d_normal = central_first(*b, h)
+        self.d_lift = central_first(*_lift(a, b), h)
+
+    def _value(self, q) -> np.ndarray:
+        return stencil_value(lambda x: (self.chart.embed(x), self.chart.normal(x)), q)
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        """embed and normal at p, as the rows of a (2, n+2) array."""
+        return self._value(self.point)
+
+    @property
+    def lift(self) -> np.ndarray:
+        return _lift(*self.center)
+
+    @cached_property
+    def lift_metric(self) -> np.ndarray:
+        """Induced metric of the Gauss-map lift in chart coordinates."""
+        g = (self.d_lift @ np.conj(self.d_lift.T)).real
+        return 0.5 * (g + g.T)
+
+    @cached_property
+    def gram_spectrum(self) -> np.ndarray:
+        """Ascending spectrum of the Gram matrix of the coordinate tangents."""
+        return symmetric_eigen(self.d_embed @ self.d_embed.T)[0]
+
+    def invariants(self) -> dict[str, float]:
+        """Norms, orthogonality and tangency of embed and normal, and the rank margin."""
+        a, b = self.center
         return {
             "embed_norm": abs(float(a @ a) - 1.0),
             "normal_norm": abs(float(b @ b) - 1.0),
             "orthogonality": abs(float(a @ b)),
-            "normal_tangency": normal_tangency,
-            "min_singular_value": float(sv[0]),
+            "normal_tangency": float(np.abs(self.d_embed @ b).max()),
+            "min_singular_value": float(np.sqrt(max(self.gram_spectrum[0], 0.0))),
         }
 
-    def require_valid_at(self, p, h: float = 1e-4, tol: float = 1e-8) -> None:
-        res = self.validate_at(p, h)
-        worst = max(v for k, v in res.items() if k != "min_singular_value")
-        if worst > tol or res["min_singular_value"] <= 1e-6:
-            raise ChartError(f"chart '{self.name}' invalid at {p}: {res}")
+    def principal_curvatures(self) -> ShapeSpectrum:
+        """Eigendecomposition of the shape operator, curvatures descending."""
+        s, t, m = _shape_data(self)
+        w, v = symmetric_eigen(s)
+        order = np.argsort(-w, kind="stable")
+        v = v[:, order]
+        return ShapeSpectrum(
+            lambdas=w[order], directions_chart=v.T @ m, directions_ambient=v.T @ t
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -183,26 +241,19 @@ class ShapeSpectrum:
     lambdas: np.ndarray
     directions_chart: np.ndarray
     directions_ambient: np.ndarray
-    asymmetry: float
 
 
-def tangent_data(chart: HypersurfaceChart, p, h: float):
+def tangent_data(st: ChartStencil):
     """Coordinate tangents, an orthonormal tangent frame and its velocities."""
-    p = np.asarray(p, dtype=float)
-    n = chart.dim
-    e = np.array(
-        [first_derivative(chart.embed, p, axis(n, i), h) for i in range(n)]
-    )
-    gram = e @ e.T
-    spectrum, _ = symmetric_eigen(gram)
-    if spectrum[0] <= 1e-12:
+    e = st.d_embed
+    if st.gram_spectrum[0] <= 1e-12:
         raise ChartError(
-            f"chart '{chart.name}' has rank-deficient differential at {p} "
-            f"(Gram spectrum {spectrum})"
+            f"chart '{st.chart.name}' has rank-deficient differential at {st.point} "
+            f"(Gram spectrum {st.gram_spectrum})"
         )
     t = gram_schmidt(e)
     # velocities: rows m with m @ e = t
-    m = spd_solve(gram, e @ t.T).T
+    m = spd_solve(e @ e.T, e @ t.T).T
     return e, t, m
 
 
@@ -212,47 +263,28 @@ def shape_operator(chart: HypersurfaceChart, p, h: float = 1e-4) -> np.ndarray:
     Realized as S X = -(derivative of the normal along X), projected onto the
     tangent plane; the result is symmetrized, with the defect checked.
     """
-    s, _ = _shape_data(chart, p, h)
-    return s
+    return _shape_data(ChartStencil(chart, p, h))[0]
 
 
-def _shape_data(chart: HypersurfaceChart, p, h: float):
-    p = np.asarray(p, dtype=float)
-    n = chart.dim
-    e, t, m = tangent_data(chart, p, h)
-    db = np.array(
-        [first_derivative(chart.normal, p, axis(n, i), h) for i in range(n)]
-    )
+def _shape_data(st: ChartStencil):
+    """Shape operator with the orthonormal tangent frame and its velocities."""
+    _, t, m = tangent_data(st)
     # -<d_b(T_j), T_k> with d along the frame velocities
-    raw = -(m @ db) @ t.T
+    raw = -(m @ st.d_normal) @ t.T
     defect = float(np.abs(raw - raw.T).max())
     if defect > 1e-4:
         raise ChartError(
-            f"shape operator asymmetry {defect:.2e} at {p} on chart "
-            f"'{chart.name}' (bad step size or broken normal)"
+            f"shape operator asymmetry {defect:.2e} at {st.point} on chart "
+            f"'{st.chart.name}' (bad step size or broken normal)"
         )
-    s = 0.5 * (raw + raw.T)
-    return s, {"asymmetry": defect, "frame": t, "velocities": m}
+    return 0.5 * (raw + raw.T), t, m
 
 
 def principal_curvatures(
     chart: HypersurfaceChart, p, h: float = 1e-4
 ) -> ShapeSpectrum:
-    """Eigendecomposition of the shape operator, curvatures descending."""
-    s, info = _shape_data(chart, p, h)
-    w, v = symmetric_eigen(s)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    t, m = info["frame"], info["velocities"]
-    directions_chart = (v.T @ m)
-    directions_ambient = v.T @ t
-    return ShapeSpectrum(
-        lambdas=w,
-        directions_chart=directions_chart,
-        directions_ambient=directions_ambient,
-        asymmetry=info["asymmetry"],
-    )
+    """Eigendecomposition of the shape operator at p, curvatures descending."""
+    return ChartStencil(chart, p, h).principal_curvatures()
 
 
 def angle_from_curvature(lam: float) -> float:
@@ -387,6 +419,8 @@ def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
     principal curvatures; coordinates are (two Veronese chart angles, one
     normal-circle angle).
     """
+    if not np.isfinite(t):
+        raise ChartError(f"tube radius t must be finite, got {t}")
 
     def embed(x):
         v, xi1, xi2 = _veronese_frame(x[:2])
@@ -442,11 +476,11 @@ def parallel_hypersurface(chart: HypersurfaceChart, t: float) -> HypersurfaceCha
         name=f"{chart.name}-parallel",
         meta={**chart.meta, "parallel_offset": t},
     )
-    e, _, _ = tangent_data(out, out.box.center, 1e-4)
-    sv = np.sqrt(max(symmetric_eigen(e @ e.T)[0][0], 0.0))
-    if sv <= 1e-6:
+    gram_min = ChartStencil(out, out.box.center, 1e-4).gram_spectrum[0]
+    if gram_min <= 1e-12:
         raise ChartError(
-            f"parallel offset {t} degenerates the immersion (singular value {sv:.2e})"
+            f"parallel offset {t} degenerates the immersion "
+            f"(smallest Gram eigenvalue {gram_min:.2e})"
         )
     return out
 

@@ -22,6 +22,7 @@ __all__ = [
     "spd_solve",
     "gram_schmidt",
     "axis",
+    "stencil_value",
     "central_first",
     "central_second",
     "first_derivative",
@@ -137,7 +138,8 @@ def gram_schmidt(vectors, dependence_tol: float = 1e-10) -> np.ndarray:
     return out
 
 
-def _eval(f, x) -> np.ndarray:
+def stencil_value(f, x) -> np.ndarray:
+    """f at the stencil point x; StencilError if any entry is not finite."""
     y = np.asarray(f(np.asarray(x, dtype=float)))
     if not np.all(np.isfinite(y)):
         raise StencilError(f"non-finite value on stencil point {np.asarray(x)}")
@@ -166,8 +168,8 @@ def first_derivative(f, p, v, h: float) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     return central_first(
-        _eval(f, p + 2 * h * v), _eval(f, p + h * v),
-        _eval(f, p - h * v), _eval(f, p - 2 * h * v), h,
+        stencil_value(f, p + 2 * h * v), stencil_value(f, p + h * v),
+        stencil_value(f, p - h * v), stencil_value(f, p - 2 * h * v), h,
     )
 
 
@@ -176,17 +178,17 @@ def second_derivative(f, p, v, h: float) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     return central_second(
-        _eval(f, p + 2 * h * v), _eval(f, p + h * v), _eval(f, p),
-        _eval(f, p - h * v), _eval(f, p - 2 * h * v), h,
+        stencil_value(f, p + 2 * h * v), stencil_value(f, p + h * v), stencil_value(f, p),
+        stencil_value(f, p - h * v), stencil_value(f, p - 2 * h * v), h,
     )
 
 
 def _corner(f, p, u, v, h):
     return (
-        _eval(f, p + h * (u + v))
-        - _eval(f, p + h * (u - v))
-        - _eval(f, p - h * (u - v))
-        + _eval(f, p - h * (u + v))
+        stencil_value(f, p + h * (u + v))
+        - stencil_value(f, p + h * (u - v))
+        - stencil_value(f, p - h * (u - v))
+        + stencil_value(f, p - h * (u + v))
     ) / (4.0 * h**2)
 
 

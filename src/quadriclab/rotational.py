@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypersurfaces import Box, HypersurfaceChart, sphere_chart, sphere_chart_with_derivatives
-from .gaussmap import FdSteps, angle_spectrum, gauss_map
+from .gaussmap import FdSteps, GaussJet, angle_spectrum, gauss_map
 from .numerics import axis, central_first, central_second, first_derivative
 from .verify import ResidualReport
 
@@ -365,21 +365,16 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
     lows = np.concatenate([[lo], np.full(n - 1, -0.4)])
     highs = np.concatenate([[hi], np.full(n - 1, 0.4)])
 
-    def profile_data(theta: float):
-        a = interp.value(theta)
-        p = interp.derivative(theta)
-        return a, p
-
     def embed(x):
         theta = float(x[0])
-        a, p = profile_data(theta)
+        a, p = interp.value(theta), interp.derivative(theta)
         g = _gamma_point(theta, a, p)
         sigma = sphere_chart(n - 1, x[1:])
         return np.concatenate([g[0] * sigma, g[1:]])
 
     def normal(x):
         theta = float(x[0])
-        a, p = profile_data(theta)
+        a, p = interp.value(theta), interp.derivative(theta)
         c, s = np.cos(a), np.sin(a)
         w_loc = np.sqrt(max(0.0, 1.0 - p * p))
         # unit conormal of the profile curve in the moving frame of the sphere
@@ -430,11 +425,9 @@ def _orbit_and_profile_angles(thetas: np.ndarray, n: int) -> tuple[float, float]
     return float(groups[0][0]), float(np.mean(groups[-1]))
 
 
-def _alpha_from_gauss(chart: HypersurfaceChart, x, steps: FdSteps) -> float:
+def _alpha_from_gauss(jet: GaussJet) -> float:
     """Profile angle recovered from the Gauss-map angle functions."""
-    n = chart.meta["n"]
-    spec = angle_spectrum(gauss_map(chart, x, steps))
-    _, orbit = _orbit_and_profile_angles(spec.thetas, n)
+    _, orbit = _orbit_and_profile_angles(angle_spectrum(jet).thetas, jet.chart.meta["n"])
     return float(np.pi - orbit)
 
 
@@ -444,32 +437,22 @@ def profile_ode_residual_from_chart(
     """Second-order profile equation recovered from the Gauss side alone.
 
     The profile angle and the metric factor are both read off the chart's
-    Gauss map (angles and induced metric); their arclength derivatives must
-    satisfy the second-order form of the flow. Nothing from the integrator
-    enters this residual except the chart itself.
+    Gauss map (angles and induced metric, one jet per sample); their
+    arclength derivatives must satisfy the second-order form of the flow.
+    Nothing from the integrator enters this residual except the chart itself.
     """
-    from .verify import gauss_metric_fn
-
     steps = steps or FdSteps()
     n = chart.meta["n"]
     p = chart.box.center.copy()
-    metric = gauss_metric_fn(chart, steps)
-    delta = steps.field
-
-    def u_at(t):
-        x = p.copy()
-        x[0] = t
-        return _alpha_from_gauss(chart, x, steps)
-
-    def v_at(t):
-        x = p.copy()
-        x[0] = t
-        return float(np.sqrt(metric(x)[0, 0]))
-
     t0 = p[0]
-    h = 0.5 * delta
-    us = {c: u_at(t0 + c * h) for c in (-2, -1, 0, 1, 2)}
-    vs = {c: v_at(t0 + c * h) for c in (-2, -1, 0, 1, 2)}
+    h = 0.5 * steps.field
+    us, vs = {}, {}
+    for c in (-2, -1, 0, 1, 2):
+        x = p.copy()
+        x[0] = t0 + c * h
+        jet = gauss_map(chart, x, steps)
+        us[c] = _alpha_from_gauss(jet)
+        vs[c] = float(np.sqrt(jet.stencil.lift_metric[0, 0]))
     du = central_first(us[2], us[1], us[-1], us[-2], h)
     ddu = central_second(us[2], us[1], us[0], us[-1], us[-2], h)
     dv = central_first(vs[2], vs[1], vs[-1], vs[-2], h)
@@ -512,21 +495,19 @@ def warped_curvature_check(
     p = chart.box.center.copy()
     report = ResidualReport(example=chart.name, point=list(p))
     metric = gauss_metric_fn(chart, steps)
+    jet_p = gauss_map(chart, p, steps)
+    g_p = jet_p.stencil.lift_metric
 
-    def orbit_round_metric(x):
+    def warp_at(x, g):
         _, dsigma = sphere_chart_with_derivatives(n - 1, x[1:])
-        return dsigma @ dsigma.T
-
-    def warp_at(x):
-        g = metric(x)
-        m = orbit_round_metric(x)
+        m = dsigma @ dsigma.T
         block = g[1:, 1:]
         off = np.abs(g[0, 1:]).max() if n > 1 else 0.0
         ratios = block[m > 1e-12] / m[m > 1e-12]
         return float(np.sqrt(np.mean(ratios))), float(off), float(np.ptp(ratios))
 
-    rho, off_block, conformal_spread = warp_at(p)
-    alpha = _alpha_from_gauss(chart, p, steps)
+    rho, off_block, conformal_spread = warp_at(p, g_p)
+    alpha = _alpha_from_gauss(jet_p)
     rho_law = abs(rho - c1 * np.sin(n * alpha) ** (-1.0 / n))
     report.add("warp_block_diagonal", off_block, tol_warp)
     report.add("warp_block_conformal", conformal_spread, tol_warp)
@@ -536,35 +517,29 @@ def warped_curvature_check(
     # all one-dimensional differences in the profile coordinate
     dth = steps.field
 
-    def shifted(x, dt):
-        y = x.copy()
-        y[0] += dt
-        return y
-
     def d_dtheta(fn, x):
         return first_derivative(fn, x, axis(n, 0), 0.5 * dth)
 
     # fiber curvature via the metric route in an orbit plane
-    ortho = np.zeros(n)
-    ortho[1] = 1.0
-    ortho2 = np.zeros(n)
-    ortho2[2 if n > 2 else 1] = 1.0
+    ortho, ortho2 = axis(n, 1), axis(n, 2 if n > 2 else 1)
 
-    def fiber_curvature(x):
-        rho_x = warp_at(x)[0]
-        g_x = metric(x)
-        e1_rho = d_dtheta(lambda y: warp_at(y)[0], x) / np.sqrt(float(g_x[0, 0]))
+    def fiber_curvature(x, g_x):
+        rho_x = warp_at(x, g_x)[0]
+        e1_rho = d_dtheta(lambda y: warp_at(y, metric(y))[0], x) / np.sqrt(float(g_x[0, 0]))
         k_orbit = sectional_from_metric(
             curvature_from_metric(metric, x, steps.metric), g_x, ortho, ortho2
         )
         return rho_x**2 * (k_orbit + (e1_rho / rho_x) ** 2)
 
-    # one fiber curvature per profile sample; the middle sample is p itself
-    kf_samples = [fiber_curvature(shifted(p, c * 5 * dth)) for c in (-1.0, 0.0, 1.0)]
+    # one fiber curvature per profile sample, each reading the metric there
+    # once; the middle sample is p itself
+    xs = [p + c * 5 * dth * axis(n, 0) for c in (-1.0, 0.0, 1.0)]
+    gs = [metric(xs[0]), g_p, metric(xs[2])]
+    kf_samples = [fiber_curvature(x, g) for x, g in zip(xs, gs)]
     k_fiber = kf_samples[1]
-    e1_alpha = d_dtheta(lambda x: _alpha_from_gauss(chart, x, steps), p) / np.sqrt(
-        float(metric(p)[0, 0])
-    )
+    e1_alpha = d_dtheta(
+        lambda x: _alpha_from_gauss(gauss_map(chart, x, steps)), p
+    ) / np.sqrt(float(g_p[0, 0]))
     rhs_chain = (c1 * np.sin(n * alpha) ** (-1.0 / n)) ** 2 * (
         2.0 + e1_alpha**2 * np.sin(n * alpha) ** (-2.0)
     )

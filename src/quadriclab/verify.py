@@ -26,13 +26,13 @@ from .gaussmap import (
     normalized_phase,
     second_fundamental_form,
 )
-from .hypersurfaces import Box, HypersurfaceChart
+from .hypersurfaces import Box, ChartStencil, HypersurfaceChart
 from .numerics import (
     axis,
     central_first,
     central_second,
-    first_derivative,
     mixed_derivative,
+    stencil_value,
     symmetric_eigen,
 )
 from .quadric import StiefelPoint, StructureGauge
@@ -188,7 +188,7 @@ class SamplePoint:
     @property
     def metric(self) -> np.ndarray:
         """Induced metric of the Gauss map at the point, in chart coordinates."""
-        return self.jet.induced_metric
+        return self.jet.stencil.lift_metric
 
     @cached_property
     def curvature(self) -> np.ndarray:
@@ -302,9 +302,6 @@ def field_derivatives(pt: SamplePoint) -> FieldDerivatives:
     h_step = pt.steps.field
     offsets = (1.0, 0.5, -0.5, -1.0)
 
-    def normal_lift(jet_q: GaussJet, phi_q: float) -> np.ndarray:
-        return np.exp(1j * phi_q) * np.conj(jet_q.lift.z)
-
     d_cos2 = np.empty((n, n))
     d_sin2 = np.empty((n, n))
     d_frame = np.empty((n, n, n + 2), dtype=complex)
@@ -324,7 +321,7 @@ def field_derivatives(pt: SamplePoint) -> FieldDerivatives:
             cos2_s.append(cos2_q)
             sin2_s.append(sin2_q)
             frame_s.append(spec_q.frame_ambient)
-            lift_s.append(normal_lift(jet_q, phi_q))
+            lift_s.append(np.exp(1j * phi_q) * np.conj(jet_q.lift.z))
             cubic_s.append(second_fundamental_form(jet_q, spec_q).h)
 
         # five-point first derivative with substep H/2: the offsets
@@ -411,17 +408,8 @@ def check_prop1(
 
 def gauss_metric_fn(chart: HypersurfaceChart, steps: FdSteps | None = None):
     """Function q -> induced metric of the Gauss map in chart coordinates."""
-    steps = steps or FdSteps()
-    n = chart.dim
-
-    def metric(q):
-        d = np.array(
-            [first_derivative(chart.lift, q, axis(n, a), steps.first) for a in range(n)]
-        )
-        g = (d @ np.conj(d.T)).real
-        return 0.5 * (g + g.T)
-
-    return metric
+    h = (steps or FdSteps()).first
+    return lambda q: ChartStencil(chart, q, h).lift_metric
 
 
 def curvature_from_metric(metric_fn, p, h: float) -> np.ndarray:
@@ -429,20 +417,19 @@ def curvature_from_metric(metric_fn, p, h: float) -> np.ndarray:
 
     Uses fourth-order differences of the metric components plus the
     Christoffel quadratic terms; the convention is fixed so that the unit
-    round sphere has sectional curvature +1.
+    round sphere has sectional curvature +1. The first derivative (step h/2)
+    and the diagonal second derivative (step h) share the samples at p +- h e_c.
     """
     p = np.asarray(p, dtype=float)
     n = p.size
-    g0 = metric_fn(p)
+    g0 = stencil_value(metric_fn, p)
     dg = np.empty((n, n, n))
     ddg = np.empty((n, n, n, n))
     for c in range(n):
         e = axis(n, c)
-        dg[c] = first_derivative(metric_fn, p, e, 0.5 * h)
-        ddg[c, c] = central_second(
-            metric_fn(p + 2 * h * e), metric_fn(p + h * e), g0,
-            metric_fn(p - h * e), metric_fn(p - 2 * h * e), h,
-        )
+        g_at = {k: stencil_value(metric_fn, p + k * h * e) for k in (2, 1, 0.5, -0.5, -1, -2)}
+        dg[c] = central_first(g_at[1], g_at[0.5], g_at[-0.5], g_at[-1], 0.5 * h)
+        ddg[c, c] = central_second(g_at[2], g_at[1], g0, g_at[-1], g_at[-2], h)
         for d in range(c + 1, n):
             ddg[c, d] = ddg[d, c] = mixed_derivative(metric_fn, p, e, axis(n, d), h)
     g_inv = np.linalg.inv(g0)

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadriclab import cli
 from quadriclab.cli import RunConfig, ConfigError, kronecker_points, main
@@ -147,7 +148,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "build_example", build)
         code, _ = cli.cmd_verify(RunConfig(command="verify", grid=1))
         assert code == 0
-        assert len(calls) == 3454
+        assert len(calls) == 2618
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -192,6 +193,28 @@ class TestAnglesCommand:
         assert run(tmp_path, "angles", "--example", "cartan", "--grid", "4", "--seed", "3") == 0
         rep = load_report(tmp_path, "angles", "cartan")
         assert rep["summary"]["distinct_angles"] == 3
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_cartan_radius_exits_2(self, tmp_path, capsys, t):
+        assert run(tmp_path, "angles", "--example", "cartan", "--t", t, "--grid", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: tube radius t must be finite, got {t}")
+        assert len(err.strip().splitlines()) == 1
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from(
+            [("sphere", "3", 1), ("product", "2", 2), ("product", "3", 2), ("cartan", "3", 3)]
+        ),
+        st.sampled_from(["normalized", "canonical"]),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_distinct_count_over_seeds_and_gauges(self, tmp_path_factory, example, gauge, seed):
+        name, n, distinct = example
+        out = tmp_path_factory.mktemp("angles")
+        argv = ["angles", "--example", name, "--n", n, "--grid", "4", "--gauge", gauge]
+        assert run(out, *argv, "--seed", str(seed)) == 0
+        assert load_report(out, "angles", name)["summary"]["distinct_angles"] == distinct
 
     def test_angles_below_pi(self, tmp_path):
         code = run(
@@ -246,6 +269,20 @@ class TestOdeCommand:
         assert run(tmp_path, *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite initial data")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ode", "--span", "0"],
+            ["ode", "--span", "-0.8"],
+            ["verify", "--example", "rotational", "--span", "0", "--grid", "1"],
+        ],
+    )
+    def test_non_positive_span_exits_2(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: span must be positive")
         assert len(err.strip().splitlines()) == 1
 
     def test_out_dir_env(self, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from quadriclab.gaussmap import (
 from quadriclab.hypersurfaces import (
     Box,
     HypersurfaceChart,
+    product_spheres,
     round_sphere,
     sphere_chart,
 )
@@ -63,6 +66,28 @@ class TestGaussJet:
         for chart in (sphere_half, product_13, tube, rotational_chart):
             p = chart.box.sample(rng, margin=0.05)
             assert gauss_map(chart, p).lagrangian_residual() < 1e-8
+
+    @pytest.mark.parametrize(
+        "chart", [round_sphere(3, 1.0 / np.sqrt(2.0)), product_spheres(1, 2, 0.6)]
+    )
+    def test_one_evaluation_per_stencil_point(self, chart):
+        # the lift, its derivatives and the shape operator read one set of
+        # values: p and p +- h e_i, p +- 2h e_i, each through embed and normal
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(q):
+                calls.append((name, tuple(q)))
+                return fn(q)
+
+            return wrapper
+
+        counting = dataclasses.replace(
+            chart, embed=counted("embed", chart.embed), normal=counted("normal", chart.normal)
+        )
+        gauss_map(counting, chart.box.center + 0.05)
+        assert len(calls) == 2 + 8 * chart.dim
+        assert len(set(calls)) == len(calls)
 
     def test_broken_normal_rejected(self):
         # a unit field orthogonal to the embedding but tangent to the

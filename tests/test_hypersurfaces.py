@@ -131,6 +131,14 @@ class TestCartanTube:
             assert max(res["embed_norm"], res["normal_norm"], res["orthogonality"]) < 1e-10
             assert res["min_singular_value"] > 1e-6
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_radius_rejected(self, t):
+        # a plain chart error naming t, not a focal-radius diagnosis
+        with pytest.raises(ChartError) as err:
+            cartan_tube(t)
+        assert not isinstance(err.value, FocalRadiusError)
+        assert "t must be finite" in str(err.value)
+
     def test_focal_radius_rejected(self):
         with pytest.raises(FocalRadiusError):
             cartan_tube(0.0)
