@@ -18,7 +18,7 @@ import numpy as np
 from .hypersurfaces import Box, HypersurfaceChart, sphere_chart, sphere_chart_with_derivatives
 from .gaussmap import FdSteps, GaussJet, angle_spectrum, gauss_map
 from .numerics import axis, central_first, central_second, first_derivative
-from .verify import ResidualReport
+from .verify import curvature_from_metric, gauss_metric_fn, sectional_from_metric
 
 __all__ = [
     "OdeError",
@@ -35,11 +35,15 @@ __all__ = [
     "QuinticHermite",
     "build_rotational_chart",
     "rotational_angles",
-    "profile_ode_residual_from_chart",
+    "principal_pattern_residual",
     "warped_curvature_check",
 ]
 
 GUARD_BAND = 1e-3
+
+# coarsest order-probe difference, relative to the final state, at or below
+# which the probe runs differ by round-off only
+PROBE_ROUNDOFF = 1e-13
 
 
 class OdeError(Exception):
@@ -134,8 +138,13 @@ def integrate_alpha(
     return AlphaTrajectory(n, states)
 
 
-def ode_order_ratio(n, alpha0, dalpha0, theta_span, steps: int) -> float:
-    """Global-error ratio under step halving; about 16 for a 4th-order method."""
+def ode_order_ratio(n, alpha0, dalpha0, theta_span, steps: int) -> float | None:
+    """Global-error ratio under step halving; about 16 for a 4th-order method.
+
+    None when the coarsest difference is at round-off level, at most
+    PROBE_ROUNDOFF times the final state (an equilibrium, or a span too short
+    for any truncation error to show): the runs then measure no order.
+    """
     finals = []
     for m in (steps, 2 * steps, 4 * steps):
         traj = integrate_alpha(n, alpha0, dalpha0, theta_span, m)
@@ -145,6 +154,8 @@ def ode_order_ratio(n, alpha0, dalpha0, theta_span, steps: int) -> float:
         finals.append(np.array([last.alpha, last.dalpha]))
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])
+    if e1 <= PROBE_ROUNDOFF * np.linalg.norm(finals[2]):
+        return None
     if e2 == 0.0:
         raise OdeError("refinement differences vanished; steps too fine for the test")
     return float(e1 / e2)
@@ -405,7 +416,7 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
 
 
 # ---------------------------------------------------------------------------
-# warped-product checks
+# profile checks from the Gauss side
 # ---------------------------------------------------------------------------
 
 def _orbit_and_profile_angles(thetas: np.ndarray, n: int) -> tuple[float, float]:
@@ -431,42 +442,17 @@ def _alpha_from_gauss(jet: GaussJet) -> float:
     return float(np.pi - orbit)
 
 
-def profile_ode_residual_from_chart(
-    chart: HypersurfaceChart, steps: FdSteps | None = None
-) -> float:
-    """Second-order profile equation recovered from the Gauss side alone.
-
-    The profile angle and the metric factor are both read off the chart's
-    Gauss map (angles and induced metric, one jet per sample); their
-    arclength derivatives must satisfy the second-order form of the flow.
-    Nothing from the integrator enters this residual except the chart itself.
-    """
-    steps = steps or FdSteps()
-    n = chart.meta["n"]
-    p = chart.box.center.copy()
-    t0 = p[0]
-    h = 0.5 * steps.field
-    us, vs = {}, {}
-    for c in (-2, -1, 0, 1, 2):
-        x = p.copy()
-        x[0] = t0 + c * h
-        jet = gauss_map(chart, x, steps)
-        us[c] = _alpha_from_gauss(jet)
-        vs[c] = float(np.sqrt(jet.stencil.lift_metric[0, 0]))
-    du = central_first(us[2], us[1], us[-1], us[-2], h)
-    ddu = central_second(us[2], us[1], us[0], us[-1], us[-2], h)
-    dv = central_first(vs[2], vs[1], vs[-1], vs[-2], h)
-    v0 = vs[0]
-    alpha = us[0]
-    e1_alpha = du / v0
-    e1_e1_alpha = (ddu * v0 - du * dv) / v0**3
-    return float(
-        abs(
-            e1_e1_alpha
-            - (n + 1) / np.tan(n * alpha) * e1_alpha**2
-            - np.sin(2 * n * alpha)
+def principal_pattern_residual(jet: GaussJet, n: int) -> float:
+    """Principal curvatures against the (1, n-1) cotangent pattern of the profile angle."""
+    alpha = jet.chart.meta["interp"].value(float(jet.point[0]))
+    prof_th, orbit_th = rotational_angles(alpha, n)
+    expected = np.sort(
+        np.array(
+            [np.cos(prof_th) / np.sin(prof_th)]
+            + [np.cos(orbit_th) / np.sin(orbit_th)] * (n - 1)
         )
     )
+    return float(np.abs(np.sort(jet.lambdas) - expected).max())
 
 
 def warped_curvature_check(
@@ -474,76 +460,84 @@ def warped_curvature_check(
     n: int,
     c1: float,
     steps: FdSteps | None = None,
-    tol_warp: float = 1e-3,
-    tol_fiber: float = 1e-3,
-) -> ResidualReport:
-    """Warped-product structure of the induced Gauss-map metric.
+) -> dict[str, float]:
+    """Residuals of the profile checks at the box center p, from the Gauss side only.
 
-    Checks, from the Gauss side only (angles and the induced metric):
+    Five Gauss-map jets at p + c (H/2) e_0, c = -2..2 (H the field step), give
+    the profile angle alpha (from the angle functions), the metric factor
+    sqrt(g_00) and the warp factor rho of the orbit block, and their
+    five-point derivatives in the profile coordinate at p. In report order:
     the orbit block of the metric is conformally round with warp factor
-    c1 (sin n alpha)^(-1/n); the rescaled fiber curvature is the constant 1;
-    and the fiber curvature formula chains correctly through the warp factor
-    and arclength derivatives.
+    c1 (sin n alpha)^(-1/n); the rescaled fiber curvature is the constant 1,
+    at p and at p +- 5H e_0, and chains through the warp factor and the
+    arclength derivative of alpha; alpha satisfies the arclength form of the
+    profile equation; and the principal curvatures at p follow the (1, n-1)
+    pattern of alpha. Nothing from the integrator enters except the chart.
     """
-    from .verify import (  # cycle-free import
-        curvature_from_metric,
-        gauss_metric_fn,
-        sectional_from_metric,
-    )
-
     steps = steps or FdSteps()
-    p = chart.box.center.copy()
-    report = ResidualReport(example=chart.name, point=list(p))
     metric = gauss_metric_fn(chart, steps)
-    jet_p = gauss_map(chart, p, steps)
-    g_p = jet_p.stencil.lift_metric
+    p = chart.box.center.copy()
+    e0 = axis(n, 0)
+    dth = steps.field
+    h = 0.5 * dth
 
     def warp_at(x, g):
         _, dsigma = sphere_chart_with_derivatives(n - 1, x[1:])
         m = dsigma @ dsigma.T
-        block = g[1:, 1:]
-        off = np.abs(g[0, 1:]).max() if n > 1 else 0.0
-        ratios = block[m > 1e-12] / m[m > 1e-12]
-        return float(np.sqrt(np.mean(ratios))), float(off), float(np.ptp(ratios))
+        ratios = g[1:, 1:][m > 1e-12] / m[m > 1e-12]
+        return float(np.sqrt(np.mean(ratios))), float(np.abs(g[0, 1:]).max()), float(np.ptp(ratios))
 
-    rho, off_block, conformal_spread = warp_at(p, g_p)
-    alpha = _alpha_from_gauss(jet_p)
-    rho_law = abs(rho - c1 * np.sin(n * alpha) ** (-1.0 / n))
-    report.add("warp_block_diagonal", off_block, tol_warp)
-    report.add("warp_block_conformal", conformal_spread, tol_warp)
-    report.add("warp_factor_law", rho_law, tol_warp)
+    jets = {c: gauss_map(chart, p + c * h * e0, steps) for c in (-2, -1, 0, 1, 2)}
+    gs = {c: jet.stencil.lift_metric for c, jet in jets.items()}
+    alphas = {c: _alpha_from_gauss(jet) for c, jet in jets.items()}
+    vs = {c: float(np.sqrt(g[0, 0])) for c, g in gs.items()}
+    warps = {c: warp_at(jets[c].point, g) for c, g in gs.items()}
 
-    # arclength derivatives of the warp factor and the profile angle,
-    # all one-dimensional differences in the profile coordinate
-    dth = steps.field
+    def d_dtheta(f):
+        return central_first(f[2], f[1], f[-1], f[-2], h)
 
-    def d_dtheta(fn, x):
-        return first_derivative(fn, x, axis(n, 0), 0.5 * dth)
+    g_p, alpha, v0 = gs[0], alphas[0], vs[0]
+    rho, off_block, conformal_spread = warps[0]
+    du = d_dtheta(alphas)
+    ddu = central_second(alphas[2], alphas[1], alpha, alphas[-1], alphas[-2], h)
+    dv = d_dtheta(vs)
+    drho = d_dtheta({c: w[0] for c, w in warps.items()})
+    e1_alpha = du / v0
+    e1_e1_alpha = (ddu * v0 - du * dv) / v0**3
 
-    # fiber curvature via the metric route in an orbit plane
-    ortho, ortho2 = axis(n, 1), axis(n, 2 if n > 2 else 1)
+    # fiber curvature via the metric route in an orbit plane, at p and at two
+    # profile samples either side of it
+    ortho, ortho2 = axis(n, 1), axis(n, 2)
 
-    def fiber_curvature(x, g_x):
-        rho_x = warp_at(x, g_x)[0]
-        e1_rho = d_dtheta(lambda y: warp_at(y, metric(y))[0], x) / np.sqrt(float(g_x[0, 0]))
+    def fiber_curvature(x, g_x, rho_x, drho_x):
+        e1_rho = drho_x / np.sqrt(float(g_x[0, 0]))
         k_orbit = sectional_from_metric(
-            curvature_from_metric(metric, x, steps.metric), g_x, ortho, ortho2
+            curvature_from_metric(metric, x, steps.metric, g_x), g_x, ortho, ortho2
         )
         return rho_x**2 * (k_orbit + (e1_rho / rho_x) ** 2)
 
-    # one fiber curvature per profile sample, each reading the metric there
-    # once; the middle sample is p itself
-    xs = [p + c * 5 * dth * axis(n, 0) for c in (-1.0, 0.0, 1.0)]
-    gs = [metric(xs[0]), g_p, metric(xs[2])]
-    kf_samples = [fiber_curvature(x, g) for x, g in zip(xs, gs)]
-    k_fiber = kf_samples[1]
-    e1_alpha = d_dtheta(
-        lambda x: _alpha_from_gauss(gauss_map(chart, x, steps)), p
-    ) / np.sqrt(float(g_p[0, 0]))
-    rhs_chain = (c1 * np.sin(n * alpha) ** (-1.0 / n)) ** 2 * (
-        2.0 + e1_alpha**2 * np.sin(n * alpha) ** (-2.0)
-    )
-    report.add("fiber_curvature_normalized", abs(k_fiber - 1.0), tol_fiber)
-    report.add("fiber_curvature_chain", abs(k_fiber - rhs_chain), tol_fiber)
-    report.add("fiber_curvature_variance", float(np.var(kf_samples)), 1e-4)
-    return report
+    def side_fiber_curvature(x):
+        g_x = metric(x)
+        drho_x = first_derivative(lambda y: warp_at(y, metric(y))[0], x, e0, h)
+        return fiber_curvature(x, g_x, warp_at(x, g_x)[0], drho_x)
+
+    k_fiber = fiber_curvature(p, g_p, rho, drho)
+    kf_samples = [
+        side_fiber_curvature(p - 5 * dth * e0),
+        k_fiber,
+        side_fiber_curvature(p + 5 * dth * e0),
+    ]
+    warp_law = c1 * np.sin(n * alpha) ** (-1.0 / n)
+    rhs_chain = warp_law**2 * (2.0 + e1_alpha**2 * np.sin(n * alpha) ** (-2.0))
+    return {
+        "warp_block_diagonal": off_block,
+        "warp_block_conformal": conformal_spread,
+        "warp_factor_law": abs(rho - warp_law),
+        "fiber_curvature_normalized": abs(k_fiber - 1.0),
+        "fiber_curvature_chain": abs(k_fiber - rhs_chain),
+        "fiber_curvature_variance": float(np.var(kf_samples)),
+        "profile_second_order_ode": abs(
+            e1_e1_alpha - (n + 1) / np.tan(n * alpha) * e1_alpha**2 - np.sin(2 * n * alpha)
+        ),
+        "principal_vs_angle_pattern": principal_pattern_residual(jets[0], n),
+    }

@@ -193,7 +193,7 @@ class SamplePoint:
     @cached_property
     def curvature(self) -> np.ndarray:
         """Coordinate curvature tensor of the induced metric (metric route)."""
-        return curvature_from_metric(self.metric_fn, self.p, self.steps.metric)
+        return curvature_from_metric(self.metric_fn, self.p, self.steps.metric, self.metric)
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +412,17 @@ def gauss_metric_fn(chart: HypersurfaceChart, steps: FdSteps | None = None):
     return lambda q: ChartStencil(chart, q, h).lift_metric
 
 
-def curvature_from_metric(metric_fn, p, h: float) -> np.ndarray:
+def curvature_from_metric(metric_fn, p, h: float, g0: np.ndarray) -> np.ndarray:
     """Coordinate curvature tensor R[a, b, c, d] = <R(d_a, d_b) d_c, d_d>.
 
-    Uses fourth-order differences of the metric components plus the
-    Christoffel quadratic terms; the convention is fixed so that the unit
-    round sphere has sectional curvature +1. The first derivative (step h/2)
-    and the diagonal second derivative (step h) share the samples at p +- h e_c.
+    g0 is the metric at p, which the caller already holds. Uses fourth-order
+    differences of the metric components plus the Christoffel quadratic
+    terms; the convention is fixed so that the unit round sphere has
+    sectional curvature +1. The first derivative (step h/2) and the diagonal
+    second derivative (step h) share the samples at p +- h e_c.
     """
     p = np.asarray(p, dtype=float)
     n = p.size
-    g0 = stencil_value(metric_fn, p)
     dg = np.empty((n, n, n))
     ddg = np.empty((n, n, n, n))
     for c in range(n):

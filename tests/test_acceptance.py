@@ -44,7 +44,6 @@ from quadriclab.rotational import (
     ode_equivalence_residual,
     ode_order_ratio,
     profile_curve,
-    profile_ode_residual_from_chart,
     warped_curvature_check,
 )
 from quadriclab.verify import (
@@ -135,9 +134,10 @@ def test_criterion_03_flat_torus():
     metric_fn = gauss_metric_fn(chart, steps)
     worst = 0.0
     for x in sample_points(chart, 5):
+        g = metric_fn(x)
         k = sectional_from_metric(
-            curvature_from_metric(metric_fn, x, steps.metric),
-            metric_fn(x),
+            curvature_from_metric(metric_fn, x, steps.metric, g),
+            g,
             np.array([1.0, 0.0]),
             np.array([0.0, 1.0]),
         )
@@ -274,7 +274,9 @@ def test_criterion_09_gauss_codazzi(rotational_chart):
             g.entries["gauss_equation"].residual,
             c.entries["codazzi_equation"].residual,
         )
-    ode_form = profile_ode_residual_from_chart(rotational_chart, steps)
+    ode_form = warped_curvature_check(rotational_chart, 3, rotational_chart.meta["c1"], steps)[
+        "profile_second_order_ode"
+    ]
     report(
         9,
         worst < 1e-3 and ode_form < 1e-3,
@@ -290,8 +292,7 @@ def test_criterion_10_ode_suite(rotational_chart):
     conserved = first_integral_residual(traj)
     equivalence = ode_equivalence_residual(traj)
     chart = rotational_chart
-    rep = warped_curvature_check(chart, 3, chart.meta["c1"])
-    rho_law = rep.entries["warp_factor_law"].residual
+    rho_law = warped_curvature_check(chart, 3, chart.meta["c1"])["warp_factor_law"]
     interp = chart.meta["interp"]
     worst_pattern = 0.0
     for x in sample_points(chart, 3):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadriclab import cli
+from quadriclab import cli, rotational
 from quadriclab.cli import RunConfig, ConfigError, kronecker_points, main
 from quadriclab.hypersurfaces import Box, round_sphere
 
@@ -148,7 +148,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "build_example", build)
         code, _ = cli.cmd_verify(RunConfig(command="verify", grid=1))
         assert code == 0
-        assert len(calls) == 2618
+        assert len(calls) == 2594
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -236,6 +236,66 @@ class TestOdeCommand:
         assert "first_integral" in names
         assert "warp_factor_law" in names
         assert 12.0 <= rep["trajectory"]["order_ratio"] <= 20.0
+
+    def test_default_counts_order_gate(self, tmp_path):
+        assert run(tmp_path, "ode") == 0
+        rep = load_report(tmp_path, "ode", "rotational")
+        assert rep["summary"]["total"] == 11
+        assert rep["summary"]["skipped"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "6"], ["--n", "3", "--alpha0", "0.5235987755982988"]],
+    )
+    def test_equilibrium_skips_order_gate(self, tmp_path, argv):
+        # alpha0 = pi/(2n) is the constant solution: the order-probe runs
+        # differ by round-off only, so the gate is skipped, not failed
+        assert run(tmp_path, "ode", *argv) == 0
+        rep = load_report(tmp_path, "ode", "rotational")
+        summary = rep["summary"]
+        assert (summary["total"], summary["passed"], summary["failed"]) == (10, 10, 0)
+        assert [s["name"] for s in summary["skipped"]] == ["order_ratio"]
+        assert rep["trajectory"]["order_ratio"] is None
+
+    def test_tolerance_overrides_reach_profile_checks(self, tmp_path):
+        code = run(
+            tmp_path, "ode",
+            "--tol", "warp_factor_law=1e-30", "--tol", "fiber_curvature_variance=1e-40",
+        )
+        assert code == 1
+        rep = load_report(tmp_path, "ode", "rotational")
+        checks = {c["name"]: c for c in rep["results"][0]["checks"]}
+        assert checks["warp_factor_law"]["tolerance"] == 1e-30
+        assert checks["fiber_curvature_variance"]["tolerance"] == 1e-40
+        assert not checks["warp_factor_law"]["pass"]
+        assert not checks["fiber_curvature_variance"]["pass"]
+        assert rep["summary"]["failed"] == 2
+
+    def test_chart_evaluation_budget(self, tmp_path, monkeypatch):
+        # embed and normal evaluations of one ode run at n = 3; the profile
+        # checks build each of their five Gauss-map jets once
+        calls = []
+        jets = []
+
+        def counted(fn, log):
+            def wrapper(*args, **kwargs):
+                log.append(1)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def build(curve, n):
+            chart = rotational.build_rotational_chart(curve, n)
+            return dataclasses.replace(
+                chart, embed=counted(chart.embed, calls), normal=counted(chart.normal, calls)
+            )
+
+        monkeypatch.setattr(cli, "build_rotational_chart", build)
+        monkeypatch.setattr(rotational, "gauss_map", counted(rotational.gauss_map, jets))
+        code, _ = cli.cmd_ode(RunConfig(command="ode", example="rotational", out=str(tmp_path)))
+        assert code == 0
+        assert len(calls) == 3394
+        assert len(jets) == 5
 
     def test_order_probe_at_many_steps(self, tmp_path):
         # the order probe keeps its own step count, so a fine --steps does not

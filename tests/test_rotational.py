@@ -13,14 +13,19 @@ from quadriclab.rotational import (
     ode_equivalence_residual,
     ode_order_ratio,
     profile_curve,
-    profile_ode_residual_from_chart,
     profile_velocity,
     rotational_angles,
     warp_constant,
     warped_curvature_check,
 )
+from quadriclab import rotational
+from quadriclab.cli import DEFAULT_TOLERANCES
 from quadriclab.hypersurfaces import principal_curvatures
 from quadriclab.verify import gauss_metric_fn
+
+
+def all_within_default_tolerances(residuals):
+    return all(r <= DEFAULT_TOLERANCES[name] for name, r in residuals.items())
 
 
 def mod_pi_gap(a, b):
@@ -54,6 +59,18 @@ class TestIntegrator:
     def test_order_four(self):
         ratio = ode_order_ratio(3, np.pi / 12, 0.0, 0.8, 250)
         assert 12.0 <= ratio <= 20.0
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_no_order_at_equilibrium(self, n):
+        # alpha0 = pi/(2n) is the constant solution: the probe runs differ by
+        # about 1e-31, and their ratio would be round-off
+        assert ode_order_ratio(n, np.pi / (2 * n), 0.0, 0.8, 250) is None
+
+    def test_no_order_when_runs_agree_exactly(self, monkeypatch):
+        # probe runs that agree exactly measure no order either
+        constant = AlphaTrajectory(3, [ProfileState(0.8, 0.3, 0.0)])
+        monkeypatch.setattr(rotational, "integrate_alpha", lambda *args: constant)
+        assert ode_order_ratio(3, 0.3, 0.0, 0.8, 250) is None
 
     def test_invalid_initial_data(self):
         with pytest.raises(OdeError):
@@ -121,7 +138,8 @@ class TestOdeEquivalence:
         assert ode_equivalence_residual(rotational_trajectory) < 1e-5
 
     def test_chart_side_second_order_form(self, rotational_chart):
-        assert profile_ode_residual_from_chart(rotational_chart) < 1e-3
+        res = warped_curvature_check(rotational_chart, 3, rotational_chart.meta["c1"])
+        assert res["profile_second_order_ode"] < 1e-3
 
 
 class TestQuinticHermite:
@@ -178,11 +196,21 @@ class TestRotationalChart:
         )
 
     def test_warped_curvature_report(self, rotational_chart):
-        rep = warped_curvature_check(rotational_chart, 3, rotational_chart.meta["c1"])
-        assert rep.all_pass
-        assert rep.entries["fiber_curvature_normalized"].residual < 1e-3
-        assert rep.entries["warp_factor_law"].residual < 1e-3
-        assert rep.entries["fiber_curvature_variance"].residual < 1e-4
+        res = warped_curvature_check(rotational_chart, 3, rotational_chart.meta["c1"])
+        assert list(res) == [
+            "warp_block_diagonal",
+            "warp_block_conformal",
+            "warp_factor_law",
+            "fiber_curvature_normalized",
+            "fiber_curvature_chain",
+            "fiber_curvature_variance",
+            "profile_second_order_ode",
+            "principal_vs_angle_pattern",
+        ]
+        assert all_within_default_tolerances(res)
+        assert res["fiber_curvature_normalized"] < 1e-3
+        assert res["warp_factor_law"] < 1e-3
+        assert res["fiber_curvature_variance"] < 1e-4
 
     def test_orbit_radius_guard(self):
         # a synthetic curve running into the rotation axis must be rejected
@@ -208,5 +236,4 @@ def test_rotational_chart_n4():
     alpha = chart.meta["interp"].value(float(x[0]))
     expected = np.sort([1.0 / np.tan(3 * alpha)] + [-1.0 / np.tan(alpha)] * 3)[::-1]
     np.testing.assert_allclose(lam, expected, atol=1e-4)
-    rep = warped_curvature_check(chart, 4, chart.meta["c1"])
-    assert rep.all_pass
+    assert all_within_default_tolerances(warped_curvature_check(chart, 4, chart.meta["c1"]))

@@ -93,24 +93,24 @@ class TestCurvature:
             return np.diag([np.cos(q[1]) ** 2, 1.0])
 
         p = np.array([0.2, 0.3])
-        k = sectional_from_metric(
-            curvature_from_metric(metric, p, 2e-3), metric(p), np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        )
+        g = metric(p)
+        r = curvature_from_metric(metric, p, 2e-3, g)
+        k = sectional_from_metric(r, g, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert abs(k - 1.0) < 1e-8
 
     def test_sphere_gauss_map_curvature_two(self, sphere_half):
         metric = gauss_metric_fn(sphere_half)
-        k = sectional_from_metric(
-            curvature_from_metric(metric, P3, 2.5e-3), metric(P3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
-        )
+        g = metric(P3)
+        r = curvature_from_metric(metric, P3, 2.5e-3, g)
+        k = sectional_from_metric(r, g, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
         assert abs(k - 2.0) < 1e-3
 
     def test_flat_torus(self, clifford_torus):
         metric = gauss_metric_fn(clifford_torus)
         p = np.array([0.2, -0.1])
-        k = sectional_from_metric(
-            curvature_from_metric(metric, p, 2.5e-3), metric(p), np.array([1.0, 0]), np.array([0, 1.0])
-        )
+        g = metric(p)
+        r = curvature_from_metric(metric, p, 2.5e-3, g)
+        k = sectional_from_metric(r, g, np.array([1.0, 0]), np.array([0, 1.0]))
         assert abs(k) < 1e-3
 
     def test_cartan_eighth(self, tube):
