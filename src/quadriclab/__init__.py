@@ -43,7 +43,6 @@ from .gaussmap import (
     gauge_normalize,
     gauss_map,
     mean_curvature,
-    palmer_residual,
     second_fundamental_form,
     structure_operators,
 )
@@ -59,6 +58,7 @@ from .verify import (
     codazzi_residual,
     connection_and_s,
     gauss_equation_residual,
+    palmer_residual,
     reconstruct_hypersurface,
     sectional_curvature,
 )

@@ -21,7 +21,6 @@ from .hypersurfaces import ChartError, ChartStencil, HypersurfaceChart
 from .numerics import (
     axis,
     central_second,
-    first_derivative,
     mixed_derivative,
     stencil_value,
     symmetric_eigen,
@@ -47,7 +46,6 @@ __all__ = [
     "normalized_phase",
     "second_fundamental_form",
     "mean_curvature",
-    "palmer_residual",
     "mod_pi_distance",
 ]
 
@@ -363,9 +361,9 @@ def normalized_phase(jet: GaussJet, ref_phi: float | None = None) -> float:
     return phi
 
 
-def gauge_normalize(jet: GaussJet) -> StructureGauge:
-    """Gauge with zero angle sum (mod pi); verified to 1e-8 before returning."""
-    phi = normalized_phase(jet)
+def gauge_normalize(jet: GaussJet, ref_phi: float | None = None) -> StructureGauge:
+    """Gauge with zero angle sum (mod pi), nearest ref_phi if given; verified to 1e-8."""
+    phi = normalized_phase(jet, ref_phi)
     spec = angle_spectrum(jet, StructureGauge(phi))
     total = np.mod(np.sum(spec.thetas), np.pi)
     defect = min(total, np.pi - total)
@@ -429,34 +427,3 @@ def mean_curvature(ff: FundamentalForm) -> np.ndarray:
     n = ff.h.shape[0]
     return np.einsum("jji->i", ff.h) / n
 
-
-def palmer_residual(jet: GaussJet) -> dict[str, float]:
-    """Residual of the mean-curvature/principal-curvature gradient formula.
-
-    Compares the frame components of the mean curvature vector of the Gauss
-    map at the jet's point with the (1/n) gradient of the summed
-    principal-curvature arctangents, both computed independently. Returns the
-    residual together with the magnitudes of both sides.
-    """
-    spec = angle_spectrum(jet, StructureGauge(0.0))
-    hvec = mean_curvature(second_fundamental_form(jet, spec))
-    n = jet.dim
-
-    def angle_sum(q):
-        jq = gauss_map(jet.chart, q, jet.steps)
-        return np.array([np.sum(np.arctan(jq.lambdas))])
-
-    residual = 0.0
-    lhs_mag = 0.0
-    rhs_mag = 0.0
-    for i in range(n):
-        d = first_derivative(angle_sum, jet.point, spec.frame_vel[i], jet.steps.field)[0]
-        lhs = -hvec[i]
-        # with the complex structure fixed as multiplication by +i the
-        # gradient side enters with the opposite sign of the usual statement
-        # (the one-form pairing flips with the orientation of J)
-        rhs = d / n
-        residual = max(residual, abs(lhs - rhs))
-        lhs_mag = max(lhs_mag, abs(lhs))
-        rhs_mag = max(rhs_mag, abs(rhs))
-    return {"residual": residual, "lhs": lhs_mag, "rhs": rhs_mag}

@@ -16,7 +16,6 @@ from quadriclab.gaussmap import (
     gauge_normalize,
     gauss_map,
     mean_curvature,
-    palmer_residual,
     second_fundamental_form,
     structure_operators,
 )
@@ -55,6 +54,7 @@ from quadriclab.verify import (
     gauss_equation_residual,
     gauss_lift_field,
     gauss_metric_fn,
+    palmer_residual,
     reconstruct_hypersurface,
     sectional_from_metric,
 )
@@ -186,7 +186,7 @@ def test_criterion_05_minimality():
             jet = gauss_map(chart, x, steps)
             ff = second_fundamental_form(jet, angle_spectrum(jet))
             worst_h = max(worst_h, float(np.linalg.norm(mean_curvature(ff))))
-            worst_p = max(worst_p, palmer_residual(jet)["residual"])
+            worst_p = max(worst_p, palmer_residual(SamplePoint(jet))["residual"])
     report(
         5,
         worst_h < 1e-5 and worst_p < 1e-5,

@@ -48,6 +48,13 @@ class TestConfig:
         assert cfg.tol("gauss_equation") == 1e-2
         assert cfg.tol("codazzi_equation") == 1e-3
 
+    def test_angle_sum_tolerance_is_unknown(self, tmp_path, capsys):
+        # gauge_normalize checks the angle sum with its own bound, so no
+        # tolerance name may pretend to set it
+        assert "angle_sum_normalized" not in cli.DEFAULT_TOLERANCES
+        assert run(tmp_path, "verify", "--grid", "1", "--tol", "angle_sum_normalized=1e-300") == 2
+        assert capsys.readouterr().err == "error: unknown tolerance 'angle_sum_normalized'\n"
+
 
 class TestSamplePoints:
     def test_deterministic(self):
@@ -148,7 +155,53 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "build_example", build)
         code, _ = cli.cmd_verify(RunConfig(command="verify", grid=1))
         assert code == 0
-        assert len(calls) == 2594
+        assert len(calls) == 2282
+
+    def test_csc_tolerance_overrides(self, tmp_path):
+        # each constant-curvature entry carries its own tolerance
+        tols = {
+            "csc_diagonal_balance": 1e-20,
+            "csc_triple_vanishing": 1e-30,
+            "csc_quadruple_vanishing": 1e-40,
+        }
+        argv = ["verify", "--example", "sphere", "--n", "4", "--grid", "1"]
+        for name, value in tols.items():
+            argv += ["--tol", f"{name}={value}"]
+        run(tmp_path, *argv)
+        checks = {c["name"]: c for c in load_report(tmp_path, "verify", "sphere")["results"][0]["checks"]}
+        for name, value in tols.items():
+            assert checks[name]["tolerance"] == value
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(
+                st.just("sphere"), st.sampled_from([2, 3]), st.just(None),
+                st.floats(min_value=0.1, max_value=1.0),
+            ),
+            st.tuples(
+                st.just("product"), st.sampled_from([2, 3]), st.booleans(),
+                st.floats(min_value=0.1, max_value=0.9),
+            ),
+            st.tuples(
+                st.just("cartan"), st.just(3), st.just(None),
+                st.floats(min_value=0.05, max_value=1.0),
+            ),
+        ),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_passes_over_parameter_ranges(self, tmp_path_factory, example, seed):
+        # sphere radius r in [0.1, 1], product k in {1, n - 1} with r1 in
+        # [0.1, 0.9], cartan tube radius t in [0.05, 1] (focal at 0 and pi/3)
+        name, n, k_last, value = example
+        argv = ["verify", "--example", name, "--n", str(n), "--grid", "1", "--seed", str(seed)]
+        if name == "product":
+            argv += ["--k", str(n - 1 if k_last else 1), "--r1", repr(value)]
+        else:
+            argv += ["--r" if name == "sphere" else "--t", repr(value)]
+        out = tmp_path_factory.mktemp("verify")
+        assert run(out, *argv) == 0
+        assert load_report(out, "verify", name)["summary"]["all_pass"]
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -201,18 +254,41 @@ class TestAnglesCommand:
         assert err.startswith(f"error: tube radius t must be finite, got {t}")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, distinct",
+        [
+            (["--example", "sphere", "--n", "4", "--grid", "6"], 1),
+            (["--example", "product", "--n", "4", "--k", "2", "--grid", "3"], 2),
+        ],
+    )
+    def test_normalized_gauge_keeps_one_branch(self, tmp_path, argv, distinct):
+        # the normalized phase of these charts sits at 0 = 2 pi / n, where
+        # round-off alone would pick the branch at each point
+        assert run(tmp_path, "angles", *argv) == 0
+        rep = load_report(tmp_path, "angles", argv[1])
+        assert rep["summary"]["distinct_angles"] == distinct
+        phis = [row["gauge_phi"] for row in rep["results"]]
+        assert max(phis) - min(phis) < 1e-9
+
     @settings(max_examples=12, deadline=None)
     @given(
         st.sampled_from(
-            [("sphere", "3", 1), ("product", "2", 2), ("product", "3", 2), ("cartan", "3", 3)]
+            [
+                ("sphere", ["--n", "3"], 1),
+                ("product", ["--n", "2"], 2),
+                ("product", ["--n", "3"], 2),
+                ("cartan", ["--n", "3"], 3),
+                ("sphere", ["--n", "4"], 1),
+                ("product", ["--n", "4", "--k", "2"], 2),
+            ]
         ),
         st.sampled_from(["normalized", "canonical"]),
         st.integers(min_value=0, max_value=10**6),
     )
     def test_distinct_count_over_seeds_and_gauges(self, tmp_path_factory, example, gauge, seed):
-        name, n, distinct = example
+        name, dims, distinct = example
         out = tmp_path_factory.mktemp("angles")
-        argv = ["angles", "--example", name, "--n", n, "--grid", "4", "--gauge", gauge]
+        argv = ["angles", "--example", name, *dims, "--grid", "4", "--gauge", gauge]
         assert run(out, *argv, "--seed", str(seed)) == 0
         assert load_report(out, "angles", name)["summary"]["distinct_angles"] == distinct
 

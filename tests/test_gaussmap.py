@@ -11,7 +11,6 @@ from quadriclab.gaussmap import (
     gauss_map,
     mean_curvature,
     normalized_phase,
-    palmer_residual,
     second_fundamental_form,
     structure_operators,
 )
@@ -23,6 +22,7 @@ from quadriclab.hypersurfaces import (
     sphere_chart,
 )
 from quadriclab.quadric import StructureGauge
+from quadriclab.verify import SamplePoint, palmer_residual
 
 
 def mod_pi_gap(a, b):
@@ -285,23 +285,23 @@ class TestMeanCurvature:
 class TestPalmer:
     def test_isoparametric_both_sides_vanish(self, sphere_half, tube):
         for chart in (sphere_half, tube):
-            res = palmer_residual(gauss_map(chart, P3))
+            res = palmer_residual(SamplePoint(gauss_map(chart, P3)))
             assert res["residual"] < 1e-5
             assert res["lhs"] < 1e-5 and res["rhs"] < 1e-5
 
     def test_equator(self):
         chart = round_sphere(2, 1.0)
-        assert palmer_residual(gauss_map(chart, np.array([0.1, 0.2])))["residual"] < 1e-6
+        assert palmer_residual(SamplePoint(gauss_map(chart, np.array([0.1, 0.2]))))["residual"] < 1e-6
 
     def test_rotational_within_tolerance(self, rotational_chart):
-        res = palmer_residual(gauss_map(rotational_chart, rotational_chart.box.center))
+        res = palmer_residual(SamplePoint(gauss_map(rotational_chart, rotational_chart.box.center)))
         assert res["residual"] < 1e-4
 
     def test_nonminimal_chart_has_nonzero_sides(self, wavy_sphere):
         # a perturbed sphere is not isoparametric: both sides of the identity
         # are genuinely nonzero yet agree
         p = np.array([0.1, -0.15])
-        res = palmer_residual(gauss_map(wavy_sphere, p))
+        res = palmer_residual(SamplePoint(gauss_map(wavy_sphere, p)))
         assert res["lhs"] > 1e-3
         assert res["rhs"] > 1e-3
         assert res["residual"] < 1e-4
