@@ -62,6 +62,7 @@ from .verify import (
     classify_by_angles,
     codazzi_residual,
     gauss_equation_residual,
+    isoparametric_variance,
     palmer_residual,
     sectional_curvature,
     sectional_from_metric,
@@ -114,6 +115,9 @@ SECTIONAL_TARGETS = {"sphere": 2.0, "cartan": 0.125}
 # steps of the coarsest of the three order-probe integrations: coarse enough
 # that RK4's global error dominates round-off, whatever --steps is
 ORDER_PROBE_STEPS = 250
+# global-error ratios under step halving that pass the order gate; a
+# fourth-order method gives 2^4 = 16
+ORDER_WINDOW = (12.0, 20.0)
 
 
 class ConfigError(Exception):
@@ -404,10 +408,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     sample_specs = [pt.spec0 for pt in points]
     distinct = None
     if chart.meta.get("isoparametric"):
-        thetas = np.array([np.sort(s.thetas) for s in sample_specs])
-        spread = float(np.var(thetas, axis=0).max()) if len(thetas) > 1 else 0.0
         extra = ResidualReport(example=cfg.example, point=["all"])
-        extra.add("isoparametric_variance", spread, cfg.tol("isoparametric_variance"))
+        extra.add(
+            "isoparametric_variance",
+            isoparametric_variance(sample_specs),
+            cfg.tol("isoparametric_variance"),
+        )
         distinct = classify_by_angles(sample_specs)
         results.append(extra)
     summary_checks = [e for r in results for e in r.entries.values()]
@@ -479,7 +485,7 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
     entries = list(report.entries.values())
     # the order gate counts in the summary only, and is skipped when the probe
     # runs differ by round-off only
-    gates = [] if order is None else [12.0 <= order <= 20.0]
+    gates = [] if order is None else [ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1]]
     skipped = [] if gates else [
         {
             "name": "order_ratio",

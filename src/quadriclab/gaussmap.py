@@ -47,6 +47,7 @@ __all__ = [
     "second_fundamental_form",
     "mean_curvature",
     "mod_pi_distance",
+    "nearest_mod_pi",
 ]
 
 ANGLE_CLUSTER_GAP = 1e-7
@@ -282,6 +283,11 @@ def mod_pi_distance(a: float, b: float) -> float:
     """Distance between two angles taken mod pi, in [0, pi/2]."""
     d = abs(a - b) % np.pi
     return min(d, np.pi - d)
+
+
+def nearest_mod_pi(theta, ref):
+    """The representative theta + k pi nearest ref; exactly theta when |ref - theta| < pi/2."""
+    return theta + np.round((ref - theta) / np.pi) * np.pi
 
 
 def _cluster(values: np.ndarray, gap: float) -> list[list[int]]:

@@ -113,6 +113,29 @@ def _lift(a, b):
     return (a + 1j * b) / np.sqrt(2.0)
 
 
+def _memo_last(fn):
+    """fn of one array argument, remembering its last argument and result.
+
+    A chart's embed and normal share work at each point, and ChartStencil asks
+    for both at one point before moving on; stencil points along a later axis
+    also share the leading coordinates. Wrapping that shared work in a chart's
+    closures does it once per point while embed and normal stay separate
+    callables. The entry is read and replaced whole, so concurrent callers at
+    worst recompute. Callers must not change the returned arrays in place.
+    """
+    last = (None, None)
+
+    def memo(q):
+        nonlocal last
+        key = np.asarray(q, dtype=float).tobytes()
+        entry = last
+        if entry[0] != key:
+            entry = last = (key, fn(q))
+        return entry[1]
+
+    return memo
+
+
 class ChartStencil:
     """embed and normal on the first-order stencil of a point, each evaluated once.
 
@@ -422,13 +445,15 @@ def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
     if not np.isfinite(t):
         raise ChartError(f"tube radius t must be finite, got {t}")
 
+    frame = _memo_last(_veronese_frame)
+
     def embed(x):
-        v, xi1, xi2 = _veronese_frame(x[:2])
+        v, xi1, xi2 = frame(x[:2])
         xi = np.cos(x[2]) * xi1 + np.sin(x[2]) * xi2
         return np.cos(t) * v + np.sin(t) * xi
 
     def normal(x):
-        v, xi1, xi2 = _veronese_frame(x[:2])
+        v, xi1, xi2 = frame(x[:2])
         xi = np.cos(x[2]) * xi1 + np.sin(x[2]) * xi2
         return -np.sin(t) * v + np.cos(t) * xi
 

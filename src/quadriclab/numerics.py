@@ -116,19 +116,27 @@ def gram_schmidt(vectors, dependence_tol: float = 1e-10) -> np.ndarray:
     Runs two modified Gram-Schmidt passes (the second mops up cancellation) so
     pairwise inner products land below 1e-12. A rank check on the Gram matrix
     precedes the sweep; dependent input raises RankDeficiencyError carrying the
-    Gram spectrum.
+    Gram spectrum, and non-finite input raises NumericsError.
+
+    The rank check is a Cholesky factorization of gram - dependence_tol * I,
+    which exists exactly when the smallest Gram eigenvalue exceeds
+    dependence_tol; the spectrum is computed only to report a failure.
     """
     vs = np.array([np.asarray(v, dtype=float) for v in vectors])
     if vs.ndim != 2:
         raise NumericsError("gram_schmidt expects a sequence of 1-d vectors")
+    if not np.all(np.isfinite(vs)):
+        raise NumericsError("gram_schmidt: input has non-finite entries")
     gram = vs @ vs.T
-    spectrum, _ = symmetric_eigen(gram)
-    if spectrum[0] <= dependence_tol:
+    try:
+        np.linalg.cholesky(gram - dependence_tol * np.eye(len(vs)))
+    except np.linalg.LinAlgError:
+        spectrum, _ = symmetric_eigen(gram)
         raise RankDeficiencyError(
             f"gram_schmidt: input is numerically rank-deficient "
             f"(smallest Gram eigenvalue {spectrum[0]:.3e})",
             spectrum,
-        )
+        ) from None
     out = vs.copy()
     for _ in range(2):
         for i in range(len(out)):

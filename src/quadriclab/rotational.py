@@ -15,8 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypersurfaces import Box, HypersurfaceChart, sphere_chart, sphere_chart_with_derivatives
-from .gaussmap import FdSteps, GaussJet, angle_spectrum, gauss_map
+from .hypersurfaces import (
+    Box,
+    HypersurfaceChart,
+    _memo_last,
+    sphere_chart,
+    sphere_chart_with_derivatives,
+)
+from .gaussmap import (
+    FdSteps,
+    GaussJet,
+    angle_spectrum,
+    gauss_map,
+    mod_pi_distance,
+    nearest_mod_pi,
+)
 from .numerics import axis, central_first, central_second, first_derivative
 from .verify import curvature_from_metric, gauss_metric_fn, sectional_from_metric
 
@@ -376,16 +389,20 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
     lows = np.concatenate([[lo], np.full(n - 1, -0.4)])
     highs = np.concatenate([[hi], np.full(n - 1, 0.4)])
 
+    # embed and normal at one point share the profile and the orbit sphere
+    profile = _memo_last(lambda th: (interp.value(float(th[0])), interp.derivative(float(th[0]))))
+    orbit = _memo_last(lambda q: sphere_chart(n - 1, q))
+
     def embed(x):
         theta = float(x[0])
-        a, p = interp.value(theta), interp.derivative(theta)
+        a, p = profile(x[:1])
         g = _gamma_point(theta, a, p)
-        sigma = sphere_chart(n - 1, x[1:])
+        sigma = orbit(x[1:])
         return np.concatenate([g[0] * sigma, g[1:]])
 
     def normal(x):
         theta = float(x[0])
-        a, p = interp.value(theta), interp.derivative(theta)
+        a, p = profile(x[:1])
         c, s = np.cos(a), np.sin(a)
         w_loc = np.sqrt(max(0.0, 1.0 - p * p))
         # unit conormal of the profile curve in the moving frame of the sphere
@@ -396,7 +413,7 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
                 c * p * np.sin(theta) - s * np.cos(theta),
             ]
         )
-        sigma = sphere_chart(n - 1, x[1:])
+        sigma = orbit(x[1:])
         return np.concatenate([beta[0] * sigma, beta[1:]])
 
     c1 = warp_constant(AlphaTrajectory(n, [ProfileState(th[0], al[0], pa[0])]))
@@ -424,16 +441,23 @@ def _orbit_and_profile_angles(thetas: np.ndarray, n: int) -> tuple[float, float]
     th = np.sort(thetas)
     groups: list[list[float]] = [[float(th[0])]]
     for v in th[1:]:
-        if v - groups[-1][-1] <= 1e-4:
+        if mod_pi_distance(v, groups[-1][-1]) <= 1e-4:
             groups[-1].append(float(v))
         else:
             groups.append([float(v)])
+    # the last group continues into the first across 0 = pi
+    if len(groups) > 1 and mod_pi_distance(groups[0][0], groups[-1][-1]) <= 1e-4:
+        groups[0] = groups.pop() + groups[0]
     groups.sort(key=len)
     if len(groups) != 2 or len(groups[-1]) != n - 1:
         raise OdeError(
             f"angle multiplicities {sorted(map(len, groups))} are not (1, n-1)"
         )
-    return float(groups[0][0]), float(np.mean(groups[-1]))
+    orbit = groups[-1]
+    # the mean of representatives nearest the first member: the plain mean
+    # unless the group straddles 0 = pi
+    mean = float(np.mean([nearest_mod_pi(v, orbit[0]) for v in orbit]))
+    return float(groups[0][0]), float(np.mod(mean, np.pi))
 
 
 def _alpha_from_gauss(jet: GaussJet) -> float:

@@ -24,6 +24,7 @@ from .gaussmap import (
     gauss_map,
     mean_curvature,
     mod_pi_distance,
+    nearest_mod_pi,
     normalized_phase,
     second_fundamental_form,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "codazzi_residual",
     "sectional_curvature",
     "check_csc_identities",
+    "isoparametric_variance",
     "classify_by_angles",
     "reconstruct_hypersurface",
     "gauss_lift_field",
@@ -265,9 +267,7 @@ def _align_to_reference(
         for pos, k in enumerate(cl):
             new_frame_vel[k] = block_vel[pos]
             new_frame_ambient[k] = block_amb[pos]
-            theta = spec.thetas[members[pos]]
-            shift = np.round((ref.thetas[k] - theta) / np.pi)
-            new_thetas[k] = theta + shift * np.pi
+            new_thetas[k] = nearest_mod_pi(spec.thetas[members[pos]], ref.thetas[k])
     return AngleSpectrum(
         thetas=new_thetas,
         frame_vel=new_frame_vel,
@@ -611,6 +611,31 @@ def check_csc_identities(
 # classification and reconstruction
 # ---------------------------------------------------------------------------
 
+def _cyclic_match(base: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, float]:
+    """Sorted thetas cyclically shifted to match sorted base, and their largest mod-pi distance.
+
+    Sorted representatives of the same angles mod pi differ by a cyclic shift
+    when one angle crosses 0 = pi; the first shift with the least distance wins.
+    """
+    other = np.sort(thetas)
+    shifted = [np.roll(other, k) for k in range(len(other))]
+    spreads = [max(mod_pi_distance(a, b) for a, b in zip(base, o)) for o in shifted]
+    k = int(np.argmin(spreads))
+    return shifted[k], spreads[k]
+
+
+def isoparametric_variance(spectra: list[AngleSpectrum]) -> float:
+    """Largest variance across samples of one angle, with the angles compared mod pi.
+
+    Each sorted spectrum is matched to the first by the cyclic shift that
+    classify_by_angles uses, then each angle is moved by a multiple of pi onto
+    the representative nearest the first spectrum's.
+    """
+    base = np.sort(spectra[0].thetas)
+    aligned = [nearest_mod_pi(_cyclic_match(base, s.thetas)[0], base) for s in spectra]
+    return float(np.var(aligned, axis=0).max())
+
+
 def classify_by_angles(
     spectra: list[AngleSpectrum],
     variance_tol: float = 1e-6,
@@ -625,13 +650,7 @@ def classify_by_angles(
         raise VerifyError("no spectra supplied")
     base = np.sort(spectra[0].thetas)
     for s in spectra[1:]:
-        other = np.sort(s.thetas)
-        # sorted representatives of the same angles mod pi differ by a cyclic
-        # shift when one angle crosses 0 = pi
-        spread = min(
-            max(mod_pi_distance(a, b) for a, b in zip(base, np.roll(other, k)))
-            for k in range(len(other))
-        )
+        _, spread = _cyclic_match(base, s.thetas)
         if spread**2 > variance_tol:
             raise VerifyError(
                 f"not isoparametric-type input: angles vary across samples "

@@ -319,6 +319,13 @@ class TestOdeCommand:
         assert rep["summary"]["total"] == 11
         assert rep["summary"]["skipped"] == []
 
+    @pytest.mark.parametrize("ratio", [cli.ORDER_WINDOW[0] - 0.5, cli.ORDER_WINDOW[1] + 0.5])
+    def test_order_outside_window_fails(self, tmp_path, monkeypatch, ratio):
+        monkeypatch.setattr(cli, "ode_order_ratio", lambda *args: ratio)
+        assert run(tmp_path, "ode", "--steps", "1000") == 1
+        summary = load_report(tmp_path, "ode", "rotational")["summary"]
+        assert (summary["total"], summary["failed"]) == (11, 1)
+
     @pytest.mark.parametrize(
         "argv",
         [["--n", "6"], ["--n", "3", "--alpha0", "0.5235987755982988"]],

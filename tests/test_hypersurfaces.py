@@ -1,8 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from quadriclab import hypersurfaces
 from quadriclab.hypersurfaces import (
     ChartError,
+    ChartStencil,
     FocalRadiusError,
     HypersurfaceChart,
     Box,
@@ -144,6 +149,61 @@ class TestCartanTube:
             cartan_tube(0.0)
         with pytest.raises(FocalRadiusError):
             cartan_tube(np.pi / 3.0)
+
+
+class TestChartMemo:
+    # embed and normal of the cartan chart share one Veronese frame per point
+
+    def test_interleaved_points_match_fresh_charts(self, tube):
+        rng = np.random.default_rng(5)
+        base = sample_points(tube, 3)
+        points = base + [
+            np.array([base[0][0], base[0][1], base[1][2]]),  # shares x[:2] with base[0]
+            np.array([base[0][0], base[2][1], base[2][2]]),  # shares x[0] only
+        ]
+        calls = [(kind, i) for i in range(len(points)) for kind in ("embed", "normal")] * 2
+        for c in rng.permutation(len(calls)):
+            kind, i = calls[c]
+            got = getattr(tube, kind)(points[i])
+            assert np.array_equal(got, getattr(cartan_tube(0.35), kind)(points[i]))
+
+    def test_threads_sharing_a_chart(self, tube):
+        # the memo entry is read and replaced whole: threads sharing one chart
+        # may recompute a frame but never read another point's
+        points = sample_points(tube, 6)
+        want = [(tube.embed(p), tube.normal(p)) for p in points]
+        wrong = []
+
+        def work(seed):
+            for i in np.random.default_rng(seed).integers(0, len(points), 150):
+                got = (tube.embed(points[i]), tube.normal(points[i]))
+                if not all(np.array_equal(g, w) for g, w in zip(got, want[i])):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_frames_per_stencil(self, monkeypatch):
+        # 4 offsets along each Veronese axis, then the normal-circle axis and
+        # the center reuse the frame at p[:2]
+        calls = []
+        frame = hypersurfaces._veronese_frame
+        monkeypatch.setattr(hypersurfaces, "_veronese_frame", lambda q: calls.append(1) or frame(q))
+        chart = cartan_tube(0.35)
+        calls.clear()
+        st = ChartStencil(chart, np.array([0.1, -0.05, 0.2]), 1e-4)
+        st.center
+        assert len(calls) == 9
 
 
 class TestParallel:

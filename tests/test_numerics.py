@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,53 @@ class TestGramSchmidt:
             gram_schmidt([v, 2.0 * v])
         assert err.value.gram_spectrum.shape == (2,)
         assert err.value.gram_spectrum[0] < 1e-10
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_more_vectors_than_dimension(self, k):
+        vs = np.random.default_rng(k).standard_normal((k, 2))
+        with pytest.raises(RankDeficiencyError) as err:
+            gram_schmidt(vs)
+        assert err.value.gram_spectrum.shape == (k,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        vs = np.array([[1.0, 0.0, 0.0], [0.5, bad, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="non-finite"):
+                gram_schmidt(vs)
+
+    def test_independent_input_skips_eigensolver(self, monkeypatch):
+        # the rank check is a Cholesky factorization; the spectrum is only
+        # computed to report a failure
+        calls = []
+        monkeypatch.setattr(
+            numerics, "symmetric_eigen", lambda m: calls.append(m) or symmetric_eigen(m)
+        )
+        gram_schmidt(np.random.default_rng(3).standard_normal((4, 7)))
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", [(2, 5), (3, 3), (5, 8)])
+    def test_matches_two_pass_mgs(self, shape):
+        vs = np.random.default_rng(shape[1]).standard_normal(shape)
+        ref = vs.copy()
+        for _ in range(2):
+            for i in range(len(ref)):
+                for j in range(i):
+                    ref[i] -= (ref[i] @ ref[j]) * ref[j]
+                ref[i] /= np.linalg.norm(ref[i])
+        assert np.array_equal(gram_schmidt(vs), ref)
+
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    def test_gate_at_the_tolerance(self, scale):
+        # smallest Gram eigenvalue just below or just above dependence_tol
+        tol = 1e-10
+        vs = np.array([[1.0, 0.0], [0.0, np.sqrt(scale * tol)]])
+        if scale < 1.0:
+            with pytest.raises(RankDeficiencyError):
+                gram_schmidt(vs, dependence_tol=tol)
+        else:
+            np.testing.assert_allclose(gram_schmidt(vs, dependence_tol=tol), np.eye(2))
 
 
 class TestSpdSolve:

@@ -17,10 +17,11 @@ from quadriclab.rotational import (
     rotational_angles,
     warp_constant,
     warped_curvature_check,
+    _orbit_and_profile_angles,
 )
 from quadriclab import rotational
 from quadriclab.cli import DEFAULT_TOLERANCES
-from quadriclab.hypersurfaces import principal_curvatures
+from quadriclab.hypersurfaces import ChartStencil, principal_curvatures
 from quadriclab.verify import gauss_metric_fn
 
 
@@ -226,11 +227,66 @@ class TestRotationalChart:
             build_rotational_chart(curve, 2)
 
 
-def test_rotational_chart_n4():
-    # the machinery is dimension generic; exercise n = 4 end to end
+@pytest.fixture(scope="module")
+def curve_n4():
     traj = integrate_alpha(4, np.pi / 16, 0.0, 0.5, 2500)
     assert not traj.stopped_early
-    chart = build_rotational_chart(profile_curve(traj), 4)
+    return profile_curve(traj)
+
+
+class TestChartMemo:
+    # embed and normal share the interpolated profile and the orbit sphere
+
+    def test_interleaved_points_match_fresh_charts(self, curve_n4):
+        chart = build_rotational_chart(curve_n4, 4)
+        rng = np.random.default_rng(9)
+        base = [chart.box.sample(rng, 0.02) for _ in range(3)]
+        points = base + [
+            np.concatenate([base[0][:1], base[1][1:]]),  # shares the profile parameter
+            np.concatenate([base[2][:1], base[0][1:]]),  # shares the orbit angles
+        ]
+        calls = [(kind, i) for i in range(len(points)) for kind in ("embed", "normal")] * 2
+        for c in rng.permutation(len(calls)):
+            kind, i = calls[c]
+            got = getattr(chart, kind)(points[i])
+            want = getattr(build_rotational_chart(curve_n4, 4), kind)(points[i])
+            assert np.array_equal(got, want)
+
+    def test_interpolations_per_stencil(self, curve_n4, monkeypatch):
+        # value and derivative at the 4 offsets along the profile axis, and
+        # once more at p[0] for the orbit axes and the center
+        chart = build_rotational_chart(curve_n4, 4)
+        calls = []
+        for name in ("value", "derivative"):
+            method = getattr(QuinticHermite, name)
+            monkeypatch.setattr(
+                QuinticHermite, name, lambda self, t, m=method: calls.append(1) or m(self, t)
+            )
+        st = ChartStencil(chart, chart.box.center + 0.01, 1e-4)
+        st.center
+        assert len(calls) == 10
+
+
+def test_orbit_group_straddling_pi():
+    # a (1, 3) spectrum whose orbit angle sits at 0 = pi: one group of three
+    profile, orbit = _orbit_and_profile_angles(
+        np.array([np.pi - 1e-10, np.pi - 3e-10, 2e-10, 1.0]), 4
+    )
+    assert profile == 1.0
+    assert mod_pi_gap(orbit, np.pi - 2e-10 / 3) < 1e-15
+    assert 0.0 <= orbit < np.pi
+
+
+def test_orbit_group_mean_unchanged_off_the_wrap():
+    thetas = np.array([0.4, 2.0 + 3e-9, 2.0 - 1e-9, 2.0 + 5e-9])
+    profile, orbit = _orbit_and_profile_angles(thetas, 4)
+    assert profile == 0.4
+    assert orbit == float(np.mean(np.sort(thetas)[1:]))
+
+
+def test_rotational_chart_n4(curve_n4):
+    # the machinery is dimension generic; exercise n = 4 end to end
+    chart = build_rotational_chart(curve_n4, 4)
     x = chart.box.center
     lam = principal_curvatures(chart, x).lambdas
     alpha = chart.meta["interp"].value(float(x[0]))

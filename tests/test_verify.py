@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from quadriclab.verify import (
     gauss_equation_residual,
     gauss_lift_field,
     gauss_metric_fn,
+    isoparametric_variance,
     reconstruct_hypersurface,
     sectional_curvature,
     sectional_from_metric,
@@ -249,6 +252,38 @@ class TestClassification:
             for _ in range(4)
         ]
         assert classify_by_angles(specs) == 3
+
+
+class TestIsoparametricVariance:
+    def wrapped(self, sphere_half, samples):
+        spec = angle_spectrum(gauss_map(sphere_half, P3))
+        return [dataclasses.replace(spec, thetas=np.array(t)) for t in samples]
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            # one angle of multiplicity 3 on either side of 0 = pi
+            [[1e-9] * 3, [np.pi - 1e-9] * 3],
+            # angles pi/3 apart, the smallest crossing 0 = pi
+            [[1e-9, np.pi / 3 + 1e-9, 2 * np.pi / 3 + 1e-9],
+             [np.pi / 3 - 1e-9, 2 * np.pi / 3 - 1e-9, np.pi - 1e-9]],
+        ],
+    )
+    def test_wrapped_spectra_agree(self, sphere_half, samples):
+        specs = self.wrapped(sphere_half, samples)
+        # the raw sorted angles read a variance near (pi/2)^2 or (pi/6)^2
+        assert np.var(np.sort(samples, axis=1), axis=0).max() > 0.2
+        assert isoparametric_variance(specs) < 1e-17
+        classify_by_angles(specs)
+
+    def test_unwrapped_spectra_keep_plain_variance(self, sphere_half):
+        samples = [[0.3, 1.2, 2.0], [0.31, 1.19, 2.02], [0.29, 1.2, 1.99]]
+        assert isoparametric_variance(self.wrapped(sphere_half, samples)) == float(
+            np.var(np.array(samples), axis=0).max()
+        )
+
+    def test_single_sample(self, sphere_half):
+        assert isoparametric_variance(self.wrapped(sphere_half, [[0.1, 0.2, 0.3]])) == 0.0
 
 
 class TestReconstruction:
