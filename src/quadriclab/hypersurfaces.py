@@ -11,6 +11,7 @@ sphere used to exercise the non-minimal code paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -19,11 +20,11 @@ import numpy as np
 
 from .numerics import (
     NumericsError,
-    axis,
+    StencilError,
     central_first,
+    eigen_solve,
     gram_schmidt,
     spd_solve,
-    stencil_value,
     symmetric_eigen,
 )
 
@@ -145,28 +146,51 @@ class ChartStencil:
     (tangent frame, shape operator, chart invariants, induced metric of the
     lift) reads them. The values at p itself are evaluated on first use: the
     metric route needs the derivatives only.
+
+    The 4n points are one array in axis-major order: consecutive points then
+    share every coordinate but one, which is what the charts' one-entry memos
+    of shared work rely on.
     """
 
     def __init__(self, chart: HypersurfaceChart, p, h: float):
         self.chart = chart
         self.point = p = np.asarray(p, dtype=float)
         n = chart.dim
-        # (4, n, 2, n+2): offset (+2h, +h, -h, -2h), axis, (embed, normal)
-        values = np.array(
-            [[self._value(p + c * h * axis(n, i)) for c in (2, 1, -1, -2)] for i in range(n)]
-        ).swapaxes(0, 1)
+        # (n, 4, n): axis, offset (+2h, +h, -h, -2h), coordinates
+        offsets = np.array([2.0, 1.0, -1.0, -2.0]) * h
+        points = p + offsets[:, None] * np.eye(n)[:, None, :]
+        # (4, n, 2, n+2): offset, axis, (embed, normal)
+        values = self._values(points.reshape(4 * n, n)).reshape(n, 4, 2, n + 2).swapaxes(0, 1)
         a, b = values[:, :, 0], values[:, :, 1]
         self.d_embed = central_first(*a, h)
         self.d_normal = central_first(*b, h)
         self.d_lift = central_first(*_lift(a, b), h)
 
-    def _value(self, q) -> np.ndarray:
-        return stencil_value(lambda x: (self.chart.embed(x), self.chart.normal(x)), q)
+    def _values(self, points: np.ndarray) -> np.ndarray:
+        """embed and normal at each row of points, as an (m, 2, n+2) array.
+
+        StencilError names the first point that is not finite or whose values
+        are not; a non-finite point never reaches the chart, whose math
+        kernels would raise on an infinite angle. A float power that
+        overflows, where numpy would give inf, is a non-finite value too.
+        """
+        if not np.isfinite(points).all():
+            bad = ~np.isfinite(points).all(axis=1)
+        else:
+            embed, normal = self.chart.embed, self.chart.normal
+            try:
+                values = np.array([(embed(x), normal(x)) for x in points])
+            except OverflowError as exc:
+                raise StencilError(f"non-finite value on the stencil of {self.point}: {exc}") from exc
+            if np.isfinite(values).all():
+                return values
+            bad = ~np.isfinite(values).all(axis=(1, 2))
+        raise StencilError(f"non-finite value on stencil point {points[bad][0]}")
 
     @cached_property
     def center(self) -> np.ndarray:
         """embed and normal at p, as the rows of a (2, n+2) array."""
-        return self._value(self.point)
+        return self._values(self.point[None])[0]
 
     @property
     def lift(self) -> np.ndarray:
@@ -179,9 +203,14 @@ class ChartStencil:
         return 0.5 * (g + g.T)
 
     @cached_property
+    def gram_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition of the Gram matrix of the coordinate tangents."""
+        return symmetric_eigen(self.d_embed @ self.d_embed.T)
+
+    @property
     def gram_spectrum(self) -> np.ndarray:
         """Ascending spectrum of the Gram matrix of the coordinate tangents."""
-        return symmetric_eigen(self.d_embed @ self.d_embed.T)[0]
+        return self.gram_eigen[0]
 
     def invariants(self) -> dict[str, float]:
         """Norms, orthogonality and tangency of embed and normal, and the rank margin."""
@@ -215,10 +244,16 @@ def sphere_chart(m: int, q: np.ndarray) -> np.ndarray:
     sigma_1(t) = (cos t, sin t); sigma_m = (cos(q_m) sigma_{m-1}, sin(q_m)).
     Full rank as long as every latitude coordinate stays away from +-pi/2.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    out = np.array([np.cos(q[0]), np.sin(q[0])])
+    return np.array(_sphere_coords(m, np.atleast_1d(np.asarray(q, dtype=float)).tolist()))
+
+
+def _sphere_coords(m: int, q) -> list[float]:
+    """sigma_m at the first m entries of a sequence of floats, as a list."""
+    out = [math.cos(q[0]), math.sin(q[0])]
     for j in range(1, m):
-        out = np.concatenate([np.cos(q[j]) * out, [np.sin(q[j])]])
+        c = math.cos(q[j])
+        out = [c * v for v in out]
+        out.append(math.sin(q[j]))
     return out
 
 
@@ -233,20 +268,6 @@ def sphere_chart_with_derivatives(m: int, q: np.ndarray):
         deriv.append(np.concatenate([-s * sigma, [c]]))
         sigma = np.concatenate([c * sigma, [s]])
     return sigma, np.array(deriv)
-
-
-def _sphere2_jet(q: np.ndarray):
-    """sigma_2 with analytic first and second derivatives (for the Veronese map)."""
-    q1, q2 = float(q[0]), float(q[1])
-    c1, s1, c2, s2 = np.cos(q1), np.sin(q1), np.cos(q2), np.sin(q2)
-    sigma = np.array([c1 * c2, s1 * c2, s2])
-    d = np.array([[-s1 * c2, c1 * c2, 0.0], [-c1 * s2, -s1 * s2, c2]])
-    dd = np.empty((2, 2, 3))
-    dd[0, 0] = [-c1 * c2, -s1 * c2, 0.0]
-    dd[0, 1] = [s1 * s2, -c1 * s2, 0.0]
-    dd[1, 0] = dd[0, 1]
-    dd[1, 1] = [-c1 * c2, -s1 * c2, -s2]
-    return sigma, d, dd
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +296,8 @@ def tangent_data(st: ChartStencil):
             f"(Gram spectrum {st.gram_spectrum})"
         )
     t = gram_schmidt(e)
-    # velocities: rows m with m @ e = t
-    m = spd_solve(e @ e.T, e @ t.T).T
+    # velocities: rows m with m @ e = t, through the Gram matrix's eigenpairs
+    m = eigen_solve(st.gram_eigen, e @ t.T).T
     return e, t, m
 
 
@@ -327,13 +348,15 @@ def round_sphere(n: int, r: float) -> HypersurfaceChart:
     """
     if not 0.0 < r <= 1.0:
         raise ChartError(f"sphere radius must lie in (0, 1], got {r}")
-    c = np.sqrt(max(0.0, 1.0 - r * r))
+    c = math.sqrt(max(0.0, 1.0 - r * r))
 
     def embed(q):
-        return np.concatenate([r * sphere_chart(n, q), [c]])
+        sigma = _sphere_coords(n, np.asarray(q, dtype=float).tolist())
+        return np.array([r * v for v in sigma] + [c])
 
     def normal(q):
-        return np.concatenate([-c * sphere_chart(n, q), [r]])
+        sigma = _sphere_coords(n, np.asarray(q, dtype=float).tolist())
+        return np.array([-c * v for v in sigma] + [r])
 
     return HypersurfaceChart(
         dim=n,
@@ -360,14 +383,14 @@ def product_spheres(k: int, n: int, r1: float, r2: float | None = None) -> Hyper
         raise ChartError(f"radii must satisfy r1^2 + r2^2 = 1, got {r1}, {r2}")
 
     def embed(q):
-        return np.concatenate(
-            [r1 * sphere_chart(k, q[:k]), r2 * sphere_chart(n - k, q[k:])]
-        )
+        q = np.asarray(q, dtype=float).tolist()
+        s1, s2 = _sphere_coords(k, q[:k]), _sphere_coords(n - k, q[k:])
+        return np.array([r1 * v for v in s1] + [r2 * v for v in s2])
 
     def normal(q):
-        return np.concatenate(
-            [-r2 * sphere_chart(k, q[:k]), r1 * sphere_chart(n - k, q[k:])]
-        )
+        q = np.asarray(q, dtype=float).tolist()
+        s1, s2 = _sphere_coords(k, q[:k]), _sphere_coords(n - k, q[k:])
+        return np.array([-r2 * v for v in s1] + [r1 * v for v in s2])
 
     return HypersurfaceChart(
         dim=n,
@@ -379,60 +402,53 @@ def product_spheres(k: int, n: int, r1: float, r2: float | None = None) -> Hyper
     )
 
 
-# quadratic forms of the degree-2 spherical-harmonic (Veronese) embedding,
-# scaled so the image lies in the unit 4-sphere
-_VERONESE_FORMS = np.sqrt(3.0) * np.array(
-    [
-        [[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]],
-        [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]],
-        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]],
-        [[0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 0.0]],
-    ]
-)
-_VERONESE_FORMS = np.concatenate(
-    [
-        _VERONESE_FORMS,
-        [np.diag([0.5, 0.5, -1.0])],
-    ]
-)
+_HALF_SQRT3 = 0.5 * math.sqrt(3.0)
 
 
-def _veronese_frame(q: np.ndarray):
+def _veronese(x, y) -> tuple[float, ...]:
+    """The symmetric bilinear form B of the Veronese map, B(x, y) in R^5.
+
+    B(s, s) for s on the unit 2-sphere is the degree-2 spherical-harmonic
+    (Veronese) embedding, scaled so the image lies in the unit 4-sphere.
+    """
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    return (
+        _HALF_SQRT3 * (x0 * y1 + x1 * y0),
+        _HALF_SQRT3 * (x0 * y2 + x2 * y0),
+        _HALF_SQRT3 * (x1 * y2 + x2 * y1),
+        _HALF_SQRT3 * (x0 * y0 - x1 * y1),
+        0.5 * (x0 * y0 + x1 * y1) - x2 * y2,
+    )
+
+
+def _veronese_frame(q):
     """Veronese point with an orthonormal frame of its normal plane in S^4.
 
-    The normal plane is spanned by second-derivative directions projected off
-    the tangent plane; the projected vectors stay bounded away from zero on
-    the chart boxes used here, so the frame varies smoothly with q.
+    With e1, e2 the unit coordinate directions of the sphere chart at
+    s = (cos q1 cos q2, sin q1 cos q2, sin q2), the normal plane of the
+    Veronese surface at B(s, s) is spanned by the orthogonal pair
+    B(e1, e1) - B(e2, e2) and B(e1, e2) of equal norms; normalized, they are
+    the frame, each a positive multiple of the corresponding second
+    derivative projected off the tangent plane. Returns three 5-tuples.
     """
-    sigma, d, dd = _sphere2_jet(q)
-    forms = _VERONESE_FORMS
-    v = np.einsum("i,aij,j->a", sigma, forms, sigma)
-    dv = 2.0 * np.einsum("i,aij,bj->ba", sigma, forms, d)
-    ddv = 2.0 * np.einsum("bi,aij,cj->bca", d, forms, d) + 2.0 * np.einsum(
-        "i,aij,bcj->bca", sigma, forms, dd
-    )
-    t = gram_schmidt([dv[0], dv[1]])
-    basis = np.vstack([v, t])
-
-    def project(w):
-        return w - basis.T @ (basis @ w)
-
-    w1 = project(ddv[0, 0])
-    n1 = np.linalg.norm(w1)
+    c1, s1, c2, s2 = math.cos(q[0]), math.sin(q[0]), math.cos(q[1]), math.sin(q[1])
+    sigma = (c1 * c2, s1 * c2, s2)
+    e1 = (-s1, c1, 0.0)
+    e2 = (-c1 * s2, -s1 * s2, c2)
+    w1 = [a - b for a, b in zip(_veronese(e1, e1), _veronese(e2, e2))]
+    n1 = math.hypot(*w1)
     if n1 < 1e-8:
         raise ChartError(f"degenerate normal frame for the Veronese surface at {q}")
-    xi1 = w1 / n1
-    w2 = project(ddv[0, 1])
-    w2 = w2 - (w2 @ xi1) * xi1
-    n2 = np.linalg.norm(w2)
+    w2 = _veronese(e1, e2)
+    n2 = math.hypot(*w2)
     if n2 < 1e-8:
-        w2 = project(ddv[1, 1])
-        w2 = w2 - (w2 @ xi1) * xi1
-        n2 = np.linalg.norm(w2)
-        if n2 < 1e-8:
-            raise ChartError(f"degenerate normal frame for the Veronese surface at {q}")
-    xi2 = w2 / n2
-    return v, xi1, xi2
+        raise ChartError(f"degenerate normal frame for the Veronese surface at {q}")
+    return (
+        _veronese(sigma, sigma),
+        tuple(w / n1 for w in w1),
+        tuple(w / n2 for w in w2),
+    )
 
 
 def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
@@ -446,16 +462,17 @@ def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
         raise ChartError(f"tube radius t must be finite, got {t}")
 
     frame = _memo_last(_veronese_frame)
+    ct, st = math.cos(t), math.sin(t)
 
     def embed(x):
         v, xi1, xi2 = frame(x[:2])
-        xi = np.cos(x[2]) * xi1 + np.sin(x[2]) * xi2
-        return np.cos(t) * v + np.sin(t) * xi
+        c, s = math.cos(x[2]), math.sin(x[2])
+        return np.array([ct * a + st * (c * b1 + s * b2) for a, b1, b2 in zip(v, xi1, xi2)])
 
     def normal(x):
         v, xi1, xi2 = frame(x[:2])
-        xi = np.cos(x[2]) * xi1 + np.sin(x[2]) * xi2
-        return -np.sin(t) * v + np.cos(t) * xi
+        c, s = math.cos(x[2]), math.sin(x[2])
+        return np.array([-st * a + ct * (c * b1 + s * b2) for a, b1, b2 in zip(v, xi1, xi2)])
 
     chart = HypersurfaceChart(
         dim=3,
@@ -510,6 +527,15 @@ def parallel_hypersurface(chart: HypersurfaceChart, t: float) -> HypersurfaceCha
     return out
 
 
+def _rho_jet(q, rho0: float, eps: float):
+    """Height function of the perturbed sphere with its gradient."""
+    a = 1.3 * q[0] + 0.4
+    b = 0.9 * q[1] - 0.2
+    rho = rho0 + eps * np.sin(a) * np.cos(b)
+    grad = np.array([1.3 * eps * np.cos(a) * np.cos(b), -0.9 * eps * np.sin(a) * np.sin(b)])
+    return rho, grad
+
+
 def perturbed_sphere(n: int = 2, rho0: float = 0.9, eps: float = 0.08) -> HypersurfaceChart:
     """Radial graph over a geodesic sphere; non-isoparametric test surface.
 
@@ -519,14 +545,8 @@ def perturbed_sphere(n: int = 2, rho0: float = 0.9, eps: float = 0.08) -> Hypers
     if n != 2:
         raise ChartError("perturbed sphere is implemented for n = 2 only")
 
-    def rho_jet(q):
-        a = 1.3 * q[0] + 0.4
-        b = 0.9 * q[1] - 0.2
-        rho = rho0 + eps * np.sin(a) * np.cos(b)
-        grad = np.array(
-            [1.3 * eps * np.cos(a) * np.cos(b), -0.9 * eps * np.sin(a) * np.sin(b)]
-        )
-        return rho, grad
+    # embed and normal at one point share the height function and its gradient
+    rho_jet = _memo_last(lambda q: _rho_jet(q, rho0, eps))
 
     def embed(q):
         rho, _ = rho_jet(q)

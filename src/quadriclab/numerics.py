@@ -20,6 +20,7 @@ __all__ = [
     "symmetrize",
     "symmetric_eigen",
     "spd_solve",
+    "eigen_solve",
     "gram_schmidt",
     "axis",
     "stencil_value",
@@ -97,7 +98,12 @@ def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for symmetric positive-definite a via the eigensolver."""
-    w, v = symmetric_eigen(a)
+    return eigen_solve(symmetric_eigen(a), b)
+
+
+def eigen_solve(eigen: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve a @ x = b from the symmetric_eigen pair (w, v) of positive-definite a."""
+    w, v = eigen
     if w[0] <= 0.0:
         raise RankDeficiencyError(
             f"spd_solve: matrix is not positive definite (spectrum {w})", w

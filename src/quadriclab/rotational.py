@@ -11,6 +11,8 @@ Gauss-map metric.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,7 @@ from .hypersurfaces import (
     Box,
     HypersurfaceChart,
     _memo_last,
-    sphere_chart,
+    _sphere_coords,
     sphere_chart_with_derivatives,
 )
 from .gaussmap import (
@@ -227,16 +229,11 @@ class ProfileCurve:
             )
 
 
-def _gamma_point(theta: float, alpha: float, dalpha: float) -> np.ndarray:
-    c, s = np.cos(alpha), np.sin(alpha)
-    w = np.sqrt(max(0.0, 1.0 - dalpha * dalpha))
-    return np.array(
-        [
-            -s * w,
-            c * np.sin(theta) - s * np.cos(theta) * dalpha,
-            -c * np.cos(theta) - s * np.sin(theta) * dalpha,
-        ]
-    )
+def _gamma_point(theta: float, alpha: float, dalpha: float) -> tuple[float, float, float]:
+    c, s = math.cos(alpha), math.sin(alpha)
+    ct, st = math.cos(theta), math.sin(theta)
+    w = math.sqrt(max(0.0, 1.0 - dalpha * dalpha))
+    return -s * w, c * st - s * ct * dalpha, -c * ct - s * st * dalpha
 
 
 def profile_velocity(theta: float, alpha: float, dalpha: float, n: int) -> np.ndarray:
@@ -302,14 +299,14 @@ class QuinticHermite:
     def __init__(self, x: np.ndarray, f: np.ndarray, df: np.ndarray, ddf: np.ndarray):
         if len(x) < 2:
             raise OdeError("need at least two samples to interpolate")
-        self.x = np.asarray(x, dtype=float)
-        self.dx = np.diff(self.x)
-        if np.any(self.dx <= 0):
+        x = np.asarray(x, dtype=float)
+        dx = np.diff(x)
+        if np.any(dx <= 0):
             raise OdeError("interpolation abscissae must increase")
         n = len(x) - 1
         coeffs = np.empty((n, 6))
         for k in range(n):
-            d = self.dx[k]
+            d = dx[k]
             a0, a1, a2 = f[k], d * df[k], 0.5 * d * d * ddf[k]
             r0 = f[k + 1] - a0 - a1 - a2
             r1 = d * df[k + 1] - a1 - 2 * a2
@@ -322,22 +319,29 @@ class QuinticHermite:
                 -15 * r0 + 7 * r1 - r2,
                 6 * r0 - 3 * r1 + 0.5 * r2,
             ]
-        self.coeffs = coeffs
+        # Python floats: one evaluation is a few scalar operations, and the
+        # power sums below run in a fixed order (builtin sum compensates float
+        # sums on Python >= 3.12)
+        self.x, self.dx, self.coeffs = x.tolist(), dx.tolist(), coeffs.tolist()
 
     def _locate(self, t: float) -> tuple[int, float]:
-        k = int(np.searchsorted(self.x, t, side="right") - 1)
+        k = bisect.bisect_right(self.x, t) - 1
         k = min(max(k, 0), len(self.dx) - 1)
         return k, (t - self.x[k]) / self.dx[k]
 
     def value(self, t: float) -> float:
         k, tau = self._locate(t)
-        return float(sum(self.coeffs[k][j] * tau**j for j in range(6)))
+        row, acc = self.coeffs[k], 0.0
+        for j in range(6):
+            acc += row[j] * tau**j
+        return acc
 
     def derivative(self, t: float) -> float:
         k, tau = self._locate(t)
-        return float(
-            sum(j * self.coeffs[k][j] * tau ** (j - 1) for j in range(1, 6)) / self.dx[k]
-        )
+        row, acc = self.coeffs[k], 0.0
+        for j in range(1, 6):
+            acc += j * row[j] * tau ** (j - 1)
+        return acc / self.dx[k]
 
 
 def rotational_angles(alpha: float, n: int) -> tuple[float, float]:
@@ -391,30 +395,26 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
 
     # embed and normal at one point share the profile and the orbit sphere
     profile = _memo_last(lambda th: (interp.value(float(th[0])), interp.derivative(float(th[0]))))
-    orbit = _memo_last(lambda q: sphere_chart(n - 1, q))
+    orbit = _memo_last(lambda q: _sphere_coords(n - 1, q.tolist()))
 
     def embed(x):
-        theta = float(x[0])
+        x = np.asarray(x, dtype=float)
         a, p = profile(x[:1])
-        g = _gamma_point(theta, a, p)
-        sigma = orbit(x[1:])
-        return np.concatenate([g[0] * sigma, g[1:]])
+        g0, g1, g2 = _gamma_point(float(x[0]), a, p)
+        return np.array([g0 * v for v in orbit(x[1:])] + [g1, g2])
 
     def normal(x):
+        x = np.asarray(x, dtype=float)
         theta = float(x[0])
         a, p = profile(x[:1])
-        c, s = np.cos(a), np.sin(a)
-        w_loc = np.sqrt(max(0.0, 1.0 - p * p))
+        c, s = math.cos(a), math.sin(a)
+        ct, st = math.cos(theta), math.sin(theta)
+        w_loc = math.sqrt(max(0.0, 1.0 - p * p))
         # unit conormal of the profile curve in the moving frame of the sphere
-        beta = -np.array(
-            [
-                w_loc * c,
-                c * p * np.cos(theta) + s * np.sin(theta),
-                c * p * np.sin(theta) - s * np.cos(theta),
-            ]
-        )
-        sigma = orbit(x[1:])
-        return np.concatenate([beta[0] * sigma, beta[1:]])
+        b0 = -(w_loc * c)
+        b1 = -(c * p * ct + s * st)
+        b2 = -(c * p * st - s * ct)
+        return np.array([b0 * v for v in orbit(x[1:])] + [b1, b2])
 
     c1 = warp_constant(AlphaTrajectory(n, [ProfileState(th[0], al[0], pa[0])]))
     return HypersurfaceChart(

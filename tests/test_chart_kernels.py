@@ -1,0 +1,319 @@
+"""The scalar chart kernels against numpy reference formulations.
+
+The references below are the array formulations the kernels replaced: the
+numpy sphere chart, the round-sphere, product and rotational chart bodies,
+the quintic Hermite evaluation, the Veronese normal frame by projected
+Gram-Schmidt, and the point-by-point stencil build. Values and stencil
+derivatives must match them bitwise; the closed-form Veronese frame, which
+rounds differently, to 1e-14.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quadriclab import hypersurfaces
+from quadriclab.hypersurfaces import (
+    ChartError,
+    ChartStencil,
+    _lift,
+    cartan_tube,
+    parallel_hypersurface,
+    perturbed_sphere,
+    product_spheres,
+    round_sphere,
+    sphere_chart,
+)
+from quadriclab.numerics import StencilError, axis, central_first, gram_schmidt, stencil_value
+from quadriclab.rotational import build_rotational_chart, integrate_alpha, profile_curve
+
+H = 1e-4
+
+
+# ---------------------------------------------------------------------------
+# references
+# ---------------------------------------------------------------------------
+
+def ref_sphere_chart(m, q):
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    out = np.array([np.cos(q[0]), np.sin(q[0])])
+    for j in range(1, m):
+        out = np.concatenate([np.cos(q[j]) * out, [np.sin(q[j])]])
+    return out
+
+
+def ref_round_sphere(n, r):
+    c = np.sqrt(max(0.0, 1.0 - r * r))
+
+    def embed(q):
+        return np.concatenate([r * ref_sphere_chart(n, q), [c]])
+
+    def normal(q):
+        return np.concatenate([-c * ref_sphere_chart(n, q), [r]])
+
+    return embed, normal
+
+
+def ref_product(k, n, r1):
+    r2 = float(np.sqrt(1.0 - r1 * r1))
+
+    def embed(q):
+        return np.concatenate([r1 * ref_sphere_chart(k, q[:k]), r2 * ref_sphere_chart(n - k, q[k:])])
+
+    def normal(q):
+        return np.concatenate([-r2 * ref_sphere_chart(k, q[:k]), r1 * ref_sphere_chart(n - k, q[k:])])
+
+    return embed, normal
+
+
+def ref_hermite(interp, t, derivative=False):
+    x, dx, coeffs = (np.array(a) for a in (interp.x, interp.dx, interp.coeffs))
+    k = int(np.searchsorted(x, t, side="right") - 1)
+    k = min(max(k, 0), len(dx) - 1)
+    tau = (t - x[k]) / dx[k]
+    c = coeffs[k]
+    if derivative:
+        return float(sum(j * c[j] * tau ** (j - 1) for j in range(1, 6)) / dx[k])
+    return float(sum(c[j] * tau**j for j in range(6)))
+
+
+def ref_gamma_point(theta, alpha, dalpha):
+    c, s = np.cos(alpha), np.sin(alpha)
+    w = np.sqrt(max(0.0, 1.0 - dalpha * dalpha))
+    return np.array(
+        [
+            -s * w,
+            c * np.sin(theta) - s * np.cos(theta) * dalpha,
+            -c * np.cos(theta) - s * np.sin(theta) * dalpha,
+        ]
+    )
+
+
+def ref_rotational(interp, n):
+    def profile(x):
+        theta = float(x[0])
+        return theta, ref_hermite(interp, theta), ref_hermite(interp, theta, derivative=True)
+
+    def embed(x):
+        theta, a, p = profile(x)
+        g = ref_gamma_point(theta, a, p)
+        return np.concatenate([g[0] * ref_sphere_chart(n - 1, x[1:]), g[1:]])
+
+    def normal(x):
+        theta, a, p = profile(x)
+        c, s = np.cos(a), np.sin(a)
+        w = np.sqrt(max(0.0, 1.0 - p * p))
+        beta = -np.array(
+            [
+                w * c,
+                c * p * np.cos(theta) + s * np.sin(theta),
+                c * p * np.sin(theta) - s * np.cos(theta),
+            ]
+        )
+        return np.concatenate([beta[0] * ref_sphere_chart(n - 1, x[1:]), beta[1:]])
+
+    return embed, normal
+
+
+_FORMS = np.concatenate(
+    [
+        np.sqrt(3.0) * np.array(
+            [
+                [[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]],
+                [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]],
+                [[0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 0.0]],
+            ]
+        ),
+        [np.diag([0.5, 0.5, -1.0])],
+    ]
+)
+
+
+def ref_veronese_frame(q):
+    """Second derivatives of the Veronese map projected off its tangent plane, by MGS."""
+    c1, s1, c2, s2 = np.cos(q[0]), np.sin(q[0]), np.cos(q[1]), np.sin(q[1])
+    sigma = np.array([c1 * c2, s1 * c2, s2])
+    d = np.array([[-s1 * c2, c1 * c2, 0.0], [-c1 * s2, -s1 * s2, c2]])
+    dd = np.empty((2, 2, 3))
+    dd[0, 0] = [-c1 * c2, -s1 * c2, 0.0]
+    dd[0, 1] = dd[1, 0] = [s1 * s2, -c1 * s2, 0.0]
+    dd[1, 1] = [-c1 * c2, -s1 * c2, -s2]
+    v = np.einsum("i,aij,j->a", sigma, _FORMS, sigma)
+    dv = 2.0 * np.einsum("i,aij,bj->ba", sigma, _FORMS, d)
+    ddv = 2.0 * np.einsum("bi,aij,cj->bca", d, _FORMS, d) + 2.0 * np.einsum(
+        "i,aij,bcj->bca", sigma, _FORMS, dd
+    )
+    basis = np.vstack([v, gram_schmidt([dv[0], dv[1]])])
+
+    def project(w):
+        return w - basis.T @ (basis @ w)
+
+    w1 = project(ddv[0, 0])
+    xi1 = w1 / np.linalg.norm(w1)
+    w2 = project(ddv[0, 1])
+    w2 = w2 - (w2 @ xi1) * xi1
+    return v, xi1, w2 / np.linalg.norm(w2)
+
+
+def ref_stencil(embed, normal, p, h):
+    """(d_embed, d_normal, d_lift) from a point-by-point stencil_value build."""
+    n = len(p)
+    values = np.array(
+        [
+            [stencil_value(lambda x: (embed(x), normal(x)), p + c * h * axis(n, i)) for c in (2, 1, -1, -2)]
+            for i in range(n)
+        ]
+    ).swapaxes(0, 1)
+    a, b = values[:, :, 0], values[:, :, 1]
+    return central_first(*a, h), central_first(*b, h), central_first(*_lift(a, b), h)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def rotational(n):
+    traj = integrate_alpha(n, np.pi / 12.0, 0.0, 0.8, 4000)
+    return build_rotational_chart(profile_curve(traj), n)
+
+
+def box_points(box, margin=0.0):
+    return st.tuples(
+        *[st.floats(min_value=lo + margin, max_value=hi - margin) for lo, hi in zip(box.lows, box.highs)]
+    ).map(np.array)
+
+
+radii = st.floats(min_value=0.1, max_value=1.0)
+sphere_cases = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(st.just(n), radii, box_points(round_sphere(n, 0.5).box, 2 * H))
+)
+product_cases = st.integers(min_value=2, max_value=4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(min_value=1, max_value=n - 1),
+        st.floats(min_value=0.1, max_value=0.9),
+        box_points(product_spheres(1, n, 0.5).box, 2 * H),
+    )
+)
+rotational_cases = st.sampled_from([3, 4]).flatmap(
+    lambda n: st.tuples(st.just(n), box_points(rotational(n).box, 2 * H))
+)
+
+
+def assert_stencil_equal(chart, embed, normal, p):
+    st_ = ChartStencil(chart, p, H)
+    for got, want in zip((st_.d_embed, st_.d_normal, st_.d_lift), ref_stencil(embed, normal, p, H)):
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+class TestAgainstReferences:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=m, max_size=m).map(
+            lambda q: (m, np.array(q))
+        )
+    ))
+    def test_sphere_chart(self, case):
+        m, q = case
+        assert np.array_equal(sphere_chart(m, q), ref_sphere_chart(m, q))
+
+    def test_sphere_chart_scalar_argument(self):
+        assert np.array_equal(sphere_chart(1, 0.3), ref_sphere_chart(1, 0.3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sphere_cases)
+    def test_round_sphere(self, case):
+        n, r, p = case
+        chart, (embed, normal) = round_sphere(n, r), ref_round_sphere(n, r)
+        assert np.array_equal(chart.embed(p), embed(p))
+        assert np.array_equal(chart.normal(p), normal(p))
+        assert_stencil_equal(chart, embed, normal, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(product_cases)
+    def test_product(self, case):
+        n, k, r1, p = case
+        chart, (embed, normal) = product_spheres(k, n, r1), ref_product(k, n, r1)
+        assert np.array_equal(chart.embed(p), embed(p))
+        assert np.array_equal(chart.normal(p), normal(p))
+        assert_stencil_equal(chart, embed, normal, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rotational_cases)
+    def test_rotational(self, case):
+        n, x = case
+        chart = rotational(n)
+        embed, normal = ref_rotational(chart.meta["interp"], n)
+        assert np.array_equal(chart.embed(x), embed(x))
+        assert np.array_equal(chart.normal(x), normal(x))
+        assert_stencil_equal(chart, embed, normal, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=-0.5, max_value=1.5))
+    def test_quintic_hermite(self, t):
+        # inside the knots and extrapolated past both ends
+        interp = rotational(3).meta["interp"]
+        assert interp.value(t) == ref_hermite(interp, t)
+        assert interp.derivative(t) == ref_hermite(interp, t, derivative=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_points(cartan_tube(0.35).box))
+    def test_veronese_frame(self, x):
+        got = hypersurfaces._veronese_frame(x[:2])
+        for a, b in zip(got, ref_veronese_frame(x[:2])):
+            assert np.abs(np.array(a) - b).max() <= 1e-14
+
+    @settings(max_examples=20, deadline=None)
+    @given(box_points(cartan_tube(0.35).box, 2 * H))
+    def test_cartan_stencil(self, x):
+        # the one-array stencil build against the per-point build on the same chart
+        chart = cartan_tube(0.35)
+        assert_stencil_equal(chart, chart.embed, chart.normal, x)
+
+
+def _charts():
+    sphere = round_sphere(3, 0.6)
+    return {
+        "sphere": sphere,
+        "product": product_spheres(1, 3, 0.55),
+        "cartan": cartan_tube(0.35),
+        "rotational-3": rotational(3),
+        "rotational-4": rotational(4),
+        "perturbed": perturbed_sphere(),
+        "parallel": parallel_hypersurface(sphere, 0.2),
+    }
+
+
+CHARTS = _charts()
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_end_in_stencil_error(name, bad):
+    # the math kernels raise ValueError on an infinite angle and numpy warns:
+    # every non-finite coordinate must end in the stencil's own error instead
+    chart = CHARTS[name]
+    for i in range(chart.dim):
+        p = chart.box.center.copy()
+        p[i] = bad
+        with pytest.raises((ChartError, StencilError)):
+            ChartStencil(chart, p, H)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_profile_overflow_ends_in_stencil_error(n):
+    # far outside its knots the quintic's powers overflow: numpy gave inf,
+    # Python float powers raise OverflowError
+    chart = rotational(n)
+    p = chart.box.center.copy()
+    p[0] = 1e80
+    with pytest.raises(StencilError):
+        ChartStencil(chart, p, H)

@@ -304,6 +304,23 @@ class TestAnglesCommand:
 
 
 class TestOdeCommand:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.sampled_from([3, 4]),
+        st.floats(min_value=0.2, max_value=0.8),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_passes_over_alpha0_range(self, tmp_path_factory, n, frac, seed):
+        # alpha0 in [0.2, 0.8] pi/n, inside the positive regime 0 < alpha < pi/n
+        # of the rotational chart; pi/(2n) is the constant solution
+        alpha0 = repr(frac * np.pi / n)
+        out = tmp_path_factory.mktemp("rotational")
+        argv = ["--example", "rotational", "--n", str(n), "--alpha0", alpha0]
+        assert run(out, "verify", *argv, "--grid", "1", "--seed", str(seed)) == 0
+        assert load_report(out, "verify", "rotational")["summary"]["all_pass"]
+        assert run(out, "ode", *argv) == 0
+        assert load_report(out, "ode", "rotational")["summary"]["all_pass"]
+
     def test_defaults_pass(self, tmp_path):
         code = run(tmp_path, "ode", "--n", "3", "--steps", "2000", "--span", "0.6")
         assert code == 0

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from quadriclab import hypersurfaces
+from quadriclab import hypersurfaces, numerics
 from quadriclab.hypersurfaces import (
     ChartError,
     ChartStencil,
@@ -14,13 +14,16 @@ from quadriclab.hypersurfaces import (
     angle_from_curvature,
     cartan_tube,
     parallel_hypersurface,
+    perturbed_sphere,
     principal_curvatures,
     product_spheres,
     round_sphere,
     shape_operator,
     sphere_chart,
     sphere_chart_with_derivatives,
+    tangent_data,
 )
+from quadriclab.numerics import spd_solve
 
 RNG = np.random.default_rng(42)
 
@@ -193,6 +196,18 @@ class TestChartMemo:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
+    def test_rho_jet_per_stencil(self, monkeypatch):
+        # perturbed sphere: embed and normal share one height-function jet per
+        # point, 4 offsets along each of the 2 axes and then the center
+        calls = []
+        jet = hypersurfaces._rho_jet
+        monkeypatch.setattr(hypersurfaces, "_rho_jet", lambda *a: calls.append(1) or jet(*a))
+        chart = perturbed_sphere()
+        st = ChartStencil(chart, np.array([0.1, -0.05]), 1e-4)
+        assert len(calls) == 8
+        st.center
+        assert len(calls) == 9
+
     def test_frames_per_stencil(self, monkeypatch):
         # 4 offsets along each Veronese axis, then the normal-circle axis and
         # the center reuse the frame at p[:2]
@@ -228,6 +243,24 @@ class TestParallel:
         # the focal offset solves theta + t = 0 mod pi; theta = pi/4 here
         with pytest.raises(ChartError):
             parallel_hypersurface(sphere_half, -np.pi / 4.0)
+
+
+class TestShapeOperatorSolves:
+    def test_principal_curvatures_eigensolves(self, monkeypatch, product_13):
+        # the Gram matrix of the coordinate tangents is decomposed once, for the
+        # rank check and the velocity solve, and the shape operator once
+        calls = []
+        eig = numerics.symmetric_eigen
+        spy = lambda m: calls.append(1) or eig(m)
+        for module in (numerics, hypersurfaces):
+            monkeypatch.setattr(module, "symmetric_eigen", spy)
+        principal_curvatures(product_13, np.array([0.1, -0.2, 0.15]))
+        assert len(calls) == 2
+
+    def test_velocities_match_the_spd_solve(self, product_13):
+        st = ChartStencil(product_13, np.array([0.1, -0.2, 0.15]), 1e-4)
+        e, t, m = tangent_data(st)
+        assert np.array_equal(m, spd_solve(e @ e.T, e @ t.T).T)
 
 
 class TestShapeOperatorErrors:
