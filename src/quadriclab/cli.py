@@ -53,6 +53,7 @@ from .rotational import (
     warped_curvature_check,
 )
 from .verify import (
+    CheckResult,
     GaugePolicy,
     ResidualReport,
     SamplePoint,
@@ -268,67 +269,56 @@ def _sectional_target(cfg: RunConfig) -> float | None:
     return SECTIONAL_TARGETS.get(cfg.example)
 
 
+def _report(example: str, point: list, residuals: dict, cfg: RunConfig) -> ResidualReport:
+    """Named residuals against their configured tolerances: the one place both meet."""
+    entries = {
+        name: CheckResult(float(residual), cfg.tol(name)) for name, residual in residuals.items()
+    }
+    return ResidualReport(example=example, point=point, entries=entries)
+
+
+def _summary(
+    results: list[ResidualReport], skipped: list[dict], gates=(), stopped_early: bool = False
+) -> dict:
+    """Pass counts over every report entry plus summary-only gates."""
+    passed = [e.passed for r in results for e in r.entries.values()] + list(gates)
+    return {
+        "total": len(passed),
+        "passed": sum(passed),
+        "failed": passed.count(False),
+        "all_pass": all(passed) and not stopped_early,
+        "skipped": skipped,
+    }
+
+
 def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
-    jet = pt.jet
-    report = ResidualReport(example=cfg.example, point=list(map(float, pt.p)))
-
+    jet, spec, ff = pt.jet, pt.spec, pt.ff
     inv = jet.stencil.invariants()
-    report.add(
-        "chart_invariants",
-        max(v for k, v in inv.items() if k != "min_singular_value"),
-        cfg.tol("chart_invariants"),
-    )
-    report.add(
-        "chart_rank_margin",
-        max(0.0, 1e-6 - inv["min_singular_value"]),
-        cfg.tol("chart_rank_margin"),
-    )
-
-    report.add("lagrangian", jet.lagrangian_residual(), cfg.tol("lagrangian"))
-    report.add("horizontality", jet.horizontality_residual(), cfg.tol("horizontality"))
-
     b, c = structure_operators(jet, StructureGauge(pt.phi))
-    eye = np.eye(jet.dim)
-    report.add(
-        "structure_unit_norm", np.abs(b @ b + c @ c - eye).max(), cfg.tol("structure_unit_norm")
-    )
-    report.add("structure_commute", np.abs(b @ c - c @ b).max(), cfg.tol("structure_commute"))
-
     cot_res = 0.0
     lams = np.sort(jet.lambdas)[::-1]
     ths = pt.spec0.thetas  # ascending pairs with descending curvatures
     for lam, th in zip(lams, ths):
         if abs(np.sin(th)) > 1e-3:
             cot_res = max(cot_res, abs(lam - np.cos(th) / np.sin(th)))
-    report.add("curvature_angle_cotangent", cot_res, cfg.tol("curvature_angle_cotangent"))
-
-    spec, ff = pt.spec, pt.ff
-    report.add("cubic_symmetry", ff.symmetry_defect, cfg.tol("cubic_symmetry"))
-    report.add(
-        "mean_curvature_norm",
-        float(np.linalg.norm(mean_curvature(ff))),
-        cfg.tol("mean_curvature_norm"),
-    )
-    palmer = palmer_residual(pt)
-    report.add("palmer_formula", palmer["residual"], cfg.tol("palmer_formula"))
-
-    conn = pt.connection
+    res = {
+        "chart_invariants": max(v for k, v in inv.items() if k != "min_singular_value"),
+        "chart_rank_margin": max(0.0, 1e-6 - inv["min_singular_value"]),
+        "lagrangian": jet.lagrangian_residual(),
+        "horizontality": jet.horizontality_residual(),
+        "structure_unit_norm": np.abs(b @ b + c @ c - np.eye(jet.dim)).max(),
+        "structure_commute": np.abs(b @ c - c @ b).max(),
+        "curvature_angle_cotangent": cot_res,
+        "cubic_symmetry": ff.symmetry_defect,
+        "mean_curvature_norm": np.linalg.norm(mean_curvature(ff)),
+        "palmer_formula": palmer_residual(pt)["residual"],
+    }
     if cfg.gauge == "normalized":
-        report.add("gauge_one_form", np.abs(conn.s).max(), cfg.tol("gauge_one_form"))
-    report.add(
-        "connection_antisymmetry",
-        conn.antisymmetry_defect,
-        cfg.tol("connection_antisymmetry"),
-    )
-    report.merge(
-        check_prop1(
-            pt,
-            tol_gradient=cfg.tol("angle_gradient_identity"),
-            tol_rotation=cfg.tol("frame_rotation_identity"),
-        )
-    )
-    report.merge(gauss_equation_residual(pt, tol=cfg.tol("gauss_equation")))
-    report.merge(codazzi_residual(pt, tol=cfg.tol("codazzi_equation")))
+        res["gauge_one_form"] = np.abs(pt.connection.s).max()
+    res["connection_antisymmetry"] = pt.connection.antisymmetry_defect
+    res.update(check_prop1(pt))
+    res.update(gauss_equation_residual(pt))
+    res.update(codazzi_residual(pt))
 
     k_alg = sectional_curvature(spec, ff)
     two_route = 0.0
@@ -342,38 +332,27 @@ def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
             two_route = max(two_route, abs(k_alg[i, j] - k_met))
             if target is not None:
                 value_res = max(value_res, abs(k_met - target))
-    report.add("sectional_two_route", two_route, cfg.tol("sectional_two_route"))
+    res["sectional_two_route"] = two_route
     if target is not None:
-        report.add("sectional_value", value_res, cfg.tol("sectional_value"))
+        res["sectional_value"] = value_res
 
     if cfg.example == "sphere":
         th = spec.thetas
-        gap = max(
+        res["angles_equal"] = max(
             (mod_pi_distance(th[i], th[j]) for i in range(len(th)) for j in range(i + 1, len(th))),
             default=0.0,
         )
-        report.add("angles_equal", gap, cfg.tol("angles_equal"))
     if cfg.example == "cartan":
         th = np.sort(spec.thetas)
-        gap_res = max(
+        res["angle_gaps_third_pi"] = max(
             abs(th[1] - th[0] - np.pi / 3.0), abs(th[2] - th[1] - np.pi / 3.0)
         )
-        report.add("angle_gaps_third_pi", gap_res, cfg.tol("angle_gaps_third_pi"))
-        report.add(
-            "cubic_component_squared",
-            abs(ff.h[0, 1, 2] ** 2 - 0.375),
-            cfg.tol("cubic_component_squared"),
-        )
+        res["cubic_component_squared"] = abs(ff.h[0, 1, 2] ** 2 - 0.375)
     if target is not None:
-        csc = ("csc_diagonal_balance", "csc_triple_vanishing", "csc_quadruple_vanishing")
-        report.merge(check_csc_identities(spec, ff, *map(cfg.tol, csc)))
+        res.update(check_csc_identities(spec, ff))
     if cfg.example == "rotational":
-        report.add(
-            "principal_vs_angle_pattern",
-            principal_pattern_residual(jet, cfg.n),
-            cfg.tol("principal_vs_angle_pattern"),
-        )
-    return report
+        res["principal_vs_angle_pattern"] = principal_pattern_residual(jet, cfg.n)
+    return _report(cfg.example, list(map(float, pt.p)), res, cfg)
 
 
 def _skipped_checks(cfg: RunConfig) -> list[dict]:
@@ -408,22 +387,10 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     sample_specs = [pt.spec0 for pt in points]
     distinct = None
     if chart.meta.get("isoparametric"):
-        extra = ResidualReport(example=cfg.example, point=["all"])
-        extra.add(
-            "isoparametric_variance",
-            isoparametric_variance(sample_specs),
-            cfg.tol("isoparametric_variance"),
-        )
+        variance = {"isoparametric_variance": isoparametric_variance(sample_specs)}
+        results.append(_report(cfg.example, ["all"], variance, cfg))
         distinct = classify_by_angles(sample_specs)
-        results.append(extra)
-    summary_checks = [e for r in results for e in r.entries.values()]
-    summary = {
-        "total": len(summary_checks),
-        "passed": sum(e.passed for e in summary_checks),
-        "failed": sum(not e.passed for e in summary_checks),
-        "all_pass": all(e.passed for e in summary_checks),
-        "skipped": _skipped_checks(cfg),
-    }
+    summary = _summary(results, _skipped_checks(cfg))
     if distinct is not None:
         summary["distinct_angles"] = distinct
     payload = {
@@ -462,11 +429,10 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
     span = p.get("span", 0.8)
     steps_n = int(p.get("steps", 4000))
     traj = integrate_alpha(cfg.n, alpha0, dalpha0, span, steps_n)
-    report = ResidualReport(example="rotational", point=[0.0])
-    report.add("first_integral", first_integral_residual(traj), cfg.tol("first_integral"))
-    report.add(
-        "ode_forms_equivalent", ode_equivalence_residual(traj), cfg.tol("ode_forms_equivalent")
-    )
+    residuals = {
+        "first_integral": first_integral_residual(traj),
+        "ode_forms_equivalent": ode_equivalence_residual(traj),
+    }
     order = ode_order_ratio(cfg.n, alpha0, dalpha0, span, ORDER_PROBE_STEPS)
     curve = profile_curve(traj)
     payload: dict = {
@@ -479,10 +445,9 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
         },
     }
     chart = build_rotational_chart(curve, cfg.n)
-    profile = warped_curvature_check(chart, cfg.n, chart.meta["c1"], cfg.steps())
-    for name, residual in profile.items():
-        report.add(name, residual, cfg.tol(name))
-    entries = list(report.entries.values())
+    residuals.update(warped_curvature_check(chart, cfg.n, chart.meta["c1"], cfg.steps()))
+    # the example name is fixed: ode always integrates the rotational profile
+    report = _report("rotational", [0.0], residuals, cfg)
     # the order gate counts in the summary only, and is skipped when the probe
     # runs differ by round-off only
     gates = [] if order is None else [ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1]]
@@ -493,17 +458,10 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
             "(an equilibrium or a very short span), so they measure no order",
         }
     ]
-    all_pass = all(e.passed for e in entries) and all(gates) and not traj.stopped_early
     payload["results"] = [report.to_dict()]
-    payload["summary"] = {
-        "total": len(entries) + len(gates),
-        "passed": sum(e.passed for e in entries) + sum(gates),
-        "failed": sum(not e.passed for e in entries) + gates.count(False),
-        "all_pass": all_pass,
-        "skipped": skipped,
-    }
+    payload["summary"] = _summary([report], skipped, gates, traj.stopped_early)
     payload["csv"] = _write_profile_csv(cfg, curve)
-    return (0 if all_pass else 1), payload
+    return (0 if payload["summary"]["all_pass"] else 1), payload
 
 
 def _out_dir(cfg: RunConfig) -> str:
@@ -587,6 +545,8 @@ def _config_from_args(args) -> RunConfig:
             tolerances[name] = float(value)
         except ValueError:
             raise ConfigError(f"tolerance '{name}' needs a number, got '{value}'") from None
+        if not 0.0 <= tolerances[name] < np.inf:
+            raise ConfigError(f"tolerance '{name}' must be finite and >= 0, got '{value}'")
     return RunConfig(
         command=args.command,
         example=args.example,

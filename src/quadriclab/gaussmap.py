@@ -48,6 +48,7 @@ __all__ = [
     "mean_curvature",
     "mod_pi_distance",
     "nearest_mod_pi",
+    "mod_pi_clusters",
 ]
 
 ANGLE_CLUSTER_GAP = 1e-7
@@ -290,6 +291,24 @@ def nearest_mod_pi(theta, ref):
     return theta + np.round((ref - theta) / np.pi) * np.pi
 
 
+def mod_pi_clusters(thetas, gap: float) -> list[list[int]]:
+    """Indices of ascending angles grouped by consecutive mod-pi distance <= gap.
+
+    The last group joins the first across 0 = pi when its last angle is within
+    gap of the first angle; the joined group lists the first group's members,
+    then the last's.
+    """
+    clusters = [[0]]
+    for k in range(1, len(thetas)):
+        if mod_pi_distance(thetas[k], thetas[clusters[-1][-1]]) <= gap:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    if len(clusters) > 1 and mod_pi_distance(thetas[0], thetas[-1]) <= gap:
+        clusters[0].extend(clusters.pop())
+    return clusters
+
+
 def _cluster(values: np.ndarray, gap: float) -> list[list[int]]:
     order = np.argsort(values, kind="stable")
     clusters = [[int(order[0])]]
@@ -371,8 +390,7 @@ def gauge_normalize(jet: GaussJet, ref_phi: float | None = None) -> StructureGau
     """Gauge with zero angle sum (mod pi), nearest ref_phi if given; verified to 1e-8."""
     phi = normalized_phase(jet, ref_phi)
     spec = angle_spectrum(jet, StructureGauge(phi))
-    total = np.mod(np.sum(spec.thetas), np.pi)
-    defect = min(total, np.pi - total)
+    defect = mod_pi_distance(np.sum(spec.thetas), 0.0)
     if defect > 1e-8:
         raise GaussMapError(
             f"normalized gauge failed: angle sum defect {defect:.2e}"

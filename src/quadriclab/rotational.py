@@ -29,7 +29,7 @@ from .gaussmap import (
     GaussJet,
     angle_spectrum,
     gauss_map,
-    mod_pi_distance,
+    mod_pi_clusters,
     nearest_mod_pi,
 )
 from .numerics import axis, central_first, central_second, first_derivative
@@ -439,15 +439,7 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
 def _orbit_and_profile_angles(thetas: np.ndarray, n: int) -> tuple[float, float]:
     """Split the angle spectrum into (profile angle value, orbit angle value)."""
     th = np.sort(thetas)
-    groups: list[list[float]] = [[float(th[0])]]
-    for v in th[1:]:
-        if mod_pi_distance(v, groups[-1][-1]) <= 1e-4:
-            groups[-1].append(float(v))
-        else:
-            groups.append([float(v)])
-    # the last group continues into the first across 0 = pi
-    if len(groups) > 1 and mod_pi_distance(groups[0][0], groups[-1][-1]) <= 1e-4:
-        groups[0] = groups.pop() + groups[0]
+    groups = [[float(th[k]) for k in cl] for cl in mod_pi_clusters(th, 1e-4)]
     groups.sort(key=len)
     if len(groups) != 2 or len(groups[-1]) != n - 1:
         raise OdeError(

@@ -1,15 +1,15 @@
 """Residual verification of the structural identities of the Lagrangian frame.
 
 Each check compares two independently computed sides of an identity and
-reports the worst residual with its tolerance. Curvature is computed twice,
-once algebraically from angles and the cubic form and once from finite
-differences of the induced metric, so that sign-convention bugs in either
-route cannot hide.
+returns its worst residual by report name; the caller applies tolerances.
+Curvature is computed twice, once algebraically from angles and the cubic
+form and once from finite differences of the induced metric, so that
+sign-convention bugs in either route cannot hide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -23,6 +23,7 @@ from .gaussmap import (
     angle_spectrum,
     gauss_map,
     mean_curvature,
+    mod_pi_clusters,
     mod_pi_distance,
     nearest_mod_pi,
     normalized_phase,
@@ -85,17 +86,7 @@ class ResidualReport:
 
     example: str
     point: list
-    entries: dict[str, CheckResult] = field(default_factory=dict)
-
-    def add(self, name: str, residual: float, tolerance: float) -> None:
-        self.entries[name] = CheckResult(float(residual), float(tolerance))
-
-    def merge(self, other: "ResidualReport") -> None:
-        self.entries.update(other.entries)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(e.passed for e in self.entries.values())
+    entries: dict[str, CheckResult]
 
     def to_dict(self) -> dict:
         return {
@@ -225,18 +216,7 @@ def _align_to_reference(
     identity raises VerifyError.
     """
     n = ref.dim
-    clusters: list[list[int]] = [[0]]
-    for k in range(1, n):
-        if mod_pi_distance(ref.thetas[k], ref.thetas[clusters[-1][-1]]) <= 1e-6:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    if (
-        len(clusters) > 1
-        and mod_pi_distance(ref.thetas[clusters[0][0]], ref.thetas[clusters[-1][-1]])
-        <= 1e-6
-    ):
-        clusters[0].extend(clusters.pop())
+    clusters = mod_pi_clusters(ref.thetas, 1e-6)
     assignment: list[list[int]] = [[] for _ in clusters]
     for j in range(n):
         dists = [
@@ -377,9 +357,7 @@ def connection_and_s(pt: SamplePoint) -> ConnectionData:
     return ConnectionData(omega=omega, s=s_vals, antisymmetry_defect=defect)
 
 
-def check_prop1(
-    pt: SamplePoint, tol_gradient: float = 1e-4, tol_rotation: float = 1e-4
-) -> ResidualReport:
+def check_prop1(pt: SamplePoint) -> dict[str, float]:
     """First-order identities: angle gradients and frame rotation rates.
 
     angle_gradient_identity: e_i(theta_j) = h_jj^i - s(e_i)/2.
@@ -403,10 +381,7 @@ def check_prop1(
                 lhs = np.sin(th[j] - th[k]) * conn.omega[i, j, k]
                 rhs = np.cos(th[j] - th[k]) * h[i, j, k]
                 res2 = max(res2, abs(lhs - rhs))
-    report = ResidualReport(example=pt.chart.name, point=list(pt.p))
-    report.add("angle_gradient_identity", res1, tol_gradient)
-    report.add("frame_rotation_identity", res2, tol_rotation)
-    return report
+    return {"angle_gradient_identity": res1, "frame_rotation_identity": res2}
 
 
 def palmer_residual(pt: SamplePoint) -> dict[str, float]:
@@ -496,7 +471,7 @@ def sectional_from_metric(r: np.ndarray, g: np.ndarray, x, y) -> float:
     return float(num / (gxx * gyy - gxy**2))
 
 
-def gauss_equation_residual(pt: SamplePoint, tol: float = 1e-3) -> ResidualReport:
+def gauss_equation_residual(pt: SamplePoint) -> dict[str, float]:
     """Full curvature comparison: metric route against the algebraic route."""
     spec = pt.spec
     n = pt.jet.dim
@@ -512,13 +487,10 @@ def gauss_equation_residual(pt: SamplePoint, tol: float = 1e-3) -> ResidualRepor
         + np.einsum("jkm,ilm->ijkl", h, h)
         - np.einsum("ikm,jlm->ijkl", h, h)
     )
-    residual = float(np.abs(r_frame - rhs).max())
-    report = ResidualReport(example=pt.chart.name, point=list(pt.p))
-    report.add("gauss_equation", residual, tol)
-    return report
+    return {"gauss_equation": float(np.abs(r_frame - rhs).max())}
 
 
-def codazzi_residual(pt: SamplePoint, tol: float = 1e-3) -> ResidualReport:
+def codazzi_residual(pt: SamplePoint) -> dict[str, float]:
     """Residual of the antisymmetrized covariant derivative of the cubic form."""
     conn = pt.connection
     n = pt.jet.dim
@@ -538,10 +510,7 @@ def codazzi_residual(pt: SamplePoint, tol: float = 1e-3) -> ResidualReport:
         "ij,ik,jl->ijkl", sin2d, delta, delta
     )
     lhs = nabla - np.transpose(nabla, (1, 0, 2, 3))
-    residual = float(np.abs(lhs - rhs).max())
-    report = ResidualReport(example=pt.chart.name, point=list(pt.p))
-    report.add("codazzi_equation", residual, tol)
-    return report
+    return {"codazzi_equation": float(np.abs(lhs - rhs).max())}
 
 
 def sectional_curvature(spec: AngleSpectrum, ff: FundamentalForm) -> np.ndarray:
@@ -560,27 +529,24 @@ def sectional_curvature(spec: AngleSpectrum, ff: FundamentalForm) -> np.ndarray:
     return k
 
 
-def check_csc_identities(
-    spec: AngleSpectrum, ff: FundamentalForm,
-    tol_balance: float = 1e-3, tol_triple: float = 1e-3, tol_quadruple: float = 1e-3,
-) -> ResidualReport:
+def check_csc_identities(spec: AngleSpectrum, ff: FundamentalForm) -> dict[str, float]:
     """Constant-curvature balance identities on the cubic form.
 
-    Only meaningful for examples with constant sectional curvature; with
-    fewer than three frame directions every admissible index set is empty.
+    Only meaningful for examples with constant sectional curvature. With
+    fewer than three frame directions every admissible index set is empty
+    and no residual is returned; the four-index identity needs n >= 4.
     """
     n = spec.dim
+    if n < 3:
+        return {}
     th = spec.thetas
     h = ff.h
-    report = ResidualReport(example="", point=[])
     res1 = res2 = res3 = 0.0
-    count = 0
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if len({i, j, k}) < 3:
                     continue
-                count += 1
                 lhs = h[i, i, k] * np.sin(th[i] - th[k]) * np.sin(th[i] + th[k] - 2 * th[j])
                 rhs = h[j, j, k] * np.sin(th[j] - th[k]) * np.sin(th[j] + th[k] - 2 * th[i])
                 res1 = max(res1, abs(lhs - rhs))
@@ -599,12 +565,10 @@ def check_csc_identities(
                             * np.sin(th[i] + th[j] - 2 * th[l])
                         ),
                     )
-    if count:
-        report.add("csc_diagonal_balance", res1, tol_balance)
-        report.add("csc_triple_vanishing", res2, tol_triple)
-        if n >= 4:
-            report.add("csc_quadruple_vanishing", res3, tol_quadruple)
-    return report
+    residuals = {"csc_diagonal_balance": res1, "csc_triple_vanishing": res2}
+    if n >= 4:
+        residuals["csc_quadruple_vanishing"] = res3
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -656,15 +620,7 @@ def classify_by_angles(
                 f"not isoparametric-type input: angles vary across samples "
                 f"(spread {spread:.3e})"
             )
-    angles = np.sort(np.mod(base, np.pi))
-    n = len(angles)
-    distinct = 1
-    for k in range(1, n):
-        if mod_pi_distance(angles[k], angles[k - 1]) > cluster_tol:
-            distinct += 1
-    # the first and last representative may be the same angle mod pi
-    if distinct > 1 and mod_pi_distance(angles[0], angles[-1]) <= cluster_tol:
-        distinct -= 1
+    distinct = len(mod_pi_clusters(np.sort(np.mod(base, np.pi)), cluster_tol))
     if distinct not in (1, 2, 3, 4, 6):
         raise VerifyError(
             f"distinct angle count {distinct} outside the admissible set "

@@ -248,10 +248,10 @@ def test_criterion_08_first_order_identities(rotational_chart):
     for chart in isoparametric_catalog():
         x = chart.box.center + 0.05
         rep = check_prop1(SamplePoint(gauss_map(chart, x, steps), GaugePolicy("normalized")))
-        worst_iso = max(worst_iso, max(e.residual for e in rep.entries.values()))
+        worst_iso = max(worst_iso, max(rep.values()))
     x = rotational_chart.box.center
     rep = check_prop1(SamplePoint(gauss_map(rotational_chart, x, steps), GaugePolicy("normalized")))
-    worst_rot = max(e.residual for e in rep.entries.values())
+    worst_rot = max(rep.values())
     report(
         8,
         worst_iso < 1e-8 and worst_rot < 1e-4,
@@ -267,12 +267,10 @@ def test_criterion_09_gauss_codazzi(rotational_chart):
     for chart in charts:
         x = chart.box.center + (0.05 if chart.name != "rotational" else 0.0)
         pt = SamplePoint(gauss_map(chart, x, steps), GaugePolicy("normalized"))
-        g = gauss_equation_residual(pt)
-        c = codazzi_residual(pt)
         worst = max(
             worst,
-            g.entries["gauss_equation"].residual,
-            c.entries["codazzi_equation"].residual,
+            gauss_equation_residual(pt)["gauss_equation"],
+            codazzi_residual(pt)["codazzi_equation"],
         )
     ode_form = warped_curvature_check(rotational_chart, 3, rotational_chart.meta["c1"], steps)[
         "profile_second_order_ode"

@@ -48,6 +48,19 @@ class TestConfig:
         assert cfg.tol("gauss_equation") == 1e-2
         assert cfg.tol("codazzi_equation") == 1e-3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tolerance_value_exits_2(self, tmp_path, capsys, value):
+        # a nan or infinite tolerance reached the report as a bare NaN or
+        # Infinity token, which strict JSON parsers reject
+        assert run(tmp_path, "verify", "--grid", "1", "--tol", f"gauss_equation={value}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "gauss_equation" in err
+        assert os.listdir(tmp_path) == []
+
+    def test_zero_tolerance_accepted(self, tmp_path):
+        assert run(tmp_path, "verify", "--grid", "1", "--tol", "chart_rank_margin=0") == 0
+
     def test_angle_sum_tolerance_is_unknown(self, tmp_path, capsys):
         # gauge_normalize checks the angle sum with its own bound, so no
         # tolerance name may pretend to set it
@@ -204,12 +217,92 @@ class TestVerifyCommand:
         assert load_report(out, "verify", name)["summary"]["all_pass"]
 
     def test_determinism_modulo_timestamp(self, tmp_path):
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        run(d1, "verify", "--example", "product", "--n", "2", "--grid", "2", "--seed", "3")
-        run(d2, "verify", "--example", "product", "--n", "2", "--grid", "2", "--seed", "3")
-        a = [l for l in open(d1 / "verify_product_report.json") if "timestamp" not in l]
-        b = [l for l in open(d2 / "verify_product_report.json") if "timestamp" not in l]
-        assert a == b
+        # two runs of each subcommand agree line by line once the timestamp
+        # and the csv path (which names the output directory) are dropped
+        def lines(path):
+            return [l for l in open(path) if '"timestamp"' not in l and '"csv"' not in l]
+
+        for argv in (
+            ["verify", "--example", "product", "--n", "2", "--grid", "2", "--seed", "3"],
+            ["angles", "--example", "cartan", "--grid", "4", "--seed", "3"],
+            ["ode", "--example", "rotational", "--n", "3", "--steps", "2000"],
+        ):
+            d1, d2 = tmp_path / argv[0] / "a", tmp_path / argv[0] / "b"
+            for d in (d1, d2):
+                run(d, *argv)
+            name = f"{argv[0]}_{argv[2]}_report.json"
+            assert lines(d1 / name) == lines(d2 / name)
+        ode = tmp_path / "ode"
+        assert open(ode / "a" / "profile.csv").read() == open(ode / "b" / "profile.csv").read()
+
+
+BASE_CHECKS = [
+    "chart_invariants", "chart_rank_margin", "lagrangian", "horizontality",
+    "structure_unit_norm", "structure_commute", "curvature_angle_cotangent",
+    "cubic_symmetry", "mean_curvature_norm", "palmer_formula",
+]
+IDENTITY_CHECKS = [
+    "connection_antisymmetry", "angle_gradient_identity", "frame_rotation_identity",
+    "gauss_equation", "codazzi_equation", "sectional_two_route",
+]
+CHECK_ORDER = {
+    ("verify", "sphere", "--n", "4"): [
+        BASE_CHECKS + ["gauge_one_form"] + IDENTITY_CHECKS + [
+            "sectional_value", "angles_equal", "csc_diagonal_balance",
+            "csc_triple_vanishing", "csc_quadruple_vanishing",
+        ],
+        ["isoparametric_variance"],
+    ],
+    ("verify", "product", "--n", "2", "--gauge", "canonical"): [
+        BASE_CHECKS + IDENTITY_CHECKS + ["sectional_value"],
+        ["isoparametric_variance"],
+    ],
+    ("verify", "cartan"): [
+        BASE_CHECKS + ["gauge_one_form"] + IDENTITY_CHECKS + [
+            "sectional_value", "angle_gaps_third_pi", "cubic_component_squared",
+            "csc_diagonal_balance", "csc_triple_vanishing",
+        ],
+        ["isoparametric_variance"],
+    ],
+    ("verify", "rotational", "--n", "3"): [
+        BASE_CHECKS + ["gauge_one_form"] + IDENTITY_CHECKS + ["principal_vs_angle_pattern"],
+    ],
+    ("ode", "rotational"): [
+        [
+            "first_integral", "ode_forms_equivalent", "warp_block_diagonal",
+            "warp_block_conformal", "warp_factor_law", "fiber_curvature_normalized",
+            "fiber_curvature_chain", "fiber_curvature_variance", "profile_second_order_ode",
+            "principal_vs_angle_pattern",
+        ],
+    ],
+}
+
+
+class TestCheckNames:
+    """Each configuration's report entries, by name and in report order."""
+
+    @pytest.fixture(scope="class")
+    def names(self, tmp_path_factory):
+        found = {}
+        for key in CHECK_ORDER:
+            command, example, *rest = key
+            out = tmp_path_factory.mktemp(command)
+            grid = ["--grid", "1"] if command == "verify" else []
+            run(out, command, "--example", example, *rest, *grid)
+            rep = load_report(out, command, example)
+            found[key] = [[c["name"] for c in r["checks"]] for r in rep["results"]]
+        return found
+
+    @pytest.mark.parametrize(
+        "key", list(CHECK_ORDER), ids=lambda key: "-".join(a.lstrip("-") for a in key)
+    )
+    def test_order(self, names, key):
+        assert names[key] == CHECK_ORDER[key]
+
+    def test_every_tolerance_names_a_check(self, names):
+        # a check without a tolerance, or a tolerance no check reads, fails here
+        reported = {name for entries in names.values() for r in entries for name in r}
+        assert reported == set(cli.DEFAULT_TOLERANCES)
 
 
 class TestAnglesCommand:

@@ -10,6 +10,8 @@ from quadriclab.gaussmap import (
     gauge_normalize,
     gauss_map,
     mean_curvature,
+    mod_pi_clusters,
+    mod_pi_distance,
     normalized_phase,
     second_fundamental_form,
     structure_operators,
@@ -31,6 +33,27 @@ def mod_pi_gap(a, b):
 
 
 P3 = np.array([0.1, -0.2, 0.15])
+
+
+class TestModPiClusters:
+    def test_wrap_joins_last_group_onto_first(self):
+        # the first and last angles are 2e-9 apart mod pi; the joined group
+        # lists the first group's members, then the last's
+        thetas = [1e-9, 2e-9, 1.0, np.pi - 1e-9]
+        assert mod_pi_clusters(thetas, 1e-6) == [[0, 1, 3], [2]]
+
+    def test_single_cluster(self):
+        assert mod_pi_clusters([0.3], 1e-6) == [[0]]
+        assert mod_pi_clusters([0.5, 0.5 + 1e-8, 0.5 + 2e-8], 1e-6) == [[0, 1, 2]]
+
+    def test_gap_exactly_at_the_boundary_joins(self):
+        # dyadic angles make the distance exactly 0.25
+        assert mod_pi_clusters([0.25, 0.5], 0.25) == [[0, 1]]
+        assert mod_pi_clusters([0.25, 0.5], np.nextafter(0.25, 0.0)) == [[0], [1]]
+        thetas = [0.0, 1.5, 3.0]
+        wrap = mod_pi_distance(thetas[0], thetas[-1])
+        assert mod_pi_clusters(thetas, wrap) == [[0, 2], [1]]
+        assert mod_pi_clusters(thetas, np.nextafter(wrap, 0.0)) == [[0], [1], [2]]
 
 
 class TestGaussJet:
