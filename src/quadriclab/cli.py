@@ -147,10 +147,9 @@ class RunConfig:
             raise ConfigError("grid must be at least 1")
         if not (1e-7 < self.h < 1e-2):
             raise ConfigError(f"h = {self.h} outside the supported range (1e-7, 1e-2)")
-        if self.command in ("verify", "angles") and self.example not in KNOWN_EXAMPLES:
-            raise ConfigError(
-                f"unknown example '{self.example}'; choose from {KNOWN_EXAMPLES}"
-            )
+        known = ("rotational",) if self.command == "ode" else KNOWN_EXAMPLES
+        if self.example not in known:
+            raise ConfigError(f"unknown example '{self.example}'; choose from {known}")
         if self.gauge not in ("canonical", "normalized"):
             raise ConfigError("gauge must be 'canonical' or 'normalized'")
         flow = self.command == "ode" or self.example == "rotational"
@@ -446,8 +445,7 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
     }
     chart = build_rotational_chart(curve, cfg.n)
     residuals.update(warped_curvature_check(chart, cfg.n, chart.meta["c1"], cfg.steps()))
-    # the example name is fixed: ode always integrates the rotational profile
-    report = _report("rotational", [0.0], residuals, cfg)
+    report = _report(cfg.example, [0.0], residuals, cfg)
     # the order gate counts in the summary only, and is skipped when the probe
     # runs differ by round-off only
     gates = [] if order is None else [ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1]]
@@ -497,8 +495,15 @@ def write_report(cfg: RunConfig, payload: dict) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one `error:` line and exit code 2, like every other bad input."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadriclab",
         description="Verify the geometry of Gauss maps into the complex hyperquadric.",
     )

@@ -18,14 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .hypersurfaces import ChartError, ChartStencil, HypersurfaceChart
-from .numerics import (
-    axis,
-    central_second,
-    mixed_derivative,
-    stencil_value,
-    symmetric_eigen,
-    symmetrize,
-)
+from .numerics import axis_stencil, second_derivative, symmetric_eigen, symmetrize
 from .quadric import (
     GeometryError,
     HorizontalVector,
@@ -119,20 +112,13 @@ class GaussJet:
 
     @cached_property
     def coord_second(self) -> np.ndarray:
-        """(n, n, n+2) complex second chart derivatives of the lift."""
-        n, p, h2 = self.dim, self.point, self.steps.second
-        lift = self.chart.lift
-        second = np.empty((n, n, n + 2), dtype=complex)
-        for a in range(n):
-            e = axis(n, a)
-            # the diagonal rule reads the lift at p from the first-order stencil
-            at = {c: stencil_value(lift, p + c * h2 * e) for c in (2, 1, -1, -2)}
-            second[a, a] = central_second(at[2], at[1], self.stencil.lift, at[-1], at[-2], h2)
-            for b in range(a + 1, n):
-                m = mixed_derivative(lift, p, e, axis(n, b), h2)
-                second[a, b] = m
-                second[b, a] = m
-        return second
+        """(n, n, n+2) complex second chart derivatives of the lift.
+
+        The diagonal rule reads the lift at p from the first-order stencil.
+        """
+        p, h2, lift = self.point, self.steps.second, self.chart.lift
+        at = axis_stencil(lift, p, h2, (2.0, 1.0, -1.0, -2.0))
+        return second_derivative(lift, p, h2, self.stencil.lift, at)
 
     @property
     def frame(self) -> list[HorizontalVector]:

@@ -20,11 +20,12 @@ import numpy as np
 
 from .numerics import (
     NumericsError,
-    StencilError,
+    axis_stencil,
     central_first,
     eigen_solve,
     gram_schmidt,
     spd_solve,
+    stencil_values,
     symmetric_eigen,
 )
 
@@ -147,50 +148,27 @@ class ChartStencil:
     lift) reads them. The values at p itself are evaluated on first use: the
     metric route needs the derivatives only.
 
-    The 4n points are one array in axis-major order: consecutive points then
-    share every coordinate but one, which is what the charts' one-entry memos
-    of shared work rely on.
+    The 4n points go to the chart in one axis_stencil call, axis by axis, so
+    the charts' one-entry memos of shared work hit.
     """
 
     def __init__(self, chart: HypersurfaceChart, p, h: float):
         self.chart = chart
         self.point = p = np.asarray(p, dtype=float)
-        n = chart.dim
-        # (n, 4, n): axis, offset (+2h, +h, -h, -2h), coordinates
-        offsets = np.array([2.0, 1.0, -1.0, -2.0]) * h
-        points = p + offsets[:, None] * np.eye(n)[:, None, :]
-        # (4, n, 2, n+2): offset, axis, (embed, normal)
-        values = self._values(points.reshape(4 * n, n)).reshape(n, 4, 2, n + 2).swapaxes(0, 1)
+        # (4, n, 2, n+2): offset (+2h, +h, -h, -2h), axis, (embed, normal)
+        values = axis_stencil(self._embed_normal, p, h, (2.0, 1.0, -1.0, -2.0))
         a, b = values[:, :, 0], values[:, :, 1]
         self.d_embed = central_first(*a, h)
         self.d_normal = central_first(*b, h)
         self.d_lift = central_first(*_lift(a, b), h)
 
-    def _values(self, points: np.ndarray) -> np.ndarray:
-        """embed and normal at each row of points, as an (m, 2, n+2) array.
-
-        StencilError names the first point that is not finite or whose values
-        are not; a non-finite point never reaches the chart, whose math
-        kernels would raise on an infinite angle. A float power that
-        overflows, where numpy would give inf, is a non-finite value too.
-        """
-        if not np.isfinite(points).all():
-            bad = ~np.isfinite(points).all(axis=1)
-        else:
-            embed, normal = self.chart.embed, self.chart.normal
-            try:
-                values = np.array([(embed(x), normal(x)) for x in points])
-            except OverflowError as exc:
-                raise StencilError(f"non-finite value on the stencil of {self.point}: {exc}") from exc
-            if np.isfinite(values).all():
-                return values
-            bad = ~np.isfinite(values).all(axis=(1, 2))
-        raise StencilError(f"non-finite value on stencil point {points[bad][0]}")
+    def _embed_normal(self, x):
+        return self.chart.embed(x), self.chart.normal(x)
 
     @cached_property
     def center(self) -> np.ndarray:
         """embed and normal at p, as the rows of a (2, n+2) array."""
-        return self._values(self.point[None])[0]
+        return stencil_values(self._embed_normal, self.point[None])[0]
 
     @property
     def lift(self) -> np.ndarray:

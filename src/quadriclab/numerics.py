@@ -4,7 +4,8 @@ Everything here operates on plain numpy arrays (float or complex) and is pure:
 no global state, safe to call concurrently. The eigensolver is LAPACK's
 (np.linalg.eigh) behind explicit diagnostics: a finiteness check, a residual
 check that names the matrix, ascending eigenvalues and a deterministic
-column-sign rule. The five-point weights live only in central_first and
+column-sign rule. Every stencil passes its whole point set to stencil_values,
+the one finiteness guard. The five-point weights live only in central_first and
 central_second; the mixed derivative extrapolates a four-point corner rule.
 """
 
@@ -23,12 +24,12 @@ __all__ = [
     "eigen_solve",
     "gram_schmidt",
     "axis",
-    "stencil_value",
     "central_first",
     "central_second",
+    "stencil_values",
+    "axis_stencil",
     "first_derivative",
     "second_derivative",
-    "mixed_derivative",
 ]
 
 
@@ -152,14 +153,6 @@ def gram_schmidt(vectors, dependence_tol: float = 1e-10) -> np.ndarray:
     return out
 
 
-def stencil_value(f, x) -> np.ndarray:
-    """f at the stencil point x; StencilError if any entry is not finite."""
-    y = np.asarray(f(np.asarray(x, dtype=float)))
-    if not np.all(np.isfinite(y)):
-        raise StencilError(f"non-finite value on stencil point {np.asarray(x)}")
-    return y
-
-
 def axis(n: int, i: int) -> np.ndarray:
     """The i-th coordinate unit vector of R^n."""
     e = np.zeros(n)
@@ -177,38 +170,68 @@ def central_second(fp2, fp1, f0, fm1, fm2, h: float):
     return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h**2)
 
 
+def stencil_values(f, points) -> np.ndarray:
+    """f at each row of points, stacked: the one evaluation and finiteness guard of every stencil.
+
+    StencilError names the first non-finite point, before f is called at all,
+    or else the first point whose value is not finite. An OverflowError inside
+    f (a float power past the range, where numpy gives inf) raises it too.
+    """
+    points = np.asarray(points, dtype=float)
+    finite = np.isfinite(points).all(axis=1)
+    if finite.all():
+        try:
+            values = np.array([f(x) for x in points])
+        except OverflowError as exc:
+            raise StencilError(f"non-finite value on a stencil point: {exc}") from exc
+        finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+        if finite.all():
+            return values
+    raise StencilError(f"non-finite value on stencil point {points[~finite][0]}")
+
+
+def axis_stencil(f, p, h: float, offsets) -> np.ndarray:
+    """f at p + c h e_a for each offset c and axis a, as a (len(offsets), n, ...) array.
+
+    Evaluated axis by axis, so consecutive points differ in one coordinate and
+    the charts' one-entry memos of shared work hit.
+    """
+    p = np.asarray(p, dtype=float)
+    n, k = p.size, len(offsets)
+    # (n, k, n): axis, offset, coordinates
+    points = p + (np.asarray(offsets, dtype=float) * h)[:, None] * np.eye(n)[:, None, :]
+    values = stencil_values(f, points.reshape(n * k, n))
+    return values.reshape((n, k) + values.shape[1:]).swapaxes(0, 1)
+
+
 def first_derivative(f, p, v, h: float) -> np.ndarray:
     """Directional derivative of f at p along v (order 4)."""
+    p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
+    return central_first(*stencil_values(f, [p + c * h * v for c in (2, 1, -1, -2)]), h)
+
+
+def second_derivative(f, p, h: float, f0, at) -> np.ndarray:
+    """Coordinate second derivatives of f at p, as an (n, n, ...) array (order 4).
+
+    f0 is f at p and at holds f at p + c h e_a for c = 2, 1, -1, -2, as
+    axis_stencil returns it; the diagonal is the five-point rule on these.
+    Each mixed entry extrapolates the four-point corner rule at steps h/2 and
+    h (Richardson), with every corner point in one stencil_values call.
+    """
     p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return central_first(
-        stencil_value(f, p + 2 * h * v), stencil_value(f, p + h * v),
-        stencil_value(f, p - h * v), stencil_value(f, p - 2 * h * v), h,
-    )
+    n = p.size
+    rows, cols = np.triu_indices(n, 1)
+    eye = np.eye(n)
+    plus, minus = eye[rows] + eye[cols], eye[rows] - eye[cols]
+    corners = [[p + s * plus, p + s * minus, p - s * minus, p - s * plus] for s in (0.5 * h, h)]
+    # (pair, step h/2 then h, corner ++ +- -+ --, coordinates)
+    points = np.moveaxis(np.array(corners), 2, 0)
+    v = stencil_values(f, points.reshape(-1, n)).reshape(points.shape[:3] + np.shape(f0))
 
+    def corner(k, s):
+        return (v[:, k, 0] - v[:, k, 1] - v[:, k, 2] + v[:, k, 3]) / (4.0 * s**2)
 
-def second_derivative(f, p, v, h: float) -> np.ndarray:
-    """Second directional derivative along one direction v (order 4)."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return central_second(
-        stencil_value(f, p + 2 * h * v), stencil_value(f, p + h * v), stencil_value(f, p),
-        stencil_value(f, p - h * v), stencil_value(f, p - 2 * h * v), h,
-    )
-
-
-def _corner(f, p, u, v, h):
-    return (
-        stencil_value(f, p + h * (u + v))
-        - stencil_value(f, p + h * (u - v))
-        - stencil_value(f, p - h * (u - v))
-        + stencil_value(f, p - h * (u + v))
-    ) / (4.0 * h**2)
-
-
-def mixed_derivative(f, p, u, v, h: float) -> np.ndarray:
-    """Mixed second derivative d^2 f / (du dv): Richardson over steps h and h/2 (order 4)."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return (4.0 * _corner(f, p, u, v, 0.5 * h) - _corner(f, p, u, v, h)) / 3.0
+    out = np.empty((n, n) + np.shape(f0), dtype=np.result_type(f0, at))
+    out[range(n), range(n)] = central_second(at[0], at[1], f0, at[2], at[3], h)
+    out[rows, cols] = out[cols, rows] = (4.0 * corner(0, 0.5 * h) - corner(1, h)) / 3.0
+    return out

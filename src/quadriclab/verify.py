@@ -30,15 +30,8 @@ from .gaussmap import (
     second_fundamental_form,
 )
 from .hypersurfaces import Box, ChartStencil, HypersurfaceChart
-from .numerics import (
-    axis,
-    central_first,
-    central_second,
-    mixed_derivative,
-    stencil_value,
-    symmetric_eigen,
-)
-from .quadric import StiefelPoint, StructureGauge
+from .numerics import axis_stencil, central_first, second_derivative, symmetric_eigen
+from .quadric import StructureGauge
 
 __all__ = [
     "VerifyError",
@@ -62,7 +55,6 @@ __all__ = [
     "isoparametric_variance",
     "classify_by_angles",
     "reconstruct_hypersurface",
-    "gauss_lift_field",
 ]
 
 
@@ -410,26 +402,23 @@ def gauss_metric_fn(chart: HypersurfaceChart, steps: FdSteps | None = None):
     return lambda q: ChartStencil(chart, q, h).lift_metric
 
 
+def _metric_derivatives(metric_fn, p, h: float, g0: np.ndarray):
+    """dg[c] = d_c g (step h/2) and ddg[c, d] = d_c d_d g (step h) at p, sharing p +- h e_c."""
+    at = axis_stencil(metric_fn, p, h, (2.0, 1.0, 0.5, -0.5, -1.0, -2.0))
+    dg = central_first(at[1], at[2], at[3], at[4], 0.5 * h)
+    return dg, second_derivative(metric_fn, p, h, g0, at[[0, 1, 4, 5]])
+
+
 def curvature_from_metric(metric_fn, p, h: float, g0: np.ndarray) -> np.ndarray:
     """Coordinate curvature tensor R[a, b, c, d] = <R(d_a, d_b) d_c, d_d>.
 
     g0 is the metric at p, which the caller already holds. Uses fourth-order
     differences of the metric components plus the Christoffel quadratic
     terms; the convention is fixed so that the unit round sphere has
-    sectional curvature +1. The first derivative (step h/2) and the diagonal
-    second derivative (step h) share the samples at p +- h e_c.
+    sectional curvature +1.
     """
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    dg = np.empty((n, n, n))
-    ddg = np.empty((n, n, n, n))
-    for c in range(n):
-        e = axis(n, c)
-        g_at = {k: stencil_value(metric_fn, p + k * h * e) for k in (2, 1, 0.5, -0.5, -1, -2)}
-        dg[c] = central_first(g_at[1], g_at[0.5], g_at[-0.5], g_at[-1], 0.5 * h)
-        ddg[c, c] = central_second(g_at[2], g_at[1], g0, g_at[-1], g_at[-2], h)
-        for d in range(c + 1, n):
-            ddg[c, d] = ddg[d, c] = mixed_derivative(metric_fn, p, e, axis(n, d), h)
+    n = len(g0)
+    dg, ddg = _metric_derivatives(metric_fn, p, h, g0)
     g_inv = np.linalg.inv(g0)
     # Christoffel symbols of the second kind; dg[c, a, b] = d_c g_ab
     gamma = np.empty((n, n, n))
@@ -629,17 +618,8 @@ def classify_by_angles(
     return distinct
 
 
-def gauss_lift_field(chart: HypersurfaceChart) -> Callable[[np.ndarray], StiefelPoint]:
-    """Smooth field of Gauss-map lifts of a chart."""
-
-    def lift(p: np.ndarray) -> StiefelPoint:
-        return StiefelPoint.from_complex(chart.lift(p))
-
-    return lift
-
-
 def reconstruct_hypersurface(
-    lift_field: Callable[[np.ndarray], StiefelPoint],
+    lift_field: Callable[[np.ndarray], np.ndarray],
     box: Box,
     spec: AngleSpectrum,
     t: float,
@@ -647,7 +627,7 @@ def reconstruct_hypersurface(
     guard: float = 1e-4,
     name: str = "reconstructed",
 ) -> HypersurfaceChart:
-    """Hypersurface whose Gauss map realizes the given lift field.
+    """Hypersurface whose Gauss map realizes the given complex lift field (chart.lift).
 
     The embedding is sqrt(2) times the real part of the phase-rotated lift;
     principal curvatures come out as cot(theta_j + phi/2 + t). Angles with
@@ -664,10 +644,10 @@ def reconstruct_hypersurface(
     phase = np.exp(1j * t)
 
     def embed(p):
-        return np.sqrt(2.0) * (phase * lift_field(p).z).real
+        return np.sqrt(2.0) * (phase * lift_field(p)).real
 
     def normal(p):
-        return np.sqrt(2.0) * (phase * lift_field(p).z).imag
+        return np.sqrt(2.0) * (phase * lift_field(p)).imag
 
     return HypersurfaceChart(
         dim=dim,

@@ -52,7 +52,6 @@ from quadriclab.verify import (
     codazzi_residual,
     curvature_from_metric,
     gauss_equation_residual,
-    gauss_lift_field,
     gauss_metric_fn,
     palmer_residual,
     reconstruct_hypersurface,
@@ -224,7 +223,7 @@ def test_criterion_07_reconstruction_round_trip():
     steps = FdSteps()
     x0 = np.array([0.1, -0.2, 0.15])
     spec = angle_spectrum(gauss_map(chart, x0, steps))
-    lift = gauss_lift_field(chart)
+    lift = chart.lift
     worst_lam = 0.0
     worst_q = 0.0
     for t in (0.0, 0.3):

@@ -3,7 +3,8 @@
 The references below are the array formulations the kernels replaced: the
 numpy sphere chart, the round-sphere, product and rotational chart bodies,
 the quintic Hermite evaluation, the Veronese normal frame by projected
-Gram-Schmidt, and the point-by-point stencil build. Values and stencil
+Gram-Schmidt, and the point-by-point stencil build with its own finiteness
+check. Values and stencil
 derivatives must match them bitwise; the closed-form Veronese frame, which
 rounds differently, to 1e-14.
 """
@@ -26,7 +27,7 @@ from quadriclab.hypersurfaces import (
     round_sphere,
     sphere_chart,
 )
-from quadriclab.numerics import StencilError, axis, central_first, gram_schmidt, stencil_value
+from quadriclab.numerics import StencilError, axis, central_first, gram_schmidt
 from quadriclab.rotational import build_rotational_chart, integrate_alpha, profile_curve
 
 H = 1e-4
@@ -158,12 +159,19 @@ def ref_veronese_frame(q):
     return v, xi1, w2 / np.linalg.norm(w2)
 
 
+def ref_stencil_value(f, x):
+    y = np.asarray(f(np.asarray(x, dtype=float)))
+    if not np.all(np.isfinite(y)):
+        raise StencilError(f"non-finite value on stencil point {np.asarray(x)}")
+    return y
+
+
 def ref_stencil(embed, normal, p, h):
-    """(d_embed, d_normal, d_lift) from a point-by-point stencil_value build."""
+    """(d_embed, d_normal, d_lift) from a point-by-point ref_stencil_value build."""
     n = len(p)
     values = np.array(
         [
-            [stencil_value(lambda x: (embed(x), normal(x)), p + c * h * axis(n, i)) for c in (2, 1, -1, -2)]
+            [ref_stencil_value(lambda x: (embed(x), normal(x)), p + c * h * axis(n, i)) for c in (2, 1, -1, -2)]
             for i in range(n)
         ]
     ).swapaxes(0, 1)

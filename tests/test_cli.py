@@ -43,6 +43,22 @@ class TestConfig:
         assert run(tmp_path, "verify", "--tol", "gauss_equation=abc") == 2
         assert "gauss_equation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["verify", "--k", "1.5"], ["ode", "--grid", "x"]])
+    def test_parser_error_is_one_line(self, tmp_path, capsys, argv):
+        # argparse printed a usage block before its error line
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: quadriclab verify [-h]")
+
     def test_tolerance_override(self):
         cfg = RunConfig(command="verify", tolerances={"gauss_equation": 1e-2})
         assert cfg.tol("gauss_equation") == 1e-2
@@ -537,6 +553,17 @@ class TestOdeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: span must be positive")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("example", ["nosuch", "a/b"])
+    def test_only_the_rotational_example(self, tmp_path, capsys, example):
+        # 'nosuch' wrote ode_nosuch_report.json with rotational results, and
+        # 'a/b' ended in a FileNotFoundError traceback
+        with pytest.raises(ConfigError):
+            RunConfig(command="ode", example=example)
+        assert run(tmp_path, "ode", "--example", example, "--steps", "1000") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown example") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QUADRICLAB_OUT_DIR", str(tmp_path / "env"))

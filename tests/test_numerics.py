@@ -10,13 +10,15 @@ from quadriclab.numerics import (
     ConvergenceError,
     NumericsError,
     RankDeficiencyError,
+    StencilError,
+    axis_stencil,
     central_first,
     central_second,
     first_derivative,
     gram_schmidt,
-    mixed_derivative,
     second_derivative,
     spd_solve,
+    stencil_values,
     symmetric_eigen,
     symmetrize,
 )
@@ -196,6 +198,13 @@ class TestSpdSolve:
 E0, E1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
 
 
+def second_jet(f, p, h):
+    """Coordinate second derivatives of f at p, with f0 and the axis samples from the layer."""
+    p = np.asarray(p, dtype=float)
+    at = axis_stencil(f, p, h, (2.0, 1.0, -1.0, -2.0))
+    return second_derivative(f, p, h, stencil_values(f, p[None])[0], at)
+
+
 class TestCentralDiffJet:
     """Central-difference jets: the first, second and mixed derivative stencils."""
 
@@ -203,18 +212,13 @@ class TestCentralDiffJet:
         f = lambda x: np.array([x[0] ** 2])
         p, e = np.array([1.0]), np.array([1.0])
         assert abs(first_derivative(f, p, e, 1e-4)[0] - 2.0) < 1e-7
-        assert abs(second_derivative(f, p, e, 1e-4)[0] - 2.0) < 1e-4
+        assert abs(second_jet(f, p, 1e-4)[0, 0, 0] - 2.0) < 1e-4
 
     def test_linear_has_zero_second(self):
         f = lambda x: np.array([3.0 * x[0] - 2.0 * x[1]])
         p = np.array([0.4, -0.3])
-        seconds = [
-            second_derivative(f, p, E0, 1e-4),
-            second_derivative(f, p, E1, 1e-4),
-            mixed_derivative(f, p, E0, E1, 1e-4),
-        ]
-        # roundoff floor of second differences is ~eps/h^2
-        assert np.abs(seconds).max() < 1e-7
+        # diagonal and mixed entries; roundoff floor of second differences is ~eps/h^2
+        assert np.abs(second_jet(f, p, 1e-4)).max() < 1e-7
 
     def test_closed_form_partials(self):
         # f(x, y) = sin x cos y against its analytic first and second partials
@@ -224,20 +228,24 @@ class TestCentralDiffJet:
         p = np.array([0.3, 0.7])
         sx, cx = math.sin(0.3), math.cos(0.3)
         sy, cy = math.sin(0.7), math.cos(0.7)
+        d2 = second_jet(f, p, 1e-4)
         assert abs(first_derivative(f, p, E0, 1e-4)[0] - cx * cy) < 1e-6
         assert abs(first_derivative(f, p, E1, 1e-4)[0] + sx * sy) < 1e-6
-        assert abs(second_derivative(f, p, E0, 1e-4)[0] + sx * cy) < 1e-6
-        assert abs(mixed_derivative(f, p, E0, E1, 1e-4)[0] + cx * sy) < 1e-6
-        assert abs(second_derivative(f, p, E1, 1e-4)[0] + sx * cy) < 1e-6
+        assert abs(d2[0, 0, 0] + sx * cy) < 1e-6
+        assert abs(d2[0, 1, 0] + cx * sy) < 1e-6
+        assert abs(d2[1, 1, 0] + sx * cy) < 1e-6
 
     def test_mixed_second_symmetric(self):
         def f(x):
             return np.array([np.exp(x[0] * x[1]) + x[0] ** 3])
 
         p = np.array([0.2, 0.5])
-        defect = np.abs(
-            mixed_derivative(f, p, E0, E1, 1e-4) - mixed_derivative(f, p, E1, E0, 1e-4)
-        ).max()
+        d2 = second_jet(f, p, 1e-4)
+        assert np.array_equal(d2[0, 1], d2[1, 0])
+        # the corner rule with the two directions swapped: the same points,
+        # with the +- and -+ corners exchanged
+        swapped = second_jet(lambda x: f(x[::-1]), p[::-1], 1e-4)
+        defect = np.abs(d2[0, 1] - swapped[0, 1]).max()
         assert defect < 10 * 1e-8 * (1 + np.abs(f(p)).max())
 
     def test_convergence_order(self):
@@ -254,14 +262,72 @@ class TestCentralDiffJet:
         assert errs[0] / errs[1] >= 12.0
 
     def test_non_finite_raises(self):
-        from quadriclab.numerics import StencilError
-
         def f(x):
             with np.errstate(divide="ignore"):
                 return np.array([1.0 / x[0]])
 
         with pytest.raises(StencilError):
-            second_derivative(f, np.array([0.0]), np.array([1.0]), 1e-4)
+            second_jet(f, np.array([0.0]), 1e-4)
+
+
+class TestStencilLayer:
+    """stencil_values is the one evaluation and finiteness guard of every stencil."""
+
+    def test_axis_stencil_layout(self):
+        f = lambda x: np.array([x[0], 10.0 * x[1], 100.0 * x[2]])
+        p = np.array([0.1, 0.2, 0.3])
+        at = axis_stencil(f, p, 0.5, (2.0, 1.0, -1.0))
+        assert at.shape == (3, 3, 3)
+        for k, c in enumerate((2.0, 1.0, -1.0)):
+            for a in range(3):
+                assert np.array_equal(at[k, a], f(p + c * 0.5 * np.eye(3)[a]))
+
+    def test_axis_stencil_evaluates_axis_by_axis(self):
+        seen = []
+        axis_stencil(lambda x: seen.append(x.copy()) or 0.0, np.zeros(2), 1.0, (1.0, -1.0))
+        assert np.array_equal(seen, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+    def test_one_dimension_has_no_mixed_points(self):
+        calls = []
+        f = lambda x: calls.append(1) or np.array([x[0] ** 2])
+        d2 = second_derivative(f, np.array([0.5]), 1e-3, np.array([0.25]), np.zeros((4, 1, 1)))
+        assert d2.shape == (1, 1, 1) and calls == []
+
+    def test_second_derivative_dtype_follows_values(self):
+        f = lambda x: np.array([np.exp(1j * x[0]) * x[1] ** 2])
+        d2 = second_jet(f, np.array([0.2, 0.4]), 1e-3)
+        assert d2.dtype == complex and d2.shape == (2, 2, 1)
+        assert abs(d2[1, 1, 0] - 2.0 * np.exp(0.2j)) < 1e-6
+        assert abs(d2[0, 1, 0] - 2j * 0.4 * np.exp(0.2j)) < 1e-6
+
+    def test_non_finite_point_never_reaches_f(self):
+        calls = []
+        with pytest.raises(StencilError, match="nan"):
+            stencil_values(lambda x: calls.append(x) or 0.0, [[0.0], [np.nan], [1.0]])
+        assert calls == []
+
+    def test_non_finite_value_names_its_point(self):
+        with pytest.raises(StencilError, match=r"\[2\.5\]"):
+            stencil_values(lambda x: np.array([np.inf if x[0] == 2.5 else 1.0]), [[1.0], [2.5]])
+
+    def test_overflow_is_a_non_finite_value(self):
+        with pytest.raises(StencilError):
+            stencil_values(lambda x: 10.0 ** float(x[0]), [[1.0], [1e5]])
+
+    # at [inf] and [inf, 0] the math kernels raised ValueError: math domain error
+    def test_first_derivative_at_infinity(self):
+        f = lambda x: np.array([math.cos(x[0])])
+        with pytest.raises(StencilError):
+            first_derivative(f, np.array([np.inf]), np.array([1.0]), 1e-4)
+
+    def test_second_derivative_at_infinity(self):
+        f = lambda x: np.array([math.cos(x[0]) * math.cos(x[1])])
+        p = np.array([np.inf, 0.0])
+        with pytest.raises(StencilError):
+            axis_stencil(f, p, 1e-4, (2.0, 1.0, -1.0, -2.0))
+        # the mixed corners guard their own points, whatever f0 and the axis samples are
+        with pytest.raises(StencilError):
+            second_derivative(f, p, 1e-4, np.zeros(1), np.zeros((4, 2, 1)))
 
 
 def test_fourth_order_first_derivative():

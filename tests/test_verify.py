@@ -17,7 +17,6 @@ from quadriclab.verify import (
     connection_and_s,
     curvature_from_metric,
     gauss_equation_residual,
-    gauss_lift_field,
     gauss_metric_fn,
     isoparametric_variance,
     reconstruct_hypersurface,
@@ -291,7 +290,7 @@ class TestReconstruction:
         jet = gauss_map(sphere_half, P3)
         spec = angle_spectrum(jet)
         rec = reconstruct_hypersurface(
-            gauss_lift_field(sphere_half), sphere_half.box, spec, 0.0, 3
+            sphere_half.lift, sphere_half.box, spec, 0.0, 3
         )
         lam = principal_curvatures(rec, P3).lambdas
         np.testing.assert_allclose(lam, 1.0, atol=1e-8)
@@ -303,7 +302,7 @@ class TestReconstruction:
         jet = gauss_map(sphere_half, P3)
         spec = angle_spectrum(jet)
         rec = reconstruct_hypersurface(
-            gauss_lift_field(sphere_half), sphere_half.box, spec, t, 3
+            sphere_half.lift, sphere_half.box, spec, t, 3
         )
         lam = principal_curvatures(rec, P3).lambdas
         np.testing.assert_allclose(lam, 1.0 / np.tan(np.pi / 4.0 + t), atol=1e-4)
@@ -312,7 +311,7 @@ class TestReconstruction:
         jet = gauss_map(sphere_half, P3)
         spec = angle_spectrum(jet)
         rec = reconstruct_hypersurface(
-            gauss_lift_field(sphere_half), sphere_half.box, spec, 0.3, 3
+            sphere_half.lift, sphere_half.box, spec, 0.3, 3
         )
         rng = np.random.default_rng(3)
         for _ in range(4):
@@ -325,7 +324,7 @@ class TestReconstruction:
         spec = angle_spectrum(jet)
         with pytest.raises(VerifyError):
             reconstruct_hypersurface(
-                gauss_lift_field(sphere_half), sphere_half.box, spec, -np.pi / 4.0, 3
+                sphere_half.lift, sphere_half.box, spec, -np.pi / 4.0, 3
             )
 
     def test_reconstruction_from_normalized_gauge(self, tube):
@@ -334,7 +333,7 @@ class TestReconstruction:
         gauge = gauge_normalize(jet)
         spec = angle_spectrum(jet, gauge)
         t = 0.15
-        rec = reconstruct_hypersurface(gauss_lift_field(tube), tube.box, spec, t, 3)
+        rec = reconstruct_hypersurface(tube.lift, tube.box, spec, t, 3)
         lam = np.sort(principal_curvatures(rec, P3).lambdas)
         c = gauge.phi / 2.0 + t
         expected = np.sort(1.0 / np.tan(spec.thetas + c))
