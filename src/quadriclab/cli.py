@@ -73,6 +73,15 @@ __all__ = ["RunConfig", "main", "cmd_verify", "cmd_angles", "cmd_ode"]
 
 KNOWN_EXAMPLES = ("sphere", "product", "cartan", "rotational")
 
+# the parameters build_example (and cmd_ode, for the rotational flow) reads
+# for each example; any other one given on the command line is an error
+EXAMPLE_PARAMS = {
+    "sphere": ("r",),
+    "product": ("k", "r1"),
+    "cartan": ("t",),
+    "rotational": ("alpha0", "dalpha0", "span", "steps"),
+}
+
 DEFAULT_TOLERANCES = {
     "chart_invariants": 1e-8,
     "chart_rank_margin": 0.0,
@@ -150,6 +159,11 @@ class RunConfig:
         known = ("rotational",) if self.command == "ode" else KNOWN_EXAMPLES
         if self.example not in known:
             raise ConfigError(f"unknown example '{self.example}'; choose from {known}")
+        reads = EXAMPLE_PARAMS[self.example]
+        unread = [name for name in sorted(self.params) if name not in reads]
+        if unread:
+            flags = lambda names: ", ".join(f"--{name}" for name in names)
+            raise ConfigError(f"example '{self.example}' does not read {flags(unread)}; it reads {flags(reads)}")
         if self.gauge not in ("canonical", "normalized"):
             raise ConfigError("gauge must be 'canonical' or 'normalized'")
         flow = self.command == "ode" or self.example == "rotational"

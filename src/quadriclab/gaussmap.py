@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .hypersurfaces import ChartError, ChartStencil, HypersurfaceChart
-from .numerics import axis_stencil, second_derivative, symmetric_eigen, symmetrize
+from .numerics import hessian_stencil, second_derivative, symmetric_eigen, symmetrize
 from .quadric import (
     GeometryError,
     HorizontalVector,
@@ -114,11 +114,12 @@ class GaussJet:
     def coord_second(self) -> np.ndarray:
         """(n, n, n+2) complex second chart derivatives of the lift.
 
-        The diagonal rule reads the lift at p from the first-order stencil.
+        The diagonal rule reads the lift at p from the first-order stencil;
+        the axis and corner points go to the chart in one call.
         """
-        p, h2, lift = self.point, self.steps.second, self.chart.lift
-        at = axis_stencil(lift, p, h2, (2.0, 1.0, -1.0, -2.0))
-        return second_derivative(lift, p, h2, self.stencil.lift, at)
+        h2 = self.steps.second
+        at, corners = hessian_stencil(self.chart.lift, self.point, h2, (2.0, 1.0, -1.0, -2.0))
+        return second_derivative(h2, self.stencil.lift, at, corners)
 
     @property
     def frame(self) -> list[HorizontalVector]:

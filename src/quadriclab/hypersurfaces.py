@@ -1,8 +1,11 @@
 """Parametrized hypersurfaces of the unit sphere with unit normal fields.
 
 Charts are immutable bundles of two callables (embedding and unit normal, both
-landing in R^(n+2)) over a closed coordinate box; a ChartStencil evaluates both
-once on the first-order stencil of a point. The catalog covers the three
+landing in R^(n+2)) over a closed coordinate box. Both take a batch: an array
+of points (..., n) maps to an array (..., n+2), with a single point (n,) as
+the empty batch, and every row gets the arithmetic a lone point gets. A
+ChartStencil evaluates both once, in one call each, on the first-order stencil
+of a point or of a batch of points. The catalog covers the three
 isoparametric families with at most three distinct principal curvatures:
 geodesic spheres, products of spheres, and tubes around the Veronese surface,
 plus parallel hypersurfaces of any chart and a perturbed (non-isoparametric)
@@ -24,7 +27,6 @@ from .numerics import (
     central_first,
     eigen_solve,
     gram_schmidt,
-    spd_solve,
     stencil_values,
     symmetric_eigen,
 )
@@ -92,7 +94,10 @@ class Box:
 
 @dataclass(frozen=True)
 class HypersurfaceChart:
-    """Immersion of a coordinate box into the unit sphere with a unit normal."""
+    """Immersion of a coordinate box into the unit sphere with a unit normal.
+
+    embed and normal map points (..., n) to vectors (..., n+2), row by row.
+    """
 
     dim: int
     embed: Callable[[np.ndarray], np.ndarray]
@@ -102,7 +107,7 @@ class HypersurfaceChart:
     meta: dict = field(default_factory=dict)
 
     def lift(self, q) -> np.ndarray:
-        """Gauss-map lift (embed + i normal)/sqrt(2) at q, as a complex vector."""
+        """Gauss-map lift (embed + i normal)/sqrt(2) at the points q, as complex vectors."""
         return _lift(self.embed(q), self.normal(q))
 
     def validate_at(self, p, h: float = 1e-4) -> dict[str, float]:
@@ -115,29 +120,6 @@ def _lift(a, b):
     return (a + 1j * b) / np.sqrt(2.0)
 
 
-def _memo_last(fn):
-    """fn of one array argument, remembering its last argument and result.
-
-    A chart's embed and normal share work at each point, and ChartStencil asks
-    for both at one point before moving on; stencil points along a later axis
-    also share the leading coordinates. Wrapping that shared work in a chart's
-    closures does it once per point while embed and normal stay separate
-    callables. The entry is read and replaced whole, so concurrent callers at
-    worst recompute. Callers must not change the returned arrays in place.
-    """
-    last = (None, None)
-
-    def memo(q):
-        nonlocal last
-        key = np.asarray(q, dtype=float).tobytes()
-        entry = last
-        if entry[0] != key:
-            entry = last = (key, fn(q))
-        return entry[1]
-
-    return memo
-
-
 class ChartStencil:
     """embed and normal on the first-order stencil of a point, each evaluated once.
 
@@ -148,37 +130,39 @@ class ChartStencil:
     lift) reads them. The values at p itself are evaluated on first use: the
     metric route needs the derivatives only.
 
-    The 4n points go to the chart in one axis_stencil call, axis by axis, so
-    the charts' one-entry memos of shared work hit.
+    p may be a batch of points (..., n): the stencils of all of them go to
+    the chart in one embed and one normal call, and the derivatives, the
+    center values and lift_metric carry the batch shape in front. The
+    eigendecompositions below take a single point.
     """
 
     def __init__(self, chart: HypersurfaceChart, p, h: float):
         self.chart = chart
         self.point = p = np.asarray(p, dtype=float)
-        # (4, n, 2, n+2): offset (+2h, +h, -h, -2h), axis, (embed, normal)
+        # (4, ..., n, 2, n+2): offset (+2h, +h, -h, -2h), batch, axis, (embed, normal)
         values = axis_stencil(self._embed_normal, p, h, (2.0, 1.0, -1.0, -2.0))
-        a, b = values[:, :, 0], values[:, :, 1]
+        a, b = values[..., 0, :], values[..., 1, :]
         self.d_embed = central_first(*a, h)
         self.d_normal = central_first(*b, h)
         self.d_lift = central_first(*_lift(a, b), h)
 
     def _embed_normal(self, x):
-        return self.chart.embed(x), self.chart.normal(x)
+        return np.stack([self.chart.embed(x), self.chart.normal(x)], axis=-2)
 
     @cached_property
     def center(self) -> np.ndarray:
-        """embed and normal at p, as the rows of a (2, n+2) array."""
-        return stencil_values(self._embed_normal, self.point[None])[0]
+        """embed and normal at p, as the rows of a (..., 2, n+2) array."""
+        return stencil_values(self._embed_normal, self.point)
 
     @property
     def lift(self) -> np.ndarray:
-        return _lift(*self.center)
+        return _lift(self.center[..., 0, :], self.center[..., 1, :])
 
     @cached_property
     def lift_metric(self) -> np.ndarray:
-        """Induced metric of the Gauss-map lift in chart coordinates."""
-        g = (self.d_lift @ np.conj(self.d_lift.T)).real
-        return 0.5 * (g + g.T)
+        """Induced metric of the Gauss-map lift in chart coordinates, (..., n, n)."""
+        g = (self.d_lift @ np.conj(self.d_lift.swapaxes(-1, -2))).real
+        return 0.5 * (g + g.swapaxes(-1, -2))
 
     @cached_property
     def gram_eigen(self) -> tuple[np.ndarray, np.ndarray]:
@@ -217,35 +201,36 @@ class ChartStencil:
 # ---------------------------------------------------------------------------
 
 def sphere_chart(m: int, q: np.ndarray) -> np.ndarray:
-    """Recursive angular chart of the unit m-sphere in R^(m+1).
+    """Recursive angular chart of the unit m-sphere in R^(m+1), at the first m coordinates of q.
 
     sigma_1(t) = (cos t, sin t); sigma_m = (cos(q_m) sigma_{m-1}, sin(q_m)).
-    Full rank as long as every latitude coordinate stays away from +-pi/2.
+    q is a point or a batch of points (..., >= m). Full rank as long as every
+    latitude coordinate stays away from +-pi/2.
     """
-    return np.array(_sphere_coords(m, np.atleast_1d(np.asarray(q, dtype=float)).tolist()))
-
-
-def _sphere_coords(m: int, q) -> list[float]:
-    """sigma_m at the first m entries of a sequence of floats, as a list."""
-    out = [math.cos(q[0]), math.sin(q[0])]
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    out = np.empty(q.shape[:-1] + (m + 1,))
+    out[..., 0], out[..., 1] = np.cos(q[..., 0]), np.sin(q[..., 0])
     for j in range(1, m):
-        c = math.cos(q[j])
-        out = [c * v for v in out]
-        out.append(math.sin(q[j]))
+        out[..., : j + 1] *= np.cos(q[..., j, None])
+        out[..., j + 1] = np.sin(q[..., j])
     return out
 
 
 def sphere_chart_with_derivatives(m: int, q: np.ndarray):
-    """sigma_m together with its analytic first derivatives (m, m+1)."""
+    """sigma_m together with its analytic first derivatives (..., m, m+1)."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    sigma = np.array([np.cos(q[0]), np.sin(q[0])])
-    deriv = [np.array([-np.sin(q[0]), np.cos(q[0])])]
+    c, s = np.cos(q[..., :m]), np.sin(q[..., :m])
+    sigma = np.zeros(q.shape[:-1] + (m + 1,))
+    deriv = np.zeros(q.shape[:-1] + (m, m + 1))
+    sigma[..., 0], sigma[..., 1] = c[..., 0], s[..., 0]
+    deriv[..., 0, 0], deriv[..., 0, 1] = -s[..., 0], c[..., 0]
     for j in range(1, m):
-        c, s = np.cos(q[j]), np.sin(q[j])
-        deriv = [np.concatenate([c * d, [0.0]]) for d in deriv]
-        deriv.append(np.concatenate([-s * sigma, [c]]))
-        sigma = np.concatenate([c * sigma, [s]])
-    return sigma, np.array(deriv)
+        deriv[..., :j, : j + 1] *= c[..., j, None, None]
+        deriv[..., j, : j + 1] = -s[..., j, None] * sigma[..., : j + 1]
+        deriv[..., j, j + 1] = c[..., j]
+        sigma[..., : j + 1] *= c[..., j, None]
+        sigma[..., j + 1] = s[..., j]
+    return sigma, deriv
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +314,12 @@ def round_sphere(n: int, r: float) -> HypersurfaceChart:
     c = math.sqrt(max(0.0, 1.0 - r * r))
 
     def embed(q):
-        sigma = _sphere_coords(n, np.asarray(q, dtype=float).tolist())
-        return np.array([r * v for v in sigma] + [c])
+        sigma = sphere_chart(n, q)
+        return np.concatenate([r * sigma, np.full(sigma.shape[:-1] + (1,), c)], axis=-1)
 
     def normal(q):
-        sigma = _sphere_coords(n, np.asarray(q, dtype=float).tolist())
-        return np.array([-c * v for v in sigma] + [r])
+        sigma = sphere_chart(n, q)
+        return np.concatenate([-c * sigma, np.full(sigma.shape[:-1] + (1,), r)], axis=-1)
 
     return HypersurfaceChart(
         dim=n,
@@ -361,14 +346,14 @@ def product_spheres(k: int, n: int, r1: float, r2: float | None = None) -> Hyper
         raise ChartError(f"radii must satisfy r1^2 + r2^2 = 1, got {r1}, {r2}")
 
     def embed(q):
-        q = np.asarray(q, dtype=float).tolist()
-        s1, s2 = _sphere_coords(k, q[:k]), _sphere_coords(n - k, q[k:])
-        return np.array([r1 * v for v in s1] + [r2 * v for v in s2])
+        q = np.asarray(q, dtype=float)
+        s1, s2 = sphere_chart(k, q[..., :k]), sphere_chart(n - k, q[..., k:])
+        return np.concatenate([r1 * s1, r2 * s2], axis=-1)
 
     def normal(q):
-        q = np.asarray(q, dtype=float).tolist()
-        s1, s2 = _sphere_coords(k, q[:k]), _sphere_coords(n - k, q[k:])
-        return np.array([-r2 * v for v in s1] + [r1 * v for v in s2])
+        q = np.asarray(q, dtype=float)
+        s1, s2 = sphere_chart(k, q[..., :k]), sphere_chart(n - k, q[..., k:])
+        return np.concatenate([-r2 * s1, r1 * s2], axis=-1)
 
     return HypersurfaceChart(
         dim=n,
@@ -383,50 +368,54 @@ def product_spheres(k: int, n: int, r1: float, r2: float | None = None) -> Hyper
 _HALF_SQRT3 = 0.5 * math.sqrt(3.0)
 
 
-def _veronese(x, y) -> tuple[float, ...]:
-    """The symmetric bilinear form B of the Veronese map, B(x, y) in R^5.
+def _veronese(x, y) -> np.ndarray:
+    """The symmetric bilinear form B of the Veronese map: B(x, y) in R^5 for x, y in R^3.
 
-    B(s, s) for s on the unit 2-sphere is the degree-2 spherical-harmonic
-    (Veronese) embedding, scaled so the image lies in the unit 4-sphere.
+    x and y are arrays (..., 3), and B comes back as (..., 5). B(s, s) for s
+    on the unit 2-sphere is the degree-2 spherical-harmonic (Veronese)
+    embedding, scaled so the image lies in the unit 4-sphere.
     """
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    return (
-        _HALF_SQRT3 * (x0 * y1 + x1 * y0),
-        _HALF_SQRT3 * (x0 * y2 + x2 * y0),
-        _HALF_SQRT3 * (x1 * y2 + x2 * y1),
-        _HALF_SQRT3 * (x0 * y0 - x1 * y1),
-        0.5 * (x0 * y0 + x1 * y1) - x2 * y2,
+    o = x[..., :, None] * y[..., None, :]
+    sym = o + o.swapaxes(-1, -2)
+    return np.concatenate(
+        [
+            _HALF_SQRT3 * sym[..., [0, 0, 1], [1, 2, 2]],
+            (_HALF_SQRT3 * (o[..., 0, 0] - o[..., 1, 1]))[..., None],
+            (0.5 * (o[..., 0, 0] + o[..., 1, 1]) - o[..., 2, 2])[..., None],
+        ],
+        axis=-1,
     )
 
 
 def _veronese_frame(q):
     """Veronese point with an orthonormal frame of its normal plane in S^4.
 
-    With e1, e2 the unit coordinate directions of the sphere chart at
-    s = (cos q1 cos q2, sin q1 cos q2, sin q2), the normal plane of the
-    Veronese surface at B(s, s) is spanned by the orthogonal pair
-    B(e1, e1) - B(e2, e2) and B(e1, e2) of equal norms; normalized, they are
-    the frame, each a positive multiple of the corresponding second
-    derivative projected off the tangent plane. Returns three 5-tuples.
+    q holds the two sphere-chart angles in its first two coordinates, for a
+    point or a batch (..., >= 2). With e1, e2 the unit coordinate directions
+    of the sphere chart at s = (cos q1 cos q2, sin q1 cos q2, sin q2), the
+    normal plane of the Veronese surface at B(s, s) is spanned by the
+    orthogonal pair B(e1, e1) - B(e2, e2) and B(e1, e2), of norms sqrt(3) and
+    sqrt(3)/2 at every point; normalized, they are the frame, each a positive
+    multiple of the corresponding second derivative projected off the tangent
+    plane. Returns three (..., 5) arrays; ChartError names the first row
+    whose frame degenerates.
     """
-    c1, s1, c2, s2 = math.cos(q[0]), math.sin(q[0]), math.cos(q[1]), math.sin(q[1])
-    sigma = (c1 * c2, s1 * c2, s2)
-    e1 = (-s1, c1, 0.0)
-    e2 = (-c1 * s2, -s1 * s2, c2)
-    w1 = [a - b for a, b in zip(_veronese(e1, e1), _veronese(e2, e2))]
-    n1 = math.hypot(*w1)
-    if n1 < 1e-8:
-        raise ChartError(f"degenerate normal frame for the Veronese surface at {q}")
-    w2 = _veronese(e1, e2)
-    n2 = math.hypot(*w2)
-    if n2 < 1e-8:
-        raise ChartError(f"degenerate normal frame for the Veronese surface at {q}")
-    return (
-        _veronese(sigma, sigma),
-        tuple(w / n1 for w in w1),
-        tuple(w / n2 for w in w2),
-    )
+    q = np.asarray(q, dtype=float)
+    c1, s1, c2, s2 = np.cos(q[..., 0]), np.sin(q[..., 0]), np.cos(q[..., 1]), np.sin(q[..., 1])
+    # rows e1, e2, s
+    vectors = np.stack(
+        [-s1, c1, np.zeros_like(c1), -c1 * s2, -s1 * s2, c2, c1 * c2, s1 * c2, s2], axis=-1
+    ).reshape(q.shape[:-1] + (3, 3))
+    # B(e1, e1), B(e2, e2), B(e1, e2), B(s, s)
+    forms = _veronese(vectors[..., [0, 1, 0, 2], :], vectors[..., [0, 1, 1, 2], :])
+    w = np.stack([forms[..., 0, :] - forms[..., 1, :], forms[..., 2, :]], axis=-2)
+    norms = np.linalg.norm(w, axis=-1, keepdims=True)
+    degenerate = (norms < 1e-8).any(axis=(-2, -1)).ravel()
+    if degenerate.any():
+        row = q.reshape(-1, q.shape[-1])[degenerate][0]
+        raise ChartError(f"degenerate normal frame for the Veronese surface at {row}")
+    xi = w / norms
+    return forms[..., 3, :], xi[..., 0, :], xi[..., 1, :]
 
 
 def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
@@ -439,18 +428,19 @@ def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
     if not np.isfinite(t):
         raise ChartError(f"tube radius t must be finite, got {t}")
 
-    frame = _memo_last(_veronese_frame)
     ct, st = math.cos(t), math.sin(t)
 
     def embed(x):
-        v, xi1, xi2 = frame(x[:2])
-        c, s = math.cos(x[2]), math.sin(x[2])
-        return np.array([ct * a + st * (c * b1 + s * b2) for a, b1, b2 in zip(v, xi1, xi2)])
+        x = np.asarray(x, dtype=float)
+        v, xi1, xi2 = _veronese_frame(x)
+        c, s = np.cos(x[..., 2:3]), np.sin(x[..., 2:3])
+        return ct * v + st * (c * xi1 + s * xi2)
 
     def normal(x):
-        v, xi1, xi2 = frame(x[:2])
-        c, s = math.cos(x[2]), math.sin(x[2])
-        return np.array([-st * a + ct * (c * b1 + s * b2) for a, b1, b2 in zip(v, xi1, xi2)])
+        x = np.asarray(x, dtype=float)
+        v, xi1, xi2 = _veronese_frame(x)
+        c, s = np.cos(x[..., 2:3]), np.sin(x[..., 2:3])
+        return -st * v + ct * (c * xi1 + s * xi2)
 
     chart = HypersurfaceChart(
         dim=3,
@@ -506,11 +496,11 @@ def parallel_hypersurface(chart: HypersurfaceChart, t: float) -> HypersurfaceCha
 
 
 def _rho_jet(q, rho0: float, eps: float):
-    """Height function of the perturbed sphere with its gradient."""
-    a = 1.3 * q[0] + 0.4
-    b = 0.9 * q[1] - 0.2
+    """Height function of the perturbed sphere with its gradient, for a point or a batch."""
+    a = 1.3 * q[..., 0] + 0.4
+    b = 0.9 * q[..., 1] - 0.2
     rho = rho0 + eps * np.sin(a) * np.cos(b)
-    grad = np.array([1.3 * eps * np.cos(a) * np.cos(b), -0.9 * eps * np.sin(a) * np.sin(b)])
+    grad = np.stack([1.3 * eps * np.cos(a) * np.cos(b), -0.9 * eps * np.sin(a) * np.sin(b)], axis=-1)
     return rho, grad
 
 
@@ -523,28 +513,29 @@ def perturbed_sphere(n: int = 2, rho0: float = 0.9, eps: float = 0.08) -> Hypers
     if n != 2:
         raise ChartError("perturbed sphere is implemented for n = 2 only")
 
-    # embed and normal at one point share the height function and its gradient
-    rho_jet = _memo_last(lambda q: _rho_jet(q, rho0, eps))
-
     def embed(q):
-        rho, _ = rho_jet(q)
-        return np.concatenate([np.sin(rho) * sphere_chart(n, q), [np.cos(rho)]])
+        q = np.asarray(q, dtype=float)
+        rho, _ = _rho_jet(q, rho0, eps)
+        return np.concatenate([np.sin(rho)[..., None] * sphere_chart(n, q), np.cos(rho)[..., None]], axis=-1)
 
     def normal(q):
-        rho, grad = rho_jet(q)
+        q = np.asarray(q, dtype=float)
+        rho, grad = _rho_jet(q, rho0, eps)
         sigma, dsigma = sphere_chart_with_derivatives(n, q)
-        sr, cr = np.sin(rho), np.cos(rho)
-        tangents = np.array(
+        sr, cr = np.sin(rho)[..., None], np.cos(rho)[..., None]
+        # (..., i, n+2): the coordinate tangents d_i embed
+        tangents = np.concatenate(
             [
-                np.concatenate([cr * grad[i] * sigma + sr * dsigma[i], [-sr * grad[i]]])
-                for i in range(n)
-            ]
+                (cr * grad)[..., None] * sigma[..., None, :] + sr[..., None] * dsigma,
+                (-sr * grad)[..., None],
+            ],
+            axis=-1,
         )
-        v = np.concatenate([cr * sigma, [-sr]])
-        gram = tangents @ tangents.T
-        coeff = spd_solve(gram, grad)
-        b = v - coeff @ tangents
-        return b / np.linalg.norm(b)
+        v = np.concatenate([cr * sigma, -sr], axis=-1)
+        gram = tangents @ tangents.swapaxes(-1, -2)
+        coeff = np.linalg.solve(gram, grad[..., None])
+        b = v - (coeff.swapaxes(-1, -2) @ tangents)[..., 0, :]
+        return b / np.linalg.norm(b, axis=-1, keepdims=True)
 
     return HypersurfaceChart(
         dim=n,

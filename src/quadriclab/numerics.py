@@ -4,9 +4,11 @@ Everything here operates on plain numpy arrays (float or complex) and is pure:
 no global state, safe to call concurrently. The eigensolver is LAPACK's
 (np.linalg.eigh) behind explicit diagnostics: a finiteness check, a residual
 check that names the matrix, ascending eigenvalues and a deterministic
-column-sign rule. Every stencil passes its whole point set to stencil_values,
-the one finiteness guard. The five-point weights live only in central_first and
-central_second; the mixed derivative extrapolates a four-point corner rule.
+column-sign rule. Every stencil passes its whole point set, an array of shape
+(..., n), to stencil_values, which calls the stencil function once on it and
+is the one finiteness guard. The five-point weights live only in
+central_first and central_second; the mixed derivative extrapolates a
+four-point corner rule.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "central_second",
     "stencil_values",
     "axis_stencil",
+    "hessian_stencil",
     "first_derivative",
     "second_derivative",
 ]
@@ -171,37 +174,73 @@ def central_second(fp2, fp1, f0, fm1, fm2, h: float):
 
 
 def stencil_values(f, points) -> np.ndarray:
-    """f at each row of points, stacked: the one evaluation and finiteness guard of every stencil.
+    """f on a point array of shape (..., n), in one call: the evaluation and finiteness guard of every stencil.
 
+    f maps a batch of points (..., n) to a batch of values (..., *value shape).
     StencilError names the first non-finite point, before f is called at all,
-    or else the first point whose value is not finite. An OverflowError inside
-    f (a float power past the range, where numpy gives inf) raises it too.
+    or else the first point whose value is not finite. An overflow or an
+    invalid operation inside f raises it too, whether Python raises it (an
+    OverflowError from a float power) or numpy does (FloatingPointError, as
+    numpy errors raise here).
     """
     points = np.asarray(points, dtype=float)
-    finite = np.isfinite(points).all(axis=1)
+    rows = points.reshape(-1, points.shape[-1])
+    finite = np.isfinite(rows).all(axis=1)
     if finite.all():
         try:
-            values = np.array([f(x) for x in points])
-        except OverflowError as exc:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                # in C order whatever layout f returns: the small matrix
+                # products downstream round differently on other layouts
+                values = np.ascontiguousarray(f(points))
+        except (OverflowError, FloatingPointError) as exc:
             raise StencilError(f"non-finite value on a stencil point: {exc}") from exc
-        finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+        finite = np.isfinite(values.reshape(len(rows), -1)).all(axis=1)
         if finite.all():
             return values
-    raise StencilError(f"non-finite value on stencil point {points[~finite][0]}")
+    raise StencilError(f"non-finite value on stencil point {rows[~finite][0]}")
+
+
+def _axis_points(p, h: float, offsets) -> np.ndarray:
+    """p + c h e_a for each offset c and axis a, as a (len(offsets), ..., n, n) array."""
+    p = np.asarray(p, dtype=float)
+    n = p.shape[-1]
+    shifts = (np.asarray(offsets, dtype=float) * h)[:, None, None] * np.eye(n)
+    return p[..., None, :] + shifts.reshape((len(shifts),) + (1,) * (p.ndim - 1) + (n, n))
+
+
+def _corner_points(p: np.ndarray, h: float) -> np.ndarray:
+    """Corner points of the mixed rule: (pair, step h/2 then h, corner ++ +- -+ --, coordinates)."""
+    n = p.size
+    rows, cols = np.triu_indices(n, 1)
+    eye = np.eye(n)
+    plus, minus = eye[rows] + eye[cols], eye[rows] - eye[cols]
+    corners = [[p + s * plus, p + s * minus, p - s * minus, p - s * plus] for s in (0.5 * h, h)]
+    return np.moveaxis(np.array(corners), 2, 0)
 
 
 def axis_stencil(f, p, h: float, offsets) -> np.ndarray:
-    """f at p + c h e_a for each offset c and axis a, as a (len(offsets), n, ...) array.
+    """f at p + c h e_a for each offset c and axis a, as a (len(offsets), ..., n, ...) array.
 
-    Evaluated axis by axis, so consecutive points differ in one coordinate and
-    the charts' one-entry memos of shared work hit.
+    p is a point (n,) or a batch of points (..., n); the whole stencil goes to
+    f in one call.
+    """
+    return stencil_values(f, _axis_points(p, h, offsets))
+
+
+def hessian_stencil(f, p, h: float, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """f on the axis points of axis_stencil and the corner points of second_derivative, in one call.
+
+    p is one point (n,). Returns (at, corners): at as axis_stencil(f, p, h,
+    offsets) returns it, corners as second_derivative reads it.
     """
     p = np.asarray(p, dtype=float)
-    n, k = p.size, len(offsets)
-    # (n, k, n): axis, offset, coordinates
-    points = p + (np.asarray(offsets, dtype=float) * h)[:, None] * np.eye(n)[:, None, :]
-    values = stencil_values(f, points.reshape(n * k, n))
-    return values.reshape((n, k) + values.shape[1:]).swapaxes(0, 1)
+    axis_pts, corner_pts = _axis_points(p, h, offsets), _corner_points(p, h)
+    values = stencil_values(f, np.concatenate([axis_pts.reshape(-1, p.size), corner_pts.reshape(-1, p.size)]))
+    split, shape = axis_pts.size // p.size, values.shape[1:]
+    return (
+        values[:split].reshape(axis_pts.shape[:2] + shape),
+        values[split:].reshape(corner_pts.shape[:3] + shape),
+    )
 
 
 def first_derivative(f, p, v, h: float) -> np.ndarray:
@@ -210,26 +249,21 @@ def first_derivative(f, p, v, h: float) -> np.ndarray:
     return central_first(*stencil_values(f, [p + c * h * v for c in (2, 1, -1, -2)]), h)
 
 
-def second_derivative(f, p, h: float, f0, at) -> np.ndarray:
+def second_derivative(h: float, f0, at, corners) -> np.ndarray:
     """Coordinate second derivatives of f at p, as an (n, n, ...) array (order 4).
 
-    f0 is f at p and at holds f at p + c h e_a for c = 2, 1, -1, -2, as
-    axis_stencil returns it; the diagonal is the five-point rule on these.
-    Each mixed entry extrapolates the four-point corner rule at steps h/2 and
-    h (Richardson), with every corner point in one stencil_values call.
+    f0 is f at p, at holds f at p + c h e_a for c = 2, 1, -1, -2 in
+    axis_stencil's layout, and corners f at the corner points that
+    hessian_stencil evaluates. The diagonal is the five-point rule on the
+    axis samples; each mixed entry extrapolates the four-point corner rule at
+    steps h/2 and h (Richardson).
     """
-    p = np.asarray(p, dtype=float)
-    n = p.size
+    n = at.shape[1]
     rows, cols = np.triu_indices(n, 1)
-    eye = np.eye(n)
-    plus, minus = eye[rows] + eye[cols], eye[rows] - eye[cols]
-    corners = [[p + s * plus, p + s * minus, p - s * minus, p - s * plus] for s in (0.5 * h, h)]
-    # (pair, step h/2 then h, corner ++ +- -+ --, coordinates)
-    points = np.moveaxis(np.array(corners), 2, 0)
-    v = stencil_values(f, points.reshape(-1, n)).reshape(points.shape[:3] + np.shape(f0))
 
     def corner(k, s):
-        return (v[:, k, 0] - v[:, k, 1] - v[:, k, 2] + v[:, k, 3]) / (4.0 * s**2)
+        v = corners[:, k]
+        return (v[:, 0] - v[:, 1] - v[:, 2] + v[:, 3]) / (4.0 * s**2)
 
     out = np.empty((n, n) + np.shape(f0), dtype=np.result_type(f0, at))
     out[range(n), range(n)] = central_second(at[0], at[1], f0, at[2], at[3], h)

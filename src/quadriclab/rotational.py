@@ -11,8 +11,6 @@ Gauss-map metric.
 
 from __future__ import annotations
 
-import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +18,7 @@ import numpy as np
 from .hypersurfaces import (
     Box,
     HypersurfaceChart,
-    _memo_last,
-    _sphere_coords,
+    sphere_chart,
     sphere_chart_with_derivatives,
 )
 from .gaussmap import (
@@ -229,10 +226,11 @@ class ProfileCurve:
             )
 
 
-def _gamma_point(theta: float, alpha: float, dalpha: float) -> tuple[float, float, float]:
-    c, s = math.cos(alpha), math.sin(alpha)
-    ct, st = math.cos(theta), math.sin(theta)
-    w = math.sqrt(max(0.0, 1.0 - dalpha * dalpha))
+def _gamma_point(theta, alpha, dalpha):
+    """The three profile-curve coordinates at arrays (or numbers) of samples."""
+    c, s = np.cos(alpha), np.sin(alpha)
+    ct, st = np.cos(theta), np.sin(theta)
+    w = np.sqrt(np.maximum(0.0, 1.0 - dalpha * dalpha))
     return -s * w, c * st - s * ct * dalpha, -c * ct - s * st * dalpha
 
 
@@ -246,9 +244,7 @@ def profile_velocity(theta: float, alpha: float, dalpha: float, n: int) -> np.nd
 
 def profile_curve(traj: AlphaTrajectory) -> ProfileCurve:
     """Profile curve of the trajectory; every sample lies on the unit sphere."""
-    gammas = np.array(
-        [_gamma_point(s.theta, s.alpha, s.dalpha) for s in traj.states]
-    )
+    gammas = np.stack(_gamma_point(traj.thetas, traj.alphas, traj.dalphas), axis=-1)
     norms = np.linalg.norm(gammas, axis=1)
     if np.abs(norms - 1.0).max() > 1e-8:
         raise OdeError(
@@ -288,12 +284,20 @@ def ode_equivalence_residual(traj: AlphaTrajectory, n: int | None = None) -> flo
 # interpolation and the rotational chart
 # ---------------------------------------------------------------------------
 
+# Python's float power, element by element: numpy's own power loop rounds
+# differently in the last bit, and the profile values stay those of scalar
+# Python floats. It raises OverflowError where the float power overflows.
+_float_pow = np.frompyfunc(pow, 2, 1)
+_EXPONENTS = np.arange(2.0, 6.0)
+
+
 class QuinticHermite:
     """Per-interval quintic matching value, slope and curvature at both ends.
 
     Interpolation error on an RK4-fine grid sits far below the chart
     tolerances, and values are C^1 across knots, so chart stencils may
-    straddle intervals.
+    straddle intervals. value and derivative take a number or an array of
+    abscissae; the power sums run in a fixed order.
     """
 
     def __init__(self, x: np.ndarray, f: np.ndarray, df: np.ndarray, ddf: np.ndarray):
@@ -319,29 +323,31 @@ class QuinticHermite:
                 -15 * r0 + 7 * r1 - r2,
                 6 * r0 - 3 * r1 + 0.5 * r2,
             ]
-        # Python floats: one evaluation is a few scalar operations, and the
-        # power sums below run in a fixed order (builtin sum compensates float
-        # sums on Python >= 3.12)
-        self.x, self.dx, self.coeffs = x.tolist(), dx.tolist(), coeffs.tolist()
+        self.x, self.dx, self.coeffs = x, dx, coeffs
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        k = bisect.bisect_right(self.x, t) - 1
-        k = min(max(k, 0), len(self.dx) - 1)
-        return k, (t - self.x[k]) / self.dx[k]
+    def _locate(self, t):
+        """Interval coefficients, interval width and tau**j (j = 0..5) at the abscissae t."""
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.dx) - 1)
+        tau = (t - self.x[k]) / self.dx[k]
+        powers = np.empty(tau.shape + (6,))
+        powers[..., 0], powers[..., 1] = 1.0, tau
+        powers[..., 2:] = _float_pow(tau[..., None], _EXPONENTS)
+        return self.coeffs[k], self.dx[k], powers
 
-    def value(self, t: float) -> float:
-        k, tau = self._locate(t)
-        row, acc = self.coeffs[k], 0.0
+    def value(self, t):
+        row, _, powers = self._locate(t)
+        acc = 0.0
         for j in range(6):
-            acc += row[j] * tau**j
+            acc = acc + row[..., j] * powers[..., j]
         return acc
 
-    def derivative(self, t: float) -> float:
-        k, tau = self._locate(t)
-        row, acc = self.coeffs[k], 0.0
+    def derivative(self, t):
+        row, dx, powers = self._locate(t)
+        acc = 0.0
         for j in range(1, 6):
-            acc += j * row[j] * tau ** (j - 1)
-        return acc / self.dx[k]
+            acc = acc + j * row[..., j] * powers[..., j - 1]
+        return acc / dx
 
 
 def rotational_angles(alpha: float, n: int) -> tuple[float, float]:
@@ -393,28 +399,28 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
     lows = np.concatenate([[lo], np.full(n - 1, -0.4)])
     highs = np.concatenate([[hi], np.full(n - 1, 0.4)])
 
-    # embed and normal at one point share the profile and the orbit sphere
-    profile = _memo_last(lambda th: (interp.value(float(th[0])), interp.derivative(float(th[0]))))
-    orbit = _memo_last(lambda q: _sphere_coords(n - 1, q.tolist()))
-
     def embed(x):
         x = np.asarray(x, dtype=float)
-        a, p = profile(x[:1])
-        g0, g1, g2 = _gamma_point(float(x[0]), a, p)
-        return np.array([g0 * v for v in orbit(x[1:])] + [g1, g2])
+        theta = x[..., 0]
+        g0, g1, g2 = _gamma_point(theta, interp.value(theta), interp.derivative(theta))
+        return np.concatenate(
+            [g0[..., None] * sphere_chart(n - 1, x[..., 1:]), g1[..., None], g2[..., None]], axis=-1
+        )
 
     def normal(x):
         x = np.asarray(x, dtype=float)
-        theta = float(x[0])
-        a, p = profile(x[:1])
-        c, s = math.cos(a), math.sin(a)
-        ct, st = math.cos(theta), math.sin(theta)
-        w_loc = math.sqrt(max(0.0, 1.0 - p * p))
+        theta = x[..., 0]
+        a, p = interp.value(theta), interp.derivative(theta)
+        c, s = np.cos(a), np.sin(a)
+        ct, st = np.cos(theta), np.sin(theta)
+        w_loc = np.sqrt(np.maximum(0.0, 1.0 - p * p))
         # unit conormal of the profile curve in the moving frame of the sphere
         b0 = -(w_loc * c)
         b1 = -(c * p * ct + s * st)
         b2 = -(c * p * st - s * ct)
-        return np.array([b0 * v for v in orbit(x[1:])] + [b1, b2])
+        return np.concatenate(
+            [b0[..., None] * sphere_chart(n - 1, x[..., 1:]), b1[..., None], b2[..., None]], axis=-1
+        )
 
     c1 = warp_constant(AlphaTrajectory(n, [ProfileState(th[0], al[0], pa[0])]))
     return HypersurfaceChart(
@@ -498,10 +504,16 @@ def warped_curvature_check(
     h = 0.5 * dth
 
     def warp_at(x, g):
-        _, dsigma = sphere_chart_with_derivatives(n - 1, x[1:])
-        m = dsigma @ dsigma.T
-        ratios = g[1:, 1:][m > 1e-12] / m[m > 1e-12]
-        return float(np.sqrt(np.mean(ratios))), float(np.abs(g[0, 1:]).max()), float(np.ptp(ratios))
+        # the orbit block of g against the metric of the orbit sphere chart,
+        # whose coordinates are orthogonal: the ratios of their diagonals
+        _, dsigma = sphere_chart_with_derivatives(n - 1, x[..., 1:])
+        m = dsigma @ dsigma.swapaxes(-1, -2)
+        ratios = np.diagonal(g[..., 1:, 1:], axis1=-2, axis2=-1) / np.diagonal(m, axis1=-2, axis2=-1)
+        return (
+            np.sqrt(np.mean(ratios, axis=-1)),
+            np.abs(g[..., 0, 1:]).max(axis=-1),
+            np.ptp(ratios, axis=-1),
+        )
 
     jets = {c: gauss_map(chart, p + c * h * e0, steps) for c in (-2, -1, 0, 1, 2)}
     gs = {c: jet.stencil.lift_metric for c, jet in jets.items()}

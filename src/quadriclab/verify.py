@@ -30,7 +30,7 @@ from .gaussmap import (
     second_fundamental_form,
 )
 from .hypersurfaces import Box, ChartStencil, HypersurfaceChart
-from .numerics import axis_stencil, central_first, second_derivative, symmetric_eigen
+from .numerics import central_first, hessian_stencil, second_derivative, symmetric_eigen
 from .quadric import StructureGauge
 
 __all__ = [
@@ -397,16 +397,24 @@ def palmer_residual(pt: SamplePoint) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 def gauss_metric_fn(chart: HypersurfaceChart, steps: FdSteps | None = None):
-    """Function q -> induced metric of the Gauss map in chart coordinates."""
+    """Function q -> induced metric of the Gauss map in chart coordinates.
+
+    q is a point (n,) or a batch of points (..., n), and the metrics come back
+    as (..., n, n): the first-order stencils of the whole batch go to the
+    chart in one embed and one normal call.
+    """
     h = (steps or FdSteps()).first
     return lambda q: ChartStencil(chart, q, h).lift_metric
 
 
 def _metric_derivatives(metric_fn, p, h: float, g0: np.ndarray):
-    """dg[c] = d_c g (step h/2) and ddg[c, d] = d_c d_d g (step h) at p, sharing p +- h e_c."""
-    at = axis_stencil(metric_fn, p, h, (2.0, 1.0, 0.5, -0.5, -1.0, -2.0))
+    """dg[c] = d_c g (step h/2) and ddg[c, d] = d_c d_d g (step h) at p, sharing p +- h e_c.
+
+    Every metric on the stencil comes from one metric_fn call.
+    """
+    at, corners = hessian_stencil(metric_fn, p, h, (2.0, 1.0, 0.5, -0.5, -1.0, -2.0))
     dg = central_first(at[1], at[2], at[3], at[4], 0.5 * h)
-    return dg, second_derivative(metric_fn, p, h, g0, at[[0, 1, 4, 5]])
+    return dg, second_derivative(h, g0, at[[0, 1, 4, 5]], corners)
 
 
 def curvature_from_metric(metric_fn, p, h: float, g0: np.ndarray) -> np.ndarray:

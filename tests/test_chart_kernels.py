@@ -1,12 +1,12 @@
-"""The scalar chart kernels against numpy reference formulations.
+"""The batched chart kernels against single-point numpy reference formulations.
 
-The references below are the array formulations the kernels replaced: the
-numpy sphere chart, the round-sphere, product and rotational chart bodies,
-the quintic Hermite evaluation, the Veronese normal frame by projected
-Gram-Schmidt, and the point-by-point stencil build with its own finiteness
-check. Values and stencil
-derivatives must match them bitwise; the closed-form Veronese frame, which
-rounds differently, to 1e-14.
+The references below evaluate one point at a time: the numpy sphere chart,
+the round-sphere, product and rotational chart bodies, the quintic Hermite
+evaluation, the Veronese normal frame by projected Gram-Schmidt, and the
+point-by-point stencil build with its own finiteness check. Values and
+stencil derivatives must match them bitwise; the closed-form Veronese frame,
+which rounds differently, to 1e-14. Every row of a batch must equal the same
+chart called at that row alone.
 """
 
 import functools
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadriclab import hypersurfaces
+from quadriclab.gaussmap import angle_spectrum, gauss_map
 from quadriclab.hypersurfaces import (
     ChartError,
     ChartStencil,
@@ -29,6 +30,7 @@ from quadriclab.hypersurfaces import (
 )
 from quadriclab.numerics import StencilError, axis, central_first, gram_schmidt
 from quadriclab.rotational import build_rotational_chart, integrate_alpha, profile_curve
+from quadriclab.verify import reconstruct_hypersurface
 
 H = 1e-4
 
@@ -325,3 +327,67 @@ def test_profile_overflow_ends_in_stencil_error(n):
     p[0] = 1e80
     with pytest.raises(StencilError):
         ChartStencil(chart, p, H)
+
+
+def _batch_cases():
+    sphere = round_sphere(3, 0.6)
+    spec = angle_spectrum(gauss_map(sphere, sphere.box.center))
+    return {
+        "sphere": (sphere, ref_round_sphere(3, 0.6)),
+        "sphere-1": (round_sphere(1, 0.3), ref_round_sphere(1, 0.3)),
+        "product": (product_spheres(1, 3, 0.55), ref_product(1, 3, 0.55)),
+        "product-2-4": (product_spheres(2, 4, 0.4), ref_product(2, 4, 0.4)),
+        "cartan": (CHARTS["cartan"], None),
+        "rotational-3": (rotational(3), ref_rotational(rotational(3).meta["interp"], 3)),
+        "rotational-4": (rotational(4), ref_rotational(rotational(4).meta["interp"], 4)),
+        "perturbed": (CHARTS["perturbed"], None),
+        "parallel": (CHARTS["parallel"], None),
+        "reconstructed": (reconstruct_hypersurface(sphere.lift, sphere.box, spec, 0.2, 3), None),
+    }
+
+
+BATCH_CASES = _batch_cases()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(BATCH_CASES)),
+    st.sampled_from(["one", "stencil", "many", "grid"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_rows_equal_single_points(name, size, seed):
+    # a batch of m = 1, 4n or 500 points, or a (2, 3) grid of them: every row
+    # is bitwise the chart at that point alone, and the single-point
+    # references where the chart has one (the Veronese frame to 1e-14)
+    chart, refs = BATCH_CASES[name]
+    shape = {"one": (1,), "stencil": (4 * chart.dim,), "many": (500,), "grid": (2, 3)}[size]
+    q = np.random.default_rng(seed).uniform(chart.box.lows, chart.box.highs, shape + (chart.dim,))
+    rows = list(np.ndindex(shape))
+    for fn in (chart.embed, chart.normal, chart.lift):
+        got = fn(q)
+        assert got.shape == shape + (chart.dim + 2,)
+        assert all(np.array_equal(got[i], fn(q[i])) for i in rows)
+    if refs is not None:
+        for got, ref in zip((chart.embed(q), chart.normal(q)), refs):
+            assert all(np.array_equal(got[i], ref(q[i])) for i in rows)
+    if name == "cartan":
+        frames = hypersurfaces._veronese_frame(q)
+        for i in rows:
+            for a, b in zip(frames, ref_veronese_frame(q[i])):
+                assert np.abs(a[i] - b).max() <= 1e-14
+
+
+def test_degenerate_veronese_frame_names_its_row(monkeypatch):
+    # the two normal directions have equal norms that never vanish at a
+    # finite point, so a bilinear form that vanishes on row 1 drives the guard
+    form = hypersurfaces._veronese
+
+    def vanishing_on_row_1(x, y):
+        out = form(x, y)
+        out[1] = 0.0
+        return out
+
+    monkeypatch.setattr(hypersurfaces, "_veronese", vanishing_on_row_1)
+    q = np.array([[0.1, 0.2, 0.0], [0.3, -0.25, 0.1], [0.0, 0.0, 0.0]])
+    with pytest.raises(ChartError, match=r"at \[ ?0\.3 +-0\.25 +0\.1 *\]"):
+        CHARTS["cartan"].embed(q)

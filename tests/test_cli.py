@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +54,37 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: argument --") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify", "--example", "sphere", "--alpha0", "0.3"], "--alpha0"),
+            (["verify", "--example", "cartan", "--r1", "0.2"], "--r1"),
+            (["angles", "--example", "sphere", "--steps", "10"], "--steps"),
+            (["ode", "--r", "0.5"], "--r"),
+        ],
+    )
+    def test_unread_parameter_exits_2(self, tmp_path, capsys, argv, name):
+        # a parameter the example does not read was accepted and written into
+        # a passing report about the example's defaults
+        assert run(tmp_path, *argv, "--grid", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"does not read {name}" in err
+        assert os.listdir(tmp_path) == []
+
+    def test_benchmark_operations_read_every_parameter(self, tmp_path, monkeypatch):
+        # every operation of the benchmark workloads passes only parameters
+        # its example reads
+        bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+        spec = importlib.util.spec_from_file_location("bench_workloads", os.path.join(bench, "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        parser = cli._build_parser()
+        for name in workloads.WORKLOADS:
+            for op in workloads.build_ops(name, 1, 0):
+                cli._config_from_args(parser.parse_args(op.argv(str(tmp_path))))
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -162,15 +195,15 @@ class TestVerifyCommand:
                 assert set(c) == {"name", "residual", "tolerance", "pass"}
         assert isinstance(rep["summary"]["skipped"], list)
 
-    def test_chart_evaluation_budget(self, monkeypatch):
-        # embed and normal evaluations for one verified point of the round
-        # 3-sphere; each per-point quantity is built once, so a change that
-        # rebuilds one moves this count
-        calls = []
+    @staticmethod
+    def _count_sphere_evaluations(monkeypatch):
+        """(calls, rows) of embed and normal for one verified point of the round 3-sphere."""
+        calls, rows = [], []
 
         def counted(fn):
             def wrapper(q):
                 calls.append(1)
+                rows.append(np.size(q) // 3)
                 return fn(q)
 
             return wrapper
@@ -184,7 +217,21 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "build_example", build)
         code, _ = cli.cmd_verify(RunConfig(command="verify", grid=1))
         assert code == 0
-        assert len(calls) == 2282
+        return len(calls), sum(rows)
+
+    def test_chart_evaluation_budget(self, monkeypatch):
+        # embed and normal evaluations (rows) for one verified point; each
+        # per-point quantity is built once, so a change that rebuilds one
+        # moves this count
+        assert self._count_sphere_evaluations(monkeypatch)[1] == 2282
+
+    def test_chart_call_budget(self, monkeypatch):
+        # embed and normal calls for the same point: every stencil reaches the
+        # chart as one batch, so a stencil evaluated point by point moves this.
+        # 4 at the point (stencil and center, embed and normal), 2 for its
+        # Hessian, 6 for each of the 12 field-derivative jets and 2 for the
+        # metric route's whole stencil
+        assert self._count_sphere_evaluations(monkeypatch)[0] == 80
 
     def test_csc_tolerance_overrides(self, tmp_path):
         # each constant-curvature entry carries its own tolerance
@@ -483,27 +530,30 @@ class TestOdeCommand:
     def test_chart_evaluation_budget(self, tmp_path, monkeypatch):
         # embed and normal evaluations of one ode run at n = 3; the profile
         # checks build each of their five Gauss-map jets once
-        calls = []
+        rows = []
         jets = []
 
-        def counted(fn, log):
+        def counted(fn, log, size):
             def wrapper(*args, **kwargs):
-                log.append(1)
+                log.append(size(*args))
                 return fn(*args, **kwargs)
 
             return wrapper
 
         def build(curve, n):
             chart = rotational.build_rotational_chart(curve, n)
+            rows_of = lambda q: np.size(q) // n
             return dataclasses.replace(
-                chart, embed=counted(chart.embed, calls), normal=counted(chart.normal, calls)
+                chart,
+                embed=counted(chart.embed, rows, rows_of),
+                normal=counted(chart.normal, rows, rows_of),
             )
 
         monkeypatch.setattr(cli, "build_rotational_chart", build)
-        monkeypatch.setattr(rotational, "gauss_map", counted(rotational.gauss_map, jets))
+        monkeypatch.setattr(rotational, "gauss_map", counted(rotational.gauss_map, jets, lambda *a: 1))
         code, _ = cli.cmd_ode(RunConfig(command="ode", example="rotational", out=str(tmp_path)))
         assert code == 0
-        assert len(calls) == 3394
+        assert sum(rows) == 3394
         assert len(jets) == 5
 
     def test_order_probe_at_many_steps(self, tmp_path):

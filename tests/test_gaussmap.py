@@ -100,7 +100,7 @@ class TestGaussJet:
 
         def counted(name, fn):
             def wrapper(q):
-                calls.append((name, tuple(q)))
+                calls.extend((name, tuple(row)) for row in np.reshape(q, (-1, chart.dim)))
                 return fn(q)
 
             return wrapper
@@ -117,12 +117,12 @@ class TestGaussJet:
         # hypersurface: the lift is pointwise fine yet the map cannot be
         # Lagrangian
         def embed(q):
-            return np.concatenate([sphere_chart(2, q), [0.0]])
+            return np.concatenate([sphere_chart(2, q), 0.0 * q[..., :1]], axis=-1)
 
         def fake_normal(q):
-            c1, s1, c2, s2 = np.cos(q[0]), np.sin(q[0]), np.cos(q[1]), np.sin(q[1])
-            d1 = np.array([-s1 * c2, c1 * c2, 0.0])
-            return np.concatenate([d1 / np.linalg.norm(d1), [0.0]])
+            c1, s1, c2 = np.cos(q[..., 0]), np.sin(q[..., 0]), np.cos(q[..., 1])
+            d1 = np.stack([-s1 * c2, c1 * c2, 0.0 * c2], axis=-1)
+            return np.concatenate([d1 / np.linalg.norm(d1, axis=-1, keepdims=True), 0.0 * q[..., :1]], axis=-1)
 
         broken = HypersurfaceChart(
             dim=2,
@@ -139,7 +139,7 @@ class TestGaussJet:
         broken = HypersurfaceChart(
             dim=2,
             embed=base.embed,
-            normal=lambda q: np.array([0.0, 0.0, 0.6, 0.8]),
+            normal=lambda q: np.broadcast_to([0.0, 0.0, 0.6, 0.8], q.shape[:-1] + (4,)),
             box=base.box,
             name="broken",
         )

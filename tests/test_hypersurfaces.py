@@ -155,7 +155,8 @@ class TestCartanTube:
 
 
 class TestChartMemo:
-    # embed and normal of the cartan chart share one Veronese frame per point
+    # a chart keeps no state between calls, and builds the work embed or
+    # normal shares across a stencil once per call, for the whole batch
 
     def test_interleaved_points_match_fresh_charts(self, tube):
         rng = np.random.default_rng(5)
@@ -197,28 +198,28 @@ class TestChartMemo:
         assert wrong == []
 
     def test_rho_jet_per_stencil(self, monkeypatch):
-        # perturbed sphere: embed and normal share one height-function jet per
-        # point, 4 offsets along each of the 2 axes and then the center
+        # perturbed sphere: one height-function jet for embed and one for
+        # normal on the 8 stencil points, then the same at the center
         calls = []
         jet = hypersurfaces._rho_jet
-        monkeypatch.setattr(hypersurfaces, "_rho_jet", lambda *a: calls.append(1) or jet(*a))
+        monkeypatch.setattr(hypersurfaces, "_rho_jet", lambda q, *a: calls.append(q.shape) or jet(q, *a))
         chart = perturbed_sphere()
         st = ChartStencil(chart, np.array([0.1, -0.05]), 1e-4)
-        assert len(calls) == 8
+        assert calls == [(4, 2, 2)] * 2
         st.center
-        assert len(calls) == 9
+        assert calls == [(4, 2, 2)] * 2 + [(2,)] * 2
 
     def test_frames_per_stencil(self, monkeypatch):
-        # 4 offsets along each Veronese axis, then the normal-circle axis and
-        # the center reuse the frame at p[:2]
+        # one Veronese frame build per chart call: embed and normal on the 12
+        # stencil points, then at the center
         calls = []
         frame = hypersurfaces._veronese_frame
-        monkeypatch.setattr(hypersurfaces, "_veronese_frame", lambda q: calls.append(1) or frame(q))
+        monkeypatch.setattr(hypersurfaces, "_veronese_frame", lambda q: calls.append(q.shape) or frame(q))
         chart = cartan_tube(0.35)
         calls.clear()
         st = ChartStencil(chart, np.array([0.1, -0.05, 0.2]), 1e-4)
         st.center
-        assert len(calls) == 9
+        assert calls == [(4, 3, 3)] * 2 + [(3,)] * 2
 
 
 class TestParallel:
@@ -267,8 +268,10 @@ class TestShapeOperatorErrors:
     def test_rank_deficient_chart(self):
         flat = HypersurfaceChart(
             dim=2,
-            embed=lambda q: np.array([np.cos(q[0]), np.sin(q[0]), 0.0, 0.0]),
-            normal=lambda q: np.array([0.0, 0.0, 1.0, 0.0]),
+            embed=lambda q: np.stack(
+                [np.cos(q[..., 0]), np.sin(q[..., 0]), 0.0 * q[..., 0], 0.0 * q[..., 0]], axis=-1
+            ),
+            normal=lambda q: np.broadcast_to([0.0, 0.0, 1.0, 0.0], q.shape[:-1] + (4,)),
             box=Box.cube(2, 0.4),
             name="degenerate",
         )

@@ -16,6 +16,7 @@ from quadriclab.numerics import (
     central_second,
     first_derivative,
     gram_schmidt,
+    hessian_stencil,
     second_derivative,
     spd_solve,
     stencil_values,
@@ -199,23 +200,26 @@ E0, E1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
 
 
 def second_jet(f, p, h):
-    """Coordinate second derivatives of f at p, with f0 and the axis samples from the layer."""
+    """Coordinate second derivatives of f at p, with f0 and the stencil values from the layer."""
     p = np.asarray(p, dtype=float)
-    at = axis_stencil(f, p, h, (2.0, 1.0, -1.0, -2.0))
-    return second_derivative(f, p, h, stencil_values(f, p[None])[0], at)
+    at, corners = hessian_stencil(f, p, h, (2.0, 1.0, -1.0, -2.0))
+    return second_derivative(h, stencil_values(f, p), at, corners)
+
+
+# Stencil functions take a batch of points (..., n) and return (..., 1).
 
 
 class TestCentralDiffJet:
     """Central-difference jets: the first, second and mixed derivative stencils."""
 
     def test_square_function(self):
-        f = lambda x: np.array([x[0] ** 2])
+        f = lambda x: x[..., :1] ** 2
         p, e = np.array([1.0]), np.array([1.0])
         assert abs(first_derivative(f, p, e, 1e-4)[0] - 2.0) < 1e-7
         assert abs(second_jet(f, p, 1e-4)[0, 0, 0] - 2.0) < 1e-4
 
     def test_linear_has_zero_second(self):
-        f = lambda x: np.array([3.0 * x[0] - 2.0 * x[1]])
+        f = lambda x: 3.0 * x[..., :1] - 2.0 * x[..., 1:2]
         p = np.array([0.4, -0.3])
         # diagonal and mixed entries; roundoff floor of second differences is ~eps/h^2
         assert np.abs(second_jet(f, p, 1e-4)).max() < 1e-7
@@ -223,7 +227,7 @@ class TestCentralDiffJet:
     def test_closed_form_partials(self):
         # f(x, y) = sin x cos y against its analytic first and second partials
         def f(x):
-            return np.array([math.sin(x[0]) * math.cos(x[1])])
+            return np.sin(x[..., :1]) * np.cos(x[..., 1:2])
 
         p = np.array([0.3, 0.7])
         sx, cx = math.sin(0.3), math.cos(0.3)
@@ -237,21 +241,21 @@ class TestCentralDiffJet:
 
     def test_mixed_second_symmetric(self):
         def f(x):
-            return np.array([np.exp(x[0] * x[1]) + x[0] ** 3])
+            return np.exp(x[..., :1] * x[..., 1:2]) + x[..., :1] ** 3
 
         p = np.array([0.2, 0.5])
         d2 = second_jet(f, p, 1e-4)
         assert np.array_equal(d2[0, 1], d2[1, 0])
         # the corner rule with the two directions swapped: the same points,
         # with the +- and -+ corners exchanged
-        swapped = second_jet(lambda x: f(x[::-1]), p[::-1], 1e-4)
+        swapped = second_jet(lambda x: f(x[..., ::-1]), p[::-1], 1e-4)
         defect = np.abs(d2[0, 1] - swapped[0, 1]).max()
         assert defect < 10 * 1e-8 * (1 + np.abs(f(p)).max())
 
     def test_convergence_order(self):
         # halving h shrinks the fourth-order first-derivative error by at least 12x
         def f(x):
-            return np.array([math.sin(x[0])])
+            return np.sin(x[..., :1])
 
         p = np.array([0.9])
         exact = math.cos(0.9)
@@ -264,7 +268,7 @@ class TestCentralDiffJet:
     def test_non_finite_raises(self):
         def f(x):
             with np.errstate(divide="ignore"):
-                return np.array([1.0 / x[0]])
+                return 1.0 / x[..., :1]
 
         with pytest.raises(StencilError):
             second_jet(f, np.array([0.0]), 1e-4)
@@ -274,7 +278,7 @@ class TestStencilLayer:
     """stencil_values is the one evaluation and finiteness guard of every stencil."""
 
     def test_axis_stencil_layout(self):
-        f = lambda x: np.array([x[0], 10.0 * x[1], 100.0 * x[2]])
+        f = lambda x: x * np.array([1.0, 10.0, 100.0])
         p = np.array([0.1, 0.2, 0.3])
         at = axis_stencil(f, p, 0.5, (2.0, 1.0, -1.0))
         assert at.shape == (3, 3, 3)
@@ -282,19 +286,36 @@ class TestStencilLayer:
             for a in range(3):
                 assert np.array_equal(at[k, a], f(p + c * 0.5 * np.eye(3)[a]))
 
-    def test_axis_stencil_evaluates_axis_by_axis(self):
+    def test_axis_stencil_is_one_call(self):
         seen = []
-        axis_stencil(lambda x: seen.append(x.copy()) or 0.0, np.zeros(2), 1.0, (1.0, -1.0))
-        assert np.array_equal(seen, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        axis_stencil(lambda x: seen.append(x.copy()) or x[..., 0], np.zeros(2), 1.0, (1.0, -1.0))
+        # offset, axis, coordinates
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], [[[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]]])
+
+    def test_axis_stencil_of_a_batch(self):
+        # a batch of base points sits between the offset and the axis index
+        f = lambda x: x * np.array([1.0, 10.0])
+        p = np.array([[[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]])
+        at = axis_stencil(f, p, 0.5, (2.0, -1.0))
+        assert at.shape == (2, 1, 3, 2, 2)
+        for k, c in enumerate((2.0, -1.0)):
+            for i in range(3):
+                for a in range(2):
+                    want = axis_stencil(f, p[0, i], 0.5, (2.0, -1.0))[k, a]
+                    assert np.array_equal(at[k, 0, i, a], want)
 
     def test_one_dimension_has_no_mixed_points(self):
-        calls = []
-        f = lambda x: calls.append(1) or np.array([x[0] ** 2])
-        d2 = second_derivative(f, np.array([0.5]), 1e-3, np.array([0.25]), np.zeros((4, 1, 1)))
-        assert d2.shape == (1, 1, 1) and calls == []
+        seen = []
+        f = lambda x: seen.append(x.copy()) or x[..., :1] ** 2
+        at, corners = hessian_stencil(f, np.array([0.5]), 1e-3, (2.0, 1.0, -1.0, -2.0))
+        d2 = second_derivative(1e-3, np.array([0.25]), at, corners)
+        assert d2.shape == (1, 1, 1) and corners.size == 0
+        # the one call holds the four axis points only
+        assert len(seen) == 1 and seen[0].shape == (4, 1)
 
     def test_second_derivative_dtype_follows_values(self):
-        f = lambda x: np.array([np.exp(1j * x[0]) * x[1] ** 2])
+        f = lambda x: np.exp(1j * x[..., :1]) * x[..., 1:2] ** 2
         d2 = second_jet(f, np.array([0.2, 0.4]), 1e-3)
         assert d2.dtype == complex and d2.shape == (2, 2, 1)
         assert abs(d2[1, 1, 0] - 2.0 * np.exp(0.2j)) < 1e-6
@@ -308,30 +329,33 @@ class TestStencilLayer:
 
     def test_non_finite_value_names_its_point(self):
         with pytest.raises(StencilError, match=r"\[2\.5\]"):
-            stencil_values(lambda x: np.array([np.inf if x[0] == 2.5 else 1.0]), [[1.0], [2.5]])
+            stencil_values(lambda x: np.where(x == 2.5, np.inf, 1.0), [[1.0], [2.5]])
 
     def test_overflow_is_a_non_finite_value(self):
+        # numpy's overflow (FloatingPointError here) and Python's OverflowError
         with pytest.raises(StencilError):
-            stencil_values(lambda x: 10.0 ** float(x[0]), [[1.0], [1e5]])
+            stencil_values(lambda x: 10.0 ** x[..., 0], [[1.0], [1e5]])
+        with pytest.raises(StencilError):
+            stencil_values(lambda x: np.array([10.0 ** float(v) for v in x[..., 0]]), [[1.0], [1e5]])
 
     # at [inf] and [inf, 0] the math kernels raised ValueError: math domain error
     def test_first_derivative_at_infinity(self):
-        f = lambda x: np.array([math.cos(x[0])])
+        f = lambda x: np.cos(x[..., :1])
         with pytest.raises(StencilError):
             first_derivative(f, np.array([np.inf]), np.array([1.0]), 1e-4)
 
     def test_second_derivative_at_infinity(self):
-        f = lambda x: np.array([math.cos(x[0]) * math.cos(x[1])])
+        f = lambda x: np.cos(x[..., :1]) * np.cos(x[..., 1:2])
         p = np.array([np.inf, 0.0])
         with pytest.raises(StencilError):
             axis_stencil(f, p, 1e-4, (2.0, 1.0, -1.0, -2.0))
-        # the mixed corners guard their own points, whatever f0 and the axis samples are
+        # the mixed corners are guarded with the axis points
         with pytest.raises(StencilError):
-            second_derivative(f, p, 1e-4, np.zeros(1), np.zeros((4, 2, 1)))
+            hessian_stencil(f, p, 1e-4, (2.0, 1.0, -1.0, -2.0))
 
 
 def test_fourth_order_first_derivative():
-    f = lambda x: np.array([math.exp(x[0])])
+    f = lambda x: np.exp(x[..., :1])
     d = first_derivative(f, np.array([0.3]), np.array([1.0]), 1e-3)
     assert abs(d[0] - math.exp(0.3)) < 1e-12
 

@@ -235,7 +235,8 @@ def curve_n4():
 
 
 class TestChartMemo:
-    # embed and normal share the interpolated profile and the orbit sphere
+    # a chart keeps no state between calls, and interpolates the profile once
+    # per call for the whole batch
 
     def test_interleaved_points_match_fresh_charts(self, curve_n4):
         chart = build_rotational_chart(curve_n4, 4)
@@ -253,18 +254,18 @@ class TestChartMemo:
             assert np.array_equal(got, want)
 
     def test_interpolations_per_stencil(self, curve_n4, monkeypatch):
-        # value and derivative at the 4 offsets along the profile axis, and
-        # once more at p[0] for the orbit axes and the center
+        # value and derivative once for embed and once for normal on the 16
+        # stencil points, then the same at the center
         chart = build_rotational_chart(curve_n4, 4)
         calls = []
         for name in ("value", "derivative"):
             method = getattr(QuinticHermite, name)
             monkeypatch.setattr(
-                QuinticHermite, name, lambda self, t, m=method: calls.append(1) or m(self, t)
+                QuinticHermite, name, lambda self, t, m=method: calls.append(np.shape(t)) or m(self, t)
             )
         st = ChartStencil(chart, chart.box.center + 0.01, 1e-4)
         st.center
-        assert len(calls) == 10
+        assert calls == [(4, 4)] * 4 + [()] * 4
 
 
 def test_orbit_group_straddling_pi():

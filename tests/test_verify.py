@@ -92,7 +92,9 @@ class TestCurvature:
     def test_metric_route_round_sphere_unit(self):
         # analytic metric of the unit 2-sphere: K must be +1
         def metric(q):
-            return np.diag([np.cos(q[1]) ** 2, 1.0])
+            g = np.zeros(q.shape[:-1] + (2, 2))
+            g[..., 0, 0], g[..., 1, 1] = np.cos(q[..., 1]) ** 2, 1.0
+            return g
 
         p = np.array([0.2, 0.3])
         g = metric(p)
