@@ -260,18 +260,19 @@ def build_example(cfg: RunConfig) -> HypersurfaceChart:
 def _sample_points(chart: HypersurfaceChart, cfg: RunConfig) -> list[SamplePoint]:
     """Per-point data at the run's sample points, kept clear of every stencil.
 
-    The configured gauge is held fixed over each point's stencils. In the
-    normalized gauge every later point takes the admissible gauge nearest the
-    first point's, so round-off at the period boundary 0 = 2 pi / n cannot
-    switch branches within one run.
+    The Gauss-map jets of all points come from one batch. The configured
+    gauge is held fixed over each point's stencils. In the normalized gauge
+    every later point takes the admissible gauge nearest the first point's,
+    so round-off at the period boundary 0 = 2 pi / n cannot switch branches
+    within one run.
     """
     margin = max(0.03, 3.0 * cfg.steps().stencil_margin)
+    jets = gauss_map(chart, kronecker_points(chart.box, cfg.grid, cfg.seed, margin), cfg.steps())
     points: list[SamplePoint] = []
-    for x in kronecker_points(chart.box, cfg.grid, cfg.seed, margin):
-        jet = gauss_map(chart, x, cfg.steps())
+    for k in range(cfg.grid):
         ref_phi = points[0].phi if points else None
-        phi = 0.0 if cfg.gauge == "canonical" else gauge_normalize(jet, ref_phi).phi
-        points.append(SamplePoint(jet, GaugePolicy("fixed", phi)))
+        phi = 0.0 if cfg.gauge == "canonical" else gauge_normalize(jets[k], ref_phi).phi
+        points.append(SamplePoint(jets[k], GaugePolicy("fixed", phi)))
     return points
 
 

@@ -12,15 +12,14 @@ are needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .hypersurfaces import ChartError, ChartStencil, HypersurfaceChart
-from .numerics import hessian_stencil, second_derivative, symmetric_eigen, symmetrize
+from .numerics import flagged_row, hessian_stencil, second_derivative, symmetric_eigen, symmetrize
 from .quadric import (
-    GeometryError,
     HorizontalVector,
     StiefelPoint,
     StructureGauge,
@@ -83,7 +82,11 @@ class FdSteps:
 
 @dataclass(frozen=True)
 class GaussJet:
-    """Second-order data of the Gauss-map lift at one chart point."""
+    """Second-order data of the Gauss-map lift at one chart point or at a batch of them.
+
+    At a batch every array carries the batch axes in front; jet[k] is the jet
+    at row k.
+    """
 
     stencil: ChartStencil  # embed, normal and lift with first derivatives
     lift: StiefelPoint
@@ -110,16 +113,24 @@ class GaussJet:
     def dim(self) -> int:
         return self.chart.dim
 
+    def __getitem__(self, k) -> "GaussJet":
+        """The jet at row k of a batch, sharing every value already computed."""
+        row = replace(self, **{f.name: getattr(self, f.name)[k] for f in fields(self) if f.name != "steps"})
+        if "coord_second" in vars(self):
+            vars(row)["coord_second"] = self.coord_second[k]
+        return row
+
     @cached_property
     def coord_second(self) -> np.ndarray:
-        """(n, n, n+2) complex second chart derivatives of the lift.
+        """(..., n, n, n+2) complex second chart derivatives of the lift.
 
         The diagonal rule reads the lift at p from the first-order stencil;
-        the axis and corner points go to the chart in one call.
+        the axis and corner points of the whole batch go to the chart in one
+        call.
         """
         h2 = self.steps.second
         at, corners = hessian_stencil(self.chart.lift, self.point, h2, (2.0, 1.0, -1.0, -2.0))
-        return second_derivative(h2, self.stencil.lift, at, corners)
+        return np.moveaxis(second_derivative(h2, self.stencil.lift, at, corners), (0, 1), (-3, -2))
 
     @property
     def frame(self) -> list[HorizontalVector]:
@@ -130,14 +141,13 @@ class GaussJet:
         ]
 
     def lagrangian_residual(self) -> float:
+        """Largest defect of the lifted orthonormal frame from a Lagrangian one, per row at a batch."""
         w = self.on_frame_vel @ self.coord_first
-        herm = np.conj(w) @ w.T
+        herm = np.conj(w) @ w.swapaxes(-1, -2)
         # imaginary parts are the inner products against the rotated frame
-        return float(
-            max(
-                np.abs(herm.imag).max(),
-                np.abs(herm.real - np.eye(self.dim)).max(),
-            )
+        return np.maximum(
+            np.abs(herm.imag).max(axis=(-2, -1)),
+            np.abs(herm.real - np.eye(self.dim)).max(axis=(-2, -1)),
         )
 
     def horizontality_residual(self) -> float:
@@ -155,42 +165,46 @@ class GaussJet:
 def gauss_map(
     chart: HypersurfaceChart, p, steps: FdSteps | None = None
 ) -> GaussJet:
-    """Evaluate the Gauss-map lift with its first chart derivatives.
+    """Evaluate the Gauss-map lift with its first chart derivatives at p.
 
-    The second derivatives follow on first use of GaussJet.coord_second.
-    Raises GaussMapError when the Lagrangian residual exceeds 1e-6, which
-    signals an inconsistent chart/normal pair rather than a step-size issue.
+    p is a point (n,) or a batch of points (..., n); a batch reaches the
+    chart as one stencil, and every check below runs on each of its rows,
+    an error naming the point of the first failing row. The second
+    derivatives follow on first use of GaussJet.coord_second. Raises
+    GaussMapError when the Lagrangian residual exceeds 1e-6, which signals an
+    inconsistent chart/normal pair rather than a step-size issue.
     """
     steps = steps or FdSteps()
     p = np.asarray(p, dtype=float)
-    if not chart.box.contains(p, margin=steps.stencil_margin):
+    bad = flagged_row(~chart.box.contains(p, margin=steps.stencil_margin), p)
+    if bad:
         raise GaussMapError(
-            f"point {p} too close to the boundary of chart '{chart.name}' "
+            f"point {bad[0]} too close to the boundary of chart '{chart.name}' "
             f"for stencil margin {steps.stencil_margin:.3g}"
         )
 
     st = ChartStencil(chart, p, steps.first)
-    try:
-        lift = StiefelPoint.from_complex(st.lift).validate(1e-9)
-    except GeometryError as exc:
+    lift = StiefelPoint.from_complex(st.lift)
+    res = lift.invariant_residuals()
+    bad = flagged_row(np.maximum.reduce(list(res.values())) > 1e-9, p, *res.values())
+    if bad:
         raise GaussMapError(
             f"chart '{chart.name}' does not lift to the Stiefel manifold at "
-            f"{p}: {exc}"
-        ) from exc
+            f"{bad[0]}: residuals {dict(zip(res, bad[1:]))}"
+        )
 
     # orthonormal frame for the induced metric, as coordinate velocities
     w_eval, v = symmetric_eigen(st.lift_metric)
-    if w_eval[0] <= 1e-10:
-        raise GaussMapError(f"degenerate induced metric at {p}: spectrum {w_eval}")
-    on_frame_vel = (v / np.sqrt(w_eval)).T
+    bad = flagged_row(w_eval[..., 0] <= 1e-10, p, w_eval)
+    if bad:
+        raise GaussMapError(f"degenerate induced metric at {bad[0]}: spectrum {bad[1]}")
+    on_frame_vel = (v / np.sqrt(w_eval)[..., None, :]).swapaxes(-1, -2)
 
     # principal curvature data from the hypersurface side
     try:
         shape = st.principal_curvatures()
     except ChartError as exc:
-        raise GaussMapError(
-            f"no principal curvatures at {p} on chart '{chart.name}': {exc}"
-        ) from exc
+        raise GaussMapError(f"no principal curvatures on chart '{chart.name}': {exc}") from exc
 
     jet = GaussJet(
         stencil=st,
@@ -202,22 +216,23 @@ def gauss_map(
         steps=steps,
     )
     res = jet.lagrangian_residual()
-    if res > 1e-6:
+    bad = flagged_row(res > 1e-6, res, p)
+    if bad:
         raise GaussMapError(
-            f"Lagrangian residual {res:.2e} at {p} on chart '{chart.name}': "
+            f"Lagrangian residual {bad[0]:.2e} at {bad[1]} on chart '{chart.name}': "
             f"the normal field is inconsistent with the embedding"
         )
     # frame relation: d(lift) along the j-th principal direction must be
     # (1 - i lambda_j)/sqrt(2) times that direction
-    for k, lam in enumerate(jet.lambdas):
-        predicted = (1.0 - 1j * lam) / np.sqrt(2.0) * jet.principal_ambient[k]
-        actual = jet.principal_vel[k] @ jet.coord_first
-        if np.abs(actual - predicted).max() > 1e-5 * (1.0 + abs(lam)):
-            raise GaussMapError(
-                f"lift derivative does not match principal data at {p} "
-                f"(direction {k}, defect "
-                f"{np.abs(actual - predicted).max():.2e})"
-            )
+    lam = jet.lambdas
+    predicted = (1.0 - 1j * lam[..., None]) / np.sqrt(2.0) * jet.principal_ambient
+    defect = np.abs(jet.principal_vel @ jet.coord_first - predicted).max(axis=-1) / (1.0 + np.abs(lam))
+    bad = flagged_row((defect > 1e-5).any(axis=-1), p, defect)
+    if bad:
+        raise GaussMapError(
+            f"lift derivative does not match principal data at {bad[0]} "
+            f"(direction {np.argmax(bad[1])}, defect {bad[1].max():.2e} relative to 1 + |lambda|)"
+        )
     return jet
 
 
@@ -233,13 +248,14 @@ def structure_operators(
     In an orthonormal tangent frame w the gauged structure acts by
     w -> -exp(i phi) conj(w); the two returned matrices are its tangential
     component and the complex-structure rotation of its normal component.
-    They commute and their squares sum to the identity.
+    They commute and their squares sum to the identity. At a batched jet the
+    gauge angle is a number or one angle per row.
     """
     w = jet.on_frame_vel @ jet.coord_first
-    bilinear = w @ w.T
-    eta = -np.exp(1j * gauge.phi) * np.conj(bilinear)
-    b = 0.5 * (eta.real + eta.real.T)
-    c = -0.5 * (eta.imag + eta.imag.T)
+    bilinear = w @ w.swapaxes(-1, -2)
+    eta = -np.exp(1j * np.asarray(gauge.phi))[..., None, None] * np.conj(bilinear)
+    b = 0.5 * (eta.real + eta.real.swapaxes(-1, -2))
+    c = -0.5 * (eta.imag + eta.imag.swapaxes(-1, -2))
     return b, c
 
 
@@ -249,7 +265,8 @@ class AngleSpectrum:
 
     thetas are mod-pi representatives in [0, pi), ascending; frame_vel[k] is
     the coordinate velocity of the k-th frame vector, frame_ambient[k] its
-    horizontal lift.
+    horizontal lift. The spectra of a batched jet carry its batch axes in
+    front.
     """
 
     thetas: np.ndarray
@@ -261,7 +278,7 @@ class AngleSpectrum:
 
     @property
     def dim(self) -> int:
-        return len(self.thetas)
+        return self.thetas.shape[-1]
 
     def cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
         return np.cos(2.0 * self.thetas), np.sin(2.0 * self.thetas)
@@ -310,42 +327,46 @@ def _cluster(values: np.ndarray, gap: float) -> list[list[int]]:
 def angle_spectrum(jet: GaussJet, gauge: StructureGauge | None = None) -> AngleSpectrum:
     """Joint eigenangles of the structure operators, sorted ascending in [0, pi).
 
-    The tangential operator is diagonalized first; degenerate eigenspaces
-    (gap below 1e-7) are resolved by diagonalizing the second operator inside
-    them. Inconsistent residuals raise GaussMapError.
+    The tangential operator is diagonalized first, in one stacked solve at a
+    batched jet; degenerate eigenspaces (gap below 1e-7) are resolved row by
+    row, by diagonalizing the second operator inside them. Inconsistent
+    residuals raise GaussMapError naming the point.
     """
     gauge = gauge or StructureGauge(0.0)
     b, c = structure_operators(jet, gauge)
     wb, vb = symmetric_eigen(b)
     rot = vb.copy()
-    for cluster in _cluster(wb, ANGLE_CLUSTER_GAP):
-        if len(cluster) == 1:
-            continue
-        basis = vb[:, cluster]
-        c_sub = symmetrize(basis.T @ c @ basis, tol=1e-5)
-        _, v_sub = symmetric_eigen(c_sub)
-        rot[:, cluster] = basis @ v_sub
-    b_diag = rot.T @ b @ rot
-    c_diag = rot.T @ c @ rot
-    off = max(
-        np.abs(b_diag - np.diag(np.diag(b_diag))).max(),
-        np.abs(c_diag - np.diag(np.diag(c_diag))).max(),
+    for row in np.ndindex(wb.shape[:-1]):
+        for cluster in _cluster(wb[row], ANGLE_CLUSTER_GAP):
+            if len(cluster) == 1:
+                continue
+            basis = vb[row][:, cluster]
+            c_sub = symmetrize(basis.T @ c[row] @ basis, tol=1e-5)
+            _, v_sub = symmetric_eigen(c_sub)
+            rot[row][:, cluster] = basis @ v_sub
+    b_diag = rot.swapaxes(-1, -2) @ b @ rot
+    c_diag = rot.swapaxes(-1, -2) @ c @ rot
+    off_diagonal = ~np.eye(jet.dim, dtype=bool)
+    off = np.maximum(
+        np.abs(b_diag[..., off_diagonal]).max(axis=-1, initial=0.0),
+        np.abs(c_diag[..., off_diagonal]).max(axis=-1, initial=0.0),
     )
-    if off > 1e-6:
+    bad = flagged_row(off > 1e-6, off, jet.point)
+    if bad:
         raise GaussMapError(
             f"could not simultaneously diagonalize the structure operators "
-            f"(off-diagonal residual {off:.2e}); eigenvalue clusters are "
-            f"inconsistent at {jet.point}"
+            f"(off-diagonal residual {bad[0]:.2e}); eigenvalue clusters are "
+            f"inconsistent at {bad[1]}"
         )
-    cos2 = np.diag(b_diag)
-    sin2 = np.diag(c_diag)
+    cos2 = np.diagonal(b_diag, axis1=-2, axis2=-1)
+    sin2 = np.diagonal(c_diag, axis1=-2, axis2=-1)
     thetas = np.mod(0.5 * np.arctan2(sin2, cos2), np.pi)
     # a tiny negative angle reduces to a representative that rounds to pi
     thetas[thetas >= np.pi] = 0.0
-    order = np.argsort(thetas, kind="stable")
-    thetas = thetas[order]
-    rot = rot[:, order]
-    frame_vel = rot.T @ jet.on_frame_vel
+    order = np.argsort(thetas, axis=-1, kind="stable")
+    thetas = np.take_along_axis(thetas, order, axis=-1)
+    rot = np.take_along_axis(rot, order[..., None, :], axis=-1)
+    frame_vel = rot.swapaxes(-1, -2) @ jet.on_frame_vel
     frame_ambient = frame_vel @ jet.coord_first
     return AngleSpectrum(
         thetas=thetas,
@@ -353,7 +374,7 @@ def angle_spectrum(jet: GaussJet, gauge: StructureGauge | None = None) -> AngleS
         frame_ambient=frame_ambient,
         gauge=gauge,
         lift=jet.lift,
-        diag_residual=float(off),
+        diag_residual=off,
     )
 
 
@@ -361,16 +382,17 @@ def normalized_phase(jet: GaussJet, ref_phi: float | None = None) -> float:
     """Gauge angle making the angle functions sum to zero mod pi.
 
     Out of the n admissible gauges (spaced 2 pi / n apart) returns the
-    smallest non-negative one, or the one closest to ref_phi when given.
+    smallest non-negative one, or the one closest to ref_phi when given; one
+    angle per row at a batched jet.
     """
     spec0 = angle_spectrum(jet, StructureGauge(0.0))
     n = jet.dim
     period = 2.0 * np.pi / n
-    phi = float(np.mod(2.0 * np.sum(spec0.thetas) / n, period))
+    phi = np.mod(2.0 * np.sum(spec0.thetas, axis=-1) / n, period)
     if ref_phi is not None:
         k = np.round((ref_phi - phi) / period)
         phi = phi + k * period
-    return phi
+    return phi if np.ndim(phi) else float(phi)
 
 
 def gauge_normalize(jet: GaussJet, ref_phi: float | None = None) -> StructureGauge:
@@ -405,31 +427,29 @@ def second_fundamental_form(
     Computed as ambient second derivatives of the lift paired against the
     complex rotation of the frame; sphere, fiber and quadric-normal parts of
     the connection corrections are killed by that pairing. Fully symmetrized,
-    with the defect checked against 1e-4.
+    with the defect checked against 1e-4 on each row of a batch.
     """
     f = spec.frame_ambient
     vel = spec.frame_vel
-    second = np.einsum("ia,jb,abm->ijm", vel, vel, jet.coord_second)
-    h = np.einsum("ijm,km->ijk", second, np.conj(1j * f)).real
-    defect = float(
-        max(
-            np.abs(h - np.transpose(h, (0, 2, 1))).max(),
-            np.abs(h - np.transpose(h, (2, 1, 0))).max(),
-        )
+    second = np.einsum("...ia,...jb,...abm->...ijm", vel, vel, jet.coord_second)
+    h = np.einsum("...ijm,...km->...ijk", second, np.conj(1j * f)).real
+
+    def t(*axes):
+        # np.transpose(h, axes) on the last three axes
+        lead = h.ndim - 3
+        return np.transpose(h, tuple(range(lead)) + tuple(lead + a for a in axes))
+
+    defect = np.maximum(
+        np.abs(h - t(0, 2, 1)).max(axis=(-3, -2, -1)),
+        np.abs(h - t(2, 1, 0)).max(axis=(-3, -2, -1)),
     )
-    if defect > 1e-4:
+    bad = flagged_row(defect > 1e-4, defect, jet.point)
+    if bad:
         raise GaussMapError(
-            f"cubic form symmetry defect {defect:.2e} at {jet.point}: "
+            f"cubic form symmetry defect {bad[0]:.2e} at {bad[1]}: "
             f"reduce the second-derivative step or check the chart"
         )
-    sym = (
-        h
-        + np.transpose(h, (0, 2, 1))
-        + np.transpose(h, (1, 0, 2))
-        + np.transpose(h, (1, 2, 0))
-        + np.transpose(h, (2, 0, 1))
-        + np.transpose(h, (2, 1, 0))
-    ) / 6.0
+    sym = (h + t(0, 2, 1) + t(1, 0, 2) + t(1, 2, 0) + t(2, 0, 1) + t(2, 1, 0)) / 6.0
     return FundamentalForm(h=sym, symmetry_defect=defect)
 
 

@@ -26,6 +26,7 @@ from .numerics import (
     axis_stencil,
     central_first,
     eigen_solve,
+    flagged_row,
     gram_schmidt,
     stencil_values,
     symmetric_eigen,
@@ -82,11 +83,10 @@ class Box:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lows + self.highs)
 
-    def contains(self, p, margin: float = 0.0) -> bool:
+    def contains(self, p, margin: float = 0.0):
+        """Whether p lies margin inside the box: a bool for a point (n,), an array for a batch (..., n)."""
         p = np.asarray(p, dtype=float)
-        return bool(
-            np.all(p >= self.lows + margin) and np.all(p <= self.highs - margin)
-        )
+        return np.all(p >= self.lows + margin, axis=-1) & np.all(p <= self.highs - margin, axis=-1)
 
     def sample(self, rng: np.random.Generator, margin: float = 0.0) -> np.ndarray:
         return rng.uniform(self.lows + margin, self.highs - margin)
@@ -131,9 +131,9 @@ class ChartStencil:
     metric route needs the derivatives only.
 
     p may be a batch of points (..., n): the stencils of all of them go to
-    the chart in one embed and one normal call, and the derivatives, the
-    center values and lift_metric carry the batch shape in front. The
-    eigendecompositions below take a single point.
+    the chart in one embed and one normal call, and every quantity below
+    carries the batch shape in front, its eigendecompositions stacked; only
+    invariants reads a single point. stencil[k] is the stencil of row k.
     """
 
     def __init__(self, chart: HypersurfaceChart, p, h: float):
@@ -145,6 +145,15 @@ class ChartStencil:
         self.d_embed = central_first(*a, h)
         self.d_normal = central_first(*b, h)
         self.d_lift = central_first(*_lift(a, b), h)
+
+    def __getitem__(self, k) -> "ChartStencil":
+        """The stencil of row k of a batch, sharing every value already computed."""
+        row = object.__new__(ChartStencil)
+        for name, value in vars(self).items():
+            if name != "chart":
+                value = tuple(v[k] for v in value) if isinstance(value, tuple) else value[k]
+            vars(row)[name] = value
+        return row
 
     def _embed_normal(self, x):
         return np.stack([self.chart.embed(x), self.chart.normal(x)], axis=-2)
@@ -167,11 +176,11 @@ class ChartStencil:
     @cached_property
     def gram_eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of the Gram matrix of the coordinate tangents."""
-        return symmetric_eigen(self.d_embed @ self.d_embed.T)
+        return symmetric_eigen(self.d_embed @ self.d_embed.swapaxes(-1, -2))
 
     @property
     def gram_spectrum(self) -> np.ndarray:
-        """Ascending spectrum of the Gram matrix of the coordinate tangents."""
+        """Ascending spectrum of the Gram matrix of the coordinate tangents, (..., n)."""
         return self.gram_eigen[0]
 
     def invariants(self) -> dict[str, float]:
@@ -189,10 +198,10 @@ class ChartStencil:
         """Eigendecomposition of the shape operator, curvatures descending."""
         s, t, m = _shape_data(self)
         w, v = symmetric_eigen(s)
-        order = np.argsort(-w, kind="stable")
-        v = v[:, order]
+        order = np.argsort(-w, axis=-1, kind="stable")
+        vt = np.take_along_axis(v, order[..., None, :], axis=-1).swapaxes(-1, -2)
         return ShapeSpectrum(
-            lambdas=w[order], directions_chart=v.T @ m, directions_ambient=v.T @ t
+            lambdas=np.take_along_axis(w, order, axis=-1), directions_chart=vt @ m, directions_ambient=vt @ t
         )
 
 
@@ -242,7 +251,8 @@ class ShapeSpectrum:
     """Principal curvatures (descending) with their principal directions.
 
     directions_chart[k] is the coordinate velocity of the k-th unit principal
-    direction; directions_ambient[k] its image in R^(n+2).
+    direction; directions_ambient[k] its image in R^(n+2). At a batch of
+    points every field carries the batch axes in front.
     """
 
     lambdas: np.ndarray
@@ -251,16 +261,17 @@ class ShapeSpectrum:
 
 
 def tangent_data(st: ChartStencil):
-    """Coordinate tangents, an orthonormal tangent frame and its velocities."""
+    """Coordinate tangents, an orthonormal tangent frame and its velocities, batch axes in front."""
     e = st.d_embed
-    if st.gram_spectrum[0] <= 1e-12:
+    bad = flagged_row(st.gram_spectrum[..., 0] <= 1e-12, st.point, st.gram_spectrum)
+    if bad:
         raise ChartError(
-            f"chart '{st.chart.name}' has rank-deficient differential at {st.point} "
-            f"(Gram spectrum {st.gram_spectrum})"
+            f"chart '{st.chart.name}' has rank-deficient differential at {bad[0]} "
+            f"(Gram spectrum {bad[1]})"
         )
     t = gram_schmidt(e)
     # velocities: rows m with m @ e = t, through the Gram matrix's eigenpairs
-    m = eigen_solve(st.gram_eigen, e @ t.T).T
+    m = eigen_solve(st.gram_eigen, e @ t.swapaxes(-1, -2)).swapaxes(-1, -2)
     return e, t, m
 
 
@@ -277,14 +288,16 @@ def _shape_data(st: ChartStencil):
     """Shape operator with the orthonormal tangent frame and its velocities."""
     _, t, m = tangent_data(st)
     # -<d_b(T_j), T_k> with d along the frame velocities
-    raw = -(m @ st.d_normal) @ t.T
-    defect = float(np.abs(raw - raw.T).max())
-    if defect > 1e-4:
+    raw = -(m @ st.d_normal) @ t.swapaxes(-1, -2)
+    raw_t = raw.swapaxes(-1, -2)
+    defect = np.abs(raw - raw_t).max(axis=(-2, -1))
+    bad = flagged_row(defect > 1e-4, defect, st.point)
+    if bad:
         raise ChartError(
-            f"shape operator asymmetry {defect:.2e} at {st.point} on chart "
+            f"shape operator asymmetry {bad[0]:.2e} at {bad[1]} on chart "
             f"'{st.chart.name}' (bad step size or broken normal)"
         )
-    return 0.5 * (raw + raw.T), t, m
+    return 0.5 * (raw + raw_t), t, m
 
 
 def principal_curvatures(

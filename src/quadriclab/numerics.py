@@ -1,12 +1,14 @@
 """Small dense numerics: symmetric eigensolver, orthonormalization, finite-difference stencils.
 
 Everything here operates on plain numpy arrays (float or complex) and is pure:
-no global state, safe to call concurrently. The eigensolver is LAPACK's
-(np.linalg.eigh) behind explicit diagnostics: a finiteness check, a residual
-check that names the matrix, ascending eigenvalues and a deterministic
-column-sign rule. Every stencil passes its whole point set, an array of shape
-(..., n), to stencil_values, which calls the stencil function once on it and
-is the one finiteness guard. The five-point weights live only in
+no global state, safe to call concurrently. The eigensolver and the
+orthonormalization take one matrix or a stack (..., k, k) of them and check
+each matrix on its own. The eigensolver is LAPACK's (np.linalg.eigh) behind
+explicit diagnostics: a finiteness check, a residual check that names the
+matrix, ascending eigenvalues and a deterministic column-sign rule. Every
+stencil passes its whole point set, an array of shape (..., n), to
+stencil_values, which calls the stencil function once on it and is the one
+finiteness guard. The five-point weights live only in
 central_first and central_second; the mixed derivative extrapolates a
 four-point corner rule.
 """
@@ -20,6 +22,7 @@ __all__ = [
     "ConvergenceError",
     "RankDeficiencyError",
     "StencilError",
+    "flagged_row",
     "symmetrize",
     "symmetric_eigen",
     "spd_solve",
@@ -56,48 +59,66 @@ class StencilError(NumericsError):
     """A finite-difference stencil produced a non-finite value."""
 
 
-def symmetrize(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Return (m + m.T)/2 after checking the asymmetry defect against tol.
+def flagged_row(flags, *arrays):
+    """Each array at the first set flag (C order) of a batch of flags, or None when none is set.
 
-    tol is absolute relative to the matrix scale (1 + max |entry|).
+    flags has the batch shape of the arrays, and () for a single item, which
+    then comes back whole.
+    """
+    flags = np.asarray(flags)
+    if not flags.any():
+        return None
+    k = np.unravel_index(np.argmax(flags), flags.shape)
+    return tuple(np.asarray(a)[k] for a in arrays)
+
+
+def symmetrize(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Return (m + m^T)/2 after checking each matrix's asymmetry defect against tol.
+
+    m is a matrix or a stack (..., k, k); tol is relative to each matrix's
+    scale (1 + max |entry|).
     """
     m = np.asarray(m, dtype=float)
-    scale = 1.0 + np.abs(m).max(initial=0.0)
-    defect = np.abs(m - m.T).max(initial=0.0)
-    if defect > tol * scale:
+    mt = m.swapaxes(-1, -2)
+    scale = 1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0)
+    defect = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
+    bad = flagged_row(defect > tol * scale, defect)
+    if bad:
         raise NumericsError(
-            f"matrix is not symmetric: asymmetry defect {defect:.3e} exceeds "
+            f"matrix is not symmetric: asymmetry defect {bad[0]:.3e} exceeds "
             f"{tol:.1e} * scale"
         )
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
 def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix (LAPACK, residual-checked).
+    """Eigendecomposition of a real symmetric matrix or a stack of them (LAPACK, residual-checked).
 
     Returns (eigenvalues ascending, eigenvector columns), each column signed
-    so that its largest-magnitude entry is positive.
+    so that its largest-magnitude entry is positive; a stack (..., k, k)
+    gives (..., k) and (..., k, k).
 
-    Raises NumericsError on non-finite entries and ConvergenceError naming
-    the matrix if ||m v - v lam||_F exceeds 1e-10 (1 + ||m||_F).
+    Each matrix is checked on its own: NumericsError on non-finite entries,
+    and ConvergenceError naming the first matrix whose ||m v - v lam||_F
+    exceeds 1e-10 (1 + ||m||_F).
     """
     a = symmetrize(m)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    if not np.all(np.isfinite(a)):
-        raise NumericsError("symmetric_eigen: matrix has non-finite entries")
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1]), np.zeros(a.shape)
+    bad = flagged_row(~np.isfinite(a).all(axis=(-2, -1)), m)
+    if bad:
+        raise NumericsError(f"symmetric_eigen: matrix has non-finite entries:\n{bad[0]}")
     w, v = np.linalg.eigh(a)
-    residual = np.linalg.norm(a @ v - v * w)
-    if not residual <= 1e-10 * (1.0 + np.linalg.norm(a)):
+    residual = np.linalg.norm(a @ v - v * w[..., None, :], axis=(-2, -1))
+    bad = flagged_row(~(residual <= 1e-10 * (1.0 + np.linalg.norm(a, axis=(-2, -1)))), residual, m)
+    if bad:
         raise ConvergenceError(
-            f"symmetric_eigen: residual {residual:.3e} exceeds 1e-10 * (1 + ||m||) "
-            f"on\n{np.asarray(m)}"
+            f"symmetric_eigen: residual {bad[0]:.3e} exceeds 1e-10 * (1 + ||m||) "
+            f"on\n{bad[1]}"
         )
     # fix column signs for reproducibility
-    cols = np.arange(n)
-    signs = np.where(v[np.argmax(np.abs(v), axis=0), cols] < 0, -1.0, 1.0)
-    return w, v * signs
+    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    return w, v * np.where(top < 0, -1.0, 1.0)
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,54 +127,66 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def eigen_solve(eigen: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b from the symmetric_eigen pair (w, v) of positive-definite a."""
+    """Solve a @ x = b from the symmetric_eigen pair (w, v) of positive-definite a, or of a stack of them.
+
+    b is a vector or a matrix per matrix a.
+    """
     w, v = eigen
-    if w[0] <= 0.0:
+    bad = flagged_row(w[..., 0] <= 0.0, w)
+    if bad:
         raise RankDeficiencyError(
-            f"spd_solve: matrix is not positive definite (spectrum {w})", w
+            f"spd_solve: matrix is not positive definite (spectrum {bad[0]})", bad[0]
         )
     b = np.asarray(b, dtype=float)
-    squeeze = b.ndim == 1
+    squeeze = b.ndim == w.ndim
     if squeeze:
-        b = b[:, None]
-    x = v @ ((v.T @ b) / w[:, None])
-    return x[:, 0] if squeeze else x
+        b = b[..., None]
+    x = v @ ((v.swapaxes(-1, -2) @ b) / w[..., None])
+    return x[..., 0] if squeeze else x
 
 
 def gram_schmidt(vectors, dependence_tol: float = 1e-10) -> np.ndarray:
     """Orthonormalize a sequence of real vectors, preserving span and order.
 
-    Runs two modified Gram-Schmidt passes (the second mops up cancellation) so
-    pairwise inner products land below 1e-12. A rank check on the Gram matrix
-    precedes the sweep; dependent input raises RankDeficiencyError carrying the
-    Gram spectrum, and non-finite input raises NumericsError.
+    vectors is (k, d) or a stack (..., k, d) of sequences, each on its own.
+    Runs two modified Gram-Schmidt passes (the second mops up cancellation)
+    so pairwise inner products land below 1e-12; they are matrix products,
+    which round as 1-d dot products do. A rank check on each Gram matrix
+    precedes the sweep; dependent input raises RankDeficiencyError carrying
+    the Gram spectrum of the most nearly dependent sequence, and non-finite
+    input raises NumericsError.
 
     The rank check is a Cholesky factorization of gram - dependence_tol * I,
     which exists exactly when the smallest Gram eigenvalue exceeds
     dependence_tol; the spectrum is computed only to report a failure.
     """
-    vs = np.array([np.asarray(v, dtype=float) for v in vectors])
-    if vs.ndim != 2:
+    vs = np.array(vectors, dtype=float)
+    if vs.ndim < 2:
         raise NumericsError("gram_schmidt expects a sequence of 1-d vectors")
     if not np.all(np.isfinite(vs)):
         raise NumericsError("gram_schmidt: input has non-finite entries")
-    gram = vs @ vs.T
+    gram = vs @ vs.swapaxes(-1, -2)
+    k = vs.shape[-2]
     try:
-        np.linalg.cholesky(gram - dependence_tol * np.eye(len(vs)))
+        np.linalg.cholesky(gram - dependence_tol * np.eye(k))
     except np.linalg.LinAlgError:
-        spectrum, _ = symmetric_eigen(gram)
+        spectra, _ = symmetric_eigen(gram)
+        spectrum = spectra[np.unravel_index(np.argmin(spectra[..., 0]), spectra.shape[:-1])]
         raise RankDeficiencyError(
             f"gram_schmidt: input is numerically rank-deficient "
             f"(smallest Gram eigenvalue {spectrum[0]:.3e})",
             spectrum,
         ) from None
-    out = vs.copy()
+
+    def dot(a, b):
+        return (a[..., None, :] @ b[..., :, None])[..., 0]
+
     for _ in range(2):
-        for i in range(len(out)):
+        for i in range(k):
             for j in range(i):
-                out[i] -= (out[i] @ out[j]) * out[j]
-            out[i] /= np.linalg.norm(out[i])
-    return out
+                vs[..., i, :] -= dot(vs[..., i, :], vs[..., j, :]) * vs[..., j, :]
+            vs[..., i, :] /= np.sqrt(dot(vs[..., i, :], vs[..., i, :]))
+    return vs
 
 
 def axis(n: int, i: int) -> np.ndarray:
@@ -209,11 +242,13 @@ def _axis_points(p, h: float, offsets) -> np.ndarray:
 
 
 def _corner_points(p: np.ndarray, h: float) -> np.ndarray:
-    """Corner points of the mixed rule: (pair, step h/2 then h, corner ++ +- -+ --, coordinates)."""
-    n = p.size
+    """Corner points of the mixed rule: (pair, step h/2 then h, corner ++ +- -+ --, ..., coordinates)."""
+    n = p.shape[-1]
     rows, cols = np.triu_indices(n, 1)
     eye = np.eye(n)
-    plus, minus = eye[rows] + eye[cols], eye[rows] - eye[cols]
+    # (pair, ..., coordinates), broadcasting over the batch axes of p
+    shape = (len(rows),) + (1,) * (p.ndim - 1) + (n,)
+    plus, minus = (eye[rows] + eye[cols]).reshape(shape), (eye[rows] - eye[cols]).reshape(shape)
     corners = [[p + s * plus, p + s * minus, p - s * minus, p - s * plus] for s in (0.5 * h, h)]
     return np.moveaxis(np.array(corners), 2, 0)
 
@@ -230,16 +265,19 @@ def axis_stencil(f, p, h: float, offsets) -> np.ndarray:
 def hessian_stencil(f, p, h: float, offsets) -> tuple[np.ndarray, np.ndarray]:
     """f on the axis points of axis_stencil and the corner points of second_derivative, in one call.
 
-    p is one point (n,). Returns (at, corners): at as axis_stencil(f, p, h,
-    offsets) returns it, corners as second_derivative reads it.
+    p is a point (n,) or a batch of points (..., n). Returns (at, corners) as
+    second_derivative reads them: at[c, a] is f at p + offsets[c] h e_a, and
+    corners[pair, step, corner] f at the corner points, each followed by the
+    batch axes of p.
     """
     p = np.asarray(p, dtype=float)
-    axis_pts, corner_pts = _axis_points(p, h, offsets), _corner_points(p, h)
-    values = stencil_values(f, np.concatenate([axis_pts.reshape(-1, p.size), corner_pts.reshape(-1, p.size)]))
-    split, shape = axis_pts.size // p.size, values.shape[1:]
+    n = p.shape[-1]
+    axis_pts, corner_pts = np.moveaxis(_axis_points(p, h, offsets), -2, 1), _corner_points(p, h)
+    values = stencil_values(f, np.concatenate([axis_pts.reshape(-1, n), corner_pts.reshape(-1, n)]))
+    split, shape = axis_pts.size // n, values.shape[1:]
     return (
-        values[:split].reshape(axis_pts.shape[:2] + shape),
-        values[split:].reshape(corner_pts.shape[:3] + shape),
+        values[:split].reshape(axis_pts.shape[:-1] + shape),
+        values[split:].reshape(corner_pts.shape[:-1] + shape),
     )
 
 
@@ -252,9 +290,9 @@ def first_derivative(f, p, v, h: float) -> np.ndarray:
 def second_derivative(h: float, f0, at, corners) -> np.ndarray:
     """Coordinate second derivatives of f at p, as an (n, n, ...) array (order 4).
 
-    f0 is f at p, at holds f at p + c h e_a for c = 2, 1, -1, -2 in
-    axis_stencil's layout, and corners f at the corner points that
-    hessian_stencil evaluates. The diagonal is the five-point rule on the
+    f0 is f at p, at holds f at p + c h e_a for c = 2, 1, -1, -2 and corners
+    f at the corner points, both as hessian_stencil returns them; at a batch
+    of points, the batch axes follow the two derivative axes. The diagonal is the five-point rule on the
     axis samples; each mixed entry extrapolates the four-point corner rule at
     steps h/2 and h (Richardson).
     """

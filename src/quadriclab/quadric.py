@@ -58,11 +58,20 @@ class StiefelPoint:
     def ambient_dim(self) -> int:
         return self.u.shape[0]
 
+    def __getitem__(self, k) -> "StiefelPoint":
+        """Row k of a batch of lifts (..., n+2)."""
+        return StiefelPoint(u=self.u[k], v=self.v[k])
+
     def invariant_residuals(self) -> dict[str, float]:
+        """Norm and orthogonality defects, as arrays over a batch of lifts."""
+
+        def dot(a, b):
+            return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
         return {
-            "u_norm": abs(self.u @ self.u - 0.5),
-            "v_norm": abs(self.v @ self.v - 0.5),
-            "orthogonality": abs(self.u @ self.v),
+            "u_norm": np.abs(dot(self.u, self.u) - 0.5),
+            "v_norm": np.abs(dot(self.v, self.v) - 0.5),
+            "orthogonality": np.abs(dot(self.u, self.v)),
         }
 
     def validate(self, tol: float = STIEFEL_TOL) -> "StiefelPoint":

@@ -297,7 +297,8 @@ class QuinticHermite:
     Interpolation error on an RK4-fine grid sits far below the chart
     tolerances, and values are C^1 across knots, so chart stencils may
     straddle intervals. value and derivative take a number or an array of
-    abscissae; the power sums run in a fixed order.
+    abscissae, and value_and_derivative gives both from one interval lookup;
+    the power sums run in a fixed order.
     """
 
     def __init__(self, x: np.ndarray, f: np.ndarray, df: np.ndarray, ddf: np.ndarray):
@@ -335,19 +336,20 @@ class QuinticHermite:
         powers[..., 2:] = _float_pow(tau[..., None], _EXPONENTS)
         return self.coeffs[k], self.dx[k], powers
 
-    def value(self, t):
-        row, _, powers = self._locate(t)
-        acc = 0.0
+    def value_and_derivative(self, t):
+        row, dx, powers = self._locate(t)
+        value = slope = 0.0
         for j in range(6):
-            acc = acc + row[..., j] * powers[..., j]
-        return acc
+            value = value + row[..., j] * powers[..., j]
+            if j:
+                slope = slope + j * row[..., j] * powers[..., j - 1]
+        return value, slope / dx
+
+    def value(self, t):
+        return self.value_and_derivative(t)[0]
 
     def derivative(self, t):
-        row, dx, powers = self._locate(t)
-        acc = 0.0
-        for j in range(1, 6):
-            acc = acc + j * row[..., j] * powers[..., j - 1]
-        return acc / dx
+        return self.value_and_derivative(t)[1]
 
 
 def rotational_angles(alpha: float, n: int) -> tuple[float, float]:
@@ -402,7 +404,7 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
     def embed(x):
         x = np.asarray(x, dtype=float)
         theta = x[..., 0]
-        g0, g1, g2 = _gamma_point(theta, interp.value(theta), interp.derivative(theta))
+        g0, g1, g2 = _gamma_point(theta, *interp.value_and_derivative(theta))
         return np.concatenate(
             [g0[..., None] * sphere_chart(n - 1, x[..., 1:]), g1[..., None], g2[..., None]], axis=-1
         )
@@ -410,7 +412,7 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
     def normal(x):
         x = np.asarray(x, dtype=float)
         theta = x[..., 0]
-        a, p = interp.value(theta), interp.derivative(theta)
+        a, p = interp.value_and_derivative(theta)
         c, s = np.cos(a), np.sin(a)
         ct, st = np.cos(theta), np.sin(theta)
         w_loc = np.sqrt(np.maximum(0.0, 1.0 - p * p))
@@ -515,7 +517,9 @@ def warped_curvature_check(
             np.ptp(ratios, axis=-1),
         )
 
-    jets = {c: gauss_map(chart, p + c * h * e0, steps) for c in (-2, -1, 0, 1, 2)}
+    offsets = (-2, -1, 0, 1, 2)
+    batch = gauss_map(chart, p + (np.array(offsets) * h)[:, None] * e0, steps)
+    jets = {c: batch[k] for k, c in enumerate(offsets)}
     gs = {c: jet.stencil.lift_metric for c, jet in jets.items()}
     alphas = {c: _alpha_from_gauss(jet) for c, jet in jets.items()}
     vs = {c: float(np.sqrt(g[0, 0])) for c, g in gs.items()}

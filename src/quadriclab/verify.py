@@ -9,7 +9,7 @@ sign-convention bugs in either route cannot hide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -102,7 +102,8 @@ class GaugePolicy:
 
     'fixed' keeps one constant gauge angle; 'normalized' re-normalizes the
     angle sum at every point (a genuinely varying gauge on non-minimal
-    examples), keeping the discrete family choice aligned to the reference.
+    examples), keeping the discrete family choice aligned to the reference;
+    at a batched jet, one angle per row.
     """
 
     mode: str = "fixed"
@@ -199,8 +200,9 @@ def _polar_orthogonal(m: np.ndarray) -> np.ndarray:
 def _align_to_reference(
     spec: AngleSpectrum, ref: AngleSpectrum, max_mismatch: float = 0.1
 ) -> AngleSpectrum:
-    """Permute and rotate a nearby spectrum so its frame follows the reference.
+    """Permute and rotate nearby spectra so their frames follow the reference.
 
+    spec is one spectrum or a batch of them, each row aligned on its own.
     Frame vectors are matched cluster by cluster (clusters taken from the
     reference angles); inside each matched block the frame is rotated by the
     orthogonal Procrustes factor, which realizes transport by projection for
@@ -209,45 +211,40 @@ def _align_to_reference(
     """
     n = ref.dim
     clusters = mod_pi_clusters(ref.thetas, 1e-6)
-    assignment: list[list[int]] = [[] for _ in clusters]
-    for j in range(n):
-        dists = [
-            min(mod_pi_distance(spec.thetas[j], ref.thetas[k]) for k in cl)
-            for cl in clusters
-        ]
-        assignment[int(np.argmin(dists))].append(j)
-    if [len(a) for a in assignment] != [len(c) for c in clusters]:
-        raise VerifyError(
-            f"angle clusters changed between stencil points: reference "
-            f"{ref.thetas}, sample {spec.thetas}"
-        )
-    new_thetas = np.empty(n)
+    new_thetas = np.empty_like(spec.thetas)
     new_frame_vel = np.empty_like(spec.frame_vel)
     new_frame_ambient = np.empty_like(spec.frame_ambient)
-    for cl, members in zip(clusters, assignment):
-        overlap = np.real(
-            np.conj(spec.frame_ambient[members]) @ ref.frame_ambient[cl].T
-        )
-        rot = _polar_orthogonal(overlap)
-        mismatch = np.abs(rot.T @ overlap - np.eye(len(cl))).max()
-        if mismatch > max_mismatch:
+    for row in np.ndindex(spec.thetas.shape[:-1]):
+        thetas, frame_vel, frame_ambient = spec.thetas[row], spec.frame_vel[row], spec.frame_ambient[row]
+        assignment: list[list[int]] = [[] for _ in clusters]
+        for j in range(n):
+            dists = [
+                min(mod_pi_distance(thetas[j], ref.thetas[k]) for k in cl)
+                for cl in clusters
+            ]
+            assignment[int(np.argmin(dists))].append(j)
+        if [len(a) for a in assignment] != [len(c) for c in clusters]:
             raise VerifyError(
-                f"frame transport mismatch {mismatch:.3f} exceeds {max_mismatch}"
+                f"angle clusters changed between stencil points: reference "
+                f"{ref.thetas}, sample {thetas}"
             )
-        block_vel = rot.T @ spec.frame_vel[members]
-        block_amb = rot.T @ spec.frame_ambient[members]
-        for pos, k in enumerate(cl):
-            new_frame_vel[k] = block_vel[pos]
-            new_frame_ambient[k] = block_amb[pos]
-            new_thetas[k] = nearest_mod_pi(spec.thetas[members[pos]], ref.thetas[k])
-    return AngleSpectrum(
-        thetas=new_thetas,
-        frame_vel=new_frame_vel,
-        frame_ambient=new_frame_ambient,
-        gauge=spec.gauge,
-        lift=spec.lift,
-        diag_residual=spec.diag_residual,
-    )
+        for cl, members in zip(clusters, assignment):
+            overlap = np.real(
+                np.conj(frame_ambient[members]) @ ref.frame_ambient[cl].T
+            )
+            rot = _polar_orthogonal(overlap)
+            mismatch = np.abs(rot.T @ overlap - np.eye(len(cl))).max()
+            if mismatch > max_mismatch:
+                raise VerifyError(
+                    f"frame transport mismatch {mismatch:.3f} exceeds {max_mismatch}"
+                )
+            block_vel = rot.T @ frame_vel[members]
+            block_amb = rot.T @ frame_ambient[members]
+            for pos, k in enumerate(cl):
+                new_frame_vel[row + (k,)] = block_vel[pos]
+                new_frame_ambient[row + (k,)] = block_amb[pos]
+                new_thetas[row + (k,)] = nearest_mod_pi(thetas[members[pos]], ref.thetas[k])
+    return replace(spec, thetas=new_thetas, frame_vel=new_frame_vel, frame_ambient=new_frame_ambient)
 
 
 @dataclass(frozen=True)
@@ -269,53 +266,30 @@ def field_derivatives(pt: SamplePoint) -> FieldDerivatives:
     """Fourth-order derivatives of angles, frame, cubic form, normal lift, angle sum.
 
     Evaluates the whole pointwise pipeline at p +- {H, H/2} along every frame
-    direction, aligns the stencil frames to the center frame and differences
-    the aligned fields.
+    direction as one batch of 4n points, aligns each stencil frame to the
+    center frame and differences the aligned fields along the offset axis.
     """
     spec = pt.spec
-    n = pt.jet.dim
     h_step = pt.steps.field
-    offsets = (1.0, 0.5, -0.5, -1.0)
+    # (offset, direction i, coordinates): the offsets (+1, +1/2, -1/2, -1) in
+    # units of H are the +2h, +h, -h, -2h of a five-point rule with step H/2
+    q = pt.p + (np.array([1.0, 0.5, -0.5, -1.0]) * h_step)[:, None, None] * spec.frame_vel
+    jets = gauss_map(pt.chart, q, pt.steps)
+    phis = pt.policy.phi_at(jets, ref_phi=pt.phi)
+    spec_q = _align_to_reference(angle_spectrum(jets, StructureGauge(phis)), spec)
+    normal_lift = np.exp(1j * np.asarray(phis))[..., None] * np.conj(jets.lift.z)
 
-    d_cos2 = np.empty((n, n))
-    d_sin2 = np.empty((n, n))
-    d_frame = np.empty((n, n, n + 2), dtype=complex)
-    d_cubic = np.empty((n, n, n, n))
-    d_normal = np.empty((n, n + 2), dtype=complex)
-    d_angle_sum = np.empty(n)
-    for i in range(n):
-        vel = spec.frame_vel[i]
-        cos2_s, sin2_s, frame_s, cubic_s, lift_s, sum_s = [], [], [], [], [], []
-        for c in offsets:
-            q = pt.p + c * h_step * vel
-            jet_q = gauss_map(pt.chart, q, pt.steps)
-            phi_q = pt.policy.phi_at(jet_q, ref_phi=pt.phi)
-            spec_q = _align_to_reference(
-                angle_spectrum(jet_q, StructureGauge(phi_q)), spec
-            )
-            cos2_q, sin2_q = spec_q.cos_sin()
-            cos2_s.append(cos2_q)
-            sin2_s.append(sin2_q)
-            frame_s.append(spec_q.frame_ambient)
-            lift_s.append(np.exp(1j * phi_q) * np.conj(jet_q.lift.z))
-            cubic_s.append(second_fundamental_form(jet_q, spec_q).h)
-            sum_s.append(np.sum(np.arctan(jet_q.lambdas)))
+    def d(f):
+        return central_first(*f, 0.5 * h_step)
 
-        # five-point first derivative with substep H/2: the offsets
-        # (+1, +1/2, -1/2, -1) in units of H are its +2h, +h, -h, -2h
-        d_cos2[i] = central_first(*cos2_s, 0.5 * h_step)
-        d_sin2[i] = central_first(*sin2_s, 0.5 * h_step)
-        d_frame[i] = central_first(*frame_s, 0.5 * h_step)
-        d_normal[i] = central_first(*lift_s, 0.5 * h_step)
-        d_cubic[i] = central_first(*cubic_s, 0.5 * h_step)
-        d_angle_sum[i] = central_first(*sum_s, 0.5 * h_step)
+    d_cos2, d_sin2 = map(d, spec_q.cos_sin())
     cos2, sin2 = spec.cos_sin()
     return FieldDerivatives(
         d_theta=0.5 * (cos2[None, :] * d_sin2 - sin2[None, :] * d_cos2),
-        d_frame=d_frame,
-        d_cubic=d_cubic,
-        d_normal_lift=d_normal,
-        d_angle_sum=d_angle_sum,
+        d_frame=d(spec_q.frame_ambient),
+        d_cubic=d(second_fundamental_form(jets, spec_q).h),
+        d_normal_lift=d(normal_lift),
+        d_angle_sum=d(np.sum(np.arctan(jets.lambdas), axis=-1)),
     )
 
 

@@ -196,26 +196,27 @@ class TestVerifyCommand:
         assert isinstance(rep["summary"]["skipped"], list)
 
     @staticmethod
-    def _count_sphere_evaluations(monkeypatch):
-        """(calls, rows) of embed and normal for one verified point of the round 3-sphere."""
+    def _count_evaluations(monkeypatch, example="sphere", n=3):
+        """(calls, rows) of embed and normal for one verified point of the example, by default the round 3-sphere."""
         calls, rows = [], []
 
         def counted(fn):
             def wrapper(q):
                 calls.append(1)
-                rows.append(np.size(q) // 3)
+                rows.append(np.size(q) // n)
                 return fn(q)
 
             return wrapper
 
         def build(cfg):
-            chart = round_sphere(3, 1.0 / np.sqrt(2.0))
+            chart = build_example(cfg)
             return dataclasses.replace(
                 chart, embed=counted(chart.embed), normal=counted(chart.normal)
             )
 
+        build_example = cli.build_example
         monkeypatch.setattr(cli, "build_example", build)
-        code, _ = cli.cmd_verify(RunConfig(command="verify", grid=1))
+        code, _ = cli.cmd_verify(RunConfig(command="verify", example=example, n=n, grid=1))
         assert code == 0
         return len(calls), sum(rows)
 
@@ -223,15 +224,20 @@ class TestVerifyCommand:
         # embed and normal evaluations (rows) for one verified point; each
         # per-point quantity is built once, so a change that rebuilds one
         # moves this count
-        assert self._count_sphere_evaluations(monkeypatch)[1] == 2282
+        assert self._count_evaluations(monkeypatch)[1] == 2282
 
     def test_chart_call_budget(self, monkeypatch):
         # embed and normal calls for the same point: every stencil reaches the
         # chart as one batch, so a stencil evaluated point by point moves this.
         # 4 at the point (stencil and center, embed and normal), 2 for its
-        # Hessian, 6 for each of the 12 field-derivative jets and 2 for the
-        # metric route's whole stencil
-        assert self._count_sphere_evaluations(monkeypatch)[0] == 80
+        # Hessian, 6 for the whole batch of 12 field-derivative jets (stencil,
+        # center and Hessian) and 2 for the metric route's whole stencil
+        assert self._count_evaluations(monkeypatch)[0] == 14
+
+    def test_chart_call_budget_does_not_grow_with_n(self, monkeypatch):
+        # rotational n = 4: the same 14 calls carry 5,058 rows, its 16
+        # field-derivative jets among them in one batch
+        assert self._count_evaluations(monkeypatch, "rotational", 4) == (14, 5058)
 
     def test_csc_tolerance_overrides(self, tmp_path):
         # each constant-curvature entry carries its own tolerance
@@ -529,7 +535,7 @@ class TestOdeCommand:
 
     def test_chart_evaluation_budget(self, tmp_path, monkeypatch):
         # embed and normal evaluations of one ode run at n = 3; the profile
-        # checks build each of their five Gauss-map jets once
+        # checks build their five Gauss-map jets once, as one batch
         rows = []
         jets = []
 
@@ -550,11 +556,11 @@ class TestOdeCommand:
             )
 
         monkeypatch.setattr(cli, "build_rotational_chart", build)
-        monkeypatch.setattr(rotational, "gauss_map", counted(rotational.gauss_map, jets, lambda *a: 1))
+        monkeypatch.setattr(rotational, "gauss_map", counted(rotational.gauss_map, jets, lambda _, q, *a: len(q)))
         code, _ = cli.cmd_ode(RunConfig(command="ode", example="rotational", out=str(tmp_path)))
         assert code == 0
         assert sum(rows) == 3394
-        assert len(jets) == 5
+        assert jets == [5]
 
     def test_order_probe_at_many_steps(self, tmp_path):
         # the order probe keeps its own step count, so a fine --steps does not

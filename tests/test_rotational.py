@@ -254,18 +254,18 @@ class TestChartMemo:
             assert np.array_equal(got, want)
 
     def test_interpolations_per_stencil(self, curve_n4, monkeypatch):
-        # value and derivative once for embed and once for normal on the 16
-        # stencil points, then the same at the center
+        # one interval lookup, for value and derivative together, for embed
+        # and one for normal on the 16 stencil points, then the same at the
+        # center
         chart = build_rotational_chart(curve_n4, 4)
         calls = []
-        for name in ("value", "derivative"):
-            method = getattr(QuinticHermite, name)
-            monkeypatch.setattr(
-                QuinticHermite, name, lambda self, t, m=method: calls.append(np.shape(t)) or m(self, t)
-            )
+        locate = QuinticHermite._locate
+        monkeypatch.setattr(
+            QuinticHermite, "_locate", lambda self, t: calls.append(np.shape(t)) or locate(self, t)
+        )
         st = ChartStencil(chart, chart.box.center + 0.01, 1e-4)
         st.center
-        assert calls == [(4, 4)] * 4 + [()] * 4
+        assert calls == [(4, 4)] * 2 + [()] * 2
 
 
 def test_orbit_group_straddling_pi():
