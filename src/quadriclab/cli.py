@@ -1,9 +1,9 @@
 """Command-line driver: batch verification with machine-readable reports.
 
-Three subcommands: `verify` runs every applicable structural check for one
-catalog example over deterministic sample points, `angles` reports angle
-functions and the distinct-angle count, `ode` integrates the profile flow and
-checks the rotational-chart laws, exporting the profile curve as CSV.
+Three subcommands over the catalog examples of `EXAMPLES`, the one table of
+every per-example fact: `verify` runs each applicable structural check at
+sample points, `angles` reports angle functions and the distinct-angle
+count, `ode` checks the profile flow and exports its curve as CSV.
 
 Reports are JSON with layout {config, results, summary, timestamp}; identical
 configurations produce byte-identical reports apart from the timestamp line.
@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,17 +72,6 @@ from .verify import (
 
 __all__ = ["RunConfig", "main", "cmd_verify", "cmd_angles", "cmd_ode"]
 
-KNOWN_EXAMPLES = ("sphere", "product", "cartan", "rotational")
-
-# the parameters build_example (and cmd_ode, for the rotational flow) reads
-# for each example; any other one given on the command line is an error
-EXAMPLE_PARAMS = {
-    "sphere": ("r",),
-    "product": ("k", "r1"),
-    "cartan": ("t",),
-    "rotational": ("alpha0", "dalpha0", "span", "steps"),
-}
-
 DEFAULT_TOLERANCES = {
     "chart_invariants": 1e-8,
     "chart_rank_margin": 0.0,
@@ -134,6 +124,78 @@ class ConfigError(Exception):
     """Bad command-line configuration."""
 
 
+def _flow(n: int, p: dict):
+    return integrate_alpha(n, p["alpha0"], p["dalpha0"], p["span"], p["steps"])
+
+
+def _rotational_chart(n: int, p: dict) -> HypersurfaceChart:
+    traj = _flow(n, p)
+    if traj.stopped_early:
+        raise ConfigError(f"trajectory stopped early: {traj.stop_reason}")
+    return build_rotational_chart(profile_curve(traj), n)
+
+
+def _sphere_checks(pt: SamplePoint, n: int) -> dict:
+    th = pt.spec.thetas
+    pairs = ((i, j) for i in range(len(th)) for j in range(i + 1, len(th)))
+    return {"angles_equal": max((mod_pi_distance(th[i], th[j]) for i, j in pairs), default=0.0)}
+
+
+def _cartan_checks(pt: SamplePoint, n: int) -> dict:
+    th = np.sort(pt.spec.thetas)
+    gaps = max(abs(th[1] - th[0] - np.pi / 3.0), abs(th[2] - th[1] - np.pi / 3.0))
+    return {"angle_gaps_third_pi": gaps, "cubic_component_squared": abs(pt.ff.h[0, 1, 2] ** 2 - 0.375)}
+
+
+@dataclass(frozen=True)
+class Example:
+    """Every fact about one catalog example that the commands read."""
+
+    build: Callable  # (n, params with every default filled in) -> chart
+    params: dict  # name -> default; the default's type is the flag's type
+    n_range: tuple = (1, None)  # (lowest n, highest n or None)
+    isoparametric: bool = False
+    sectional: Callable = lambda n: None  # n -> constant sectional curvature, or None
+    checks: Callable = lambda pt, n: {}  # (sample point, n) -> {name: residual}, after the common checks
+    commands: tuple = ("verify", "angles")
+
+
+# each build calls its constructor by this module's global name, so rebinding the name reaches it
+EXAMPLES = {
+    "sphere": Example(
+        build=lambda n, p: round_sphere(n, p["r"]),
+        params={"r": float(1.0 / np.sqrt(2.0))},
+        isoparametric=True,
+        sectional=lambda n: SECTIONAL_TARGETS["sphere"],
+        checks=_sphere_checks,
+    ),
+    "product": Example(
+        build=lambda n, p: product_spheres(p["k"], n, p["r1"]),
+        params={"k": 1, "r1": float(1.0 / np.sqrt(2.0))},
+        n_range=(2, None),
+        isoparametric=True,
+        sectional=lambda n: 0.0 if n == 2 else None,
+    ),
+    "cartan": Example(
+        build=lambda n, p: cartan_tube(p["t"]),
+        params={"t": 0.35},
+        n_range=(3, 3),
+        isoparametric=True,
+        sectional=lambda n: SECTIONAL_TARGETS["cartan"],
+        checks=_cartan_checks,
+    ),
+    "rotational": Example(
+        build=_rotational_chart,
+        params={"alpha0": np.pi / 12.0, "dalpha0": 0.0, "span": 0.8, "steps": 4000},
+        n_range=(3, None),
+        checks=lambda pt, n: {"principal_vs_angle_pattern": principal_pattern_residual(pt.jet, n)},
+        commands=("verify", "angles", "ode"),
+    ),
+}
+
+PARAM_TYPES = {name: type(d) for entry in EXAMPLES.values() for name, d in entry.params.items()}
+
+
 @dataclass
 class RunConfig:
     """Validated run parameters; every field reaches the report verbatim."""
@@ -150,25 +212,34 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
         if self.grid < 1:
             raise ConfigError("grid must be at least 1")
         if not (1e-7 < self.h < 1e-2):
             raise ConfigError(f"h = {self.h} outside the supported range (1e-7, 1e-2)")
-        known = ("rotational",) if self.command == "ode" else KNOWN_EXAMPLES
+        known = tuple(name for name, entry in EXAMPLES.items() if self.command in entry.commands)
         if self.example not in known:
             raise ConfigError(f"unknown example '{self.example}'; choose from {known}")
-        reads = EXAMPLE_PARAMS[self.example]
+        reads = self.entry.params
         unread = [name for name in sorted(self.params) if name not in reads]
         if unread:
             flags = lambda names: ", ".join(f"--{name}" for name in names)
             raise ConfigError(f"example '{self.example}' does not read {flags(unread)}; it reads {flags(reads)}")
         if self.gauge not in ("canonical", "normalized"):
             raise ConfigError("gauge must be 'canonical' or 'normalized'")
-        flow = self.command == "ode" or self.example == "rotational"
-        if flow and "span" in self.params and self.params["span"] <= 0.0:
+        if self.params.get("span", 1.0) <= 0.0:
             raise ConfigError(f"span must be positive, got {self.params['span']}")
+        low, high = self.entry.n_range
+        if not low <= self.n <= (high or self.n):
+            need = f"n >= {low}" if high is None else f"n = {low}" if low == high else f"{low} <= n <= {high}"
+            raise ConfigError(f"example '{self.example}' needs {need}, got n = {self.n}")
+
+    @property
+    def entry(self) -> Example:
+        return EXAMPLES[self.example]
+
+    def example_params(self) -> dict:
+        """Every parameter of the example: the given ones, else the defaults, as the flag types."""
+        return {name: type(d)(self.params.get(name, d)) for name, d in self.entry.params.items()}
 
     def tol(self, name: str) -> float:
         if name in self.tolerances:
@@ -226,31 +297,7 @@ def kronecker_points(box: Box, count: int, seed: int, margin: float) -> list[np.
 
 def build_example(cfg: RunConfig) -> HypersurfaceChart:
     """Construct the configured catalog chart (integrating the flow if needed)."""
-    p = cfg.params
-    if cfg.example == "sphere":
-        return round_sphere(cfg.n, p.get("r", 1.0 / np.sqrt(2.0)))
-    if cfg.example == "product":
-        k = int(p.get("k", 1))
-        r1 = p.get("r1", 1.0 / np.sqrt(2.0))
-        return product_spheres(k, cfg.n, r1)
-    if cfg.example == "cartan":
-        if cfg.n != 3:
-            raise ConfigError("the cartan example lives in dimension n = 3")
-        return cartan_tube(p.get("t", 0.35))
-    if cfg.example == "rotational":
-        if cfg.n < 3:
-            raise ConfigError("rotational examples need n >= 3")
-        traj = integrate_alpha(
-            cfg.n,
-            p.get("alpha0", np.pi / 12.0),
-            p.get("dalpha0", 0.0),
-            p.get("span", 0.8),
-            int(p.get("steps", 4000)),
-        )
-        if traj.stopped_early:
-            raise ConfigError(f"trajectory stopped early: {traj.stop_reason}")
-        return build_rotational_chart(profile_curve(traj), cfg.n)
-    raise ConfigError(f"unknown example '{cfg.example}'")
+    return cfg.entry.build(cfg.n, cfg.example_params())
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +321,6 @@ def _sample_points(chart: HypersurfaceChart, cfg: RunConfig) -> list[SamplePoint
         phi = 0.0 if cfg.gauge == "canonical" else gauge_normalize(jets[k], ref_phi).phi
         points.append(SamplePoint(jets[k], GaugePolicy("fixed", phi)))
     return points
-
-
-def _sectional_target(cfg: RunConfig) -> float | None:
-    """Constant sectional curvature of the configured example, if it has one."""
-    if cfg.example == "product" and cfg.n == 2:
-        return 0.0
-    return SECTIONAL_TARGETS.get(cfg.example)
 
 
 def _report(example: str, point: list, residuals: dict, cfg: RunConfig) -> ResidualReport:
@@ -337,7 +377,7 @@ def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
     k_alg = sectional_curvature(spec, ff)
     two_route = 0.0
     value_res = 0.0
-    target = _sectional_target(cfg)
+    target = cfg.entry.sectional(cfg.n)
     for i in range(jet.dim):
         for j in range(i + 1, jet.dim):
             k_met = sectional_from_metric(
@@ -350,28 +390,15 @@ def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
     if target is not None:
         res["sectional_value"] = value_res
 
-    if cfg.example == "sphere":
-        th = spec.thetas
-        res["angles_equal"] = max(
-            (mod_pi_distance(th[i], th[j]) for i in range(len(th)) for j in range(i + 1, len(th))),
-            default=0.0,
-        )
-    if cfg.example == "cartan":
-        th = np.sort(spec.thetas)
-        res["angle_gaps_third_pi"] = max(
-            abs(th[1] - th[0] - np.pi / 3.0), abs(th[2] - th[1] - np.pi / 3.0)
-        )
-        res["cubic_component_squared"] = abs(ff.h[0, 1, 2] ** 2 - 0.375)
+    res.update(cfg.entry.checks(pt, cfg.n))
     if target is not None:
         res.update(check_csc_identities(spec, ff))
-    if cfg.example == "rotational":
-        res["principal_vs_angle_pattern"] = principal_pattern_residual(jet, cfg.n)
     return _report(cfg.example, list(map(float, pt.p)), res, cfg)
 
 
 def _skipped_checks(cfg: RunConfig) -> list[dict]:
     skipped = []
-    if _sectional_target(cfg) is None:
+    if cfg.entry.sectional(cfg.n) is None:
         skipped.append(
             {
                 "name": "sectional_value",
@@ -399,14 +426,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     points = _sample_points(chart, cfg)
     results = [_point_report(pt, cfg) for pt in points]
     sample_specs = [pt.spec0 for pt in points]
-    distinct = None
-    if chart.meta.get("isoparametric"):
+    if cfg.entry.isoparametric:
         variance = {"isoparametric_variance": isoparametric_variance(sample_specs)}
         results.append(_report(cfg.example, ["all"], variance, cfg))
-        distinct = classify_by_angles(sample_specs)
     summary = _summary(results, _skipped_checks(cfg))
-    if distinct is not None:
-        summary["distinct_angles"] = distinct
+    if cfg.entry.isoparametric:
+        summary["distinct_angles"] = classify_by_angles(sample_specs)
     payload = {
         "config": cfg.to_dict(),
         "results": [r.to_dict() for r in results],
@@ -428,26 +453,20 @@ def cmd_angles(cfg: RunConfig) -> tuple[int, dict]:
         for pt in points
     ]
     summary = {"all_pass": True, "skipped": []}
-    if chart.meta.get("isoparametric"):
+    if cfg.entry.isoparametric:
         summary["distinct_angles"] = classify_by_angles([pt.spec for pt in points])
     payload = {"config": cfg.to_dict(), "results": rows, "summary": summary}
     return 0, payload
 
 
 def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
-    if cfg.n < 3:
-        raise ConfigError("the profile flow needs n >= 3")
-    p = cfg.params
-    alpha0 = p.get("alpha0", np.pi / 12.0)
-    dalpha0 = p.get("dalpha0", 0.0)
-    span = p.get("span", 0.8)
-    steps_n = int(p.get("steps", 4000))
-    traj = integrate_alpha(cfg.n, alpha0, dalpha0, span, steps_n)
+    p = cfg.example_params()
+    traj = _flow(cfg.n, p)
     residuals = {
         "first_integral": first_integral_residual(traj),
         "ode_forms_equivalent": ode_equivalence_residual(traj),
     }
-    order = ode_order_ratio(cfg.n, alpha0, dalpha0, span, ORDER_PROBE_STEPS)
+    order = ode_order_ratio(cfg.n, p["alpha0"], p["dalpha0"], p["span"], ORDER_PROBE_STEPS)
     curve = profile_curve(traj)
     payload: dict = {
         "config": cfg.to_dict(),
@@ -525,16 +544,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("verify", "angles", "ode"):
         sp = sub.add_parser(name)
-        sp.add_argument("--example", default="sphere" if name != "ode" else "rotational")
+        sp.add_argument("--example", default=next(e for e in EXAMPLES if name in EXAMPLES[e].commands))
         sp.add_argument("--n", type=int, default=3)
-        sp.add_argument("--r", type=float, default=None)
-        sp.add_argument("--r1", type=float, default=None)
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--t", type=float, default=None)
-        sp.add_argument("--alpha0", type=float, default=None)
-        sp.add_argument("--dalpha0", type=float, default=None)
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--span", type=float, default=None)
+        for param, kind in PARAM_TYPES.items():
+            sp.add_argument(f"--{param}", type=kind, default=None)
         sp.add_argument("--grid", type=int, default=3)
         sp.add_argument("--h", type=float, default=1e-4)
         sp.add_argument("--gauge", default="normalized")
@@ -545,15 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    params = {}
-    for key in ("r", "r1", "t", "alpha0", "dalpha0", "span"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = float(value)
-    for key in ("k", "steps"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = int(value)
+    params = {name: getattr(args, name) for name in PARAM_TYPES if getattr(args, name) is not None}
     tolerances = {}
     for item in args.tol:
         if "=" not in item:

@@ -340,7 +340,7 @@ def round_sphere(n: int, r: float) -> HypersurfaceChart:
         normal=normal,
         box=Box.cube(n, 0.45),
         name="sphere",
-        meta={"r": r, "isoparametric": True, "distinct": 1},
+        meta={"r": r},
     )
 
 
@@ -374,7 +374,7 @@ def product_spheres(k: int, n: int, r1: float, r2: float | None = None) -> Hyper
         normal=normal,
         box=Box.cube(n, 0.45),
         name="product",
-        meta={"k": k, "r1": r1, "r2": r2, "isoparametric": True, "distinct": 2},
+        meta={"k": k, "r1": r1, "r2": r2},
     )
 
 
@@ -461,7 +461,7 @@ def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
         normal=normal,
         box=Box(lows=np.array([-0.35, -0.35, -0.6]), highs=np.array([0.35, 0.35, 0.6])),
         name="cartan",
-        meta={"t": t, "isoparametric": True, "distinct": 3},
+        meta={"t": t},
     )
     try:
         spec = principal_curvatures(chart, chart.box.center, 1e-4)
@@ -556,5 +556,5 @@ def perturbed_sphere(n: int = 2, rho0: float = 0.9, eps: float = 0.08) -> Hypers
         normal=normal,
         box=Box.cube(n, 0.4),
         name="perturbed",
-        meta={"rho0": rho0, "eps": eps, "isoparametric": False},
+        meta={"rho0": rho0, "eps": eps},
     )

@@ -431,12 +431,7 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
         normal=normal,
         box=Box(lows=lows, highs=highs),
         name="rotational",
-        meta={
-            "n": n,
-            "c1": c1,
-            "interp": interp,
-            "isoparametric": False,
-        },
+        meta={"n": n, "c1": c1, "interp": interp},
     )
 
 

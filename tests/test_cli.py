@@ -56,22 +56,74 @@ class TestConfig:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
-        "argv, name",
+        "command, example, name",
         [
-            (["verify", "--example", "sphere", "--alpha0", "0.3"], "--alpha0"),
-            (["verify", "--example", "cartan", "--r1", "0.2"], "--r1"),
-            (["angles", "--example", "sphere", "--steps", "10"], "--steps"),
-            (["ode", "--r", "0.5"], "--r"),
+            pytest.param(command, example, name, id=f"{command}-{example}-{name}")
+            for example, entry in cli.EXAMPLES.items()
+            for command in entry.commands
+            for name in cli.PARAM_TYPES
+            if name not in entry.params
         ],
     )
-    def test_unread_parameter_exits_2(self, tmp_path, capsys, argv, name):
+    def test_unread_parameter_exits_2(self, tmp_path, capsys, command, example, name):
         # a parameter the example does not read was accepted and written into
         # a passing report about the example's defaults
-        assert run(tmp_path, *argv, "--grid", "1") == 2
+        assert run(tmp_path, command, "--example", example, f"--{name}", "1", "--grid", "1") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"does not read {name}" in err
+        assert f"does not read --{name};" in err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["verify", "--example", "cartan", "--n", "4"], "example 'cartan' needs n = 3, got n = 4"),
+            (["angles", "--example", "rotational", "--n", "2"], "example 'rotational' needs n >= 3, got n = 2"),
+            (["verify", "--example", "rotational", "--n", "2"], "example 'rotational' needs n >= 3, got n = 2"),
+            (["ode", "--n", "2"], "example 'rotational' needs n >= 3, got n = 2"),
+            (["verify", "--example", "product", "--n", "1"], "example 'product' needs n >= 2, got n = 1"),
+        ],
+        ids=["verify-cartan-n4", "angles-rotational-n2", "verify-rotational-n2", "ode-n2", "verify-product-n1"],
+    )
+    def test_n_outside_the_example_range_exits_2(self, tmp_path, capsys, monkeypatch, argv, error):
+        # the n rule of each example holds before any chart or flow is built
+        calls = []
+        monkeypatch.setattr(cli, "integrate_alpha", lambda *args: calls.append(args))
+        assert run(tmp_path, *argv, "--grid", "1") == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert calls == []
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["ode", "verify"])
+    def test_explicit_rotational_defaults_change_nothing(self, tmp_path, command):
+        # ode and verify --example rotational read one defaults table
+        defaults = ["--alpha0", repr(np.pi / 12.0), "--dalpha0", "0.0", "--span", "0.8", "--steps", "4000"]
+        grid = ["--grid", "1"] if command == "verify" else []
+        reports = []
+        for extra in ([], defaults):
+            out = tmp_path / str(len(reports))
+            assert run(out, command, "--example", "rotational", *grid, *extra) == 0
+            reports.append(load_report(out, command, "rotational"))
+        assert reports[0]["config"]["params"] == {}
+        assert reports[1]["config"]["params"] == {"alpha0": np.pi / 12.0, "dalpha0": 0.0, "span": 0.8, "steps": 4000}
+        for key in ("results", "summary"):
+            assert reports[0][key] == reports[1][key]
+
+    def test_build_calls_each_constructor_by_module_name(self, monkeypatch):
+        # the benchmark counts chart evaluations by rebinding these names in
+        # cli; a table holding the function objects would bypass the rebinding
+        constructors = {
+            "sphere": "round_sphere",
+            "product": "product_spheres",
+            "cartan": "cartan_tube",
+            "rotational": "build_rotational_chart",
+        }
+        assert set(constructors) == set(cli.EXAMPLES)
+        for example, name in constructors.items():
+            chart, calls = object(), []
+            monkeypatch.setattr(cli, name, lambda *args, chart=chart: calls.append(args) or chart)
+            assert cli.build_example(RunConfig(command="verify", example=example)) is chart
+            assert len(calls) == 1
 
     def test_benchmark_operations_read_every_parameter(self, tmp_path, monkeypatch):
         # every operation of the benchmark workloads passes only parameters
@@ -367,6 +419,10 @@ class TestCheckNames:
     )
     def test_order(self, names, key):
         assert names[key] == CHECK_ORDER[key]
+
+    def test_every_example_is_pinned(self):
+        # an example added to the registry without a check-order pin fails here
+        assert {key[1] for key in CHECK_ORDER} == set(cli.EXAMPLES)
 
     def test_every_tolerance_names_a_check(self, names):
         # a check without a tolerance, or a tolerance no check reads, fails here
