@@ -30,7 +30,6 @@ from .gaussmap import (
     gauss_map,
     mean_curvature,
     mod_pi_distance,
-    structure_operators,
 )
 from .hypersurfaces import (
     Box,
@@ -41,7 +40,6 @@ from .hypersurfaces import (
     round_sphere,
 )
 from .numerics import NumericsError
-from .quadric import StructureGauge
 from .rotational import (
     OdeError,
     build_rotational_chart,
@@ -63,11 +61,12 @@ from .verify import (
     check_prop1,
     classify_by_angles,
     codazzi_residual,
+    cotangent_residual,
     gauss_equation_residual,
     isoparametric_variance,
     palmer_residual,
-    sectional_curvature,
-    sectional_from_metric,
+    sectional_residuals,
+    structure_residuals,
 )
 
 __all__ = ["RunConfig", "main", "cmd_verify", "cmd_angles", "cmd_ode"]
@@ -142,7 +141,7 @@ def _sphere_checks(pt: SamplePoint, n: int) -> dict:
 
 
 def _cartan_checks(pt: SamplePoint, n: int) -> dict:
-    th = np.sort(pt.spec.thetas)
+    th = pt.spec.thetas
     gaps = max(abs(th[1] - th[0] - np.pi / 3.0), abs(th[2] - th[1] - np.pi / 3.0))
     return {"angle_gaps_third_pi": gaps, "cubic_component_squared": abs(pt.ff.h[0, 1, 2] ** 2 - 0.375)}
 
@@ -346,23 +345,16 @@ def _summary(
 
 
 def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
-    jet, spec, ff = pt.jet, pt.spec, pt.ff
+    jet, ff = pt.jet, pt.ff
     inv = jet.stencil.invariants()
-    b, c = structure_operators(jet, StructureGauge(pt.phi))
-    cot_res = 0.0
-    lams = np.sort(jet.lambdas)[::-1]
-    ths = pt.spec0.thetas  # ascending pairs with descending curvatures
-    for lam, th in zip(lams, ths):
-        if abs(np.sin(th)) > 1e-3:
-            cot_res = max(cot_res, abs(lam - np.cos(th) / np.sin(th)))
+    target = cfg.entry.sectional(cfg.n)
     res = {
         "chart_invariants": max(v for k, v in inv.items() if k != "min_singular_value"),
         "chart_rank_margin": max(0.0, 1e-6 - inv["min_singular_value"]),
         "lagrangian": jet.lagrangian_residual(),
         "horizontality": jet.horizontality_residual(),
-        "structure_unit_norm": np.abs(b @ b + c @ c - np.eye(jet.dim)).max(),
-        "structure_commute": np.abs(b @ c - c @ b).max(),
-        "curvature_angle_cotangent": cot_res,
+        **structure_residuals(pt),
+        **cotangent_residual(pt),
         "cubic_symmetry": ff.symmetry_defect,
         "mean_curvature_norm": np.linalg.norm(mean_curvature(ff)),
         "palmer_formula": palmer_residual(pt)["residual"],
@@ -373,26 +365,10 @@ def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
     res.update(check_prop1(pt))
     res.update(gauss_equation_residual(pt))
     res.update(codazzi_residual(pt))
-
-    k_alg = sectional_curvature(spec, ff)
-    two_route = 0.0
-    value_res = 0.0
-    target = cfg.entry.sectional(cfg.n)
-    for i in range(jet.dim):
-        for j in range(i + 1, jet.dim):
-            k_met = sectional_from_metric(
-                pt.curvature, pt.metric, spec.frame_vel[i], spec.frame_vel[j]
-            )
-            two_route = max(two_route, abs(k_alg[i, j] - k_met))
-            if target is not None:
-                value_res = max(value_res, abs(k_met - target))
-    res["sectional_two_route"] = two_route
-    if target is not None:
-        res["sectional_value"] = value_res
-
+    res.update(sectional_residuals(pt, target))
     res.update(cfg.entry.checks(pt, cfg.n))
     if target is not None:
-        res.update(check_csc_identities(spec, ff))
+        res.update(check_csc_identities(pt.spec, ff))
     return _report(cfg.example, list(map(float, pt.p)), res, cfg)
 
 

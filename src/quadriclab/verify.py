@@ -5,6 +5,10 @@ returns its worst residual by report name; the caller applies tolerances.
 Curvature is computed twice, once algebraically from angles and the cubic
 form and once from finite differences of the induced metric, so that
 sign-convention bugs in either route cannot hide.
+
+Every identity is one numpy broadcast or einsum expression over its tensor
+indices; one taken over distinct indices masks the rest out, and its
+residual over an empty index set is 0.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .gaussmap import (
     nearest_mod_pi,
     normalized_phase,
     second_fundamental_form,
+    structure_operators,
 )
 from .hypersurfaces import Box, ChartStencil, HypersurfaceChart
 from .numerics import central_first, hessian_stencil, second_derivative, symmetric_eigen
@@ -43,6 +48,8 @@ __all__ = [
     "FieldDerivatives",
     "field_derivatives",
     "connection_and_s",
+    "structure_residuals",
+    "cotangent_residual",
     "check_prop1",
     "palmer_residual",
     "curvature_from_metric",
@@ -51,6 +58,7 @@ __all__ = [
     "gauss_equation_residual",
     "codazzi_residual",
     "sectional_curvature",
+    "sectional_residuals",
     "check_csc_identities",
     "isoparametric_variance",
     "classify_by_angles",
@@ -323,6 +331,29 @@ def connection_and_s(pt: SamplePoint) -> ConnectionData:
     return ConnectionData(omega=omega, s=s_vals, antisymmetry_defect=defect)
 
 
+def _distinct(n: int, k: int) -> np.ndarray:
+    """Mask over the index tuples of k axes of length n: True where all k indices differ."""
+    idx = np.sort(np.indices((n,) * k), axis=0)
+    return np.all(np.diff(idx, axis=0) > 0, axis=0)
+
+
+def structure_residuals(pt: SamplePoint) -> dict[str, float]:
+    """Structure operators B, C in the point's gauge: B^2 + C^2 = 1 and BC = CB."""
+    b, c = structure_operators(pt.jet, StructureGauge(pt.phi))
+    return {
+        "structure_unit_norm": float(np.abs(b @ b + c @ c - np.eye(pt.jet.dim)).max()),
+        "structure_commute": float(np.abs(b @ c - c @ b).max()),
+    }
+
+
+def cotangent_residual(pt: SamplePoint) -> dict[str, float]:
+    """Descending principal curvatures against cot of the ascending canonical angles with |sin| > 1e-3."""
+    lam, th = pt.jet.lambdas, pt.spec0.thetas
+    far = np.abs(np.sin(th)) > 1e-3
+    res = np.abs(lam[far] - np.cos(th[far]) / np.sin(th[far]))
+    return {"curvature_angle_cotangent": float(res.max(initial=0.0))}
+
+
 def check_prop1(pt: SamplePoint) -> dict[str, float]:
     """First-order identities: angle gradients and frame rotation rates.
 
@@ -330,24 +361,15 @@ def check_prop1(pt: SamplePoint) -> dict[str, float]:
     frame_rotation_identity: sin(dtheta) omega = cos(dtheta) h for j != k.
     """
     conn = pt.connection
-    n = pt.jet.dim
-    d_theta = pt.fields.d_theta
-    h = pt.ff.h
-    res1 = 0.0
-    for i in range(n):
-        for j in range(n):
-            res1 = max(res1, abs(d_theta[i, j] - h[j, j, i] + 0.5 * conn.s[i]))
-    res2 = 0.0
     th = pt.spec.thetas
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if j == k:
-                    continue
-                lhs = np.sin(th[j] - th[k]) * conn.omega[i, j, k]
-                rhs = np.cos(th[j] - th[k]) * h[i, j, k]
-                res2 = max(res2, abs(lhs - rhs))
-    return {"angle_gradient_identity": res1, "frame_rotation_identity": res2}
+    h = pt.ff.h
+    gradient = pt.fields.d_theta - np.einsum("jji->ij", h) + 0.5 * conn.s[:, None]
+    dth = th[:, None] - th[None, :]  # [j, k] = theta_j - theta_k
+    rotation = np.sin(dth) * conn.omega - np.cos(dth) * h
+    return {
+        "angle_gradient_identity": float(np.abs(gradient).max()),
+        "frame_rotation_identity": float(np.abs(rotation[:, _distinct(len(th), 2)]).max(initial=0.0)),
+    }
 
 
 def palmer_residual(pt: SamplePoint) -> dict[str, float]:
@@ -399,47 +421,31 @@ def curvature_from_metric(metric_fn, p, h: float, g0: np.ndarray) -> np.ndarray:
     terms; the convention is fixed so that the unit round sphere has
     sectional curvature +1.
     """
-    n = len(g0)
     dg, ddg = _metric_derivatives(metric_fn, p, h, g0)
-    g_inv = np.linalg.inv(g0)
-    # Christoffel symbols of the second kind; dg[c, a, b] = d_c g_ab
-    gamma = np.empty((n, n, n))
-    for e_idx in range(n):
-        for a in range(n):
-            for b in range(n):
-                total = 0.0
-                for d in range(n):
-                    total += g_inv[e_idx, d] * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
-                gamma[e_idx, a, b] = 0.5 * total
-    r = np.empty((n, n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    term = 0.5 * (
-                        ddg[a, c, b, d] + ddg[b, d, a, c] - ddg[a, d, b, c] - ddg[b, c, a, d]
-                    )
-                    quad = 0.0
-                    for e_idx in range(n):
-                        for f_idx in range(n):
-                            quad += g0[e_idx, f_idx] * (
-                                gamma[e_idx, a, c] * gamma[f_idx, b, d]
-                                - gamma[e_idx, a, d] * gamma[f_idx, b, c]
-                            )
-                    r[a, b, c, d] = term + quad
-    return r
+    # Christoffel symbols of the second kind gamma[e, a, b]; dg[c, a, b] = d_c g_ab
+    lowered = dg + np.einsum("bda->adb", dg) - np.einsum("dab->adb", dg)  # [a, d, b]
+    gamma = 0.5 * np.einsum("ed,adb->eab", np.linalg.inv(g0), lowered)
+    # with ddg[c, d, a, b] = d_c d_d g_ab, R_abcd = s[a, c, b, d] - s[a, d, b, c] for
+    # s[a, c, b, d] = (d_a d_c g_bd + d_b d_d g_ac) / 2 + g(Gamma_ac, Gamma_bd)
+    s = 0.5 * (ddg + np.einsum("bdac->acbd", ddg)) + np.einsum("ef,eac,fbd->acbd", g0, gamma, gamma)
+    return np.einsum("acbd->abcd", s) - np.einsum("adbc->abcd", s)
 
 
-def sectional_from_metric(r: np.ndarray, g: np.ndarray, x, y) -> float:
+def sectional_from_metric(r: np.ndarray, g: np.ndarray, x, y):
     """Sectional curvature of span(x, y) from a coordinate curvature tensor.
 
-    r is curvature_from_metric's tensor at a point and g the metric there.
+    r is curvature_from_metric's tensor at a point and g the metric there;
+    x, y are one plane (n,), giving a float, or a batch (..., n), giving one
+    curvature per plane, each summed in the same order as it would be alone.
     """
-    num = np.einsum("abcd,a,b,c,d->", r, x, y, y, x)
-    gxx = x @ g @ x
-    gyy = y @ g @ y
-    gxy = x @ g @ y
-    return float(num / (gxx * gyy - gxy**2))
+    xyyx = np.einsum("...a,...b,...c,...d->...abcd", x, y, y, x)
+    num = np.sum(r * xyyx, axis=(-4, -3, -2, -1))
+    gxx, gyy, gxy = (
+        np.sum(g * np.einsum("...a,...b->...ab", u, v), axis=(-2, -1))
+        for u, v in ((x, x), (y, y), (x, y))
+    )
+    k = num / (gxx * gyy - gxy * gxy)
+    return float(k) if k.ndim == 0 else k
 
 
 def gauss_equation_residual(pt: SamplePoint) -> dict[str, float]:
@@ -485,19 +491,26 @@ def codazzi_residual(pt: SamplePoint) -> dict[str, float]:
 
 
 def sectional_curvature(spec: AngleSpectrum, ff: FundamentalForm) -> np.ndarray:
-    """Plane curvatures K[i, j] from angles and the cubic form (algebraic)."""
-    n = spec.dim
+    """Plane curvatures K[i, j] from angles and the cubic form (algebraic); K[i, i] = 0."""
     th = spec.thetas
     h = ff.h
-    k = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            k[i, j] = 2.0 * np.cos(th[i] - th[j]) ** 2 + float(
-                h[i, i] @ h[j, j] - h[i, j] @ h[i, j]
-            )
+    k = 2.0 * np.cos(th[:, None] - th[None, :]) ** 2 + (
+        np.einsum("iim,jjm->ij", h, h) - np.einsum("ijm,ijm->ij", h, h)
+    )
+    np.fill_diagonal(k, 0.0)
     return k
+
+
+def sectional_residuals(pt: SamplePoint, target: float | None) -> dict[str, float]:
+    """Every frame plane's curvature: algebraic against metric route, and metric route against a target."""
+    i, j = np.triu_indices(pt.jet.dim, 1)
+    f = pt.spec.frame_vel
+    k_met = sectional_from_metric(pt.curvature, pt.metric, f[i], f[j])
+    k_alg = sectional_curvature(pt.spec, pt.ff)[i, j]
+    res = {"sectional_two_route": float(np.abs(k_alg - k_met).max(initial=0.0))}
+    if target is not None:
+        res["sectional_value"] = float(np.abs(k_met - target).max(initial=0.0))
+    return res
 
 
 def check_csc_identities(spec: AngleSpectrum, ff: FundamentalForm) -> dict[str, float]:
@@ -512,33 +525,19 @@ def check_csc_identities(spec: AngleSpectrum, ff: FundamentalForm) -> dict[str, 
         return {}
     th = spec.thetas
     h = ff.h
-    res1 = res2 = res3 = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) < 3:
-                    continue
-                lhs = h[i, i, k] * np.sin(th[i] - th[k]) * np.sin(th[i] + th[k] - 2 * th[j])
-                rhs = h[j, j, k] * np.sin(th[j] - th[k]) * np.sin(th[j] + th[k] - 2 * th[i])
-                res1 = max(res1, abs(lhs - rhs))
-                res2 = max(
-                    res2,
-                    abs(h[i, j, k] * np.sin(th[i] - th[j]) * np.sin(th[i] + th[j] - 2 * th[k])),
-                )
-                for l in range(n):
-                    if len({i, j, k, l}) < 4:
-                        continue
-                    res3 = max(
-                        res3,
-                        abs(
-                            h[i, j, k]
-                            * np.sin(th[i] - th[j])
-                            * np.sin(th[i] + th[j] - 2 * th[l])
-                        ),
-                    )
-    residuals = {"csc_diagonal_balance": res1, "csc_triple_vanishing": res2}
+    s1 = np.sin(th[:, None] - th[None, :])  # [i, j] = sin(theta_i - theta_j)
+    s2 = np.sin(th[:, None, None] + th[None, :, None] - 2 * th)  # [i, j, k] = sin(theta_i + theta_j - 2 theta_k)
+    # [i, k, j] = h_iik sin(theta_i - theta_k) sin(theta_i + theta_k - 2 theta_j), symmetric in i, j
+    balance = (np.einsum("iik->ik", h) * s1)[..., None] * s2
+    # [i, j, k, l] = h_ijk sin(theta_i - theta_j) sin(theta_i + theta_j - 2 theta_l)
+    terms = h[..., None] * s1[:, :, None, None] * s2[:, :, None, :]
+    distinct3 = _distinct(n, 3)
+    residuals = {
+        "csc_diagonal_balance": float(np.abs(balance - balance.transpose(2, 1, 0))[distinct3].max()),
+        "csc_triple_vanishing": float(np.abs(np.einsum("ijkk->ijk", terms))[distinct3].max()),
+    }
     if n >= 4:
-        residuals["csc_quadruple_vanishing"] = res3
+        residuals["csc_quadruple_vanishing"] = float(np.abs(terms)[_distinct(n, 4)].max())
     return residuals
 
 
