@@ -135,9 +135,8 @@ def _rotational_chart(n: int, p: dict) -> HypersurfaceChart:
 
 
 def _sphere_checks(pt: SamplePoint, n: int) -> dict:
-    th = pt.spec.thetas
-    pairs = ((i, j) for i in range(len(th)) for j in range(i + 1, len(th)))
-    return {"angles_equal": max((mod_pi_distance(th[i], th[j]) for i, j in pairs), default=0.0)}
+    i, j = np.triu_indices(pt.spec.dim, 1)
+    return {"angles_equal": np.max(mod_pi_distance(pt.spec.thetas[i], pt.spec.thetas[j]), initial=0.0)}
 
 
 def _cartan_checks(pt: SamplePoint, n: int) -> dict:
@@ -447,7 +446,7 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
     payload: dict = {
         "config": cfg.to_dict(),
         "trajectory": {
-            "samples": len(traj.states),
+            "samples": len(traj.thetas),
             "stopped_early": traj.stopped_early,
             "stop_reason": traj.stop_reason,
             "order_ratio": order,
@@ -484,8 +483,8 @@ def _write_profile_csv(cfg: RunConfig, curve) -> str:
     path = os.path.join(out_dir, "profile.csv")
     with open(path, "w") as fh:
         fh.write("theta,alpha,dalpha,gx,gy,gz\n")
-        for row in curve.csv_rows():
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        rows = np.column_stack([curve.thetas, curve.alphas, curve.dalphas, curve.gammas]).tolist()
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
     return path
 
 

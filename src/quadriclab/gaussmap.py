@@ -284,10 +284,10 @@ class AngleSpectrum:
         return np.cos(2.0 * self.thetas), np.sin(2.0 * self.thetas)
 
 
-def mod_pi_distance(a: float, b: float) -> float:
-    """Distance between two angles taken mod pi, in [0, pi/2]."""
+def mod_pi_distance(a, b):
+    """Distance between two angles taken mod pi, in [0, pi/2]; numbers or arrays of them."""
     d = abs(a - b) % np.pi
-    return min(d, np.pi - d)
+    return np.minimum(d, np.pi - d)
 
 
 def nearest_mod_pi(theta, ref):

@@ -57,6 +57,16 @@ GUARD_BAND = 1e-3
 # which the probe runs differ by round-off only
 PROBE_ROUNDOFF = 1e-13
 
+# Python's float power, element by element: numpy's own power loop rounds
+# differently in the last bit, and the profile values stay those of scalar
+# Python floats. It raises OverflowError where the float power overflows,
+# and ZeroDivisionError for 0 to a negative power.
+_float_pow = np.frompyfunc(pow, 2, 1)
+
+
+def _pow(x, y) -> np.ndarray:
+    return _float_pow(x, y).astype(float)
+
 
 class OdeError(Exception):
     """Invalid initial data or degenerate trajectory."""
@@ -69,30 +79,37 @@ class ProfileState:
     dalpha: float
 
 
-@dataclass(frozen=True)
 class AlphaTrajectory:
-    """Fixed-step trajectory of the profile angle."""
+    """Fixed-step trajectory of the profile angle.
 
-    n: int
-    states: list[ProfileState]
-    stopped_early: bool = False
-    stop_reason: str | None = None
+    The samples are held as three arrays, built once: thetas, alphas and
+    dalphas. AlphaTrajectory(n, states) builds them from ProfileState records,
+    and states gives the samples back as such records.
+    """
+
+    def __init__(self, n: int, states, stopped_early: bool = False, stop_reason: str | None = None):
+        self.n, self.stopped_early, self.stop_reason = n, stopped_early, stop_reason
+        self.thetas, self.alphas, self.dalphas = (
+            np.array([getattr(s, name) for s in states], dtype=float) for name in ("theta", "alpha", "dalpha")
+        )
+
+    @classmethod
+    def _from_samples(cls, n: int, thetas, alphas, dalphas, stop_reason: str | None) -> AlphaTrajectory:
+        """Trajectory over sample lists; a stop reason marks it stopped early."""
+        traj = cls(n, [], stop_reason is not None, stop_reason)
+        traj.thetas, traj.alphas, traj.dalphas = (np.array(c, dtype=float) for c in (thetas, alphas, dalphas))
+        return traj
 
     @property
-    def thetas(self) -> np.ndarray:
-        return np.array([s.theta for s in self.states])
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([s.alpha for s in self.states])
-
-    @property
-    def dalphas(self) -> np.ndarray:
-        return np.array([s.dalpha for s in self.states])
+    def states(self) -> list[ProfileState]:
+        return list(map(ProfileState, self.thetas.tolist(), self.alphas.tolist(), self.dalphas.tolist()))
 
 
 def _rhs(n: int, alpha: float, dalpha: float) -> float:
-    return (1.0 - dalpha * dalpha) / np.tan(n * alpha)
+    # numpy's scalar tan, as a Python float so that the RK4 arithmetic runs on
+    # floats: math.tan differs from it in the last bit for about 0.5 % of
+    # arguments, which would change the trajectories
+    return (1.0 - dalpha * dalpha) / float(np.tan(n * alpha))
 
 
 def integrate_alpha(
@@ -126,8 +143,9 @@ def integrate_alpha(
             f"sin(n alpha0) = {np.sin(n * alpha0):.2e} too close to zero"
         )
     h = (t1 - t0) / steps
-    states = [ProfileState(t0, float(alpha0), float(dalpha0))]
     a, p = float(alpha0), float(dalpha0)
+    thetas, alphas, dalphas = [t0], [a], [p]
+    stop_reason = None
     for k in range(steps):
         k1a, k1p = p, _rhs(n, a, p)
         k2a, k2p = p + 0.5 * h * k1p, _rhs(n, a + 0.5 * h * k1a, p + 0.5 * h * k1p)
@@ -137,17 +155,15 @@ def integrate_alpha(
         p = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
         theta = t0 + (k + 1) * h
         if abs(p) >= 1.0 - GUARD_BAND:
-            return AlphaTrajectory(
-                n, states, stopped_early=True,
-                stop_reason=f"|alpha'| reached {abs(p):.4f} at theta = {theta:.4f}",
-            )
-        if abs(np.sin(n * a)) <= GUARD_BAND:
-            return AlphaTrajectory(
-                n, states, stopped_early=True,
-                stop_reason=f"sin(n alpha) vanished near theta = {theta:.4f}",
-            )
-        states.append(ProfileState(theta, a, p))
-    return AlphaTrajectory(n, states)
+            stop_reason = f"|alpha'| reached {abs(p):.4f} at theta = {theta:.4f}"
+            break
+        if abs(float(np.sin(n * a))) <= GUARD_BAND:
+            stop_reason = f"sin(n alpha) vanished near theta = {theta:.4f}"
+            break
+        thetas.append(theta)
+        alphas.append(a)
+        dalphas.append(p)
+    return AlphaTrajectory._from_samples(n, thetas, alphas, dalphas, stop_reason)
 
 
 def ode_order_ratio(n, alpha0, dalpha0, theta_span, steps: int) -> float | None:
@@ -162,8 +178,7 @@ def ode_order_ratio(n, alpha0, dalpha0, theta_span, steps: int) -> float | None:
         traj = integrate_alpha(n, alpha0, dalpha0, theta_span, m)
         if traj.stopped_early:
             raise OdeError(f"trajectory stopped early: {traj.stop_reason}")
-        last = traj.states[-1]
-        finals.append(np.array([last.alpha, last.dalpha]))
+        finals.append(np.array([traj.alphas[-1], traj.dalphas[-1]]))
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])
     if e1 <= PROBE_ROUNDOFF * np.linalg.norm(finals[2]):
@@ -173,31 +188,31 @@ def ode_order_ratio(n, alpha0, dalpha0, theta_span, steps: int) -> float | None:
     return float(e1 / e2)
 
 
-def warp_constant(traj: AlphaTrajectory) -> float:
-    """Constant fixing the warp factor, evaluated at the initial sample."""
-    s0 = traj.states[0]
-    w0 = np.sqrt(1.0 - s0.dalpha**2)
-    return float(w0 / np.sqrt(2.0) * np.abs(np.sin(traj.n * s0.alpha)) ** (1.0 / traj.n))
+def warp_constant(traj) -> float:
+    """Constant fixing the warp factor, at the initial sample of a trajectory or profile curve."""
+    w0 = np.sqrt(1.0 - traj.dalphas[0] ** 2)
+    return float(w0 / np.sqrt(2.0) * np.abs(np.sin(traj.n * traj.alphas[0])) ** (1.0 / traj.n))
 
 
 def first_integral_residual(traj: AlphaTrajectory, n: int | None = None, c1: float | None = None) -> float:
     """Conservation defect of the first integral along the trajectory.
 
     The invariant combines the warp factor with the arclength derivative of
-    alpha; c1 is fixed at the first sample unless supplied.
+    alpha; c1 is fixed at the first sample unless supplied. Every power is
+    Python's float power, so each sample's value is that of scalar
+    arithmetic (numpy's array power and square differ from it in the last bit).
     """
     n = n or traj.n
     if c1 is None:
         c1 = warp_constant(traj)
-    worst = 0.0
-    for s in traj.states:
-        w = np.sqrt(1.0 - s.dalpha**2)
-        sn = np.sin(n * s.alpha)
-        ds_dtheta = -w / (np.sqrt(2.0) * sn)
-        dalpha_ds = s.dalpha / ds_dtheta
-        lhs = (c1 * np.abs(sn) ** (-1.0 / n)) ** 2 * (2.0 + dalpha_ds**2 / sn**2)
-        worst = max(worst, abs(lhs - 1.0))
-    return worst
+    pa = traj.dalphas
+    w = np.sqrt(1.0 - _pow(pa, 2))
+    sn = np.sin(n * traj.alphas)
+    ds_dtheta = -w / (np.sqrt(2.0) * sn)
+    dalpha_ds = pa / ds_dtheta
+    lhs = _pow(c1 * _pow(np.abs(sn), -1.0 / n), 2) * (2.0 + _pow(dalpha_ds, 2) / _pow(sn, 2))
+    # fmax skips NaN samples, as a running Python max does
+    return float(np.fmax.reduce(np.abs(lhs - 1.0), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +228,6 @@ class ProfileCurve:
     gammas: np.ndarray  # (N, 3)
     alphas: np.ndarray
     dalphas: np.ndarray
-
-    def csv_rows(self):
-        for k in range(len(self.thetas)):
-            yield (
-                self.thetas[k],
-                self.alphas[k],
-                self.dalphas[k],
-                self.gammas[k, 0],
-                self.gammas[k, 1],
-                self.gammas[k, 2],
-            )
 
 
 def _gamma_point(theta, alpha, dalpha):
@@ -284,10 +288,6 @@ def ode_equivalence_residual(traj: AlphaTrajectory, n: int | None = None) -> flo
 # interpolation and the rotational chart
 # ---------------------------------------------------------------------------
 
-# Python's float power, element by element: numpy's own power loop rounds
-# differently in the last bit, and the profile values stay those of scalar
-# Python floats. It raises OverflowError where the float power overflows.
-_float_pow = np.frompyfunc(pow, 2, 1)
 _EXPONENTS = np.arange(2.0, 6.0)
 
 
@@ -424,14 +424,13 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
             [b0[..., None] * sphere_chart(n - 1, x[..., 1:]), b1[..., None], b2[..., None]], axis=-1
         )
 
-    c1 = warp_constant(AlphaTrajectory(n, [ProfileState(th[0], al[0], pa[0])]))
     return HypersurfaceChart(
         dim=n,
         embed=embed,
         normal=normal,
         box=Box(lows=lows, highs=highs),
         name="rotational",
-        meta={"n": n, "c1": c1, "interp": interp},
+        meta={"n": n, "c1": warp_constant(curve), "interp": interp},
     )
 
 

@@ -217,20 +217,16 @@ def _align_to_reference(
     degenerate angles. A block overlap farther than max_mismatch from the
     identity raises VerifyError.
     """
-    n = ref.dim
     clusters = mod_pi_clusters(ref.thetas, 1e-6)
     new_thetas = np.empty_like(spec.thetas)
     new_frame_vel = np.empty_like(spec.frame_vel)
     new_frame_ambient = np.empty_like(spec.frame_ambient)
+    # each sample angle joins the reference cluster holding its nearest angle
+    dist = mod_pi_distance(spec.thetas[..., :, None], ref.thetas)
+    owner = np.argmin(np.stack([dist[..., cl].min(axis=-1) for cl in clusters], axis=-1), axis=-1)
     for row in np.ndindex(spec.thetas.shape[:-1]):
         thetas, frame_vel, frame_ambient = spec.thetas[row], spec.frame_vel[row], spec.frame_ambient[row]
-        assignment: list[list[int]] = [[] for _ in clusters]
-        for j in range(n):
-            dists = [
-                min(mod_pi_distance(thetas[j], ref.thetas[k]) for k in cl)
-                for cl in clusters
-            ]
-            assignment[int(np.argmin(dists))].append(j)
+        assignment = [np.flatnonzero(owner[row] == c) for c in range(len(clusters))]
         if [len(a) for a in assignment] != [len(c) for c in clusters]:
             raise VerifyError(
                 f"angle clusters changed between stencil points: reference "
@@ -551,9 +547,9 @@ def _cyclic_match(base: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, flo
     Sorted representatives of the same angles mod pi differ by a cyclic shift
     when one angle crosses 0 = pi; the first shift with the least distance wins.
     """
-    other = np.sort(thetas)
-    shifted = [np.roll(other, k) for k in range(len(other))]
-    spreads = [max(mod_pi_distance(a, b) for a, b in zip(base, o)) for o in shifted]
+    m = len(thetas)
+    shifted = np.sort(thetas)[(np.arange(m) - np.arange(m)[:, None]) % m]  # row k is np.roll(sorted, k)
+    spreads = mod_pi_distance(base, shifted).max(axis=1)
     k = int(np.argmin(spreads))
     return shifted[k], spreads[k]
 

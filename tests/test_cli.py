@@ -207,6 +207,13 @@ class TestVerifyCommand:
         assert rep["summary"]["all_pass"] is True
         assert rep["summary"]["distinct_angles"] == 1
 
+    def test_sphere_one_dimensional(self, tmp_path):
+        # one angle: no pair to compare, so angles_equal reads 0
+        assert run(tmp_path, "verify", "--example", "sphere", "--n", "1", "--grid", "2") == 0
+        rep = load_report(tmp_path, "verify", "sphere")
+        equal = [c["residual"] for r in rep["results"] for c in r["checks"] if c["name"] == "angles_equal"]
+        assert equal == [0.0, 0.0]
+
     def test_cartan_report_contents(self, tmp_path):
         code = run(tmp_path, "verify", "--example", "cartan", "--grid", "1")
         assert code == 0

@@ -35,6 +35,25 @@ def mod_pi_gap(a, b):
 P3 = np.array([0.1, -0.2, 0.15])
 
 
+class TestModPiDistance:
+    def test_arrays_match_scalar_calls(self):
+        # a Python min over two arrays raised "truth value of an array is ambiguous"
+        rng = np.random.default_rng(0)
+        a = np.concatenate([rng.uniform(-7.0, 7.0, 500), [0.0, np.pi, np.pi / 2, -np.pi / 2]])
+        b = np.concatenate([rng.uniform(-7.0, 7.0, 500), [np.pi, 0.0, 0.0, 0.0]])
+        got = mod_pi_distance(a, b)
+        want = np.array([mod_pi_distance(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        assert got.tobytes() == want.tobytes()
+        assert got.max() <= np.pi / 2
+
+    def test_broadcasts(self):
+        th = np.array([0.1, 1.2, 3.1])
+        got = mod_pi_distance(th[:, None], th)
+        assert got.shape == (3, 3)
+        assert got[0, 2] == mod_pi_distance(0.1, 3.1)
+        np.testing.assert_array_equal(got, got.T)
+
+
 class TestModPiClusters:
     def test_wrap_joins_last_group_onto_first(self):
         # the first and last angles are 2e-9 apart mod pi; the joined group

@@ -1,0 +1,228 @@
+"""The profile flow on plain floats against its earlier loop forms.
+
+The references below are the forms the flow had before its samples were held
+as arrays: an RK4 loop over numpy scalars that builds one ProfileState per
+step, the first integral as a loop over those states, and the CSV writer that
+formats one row at a time. The package must reproduce them bit for bit.
+"""
+
+import os
+import tempfile
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from quadriclab import cli
+from quadriclab.rotational import (
+    GUARD_BAND,
+    AlphaTrajectory,
+    ProfileState,
+    first_integral_residual,
+    integrate_alpha,
+    profile_curve,
+    warp_constant,
+)
+
+
+# ---------------------------------------------------------------------------
+# reference loop forms
+# ---------------------------------------------------------------------------
+
+def _reference_rhs(n, alpha, dalpha):
+    return (1.0 - dalpha * dalpha) / np.tan(n * alpha)
+
+
+def reference_integrate(n, alpha0, dalpha0, theta_span, steps):
+    """(states, stopped_early, stop_reason) of the RK4 loop over numpy scalars."""
+    if np.isscalar(theta_span):
+        t0, t1 = 0.0, float(theta_span)
+    else:
+        t0, t1 = float(theta_span[0]), float(theta_span[1])
+    h = (t1 - t0) / steps
+    states = [ProfileState(t0, float(alpha0), float(dalpha0))]
+    a, p = float(alpha0), float(dalpha0)
+    for k in range(steps):
+        k1a, k1p = p, _reference_rhs(n, a, p)
+        k2a, k2p = p + 0.5 * h * k1p, _reference_rhs(n, a + 0.5 * h * k1a, p + 0.5 * h * k1p)
+        k3a, k3p = p + 0.5 * h * k2p, _reference_rhs(n, a + 0.5 * h * k2a, p + 0.5 * h * k2p)
+        k4a, k4p = p + h * k3p, _reference_rhs(n, a + h * k3a, p + h * k3p)
+        a = a + h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
+        p = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
+        theta = t0 + (k + 1) * h
+        if abs(p) >= 1.0 - GUARD_BAND:
+            return states, True, f"|alpha'| reached {abs(p):.4f} at theta = {theta:.4f}"
+        if abs(np.sin(n * a)) <= GUARD_BAND:
+            return states, True, f"sin(n alpha) vanished near theta = {theta:.4f}"
+        states.append(ProfileState(theta, a, p))
+    return states, False, None
+
+
+def reference_warp_constant(n, states):
+    s0 = states[0]
+    w0 = np.sqrt(1.0 - s0.dalpha**2)
+    return float(w0 / np.sqrt(2.0) * np.abs(np.sin(n * s0.alpha)) ** (1.0 / n))
+
+
+def reference_first_integral(n, states, c1=None):
+    if c1 is None:
+        c1 = reference_warp_constant(n, states)
+    worst = 0.0
+    for s in states:
+        w = np.sqrt(1.0 - s.dalpha**2)
+        sn = np.sin(n * s.alpha)
+        ds_dtheta = -w / (np.sqrt(2.0) * sn)
+        dalpha_ds = s.dalpha / ds_dtheta
+        lhs = (c1 * np.abs(sn) ** (-1.0 / n)) ** 2 * (2.0 + dalpha_ds**2 / sn**2)
+        worst = max(worst, abs(lhs - 1.0))
+    return worst
+
+
+def reference_csv(curve) -> bytes:
+    lines = ["theta,alpha,dalpha,gx,gy,gz\n"]
+    for k in range(len(curve.thetas)):
+        row = (
+            curve.thetas[k],
+            curve.alphas[k],
+            curve.dalphas[k],
+            curve.gammas[k, 0],
+            curve.gammas[k, 1],
+            curve.gammas[k, 2],
+        )
+        lines.append(",".join(repr(float(v)) for v in row) + "\n")
+    return "".join(lines).encode()
+
+
+def written_csv(curve) -> bytes:
+    with tempfile.TemporaryDirectory() as out:
+        with open(cli._write_profile_csv(SimpleNamespace(out=out), curve), "rb") as fh:
+            return fh.read()
+
+
+def _columns(states):
+    return tuple(np.array([getattr(s, f) for s in states]) for f in ("theta", "alpha", "dalpha"))
+
+
+def assert_same_flow(traj, reference):
+    states, stopped_early, stop_reason = reference
+    for got, want in zip((traj.thetas, traj.alphas, traj.dalphas), _columns(states)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    assert traj.stopped_early is stopped_early
+    assert traj.stop_reason == stop_reason
+
+
+# ---------------------------------------------------------------------------
+# drawn initial data
+# ---------------------------------------------------------------------------
+
+@st.composite
+def flows(draw, max_steps=2000):
+    """(n, alpha0, dalpha0, span, steps): 0 < alpha0 < pi/n, |dalpha0| < 0.9.
+
+    The span is a scalar length or a (start, end) pair, either way round.
+    """
+    n = draw(st.integers(3, 6))
+    alpha0 = draw(st.floats(0.0, np.pi / n, exclude_min=True, exclude_max=True))
+    assume(abs(np.sin(n * alpha0)) > GUARD_BAND)
+    dalpha0 = draw(st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True))
+    length = draw(st.floats(0.01, 3.0))
+    if draw(st.booleans()):
+        span = length
+    else:
+        start = draw(st.floats(-2.0, 2.0))
+        span = (start, start - length) if draw(st.booleans()) else (start, start + length)
+    return n, alpha0, dalpha0, span, draw(st.integers(1, max_steps))
+
+
+class TestIntegrator:
+    @settings(max_examples=60, deadline=None)
+    @given(flows())
+    def test_matches_reference_loop(self, flow):
+        assert_same_flow(integrate_alpha(*flow), reference_integrate(*flow))
+
+    @pytest.mark.parametrize(
+        "flow, samples, reason",
+        [
+            ((3, 0.05, -0.99, 3.0, 2000), 34, "sin(n alpha) vanished near theta = 0.0510"),
+            ((3, 0.1, 0.9, 3, 3), 2, "|alpha'| reached 1213.4546 at theta = 2.0000"),
+        ],
+    )
+    def test_guard_exits(self, flow, samples, reason):
+        traj = integrate_alpha(*flow)
+        assert_same_flow(traj, reference_integrate(*flow))
+        assert traj.stopped_early
+        assert traj.stop_reason == reason
+        assert len(traj.thetas) == len(traj.states) == samples
+
+    def test_states_view_the_arrays(self):
+        traj = integrate_alpha(4, np.pi / 12.0, 0.1, (0.5, 0.2), 50)
+        rebuilt = AlphaTrajectory(traj.n, traj.states, traj.stopped_early, traj.stop_reason)
+        for columns in (_columns(traj.states), (rebuilt.thetas, rebuilt.alphas, rebuilt.dalphas)):
+            for got, want in zip(columns, (traj.thetas, traj.alphas, traj.dalphas)):
+                assert got.tobytes() == want.tobytes()
+        assert (rebuilt.stopped_early, rebuilt.stop_reason) == (traj.stopped_early, traj.stop_reason)
+
+
+class TestFirstIntegral:
+    def test_n4_default_flow(self):
+        # numpy's array power differs from the scalar power at some of these
+        # samples on hosts whose numpy vectorizes it
+        states, _, _ = reference_integrate(4, np.pi / 12.0, 0.0, 0.8, 4000)
+        traj = integrate_alpha(4, np.pi / 12.0, 0.0, 0.8, 4000)
+        assert first_integral_residual(traj) == reference_first_integral(4, states)
+
+    @settings(max_examples=40, deadline=None)
+    @given(flows(), st.booleans())
+    def test_matches_reference_loop(self, flow, explicit_constant):
+        n = flow[0]
+        states, _, _ = reference_integrate(*flow)
+        traj = integrate_alpha(*flow)
+        c1 = reference_warp_constant(n, states) * 1.01 if explicit_constant else None
+        assert warp_constant(traj) == reference_warp_constant(n, states)
+        assert first_integral_residual(traj, n, c1) == reference_first_integral(n, states, c1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_sample_matches(self, n):
+        # one-sample trajectories with a constant off the sample's own give
+        # each sample's defect to full precision, so a power rounded another
+        # way (numpy's array square is one) shows at some of them
+        rng = np.random.default_rng(n)
+        for alpha, dalpha, c1 in zip(
+            rng.uniform(0.02, 0.98, 800) * np.pi / n, rng.uniform(-0.9, 0.9, 800), rng.uniform(0.3, 0.8, 800)
+        ):
+            states = [ProfileState(0.0, alpha, dalpha)]
+            got = first_integral_residual(AlphaTrajectory(n, states), n, c1)
+            assert got == reference_first_integral(n, states, c1)
+
+    def test_nan_samples_are_skipped(self):
+        # |alpha'| > 1 makes the second sample NaN: a running max never takes
+        # a NaN, and neither does the array form
+        states = [ProfileState(0.0, 0.2, 0.1), ProfileState(0.1, 0.21, 1.5)]
+        with np.errstate(invalid="ignore"):
+            want = reference_first_integral(3, states)
+            assert first_integral_residual(AlphaTrajectory(3, states)) == want
+
+
+class TestProfileCsv:
+    @settings(max_examples=25, deadline=None)
+    @given(flows(max_steps=400))
+    def test_rows_match_reference_writer(self, flow):
+        curve = profile_curve(integrate_alpha(*flow))
+        assert written_csv(curve) == reference_csv(curve)
+
+    def test_stopped_trajectory(self):
+        traj = integrate_alpha(3, 0.05, -0.99, 3.0, 2000)
+        assert traj.stopped_early
+        curve = profile_curve(traj)
+        assert written_csv(curve) == reference_csv(curve)
+
+    def test_ode_output(self, tmp_path):
+        argv = ["--n", "4", "--alpha0", "0.3", "--dalpha0", "0.2", "--span", "0.7", "--steps", "3000"]
+        assert cli.main(["ode", *argv, "--out", str(tmp_path)]) == 0
+        states, stopped_early, _ = reference_integrate(4, 0.3, 0.2, 0.7, 3000)
+        assert not stopped_early
+        curve = profile_curve(AlphaTrajectory(4, states))
+        with open(os.path.join(tmp_path, "profile.csv"), "rb") as fh:
+            assert fh.read() == reference_csv(curve)

@@ -22,7 +22,9 @@ from quadriclab.verify import (
     reconstruct_hypersurface,
     sectional_curvature,
     sectional_from_metric,
+    _cyclic_match,
 )
+from quadriclab.gaussmap import mod_pi_distance
 
 P3 = np.array([0.1, -0.2, 0.15])
 
@@ -285,6 +287,25 @@ class TestIsoparametricVariance:
 
     def test_single_sample(self, sphere_half):
         assert isoparametric_variance(self.wrapped(sphere_half, [[0.1, 0.2, 0.3]])) == 0.0
+
+
+def test_cyclic_match_equals_shift_loop():
+    # the loop over shifts that the one index array replaced
+    def loop(base, thetas):
+        other = np.sort(thetas)
+        shifted = [np.roll(other, k) for k in range(len(other))]
+        spreads = [max(mod_pi_distance(a, b) for a, b in zip(base, o)) for o in shifted]
+        k = int(np.argmin(spreads))
+        return shifted[k], spreads[k]
+
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 4, 6):
+        for _ in range(50):
+            base = np.sort(rng.uniform(0.0, np.pi, m))
+            thetas = np.mod(base + rng.normal(0.0, rng.choice([1e-9, 1e-3, 1.0]), m), np.pi)
+            got, want = _cyclic_match(base, thetas), loop(base, thetas)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
 
 
 class TestReconstruction:
