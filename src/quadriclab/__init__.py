@@ -14,7 +14,6 @@ from .quadric import (
     StructureGauge,
     apply_conjugation_structure,
     quadric_curvature,
-    quadric_distance,
     quadric_residual,
     ricci_matrix,
     rotate_structure,
@@ -31,7 +30,6 @@ from .hypersurfaces import (
     principal_curvatures,
     product_spheres,
     round_sphere,
-    shape_operator,
 )
 from .gaussmap import (
     AngleSpectrum,

@@ -572,10 +572,10 @@ def main(argv=None) -> int:
             code, payload = cmd_angles(cfg)
         else:
             code, payload = cmd_ode(cfg)
-    except (ConfigError, ChartError, OdeError, VerifyError, GaussMapError, NumericsError) as exc:
+        path = write_report(cfg, payload)
+    except (ConfigError, ChartError, OdeError, VerifyError, GaussMapError, NumericsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    path = write_report(cfg, payload)
     summary = payload.get("summary", {})
     status = "PASS" if code == 0 else "FAIL"
     print(f"{status}: {summary.get('passed', 0)}/{summary.get('total', 0)} checks; report at {path}")

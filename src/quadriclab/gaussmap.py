@@ -19,11 +19,7 @@ import numpy as np
 
 from .hypersurfaces import ChartError, ChartStencil, HypersurfaceChart
 from .numerics import flagged_row, hessian_stencil, second_derivative, symmetric_eigen, symmetrize
-from .quadric import (
-    HorizontalVector,
-    StiefelPoint,
-    StructureGauge,
-)
+from .quadric import StiefelPoint, StructureGauge
 
 __all__ = [
     "GaussMapError",
@@ -131,14 +127,6 @@ class GaussJet:
         h2 = self.steps.second
         at, corners = hessian_stencil(self.chart.lift, self.point, h2, (2.0, 1.0, -1.0, -2.0))
         return np.moveaxis(second_derivative(h2, self.stencil.lift, at, corners), (0, 1), (-3, -2))
-
-    @property
-    def frame(self) -> list[HorizontalVector]:
-        """Lift derivatives along the unit principal directions."""
-        return [
-            HorizontalVector(base=self.lift, w=self.principal_vel[k] @ self.coord_first)
-            for k in range(self.dim)
-        ]
 
     def lagrangian_residual(self) -> float:
         """Largest defect of the lifted orthonormal frame from a Lagrangian one, per row at a batch."""
@@ -457,4 +445,3 @@ def mean_curvature(ff: FundamentalForm) -> np.ndarray:
     """Components of the mean curvature vector against the rotated frame."""
     n = ff.h.shape[0]
     return np.einsum("jji->i", ff.h) / n
-

@@ -42,14 +42,12 @@ __all__ = [
     "sphere_chart",
     "sphere_chart_with_derivatives",
     "tangent_data",
-    "shape_operator",
     "principal_curvatures",
     "round_sphere",
     "product_spheres",
     "cartan_tube",
     "parallel_hypersurface",
     "perturbed_sphere",
-    "angle_from_curvature",
 ]
 
 
@@ -69,11 +67,8 @@ class Box:
     highs: np.ndarray
 
     @staticmethod
-    def cube(n: int, half_width: float, center: float = 0.0) -> "Box":
-        return Box(
-            lows=np.full(n, center - half_width),
-            highs=np.full(n, center + half_width),
-        )
+    def cube(n: int, half_width: float) -> "Box":
+        return Box(lows=np.full(n, -half_width), highs=np.full(n, half_width))
 
     @property
     def dim(self) -> int:
@@ -87,9 +82,6 @@ class Box:
         """Whether p lies margin inside the box: a bool for a point (n,), an array for a batch (..., n)."""
         p = np.asarray(p, dtype=float)
         return np.all(p >= self.lows + margin, axis=-1) & np.all(p <= self.highs - margin, axis=-1)
-
-    def sample(self, rng: np.random.Generator, margin: float = 0.0) -> np.ndarray:
-        return rng.uniform(self.lows + margin, self.highs - margin)
 
 
 @dataclass(frozen=True)
@@ -109,10 +101,6 @@ class HypersurfaceChart:
     def lift(self, q) -> np.ndarray:
         """Gauss-map lift (embed + i normal)/sqrt(2) at the points q, as complex vectors."""
         return _lift(self.embed(q), self.normal(q))
-
-    def validate_at(self, p, h: float = 1e-4) -> dict[str, float]:
-        """Pointwise invariant residuals (norms, orthogonality, rank)."""
-        return ChartStencil(self, p, h).invariants()
 
 
 def _lift(a, b):
@@ -275,17 +263,12 @@ def tangent_data(st: ChartStencil):
     return e, t, m
 
 
-def shape_operator(chart: HypersurfaceChart, p, h: float = 1e-4) -> np.ndarray:
-    """Matrix of the shape operator in an orthonormal tangent frame at p.
+def _shape_data(st: ChartStencil):
+    """Shape operator in an orthonormal tangent frame, with the frame and its velocities.
 
     Realized as S X = -(derivative of the normal along X), projected onto the
     tangent plane; the result is symmetrized, with the defect checked.
     """
-    return _shape_data(ChartStencil(chart, p, h))[0]
-
-
-def _shape_data(st: ChartStencil):
-    """Shape operator with the orthonormal tangent frame and its velocities."""
     _, t, m = tangent_data(st)
     # -<d_b(T_j), T_k> with d along the frame velocities
     raw = -(m @ st.d_normal) @ t.swapaxes(-1, -2)
@@ -305,11 +288,6 @@ def principal_curvatures(
 ) -> ShapeSpectrum:
     """Eigendecomposition of the shape operator at p, curvatures descending."""
     return ChartStencil(chart, p, h).principal_curvatures()
-
-
-def angle_from_curvature(lam: float) -> float:
-    """The angle in (0, pi] whose cotangent is lam."""
-    return float(np.arctan2(1.0, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +322,17 @@ def round_sphere(n: int, r: float) -> HypersurfaceChart:
     )
 
 
-def product_spheres(k: int, n: int, r1: float, r2: float | None = None) -> HypersurfaceChart:
-    """Product of a k-sphere and an (n-k)-sphere inside the unit (n+1)-sphere.
+def product_spheres(k: int, n: int, r1: float) -> HypersurfaceChart:
+    """Product of a k-sphere of radius r1 and an (n-k)-sphere of radius r2 = sqrt(1 - r1^2).
 
-    Principal curvatures are r2/r1 (k times) and -r1/r2 (n-k times).
+    Both lie inside the unit (n+1)-sphere. Principal curvatures are r2/r1
+    (k times) and -r1/r2 (n-k times).
     """
     if not 1 <= k <= n - 1:
         raise ChartError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    if r2 is None:
-        if not 0.0 < r1 < 1.0:
-            raise ChartError(f"first radius must lie in (0, 1), got {r1}")
-        r2 = float(np.sqrt(1.0 - r1 * r1))
-    if abs(r1 * r1 + r2 * r2 - 1.0) > 1e-12:
-        raise ChartError(f"radii must satisfy r1^2 + r2^2 = 1, got {r1}, {r2}")
+    if not 0.0 < r1 < 1.0:
+        raise ChartError(f"first radius must lie in (0, 1), got {r1}")
+    r2 = float(np.sqrt(1.0 - r1 * r1))
 
     def embed(q):
         q = np.asarray(q, dtype=float)

@@ -25,7 +25,6 @@ __all__ = [
     "flagged_row",
     "symmetrize",
     "symmetric_eigen",
-    "spd_solve",
     "eigen_solve",
     "gram_schmidt",
     "axis",
@@ -121,11 +120,6 @@ def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v * np.where(top < 0, -1.0, 1.0)
 
 
-def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive-definite a via the eigensolver."""
-    return eigen_solve(symmetric_eigen(a), b)
-
-
 def eigen_solve(eigen: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b from the symmetric_eigen pair (w, v) of positive-definite a, or of a stack of them.
 
@@ -135,7 +129,7 @@ def eigen_solve(eigen: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarr
     bad = flagged_row(w[..., 0] <= 0.0, w)
     if bad:
         raise RankDeficiencyError(
-            f"spd_solve: matrix is not positive definite (spectrum {bad[0]})", bad[0]
+            f"eigen_solve: matrix is not positive definite (spectrum {bad[0]})", bad[0]
         )
     b = np.asarray(b, dtype=float)
     squeeze = b.ndim == w.ndim

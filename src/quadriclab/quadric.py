@@ -22,8 +22,6 @@ __all__ = [
     "StiefelPoint",
     "HorizontalVector",
     "StructureGauge",
-    "random_stiefel",
-    "random_horizontal",
     "quadric_residual",
     "horizontal_project",
     "apply_conjugation_structure",
@@ -33,11 +31,7 @@ __all__ = [
     "quadric_curvature",
     "horizontal_frame",
     "ricci_matrix",
-    "quadric_distance",
 ]
-
-STIEFEL_TOL = 1e-10
-
 
 class GeometryError(Exception):
     """Invalid geometric input (broken invariants, mismatched base points)."""
@@ -54,10 +48,6 @@ class StiefelPoint:
     def z(self) -> np.ndarray:
         return self.u + 1j * self.v
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.u.shape[0]
-
     def __getitem__(self, k) -> "StiefelPoint":
         """Row k of a batch of lifts (..., n+2)."""
         return StiefelPoint(u=self.u[k], v=self.v[k])
@@ -73,13 +63,6 @@ class StiefelPoint:
             "v_norm": np.abs(dot(self.v, self.v) - 0.5),
             "orthogonality": np.abs(dot(self.u, self.v)),
         }
-
-    def validate(self, tol: float = STIEFEL_TOL) -> "StiefelPoint":
-        res = self.invariant_residuals()
-        worst = max(res.values())
-        if worst > tol:
-            raise GeometryError(f"invalid Stiefel point: residuals {res}")
-        return self
 
     @staticmethod
     def from_complex(z: np.ndarray) -> "StiefelPoint":
@@ -112,13 +95,6 @@ class StructureGauge:
     phi: float = 0.0
 
 
-def random_stiefel(n: int, rng: np.random.Generator) -> StiefelPoint:
-    """Random valid lift in dimension n (vectors have length n+2)."""
-    m = rng.standard_normal((n + 2, 2))
-    q, _ = np.linalg.qr(m)
-    return StiefelPoint(u=q[:, 0] / np.sqrt(2.0), v=q[:, 1] / np.sqrt(2.0))
-
-
 def quadric_residual(p: StiefelPoint) -> float:
     """|sum z_k^2| for the lift z = u + iv; vanishes on valid lifts."""
     z = p.z
@@ -135,16 +111,6 @@ def horizontal_project(p: StiefelPoint, w: np.ndarray) -> np.ndarray:
     zb = np.conj(z)
     w = np.asarray(w, dtype=complex)
     return w - np.vdot(z, w) * z - np.vdot(zb, w) * zb
-
-
-def random_horizontal(
-    p: StiefelPoint, rng: np.random.Generator, unit: bool = False
-) -> HorizontalVector:
-    w = rng.standard_normal(p.ambient_dim) + 1j * rng.standard_normal(p.ambient_dim)
-    w = horizontal_project(p, w)
-    if unit:
-        w = w / np.sqrt(np.vdot(w, w).real)
-    return HorizontalVector(base=p, w=w)
 
 
 def apply_conjugation_structure(x: HorizontalVector) -> HorizontalVector:
@@ -225,7 +191,7 @@ def _to_complex(x: np.ndarray) -> np.ndarray:
 
 def horizontal_frame(p: StiefelPoint) -> list[HorizontalVector]:
     """Deterministic orthonormal basis (2n vectors) of the horizontal space at p."""
-    dim = p.ambient_dim
+    dim = p.u.shape[0]
     n = dim - 2
     candidates = []
     for m in range(dim):
@@ -264,9 +230,3 @@ def ricci_matrix(g: StructureGauge, p: StiefelPoint) -> np.ndarray:
             ric[a, b] = total
             ric[b, a] = total
     return ric
-
-
-def quadric_distance(p1: StiefelPoint, p2: StiefelPoint) -> float:
-    """Distance between the underlying quadric points (phase-insensitive chord)."""
-    overlap = abs(np.vdot(p1.z, p2.z))
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * overlap)))

@@ -205,17 +205,15 @@ def _polar_orthogonal(m: np.ndarray) -> np.ndarray:
     return m @ inv_sqrt
 
 
-def _align_to_reference(
-    spec: AngleSpectrum, ref: AngleSpectrum, max_mismatch: float = 0.1
-) -> AngleSpectrum:
+def _align_to_reference(spec: AngleSpectrum, ref: AngleSpectrum) -> AngleSpectrum:
     """Permute and rotate nearby spectra so their frames follow the reference.
 
     spec is one spectrum or a batch of them, each row aligned on its own.
     Frame vectors are matched cluster by cluster (clusters taken from the
     reference angles); inside each matched block the frame is rotated by the
     orthogonal Procrustes factor, which realizes transport by projection for
-    degenerate angles. A block overlap farther than max_mismatch from the
-    identity raises VerifyError.
+    degenerate angles. A block overlap farther than 0.1 from the identity
+    raises VerifyError.
     """
     clusters = mod_pi_clusters(ref.thetas, 1e-6)
     new_thetas = np.empty_like(spec.thetas)
@@ -238,10 +236,8 @@ def _align_to_reference(
             )
             rot = _polar_orthogonal(overlap)
             mismatch = np.abs(rot.T @ overlap - np.eye(len(cl))).max()
-            if mismatch > max_mismatch:
-                raise VerifyError(
-                    f"frame transport mismatch {mismatch:.3f} exceeds {max_mismatch}"
-                )
+            if mismatch > 0.1:
+                raise VerifyError(f"frame transport mismatch {mismatch:.3f} exceeds 0.1")
             block_vel = rot.T @ frame_vel[members]
             block_amb = rot.T @ frame_ambient[members]
             for pos, k in enumerate(cl):
@@ -566,27 +562,25 @@ def isoparametric_variance(spectra: list[AngleSpectrum]) -> float:
     return float(np.var(aligned, axis=0).max())
 
 
-def classify_by_angles(
-    spectra: list[AngleSpectrum],
-    variance_tol: float = 1e-6,
-    cluster_tol: float = 1e-4,
-) -> int:
+def classify_by_angles(spectra: list[AngleSpectrum]) -> int:
     """Count distinct constant angles mod pi across sample spectra.
 
-    Raises VerifyError when the angles vary across samples (non-isoparametric
-    input) or when the count falls outside the admissible set {1, 2, 3, 4, 6}.
+    Angles within 1e-4 of each other mod pi count as one. Raises VerifyError
+    when the angles vary across samples, a squared spread above 1e-6
+    (non-isoparametric input), or when the count falls outside the admissible
+    set {1, 2, 3, 4, 6}.
     """
     if not spectra:
         raise VerifyError("no spectra supplied")
     base = np.sort(spectra[0].thetas)
     for s in spectra[1:]:
         _, spread = _cyclic_match(base, s.thetas)
-        if spread**2 > variance_tol:
+        if spread**2 > 1e-6:
             raise VerifyError(
                 f"not isoparametric-type input: angles vary across samples "
                 f"(spread {spread:.3e})"
             )
-    distinct = len(mod_pi_clusters(np.sort(np.mod(base, np.pi)), cluster_tol))
+    distinct = len(mod_pi_clusters(np.sort(np.mod(base, np.pi)), 1e-4))
     if distinct not in (1, 2, 3, 4, 6):
         raise VerifyError(
             f"distinct angle count {distinct} outside the admissible set "

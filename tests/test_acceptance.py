@@ -31,9 +31,6 @@ from quadriclab.quadric import (
     apply_conjugation_structure,
     j_mult,
     metric,
-    quadric_distance,
-    random_horizontal,
-    random_stiefel,
     ricci_matrix,
 )
 from quadriclab.rotational import (
@@ -57,6 +54,7 @@ from quadriclab.verify import (
     reconstruct_hypersurface,
     sectional_from_metric,
 )
+from references import box_sample, quadric_distance, random_horizontal, random_stiefel
 
 
 def report(criterion, ok, detail):
@@ -67,7 +65,7 @@ def report(criterion, ok, detail):
 
 def sample_points(chart, count, seed=1, margin=0.04):
     rng = np.random.default_rng(seed)
-    return [chart.box.sample(rng, margin=margin) for _ in range(count)]
+    return [box_sample(chart.box, rng, margin=margin) for _ in range(count)]
 
 
 def isoparametric_catalog():
@@ -341,7 +339,7 @@ def test_criterion_11_algebraic_suite():
     count = 0
     while count < 100:
         chart = charts[count % len(charts)]
-        x = chart.box.sample(rng, margin=0.04)
+        x = box_sample(chart.box, rng, margin=0.04)
         jet = gauss_map(chart, x, steps)
         phi = float(rng.uniform(0.0, 2 * np.pi))
         b, c = structure_operators(jet, StructureGauge(phi))

@@ -272,7 +272,7 @@ class TestAgainstReferences:
         # inside the knots and extrapolated past both ends
         interp = rotational(3).meta["interp"]
         assert interp.value(t) == ref_hermite(interp, t)
-        assert interp.derivative(t) == ref_hermite(interp, t, derivative=True)
+        assert interp.value_and_derivative(t)[1] == ref_hermite(interp, t, derivative=True)
 
     @settings(max_examples=200, deadline=None)
     @given(box_points(cartan_tube(0.35).box))

@@ -684,6 +684,25 @@ class TestOdeCommand:
         assert err.startswith("error: unknown example") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("alpha0", ["0.3907319207817076", "0.395399804715166"])
+    def test_order_gate_near_equilibrium(self, tmp_path, alpha0):
+        # falsifying examples of test_passes_over_alpha0_range: the order ratio
+        # read 11.09 and 11.61 from probe runs that differ by round-off only
+        assert run(tmp_path, "ode", "--n", "4", "--alpha0", alpha0) == 0
+        rep = load_report(tmp_path, "ode", "rotational")
+        assert rep["trajectory"]["order_ratio"] is None
+        assert [s["name"] for s in rep["summary"]["skipped"]] == ["order_ratio"]
+
+    @pytest.mark.parametrize("argv", [["verify", "--example", "sphere", "--grid", "1"], ["ode", "--steps", "1000"]])
+    def test_out_that_cannot_be_made_exits_2(self, tmp_path, capsys, argv):
+        # an --out below a file raised NotADirectoryError from the report or
+        # CSV writer, a traceback with exit code 1
+        (tmp_path / "file").write_text("")
+        assert main(argv + ["--out", str(tmp_path / "file" / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "file" / "sub") in err
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QUADRICLAB_OUT_DIR", str(tmp_path / "env"))
         code = main(["ode", "--n", "3", "--steps", "1000", "--span", "0.5"])

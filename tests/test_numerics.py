@@ -14,11 +14,11 @@ from quadriclab.numerics import (
     axis_stencil,
     central_first,
     central_second,
+    eigen_solve,
     first_derivative,
     gram_schmidt,
     hessian_stencil,
     second_derivative,
-    spd_solve,
     stencil_values,
     symmetric_eigen,
     symmetrize,
@@ -182,18 +182,20 @@ class TestGramSchmidt:
             np.testing.assert_allclose(gram_schmidt(vs, dependence_tol=tol), np.eye(2))
 
 
-class TestSpdSolve:
+class TestEigenSolve:
     def test_solves(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4))
         a = a @ a.T + 0.5 * np.eye(4)
         b = rng.standard_normal(4)
-        x = spd_solve(a, b)
+        x = eigen_solve(symmetric_eigen(a), b)
         np.testing.assert_allclose(a @ x, b, atol=1e-10)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(RankDeficiencyError):
-            spd_solve(np.diag([1.0, -1.0]), np.ones(2))
+        # the message names the function that raised it
+        with pytest.raises(RankDeficiencyError, match=r"^eigen_solve: matrix is not positive definite") as err:
+            eigen_solve(symmetric_eigen(np.diag([1.0, -1.0])), np.ones(2))
+        np.testing.assert_array_equal(err.value.gram_spectrum, [-1.0, 1.0])
 
 
 E0, E1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])

@@ -5,7 +5,6 @@ from quadriclab.gaussmap import angle_spectrum, gauss_map
 from quadriclab.rotational import (
     AlphaTrajectory,
     OdeError,
-    ProfileState,
     QuinticHermite,
     build_rotational_chart,
     first_integral_residual,
@@ -13,16 +12,16 @@ from quadriclab.rotational import (
     ode_equivalence_residual,
     ode_order_ratio,
     profile_curve,
-    profile_velocity,
     rotational_angles,
     warp_constant,
     warped_curvature_check,
     _orbit_and_profile_angles,
 )
 from quadriclab import rotational
-from quadriclab.cli import DEFAULT_TOLERANCES
+from quadriclab.cli import DEFAULT_TOLERANCES, ORDER_WINDOW
 from quadriclab.hypersurfaces import ChartStencil, principal_curvatures
 from quadriclab.verify import gauss_metric_fn
+from references import box_sample, profile_velocity
 
 
 def all_within_default_tolerances(residuals):
@@ -45,7 +44,7 @@ class TestIntegrator:
     def test_even_symmetry_about_start(self):
         # alpha' (0) = 0 makes the solution even in theta
         fwd = integrate_alpha(3, np.pi / 12, 0.0, 0.4, 800)
-        bwd = integrate_alpha(3, np.pi / 12, 0.0, (0.0, -0.4), 800)
+        bwd = integrate_alpha(3, np.pi / 12, 0.0, -0.4, 800)
         np.testing.assert_allclose(fwd.alphas, bwd.alphas, atol=1e-8)
 
     def test_step_halving_convergence(self):
@@ -67,9 +66,31 @@ class TestIntegrator:
         # about 1e-31, and their ratio would be round-off
         assert ode_order_ratio(n, np.pi / (2 * n), 0.0, 0.8, 250) is None
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_default_probe_measures_order(self, n):
+        # the fine difference reads 1.35e-13 to 2.7e-13 at the ode defaults,
+        # far above round-off, so the gate is not skipped there
+        ratio = ode_order_ratio(n, np.pi / 12, 0.0, 0.8, 250)
+        assert ratio is not None and 15.0 <= ratio <= 17.0
+
+    @pytest.mark.parametrize(
+        "n, scan_indices",
+        [
+            (3, [17, 34, 43, 45, 56, 70, 84, 86, 96, 314, 316, 330, 344, 355, 357, 366, 383]),
+            (4, [117, 150, 250, 283]),
+        ],
+    )
+    def test_no_round_off_ratio_near_equilibrium(self, n, scan_indices):
+        # alpha0 = f pi/n over 401 values of f in [0.49, 0.51]: at these the
+        # ratio read 11.3 to 23.4, because the skip looked at the coarse
+        # difference (4e-14 to 1e-13) while the fine one sat at a few ulps
+        for f in np.linspace(0.49, 0.51, 401)[scan_indices]:
+            ratio = ode_order_ratio(n, f * np.pi / n, 0.0, 0.8, 250)
+            assert ratio is None or ORDER_WINDOW[0] <= ratio <= ORDER_WINDOW[1], (f, ratio)
+
     def test_no_order_when_runs_agree_exactly(self, monkeypatch):
         # probe runs that agree exactly measure no order either
-        constant = AlphaTrajectory(3, [ProfileState(0.8, 0.3, 0.0)])
+        constant = AlphaTrajectory(3, [0.8], [0.3], [0.0])
         monkeypatch.setattr(rotational, "integrate_alpha", lambda *args: constant)
         assert ode_order_ratio(3, 0.3, 0.0, 0.8, 250) is None
 
@@ -106,15 +127,15 @@ class TestFirstIntegral:
     def test_explicit_constant(self, rotational_trajectory):
         # residual vanishes when the constant is fed back explicitly
         c1 = warp_constant(rotational_trajectory)
-        assert first_integral_residual(rotational_trajectory, 3, c1) < 1e-6
+        assert first_integral_residual(rotational_trajectory, c1) < 1e-6
 
 
 class TestProfileCurve:
     def test_degenerate_alpha_zero_is_great_circle(self):
         # alpha = 0 cannot be integrated (singular), but the curve formula
         # itself degenerates to a great circle
-        states = [ProfileState(t, 0.0, 0.0) for t in np.linspace(0, 1, 11)]
-        curve = profile_curve(AlphaTrajectory(3, states))
+        thetas = np.linspace(0, 1, 11)
+        curve = profile_curve(AlphaTrajectory(3, thetas, 0.0 * thetas, 0.0 * thetas))
         for theta, g in zip(curve.thetas, curve.gammas):
             np.testing.assert_allclose(g, [0.0, np.sin(theta), -np.cos(theta)], atol=1e-15)
 
@@ -150,14 +171,14 @@ class TestQuinticHermite:
         interp = QuinticHermite(xs, f, df, ddf)
         for t in (0.013, 0.42, 0.77, 0.999):
             assert abs(interp.value(t) - np.sin(3 * t)) < 1e-9
-            assert abs(interp.derivative(t) - 3 * np.cos(3 * t)) < 1e-7
+            assert abs(interp.value_and_derivative(t)[1] - 3 * np.cos(3 * t)) < 1e-7
 
 
 class TestRotationalChart:
     def test_invariants(self, rotational_chart):
         rng = np.random.default_rng(5)
         for _ in range(3):
-            res = rotational_chart.validate_at(rotational_chart.box.sample(rng, 0.03))
+            res = ChartStencil(rotational_chart, box_sample(rotational_chart.box, rng, 0.03), 1e-4).invariants()
             assert max(res["embed_norm"], res["normal_norm"], res["orthogonality"]) < 1e-10
             assert res["min_singular_value"] > 1e-6
 
@@ -165,7 +186,7 @@ class TestRotationalChart:
         rng = np.random.default_rng(6)
         interp = rotational_chart.meta["interp"]
         for _ in range(10):
-            x = rotational_chart.box.sample(rng, 0.03)
+            x = box_sample(rotational_chart.box, rng, 0.03)
             lam = principal_curvatures(rotational_chart, x).lambdas
             alpha = interp.value(float(x[0]))
             expected = np.sort([1.0 / np.tan(2 * alpha)] + [-1.0 / np.tan(alpha)] * 2)[::-1]
@@ -175,7 +196,7 @@ class TestRotationalChart:
         rng = np.random.default_rng(7)
         interp = rotational_chart.meta["interp"]
         for _ in range(3):
-            x = rotational_chart.box.sample(rng, 0.03)
+            x = box_sample(rotational_chart.box, rng, 0.03)
             spec = angle_spectrum(gauss_map(rotational_chart, x))
             alpha = interp.value(float(x[0]))
             prof, orb = rotational_angles(alpha, 3)
@@ -216,8 +237,7 @@ class TestRotationalChart:
     def test_orbit_radius_guard(self):
         # a synthetic curve running into the rotation axis must be rejected
         thetas = np.linspace(0.0, 0.3, 16)
-        states = [ProfileState(t, 1e-5 + 0.0 * t, 0.0) for t in thetas]
-        curve = profile_curve(AlphaTrajectory(3, states))
+        curve = profile_curve(AlphaTrajectory(3, thetas, 1e-5 + 0.0 * thetas, 0.0 * thetas))
         with pytest.raises(OdeError):
             build_rotational_chart(curve, 3)
 
@@ -241,7 +261,7 @@ class TestChartMemo:
     def test_interleaved_points_match_fresh_charts(self, curve_n4):
         chart = build_rotational_chart(curve_n4, 4)
         rng = np.random.default_rng(9)
-        base = [chart.box.sample(rng, 0.02) for _ in range(3)]
+        base = [box_sample(chart.box, rng, 0.02) for _ in range(3)]
         points = base + [
             np.concatenate([base[0][:1], base[1][1:]]),  # shares the profile parameter
             np.concatenate([base[2][:1], base[0][1:]]),  # shares the orbit angles

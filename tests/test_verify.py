@@ -5,7 +5,7 @@ import pytest
 
 from quadriclab.gaussmap import angle_spectrum, gauge_normalize, gauss_map, second_fundamental_form
 from quadriclab.hypersurfaces import principal_curvatures, round_sphere
-from quadriclab.quadric import StructureGauge, quadric_distance
+from quadriclab.quadric import StructureGauge
 from quadriclab.verify import (
     GaugePolicy,
     SamplePoint,
@@ -25,6 +25,7 @@ from quadriclab.verify import (
     _cyclic_match,
 )
 from quadriclab.gaussmap import mod_pi_distance
+from references import box_sample, quadric_distance
 
 P3 = np.array([0.1, -0.2, 0.15])
 
@@ -231,7 +232,7 @@ class TestClassification:
     def samples(self, chart, count=5):
         rng = np.random.default_rng(17)
         return [
-            angle_spectrum(gauss_map(chart, chart.box.sample(rng, margin=0.03)))
+            angle_spectrum(gauss_map(chart, box_sample(chart.box, rng, margin=0.03)))
             for _ in range(count)
         ]
 
@@ -251,7 +252,7 @@ class TestClassification:
     def test_gauge_invariance(self, tube):
         rng = np.random.default_rng(23)
         specs = [
-            angle_spectrum(gauss_map(tube, tube.box.sample(rng, 0.03)), StructureGauge(0.9))
+            angle_spectrum(gauss_map(tube, box_sample(tube.box, rng, 0.03)), StructureGauge(0.9))
             for _ in range(4)
         ]
         assert classify_by_angles(specs) == 3
@@ -338,7 +339,7 @@ class TestReconstruction:
         )
         rng = np.random.default_rng(3)
         for _ in range(4):
-            p = sphere_half.box.sample(rng, 0.03)
+            p = box_sample(sphere_half.box, rng, 0.03)
             d = quadric_distance(gauss_map(rec, p).lift, gauss_map(sphere_half, p).lift)
             assert d < 1e-6
 
