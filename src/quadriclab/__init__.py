@@ -63,7 +63,6 @@ from .verify import (
 from .rotational import (
     AlphaTrajectory,
     OdeError,
-    ProfileCurve,
     ProfileState,
     build_rotational_chart,
     first_integral_residual,

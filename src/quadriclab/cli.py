@@ -26,6 +26,7 @@ import numpy as np
 from .gaussmap import (
     FdSteps,
     GaussMapError,
+    angle_spectrum,
     gauge_normalize,
     gauss_map,
     mean_curvature,
@@ -53,7 +54,6 @@ from .rotational import (
 )
 from .verify import (
     CheckResult,
-    GaugePolicy,
     ResidualReport,
     SamplePoint,
     VerifyError,
@@ -131,7 +131,7 @@ def _rotational_chart(n: int, p: dict) -> HypersurfaceChart:
     traj = _flow(n, p)
     if traj.stopped_early:
         raise ConfigError(f"trajectory stopped early: {traj.stop_reason}")
-    return build_rotational_chart(profile_curve(traj), n)
+    return build_rotational_chart(traj)
 
 
 def _sphere_checks(pt: SamplePoint, n: int) -> dict:
@@ -245,7 +245,7 @@ class RunConfig:
         return DEFAULT_TOLERANCES[name]
 
     def steps(self) -> FdSteps:
-        return FdSteps.from_base(self.h)
+        return FdSteps(self.h)
 
     def to_dict(self) -> dict:
         return {
@@ -305,20 +305,16 @@ def build_example(cfg: RunConfig) -> HypersurfaceChart:
 def _sample_points(chart: HypersurfaceChart, cfg: RunConfig) -> list[SamplePoint]:
     """Per-point data at the run's sample points, kept clear of every stencil.
 
-    The Gauss-map jets of all points come from one batch. The configured
-    gauge is held fixed over each point's stencils. In the normalized gauge
-    every later point takes the admissible gauge nearest the first point's,
-    so round-off at the period boundary 0 = 2 pi / n cannot switch branches
-    within one run.
+    The Gauss-map jets of all points come from one batch, and so do their
+    canonical spectra and, in the normalized gauge, their gauged spectra,
+    every point's gauge the admissible one nearest the first point's. The
+    gauge of each point is held fixed over its stencils.
     """
     margin = max(0.03, 3.0 * cfg.steps().stencil_margin)
     jets = gauss_map(chart, kronecker_points(chart.box, cfg.grid, cfg.seed, margin), cfg.steps())
-    points: list[SamplePoint] = []
-    for k in range(cfg.grid):
-        ref_phi = points[0].phi if points else None
-        phi = 0.0 if cfg.gauge == "canonical" else gauge_normalize(jets[k], ref_phi).phi
-        points.append(SamplePoint(jets[k], GaugePolicy("fixed", phi)))
-    return points
+    spec0 = angle_spectrum(jets)
+    spec = spec0 if cfg.gauge == "canonical" else gauge_normalize(jets, spec0)
+    return [SamplePoint(jets[k], spectra=(spec0[k], spec[k])) for k in range(cfg.grid)]
 
 
 def _report(example: str, point: list, residuals: dict, cfg: RunConfig) -> ResidualReport:
@@ -442,7 +438,7 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
         "ode_forms_equivalent": ode_equivalence_residual(traj),
     }
     order = ode_order_ratio(cfg.n, p["alpha0"], p["dalpha0"], p["span"], ORDER_PROBE_STEPS)
-    curve = profile_curve(traj)
+    gammas = profile_curve(traj)
     payload: dict = {
         "config": cfg.to_dict(),
         "trajectory": {
@@ -452,7 +448,7 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
             "order_ratio": order,
         },
     }
-    chart = build_rotational_chart(curve, cfg.n)
+    chart = build_rotational_chart(traj)
     residuals.update(warped_curvature_check(chart, cfg.n, chart.meta["c1"], cfg.steps()))
     report = _report(cfg.example, [0.0], residuals, cfg)
     # the order gate counts in the summary only, and is skipped when the probe
@@ -467,7 +463,7 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
     ]
     payload["results"] = [report.to_dict()]
     payload["summary"] = _summary([report], skipped, gates, traj.stopped_early)
-    payload["csv"] = _write_profile_csv(cfg, curve)
+    payload["csv"] = _write_profile_csv(cfg, traj, gammas)
     return (0 if payload["summary"]["all_pass"] else 1), payload
 
 
@@ -477,13 +473,13 @@ def _out_dir(cfg: RunConfig) -> str:
     return os.environ.get("QUADRICLAB_OUT_DIR", ".")
 
 
-def _write_profile_csv(cfg: RunConfig, curve) -> str:
+def _write_profile_csv(cfg: RunConfig, traj, gammas: np.ndarray) -> str:
     out_dir = _out_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "profile.csv")
     with open(path, "w") as fh:
         fh.write("theta,alpha,dalpha,gx,gy,gz\n")
-        rows = np.column_stack([curve.thetas, curve.alphas, curve.dalphas, curve.gammas]).tolist()
+        rows = np.column_stack([traj.thetas, traj.alphas, traj.dalphas, gammas]).tolist()
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
     return path
 

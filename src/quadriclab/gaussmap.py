@@ -48,28 +48,28 @@ class GaussMapError(Exception):
 
 @dataclass(frozen=True)
 class FdSteps:
-    """Finite-difference step sizes for the geometric pipeline.
+    """Finite-difference step sizes for the geometric pipeline, all from one base step.
 
     first drives first derivatives of chart maps, second the ambient second
     derivatives, field the derivatives of pointwise-computed fields (angles,
     frames, cubic form), metric the curvature-from-metric route. The latter
     three trade truncation against the roundoff already present in the
-    differentiated values, hence the larger defaults.
+    differentiated values, hence their larger multiples of first.
     """
 
     first: float = 1e-4
-    second: float = 1.5e-3
-    field: float = 2e-3
-    metric: float = 2.5e-3
 
-    @staticmethod
-    def from_base(h: float) -> "FdSteps":
-        return FdSteps(
-            first=h,
-            second=min(15.0 * h, 5e-3),
-            field=min(20.0 * h, 6e-3),
-            metric=min(25.0 * h, 8e-3),
-        )
+    @property
+    def second(self) -> float:
+        return min(15.0 * self.first, 5e-3)
+
+    @property
+    def field(self) -> float:
+        return min(20.0 * self.first, 6e-3)
+
+    @property
+    def metric(self) -> float:
+        return min(25.0 * self.first, 8e-3)
 
     @property
     def stencil_margin(self) -> float:
@@ -139,15 +139,9 @@ class GaussJet:
         )
 
     def horizontality_residual(self) -> float:
+        """Largest Hermitian product of the lift derivatives with z and with conj z."""
         z = self.lift.z
-        zb = np.conj(z)
-        return float(
-            max(
-                np.abs(self.coord_first @ np.conj(z)).max(),
-                np.abs(self.coord_first @ z).max(),
-                np.abs(self.coord_first @ zb).max(),
-            )
-        )
+        return float(max(np.abs(self.coord_first @ np.conj(z)).max(), np.abs(self.coord_first @ z).max()))
 
 
 def gauss_map(
@@ -271,6 +265,18 @@ class AngleSpectrum:
     def cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
         return np.cos(2.0 * self.thetas), np.sin(2.0 * self.thetas)
 
+    def __getitem__(self, k) -> "AngleSpectrum":
+        """The spectrum at row k of a batch, its gauge angle a float."""
+        phi = self.gauge.phi
+        return AngleSpectrum(
+            thetas=self.thetas[k],
+            frame_vel=self.frame_vel[k],
+            frame_ambient=self.frame_ambient[k],
+            gauge=StructureGauge(float(phi[k]) if np.ndim(phi) else phi),
+            lift=self.lift[k],
+            diag_residual=self.diag_residual[k],
+        )
+
 
 def mod_pi_distance(a, b):
     """Distance between two angles taken mod pi, in [0, pi/2]; numbers or arrays of them."""
@@ -366,33 +372,33 @@ def angle_spectrum(jet: GaussJet, gauge: StructureGauge | None = None) -> AngleS
     )
 
 
-def normalized_phase(jet: GaussJet, ref_phi: float | None = None) -> float:
-    """Gauge angle making the angle functions sum to zero mod pi.
+def normalized_phase(spec0: AngleSpectrum, ref_phi: float | None = None) -> float:
+    """Gauge angle making the angle functions sum to zero mod pi, read from the canonical spectrum.
 
-    Out of the n admissible gauges (spaced 2 pi / n apart) returns the
-    smallest non-negative one, or the one closest to ref_phi when given; one
-    angle per row at a batched jet.
+    Out of the n admissible gauges (spaced 2 pi / n apart) returns the one
+    closest to ref_phi; without ref_phi, the smallest non-negative one of the
+    first row, so that round-off at the period boundary 0 = 2 pi / n cannot
+    switch branches within one batch. One angle per row at a batch.
     """
-    spec0 = angle_spectrum(jet, StructureGauge(0.0))
-    n = jet.dim
+    n = spec0.dim
     period = 2.0 * np.pi / n
     phi = np.mod(2.0 * np.sum(spec0.thetas, axis=-1) / n, period)
-    if ref_phi is not None:
-        k = np.round((ref_phi - phi) / period)
-        phi = phi + k * period
+    ref = np.ravel(phi)[0] if ref_phi is None else ref_phi
+    phi = phi + np.round((ref - phi) / period) * period
     return phi if np.ndim(phi) else float(phi)
 
 
-def gauge_normalize(jet: GaussJet, ref_phi: float | None = None) -> StructureGauge:
-    """Gauge with zero angle sum (mod pi), nearest ref_phi if given; verified to 1e-8."""
-    phi = normalized_phase(jet, ref_phi)
-    spec = angle_spectrum(jet, StructureGauge(phi))
-    defect = mod_pi_distance(np.sum(spec.thetas), 0.0)
-    if defect > 1e-8:
-        raise GaussMapError(
-            f"normalized gauge failed: angle sum defect {defect:.2e}"
-        )
-    return StructureGauge(phi)
+def gauge_normalize(jet: GaussJet, spec0: AngleSpectrum, ref_phi: float | None = None) -> AngleSpectrum:
+    """Angle spectrum in the gauge of normalized_phase(spec0, ref_phi).
+
+    Each row's angle sum is verified to vanish mod pi to 1e-8.
+    """
+    spec = angle_spectrum(jet, StructureGauge(normalized_phase(spec0, ref_phi)))
+    defect = mod_pi_distance(np.sum(spec.thetas, axis=-1), 0.0)
+    bad = flagged_row(defect > 1e-8, defect, jet.point)
+    if bad:
+        raise GaussMapError(f"normalized gauge failed: angle sum defect {bad[0]:.2e} at {bad[1]}")
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def eigen_solve(eigen: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b from the symmetric_eigen pair (w, v) of positive-definite a, or of a stack of them.
 
-    b is a vector or a matrix per matrix a.
+    b is a matrix (k, m) per matrix a, its columns the right-hand sides.
     """
     w, v = eigen
     bad = flagged_row(w[..., 0] <= 0.0, w)
@@ -131,12 +131,7 @@ def eigen_solve(eigen: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarr
         raise RankDeficiencyError(
             f"eigen_solve: matrix is not positive definite (spectrum {bad[0]})", bad[0]
         )
-    b = np.asarray(b, dtype=float)
-    squeeze = b.ndim == w.ndim
-    if squeeze:
-        b = b[..., None]
-    x = v @ ((v.swapaxes(-1, -2) @ b) / w[..., None])
-    return x[..., 0] if squeeze else x
+    return v @ ((v.swapaxes(-1, -2) @ np.asarray(b, dtype=float)) / w[..., None])
 
 
 def gram_schmidt(vectors, dependence_tol: float = 1e-10) -> np.ndarray:

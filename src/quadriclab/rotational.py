@@ -40,7 +40,6 @@ __all__ = [
     "ode_order_ratio",
     "first_integral_residual",
     "warp_constant",
-    "ProfileCurve",
     "profile_curve",
     "ode_equivalence_residual",
     "QuinticHermite",
@@ -176,8 +175,8 @@ def ode_order_ratio(n, alpha0, dalpha0, span, steps: int) -> float | None:
     return float(e1 / e2)
 
 
-def warp_constant(traj) -> float:
-    """Constant fixing the warp factor, at the initial sample of a trajectory or profile curve."""
+def warp_constant(traj: AlphaTrajectory) -> float:
+    """Constant fixing the warp factor, at the initial sample of a trajectory."""
     w0 = np.sqrt(1.0 - traj.dalphas[0] ** 2)
     return float(w0 / np.sqrt(2.0) * np.abs(np.sin(traj.n * traj.alphas[0])) ** (1.0 / traj.n))
 
@@ -207,17 +206,6 @@ def first_integral_residual(traj: AlphaTrajectory, c1: float | None = None) -> f
 # profile curve
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfileCurve:
-    """Profile curve samples on the unit 2-sphere."""
-
-    n: int
-    thetas: np.ndarray
-    gammas: np.ndarray  # (N, 3)
-    alphas: np.ndarray
-    dalphas: np.ndarray
-
-
 def _gamma_point(theta, alpha, dalpha):
     """The three profile-curve coordinates at arrays (or numbers) of samples."""
     c, s = np.cos(alpha), np.sin(alpha)
@@ -226,21 +214,15 @@ def _gamma_point(theta, alpha, dalpha):
     return -s * w, c * st - s * ct * dalpha, -c * ct - s * st * dalpha
 
 
-def profile_curve(traj: AlphaTrajectory) -> ProfileCurve:
-    """Profile curve of the trajectory; every sample lies on the unit sphere."""
+def profile_curve(traj: AlphaTrajectory) -> np.ndarray:
+    """The (N, 3) profile-curve points of the trajectory's samples, each checked to lie on the unit sphere."""
     gammas = np.stack(_gamma_point(traj.thetas, traj.alphas, traj.dalphas), axis=-1)
     norms = np.linalg.norm(gammas, axis=1)
     if np.abs(norms - 1.0).max() > 1e-8:
         raise OdeError(
             f"profile curve left the unit sphere (defect {np.abs(norms-1).max():.2e})"
         )
-    return ProfileCurve(
-        n=traj.n,
-        thetas=traj.thetas,
-        gammas=gammas,
-        alphas=traj.alphas,
-        dalphas=traj.dalphas,
-    )
+    return gammas
 
 
 def ode_equivalence_residual(traj: AlphaTrajectory) -> float:
@@ -334,17 +316,18 @@ def rotational_angles(alpha: float, n: int) -> tuple[float, float]:
     return float(np.mod((n - 1) * alpha, np.pi)), float(np.mod(-alpha, np.pi))
 
 
-def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
-    """Rotational hypersurface chart over (profile parameter, orbit angles).
+def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
+    """Rotational hypersurface chart of the trajectory, over (profile parameter, orbit angles).
 
     Principal curvatures follow the (1, n-1) pattern cot((n-1) alpha) and
     -cot(alpha). Requires sin(alpha), sin((n-1) alpha) and sin(n alpha)
     positive along the curve (the regime of the default trajectories) and a
     non-vanishing orbit radius.
     """
+    n = traj.n
     if n < 3:
         raise OdeError("rotational charts need n >= 3")
-    al, pa, th = curve.alphas, curve.dalphas, curve.thetas
+    al, pa, th = traj.alphas, traj.dalphas, traj.thetas
     if np.min(np.sin(n * al)) <= GUARD_BAND:
         raise OdeError("sin(n alpha) leaves the positive regime on this trajectory")
     if np.min(np.sin((n - 1) * al)) <= 1e-6 or np.min(np.sin(al)) <= 1e-6:
@@ -407,7 +390,7 @@ def build_rotational_chart(curve: ProfileCurve, n: int) -> HypersurfaceChart:
         normal=normal,
         box=Box(lows=lows, highs=highs),
         name="rotational",
-        meta={"n": n, "c1": warp_constant(curve), "interp": interp},
+        meta={"n": n, "c1": warp_constant(traj), "interp": interp},
     )
 
 
@@ -429,12 +412,6 @@ def _orbit_and_profile_angles(thetas: np.ndarray, n: int) -> tuple[float, float]
     # unless the group straddles 0 = pi
     mean = float(np.mean([nearest_mod_pi(v, orbit[0]) for v in orbit]))
     return float(groups[0][0]), float(np.mod(mean, np.pi))
-
-
-def _alpha_from_gauss(jet: GaussJet) -> float:
-    """Profile angle recovered from the Gauss-map angle functions."""
-    _, orbit = _orbit_and_profile_angles(angle_spectrum(jet).thetas, jet.chart.meta["n"])
-    return float(np.pi - orbit)
 
 
 def principal_pattern_residual(jet: GaussJet, n: int) -> float:
@@ -488,23 +465,21 @@ def warped_curvature_check(
             np.ptp(ratios, axis=-1),
         )
 
-    offsets = (-2, -1, 0, 1, 2)
-    batch = gauss_map(chart, p + (np.array(offsets) * h)[:, None] * e0, steps)
-    jets = {c: batch[k] for k, c in enumerate(offsets)}
-    gs = {c: jet.stencil.lift_metric for c, jet in jets.items()}
-    alphas = {c: _alpha_from_gauss(jet) for c, jet in jets.items()}
-    vs = {c: float(np.sqrt(g[0, 0])) for c, g in gs.items()}
-    warps = {c: warp_at(jets[c].point, g) for c, g in gs.items()}
+    # five jets at offsets -2..2 in units of h, as one batch
+    jets = gauss_map(chart, p + (np.arange(-2.0, 3.0) * h)[:, None] * e0, steps)
+    gs = jets.stencil.lift_metric
+    alphas = [np.pi - _orbit_and_profile_angles(th, n)[1] for th in angle_spectrum(jets).thetas]
+    vs = np.sqrt(gs[:, 0, 0]).tolist()
+    rhos, off_blocks, spreads = warp_at(jets.point, gs)
 
     def d_dtheta(f):
-        return central_first(f[2], f[1], f[-1], f[-2], h)
+        return central_first(f[4], f[3], f[1], f[0], h)
 
-    g_p, alpha, v0 = gs[0], alphas[0], vs[0]
-    rho, off_block, conformal_spread = warps[0]
+    g_p, alpha, v0, rho = gs[2], alphas[2], vs[2], rhos[2]
     du = d_dtheta(alphas)
-    ddu = central_second(alphas[2], alphas[1], alpha, alphas[-1], alphas[-2], h)
+    ddu = central_second(*alphas[::-1], h)
     dv = d_dtheta(vs)
-    drho = d_dtheta({c: w[0] for c, w in warps.items()})
+    drho = d_dtheta(rhos)
     e1_alpha = du / v0
     e1_e1_alpha = (ddu * v0 - du * dv) / v0**3
 
@@ -533,8 +508,8 @@ def warped_curvature_check(
     warp_law = c1 * np.sin(n * alpha) ** (-1.0 / n)
     rhs_chain = warp_law**2 * (2.0 + e1_alpha**2 * np.sin(n * alpha) ** (-2.0))
     return {
-        "warp_block_diagonal": off_block,
-        "warp_block_conformal": conformal_spread,
+        "warp_block_diagonal": off_blocks[2],
+        "warp_block_conformal": spreads[2],
         "warp_factor_law": abs(rho - warp_law),
         "fiber_curvature_normalized": abs(k_fiber - 1.0),
         "fiber_curvature_chain": abs(k_fiber - rhs_chain),
@@ -542,5 +517,5 @@ def warped_curvature_check(
         "profile_second_order_ode": abs(
             e1_e1_alpha - (n + 1) / np.tan(n * alpha) * e1_alpha**2 - np.sin(2 * n * alpha)
         ),
-        "principal_vs_angle_pattern": principal_pattern_residual(jets[0], n),
+        "principal_vs_angle_pattern": principal_pattern_residual(jets[2], n),
     }

@@ -25,12 +25,12 @@ from .gaussmap import (
     FundamentalForm,
     GaussJet,
     angle_spectrum,
+    gauge_normalize,
     gauss_map,
     mean_curvature,
     mod_pi_clusters,
     mod_pi_distance,
     nearest_mod_pi,
-    normalized_phase,
     second_fundamental_form,
     structure_operators,
 )
@@ -117,26 +117,45 @@ class GaugePolicy:
     mode: str = "fixed"
     phi: float = 0.0
 
-    def phi_at(self, jet: GaussJet, ref_phi: float | None = None) -> float:
+    def spectrum(
+        self, jet: GaussJet, spec0: AngleSpectrum | None = None, ref_phi: float | None = None
+    ) -> AngleSpectrum:
+        """Angle spectrum of a jet, or a batch of jets, in the policy gauge.
+
+        The normalized mode reads its gauge from the canonical spectrum spec0,
+        solved here unless the caller holds it.
+        """
         if self.mode == "fixed":
-            return self.phi
+            return angle_spectrum(jet, StructureGauge(self.phi))
         if self.mode == "normalized":
-            return normalized_phase(jet, ref_phi)
+            return gauge_normalize(jet, angle_spectrum(jet) if spec0 is None else spec0, ref_phi)
         raise VerifyError(f"unknown gauge mode '{self.mode}'")
 
 
 class SamplePoint:
     """Every quantity the checks read at one sample point, each built once.
 
-    Wraps the Gauss-map jet at the point; the gauge policy sets the structure
-    gauge there and how it varies over the field-derivative stencils. Each
-    other field is computed on first use and kept, so checks sharing a point
-    share its spectra, cubic form, field derivatives and curvature tensor.
+    Wraps the Gauss-map jet at the point with its angle spectra in the
+    canonical gauge (spec0) and in the point's gauge (spec). A caller holding
+    both spectra, rows of one batch, passes them; otherwise they are solved
+    here, spec in the policy gauge. The policy sets how the gauge varies over
+    the field-derivative stencils, by default held fixed at the point's.
+    Each other field is computed on first use and kept, so checks sharing a
+    point share its cubic form, field derivatives and curvature tensor.
     """
 
-    def __init__(self, jet: GaussJet, policy: GaugePolicy | None = None):
+    def __init__(
+        self,
+        jet: GaussJet,
+        policy: GaugePolicy | None = None,
+        spectra: tuple[AngleSpectrum, AngleSpectrum] | None = None,
+    ):
+        if spectra is None:
+            spec0 = angle_spectrum(jet)
+            spectra = spec0, (spec0 if policy is None else policy.spectrum(jet, spec0))
         self.jet = jet
-        self.policy = policy or GaugePolicy()
+        self.spec0, self.spec = spectra
+        self.policy = policy or GaugePolicy("fixed", self.spec.gauge.phi)
 
     @property
     def chart(self) -> HypersurfaceChart:
@@ -150,20 +169,10 @@ class SamplePoint:
     def steps(self) -> FdSteps:
         return self.jet.steps
 
-    @cached_property
+    @property
     def phi(self) -> float:
-        """Structure gauge angle at the point under the policy."""
-        return self.policy.phi_at(self.jet)
-
-    @cached_property
-    def spec(self) -> AngleSpectrum:
-        """Angle spectrum in the policy gauge."""
-        return angle_spectrum(self.jet, StructureGauge(self.phi))
-
-    @cached_property
-    def spec0(self) -> AngleSpectrum:
-        """Angle spectrum in the canonical gauge (phi = 0)."""
-        return angle_spectrum(self.jet, StructureGauge(0.0))
+        """Structure gauge angle at the point."""
+        return self.spec.gauge.phi
 
     @cached_property
     def ff(self) -> FundamentalForm:
@@ -275,9 +284,8 @@ def field_derivatives(pt: SamplePoint) -> FieldDerivatives:
     # units of H are the +2h, +h, -h, -2h of a five-point rule with step H/2
     q = pt.p + (np.array([1.0, 0.5, -0.5, -1.0]) * h_step)[:, None, None] * spec.frame_vel
     jets = gauss_map(pt.chart, q, pt.steps)
-    phis = pt.policy.phi_at(jets, ref_phi=pt.phi)
-    spec_q = _align_to_reference(angle_spectrum(jets, StructureGauge(phis)), spec)
-    normal_lift = np.exp(1j * np.asarray(phis))[..., None] * np.conj(jets.lift.z)
+    spec_q = _align_to_reference(pt.policy.spectrum(jets, ref_phi=pt.phi), spec)
+    normal_lift = np.exp(1j * np.asarray(spec_q.gauge.phi))[..., None] * np.conj(jets.lift.z)
 
     def d(f):
         return central_first(*f, 0.5 * h_step)

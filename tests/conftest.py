@@ -7,7 +7,7 @@ from quadriclab.hypersurfaces import (
     product_spheres,
     round_sphere,
 )
-from quadriclab.rotational import build_rotational_chart, integrate_alpha, profile_curve
+from quadriclab.rotational import build_rotational_chart, integrate_alpha
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +39,7 @@ def wavy_sphere():
 def rotational_chart():
     traj = integrate_alpha(3, np.pi / 12.0, 0.0, 0.8, 4000)
     assert not traj.stopped_early
-    return build_rotational_chart(profile_curve(traj), 3)
+    return build_rotational_chart(traj)
 
 
 @pytest.fixture(scope="session")

@@ -39,7 +39,6 @@ from quadriclab.rotational import (
     integrate_alpha,
     ode_equivalence_residual,
     ode_order_ratio,
-    profile_curve,
     warped_curvature_check,
 )
 from quadriclab.verify import (
@@ -81,7 +80,7 @@ def isoparametric_catalog():
 @pytest.fixture(scope="module")
 def rotational_chart():
     traj = integrate_alpha(3, np.pi / 12.0, 0.0, 0.8, 4000)
-    return build_rotational_chart(profile_curve(traj), 3)
+    return build_rotational_chart(traj)
 
 
 def test_criterion_01_einstein_constant():
@@ -150,7 +149,7 @@ def test_criterion_04_cartan_tube():
     for x in sample_points(chart, 3):
         jet = gauss_map(chart, x, steps)
         pt = SamplePoint(jet)
-        spec = angle_spectrum(jet, gauge_normalize(jet))
+        spec = gauge_normalize(jet, angle_spectrum(jet))
         th = np.sort(spec.thetas)
         worst_gap = max(
             worst_gap,

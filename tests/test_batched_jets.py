@@ -3,11 +3,14 @@
 A batch of points goes through the one Gauss-map path a lone point takes, so
 every row of a batched jet, of its angle spectra and of its cubic form must
 equal the single-point call bitwise. field_derivatives builds its 4n jets as
-one batch; the per-jet loop it replaced is kept below as the reference. A
+one batch, the sample points of a run take their spectra from one batch per
+gauge, and warped_curvature_check reads its five jets as one batch; the
+per-jet and per-point code they replaced is kept below as the reference. A
 failing row must raise naming that row's point, and a stacked eigensolve
 checks each matrix on its own.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -20,7 +23,9 @@ from quadriclab.gaussmap import (
     FdSteps,
     GaussMapError,
     angle_spectrum,
+    gauge_normalize,
     gauss_map,
+    mod_pi_distance,
     normalized_phase,
     second_fundamental_form,
 )
@@ -33,23 +38,36 @@ from quadriclab.hypersurfaces import (
     product_spheres,
     round_sphere,
     sphere_chart,
+    sphere_chart_with_derivatives,
 )
 from quadriclab.numerics import (
     ConvergenceError,
     NumericsError,
     RankDeficiencyError,
+    axis,
     central_first,
+    central_second,
+    first_derivative,
     gram_schmidt,
     symmetric_eigen,
 )
 from quadriclab.quadric import StructureGauge
-from quadriclab.rotational import build_rotational_chart, integrate_alpha, profile_curve
+from quadriclab.rotational import (
+    _orbit_and_profile_angles,
+    build_rotational_chart,
+    integrate_alpha,
+    principal_pattern_residual,
+    warped_curvature_check,
+)
 from quadriclab.verify import (
     FieldDerivatives,
     GaugePolicy,
     SamplePoint,
     _align_to_reference,
+    curvature_from_metric,
     field_derivatives,
+    gauss_metric_fn,
+    sectional_from_metric,
 )
 
 STEPS = FdSteps()
@@ -74,7 +92,7 @@ def ref_field_derivatives(pt):
         cos2_s, sin2_s, frame_s, cubic_s, lift_s, sum_s = [], [], [], [], [], []
         for c in (1.0, 0.5, -0.5, -1.0):
             jet_q = gauss_map(pt.chart, pt.p + c * h_step * vel, pt.steps)
-            phi_q = pt.policy.phi_at(jet_q, ref_phi=pt.phi)
+            phi_q = pt.policy.phi if pt.policy.mode == "fixed" else ref_normalized_phase(jet_q, pt.phi)
             spec_q = _align_to_reference(angle_spectrum(jet_q, StructureGauge(phi_q)), spec)
             cos2_q, sin2_q = spec_q.cos_sin()
             cos2_s.append(cos2_q)
@@ -100,11 +118,120 @@ def ref_field_derivatives(pt):
 
 
 # ---------------------------------------------------------------------------
+# reference: the per-point gauge loop of cli._sample_points
+# ---------------------------------------------------------------------------
+
+def ref_normalized_phase(jet, ref_phi=None):
+    spec0 = angle_spectrum(jet, StructureGauge(0.0))
+    n = jet.dim
+    period = 2.0 * np.pi / n
+    phi = np.mod(2.0 * np.sum(spec0.thetas, axis=-1) / n, period)
+    if ref_phi is not None:
+        k = np.round((ref_phi - phi) / period)
+        phi = phi + k * period
+    return phi if np.ndim(phi) else float(phi)
+
+
+def ref_gauge_normalize(jet, ref_phi=None):
+    phi = ref_normalized_phase(jet, ref_phi)
+    spec = angle_spectrum(jet, StructureGauge(phi))
+    assert mod_pi_distance(np.sum(spec.thetas), 0.0) <= 1e-8
+    return StructureGauge(phi)
+
+
+def ref_sample_points(chart, cfg):
+    """(phase, canonical spectrum, gauged spectrum) of each sample point, solved point by point."""
+    margin = max(0.03, 3.0 * cfg.steps().stencil_margin)
+    jets = gauss_map(chart, cli.kronecker_points(chart.box, cfg.grid, cfg.seed, margin), cfg.steps())
+    points = []
+    for k in range(cfg.grid):
+        ref_phi = points[0][0] if points else None
+        phi = 0.0 if cfg.gauge == "canonical" else ref_gauge_normalize(jets[k], ref_phi).phi
+        spectra = (angle_spectrum(jets[k], StructureGauge(0.0)), angle_spectrum(jets[k], StructureGauge(phi)))
+        points.append((phi, *spectra))
+    return points
+
+
+# ---------------------------------------------------------------------------
+# reference: warped_curvature_check with one dict entry per offset
+# ---------------------------------------------------------------------------
+
+def ref_warped_curvature_check(chart, n, c1, steps):
+    metric = gauss_metric_fn(chart, steps)
+    p = chart.box.center.copy()
+    e0 = axis(n, 0)
+    dth = steps.field
+    h = 0.5 * dth
+
+    def warp_at(x, g):
+        _, dsigma = sphere_chart_with_derivatives(n - 1, x[..., 1:])
+        m = dsigma @ dsigma.swapaxes(-1, -2)
+        ratios = np.diagonal(g[..., 1:, 1:], axis1=-2, axis2=-1) / np.diagonal(m, axis1=-2, axis2=-1)
+        return (
+            np.sqrt(np.mean(ratios, axis=-1)),
+            np.abs(g[..., 0, 1:]).max(axis=-1),
+            np.ptp(ratios, axis=-1),
+        )
+
+    def alpha_from_gauss(jet):
+        _, orbit = _orbit_and_profile_angles(angle_spectrum(jet).thetas, jet.chart.meta["n"])
+        return float(np.pi - orbit)
+
+    offsets = (-2, -1, 0, 1, 2)
+    batch = gauss_map(chart, p + (np.array(offsets) * h)[:, None] * e0, steps)
+    jets = {c: batch[k] for k, c in enumerate(offsets)}
+    gs = {c: jet.stencil.lift_metric for c, jet in jets.items()}
+    alphas = {c: alpha_from_gauss(jet) for c, jet in jets.items()}
+    vs = {c: float(np.sqrt(g[0, 0])) for c, g in gs.items()}
+    warps = {c: warp_at(jets[c].point, g) for c, g in gs.items()}
+
+    def d_dtheta(f):
+        return central_first(f[2], f[1], f[-1], f[-2], h)
+
+    g_p, alpha, v0 = gs[0], alphas[0], vs[0]
+    rho, off_block, conformal_spread = warps[0]
+    du = d_dtheta(alphas)
+    ddu = central_second(alphas[2], alphas[1], alpha, alphas[-1], alphas[-2], h)
+    dv = d_dtheta(vs)
+    drho = d_dtheta({c: w[0] for c, w in warps.items()})
+    e1_alpha = du / v0
+    e1_e1_alpha = (ddu * v0 - du * dv) / v0**3
+    ortho, ortho2 = axis(n, 1), axis(n, 2)
+
+    def fiber_curvature(x, g_x, rho_x, drho_x):
+        e1_rho = drho_x / np.sqrt(float(g_x[0, 0]))
+        k_orbit = sectional_from_metric(curvature_from_metric(metric, x, steps.metric, g_x), g_x, ortho, ortho2)
+        return rho_x**2 * (k_orbit + (e1_rho / rho_x) ** 2)
+
+    def side_fiber_curvature(x):
+        g_x = metric(x)
+        drho_x = first_derivative(lambda y: warp_at(y, metric(y))[0], x, e0, h)
+        return fiber_curvature(x, g_x, warp_at(x, g_x)[0], drho_x)
+
+    k_fiber = fiber_curvature(p, g_p, rho, drho)
+    kf_samples = [side_fiber_curvature(p - 5 * dth * e0), k_fiber, side_fiber_curvature(p + 5 * dth * e0)]
+    warp_law = c1 * np.sin(n * alpha) ** (-1.0 / n)
+    rhs_chain = warp_law**2 * (2.0 + e1_alpha**2 * np.sin(n * alpha) ** (-2.0))
+    return {
+        "warp_block_diagonal": off_block,
+        "warp_block_conformal": conformal_spread,
+        "warp_factor_law": abs(rho - warp_law),
+        "fiber_curvature_normalized": abs(k_fiber - 1.0),
+        "fiber_curvature_chain": abs(k_fiber - rhs_chain),
+        "fiber_curvature_variance": float(np.var(kf_samples)),
+        "profile_second_order_ode": abs(
+            e1_e1_alpha - (n + 1) / np.tan(n * alpha) * e1_alpha**2 - np.sin(2 * n * alpha)
+        ),
+        "principal_vs_angle_pattern": principal_pattern_residual(jets[0], n),
+    }
+
+
+# ---------------------------------------------------------------------------
 # charts
 # ---------------------------------------------------------------------------
 
 def rotational(n):
-    return build_rotational_chart(profile_curve(integrate_alpha(n, np.pi / 12.0, 0.0, 0.8, 4000)), n)
+    return build_rotational_chart(integrate_alpha(n, np.pi / 12.0, 0.0, 0.8, 4000))
 
 
 CHARTS = {
@@ -144,13 +271,14 @@ def test_batch_rows_equal_single_points(name, size, seed):
     margin = 1.5 * STEPS.stencil_margin
     q = np.random.default_rng(seed).uniform(c.box.lows + margin, c.box.highs - margin, (m, c.dim))
     jets = gauss_map(c, q, STEPS)
-    phis = normalized_phase(jets)
     canonical = angle_spectrum(jets)
+    phis = normalized_phase(canonical)
     normalized = angle_spectrum(jets, StructureGauge(phis))
     cubic = second_fundamental_form(jets, normalized).h
     for k in range(m):
         one = gauss_map(c, q[k], STEPS)
-        phi = normalized_phase(one)
+        # without a reference, every row takes the gauge nearest row 0's
+        phi = normalized_phase(angle_spectrum(one), ref_phi=phis[0])
         assert phis[k] == phi
         row = jets[k]
         for got in (jets.lift.z[k], row.lift.z):
@@ -176,6 +304,39 @@ def test_field_derivatives_match_per_jet_loop(example, n, mode):
         got, want = field_derivatives(pt), ref_field_derivatives(pt)
         for field in ("d_theta", "d_frame", "d_cubic", "d_normal_lift", "d_angle_sum"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("gauge", ["normalized", "canonical"])
+@pytest.mark.parametrize("example, n", BENCHMARK_CONFIGS)
+def test_sample_points_match_per_point_gauge_loop(example, n, gauge):
+    # one canonical and one gauged spectrum batch per run give every point the
+    # phase and spectra that the point-by-point loop solved
+    cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
+    chart = build_example(cfg)
+    got = cli._sample_points(chart, cfg)
+    assert len(got) == cfg.grid
+    for pt, (phi, spec0, spec) in zip(got, ref_sample_points(chart, cfg)):
+        assert pt.phi == phi and type(pt.phi) is float
+        assert pt.policy == GaugePolicy("fixed", phi)
+        for have, want in ((pt.spec0, spec0), (pt.spec, spec)):
+            assert have.gauge == want.gauge
+            assert np.array_equal(have.lift.z, want.lift.z)
+            for field in ("thetas", "frame_vel", "frame_ambient", "diag_residual"):
+                assert np.array_equal(getattr(have, field), getattr(want, field))
+
+
+def test_benchmark_configs_cover_every_example():
+    assert {example for example, _ in BENCHMARK_CONFIGS} == set(cli.EXAMPLES)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_warped_check_matches_per_offset_dicts(n):
+    c = build_rotational_chart(integrate_alpha(n, np.pi / 12.0, 0.0, 0.8, 4000))
+    got = warped_curvature_check(c, n, c.meta["c1"], STEPS)
+    want = ref_warped_curvature_check(c, n, c.meta["c1"], STEPS)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +396,22 @@ def test_failing_row_is_named(case):
         gauss_map(c, q, STEPS)
     assert str(q[k]) in str(err.value)
     assert not any(str(q[j]) in str(err.value) for j in range(len(q)) if j != k)
+
+
+def test_gauge_normalize_names_the_failing_row():
+    # a canonical spectrum whose row 1 is off by 0.1 gives that row a gauge
+    # that leaves its angle sum 0.1 from zero
+    c = chart("cartan")
+    q = c.box.center + np.array([[0.0, 0.0, 0.0], [0.05, -0.05, 0.02], [-0.04, 0.03, 0.0]])
+    jets = gauss_map(c, q, STEPS)
+    spec0 = angle_spectrum(jets)
+    gauge_normalize(jets, spec0)
+    thetas = spec0.thetas.copy()
+    thetas[1, 0] += 0.1
+    with pytest.raises(GaussMapError, match="^normalized gauge failed: angle sum defect 1.00e-01") as err:
+        gauge_normalize(jets, dataclasses.replace(spec0, thetas=thetas))
+    assert str(q[1]) in str(err.value)
+    assert not any(str(q[j]) in str(err.value) for j in (0, 2))
 
 
 @pytest.mark.parametrize("command", ["verify", "angles"])

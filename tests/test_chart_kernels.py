@@ -29,7 +29,7 @@ from quadriclab.hypersurfaces import (
     sphere_chart,
 )
 from quadriclab.numerics import StencilError, axis, central_first, gram_schmidt
-from quadriclab.rotational import build_rotational_chart, integrate_alpha, profile_curve
+from quadriclab.rotational import build_rotational_chart, integrate_alpha
 from quadriclab.verify import reconstruct_hypersurface
 
 H = 1e-4
@@ -188,7 +188,7 @@ def ref_stencil(embed, normal, p, h):
 @functools.cache
 def rotational(n):
     traj = integrate_alpha(n, np.pi / 12.0, 0.0, 0.8, 4000)
-    return build_rotational_chart(profile_curve(traj), n)
+    return build_rotational_chart(traj)
 
 
 def box_points(box, margin=0.0):

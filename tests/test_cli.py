@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadriclab import cli, rotational
+from quadriclab import cli, gaussmap, rotational
 from quadriclab.cli import RunConfig, ConfigError, kronecker_points, main
 from quadriclab.hypersurfaces import Box, round_sphere
 
@@ -609,9 +609,9 @@ class TestOdeCommand:
 
             return wrapper
 
-        def build(curve, n):
-            chart = rotational.build_rotational_chart(curve, n)
-            rows_of = lambda q: np.size(q) // n
+        def build(traj):
+            chart = rotational.build_rotational_chart(traj)
+            rows_of = lambda q: np.size(q) // traj.n
             return dataclasses.replace(
                 chart,
                 embed=counted(chart.embed, rows, rows_of),
@@ -624,6 +624,33 @@ class TestOdeCommand:
         assert code == 0
         assert sum(rows) == 3394
         assert jets == [5]
+
+    @pytest.mark.parametrize(
+        "argv, solves",
+        [
+            (["verify", "--grid", "3"], 5),
+            (["verify", "--grid", "3", "--gauge", "canonical"], 4),
+            (["angles", "--grid", "12"], 2),
+            (["angles", "--grid", "12", "--gauge", "canonical"], 1),
+            (["ode"], 1),
+        ],
+    )
+    def test_spectrum_budget(self, tmp_path, monkeypatch, argv, solves):
+        # angle_spectrum calls of one run: one batch per gauge for the sample
+        # points and one per point for its field stencils; ode's profile
+        # checks read their five jets in one call
+        calls = []
+        original = gaussmap.angle_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "quadriclab"]:
+            if getattr(module, "angle_spectrum", None) is original:
+                monkeypatch.setattr(module, "angle_spectrum", counted)
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(calls) == solves
 
     def test_order_probe_at_many_steps(self, tmp_path):
         # the order probe keeps its own step count, so a fine --steps does not

@@ -246,16 +246,15 @@ class TestGaugeNormalize:
     def test_sphere_n2(self):
         chart = round_sphere(2, 1.0 / np.sqrt(2.0))
         jet = gauss_map(chart, np.array([0.1, -0.2]))
-        gauge = gauge_normalize(jet)
+        spec = gauge_normalize(jet, angle_spectrum(jet))
         # canonical angles are (pi/4, pi/4); phi = pi/2 renormalizes the sum
-        assert abs(gauge.phi - np.pi / 2.0) < 1e-8
-        spec = angle_spectrum(jet, gauge)
+        assert abs(spec.gauge.phi - np.pi / 2.0) < 1e-8
         for th in spec.thetas:
             assert mod_pi_gap(th, 0.0) < 1e-8
 
     def test_cartan_normalized_angles(self, tube):
         jet = gauss_map(tube, P3)
-        spec = angle_spectrum(jet, gauge_normalize(jet))
+        spec = gauge_normalize(jet, angle_spectrum(jet))
         targets = [0.0, np.pi / 3.0, 2.0 * np.pi / 3.0]
         gaps = sorted(
             min(mod_pi_gap(t, x) for x in spec.thetas) for t in targets
@@ -266,9 +265,10 @@ class TestGaugeNormalize:
 
     def test_smallest_nonnegative_member(self, tube):
         jet = gauss_map(tube, P3)
-        phi = gauge_normalize(jet).phi
+        spec0 = angle_spectrum(jet)
+        phi = gauge_normalize(jet, spec0).gauge.phi
         assert 0.0 <= phi < 2.0 * np.pi / 3.0
-        shifted = normalized_phase(jet, ref_phi=phi + 2.0 * np.pi / 3.0)
+        shifted = normalized_phase(spec0, ref_phi=phi + 2.0 * np.pi / 3.0)
         assert abs(shifted - phi - 2.0 * np.pi / 3.0) < 1e-12
 
 
@@ -285,7 +285,7 @@ class TestFundamentalForm:
 
     def test_cartan_single_component(self, tube):
         jet = gauss_map(tube, P3)
-        spec = angle_spectrum(jet, gauge_normalize(jet))
+        spec = gauge_normalize(jet, angle_spectrum(jet))
         ff = second_fundamental_form(jet, spec)
         assert abs(ff.h[0, 1, 2] ** 2 - 0.375) < 1e-3
         # all components with a repeated index vanish

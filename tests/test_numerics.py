@@ -188,13 +188,13 @@ class TestEigenSolve:
         a = rng.standard_normal((4, 4))
         a = a @ a.T + 0.5 * np.eye(4)
         b = rng.standard_normal(4)
-        x = eigen_solve(symmetric_eigen(a), b)
-        np.testing.assert_allclose(a @ x, b, atol=1e-10)
+        x = eigen_solve(symmetric_eigen(a), b[:, None])
+        np.testing.assert_allclose(a @ x, b[:, None], atol=1e-10)
 
     def test_rejects_indefinite(self):
         # the message names the function that raised it
         with pytest.raises(RankDeficiencyError, match=r"^eigen_solve: matrix is not positive definite") as err:
-            eigen_solve(symmetric_eigen(np.diag([1.0, -1.0])), np.ones(2))
+            eigen_solve(symmetric_eigen(np.diag([1.0, -1.0])), np.ones(2)[:, None])
         np.testing.assert_array_equal(err.value.gram_spectrum, [-1.0, 1.0])
 
 

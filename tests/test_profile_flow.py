@@ -76,24 +76,24 @@ def reference_first_integral(n, states, c1=None):
     return worst
 
 
-def reference_csv(curve) -> bytes:
+def reference_csv(traj, gammas) -> bytes:
     lines = ["theta,alpha,dalpha,gx,gy,gz\n"]
-    for k in range(len(curve.thetas)):
+    for k in range(len(traj.thetas)):
         row = (
-            curve.thetas[k],
-            curve.alphas[k],
-            curve.dalphas[k],
-            curve.gammas[k, 0],
-            curve.gammas[k, 1],
-            curve.gammas[k, 2],
+            traj.thetas[k],
+            traj.alphas[k],
+            traj.dalphas[k],
+            gammas[k, 0],
+            gammas[k, 1],
+            gammas[k, 2],
         )
         lines.append(",".join(repr(float(v)) for v in row) + "\n")
     return "".join(lines).encode()
 
 
-def written_csv(curve) -> bytes:
+def written_csv(traj, gammas) -> bytes:
     with tempfile.TemporaryDirectory() as out:
-        with open(cli._write_profile_csv(SimpleNamespace(out=out), curve), "rb") as fh:
+        with open(cli._write_profile_csv(SimpleNamespace(out=out), traj, gammas), "rb") as fh:
             return fh.read()
 
 
@@ -207,20 +207,21 @@ class TestProfileCsv:
     @settings(max_examples=25, deadline=None)
     @given(flows(max_steps=400))
     def test_rows_match_reference_writer(self, flow):
-        curve = profile_curve(integrate_alpha(*flow))
-        assert written_csv(curve) == reference_csv(curve)
+        traj = integrate_alpha(*flow)
+        gammas = profile_curve(traj)
+        assert written_csv(traj, gammas) == reference_csv(traj, gammas)
 
     def test_stopped_trajectory(self):
         traj = integrate_alpha(3, 0.05, -0.99, 3.0, 2000)
         assert traj.stopped_early
-        curve = profile_curve(traj)
-        assert written_csv(curve) == reference_csv(curve)
+        gammas = profile_curve(traj)
+        assert written_csv(traj, gammas) == reference_csv(traj, gammas)
 
     def test_ode_output(self, tmp_path):
         argv = ["--n", "4", "--alpha0", "0.3", "--dalpha0", "0.2", "--span", "0.7", "--steps", "3000"]
         assert cli.main(["ode", *argv, "--out", str(tmp_path)]) == 0
         states, stopped_early, _ = reference_integrate(4, 0.3, 0.2, 0.7, 3000)
         assert not stopped_early
-        curve = profile_curve(trajectory(4, states))
+        traj = trajectory(4, states)
         with open(os.path.join(tmp_path, "profile.csv"), "rb") as fh:
-            assert fh.read() == reference_csv(curve)
+            assert fh.read() == reference_csv(traj, profile_curve(traj))

@@ -135,22 +135,22 @@ class TestProfileCurve:
         # alpha = 0 cannot be integrated (singular), but the curve formula
         # itself degenerates to a great circle
         thetas = np.linspace(0, 1, 11)
-        curve = profile_curve(AlphaTrajectory(3, thetas, 0.0 * thetas, 0.0 * thetas))
-        for theta, g in zip(curve.thetas, curve.gammas):
+        gammas = profile_curve(AlphaTrajectory(3, thetas, 0.0 * thetas, 0.0 * thetas))
+        for theta, g in zip(thetas, gammas):
             np.testing.assert_allclose(g, [0.0, np.sin(theta), -np.cos(theta)], atol=1e-15)
 
     def test_unit_norm(self, rotational_trajectory):
-        curve = profile_curve(rotational_trajectory)
-        norms = np.linalg.norm(curve.gammas, axis=1)
+        norms = np.linalg.norm(profile_curve(rotational_trajectory), axis=1)
         assert np.abs(norms - 1.0).max() < 1e-8
 
     def test_velocity_matches_samples(self, rotational_trajectory):
-        curve = profile_curve(rotational_trajectory)
-        k = len(curve.thetas) // 2
-        dt = curve.thetas[k + 1] - curve.thetas[k - 1]
-        fd = (curve.gammas[k + 1] - curve.gammas[k - 1]) / dt
+        traj = rotational_trajectory
+        gammas = profile_curve(traj)
+        k = len(traj.thetas) // 2
+        dt = traj.thetas[k + 1] - traj.thetas[k - 1]
+        fd = (gammas[k + 1] - gammas[k - 1]) / dt
         analytic = profile_velocity(
-            curve.thetas[k], curve.alphas[k], curve.dalphas[k], 3
+            traj.thetas[k], traj.alphas[k], traj.dalphas[k], 3
         )
         assert np.abs(fd - analytic).max() < 1e-5
 
@@ -237,29 +237,28 @@ class TestRotationalChart:
     def test_orbit_radius_guard(self):
         # a synthetic curve running into the rotation axis must be rejected
         thetas = np.linspace(0.0, 0.3, 16)
-        curve = profile_curve(AlphaTrajectory(3, thetas, 1e-5 + 0.0 * thetas, 0.0 * thetas))
         with pytest.raises(OdeError):
-            build_rotational_chart(curve, 3)
+            build_rotational_chart(AlphaTrajectory(3, thetas, 1e-5 + 0.0 * thetas, 0.0 * thetas))
 
     def test_dimension_guard(self, rotational_trajectory):
-        curve = profile_curve(rotational_trajectory)
+        t = rotational_trajectory
         with pytest.raises(OdeError):
-            build_rotational_chart(curve, 2)
+            build_rotational_chart(AlphaTrajectory(2, t.thetas, t.alphas, t.dalphas))
 
 
 @pytest.fixture(scope="module")
-def curve_n4():
+def traj_n4():
     traj = integrate_alpha(4, np.pi / 16, 0.0, 0.5, 2500)
     assert not traj.stopped_early
-    return profile_curve(traj)
+    return traj
 
 
 class TestChartMemo:
     # a chart keeps no state between calls, and interpolates the profile once
     # per call for the whole batch
 
-    def test_interleaved_points_match_fresh_charts(self, curve_n4):
-        chart = build_rotational_chart(curve_n4, 4)
+    def test_interleaved_points_match_fresh_charts(self, traj_n4):
+        chart = build_rotational_chart(traj_n4)
         rng = np.random.default_rng(9)
         base = [box_sample(chart.box, rng, 0.02) for _ in range(3)]
         points = base + [
@@ -270,14 +269,14 @@ class TestChartMemo:
         for c in rng.permutation(len(calls)):
             kind, i = calls[c]
             got = getattr(chart, kind)(points[i])
-            want = getattr(build_rotational_chart(curve_n4, 4), kind)(points[i])
+            want = getattr(build_rotational_chart(traj_n4), kind)(points[i])
             assert np.array_equal(got, want)
 
-    def test_interpolations_per_stencil(self, curve_n4, monkeypatch):
+    def test_interpolations_per_stencil(self, traj_n4, monkeypatch):
         # one interval lookup, for value and derivative together, for embed
         # and one for normal on the 16 stencil points, then the same at the
         # center
-        chart = build_rotational_chart(curve_n4, 4)
+        chart = build_rotational_chart(traj_n4)
         calls = []
         locate = QuinticHermite._locate
         monkeypatch.setattr(
@@ -305,9 +304,9 @@ def test_orbit_group_mean_unchanged_off_the_wrap():
     assert orbit == float(np.mean(np.sort(thetas)[1:]))
 
 
-def test_rotational_chart_n4(curve_n4):
+def test_rotational_chart_n4(traj_n4):
     # the machinery is dimension generic; exercise n = 4 end to end
-    chart = build_rotational_chart(curve_n4, 4)
+    chart = build_rotational_chart(traj_n4)
     x = chart.box.center
     lam = principal_curvatures(chart, x).lambdas
     alpha = chart.meta["interp"].value(float(x[0]))

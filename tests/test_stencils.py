@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from quadriclab.gaussmap import FdSteps, gauss_map
 from quadriclab.hypersurfaces import cartan_tube, perturbed_sphere, product_spheres, round_sphere
 from quadriclab.numerics import StencilError, axis, central_first, central_second
-from quadriclab.rotational import build_rotational_chart, integrate_alpha, profile_curve
+from quadriclab.rotational import build_rotational_chart, integrate_alpha
 from quadriclab.verify import _metric_derivatives, gauss_metric_fn
 
 STEPS = FdSteps()
@@ -81,7 +81,7 @@ def ref_metric_derivatives(metric_fn, p, h, g0):
 
 def rotational(n):
     traj = integrate_alpha(n, np.pi / 12.0, 0.0, 0.8, 4000)
-    return build_rotational_chart(profile_curve(traj), n)
+    return build_rotational_chart(traj)
 
 
 CHARTS = {

@@ -122,7 +122,7 @@ class TestCurvature:
 
     def test_cartan_eighth(self, tube):
         jet = gauss_map(tube, P3)
-        spec = angle_spectrum(jet, gauge_normalize(jet))
+        spec = gauge_normalize(jet, angle_spectrum(jet))
         ff = second_fundamental_form(jet, spec)
         k_alg = sectional_curvature(spec, ff)
         for i in range(3):
@@ -173,7 +173,7 @@ class TestCodazzi:
         # the squared off-diagonal cubic component against the three cyclic
         # trigonometric products
         jet = gauss_map(tube, P3)
-        spec = angle_spectrum(jet, gauge_normalize(jet))
+        spec = gauge_normalize(jet, angle_spectrum(jet))
         ff = second_fundamental_form(jet, spec)
         th = spec.thetas
         h2 = ff.h[0, 1, 2] ** 2
@@ -200,7 +200,7 @@ class TestCscIdentities:
 
     def test_cartan(self, tube):
         jet = gauss_map(tube, P3)
-        spec = angle_spectrum(jet, gauge_normalize(jet))
+        spec = gauge_normalize(jet, angle_spectrum(jet))
         ff = second_fundamental_form(jet, spec)
         rep = check_csc_identities(spec, ff)
         assert all(residual <= 1e-3 for residual in rep.values())
@@ -354,11 +354,10 @@ class TestReconstruction:
     def test_reconstruction_from_normalized_gauge(self, tube):
         # c = phi/2 + t must feed the curvature prediction
         jet = gauss_map(tube, P3)
-        gauge = gauge_normalize(jet)
-        spec = angle_spectrum(jet, gauge)
+        spec = gauge_normalize(jet, angle_spectrum(jet))
         t = 0.15
         rec = reconstruct_hypersurface(tube.lift, tube.box, spec, t, 3)
         lam = np.sort(principal_curvatures(rec, P3).lambdas)
-        c = gauge.phi / 2.0 + t
+        c = spec.gauge.phi / 2.0 + t
         expected = np.sort(1.0 / np.tan(spec.thetas + c))
         np.testing.assert_allclose(lam, expected, atol=1e-4)
