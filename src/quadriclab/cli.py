@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussmap import (
+    AngleSpectrum,
     FdSteps,
+    GaussJet,
     GaussMapError,
     angle_spectrum,
     gauge_normalize,
@@ -64,6 +66,7 @@ from .verify import (
     cotangent_residual,
     gauss_equation_residual,
     isoparametric_variance,
+    metric_curvature,
     palmer_residual,
     sectional_residuals,
     structure_residuals,
@@ -302,19 +305,26 @@ def build_example(cfg: RunConfig) -> HypersurfaceChart:
 # verification per sample point
 # ---------------------------------------------------------------------------
 
-def _sample_points(chart: HypersurfaceChart, cfg: RunConfig) -> list[SamplePoint]:
-    """Per-point data at the run's sample points, kept clear of every stencil.
+def _sample_jets(chart: HypersurfaceChart, cfg: RunConfig) -> tuple[GaussJet, AngleSpectrum, AngleSpectrum]:
+    """The Gauss-map jets at the run's sample points, kept clear of every stencil, with their spectra.
 
-    The Gauss-map jets of all points come from one batch, and so do their
-    canonical spectra and, in the normalized gauge, their gauged spectra,
-    every point's gauge the admissible one nearest the first point's. The
-    gauge of each point is held fixed over its stencils.
+    The jets of all points are one batch, and so are their canonical spectra
+    and, in the normalized gauge, their gauged spectra, every point's gauge
+    the admissible one nearest the first point's.
     """
     margin = max(0.03, 3.0 * cfg.steps().stencil_margin)
     jets = gauss_map(chart, kronecker_points(chart.box, cfg.grid, cfg.seed, margin), cfg.steps())
     spec0 = angle_spectrum(jets)
-    spec = spec0 if cfg.gauge == "canonical" else gauge_normalize(jets, spec0)
-    return [SamplePoint(jets[k], spectra=(spec0[k], spec[k])) for k in range(cfg.grid)]
+    return jets, spec0, (spec0 if cfg.gauge == "canonical" else gauge_normalize(jets, spec0))
+
+
+def _sample_points(chart: HypersurfaceChart, cfg: RunConfig) -> list[SamplePoint]:
+    """Per-point data of the checks at the run's sample points, each gauge held fixed over its stencils."""
+    jets, spec0, spec = _sample_jets(chart, cfg)
+    # the lift Hessians, which the rows of jets share, and the metric route: one chart call each
+    jets.coord_second
+    curvature = metric_curvature(jets)
+    return [SamplePoint(jets[k], spectra=(spec0[k], spec[k]), curvature=curvature[k]) for k in range(cfg.grid)]
 
 
 def _report(example: str, point: list, residuals: dict, cfg: RunConfig) -> ResidualReport:
@@ -393,8 +403,7 @@ def _skipped_checks(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
-    chart = build_example(cfg)
-    points = _sample_points(chart, cfg)
+    points = _sample_points(build_example(cfg), cfg)
     results = [_point_report(pt, cfg) for pt in points]
     sample_specs = [pt.spec0 for pt in points]
     if cfg.entry.isoparametric:
@@ -412,20 +421,19 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_angles(cfg: RunConfig) -> tuple[int, dict]:
-    chart = build_example(cfg)
-    points = _sample_points(chart, cfg)
+    jets, _, spec = _sample_jets(build_example(cfg), cfg)
     rows = [
         {
-            "point": [float(v) for v in pt.p],
-            "gauge_phi": float(pt.phi),
-            "angles": [float(t) for t in pt.spec.thetas],
-            "principal_curvatures": [float(l) for l in pt.jet.lambdas],
+            "point": [float(v) for v in jets.point[k]],
+            "gauge_phi": float(spec[k].gauge.phi),
+            "angles": [float(t) for t in spec.thetas[k]],
+            "principal_curvatures": [float(l) for l in jets.lambdas[k]],
         }
-        for pt in points
+        for k in range(cfg.grid)
     ]
     summary = {"all_pass": True, "skipped": []}
     if cfg.entry.isoparametric:
-        summary["distinct_angles"] = classify_by_angles([pt.spec for pt in points])
+        summary["distinct_angles"] = classify_by_angles([spec[k] for k in range(cfg.grid)])
     payload = {"config": cfg.to_dict(), "results": rows, "summary": summary}
     return 0, payload
 

@@ -33,7 +33,6 @@ __all__ = [
     "stencil_values",
     "axis_stencil",
     "hessian_stencil",
-    "first_derivative",
     "second_derivative",
 ]
 
@@ -268,12 +267,6 @@ def hessian_stencil(f, p, h: float, offsets) -> tuple[np.ndarray, np.ndarray]:
         values[:split].reshape(axis_pts.shape[:-1] + shape),
         values[split:].reshape(corner_pts.shape[:-1] + shape),
     )
-
-
-def first_derivative(f, p, v, h: float) -> np.ndarray:
-    """Directional derivative of f at p along v (order 4)."""
-    p, v = np.asarray(p, dtype=float), np.asarray(v, dtype=float)
-    return central_first(*stencil_values(f, [p + c * h * v for c in (2, 1, -1, -2)]), h)
 
 
 def second_derivative(h: float, f0, at, corners) -> np.ndarray:

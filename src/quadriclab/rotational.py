@@ -29,7 +29,7 @@ from .gaussmap import (
     mod_pi_clusters,
     nearest_mod_pi,
 )
-from .numerics import axis, central_first, central_second, first_derivative
+from .numerics import axis, central_first, central_second
 from .verify import curvature_from_metric, gauss_metric_fn, sectional_from_metric
 
 __all__ = [
@@ -435,20 +435,23 @@ def warped_curvature_check(
 ) -> dict[str, float]:
     """Residuals of the profile checks at the box center p, from the Gauss side only.
 
-    Five Gauss-map jets at p + c (H/2) e_0, c = -2..2 (H the field step), give
-    the profile angle alpha (from the angle functions), the metric factor
-    sqrt(g_00) and the warp factor rho of the orbit block, and their
-    five-point derivatives in the profile coordinate at p. In report order:
-    the orbit block of the metric is conformally round with warp factor
-    c1 (sin n alpha)^(-1/n); the rescaled fiber curvature is the constant 1,
-    at p and at p +- 5H e_0, and chains through the warp factor and the
-    arclength derivative of alpha; alpha satisfies the arclength form of the
-    profile equation; and the principal curvatures at p follow the (1, n-1)
-    pattern of alpha. Nothing from the integrator enters except the chart.
+    About each center q of p - 5H e_0, p and p + 5H e_0 (H the field step),
+    the points q + c (H/2) e_0, c = -2..2, give the induced metric: about p
+    as one batch of Gauss-map jets, which also give the profile angle alpha
+    (from the angle functions), about the other centers as one metric call.
+    The metrics give the factor sqrt(g_00) and the warp factor rho of the
+    orbit block, and all of these their five-point derivatives in the profile
+    coordinate. In report order: the orbit block of the metric is conformally
+    round with warp factor c1 (sin n alpha)^(-1/n); the rescaled fiber
+    curvature, its orbit-plane curvature from one metric-route call at the
+    three centers, is the constant 1 at each and chains at p through the warp
+    factor and the arclength derivative of alpha; alpha satisfies the
+    arclength form of the profile equation; and the principal curvatures at
+    p follow the (1, n-1) pattern of alpha. Nothing from the integrator
+    enters except the chart.
     """
     steps = steps or FdSteps()
     metric = gauss_metric_fn(chart, steps)
-    p = chart.box.center.copy()
     e0 = axis(n, 0)
     dth = steps.field
     h = 0.5 * dth
@@ -465,51 +468,36 @@ def warped_curvature_check(
             np.ptp(ratios, axis=-1),
         )
 
-    # five jets at offsets -2..2 in units of h, as one batch
-    jets = gauss_map(chart, p + (np.arange(-2.0, 3.0) * h)[:, None] * e0, steps)
-    gs = jets.stencil.lift_metric
+    centers = chart.box.center + (np.array([-5.0, 0.0, 5.0]) * dth)[:, None] * e0
+    x = centers + (np.arange(-2.0, 3.0) * h)[:, None, None] * e0  # (offset, center, coordinates)
+    jets = gauss_map(chart, x[:, 1], steps)
+    sides = metric(x[:, ::2])
+    gs = np.stack([sides[:, 0], jets.stencil.lift_metric, sides[:, 1]], axis=1)
     alphas = [np.pi - _orbit_and_profile_angles(th, n)[1] for th in angle_spectrum(jets).thetas]
-    vs = np.sqrt(gs[:, 0, 0]).tolist()
-    rhos, off_blocks, spreads = warp_at(jets.point, gs)
+    vs = np.sqrt(gs[:, 1, 0, 0]).tolist()
+    rhos, off_blocks, spreads = warp_at(x, gs)
 
     def d_dtheta(f):
         return central_first(f[4], f[3], f[1], f[0], h)
 
-    g_p, alpha, v0, rho = gs[2], alphas[2], vs[2], rhos[2]
+    alpha, v0, rho = alphas[2], vs[2], rhos[2, 1]
     du = d_dtheta(alphas)
     ddu = central_second(*alphas[::-1], h)
     dv = d_dtheta(vs)
-    drho = d_dtheta(rhos)
     e1_alpha = du / v0
     e1_e1_alpha = (ddu * v0 - du * dv) / v0**3
 
-    # fiber curvature via the metric route in an orbit plane, at p and at two
-    # profile samples either side of it
-    ortho, ortho2 = axis(n, 1), axis(n, 2)
-
-    def fiber_curvature(x, g_x, rho_x, drho_x):
-        e1_rho = drho_x / np.sqrt(float(g_x[0, 0]))
-        k_orbit = sectional_from_metric(
-            curvature_from_metric(metric, x, steps.metric, g_x), g_x, ortho, ortho2
-        )
-        return rho_x**2 * (k_orbit + (e1_rho / rho_x) ** 2)
-
-    def side_fiber_curvature(x):
-        g_x = metric(x)
-        drho_x = first_derivative(lambda y: warp_at(y, metric(y))[0], x, e0, h)
-        return fiber_curvature(x, g_x, warp_at(x, g_x)[0], drho_x)
-
-    k_fiber = fiber_curvature(p, g_p, rho, drho)
-    kf_samples = [
-        side_fiber_curvature(p - 5 * dth * e0),
-        k_fiber,
-        side_fiber_curvature(p + 5 * dth * e0),
-    ]
+    g_c = gs[2]
+    r = curvature_from_metric(metric, centers, steps.metric, g_c)
+    k_orbit = sectional_from_metric(r, g_c, axis(n, 1), axis(n, 2))
+    e1_rho = d_dtheta(rhos) / np.sqrt(g_c[:, 0, 0])
+    kf_samples = rhos[2] ** 2 * (k_orbit + (e1_rho / rhos[2]) ** 2)
+    k_fiber = kf_samples[1]
     warp_law = c1 * np.sin(n * alpha) ** (-1.0 / n)
     rhs_chain = warp_law**2 * (2.0 + e1_alpha**2 * np.sin(n * alpha) ** (-2.0))
     return {
-        "warp_block_diagonal": off_blocks[2],
-        "warp_block_conformal": spreads[2],
+        "warp_block_diagonal": off_blocks[2, 1],
+        "warp_block_conformal": spreads[2, 1],
         "warp_factor_law": abs(rho - warp_law),
         "fiber_curvature_normalized": abs(k_fiber - 1.0),
         "fiber_curvature_chain": abs(k_fiber - rhs_chain),

@@ -53,6 +53,7 @@ __all__ = [
     "check_prop1",
     "palmer_residual",
     "curvature_from_metric",
+    "metric_curvature",
     "gauss_metric_fn",
     "sectional_from_metric",
     "gauss_equation_residual",
@@ -138,10 +139,11 @@ class SamplePoint:
     Wraps the Gauss-map jet at the point with its angle spectra in the
     canonical gauge (spec0) and in the point's gauge (spec). A caller holding
     both spectra, rows of one batch, passes them; otherwise they are solved
-    here, spec in the policy gauge. The policy sets how the gauge varies over
-    the field-derivative stencils, by default held fixed at the point's.
-    Each other field is computed on first use and kept, so checks sharing a
-    point share its cubic form, field derivatives and curvature tensor.
+    here, spec in the policy gauge; the metric-route curvature tensor likewise,
+    computed on first use. The policy sets how the gauge varies over the
+    field-derivative stencils, by default held fixed at the point's. Each
+    other field is computed on first use and kept, so checks sharing a point
+    share its cubic form, field derivatives and curvature tensor.
     """
 
     def __init__(
@@ -149,6 +151,7 @@ class SamplePoint:
         jet: GaussJet,
         policy: GaugePolicy | None = None,
         spectra: tuple[AngleSpectrum, AngleSpectrum] | None = None,
+        curvature: np.ndarray | None = None,
     ):
         if spectra is None:
             spec0 = angle_spectrum(jet)
@@ -156,6 +159,7 @@ class SamplePoint:
         self.jet = jet
         self.spec0, self.spec = spectra
         self.policy = policy or GaugePolicy("fixed", self.spec.gauge.phi)
+        self._curvature = curvature
 
     @property
     def chart(self) -> HypersurfaceChart:
@@ -186,19 +190,17 @@ class SamplePoint:
     def connection(self) -> ConnectionData:
         return connection_and_s(self)
 
-    @cached_property
-    def metric_fn(self):
-        return gauss_metric_fn(self.chart, self.steps)
-
     @property
     def metric(self) -> np.ndarray:
         """Induced metric of the Gauss map at the point, in chart coordinates."""
         return self.jet.stencil.lift_metric
 
-    @cached_property
+    @property
     def curvature(self) -> np.ndarray:
         """Coordinate curvature tensor of the induced metric (metric route)."""
-        return curvature_from_metric(self.metric_fn, self.p, self.steps.metric, self.metric)
+        if self._curvature is None:
+            self._curvature = metric_curvature(self.jet)
+        return self._curvature
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +249,9 @@ def _align_to_reference(spec: AngleSpectrum, ref: AngleSpectrum) -> AngleSpectru
             mismatch = np.abs(rot.T @ overlap - np.eye(len(cl))).max()
             if mismatch > 0.1:
                 raise VerifyError(f"frame transport mismatch {mismatch:.3f} exceeds 0.1")
-            block_vel = rot.T @ frame_vel[members]
-            block_amb = rot.T @ frame_ambient[members]
-            for pos, k in enumerate(cl):
-                new_frame_vel[row + (k,)] = block_vel[pos]
-                new_frame_ambient[row + (k,)] = block_amb[pos]
-                new_thetas[row + (k,)] = nearest_mod_pi(thetas[members[pos]], ref.thetas[k])
+            new_frame_vel[row][cl] = rot.T @ frame_vel[members]
+            new_frame_ambient[row][cl] = rot.T @ frame_ambient[members]
+            new_thetas[row][cl] = nearest_mod_pi(thetas[members], ref.thetas[cl])
     return replace(spec, thetas=new_thetas, frame_vel=new_frame_vel, frame_ambient=new_frame_ambient)
 
 
@@ -406,7 +405,8 @@ def gauss_metric_fn(chart: HypersurfaceChart, steps: FdSteps | None = None):
 def _metric_derivatives(metric_fn, p, h: float, g0: np.ndarray):
     """dg[c] = d_c g (step h/2) and ddg[c, d] = d_c d_d g (step h) at p, sharing p +- h e_c.
 
-    Every metric on the stencil comes from one metric_fn call.
+    Batch axes of p follow the derivative axes. Every metric on the stencil
+    comes from one metric_fn call.
     """
     at, corners = hessian_stencil(metric_fn, p, h, (2.0, 1.0, 0.5, -0.5, -1.0, -2.0))
     dg = central_first(at[1], at[2], at[3], at[4], 0.5 * h)
@@ -414,21 +414,30 @@ def _metric_derivatives(metric_fn, p, h: float, g0: np.ndarray):
 
 
 def curvature_from_metric(metric_fn, p, h: float, g0: np.ndarray) -> np.ndarray:
-    """Coordinate curvature tensor R[a, b, c, d] = <R(d_a, d_b) d_c, d_d>.
+    """Coordinate curvature tensor R[..., a, b, c, d] = <R(d_a, d_b) d_c, d_d>.
 
-    g0 is the metric at p, which the caller already holds. Uses fourth-order
-    differences of the metric components plus the Christoffel quadratic
-    terms; the convention is fixed so that the unit round sphere has
-    sectional curvature +1.
+    p is a point (n,) or a batch of points (..., n) and g0 the metric there,
+    (..., n, n), which the caller already holds; one metric_fn call serves
+    the whole batch. Uses fourth-order differences of the metric components
+    plus the Christoffel quadratic terms; the convention is fixed so that the
+    unit round sphere has sectional curvature +1.
     """
     dg, ddg = _metric_derivatives(metric_fn, p, h, g0)
-    # Christoffel symbols of the second kind gamma[e, a, b]; dg[c, a, b] = d_c g_ab
-    lowered = dg + np.einsum("bda->adb", dg) - np.einsum("dab->adb", dg)  # [a, d, b]
-    gamma = 0.5 * np.einsum("ed,adb->eab", np.linalg.inv(g0), lowered)
-    # with ddg[c, d, a, b] = d_c d_d g_ab, R_abcd = s[a, c, b, d] - s[a, d, b, c] for
+    dg, ddg = np.moveaxis(dg, 0, -3), np.moveaxis(ddg, (0, 1), (-4, -3))  # batch axes in front
+    # Christoffel symbols of the second kind gamma[..., e, a, b]; dg[..., c, a, b] = d_c g_ab
+    lowered = dg + np.einsum("...bda->...adb", dg) - np.einsum("...dab->...adb", dg)  # [..., a, d, b]
+    gamma = 0.5 * np.einsum("...ed,...adb->...eab", np.linalg.inv(g0), lowered)
+    # with ddg[..., c, d, a, b] = d_c d_d g_ab, R_abcd = s[a, c, b, d] - s[a, d, b, c] for
     # s[a, c, b, d] = (d_a d_c g_bd + d_b d_d g_ac) / 2 + g(Gamma_ac, Gamma_bd)
-    s = 0.5 * (ddg + np.einsum("bdac->acbd", ddg)) + np.einsum("ef,eac,fbd->acbd", g0, gamma, gamma)
-    return np.einsum("acbd->abcd", s) - np.einsum("adbc->abcd", s)
+    sym = ddg + np.einsum("...bdac->...acbd", ddg)
+    s = 0.5 * sym + np.einsum("...ef,...eac,...fbd->...acbd", g0, gamma, gamma)
+    return np.einsum("...acbd->...abcd", s) - np.einsum("...adbc->...abcd", s)
+
+
+def metric_curvature(jet: GaussJet) -> np.ndarray:
+    """curvature_from_metric at the point of a jet, or at every row of a batched jet in one call."""
+    metric = gauss_metric_fn(jet.chart, jet.steps)
+    return curvature_from_metric(metric, jet.point, jet.steps.metric, jet.stencil.lift_metric)
 
 
 def sectional_from_metric(r: np.ndarray, g: np.ndarray, x, y):

@@ -4,10 +4,11 @@ A batch of points goes through the one Gauss-map path a lone point takes, so
 every row of a batched jet, of its angle spectra and of its cubic form must
 equal the single-point call bitwise. field_derivatives builds its 4n jets as
 one batch, the sample points of a run take their spectra from one batch per
-gauge, and warped_curvature_check reads its five jets as one batch; the
-per-jet and per-point code they replaced is kept below as the reference. A
-failing row must raise naming that row's point, and a stacked eigensolve
-checks each matrix on its own.
+gauge, the metric route of those points is one curvature_from_metric call,
+and warped_curvature_check reads its five jets as one batch and its side
+metrics as one call; the per-jet and per-point code they replaced is kept
+below as the reference. A failing row must raise naming that row's point,
+and a stacked eigensolve checks each matrix on its own.
 """
 
 import dataclasses
@@ -47,7 +48,6 @@ from quadriclab.numerics import (
     axis,
     central_first,
     central_second,
-    first_derivative,
     gram_schmidt,
     symmetric_eigen,
 )
@@ -67,6 +67,7 @@ from quadriclab.verify import (
     curvature_from_metric,
     field_derivatives,
     gauss_metric_fn,
+    metric_curvature,
     sectional_from_metric,
 )
 
@@ -205,7 +206,9 @@ def ref_warped_curvature_check(chart, n, c1, steps):
 
     def side_fiber_curvature(x):
         g_x = metric(x)
-        drho_x = first_derivative(lambda y: warp_at(y, metric(y))[0], x, e0, h)
+        # the five-point derivative along e_0, one stencil call per side
+        ys = np.array([x + c * h * e0 for c in (2, 1, -1, -2)])
+        drho_x = central_first(*warp_at(ys, metric(ys))[0], h)
         return fiber_curvature(x, g_x, warp_at(x, g_x)[0], drho_x)
 
     k_fiber = fiber_curvature(p, g_p, rho, drho)
@@ -323,6 +326,25 @@ def test_sample_points_match_per_point_gauge_loop(example, n, gauge):
             assert np.array_equal(have.lift.z, want.lift.z)
             for field in ("thetas", "frame_vel", "frame_ambient", "diag_residual"):
                 assert np.array_equal(getattr(have, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("example, n", BENCHMARK_CONFIGS)
+def test_batched_curvature_equals_single_points(example, n):
+    # a verify run solves the metric route of all its sample points in one
+    # call; every row, and a standalone point's own tensor, is the single call
+    cfg = RunConfig(command="verify", example=example, n=n, grid=3, seed=11)
+    chart = build_example(cfg)
+    jets, steps = cli._sample_jets(chart, cfg)[0], cfg.steps()
+    metric = gauss_metric_fn(chart, steps)
+    batch = curvature_from_metric(metric, jets.point, steps.metric, jets.stencil.lift_metric)
+    assert batch.shape == (cfg.grid,) + (n,) * 4
+    assert np.array_equal(metric_curvature(jets), batch)
+    nested = curvature_from_metric(metric, jets.point[None], steps.metric, jets.stencil.lift_metric[None])
+    assert np.array_equal(nested[0], batch)
+    for k in range(cfg.grid):
+        one = curvature_from_metric(metric, jets.point[k], steps.metric, jets[k].stencil.lift_metric)
+        assert np.array_equal(batch[k], one)
+        assert np.array_equal(SamplePoint(jets[k]).curvature, one)
 
 
 def test_benchmark_configs_cover_every_example():

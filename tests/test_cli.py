@@ -255,8 +255,11 @@ class TestVerifyCommand:
         assert isinstance(rep["summary"]["skipped"], list)
 
     @staticmethod
-    def _count_evaluations(monkeypatch, example="sphere", n=3):
-        """(calls, rows) of embed and normal for one verified point of the example, by default the round 3-sphere."""
+    def _count_evaluations(monkeypatch, example="sphere", n=3, grid=1):
+        """(calls, rows) of embed and normal for the grid's verified points of the example.
+
+        By default one point of the round 3-sphere.
+        """
         calls, rows = [], []
 
         def counted(fn):
@@ -275,7 +278,7 @@ class TestVerifyCommand:
 
         build_example = cli.build_example
         monkeypatch.setattr(cli, "build_example", build)
-        code, _ = cli.cmd_verify(RunConfig(command="verify", example=example, n=n, grid=1))
+        code, _ = cli.cmd_verify(RunConfig(command="verify", example=example, n=n, grid=grid))
         assert code == 0
         return len(calls), sum(rows)
 
@@ -297,6 +300,12 @@ class TestVerifyCommand:
         # rotational n = 4: the same 14 calls carry 5,058 rows, its 16
         # field-derivative jets among them in one batch
         assert self._count_evaluations(monkeypatch, "rotational", 4) == (14, 5058)
+
+    def test_chart_call_budget_of_three_points(self, monkeypatch):
+        # three points: 4 at the points, 2 for their Hessians and 2 for the
+        # metric route, each one batch, and 6 for each point's field-derivative
+        # jets; the rows are three times one point's
+        assert self._count_evaluations(monkeypatch, grid=3) == (26, 3 * 2282)
 
     def test_csc_tolerance_overrides(self, tmp_path):
         # each constant-curvature entry carries its own tolerance
@@ -598,7 +607,9 @@ class TestOdeCommand:
 
     def test_chart_evaluation_budget(self, tmp_path, monkeypatch):
         # embed and normal evaluations of one ode run at n = 3; the profile
-        # checks build their five Gauss-map jets once, as one batch
+        # checks build their five Gauss-map jets once, as one batch, and reach
+        # the chart in 8 calls: 4 for the jets, 2 for the metrics about the
+        # side centers and 2 for the metric route at all three centers
         rows = []
         jets = []
 
@@ -623,6 +634,7 @@ class TestOdeCommand:
         code, _ = cli.cmd_ode(RunConfig(command="ode", example="rotational", out=str(tmp_path)))
         assert code == 0
         assert sum(rows) == 3394
+        assert len(rows) == 8
         assert jets == [5]
 
     @pytest.mark.parametrize(
