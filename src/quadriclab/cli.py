@@ -56,6 +56,7 @@ from .rotational import (
 )
 from .verify import (
     CheckResult,
+    GaugePolicy,
     ResidualReport,
     SamplePoint,
     VerifyError,
@@ -64,6 +65,7 @@ from .verify import (
     classify_by_angles,
     codazzi_residual,
     cotangent_residual,
+    field_derivatives,
     gauss_equation_residual,
     isoparametric_variance,
     metric_curvature,
@@ -321,10 +323,15 @@ def _sample_jets(chart: HypersurfaceChart, cfg: RunConfig) -> tuple[GaussJet, An
 def _sample_points(chart: HypersurfaceChart, cfg: RunConfig) -> list[SamplePoint]:
     """Per-point data of the checks at the run's sample points, each gauge held fixed over its stencils."""
     jets, spec0, spec = _sample_jets(chart, cfg)
-    # the lift Hessians, which the rows of jets share, and the metric route: one chart call each
+    # the lift Hessians, which the rows of jets share, the metric route and
+    # the field derivatives: one batch each for all the points
     jets.coord_second
     curvature = metric_curvature(jets)
-    return [SamplePoint(jets[k], spectra=(spec0[k], spec[k]), curvature=curvature[k]) for k in range(cfg.grid)]
+    fields = field_derivatives(jets, spec, GaugePolicy("fixed", spec.gauge.phi))
+    return [
+        SamplePoint(jets[k], spectra=(spec0[k], spec[k]), curvature=curvature[k], fields=fields[k])
+        for k in range(cfg.grid)
+    ]
 
 
 def _report(example: str, point: list, residuals: dict, cfg: RunConfig) -> ResidualReport:

@@ -307,37 +307,32 @@ def mod_pi_clusters(thetas, gap: float) -> list[list[int]]:
     return clusters
 
 
-def _cluster(values: np.ndarray, gap: float) -> list[list[int]]:
-    order = np.argsort(values, kind="stable")
-    clusters = [[int(order[0])]]
-    for idx in order[1:]:
-        if values[idx] - values[clusters[-1][-1]] <= gap:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return clusters
-
-
 def angle_spectrum(jet: GaussJet, gauge: StructureGauge | None = None) -> AngleSpectrum:
     """Joint eigenangles of the structure operators, sorted ascending in [0, pi).
 
     The tangential operator is diagonalized first, in one stacked solve at a
-    batched jet; degenerate eigenspaces (gap below 1e-7) are resolved row by
-    row, by diagonalizing the second operator inside them. Inconsistent
-    residuals raise GaussMapError naming the point.
+    batched jet. A degenerate eigenspace, a maximal run lo..hi-1 of its
+    ascending eigenvalues with consecutive gaps of at most 1e-7, is resolved
+    by diagonalizing the second operator inside it: the rows sharing a run
+    share one stacked solve. Inconsistent residuals raise GaussMapError
+    naming the point.
     """
     gauge = gauge or StructureGauge(0.0)
     b, c = structure_operators(jet, gauge)
     wb, vb = symmetric_eigen(b)
     rot = vb.copy()
-    for row in np.ndindex(wb.shape[:-1]):
-        for cluster in _cluster(wb[row], ANGLE_CLUSTER_GAP):
-            if len(cluster) == 1:
+    close = np.diff(wb, axis=-1) <= ANGLE_CLUSTER_GAP
+    # edge[..., j]: a run boundary just before eigenvalue j
+    edge = np.pad(~close, [(0, 0)] * (close.ndim - 1) + [(1, 1)], constant_values=True)
+    for lo in range(jet.dim - 1):
+        for hi in range(lo + 2, jet.dim + 1):
+            rows = edge[..., lo] & edge[..., hi] & close[..., lo : hi - 1].all(axis=-1)
+            if not rows.any():
                 continue
-            basis = vb[row][:, cluster]
-            c_sub = symmetrize(basis.T @ c[row] @ basis, tol=1e-5)
+            basis = vb[rows][..., list(range(lo, hi))]
+            c_sub = symmetrize(basis.swapaxes(-1, -2) @ c[rows] @ basis, tol=1e-5)
             _, v_sub = symmetric_eigen(c_sub)
-            rot[row][:, cluster] = basis @ v_sub
+            rot[rows, :, lo:hi] = basis @ v_sub
     b_diag = rot.swapaxes(-1, -2) @ b @ rot
     c_diag = rot.swapaxes(-1, -2) @ c @ rot
     off_diagonal = ~np.eye(jet.dim, dtype=bool)

@@ -35,7 +35,7 @@ from .gaussmap import (
     structure_operators,
 )
 from .hypersurfaces import Box, ChartStencil, HypersurfaceChart
-from .numerics import central_first, hessian_stencil, second_derivative, symmetric_eigen
+from .numerics import central_first, flagged_row, hessian_stencil, second_derivative, symmetric_eigen
 from .quadric import StructureGauge
 
 __all__ = [
@@ -139,11 +139,13 @@ class SamplePoint:
     Wraps the Gauss-map jet at the point with its angle spectra in the
     canonical gauge (spec0) and in the point's gauge (spec). A caller holding
     both spectra, rows of one batch, passes them; otherwise they are solved
-    here, spec in the policy gauge; the metric-route curvature tensor likewise,
-    computed on first use. The policy sets how the gauge varies over the
-    field-derivative stencils, by default held fixed at the point's. Each
-    other field is computed on first use and kept, so checks sharing a point
-    share its cubic form, field derivatives and curvature tensor.
+    here, spec in the policy gauge; the metric-route curvature tensor and the
+    field derivatives likewise, rows of a run's batches or else computed on
+    first use by the same routines at the one point. The policy sets how the
+    gauge varies over the field-derivative stencils, by default held fixed at
+    the point's. Each other field is computed on first use and kept, so
+    checks sharing a point share its cubic form, field derivatives and
+    curvature tensor.
     """
 
     def __init__(
@@ -152,6 +154,7 @@ class SamplePoint:
         policy: GaugePolicy | None = None,
         spectra: tuple[AngleSpectrum, AngleSpectrum] | None = None,
         curvature: np.ndarray | None = None,
+        fields: FieldDerivatives | None = None,
     ):
         if spectra is None:
             spec0 = angle_spectrum(jet)
@@ -160,18 +163,11 @@ class SamplePoint:
         self.spec0, self.spec = spectra
         self.policy = policy or GaugePolicy("fixed", self.spec.gauge.phi)
         self._curvature = curvature
-
-    @property
-    def chart(self) -> HypersurfaceChart:
-        return self.jet.chart
+        self._fields = fields
 
     @property
     def p(self) -> np.ndarray:
         return self.jet.point
-
-    @property
-    def steps(self) -> FdSteps:
-        return self.jet.steps
 
     @property
     def phi(self) -> float:
@@ -182,9 +178,12 @@ class SamplePoint:
     def ff(self) -> FundamentalForm:
         return second_fundamental_form(self.jet, self.spec)
 
-    @cached_property
+    @property
     def fields(self) -> FieldDerivatives:
-        return field_derivatives(self)
+        """Field derivatives along the frame at the point."""
+        if self._fields is None:
+            self._fields = field_derivatives(self.jet, self.spec, self.policy)
+        return self._fields
 
     @cached_property
     def connection(self) -> ConnectionData:
@@ -207,52 +206,80 @@ class SamplePoint:
 # frame transport and field derivatives
 # ---------------------------------------------------------------------------
 
-def _polar_orthogonal(m: np.ndarray) -> np.ndarray:
-    """Orthogonal polar factor of a near-orthogonal square matrix."""
-    w, v = symmetric_eigen(m.T @ m)
-    if w[0] <= 1e-12:
-        raise VerifyError("frame overlap matrix is singular")
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
-    return m @ inv_sqrt
-
-
-def _align_to_reference(spec: AngleSpectrum, ref: AngleSpectrum) -> AngleSpectrum:
+def _align_to_reference(spec: AngleSpectrum, ref: AngleSpectrum, points: np.ndarray) -> AngleSpectrum:
     """Permute and rotate nearby spectra so their frames follow the reference.
 
-    spec is one spectrum or a batch of them, each row aligned on its own.
-    Frame vectors are matched cluster by cluster (clusters taken from the
-    reference angles); inside each matched block the frame is rotated by the
-    orthogonal Procrustes factor, which realizes transport by projection for
-    degenerate angles. A block overlap farther than 0.1 from the identity
-    raises VerifyError.
+    ref is one spectrum or a batch of them, and the batch axes of spec begin
+    with those of ref: each row of spec[k] is aligned on its own to ref[k].
+    points holds the chart point of each row of spec. Frame vectors are
+    matched cluster by cluster, clusters taken from the reference angles;
+    inside each matched block the frame is rotated by the orthogonal
+    Procrustes factor, which realizes transport by projection for degenerate
+    angles. The references sharing one cluster pattern solve one stacked
+    polar factor per cluster for all their rows. Raises VerifyError naming
+    the point of the first failing row when its clusters changed, a block
+    overlap is singular, or one lies farther than 0.1 from the identity.
     """
-    clusters = mod_pi_clusters(ref.thetas, 1e-6)
-    new_thetas = np.empty_like(spec.thetas)
-    new_frame_vel = np.empty_like(spec.frame_vel)
-    new_frame_ambient = np.empty_like(spec.frame_ambient)
-    # each sample angle joins the reference cluster holding its nearest angle
-    dist = mod_pi_distance(spec.thetas[..., :, None], ref.thetas)
-    owner = np.argmin(np.stack([dist[..., cl].min(axis=-1) for cl in clusters], axis=-1), axis=-1)
-    for row in np.ndindex(spec.thetas.shape[:-1]):
-        thetas, frame_vel, frame_ambient = spec.thetas[row], spec.frame_vel[row], spec.frame_ambient[row]
-        assignment = [np.flatnonzero(owner[row] == c) for c in range(len(clusters))]
-        if [len(a) for a in assignment] != [len(c) for c in clusters]:
-            raise VerifyError(
-                f"angle clusters changed between stencil points: reference "
-                f"{ref.thetas}, sample {thetas}"
-            )
-        for cl, members in zip(clusters, assignment):
-            overlap = np.real(
-                np.conj(frame_ambient[members]) @ ref.frame_ambient[cl].T
-            )
-            rot = _polar_orthogonal(overlap)
-            mismatch = np.abs(rot.T @ overlap - np.eye(len(cl))).max()
-            if mismatch > 0.1:
-                raise VerifyError(f"frame transport mismatch {mismatch:.3f} exceeds 0.1")
-            new_frame_vel[row][cl] = rot.T @ frame_vel[members]
-            new_frame_ambient[row][cl] = rot.T @ frame_ambient[members]
-            new_thetas[row][cl] = nearest_mod_pi(thetas[members], ref.thetas[cl])
-    return replace(spec, thetas=new_thetas, frame_vel=new_frame_vel, frame_ambient=new_frame_ambient)
+    n = ref.dim
+    ref_thetas = ref.thetas.reshape(-1, n)
+    ref_frames = ref.frame_ambient.reshape(len(ref_thetas), n, -1)
+    thetas = spec.thetas.reshape(len(ref_thetas), -1, n)
+    frame_vel = spec.frame_vel.reshape(thetas.shape + (-1,))
+    frame_ambient = spec.frame_ambient.reshape(thetas.shape + (-1,))
+    points = np.reshape(points, thetas.shape[:-1] + (-1,))
+    patterns: dict[tuple, list[int]] = {}
+    for k, th in enumerate(ref_thetas):
+        patterns.setdefault(tuple(map(tuple, mod_pi_clusters(th, 1e-6))), []).append(k)
+
+    # each sample angle joins the reference cluster holding its nearest angle;
+    # sorting the owners stably lists each cluster's members in index order
+    changed = np.zeros(thetas.shape[:-1], dtype=bool)
+    singular = np.zeros_like(changed)
+    blocks = []
+    for clusters, ks in patterns.items():
+        dist = mod_pi_distance(thetas[ks][..., :, None], ref_thetas[ks][:, None, None, :])
+        owner = np.argmin(np.stack([dist[..., cl].min(axis=-1) for cl in clusters], axis=-1), axis=-1)
+        order = np.argsort(owner, axis=-1, kind="stable")
+        sizes = [len(cl) for cl in clusters]
+        expected = np.repeat(np.arange(len(clusters)), sizes)
+        changed[ks] = (np.take_along_axis(owner, order, axis=-1) != expected).any(axis=-1)
+        for cl, members in zip(map(list, clusters), np.split(order, np.cumsum(sizes)[:-1], axis=-1)):
+            ambient = np.take_along_axis(frame_ambient[ks], members[..., None], axis=-2)
+            overlap = np.real(np.conj(ambient) @ ref_frames[ks][:, None, cl].swapaxes(-1, -2))
+            w, v = symmetric_eigen(overlap.swapaxes(-1, -2) @ overlap)
+            singular[ks] |= w[..., 0] <= 1e-12
+            blocks.append((ks, cl, members, ambient, overlap, w, v))
+    bad = flagged_row(changed, points, np.broadcast_to(ref_thetas[:, None], thetas.shape), thetas)
+    if bad:
+        raise VerifyError(
+            f"angle clusters changed between stencil points at {bad[0]}: reference {bad[1]}, sample {bad[2]}"
+        )
+    bad = flagged_row(singular, points)
+    if bad:
+        raise VerifyError(f"frame overlap matrix is singular at {bad[0]}")
+
+    new_thetas, new_frame_vel, new_frame_ambient = map(np.empty_like, (thetas, frame_vel, frame_ambient))
+    mismatch = np.zeros(thetas.shape[:-1])
+    for ks, cl, members, ambient, overlap, w, v in blocks:
+        # the orthogonal polar factor of the overlap, transposed
+        inv_sqrt = v @ (np.eye(len(cl)) * (1.0 / np.sqrt(w))[..., None, :]) @ v.swapaxes(-1, -2)
+        rot_t = (overlap @ inv_sqrt).swapaxes(-1, -2)
+        mismatch[ks] = np.maximum(mismatch[ks], np.abs(rot_t @ overlap - np.eye(len(cl))).max(axis=(-2, -1)))
+        block = np.ix_(ks, range(thetas.shape[1]), cl)
+        new_frame_vel[block] = rot_t @ np.take_along_axis(frame_vel[ks], members[..., None], axis=-2)
+        new_frame_ambient[block] = rot_t @ ambient
+        new_thetas[block] = nearest_mod_pi(
+            np.take_along_axis(thetas[ks], members, axis=-1), ref_thetas[ks][:, None, cl]
+        )
+    bad = flagged_row(mismatch > 0.1, mismatch, points)
+    if bad:
+        raise VerifyError(f"frame transport mismatch {bad[0]:.3f} exceeds 0.1 at {bad[1]}")
+    return replace(
+        spec,
+        thetas=new_thetas.reshape(spec.thetas.shape),
+        frame_vel=new_frame_vel.reshape(spec.frame_vel.shape),
+        frame_ambient=new_frame_ambient.reshape(spec.frame_ambient.shape),
+    )
 
 
 @dataclass(frozen=True)
@@ -260,7 +287,8 @@ class FieldDerivatives:
     """Directional derivatives of the pointwise fields along the angle frame.
 
     Index convention: the leading index is always the differentiation
-    direction i (the i-th frame vector of the reference spectrum at p).
+    direction i (the i-th frame vector of the reference spectrum at p). At a
+    batch of points every array carries the batch axes in front.
     """
 
     d_theta: np.ndarray  # (n, n): e_i(theta_j), via the doubled angles (branch free)
@@ -269,30 +297,42 @@ class FieldDerivatives:
     d_normal_lift: np.ndarray  # (n, n+2) complex: e_i(gauged conjugate lift)
     d_angle_sum: np.ndarray  # (n,): e_i(sum_j arctan lambda_j)
 
+    def __getitem__(self, k) -> "FieldDerivatives":
+        """The derivatives at row k of a batch."""
+        return FieldDerivatives(**{name: value[k] for name, value in vars(self).items()})
 
-def field_derivatives(pt: SamplePoint) -> FieldDerivatives:
+
+def field_derivatives(jet: GaussJet, spec: AngleSpectrum, policy: GaugePolicy) -> FieldDerivatives:
     """Fourth-order derivatives of angles, frame, cubic form, normal lift, angle sum.
 
-    Evaluates the whole pointwise pipeline at p +- {H, H/2} along every frame
-    direction as one batch of 4n points, aligns each stencil frame to the
+    At the point of a jet, or at every row of a batched jet, with spec its
+    spectra and policy one gauge angle or one per row. Evaluates the whole
+    pointwise pipeline at p +- {H, H/2} along every frame direction of every
+    point as one batch of 4n jets per point, aligns each stencil frame to its
     center frame and differences the aligned fields along the offset axis.
+    The stencil gauge follows the policy, a normalized one kept nearest each
+    point's gauge. The result carries the batch axes in front.
     """
-    spec = pt.spec
-    h_step = pt.steps.field
-    # (offset, direction i, coordinates): the offsets (+1, +1/2, -1/2, -1) in
-    # units of H are the +2h, +h, -h, -2h of a five-point rule with step H/2
-    q = pt.p + (np.array([1.0, 0.5, -0.5, -1.0]) * h_step)[:, None, None] * spec.frame_vel
-    jets = gauss_map(pt.chart, q, pt.steps)
-    spec_q = _align_to_reference(pt.policy.spectrum(jets, ref_phi=pt.phi), spec)
+    h_step = jet.steps.field
+    lead = np.ndim(jet.point) - 1
+    # (..., offset, direction i, coordinates): the offsets (+1, +1/2, -1/2, -1)
+    # in units of H are the +2h, +h, -h, -2h of a five-point rule with step H/2
+    offsets = np.array([1.0, 0.5, -0.5, -1.0]) * h_step
+    q = jet.point[..., None, None, :] + offsets[:, None, None] * spec.frame_vel[..., None, :, :]
+    jets = gauss_map(jet.chart, q, jet.steps)
+    # the gauge angles of each point, broadcast over its stencil rows
+    stencil_policy = replace(policy, phi=np.asarray(policy.phi)[..., None, None])
+    spec_q = stencil_policy.spectrum(jets, ref_phi=np.asarray(spec.gauge.phi)[..., None, None])
+    spec_q = _align_to_reference(spec_q, spec, q)
     normal_lift = np.exp(1j * np.asarray(spec_q.gauge.phi))[..., None] * np.conj(jets.lift.z)
 
     def d(f):
-        return central_first(*f, 0.5 * h_step)
+        return central_first(*np.moveaxis(f, lead, 0), 0.5 * h_step)
 
     d_cos2, d_sin2 = map(d, spec_q.cos_sin())
-    cos2, sin2 = spec.cos_sin()
+    cos2, sin2 = (a[..., None, :] for a in spec.cos_sin())
     return FieldDerivatives(
-        d_theta=0.5 * (cos2[None, :] * d_sin2 - sin2[None, :] * d_cos2),
+        d_theta=0.5 * (cos2 * d_sin2 - sin2 * d_cos2),
         d_frame=d(spec_q.frame_ambient),
         d_cubic=d(second_fundamental_form(jets, spec_q).h),
         d_normal_lift=d(normal_lift),

@@ -2,13 +2,16 @@
 
 A batch of points goes through the one Gauss-map path a lone point takes, so
 every row of a batched jet, of its angle spectra and of its cubic form must
-equal the single-point call bitwise. field_derivatives builds its 4n jets as
-one batch, the sample points of a run take their spectra from one batch per
-gauge, the metric route of those points is one curvature_from_metric call,
-and warped_curvature_check reads its five jets as one batch and its side
-metrics as one call; the per-jet and per-point code they replaced is kept
-below as the reference. A failing row must raise naming that row's point,
-and a stacked eigensolve checks each matrix on its own.
+equal the single-point call bitwise. field_derivatives builds the 4n jets of
+every sample point of a run as one batch, angle_spectrum solves the
+degenerate clusters of all rows sharing one in a stack, _align_to_reference
+solves one stacked polar factor per reference cluster, the sample points of a
+run take their spectra from one batch per gauge, the metric route of those
+points is one curvature_from_metric call, and warped_curvature_check reads
+its five jets as one batch and its side metrics as one call; the per-jet,
+per-row and per-point code they replaced is kept below as the reference. A
+failing row must raise naming that row's point, and a stacked eigensolve
+checks each matrix on its own.
 """
 
 import dataclasses
@@ -21,14 +24,19 @@ from hypothesis import given, settings, strategies as st
 from quadriclab import cli, numerics
 from quadriclab.cli import RunConfig, build_example
 from quadriclab.gaussmap import (
+    ANGLE_CLUSTER_GAP,
+    AngleSpectrum,
     FdSteps,
     GaussMapError,
     angle_spectrum,
     gauge_normalize,
     gauss_map,
+    mod_pi_clusters,
     mod_pi_distance,
+    nearest_mod_pi,
     normalized_phase,
     second_fundamental_form,
+    structure_operators,
 )
 from quadriclab.hypersurfaces import (
     Box,
@@ -48,8 +56,10 @@ from quadriclab.numerics import (
     axis,
     central_first,
     central_second,
+    flagged_row,
     gram_schmidt,
     symmetric_eigen,
+    symmetrize,
 )
 from quadriclab.quadric import StructureGauge
 from quadriclab.rotational import (
@@ -63,6 +73,7 @@ from quadriclab.verify import (
     FieldDerivatives,
     GaugePolicy,
     SamplePoint,
+    VerifyError,
     _align_to_reference,
     curvature_from_metric,
     field_derivatives,
@@ -75,13 +86,104 @@ STEPS = FdSteps()
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-jet loop of field_derivatives
+# reference: angle_spectrum with one degenerate-cluster sub-solve per row
+# ---------------------------------------------------------------------------
+
+def ref_cluster(values, gap):
+    order = np.argsort(values, kind="stable")
+    clusters = [[int(order[0])]]
+    for idx in order[1:]:
+        if values[idx] - values[clusters[-1][-1]] <= gap:
+            clusters[-1].append(int(idx))
+        else:
+            clusters.append([int(idx)])
+    return clusters
+
+
+def ref_angle_spectrum(jet, gauge=None):
+    gauge = gauge or StructureGauge(0.0)
+    b, c = structure_operators(jet, gauge)
+    wb, vb = symmetric_eigen(b)
+    rot = vb.copy()
+    for row in np.ndindex(wb.shape[:-1]):
+        for cluster in ref_cluster(wb[row], ANGLE_CLUSTER_GAP):
+            if len(cluster) == 1:
+                continue
+            basis = vb[row][:, cluster]
+            c_sub = symmetrize(basis.T @ c[row] @ basis, tol=1e-5)
+            _, v_sub = symmetric_eigen(c_sub)
+            rot[row][:, cluster] = basis @ v_sub
+    b_diag = rot.swapaxes(-1, -2) @ b @ rot
+    c_diag = rot.swapaxes(-1, -2) @ c @ rot
+    off_diagonal = ~np.eye(jet.dim, dtype=bool)
+    off = np.maximum(
+        np.abs(b_diag[..., off_diagonal]).max(axis=-1, initial=0.0),
+        np.abs(c_diag[..., off_diagonal]).max(axis=-1, initial=0.0),
+    )
+    assert flagged_row(off > 1e-6, off) is None
+    cos2 = np.diagonal(b_diag, axis1=-2, axis2=-1)
+    sin2 = np.diagonal(c_diag, axis1=-2, axis2=-1)
+    thetas = np.mod(0.5 * np.arctan2(sin2, cos2), np.pi)
+    thetas[thetas >= np.pi] = 0.0
+    order = np.argsort(thetas, axis=-1, kind="stable")
+    thetas = np.take_along_axis(thetas, order, axis=-1)
+    rot = np.take_along_axis(rot, order[..., None, :], axis=-1)
+    frame_vel = rot.swapaxes(-1, -2) @ jet.on_frame_vel
+    return AngleSpectrum(
+        thetas=thetas,
+        frame_vel=frame_vel,
+        frame_ambient=frame_vel @ jet.coord_first,
+        gauge=gauge,
+        lift=jet.lift,
+        diag_residual=off,
+    )
+
+
+# ---------------------------------------------------------------------------
+# reference: _align_to_reference with one polar factor per row and cluster
+# ---------------------------------------------------------------------------
+
+def ref_polar_orthogonal(m):
+    w, v = symmetric_eigen(m.T @ m)
+    if w[0] <= 1e-12:
+        raise VerifyError("frame overlap matrix is singular")
+    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
+    return m @ inv_sqrt
+
+
+def ref_align_to_reference(spec, ref):
+    """spec one spectrum or a batch of them, each row aligned on its own to the one reference."""
+    clusters = mod_pi_clusters(ref.thetas, 1e-6)
+    new_thetas = np.empty_like(spec.thetas)
+    new_frame_vel = np.empty_like(spec.frame_vel)
+    new_frame_ambient = np.empty_like(spec.frame_ambient)
+    dist = mod_pi_distance(spec.thetas[..., :, None], ref.thetas)
+    owner = np.argmin(np.stack([dist[..., cl].min(axis=-1) for cl in clusters], axis=-1), axis=-1)
+    for row in np.ndindex(spec.thetas.shape[:-1]):
+        thetas, frame_vel, frame_ambient = spec.thetas[row], spec.frame_vel[row], spec.frame_ambient[row]
+        assignment = [np.flatnonzero(owner[row] == c) for c in range(len(clusters))]
+        if [len(a) for a in assignment] != [len(c) for c in clusters]:
+            raise VerifyError("angle clusters changed between stencil points")
+        for cl, members in zip(clusters, assignment):
+            overlap = np.real(np.conj(frame_ambient[members]) @ ref.frame_ambient[cl].T)
+            rot = ref_polar_orthogonal(overlap)
+            mismatch = np.abs(rot.T @ overlap - np.eye(len(cl))).max()
+            if mismatch > 0.1:
+                raise VerifyError(f"frame transport mismatch {mismatch:.3f} exceeds 0.1")
+            new_frame_vel[row][cl] = rot.T @ frame_vel[members]
+            new_frame_ambient[row][cl] = rot.T @ frame_ambient[members]
+            new_thetas[row][cl] = nearest_mod_pi(thetas[members], ref.thetas[cl])
+    return dataclasses.replace(spec, thetas=new_thetas, frame_vel=new_frame_vel, frame_ambient=new_frame_ambient)
+
+
+# ---------------------------------------------------------------------------
+# reference: field_derivatives of one point, jet by jet
 # ---------------------------------------------------------------------------
 
 def ref_field_derivatives(pt):
     spec = pt.spec
     n = pt.jet.dim
-    h_step = pt.steps.field
+    h_step = pt.jet.steps.field
     d_cos2 = np.empty((n, n))
     d_sin2 = np.empty((n, n))
     d_frame = np.empty((n, n, n + 2), dtype=complex)
@@ -92,9 +194,9 @@ def ref_field_derivatives(pt):
         vel = spec.frame_vel[i]
         cos2_s, sin2_s, frame_s, cubic_s, lift_s, sum_s = [], [], [], [], [], []
         for c in (1.0, 0.5, -0.5, -1.0):
-            jet_q = gauss_map(pt.chart, pt.p + c * h_step * vel, pt.steps)
+            jet_q = gauss_map(pt.jet.chart, pt.p + c * h_step * vel, pt.jet.steps)
             phi_q = pt.policy.phi if pt.policy.mode == "fixed" else ref_normalized_phase(jet_q, pt.phi)
-            spec_q = _align_to_reference(angle_spectrum(jet_q, StructureGauge(phi_q)), spec)
+            spec_q = ref_align_to_reference(ref_angle_spectrum(jet_q, StructureGauge(phi_q)), spec)
             cos2_q, sin2_q = spec_q.cos_sin()
             cos2_s.append(cos2_q)
             sin2_s.append(sin2_q)
@@ -123,7 +225,7 @@ def ref_field_derivatives(pt):
 # ---------------------------------------------------------------------------
 
 def ref_normalized_phase(jet, ref_phi=None):
-    spec0 = angle_spectrum(jet, StructureGauge(0.0))
+    spec0 = ref_angle_spectrum(jet, StructureGauge(0.0))
     n = jet.dim
     period = 2.0 * np.pi / n
     phi = np.mod(2.0 * np.sum(spec0.thetas, axis=-1) / n, period)
@@ -135,7 +237,7 @@ def ref_normalized_phase(jet, ref_phi=None):
 
 def ref_gauge_normalize(jet, ref_phi=None):
     phi = ref_normalized_phase(jet, ref_phi)
-    spec = angle_spectrum(jet, StructureGauge(phi))
+    spec = ref_angle_spectrum(jet, StructureGauge(phi))
     assert mod_pi_distance(np.sum(spec.thetas), 0.0) <= 1e-8
     return StructureGauge(phi)
 
@@ -148,7 +250,7 @@ def ref_sample_points(chart, cfg):
     for k in range(cfg.grid):
         ref_phi = points[0][0] if points else None
         phi = 0.0 if cfg.gauge == "canonical" else ref_gauge_normalize(jets[k], ref_phi).phi
-        spectra = (angle_spectrum(jets[k], StructureGauge(0.0)), angle_spectrum(jets[k], StructureGauge(phi)))
+        spectra = (ref_angle_spectrum(jets[k], StructureGauge(0.0)), ref_angle_spectrum(jets[k], StructureGauge(phi)))
         points.append((phi, *spectra))
     return points
 
@@ -175,7 +277,7 @@ def ref_warped_curvature_check(chart, n, c1, steps):
         )
 
     def alpha_from_gauss(jet):
-        _, orbit = _orbit_and_profile_angles(angle_spectrum(jet).thetas, jet.chart.meta["n"])
+        _, orbit = _orbit_and_profile_angles(ref_angle_spectrum(jet).thetas, jet.chart.meta["n"])
         return float(np.pi - orbit)
 
     offsets = (-2, -1, 0, 1, 2)
@@ -297,16 +399,119 @@ def test_batch_rows_equal_single_points(name, size, seed):
         assert np.array_equal(cubic[k], want)
 
 
+def assert_fields_equal(got, want):
+    for field in ("d_theta", "d_frame", "d_cubic", "d_normal_lift", "d_angle_sum"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
 @pytest.mark.parametrize("mode", ["fixed", "normalized"])
 @pytest.mark.parametrize("example, n", BENCHMARK_CONFIGS)
 def test_field_derivatives_match_per_jet_loop(example, n, mode):
-    cfg = RunConfig(command="verify", example=example, n=n, grid=2, seed=11)
-    for pt in cli._sample_points(build_example(cfg), cfg):
-        if mode == "normalized":
-            pt = SamplePoint(pt.jet, GaugePolicy("normalized"))
-        got, want = field_derivatives(pt), ref_field_derivatives(pt)
-        for field in ("d_theta", "d_frame", "d_cubic", "d_normal_lift", "d_angle_sum"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
+    # fixed: a run's sample points, in either gauge, share one field-derivative
+    # batch, each point's gauge held fixed over its stencil; normalized: the
+    # stencil gauge re-normalized at every jet, nearest each point's own gauge,
+    # for a batch of points and for a standalone point. Each point's row is the
+    # jet-by-jet reference.
+    for gauge in ("normalized", "canonical"):
+        cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
+        if mode == "fixed":
+            for pt in cli._sample_points(build_example(cfg), cfg):
+                assert pt.policy == GaugePolicy("fixed", pt.phi)
+                assert_fields_equal(pt.fields, ref_field_derivatives(pt))
+            continue
+        jets, spec0, spec = cli._sample_jets(build_example(cfg), cfg)
+        batch = field_derivatives(jets, spec, GaugePolicy("normalized"))
+        for k in range(cfg.grid):
+            pt = SamplePoint(jets[k], GaugePolicy("normalized"), spectra=(spec0[k], spec[k]))
+            want = ref_field_derivatives(pt)
+            assert_fields_equal(batch[k], want)
+            assert_fields_equal(pt.fields, want)
+            alone = SamplePoint(jets[k], GaugePolicy("normalized"))
+            assert_fields_equal(alone.fields, ref_field_derivatives(alone))
+
+
+def mixed_pattern_stack():
+    """Jets of product n=3 at four points, with gauges giving their tangential operators
+    the degenerate eigenvalue runs 0..1, 0..2, 1..2 and 0..1 in turn.
+
+    Their spectra in those gauges have two cluster patterns mod pi.
+    """
+    c = chart("product-3")
+    q = c.box.center + np.array([[0.0, 0.0, 0.0], [0.05, -0.05, 0.02], [-0.04, 0.03, 0.0], [0.02, 0.01, -0.03]])
+    jets = gauss_map(c, q, STEPS)
+    th = angle_spectrum(jets).thetas
+    phis = np.array([0.0, th[1, 0] + th[1, 1], 2.0 * th[2, 1], 0.3])
+    w = symmetric_eigen(structure_operators(jets, StructureGauge(phis))[0])[0]
+    close = np.diff(w, axis=-1) <= ANGLE_CLUSTER_GAP
+    assert close.tolist() == [[True, False], [True, True], [False, True], [True, False]]
+    spec = angle_spectrum(jets, StructureGauge(phis))
+    assert len({str(mod_pi_clusters(spec.thetas[k], 1e-6)) for k in range(len(q))}) == 2
+    return jets, phis
+
+
+def stencil_jets(jets, spec):
+    """The field-derivative stencil jets of a batch of points, and each point's gauge broadcast over its rows."""
+    h = STEPS.field * np.array([1.0, 0.5, -0.5, -1.0])
+    q = jets.point[:, None, None] + h[:, None, None] * spec.frame_vel[:, None]
+    return gauss_map(jets.chart, q, STEPS), StructureGauge(np.asarray(spec.gauge.phi)[..., None, None])
+
+
+@pytest.mark.parametrize("gauge", ["normalized", "canonical"])
+@pytest.mark.parametrize("example, n", BENCHMARK_CONFIGS + [("mixed", 3)])
+def test_angle_spectrum_matches_per_row_sub_solves(example, n, gauge):
+    # the sample jets and field-stencil jets of a run, and a stack whose rows
+    # have different degenerate runs: each run's rows share one sub-solve
+    if example == "mixed":
+        jets, phis = mixed_pattern_stack()
+        cases = [(jets, StructureGauge(phis if gauge == "normalized" else 0.0))]
+    else:
+        cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
+        jets, _, spec = cli._sample_jets(build_example(cfg), cfg)
+        cases = [(jets, StructureGauge(0.0)), (jets, spec.gauge), stencil_jets(jets, spec)]
+    for jet, g in cases:
+        got, want = angle_spectrum(jet, g), ref_angle_spectrum(jet, g)
+        for field in ("thetas", "frame_vel", "frame_ambient", "diag_residual"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for k in np.ndindex(jet.point.shape[:-1]):
+            one = angle_spectrum(jet[k], StructureGauge(np.broadcast_to(g.phi, jet.point.shape[:-1])[k]))
+            assert np.array_equal(got.frame_ambient[k], one.frame_ambient)
+
+
+@pytest.mark.parametrize("gauge", ["normalized", "canonical"])
+@pytest.mark.parametrize("example, n", BENCHMARK_CONFIGS + [("mixed", 3)])
+def test_alignment_matches_per_row_polar_factors(example, n, gauge):
+    # one stacked polar factor per reference cluster; the mixed stack's
+    # references have two cluster patterns mod pi
+    if example == "mixed":
+        jets, phis = mixed_pattern_stack()
+        spec = angle_spectrum(jets, StructureGauge(phis if gauge == "normalized" else 0.0))
+    else:
+        cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
+        jets, _, spec = cli._sample_jets(build_example(cfg), cfg)
+    stencil, stencil_gauge = stencil_jets(jets, spec)
+    q, spec_q = stencil.point, angle_spectrum(stencil, stencil_gauge)
+    got = _align_to_reference(spec_q, spec, q)
+    for k in range(len(q)):
+        # the stencil of point k, a batch of 4n rows
+        rows = dataclasses.replace(
+            spec_q, **{f: getattr(spec_q, f)[k] for f in ("thetas", "frame_vel", "frame_ambient")}
+        )
+        want = ref_align_to_reference(rows, spec[k])
+        for field in ("thetas", "frame_vel", "frame_ambient"):
+            assert np.array_equal(getattr(got, field)[k], getattr(want, field)), field
+        # a single reference aligns the same rows alike
+        one = _align_to_reference(rows, spec[k], q[k])
+        assert np.array_equal(one.frame_ambient, want.frame_ambient)
+
+
+def test_mixed_pattern_field_derivatives_match_per_jet_loop():
+    # rows of one field-derivative batch whose references differ in cluster pattern
+    jets, phis = mixed_pattern_stack()
+    spec = angle_spectrum(jets, StructureGauge(phis))
+    batch = field_derivatives(jets, spec, GaugePolicy("fixed", phis))
+    for k in range(len(phis)):
+        pt = SamplePoint(jets[k], spectra=(angle_spectrum(jets[k]), spec[k]))
+        assert_fields_equal(batch[k], ref_field_derivatives(pt))
 
 
 @pytest.mark.parametrize("gauge", ["normalized", "canonical"])
@@ -434,6 +639,43 @@ def test_gauge_normalize_names_the_failing_row():
         gauge_normalize(jets, dataclasses.replace(spec0, thetas=thetas))
     assert str(q[1]) in str(err.value)
     assert not any(str(q[j]) in str(err.value) for j in (0, 2))
+
+
+def _broken_alignment(case):
+    """Stencil points q near a cartan point, their spectra with one row broken, and the reference."""
+    c = chart("cartan")
+    p = c.box.center
+    q = p + np.array([[1e-3, 0.0, 0.0], [0.0, -1e-3, 0.0], [0.0, 0.0, 5e-4]])
+    ref = angle_spectrum(gauss_map(c, p, STEPS))
+    spec = angle_spectrum(gauss_map(c, q, STEPS))
+    _align_to_reference(spec, ref, q)
+    thetas, frames = spec.thetas.copy(), spec.frame_ambient.copy()
+    if case == "clusters":
+        # row 1 with its last angle moved onto its first: two angles own one cluster
+        thetas[1, 2] = thetas[1, 0]
+    elif case == "singular":
+        # row 2's first frame vector turned by the complex structure: no real overlap
+        frames[2, 0] = 1j * ref.frame_ambient[0]
+    else:
+        # row 0's second frame vector turned by a phase of 0.6: overlap cos 0.6
+        frames[0, 1] = np.exp(0.6j) * frames[0, 1]
+    return q, dataclasses.replace(spec, thetas=thetas, frame_ambient=frames), ref
+
+
+@pytest.mark.parametrize(
+    "case, row, message",
+    [
+        ("clusters", 1, "^angle clusters changed between stencil points at "),
+        ("singular", 2, "^frame overlap matrix is singular at "),
+        ("mismatch", 0, "^frame transport mismatch 0.17[0-9] exceeds 0.1 at "),
+    ],
+)
+def test_alignment_names_the_failing_row(case, row, message):
+    q, spec, ref = _broken_alignment(case)
+    with pytest.raises(VerifyError, match=message) as err:
+        _align_to_reference(spec, ref, q)
+    assert str(q[row]) in str(err.value)
+    assert not any(str(q[j]) in str(err.value) for j in range(len(q)) if j != row)
 
 
 @pytest.mark.parametrize("command", ["verify", "angles"])

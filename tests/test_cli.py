@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadriclab import cli, gaussmap, rotational
+from quadriclab import cli, gaussmap, numerics, rotational
 from quadriclab.cli import RunConfig, ConfigError, kronecker_points, main
 from quadriclab.hypersurfaces import Box, round_sphere
 
@@ -302,10 +302,10 @@ class TestVerifyCommand:
         assert self._count_evaluations(monkeypatch, "rotational", 4) == (14, 5058)
 
     def test_chart_call_budget_of_three_points(self, monkeypatch):
-        # three points: 4 at the points, 2 for their Hessians and 2 for the
-        # metric route, each one batch, and 6 for each point's field-derivative
-        # jets; the rows are three times one point's
-        assert self._count_evaluations(monkeypatch, grid=3) == (26, 3 * 2282)
+        # three points: 4 at the points, 2 for their Hessians, 2 for the
+        # metric route and 6 for the field-derivative jets of all three, each
+        # one batch, as for one point; the rows are three times one point's
+        assert self._count_evaluations(monkeypatch, grid=3) == (14, 3 * 2282)
 
     def test_csc_tolerance_overrides(self, tmp_path):
         # each constant-curvature entry carries its own tolerance
@@ -640,8 +640,8 @@ class TestOdeCommand:
     @pytest.mark.parametrize(
         "argv, solves",
         [
-            (["verify", "--grid", "3"], 5),
-            (["verify", "--grid", "3", "--gauge", "canonical"], 4),
+            (["verify", "--grid", "3"], 3),
+            (["verify", "--grid", "3", "--gauge", "canonical"], 2),
             (["angles", "--grid", "12"], 2),
             (["angles", "--grid", "12", "--gauge", "canonical"], 1),
             (["ode"], 1),
@@ -649,7 +649,7 @@ class TestOdeCommand:
     )
     def test_spectrum_budget(self, tmp_path, monkeypatch, argv, solves):
         # angle_spectrum calls of one run: one batch per gauge for the sample
-        # points and one per point for its field stencils; ode's profile
+        # points and one for the field stencils of all of them; ode's profile
         # checks read their five jets in one call
         calls = []
         original = gaussmap.angle_spectrum
@@ -662,6 +662,28 @@ class TestOdeCommand:
             if getattr(module, "angle_spectrum", None) is original:
                 monkeypatch.setattr(module, "angle_spectrum", counted)
         assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(calls) == solves
+
+    @pytest.mark.parametrize("gauge, solves", [("normalized", 13), ("canonical", 11)])
+    def test_eigensolve_budget(self, tmp_path, monkeypatch, gauge, solves):
+        # symmetric_eigen calls of verify --grid 3 on the round 3-sphere, each
+        # a stack: 3 for the sample jets (induced metric, Gram matrix and
+        # shape operator) and 3 more for the field-derivative jets, 2 per
+        # angle_spectrum call (tangential operator and the stacked sub-solve
+        # of the degenerate run) and 1 for the stacked polar factor of the
+        # frame alignment; a per-row or per-point solve multiplies these (the
+        # per-point stencils and per-row solves made 95 and 91)
+        calls = []
+        original = numerics.symmetric_eigen
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "quadriclab"]:
+            if getattr(module, "symmetric_eigen", None) is original:
+                monkeypatch.setattr(module, "symmetric_eigen", counted)
+        assert main(["verify", "--grid", "3", "--gauge", gauge, "--out", str(tmp_path)]) == 0
         assert len(calls) == solves
 
     def test_order_probe_at_many_steps(self, tmp_path):
