@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -320,9 +321,8 @@ def _sample_jets(chart: HypersurfaceChart, cfg: RunConfig) -> tuple[GaussJet, An
     return jets, spec0, (spec0 if cfg.gauge == "canonical" else gauge_normalize(jets, spec0))
 
 
-def _sample_points(chart: HypersurfaceChart, cfg: RunConfig) -> list[SamplePoint]:
-    """Per-point data of the checks at the run's sample points, each gauge held fixed over its stencils."""
-    jets, spec0, spec = _sample_jets(chart, cfg)
+def _sample_points(jets: GaussJet, spec0: AngleSpectrum, spec: AngleSpectrum) -> list[SamplePoint]:
+    """Per-point data of the checks at the sample jets of `_sample_jets`, each gauge held fixed over its stencils."""
     # the lift Hessians, which the rows of jets share, the metric route and
     # the field derivatives: one batch each for all the points
     jets.coord_second
@@ -330,7 +330,7 @@ def _sample_points(chart: HypersurfaceChart, cfg: RunConfig) -> list[SamplePoint
     fields = field_derivatives(jets, spec, GaugePolicy("fixed", spec.gauge.phi))
     return [
         SamplePoint(jets[k], spectra=(spec0[k], spec[k]), curvature=curvature[k], fields=fields[k])
-        for k in range(cfg.grid)
+        for k in range(len(jets.point))
     ]
 
 
@@ -410,15 +410,14 @@ def _skipped_checks(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
-    points = _sample_points(build_example(cfg), cfg)
-    results = [_point_report(pt, cfg) for pt in points]
-    sample_specs = [pt.spec0 for pt in points]
+    jets, spec0, spec = _sample_jets(build_example(cfg), cfg)
+    results = [_point_report(pt, cfg) for pt in _sample_points(jets, spec0, spec)]
     if cfg.entry.isoparametric:
-        variance = {"isoparametric_variance": isoparametric_variance(sample_specs)}
+        variance = {"isoparametric_variance": isoparametric_variance(spec0.thetas)}
         results.append(_report(cfg.example, ["all"], variance, cfg))
     summary = _summary(results, _skipped_checks(cfg))
     if cfg.entry.isoparametric:
-        summary["distinct_angles"] = classify_by_angles(sample_specs)
+        summary["distinct_angles"] = classify_by_angles(spec0.thetas)
     payload = {
         "config": cfg.to_dict(),
         "results": [r.to_dict() for r in results],
@@ -429,18 +428,19 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
 
 def cmd_angles(cfg: RunConfig) -> tuple[int, dict]:
     jets, _, spec = _sample_jets(build_example(cfg), cfg)
+    columns = (
+        jets.point.tolist(),
+        np.broadcast_to(spec.gauge.phi, (cfg.grid,)).tolist(),
+        spec.thetas.tolist(),
+        jets.lambdas.tolist(),
+    )
     rows = [
-        {
-            "point": [float(v) for v in jets.point[k]],
-            "gauge_phi": float(spec[k].gauge.phi),
-            "angles": [float(t) for t in spec.thetas[k]],
-            "principal_curvatures": [float(l) for l in jets.lambdas[k]],
-        }
-        for k in range(cfg.grid)
+        {"point": point, "gauge_phi": phi, "angles": angles, "principal_curvatures": lambdas}
+        for point, phi, angles, lambdas in zip(*columns)
     ]
     summary = {"all_pass": True, "skipped": []}
     if cfg.entry.isoparametric:
-        summary["distinct_angles"] = classify_by_angles([spec[k] for k in range(cfg.grid)])
+        summary["distinct_angles"] = classify_by_angles(spec.thetas)
     payload = {"config": cfg.to_dict(), "results": rows, "summary": summary}
     return 0, payload
 
@@ -522,7 +522,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args leaves it unchanged, so in-process main calls share it."""
     parser = _Parser(
         prog="quadriclab",
         description="Verify the geometry of Gauss maps into the complex hyperquadric.",

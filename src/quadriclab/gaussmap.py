@@ -266,13 +266,19 @@ class AngleSpectrum:
         return np.cos(2.0 * self.thetas), np.sin(2.0 * self.thetas)
 
     def __getitem__(self, k) -> "AngleSpectrum":
-        """The spectrum at row k of a batch, its gauge angle a float."""
+        """The spectrum at row k of a batch, its gauge angle a float where it is one number at the row.
+
+        A gauge angle that broadcasts over further batch axes, as one angle per
+        point of a stencil batch does, keeps row k as an array.
+        """
         phi = self.gauge.phi
+        if np.ndim(phi):
+            phi = np.broadcast_to(phi, self.thetas.shape[:-1])[k]
         return AngleSpectrum(
             thetas=self.thetas[k],
             frame_vel=self.frame_vel[k],
             frame_ambient=self.frame_ambient[k],
-            gauge=StructureGauge(float(phi[k]) if np.ndim(phi) else phi),
+            gauge=StructureGauge(phi if np.ndim(phi) else float(phi)),
             lift=self.lift[k],
             diag_residual=self.diag_residual[k],
         )

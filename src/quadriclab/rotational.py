@@ -133,18 +133,25 @@ def integrate_alpha(
     a, p = float(alpha0), float(dalpha0)
     thetas, alphas, dalphas = [0.0], [a], [p]
     stop_reason = None
+    # the stages of _rhs written out, its operations in its order, so the
+    # trajectories stay bitwise the same: each stage's dalpha is its slope
+    # k_a, and the first stage's slope is p
+    tan, sin, half_h = np.tan, np.sin, 0.5 * h
     for k in range(steps):
-        k1a, k1p = p, _rhs(n, a, p)
-        k2a, k2p = p + 0.5 * h * k1p, _rhs(n, a + 0.5 * h * k1a, p + 0.5 * h * k1p)
-        k3a, k3p = p + 0.5 * h * k2p, _rhs(n, a + 0.5 * h * k2a, p + 0.5 * h * k2p)
-        k4a, k4p = p + h * k3p, _rhs(n, a + h * k3a, p + h * k3p)
-        a = a + h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
+        k1p = (1.0 - p * p) / float(tan(n * a))
+        k2a = p + half_h * k1p
+        k2p = (1.0 - k2a * k2a) / float(tan(n * (a + half_h * p)))
+        k3a = p + half_h * k2p
+        k3p = (1.0 - k3a * k3a) / float(tan(n * (a + half_h * k2a)))
+        k4a = p + h * k3p
+        k4p = (1.0 - k4a * k4a) / float(tan(n * (a + h * k3a)))
+        a = a + h * (p + 2 * k2a + 2 * k3a + k4a) / 6.0
         p = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
         theta = (k + 1) * h
         if abs(p) >= 1.0 - GUARD_BAND:
             stop_reason = f"|alpha'| reached {abs(p):.4f} at theta = {theta:.4f}"
             break
-        if abs(float(np.sin(n * a))) <= GUARD_BAND:
+        if abs(float(sin(n * a))) <= GUARD_BAND:
             stop_reason = f"sin(n alpha) vanished near theta = {theta:.4f}"
             break
         thetas.append(theta)

@@ -594,49 +594,52 @@ def check_csc_identities(spec: AngleSpectrum, ff: FundamentalForm) -> dict[str, 
 # classification and reconstruction
 # ---------------------------------------------------------------------------
 
-def _cyclic_match(base: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, float]:
-    """Sorted thetas cyclically shifted to match sorted base, and their largest mod-pi distance.
+def _cyclic_match(base: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sorted row of thetas (rows, m) cyclically shifted to match sorted base, and its largest mod-pi distance.
 
     Sorted representatives of the same angles mod pi differ by a cyclic shift
-    when one angle crosses 0 = pi; the first shift with the least distance wins.
+    when one angle crosses 0 = pi; per row, the first shift with the least
+    distance wins.
     """
-    m = len(thetas)
-    shifted = np.sort(thetas)[(np.arange(m) - np.arange(m)[:, None]) % m]  # row k is np.roll(sorted, k)
-    spreads = mod_pi_distance(base, shifted).max(axis=1)
-    k = int(np.argmin(spreads))
-    return shifted[k], spreads[k]
+    rows, m = thetas.shape
+    # shifted[r, k] is np.roll(sorted row r, k)
+    shifted = np.sort(thetas, axis=-1)[:, (np.arange(m) - np.arange(m)[:, None]) % m]
+    spreads = mod_pi_distance(base, shifted).max(axis=-1)
+    r, k = np.arange(rows), np.argmin(spreads, axis=-1)
+    return shifted[r, k], spreads[r, k]
 
 
-def isoparametric_variance(spectra: list[AngleSpectrum]) -> float:
+def isoparametric_variance(thetas: np.ndarray) -> float:
     """Largest variance across samples of one angle, with the angles compared mod pi.
 
-    Each sorted spectrum is matched to the first by the cyclic shift that
-    classify_by_angles uses, then each angle is moved by a multiple of pi onto
-    the representative nearest the first spectrum's.
+    thetas holds one row of angles per sample point. Each sorted row is
+    matched to the first by the cyclic shift that classify_by_angles uses,
+    then each angle is moved by a multiple of pi onto the representative
+    nearest the first row's.
     """
-    base = np.sort(spectra[0].thetas)
-    aligned = [nearest_mod_pi(_cyclic_match(base, s.thetas)[0], base) for s in spectra]
+    base = np.sort(thetas[0])
+    aligned = nearest_mod_pi(_cyclic_match(base, thetas)[0], base)
     return float(np.var(aligned, axis=0).max())
 
 
-def classify_by_angles(spectra: list[AngleSpectrum]) -> int:
-    """Count distinct constant angles mod pi across sample spectra.
+def classify_by_angles(thetas: np.ndarray) -> int:
+    """Count distinct constant angles mod pi across the angle rows (samples, m) of sample points.
 
     Angles within 1e-4 of each other mod pi count as one. Raises VerifyError
     when the angles vary across samples, a squared spread above 1e-6
     (non-isoparametric input), or when the count falls outside the admissible
     set {1, 2, 3, 4, 6}.
     """
-    if not spectra:
-        raise VerifyError("no spectra supplied")
-    base = np.sort(spectra[0].thetas)
-    for s in spectra[1:]:
-        _, spread = _cyclic_match(base, s.thetas)
-        if spread**2 > 1e-6:
-            raise VerifyError(
-                f"not isoparametric-type input: angles vary across samples "
-                f"(spread {spread:.3e})"
-            )
+    if len(thetas) == 0:
+        raise VerifyError("no sample angles supplied")
+    base = np.sort(thetas[0])
+    _, spreads = _cyclic_match(base, thetas)
+    varying = np.flatnonzero(spreads**2 > 1e-6)
+    if varying.size:
+        raise VerifyError(
+            f"not isoparametric-type input: angles vary across samples "
+            f"(spread {spreads[varying[0]]:.3e})"
+        )
     distinct = len(mod_pi_clusters(np.sort(np.mod(base, np.pi)), 1e-4))
     if distinct not in (1, 2, 3, 4, 6):
         raise VerifyError(

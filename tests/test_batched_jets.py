@@ -415,7 +415,7 @@ def test_field_derivatives_match_per_jet_loop(example, n, mode):
     for gauge in ("normalized", "canonical"):
         cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
         if mode == "fixed":
-            for pt in cli._sample_points(build_example(cfg), cfg):
+            for pt in cli._sample_points(*cli._sample_jets(build_example(cfg), cfg)):
                 assert pt.policy == GaugePolicy("fixed", pt.phi)
                 assert_fields_equal(pt.fields, ref_field_derivatives(pt))
             continue
@@ -504,6 +504,34 @@ def test_alignment_matches_per_row_polar_factors(example, n, gauge):
         assert np.array_equal(one.frame_ambient, want.frame_ambient)
 
 
+@pytest.mark.parametrize("gauge", ["normalized", "canonical"])
+@pytest.mark.parametrize("example, n", BENCHMARK_CONFIGS + [("mixed", 3)])
+def test_stencil_spectrum_rows_match_hand_slicing(example, n, gauge):
+    # spec_q[k], whose gauge angle is per point and broadcast over the 4n
+    # stencil rows, raised TypeError from float(phi[k])
+    if example == "mixed":
+        jets, phis = mixed_pattern_stack()
+        spec = angle_spectrum(jets, StructureGauge(phis if gauge == "normalized" else 0.0))
+    else:
+        cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
+        jets, _, spec = cli._sample_jets(build_example(cfg), cfg)
+    stencil, stencil_gauge = stencil_jets(jets, spec)
+    spec_q = angle_spectrum(stencil, stencil_gauge)
+    for k in range(len(stencil.point)):
+        row = spec_q[k]
+        # the hand slicing of test_alignment_matches_per_row_polar_factors
+        for field in ("thetas", "frame_vel", "frame_ambient"):
+            assert np.array_equal(getattr(row, field), getattr(spec_q, field)[k]), field
+        assert np.array_equal(row.diag_residual, spec_q.diag_residual[k])
+        assert np.array_equal(row.lift.z, spec_q.lift.z[k])
+        assert np.array_equal(row.gauge.phi, np.broadcast_to(stencil_gauge.phi, stencil.point.shape[:-1])[k])
+        # the row's gauge solves the row's spectrum again
+        again = angle_spectrum(stencil[k], row.gauge)
+        assert np.array_equal(again.frame_ambient, row.frame_ambient)
+    # a row of a batch whose gauge is one angle per row is still a float
+    assert all(type(spec[k].gauge.phi) is float for k in range(len(jets.point)))
+
+
 def test_mixed_pattern_field_derivatives_match_per_jet_loop():
     # rows of one field-derivative batch whose references differ in cluster pattern
     jets, phis = mixed_pattern_stack()
@@ -521,7 +549,7 @@ def test_sample_points_match_per_point_gauge_loop(example, n, gauge):
     # phase and spectra that the point-by-point loop solved
     cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
     chart = build_example(cfg)
-    got = cli._sample_points(chart, cfg)
+    got = cli._sample_points(*cli._sample_jets(chart, cfg))
     assert len(got) == cfg.grid
     for pt, (phi, spec0, spec) in zip(got, ref_sample_points(chart, cfg)):
         assert pt.phi == phi and type(pt.phi) is float

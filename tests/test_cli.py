@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -168,6 +169,47 @@ class TestConfig:
         assert "angle_sum_normalized" not in cli.DEFAULT_TOLERANCES
         assert run(tmp_path, "verify", "--grid", "1", "--tol", "angle_sum_normalized=1e-300") == 2
         assert capsys.readouterr().err == "error: unknown tolerance 'angle_sum_normalized'\n"
+
+
+class TestParserCache:
+    """In-process main calls share one parser, and no call leaks into the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._build_parser.cache_clear()
+        yield
+        cli._build_parser.cache_clear()
+
+    def test_built_once_per_process(self, tmp_path):
+        for argv in (["verify", "--grid", "1"], ["angles", "--grid", "1"], ["verify", "--grid", "1", "--n", "2"]):
+            assert run(tmp_path, *argv) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_not_built_at_import(self):
+        # building it at import would move its cost into every start-up
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = "import quadriclab.cli as c; print(c._build_parser.cache_info().misses)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "0\n"
+
+    def test_tolerance_does_not_reach_the_next_call(self, tmp_path):
+        assert run(tmp_path / "a", "verify", "--grid", "1", "--tol", "gauss_equation=1e-2") == 0
+        assert load_report(tmp_path / "a", "verify", "sphere")["config"]["tolerances"] == {"gauss_equation": 1e-2}
+        assert run(tmp_path / "b", "verify", "--grid", "1") == 0
+        assert load_report(tmp_path / "b", "verify", "sphere")["config"]["tolerances"] == {}
+        assert cli._build_parser().parse_args(["verify"]).tol == []
+
+    def test_usage_error_after_a_good_call(self, tmp_path, capsys):
+        assert run(tmp_path / "good", "angles", "--grid", "1") == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path / "bad", "verify", "--grid", "x")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --grid") and err.count("\n") == 1
+        assert not (tmp_path / "bad").exists()
 
 
 class TestSamplePoints:
@@ -525,6 +567,23 @@ class TestAnglesCommand:
         argv = ["angles", "--example", name, *dims, "--grid", "4", "--gauge", gauge]
         assert run(out, *argv, "--seed", str(seed)) == 0
         assert load_report(out, "angles", name)["summary"]["distinct_angles"] == distinct
+
+    def test_rows_read_the_batch_arrays(self, tmp_path, monkeypatch):
+        # the report rows and the classification come from the run's arrays,
+        # with no per-row spectrum built
+        calls = []
+        original = gaussmap.AngleSpectrum.__getitem__
+
+        def counted(self, k):
+            calls.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(gaussmap.AngleSpectrum, "__getitem__", counted)
+        for gauge in ("normalized", "canonical"):
+            assert run(tmp_path, "angles", "--grid", "12", "--gauge", gauge) == 0
+            rep = load_report(tmp_path, "angles", "sphere")
+            assert len(rep["results"]) == 12 and rep["summary"]["distinct_angles"] == 1
+        assert calls == []
 
     def test_angles_below_pi(self, tmp_path):
         code = run(

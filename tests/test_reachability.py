@@ -85,6 +85,8 @@ def reached(tmp_path_factory) -> set:
         if event == "call":
             codes.add(frame.f_code)
 
+    # a parser cached by an earlier test would keep the traced runs out of _build_parser
+    cli._build_parser.cache_clear()
     sys.setprofile(profile)
     try:
         for argv in RUNS:

@@ -110,6 +110,51 @@ class TestIntegrator:
         assert 1 <= len(traj.states) < 2001
 
 
+def ref_integrate_alpha(n, alpha0, dalpha0, span, steps):
+    """The RK4 loop with the stage function _rhs called per stage, as integrate_alpha ran it before inlining."""
+    h = span / steps
+    a, p = float(alpha0), float(dalpha0)
+    thetas, alphas, dalphas = [0.0], [a], [p]
+    stop_reason = None
+    for k in range(steps):
+        k1a, k1p = p, rotational._rhs(n, a, p)
+        k2a, k2p = p + 0.5 * h * k1p, rotational._rhs(n, a + 0.5 * h * k1a, p + 0.5 * h * k1p)
+        k3a, k3p = p + 0.5 * h * k2p, rotational._rhs(n, a + 0.5 * h * k2a, p + 0.5 * h * k2p)
+        k4a, k4p = p + h * k3p, rotational._rhs(n, a + h * k3a, p + h * k3p)
+        a = a + h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
+        p = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
+        theta = (k + 1) * h
+        if abs(p) >= 1.0 - rotational.GUARD_BAND:
+            stop_reason = f"|alpha'| reached {abs(p):.4f} at theta = {theta:.4f}"
+            break
+        if abs(float(np.sin(n * a))) <= rotational.GUARD_BAND:
+            stop_reason = f"sin(n alpha) vanished near theta = {theta:.4f}"
+            break
+        thetas.append(theta)
+        alphas.append(a)
+        dalphas.append(p)
+    return AlphaTrajectory(n, thetas, alphas, dalphas, stop_reason)
+
+
+@pytest.mark.parametrize(
+    "n, alpha0, dalpha0, span, steps",
+    [
+        (3, np.pi / 12, 0.0, 0.8, 4000),
+        (4, np.pi / 12, 0.0, 0.8, 16000),
+        (5, np.pi / 12, 0.0, 0.8, 3000),
+        (4, 0.1, 0.9, 3.0, 4000),
+        (3, 0.3, 0.5, 2.0, 3000),
+        (3, 0.1, -0.99, 0.5, 2000),  # stops early: sin(n alpha) enters the guard band
+        (3, 0.1, 0.97, 1.0, 5),  # stops early: the coarse steps push |alpha'| past 1
+    ],
+)
+def test_inlined_rk4_matches_stage_function_loop(n, alpha0, dalpha0, span, steps):
+    got, want = integrate_alpha(n, alpha0, dalpha0, span, steps), ref_integrate_alpha(n, alpha0, dalpha0, span, steps)
+    for name in ("thetas", "alphas", "dalphas"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.stop_reason == want.stop_reason
+
+
 class TestFirstIntegral:
     def test_conserved(self, rotational_trajectory):
         assert first_integral_residual(rotational_trajectory) < 1e-6

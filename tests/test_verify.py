@@ -24,7 +24,7 @@ from quadriclab.verify import (
     sectional_from_metric,
     _cyclic_match,
 )
-from quadriclab.gaussmap import mod_pi_distance
+from quadriclab.gaussmap import mod_pi_clusters, mod_pi_distance, nearest_mod_pi
 from references import box_sample, quadric_distance
 
 P3 = np.array([0.1, -0.2, 0.15])
@@ -228,6 +228,46 @@ class TestCscIdentities:
         assert all(residual <= 1e-3 for residual in rep.values())
 
 
+def angle_rows(specs):
+    """The (samples, m) angle array of a list of spectra, as a run passes it."""
+    return np.array([s.thetas for s in specs])
+
+
+# reference: the list form that the angle array replaced, one shift match per spectrum
+def ref_cyclic_match(base, thetas):
+    m = len(thetas)
+    shifted = np.sort(thetas)[(np.arange(m) - np.arange(m)[:, None]) % m]
+    spreads = mod_pi_distance(base, shifted).max(axis=1)
+    k = int(np.argmin(spreads))
+    return shifted[k], spreads[k]
+
+
+def ref_isoparametric_variance(spectra):
+    base = np.sort(spectra[0].thetas)
+    aligned = [nearest_mod_pi(ref_cyclic_match(base, s.thetas)[0], base) for s in spectra]
+    return float(np.var(aligned, axis=0).max())
+
+
+def ref_classify_by_angles(spectra):
+    base = np.sort(spectra[0].thetas)
+    for s in spectra[1:]:
+        _, spread = ref_cyclic_match(base, s.thetas)
+        if spread**2 > 1e-6:
+            raise VerifyError(f"not isoparametric-type input: angles vary across samples (spread {spread:.3e})")
+    distinct = len(mod_pi_clusters(np.sort(np.mod(base, np.pi)), 1e-4))
+    if distinct not in (1, 2, 3, 4, 6):
+        raise VerifyError(f"distinct angle count {distinct} outside the admissible set {{1, 2, 3, 4, 6}}")
+    return distinct
+
+
+def outcome(fn, arg):
+    """fn(arg), or the message of the VerifyError it raises."""
+    try:
+        return fn(arg)
+    except VerifyError as exc:
+        return str(exc)
+
+
 class TestClassification:
     def samples(self, chart, count=5):
         rng = np.random.default_rng(17)
@@ -236,62 +276,86 @@ class TestClassification:
             for _ in range(count)
         ]
 
-    def test_sphere_g1(self, sphere_half):
-        assert classify_by_angles(self.samples(sphere_half)) == 1
-
-    def test_product_g2(self, product_13):
-        assert classify_by_angles(self.samples(product_13)) == 2
-
-    def test_cartan_g3(self, tube):
-        assert classify_by_angles(self.samples(tube)) == 3
-
-    def test_nonconstant_angles_rejected(self, rotational_chart):
-        with pytest.raises(VerifyError):
-            classify_by_angles(self.samples(rotational_chart))
-
-    def test_gauge_invariance(self, tube):
+    def gauged_samples(self, tube):
         rng = np.random.default_rng(23)
-        specs = [
+        return [
             angle_spectrum(gauss_map(tube, box_sample(tube.box, rng, 0.03)), StructureGauge(0.9))
             for _ in range(4)
         ]
-        assert classify_by_angles(specs) == 3
+
+    def test_sphere_g1(self, sphere_half):
+        assert classify_by_angles(angle_rows(self.samples(sphere_half))) == 1
+
+    def test_product_g2(self, product_13):
+        assert classify_by_angles(angle_rows(self.samples(product_13))) == 2
+
+    def test_cartan_g3(self, tube):
+        assert classify_by_angles(angle_rows(self.samples(tube))) == 3
+
+    def test_nonconstant_angles_rejected(self, rotational_chart):
+        with pytest.raises(VerifyError):
+            classify_by_angles(angle_rows(self.samples(rotational_chart)))
+
+    def test_gauge_invariance(self, tube):
+        assert classify_by_angles(angle_rows(self.gauged_samples(tube))) == 3
+
+    @pytest.mark.parametrize("fixture", ["sphere_half", "product_13", "tube", "rotational_chart", "gauged_tube"])
+    def test_array_form_matches_list_form(self, request, fixture):
+        # the same count, variance and error message as one match per spectrum
+        if fixture == "gauged_tube":
+            specs = self.gauged_samples(request.getfixturevalue("tube"))
+        else:
+            specs = self.samples(request.getfixturevalue(fixture))
+        rows = angle_rows(specs)
+        assert outcome(classify_by_angles, rows) == outcome(ref_classify_by_angles, specs)
+        assert isoparametric_variance(rows) == ref_isoparametric_variance(specs)
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(VerifyError):
+            classify_by_angles(np.zeros((0, 3)))
 
 
 class TestIsoparametricVariance:
+    SAMPLES = [
+        # one angle of multiplicity 3 on either side of 0 = pi
+        [[1e-9] * 3, [np.pi - 1e-9] * 3],
+        # angles pi/3 apart, the smallest crossing 0 = pi
+        [[1e-9, np.pi / 3 + 1e-9, 2 * np.pi / 3 + 1e-9],
+         [np.pi / 3 - 1e-9, 2 * np.pi / 3 - 1e-9, np.pi - 1e-9]],
+    ]
+    UNWRAPPED = [[0.3, 1.2, 2.0], [0.31, 1.19, 2.02], [0.29, 1.2, 1.99]]
+
     def wrapped(self, sphere_half, samples):
         spec = angle_spectrum(gauss_map(sphere_half, P3))
         return [dataclasses.replace(spec, thetas=np.array(t)) for t in samples]
 
-    @pytest.mark.parametrize(
-        "samples",
-        [
-            # one angle of multiplicity 3 on either side of 0 = pi
-            [[1e-9] * 3, [np.pi - 1e-9] * 3],
-            # angles pi/3 apart, the smallest crossing 0 = pi
-            [[1e-9, np.pi / 3 + 1e-9, 2 * np.pi / 3 + 1e-9],
-             [np.pi / 3 - 1e-9, 2 * np.pi / 3 - 1e-9, np.pi - 1e-9]],
-        ],
-    )
-    def test_wrapped_spectra_agree(self, sphere_half, samples):
-        specs = self.wrapped(sphere_half, samples)
+    @pytest.mark.parametrize("samples", SAMPLES)
+    def test_wrapped_spectra_agree(self, samples):
+        rows = np.array(samples)
         # the raw sorted angles read a variance near (pi/2)^2 or (pi/6)^2
         assert np.var(np.sort(samples, axis=1), axis=0).max() > 0.2
-        assert isoparametric_variance(specs) < 1e-17
-        classify_by_angles(specs)
+        assert isoparametric_variance(rows) < 1e-17
+        classify_by_angles(rows)
 
-    def test_unwrapped_spectra_keep_plain_variance(self, sphere_half):
-        samples = [[0.3, 1.2, 2.0], [0.31, 1.19, 2.02], [0.29, 1.2, 1.99]]
-        assert isoparametric_variance(self.wrapped(sphere_half, samples)) == float(
-            np.var(np.array(samples), axis=0).max()
+    def test_unwrapped_spectra_keep_plain_variance(self):
+        assert isoparametric_variance(np.array(self.UNWRAPPED)) == float(
+            np.var(np.array(self.UNWRAPPED), axis=0).max()
         )
 
-    def test_single_sample(self, sphere_half):
-        assert isoparametric_variance(self.wrapped(sphere_half, [[0.1, 0.2, 0.3]])) == 0.0
+    def test_single_sample(self):
+        assert isoparametric_variance(np.array([[0.1, 0.2, 0.3]])) == 0.0
+
+    @pytest.mark.parametrize("samples", SAMPLES + [UNWRAPPED, [[0.1, 0.2, 0.3]]])
+    def test_array_form_matches_list_form(self, sphere_half, samples):
+        specs = self.wrapped(sphere_half, samples)
+        rows = angle_rows(specs)
+        assert isoparametric_variance(rows) == ref_isoparametric_variance(specs)
+        assert outcome(classify_by_angles, rows) == outcome(ref_classify_by_angles, specs)
 
 
 def test_cyclic_match_equals_shift_loop():
-    # the loop over shifts that the one index array replaced
+    # the loop over shifts that the one index array replaced, matching every
+    # row of a batch at once
     def loop(base, thetas):
         other = np.sort(thetas)
         shifted = [np.roll(other, k) for k in range(len(other))]
@@ -301,12 +365,21 @@ def test_cyclic_match_equals_shift_loop():
 
     rng = np.random.default_rng(5)
     for m in (1, 2, 3, 4, 6):
+        bases, rows = [], []
         for _ in range(50):
             base = np.sort(rng.uniform(0.0, np.pi, m))
-            thetas = np.mod(base + rng.normal(0.0, rng.choice([1e-9, 1e-3, 1.0]), m), np.pi)
-            got, want = _cyclic_match(base, thetas), loop(base, thetas)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1] == want[1]
+            bases.append(base)
+            rows.append(np.mod(base + rng.normal(0.0, rng.choice([1e-9, 1e-3, 1.0]), m), np.pi))
+        for base, thetas in zip(bases, rows):
+            got, want = _cyclic_match(base, thetas[None]), loop(base, thetas)
+            assert got[0][0].tobytes() == want[0].tobytes()
+            assert got[1][0] == want[1]
+        # all 50 rows against one base in one call
+        got = _cyclic_match(bases[0], np.array(rows))
+        for r, thetas in enumerate(rows):
+            want = loop(bases[0], thetas)
+            assert got[0][r].tobytes() == want[0].tobytes()
+            assert got[1][r] == want[1]
 
 
 class TestReconstruction:
