@@ -5,7 +5,9 @@ landing in R^(n+2)) over a closed coordinate box. Both take a batch: an array
 of points (..., n) maps to an array (..., n+2), with a single point (n,) as
 the empty batch, and every row gets the arithmetic a lone point gets. A
 ChartStencil evaluates both once, in one call each, on the first-order stencil
-of a point or of a batch of points. The catalog covers the three
+of a point or of a batch of points; the work they share is built once per
+embed/normal pair on the same points (shared_work, a one-entry memo that
+keeps the last batch's shared arrays alive). The catalog covers the three
 isoparametric families with at most three distinct principal curvatures:
 geodesic spheres, products of spheres, and tubes around the Veronese surface,
 plus parallel hypersurfaces of any chart and a perturbed (non-isoparametric)
@@ -106,6 +108,25 @@ class HypersurfaceChart:
 def _lift(a, b):
     """The one lift formula: (a + i b)/sqrt(2) from embed values a and normal values b."""
     return (a + 1j * b) / np.sqrt(2.0)
+
+
+def shared_work(build: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """build(q) behind a one-entry memo keyed on the points' shape and bytes.
+
+    Callers only read the result. The entry is read and replaced whole:
+    threads sharing a chart may recompute, never read another batch's work.
+    """
+    entry = None
+
+    def shared(q):
+        nonlocal entry
+        q = np.asarray(q, dtype=float)
+        key, last = (q.shape, q.tobytes()), entry
+        if last is None or last[0] != key:
+            last = entry = (key, build(q))
+        return last[1]
+
+    return shared
 
 
 class ChartStencil:
@@ -303,13 +324,14 @@ def round_sphere(n: int, r: float) -> HypersurfaceChart:
     if not 0.0 < r <= 1.0:
         raise ChartError(f"sphere radius must lie in (0, 1], got {r}")
     c = math.sqrt(max(0.0, 1.0 - r * r))
+    orbit = shared_work(lambda q: sphere_chart(n, q))
 
     def embed(q):
-        sigma = sphere_chart(n, q)
+        sigma = orbit(q)
         return np.concatenate([r * sigma, np.full(sigma.shape[:-1] + (1,), c)], axis=-1)
 
     def normal(q):
-        sigma = sphere_chart(n, q)
+        sigma = orbit(q)
         return np.concatenate([-c * sigma, np.full(sigma.shape[:-1] + (1,), r)], axis=-1)
 
     return HypersurfaceChart(
@@ -333,15 +355,14 @@ def product_spheres(k: int, n: int, r1: float) -> HypersurfaceChart:
     if not 0.0 < r1 < 1.0:
         raise ChartError(f"first radius must lie in (0, 1), got {r1}")
     r2 = float(np.sqrt(1.0 - r1 * r1))
+    factors = shared_work(lambda q: (sphere_chart(k, q[..., :k]), sphere_chart(n - k, q[..., k:])))
 
     def embed(q):
-        q = np.asarray(q, dtype=float)
-        s1, s2 = sphere_chart(k, q[..., :k]), sphere_chart(n - k, q[..., k:])
+        s1, s2 = factors(q)
         return np.concatenate([r1 * s1, r2 * s2], axis=-1)
 
     def normal(q):
-        q = np.asarray(q, dtype=float)
-        s1, s2 = sphere_chart(k, q[..., :k]), sphere_chart(n - k, q[..., k:])
+        s1, s2 = factors(q)
         return np.concatenate([-r2 * s1, r1 * s2], axis=-1)
 
     return HypersurfaceChart(
@@ -419,17 +440,19 @@ def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
 
     ct, st = math.cos(t), math.sin(t)
 
-    def embed(x):
-        x = np.asarray(x, dtype=float)
+    @shared_work
+    def frame(x):
+        """The Veronese point and the unit normal-circle vector cos(x3) xi1 + sin(x3) xi2."""
         v, xi1, xi2 = _veronese_frame(x)
-        c, s = np.cos(x[..., 2:3]), np.sin(x[..., 2:3])
-        return ct * v + st * (c * xi1 + s * xi2)
+        return v, np.cos(x[..., 2:3]) * xi1 + np.sin(x[..., 2:3]) * xi2
+
+    def embed(x):
+        v, u = frame(x)
+        return ct * v + st * u
 
     def normal(x):
-        x = np.asarray(x, dtype=float)
-        v, xi1, xi2 = _veronese_frame(x)
-        c, s = np.cos(x[..., 2:3]), np.sin(x[..., 2:3])
-        return -st * v + ct * (c * xi1 + s * xi2)
+        v, u = frame(x)
+        return -st * v + ct * u
 
     chart = HypersurfaceChart(
         dim=3,

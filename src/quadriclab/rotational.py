@@ -12,12 +12,14 @@ Gauss-map metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .hypersurfaces import (
     Box,
     HypersurfaceChart,
+    shared_work,
     sphere_chart,
     sphere_chart_with_derivatives,
 )
@@ -56,15 +58,14 @@ GUARD_BAND = 1e-3
 # round-off only: RK4's round-off walks randomly over the steps
 PROBE_ROUNDOFF = 8.0
 
-# Python's float power, element by element: numpy's own power loop rounds
-# differently in the last bit, and the profile values stay those of scalar
-# Python floats. It raises OverflowError where the float power overflows,
-# and ZeroDivisionError for 0 to a negative power.
-_float_pow = np.frompyfunc(pow, 2, 1)
 
+def _pow(x: np.ndarray, y: float) -> np.ndarray:
+    """x ** y by Python's float power on each element, bitwise that of scalar floats.
 
-def _pow(x, y) -> np.ndarray:
-    return _float_pow(x, y).astype(float)
+    numpy's own power loop rounds differently in the last bit. OverflowError
+    where the power overflows, ZeroDivisionError for 0 to a negative power.
+    """
+    return np.fromiter(map(pow, x.ravel().tolist(), repeat(y)), float, x.size).reshape(x.shape)
 
 
 class OdeError(Exception):
@@ -192,9 +193,9 @@ def first_integral_residual(traj: AlphaTrajectory, c1: float | None = None) -> f
     """Conservation defect of the first integral along the trajectory.
 
     The invariant combines the warp factor with the arclength derivative of
-    alpha; c1 is fixed at the first sample unless supplied. Every power is
-    Python's float power, so each sample's value is that of scalar
-    arithmetic (numpy's array power and square differ from it in the last bit).
+    alpha; c1 is fixed at the first sample unless supplied. Each power is one
+    _pow pass, so each sample's value is that of scalar arithmetic (numpy's
+    array power and square differ from it in the last bit).
     """
     n = traj.n
     if c1 is None:
@@ -257,9 +258,6 @@ def ode_equivalence_residual(traj: AlphaTrajectory) -> float:
 # interpolation and the rotational chart
 # ---------------------------------------------------------------------------
 
-_EXPONENTS = np.arange(2.0, 6.0)
-
-
 class QuinticHermite:
     """Per-interval quintic matching value, slope and curvature at both ends.
 
@@ -267,7 +265,8 @@ class QuinticHermite:
     tolerances, and values are C^1 across knots, so chart stencils may
     straddle intervals. value and value_and_derivative take a number or an
     array of abscissae, the latter giving the slope from the same interval
-    lookup; the power sums run in a fixed order.
+    lookup; tau^2..tau^5 are one _pow pass each and the power sums run in a
+    fixed order, so every value is that of scalar arithmetic.
     """
 
     def __init__(self, x: np.ndarray, f: np.ndarray, df: np.ndarray, ddf: np.ndarray):
@@ -302,7 +301,8 @@ class QuinticHermite:
         tau = (t - self.x[k]) / self.dx[k]
         powers = np.empty(tau.shape + (6,))
         powers[..., 0], powers[..., 1] = 1.0, tau
-        powers[..., 2:] = _float_pow(tau[..., None], _EXPONENTS)
+        for j in range(2, 6):
+            powers[..., j] = _pow(tau, j)
         return self.coeffs[k], self.dx[k], powers
 
     def value_and_derivative(self, t):
@@ -368,18 +368,19 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
     lows = np.concatenate([[lo], np.full(n - 1, -0.4)])
     highs = np.concatenate([[hi], np.full(n - 1, 0.4)])
 
-    def embed(x):
-        x = np.asarray(x, dtype=float)
+    @shared_work
+    def profile(x):
+        """The profile parameter, alpha and alpha' there, and the orbit sphere point."""
         theta = x[..., 0]
-        g0, g1, g2 = _gamma_point(theta, *interp.value_and_derivative(theta))
-        return np.concatenate(
-            [g0[..., None] * sphere_chart(n - 1, x[..., 1:]), g1[..., None], g2[..., None]], axis=-1
-        )
+        return (theta, *interp.value_and_derivative(theta), sphere_chart(n - 1, x[..., 1:]))
+
+    def embed(x):
+        theta, a, p, orbit = profile(x)
+        g0, g1, g2 = _gamma_point(theta, a, p)
+        return np.concatenate([g0[..., None] * orbit, g1[..., None], g2[..., None]], axis=-1)
 
     def normal(x):
-        x = np.asarray(x, dtype=float)
-        theta = x[..., 0]
-        a, p = interp.value_and_derivative(theta)
+        theta, a, p, orbit = profile(x)
         c, s = np.cos(a), np.sin(a)
         ct, st = np.cos(theta), np.sin(theta)
         w_loc = np.sqrt(np.maximum(0.0, 1.0 - p * p))
@@ -387,9 +388,7 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
         b0 = -(w_loc * c)
         b1 = -(c * p * ct + s * st)
         b2 = -(c * p * st - s * ct)
-        return np.concatenate(
-            [b0[..., None] * sphere_chart(n - 1, x[..., 1:]), b1[..., None], b2[..., None]], axis=-1
-        )
+        return np.concatenate([b0[..., None] * orbit, b1[..., None], b2[..., None]], axis=-1)
 
     return HypersurfaceChart(
         dim=n,

@@ -497,12 +497,19 @@ def sectional_from_metric(r: np.ndarray, g: np.ndarray, x, y):
     return float(k) if k.ndim == 0 else k
 
 
+def _in_frame(r: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """R(f_i, f_j, f_k, f_l) for the rows f_i of f: four single-index contractions
+    in a fixed order, O(n^5) each (the five-operand einsum is one O(n^8) loop)."""
+    for spec in ("abcd,ld->abcl", "abcl,kc->abkl", "abkl,jb->ajkl", "ajkl,ia->ijkl"):
+        r = np.einsum(spec, r, f)
+    return r
+
+
 def gauss_equation_residual(pt: SamplePoint) -> dict[str, float]:
     """Full curvature comparison: metric route against the algebraic route."""
     spec = pt.spec
     n = pt.jet.dim
-    f = spec.frame_vel
-    r_frame = np.einsum("abcd,ia,jb,kc,ld->ijkl", pt.curvature, f, f, f, f)
+    r_frame = _in_frame(pt.curvature, spec.frame_vel)
     cos2, sin2 = spec.cos_sin()
     h = pt.ff.h
     delta = np.eye(n)

@@ -2,7 +2,7 @@
 
 The references below evaluate one point at a time: the numpy sphere chart,
 the round-sphere, product and rotational chart bodies, the quintic Hermite
-evaluation, the Veronese normal frame by projected Gram-Schmidt, and the
+evaluation, Python's float power as an object ufunc, the Veronese normal frame by projected Gram-Schmidt, and the
 point-by-point stencil build with its own finiteness check. Values and
 stencil derivatives must match them bitwise; the closed-form Veronese frame,
 which rounds differently, to 1e-14. Every row of a batch must equal the same
@@ -13,7 +13,8 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quadriclab import hypersurfaces
 from quadriclab.gaussmap import angle_spectrum, gauss_map
@@ -29,7 +30,7 @@ from quadriclab.hypersurfaces import (
     sphere_chart,
 )
 from quadriclab.numerics import StencilError, axis, central_first, gram_schmidt
-from quadriclab.rotational import build_rotational_chart, integrate_alpha
+from quadriclab.rotational import _pow, build_rotational_chart, integrate_alpha
 from quadriclab.verify import reconstruct_hypersurface
 
 H = 1e-4
@@ -80,6 +81,11 @@ def ref_hermite(interp, t, derivative=False):
     if derivative:
         return float(sum(j * c[j] * tau ** (j - 1) for j in range(1, 6)) / dx[k])
     return float(sum(c[j] * tau**j for j in range(6)))
+
+
+def ref_pow(x, y):
+    """Python's float power on each element through np.frompyfunc, as an array of x's shape."""
+    return np.asarray(np.frompyfunc(pow, 2, 1)(x, y), dtype=object).astype(float)
 
 
 def ref_gamma_point(theta, alpha, dalpha):
@@ -273,6 +279,34 @@ class TestAgainstReferences:
         interp = rotational(3).meta["interp"]
         assert interp.value(t) == ref_hermite(interp, t)
         assert interp.value_and_derivative(t)[1] == ref_hermite(interp, t, derivative=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(float, st.sampled_from([(), (0,), (5,), (0, 3), (2, 3), (3, 4)]), elements=st.floats(width=64)),
+        st.one_of(st.integers(-6, 6), st.floats(-6.0, 6.0)),
+    )
+    @example(np.array([1e200, 2.0]), 2)  # OverflowError
+    @example(np.array([[3.0, 0.0]]), -1)  # ZeroDivisionError
+    @example(np.array(-0.0), -1.0)  # ZeroDivisionError
+    @example(np.array([-1.5, -2.0, -0.5]), 3)  # negative bases, integral power
+    def test_float_power(self, x, y):
+        # bitwise the object-ufunc form, with its error classes; negative
+        # bases only to integral powers, where the float power stays real
+        if float(y) != int(y):
+            x = np.abs(x)
+
+        def outcome(f):
+            try:
+                return f(x, y)
+            except (OverflowError, ZeroDivisionError) as exc:
+                return type(exc)
+
+        got, want = outcome(_pow), outcome(ref_pow)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.dtype == float and got.shape == want.shape == x.shape
+            assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(box_points(cartan_tube(0.35).box))

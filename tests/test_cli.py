@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadriclab import cli, gaussmap, numerics, rotational
+from quadriclab import cli, gaussmap, hypersurfaces, numerics, rotational
 from quadriclab.cli import RunConfig, ConfigError, kronecker_points, main
 from quadriclab.hypersurfaces import Box, round_sphere
 
@@ -337,6 +337,49 @@ class TestVerifyCommand:
         # Hessian, 6 for the whole batch of 12 field-derivative jets (stencil,
         # center and Hessian) and 2 for the metric route's whole stencil
         assert self._count_evaluations(monkeypatch)[0] == 14
+
+    @pytest.mark.parametrize(
+        "cfg, chart_calls",
+        [
+            (RunConfig(command="verify", example="cartan", n=3, grid=3), 14),
+            (RunConfig(command="verify", example="rotational", n=4, grid=3), 14),
+            (RunConfig(command="verify", example="product", n=3, grid=3), 14),
+            (RunConfig(command="ode", example="rotational", n=3), 8),
+        ],
+        ids=["verify-cartan", "verify-rotational-4", "verify-product-3", "ode"],
+    )
+    def test_one_shared_build_per_embed_normal_pair(self, cfg, chart_calls, monkeypatch, tmp_path):
+        # over a whole run, the work embed and normal share (Veronese frames,
+        # profile interpolations, orbit spheres) is built once per pair of
+        # chart calls: every embed call is followed by normal on its points
+        calls, builds = [], []
+        shared_work = hypersurfaces.shared_work
+
+        def counting_shared_work(build):
+            return shared_work(lambda q: builds.append(1) or build(q))
+
+        def counted(fn):
+            return lambda q: calls.append(1) or fn(q)
+
+        def wrap(make):
+            def build(*args):
+                chart = make(*args)
+                builds.clear()  # the catalog's own checks at construction
+                return dataclasses.replace(chart, embed=counted(chart.embed), normal=counted(chart.normal))
+
+            return build
+
+        monkeypatch.setattr(hypersurfaces, "shared_work", counting_shared_work)
+        monkeypatch.setattr(rotational, "shared_work", counting_shared_work)
+        if cfg.command == "ode":
+            monkeypatch.setattr(cli, "build_rotational_chart", wrap(cli.build_rotational_chart))
+            code, _ = cli.cmd_ode(dataclasses.replace(cfg, out=str(tmp_path)))
+        else:
+            monkeypatch.setattr(cli, "build_example", wrap(cli.build_example))
+            code, _ = cli.cmd_verify(cfg)
+        assert code == 0
+        assert len(calls) == chart_calls
+        assert len(builds) == chart_calls // 2
 
     def test_chart_call_budget_does_not_grow_with_n(self, monkeypatch):
         # rotational n = 4: the same 14 calls carry 5,058 rows, its 16

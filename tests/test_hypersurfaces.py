@@ -22,6 +22,7 @@ from quadriclab.hypersurfaces import (
     tangent_data,
 )
 from quadriclab.numerics import eigen_solve, symmetric_eigen
+from quadriclab.rotational import build_rotational_chart
 from references import box_sample
 
 RNG = np.random.default_rng(42)
@@ -158,48 +159,126 @@ class TestCartanTube:
             cartan_tube(np.pi / 3.0)
 
 
+@pytest.fixture(scope="module")
+def memo_charts(rotational_trajectory):
+    """Factories of the catalog charts whose embed and normal share a memo."""
+    return {
+        "cartan": lambda: cartan_tube(0.35),
+        "sphere": lambda: round_sphere(3, 1.0 / np.sqrt(2.0)),
+        "product": lambda: product_spheres(1, 3, 0.55),
+        "rotational": lambda: build_rotational_chart(rotational_trajectory),
+    }
+
+
+@pytest.fixture
+def frame_calls(monkeypatch):
+    """The shapes of the points of every Veronese frame build, in order."""
+    calls = []
+    frame = hypersurfaces._veronese_frame
+    monkeypatch.setattr(hypersurfaces, "_veronese_frame", lambda q: calls.append(q.shape) or frame(q))
+    return calls
+
+
+def counted_shared_work(builds):
+    """hypersurfaces.shared_work around a build that appends the shape of each of its points to builds."""
+    return hypersurfaces.shared_work(lambda q: builds.append(q.shape) or -q)
+
+
 class TestChartMemo:
-    # a chart keeps no state between calls, and builds the work embed or
-    # normal shares across a stencil once per call, for the whole batch
+    # a chart's one state is a one-entry memo of the work embed and normal
+    # share: an embed/normal pair on the same points builds it once, for the
+    # whole batch, and any other points rebuild it
 
-    def test_interleaved_points_match_fresh_charts(self, tube):
-        rng = np.random.default_rng(5)
-        base = sample_points(tube, 3)
-        points = base + [
-            np.array([base[0][0], base[0][1], base[1][2]]),  # shares x[:2] with base[0]
-            np.array([base[0][0], base[2][1], base[2][2]]),  # shares x[0] only
-        ]
-        calls = [(kind, i) for i in range(len(points)) for kind in ("embed", "normal")] * 2
-        for c in rng.permutation(len(calls)):
-            kind, i = calls[c]
-            got = getattr(tube, kind)(points[i])
-            assert np.array_equal(got, getattr(cartan_tube(0.35), kind)(points[i]))
+    def test_interleaved_points_match_fresh_charts(self, memo_charts):
+        for name, make in memo_charts.items():
+            chart = make()
+            rng = np.random.default_rng(5)
+            base = sample_points(chart, 3)
+            points = base + [
+                np.concatenate([base[0][:2], base[1][2:]]),  # shares x[:2] with base[0]
+                np.concatenate([base[0][:1], base[2][1:]]),  # shares x[0] only
+                base[1].copy(),  # base[1]'s bytes in another array
+                np.stack(base),  # a batch holding the others' rows
+            ]
+            calls = [(kind, i) for i in range(len(points)) for kind in ("embed", "normal")] * 2
+            for c in rng.permutation(len(calls)):
+                kind, i = calls[c]
+                got = getattr(chart, kind)(points[i])
+                assert np.array_equal(got, getattr(make(), kind)(points[i])), (name, kind, i)
 
-    def test_threads_sharing_a_chart(self, tube):
+    def test_threads_sharing_a_chart(self, memo_charts):
         # the memo entry is read and replaced whole: threads sharing one chart
-        # may recompute a frame but never read another point's
-        points = sample_points(tube, 6)
-        want = [(tube.embed(p), tube.normal(p)) for p in points]
-        wrong = []
+        # may recompute the shared work but never read another point's
+        for name, make in memo_charts.items():
+            chart = make()
+            points = sample_points(chart, 6)
+            want = [(chart.embed(p), chart.normal(p)) for p in points]
+            wrong = []
 
-        def work(seed):
-            for i in np.random.default_rng(seed).integers(0, len(points), 150):
-                got = (tube.embed(points[i]), tube.normal(points[i]))
-                if not all(np.array_equal(g, w) for g, w in zip(got, want[i])):
-                    wrong.append(i)
+            def work(seed):
+                for i in np.random.default_rng(seed).integers(0, len(points), 150):
+                    got = (chart.embed(points[i]), chart.normal(points[i]))
+                    if not all(np.array_equal(g, w) for g, w in zip(got, want[i])):
+                        wrong.append(i)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads), name
+            assert wrong == [], name
+
+    def test_equal_bytes_share_one_build(self, frame_calls):
+        builds = []
+        shared = counted_shared_work(builds)
+        q = np.array([0.1, -0.2, 0.3])
+        first = shared(q)
+        assert shared(q.copy()) is first
+        assert shared([0.1, -0.2, 0.3]) is first
+        assert builds == [(3,)]
+        # the same through a chart: one Veronese frame for embed and normal
+        chart = cartan_tube(0.35)
+        frame_calls.clear()
+        chart.embed(q)
+        chart.normal(q.copy())
+        assert frame_calls == [(3,)]
+
+    def test_points_mutated_in_place_are_rebuilt(self, frame_calls):
+        builds = []
+        shared = counted_shared_work(builds)
+        q = np.array([0.1, -0.2, 0.3])
+        shared(q)
+        q[2] = 0.25
+        assert np.array_equal(shared(q), -q)
+        assert builds == [(3,)] * 2
+        chart, fresh = cartan_tube(0.35), cartan_tube(0.35)
+        x = np.array([0.1, -0.05, 0.2])
+        want = fresh.normal(np.array([0.15, -0.05, 0.2]))
+        frame_calls.clear()
+        chart.embed(x)
+        x[0] = 0.15
+        assert np.array_equal(chart.normal(x), want)
+        assert frame_calls == [(3,)] * 2
+
+    def test_equal_bytes_of_another_shape_are_another_key(self):
+        builds = []
+        shared = counted_shared_work(builds)
+        q = np.arange(6.0) / 10.0
+        assert shared(q.reshape(2, 3)).shape == (2, 3)
+        assert shared(q.reshape(3, 2)).shape == (3, 2)
+        assert builds == [(2, 3), (3, 2)]
+        chart, fresh = round_sphere(3, 0.6), round_sphere(3, 0.6)
+        x = q.reshape(2, 3)
+        chart.embed(x)
+        got = chart.normal(x.reshape(1, 2, 3))
+        assert got.shape == (1, 2, 5)
+        assert np.array_equal(got, fresh.normal(x.reshape(1, 2, 3)))
 
     def test_rho_jet_per_stencil(self, monkeypatch):
         # perturbed sphere: one height-function jet for embed and one for
@@ -213,17 +292,14 @@ class TestChartMemo:
         st.center
         assert calls == [(4, 2, 2)] * 2 + [(2,)] * 2
 
-    def test_frames_per_stencil(self, monkeypatch):
-        # one Veronese frame build per chart call: embed and normal on the 12
-        # stencil points, then at the center
-        calls = []
-        frame = hypersurfaces._veronese_frame
-        monkeypatch.setattr(hypersurfaces, "_veronese_frame", lambda q: calls.append(q.shape) or frame(q))
+    def test_frames_per_stencil(self, frame_calls):
+        # one Veronese frame build per embed/normal pair: on the 12 stencil
+        # points, then at the center
         chart = cartan_tube(0.35)
-        calls.clear()
+        frame_calls.clear()
         st = ChartStencil(chart, np.array([0.1, -0.05, 0.2]), 1e-4)
         st.center
-        assert calls == [(4, 3, 3)] * 2 + [(3,)] * 2
+        assert frame_calls == [(4, 3, 3), (3,)]
 
 
 class TestParallel:

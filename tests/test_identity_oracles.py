@@ -4,17 +4,20 @@ The references are the straightforward loops over tensor indices that the
 array expressions replace. Where the array form does the same arithmetic in
 the same order (the first-order identities, the constant-curvature balance
 and the cotangent check) it must agree bitwise; where einsum sums in another
-order (the curvature tensor, the algebraic plane curvatures) it must agree to
-1e-12 relative to the largest reference component.
+order (the curvature tensor, the algebraic plane curvatures, the curvature
+tensor in the frame of the Gauss equation) it must agree to 1e-12 relative to
+the largest reference component.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadriclab.verify import (
     ConnectionData,
+    _in_frame,
     _metric_derivatives,
     check_csc_identities,
     check_prop1,
@@ -56,6 +59,11 @@ def ref_curvature(dg, ddg, g0):
                             )
                     r[a, b, c, d] = term + quad
     return r
+
+
+def ref_in_frame(r, f):
+    """R(f_i, f_j, f_k, f_l) as the one five-operand einsum, an O(n^8) loop."""
+    return np.einsum("abcd,ia,jb,kc,ld->ijkl", r, f, f, f, f)
 
 
 def ref_check_prop1(pt):
@@ -242,3 +250,10 @@ def test_sectional_batch_equals_single_planes(data):
             single = sectional_from_metric(r, g, x[idx], y[idx])
             assert isinstance(single, float)
             assert single == batch[idx]
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 12])
+def test_frame_transform_matches_five_operand_einsum(n):
+    rng = np.random.default_rng(n)
+    r, f = rng.normal(size=(n,) * 4), rng.normal(size=(n, n))
+    assert_close(_in_frame(r, f), ref_in_frame(r, f))

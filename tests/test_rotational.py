@@ -299,8 +299,8 @@ def traj_n4():
 
 
 class TestChartMemo:
-    # a chart keeps no state between calls, and interpolates the profile once
-    # per call for the whole batch
+    # a chart interpolates the profile once per embed/normal pair on the same
+    # points, for the whole batch, and again for any other points
 
     def test_interleaved_points_match_fresh_charts(self, traj_n4):
         chart = build_rotational_chart(traj_n4)
@@ -318,9 +318,8 @@ class TestChartMemo:
             assert np.array_equal(got, want)
 
     def test_interpolations_per_stencil(self, traj_n4, monkeypatch):
-        # one interval lookup, for value and derivative together, for embed
-        # and one for normal on the 16 stencil points, then the same at the
-        # center
+        # one interval lookup, for value and derivative together, shared by
+        # embed and normal on the 16 stencil points, then one at the center
         chart = build_rotational_chart(traj_n4)
         calls = []
         locate = QuinticHermite._locate
@@ -329,7 +328,7 @@ class TestChartMemo:
         )
         st = ChartStencil(chart, chart.box.center + 0.01, 1e-4)
         st.center
-        assert calls == [(4, 4)] * 2 + [()] * 2
+        assert calls == [(4, 4), ()]
 
 
 def test_orbit_group_straddling_pi():
