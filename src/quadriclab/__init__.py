@@ -46,9 +46,8 @@ from .gaussmap import (
 )
 from .verify import (
     ConnectionData,
-    GaugePolicy,
     ResidualReport,
-    SamplePoint,
+    SampleBatch,
     VerifyError,
     check_csc_identities,
     check_prop1,
@@ -58,6 +57,7 @@ from .verify import (
     gauss_equation_residual,
     palmer_residual,
     reconstruct_hypersurface,
+    sample_batch,
     sectional_curvature,
 )
 from .rotational import (

@@ -43,7 +43,7 @@ from .hypersurfaces import (
     product_spheres,
     round_sphere,
 )
-from .numerics import NumericsError
+from .numerics import NumericsError, row_dot
 from .rotational import (
     OdeError,
     build_rotational_chart,
@@ -57,20 +57,18 @@ from .rotational import (
 )
 from .verify import (
     CheckResult,
-    GaugePolicy,
     ResidualReport,
-    SamplePoint,
+    SampleBatch,
     VerifyError,
     check_csc_identities,
     check_prop1,
     classify_by_angles,
     codazzi_residual,
     cotangent_residual,
-    field_derivatives,
     gauss_equation_residual,
     isoparametric_variance,
-    metric_curvature,
     palmer_residual,
+    sample_batch,
     sectional_residuals,
     structure_residuals,
 )
@@ -140,15 +138,16 @@ def _rotational_chart(n: int, p: dict) -> HypersurfaceChart:
     return build_rotational_chart(traj)
 
 
-def _sphere_checks(pt: SamplePoint, n: int) -> dict:
-    i, j = np.triu_indices(pt.spec.dim, 1)
-    return {"angles_equal": np.max(mod_pi_distance(pt.spec.thetas[i], pt.spec.thetas[j]), initial=0.0)}
+def _sphere_checks(b: SampleBatch, n: int) -> dict:
+    th = b.spec.thetas
+    i, j = np.triu_indices(n, 1)
+    return {"angles_equal": np.max(mod_pi_distance(th[..., i], th[..., j]), axis=-1, initial=0.0)}
 
 
-def _cartan_checks(pt: SamplePoint, n: int) -> dict:
-    th = pt.spec.thetas
-    gaps = max(abs(th[1] - th[0] - np.pi / 3.0), abs(th[2] - th[1] - np.pi / 3.0))
-    return {"angle_gaps_third_pi": gaps, "cubic_component_squared": abs(pt.ff.h[0, 1, 2] ** 2 - 0.375)}
+def _cartan_checks(b: SampleBatch, n: int) -> dict:
+    th = b.spec.thetas
+    gaps = np.maximum(np.abs(th[..., 1] - th[..., 0] - np.pi / 3.0), np.abs(th[..., 2] - th[..., 1] - np.pi / 3.0))
+    return {"angle_gaps_third_pi": gaps, "cubic_component_squared": np.abs(b.ff.h[..., 0, 1, 2] ** 2 - 0.375)}
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ class Example:
     n_range: tuple = (1, None)  # (lowest n, highest n or None)
     isoparametric: bool = False
     sectional: Callable = lambda n: None  # n -> constant sectional curvature, or None
-    checks: Callable = lambda pt, n: {}  # (sample point, n) -> {name: residual}, after the common checks
+    checks: Callable = lambda b, n: {}  # (sample batch, n) -> {name: one residual per point}, after the common checks
     commands: tuple = ("verify", "angles")
 
 
@@ -192,7 +191,7 @@ EXAMPLES = {
         build=_rotational_chart,
         params={"alpha0": np.pi / 12.0, "dalpha0": 0.0, "span": 0.8, "steps": 4000},
         n_range=(3, None),
-        checks=lambda pt, n: {"principal_vs_angle_pattern": principal_pattern_residual(pt.jet, n)},
+        checks=lambda b, n: {"principal_vs_angle_pattern": principal_pattern_residual(b.jets, n)},
         commands=("verify", "angles", "ode"),
     ),
 }
@@ -305,7 +304,7 @@ def build_example(cfg: RunConfig) -> HypersurfaceChart:
 
 
 # ---------------------------------------------------------------------------
-# verification per sample point
+# verification over the sample points
 # ---------------------------------------------------------------------------
 
 def _sample_jets(chart: HypersurfaceChart, cfg: RunConfig) -> tuple[GaussJet, AngleSpectrum, AngleSpectrum]:
@@ -319,19 +318,6 @@ def _sample_jets(chart: HypersurfaceChart, cfg: RunConfig) -> tuple[GaussJet, An
     jets = gauss_map(chart, kronecker_points(chart.box, cfg.grid, cfg.seed, margin), cfg.steps())
     spec0 = angle_spectrum(jets)
     return jets, spec0, (spec0 if cfg.gauge == "canonical" else gauge_normalize(jets, spec0))
-
-
-def _sample_points(jets: GaussJet, spec0: AngleSpectrum, spec: AngleSpectrum) -> list[SamplePoint]:
-    """Per-point data of the checks at the sample jets of `_sample_jets`, each gauge held fixed over its stencils."""
-    # the lift Hessians, which the rows of jets share, the metric route and
-    # the field derivatives: one batch each for all the points
-    jets.coord_second
-    curvature = metric_curvature(jets)
-    fields = field_derivatives(jets, spec, GaugePolicy("fixed", spec.gauge.phi))
-    return [
-        SamplePoint(jets[k], spectra=(spec0[k], spec[k]), curvature=curvature[k], fields=fields[k])
-        for k in range(len(jets.point))
-    ]
 
 
 def _report(example: str, point: list, residuals: dict, cfg: RunConfig) -> ResidualReport:
@@ -356,32 +342,34 @@ def _summary(
     }
 
 
-def _point_report(pt: SamplePoint, cfg: RunConfig) -> ResidualReport:
-    jet, ff = pt.jet, pt.ff
-    inv = jet.stencil.invariants()
+def _columns(b: SampleBatch, cfg: RunConfig) -> dict:
+    """Every check of a verify run as one column over its sample points, in report order."""
+    jets, ff = b.jets, b.ff
+    inv = jets.stencil.invariants()
     target = cfg.entry.sectional(cfg.n)
+    mean = mean_curvature(ff)
     res = {
-        "chart_invariants": max(v for k, v in inv.items() if k != "min_singular_value"),
-        "chart_rank_margin": max(0.0, 1e-6 - inv["min_singular_value"]),
-        "lagrangian": jet.lagrangian_residual(),
-        "horizontality": jet.horizontality_residual(),
-        **structure_residuals(pt),
-        **cotangent_residual(pt),
+        "chart_invariants": np.maximum.reduce([v for k, v in inv.items() if k != "min_singular_value"]),
+        "chart_rank_margin": np.maximum(0.0, 1e-6 - inv["min_singular_value"]),
+        "lagrangian": jets.lagrangian_residual(),
+        "horizontality": jets.horizontality_residual(),
+        **structure_residuals(b),
+        **cotangent_residual(b),
         "cubic_symmetry": ff.symmetry_defect,
-        "mean_curvature_norm": np.linalg.norm(mean_curvature(ff)),
-        "palmer_formula": palmer_residual(pt)["residual"],
+        "mean_curvature_norm": np.sqrt(row_dot(mean, mean)),
+        "palmer_formula": palmer_residual(b)["residual"],
     }
     if cfg.gauge == "normalized":
-        res["gauge_one_form"] = np.abs(pt.connection.s).max()
-    res["connection_antisymmetry"] = pt.connection.antisymmetry_defect
-    res.update(check_prop1(pt))
-    res.update(gauss_equation_residual(pt))
-    res.update(codazzi_residual(pt))
-    res.update(sectional_residuals(pt, target))
-    res.update(cfg.entry.checks(pt, cfg.n))
+        res["gauge_one_form"] = np.abs(b.connection.s).max(axis=-1)
+    res["connection_antisymmetry"] = b.connection.antisymmetry_defect
+    res.update(check_prop1(b))
+    res.update(gauss_equation_residual(b))
+    res.update(codazzi_residual(b))
+    res.update(sectional_residuals(b, target))
+    res.update(cfg.entry.checks(b, cfg.n))
     if target is not None:
-        res.update(check_csc_identities(pt.spec, ff))
-    return _report(cfg.example, list(map(float, pt.p)), res, cfg)
+        res.update(check_csc_identities(b.spec, ff))
+    return res
 
 
 def _skipped_checks(cfg: RunConfig) -> list[dict]:
@@ -410,14 +398,18 @@ def _skipped_checks(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
-    jets, spec0, spec = _sample_jets(build_example(cfg), cfg)
-    results = [_point_report(pt, cfg) for pt in _sample_points(jets, spec0, spec)]
+    b = sample_batch(*_sample_jets(build_example(cfg), cfg))
+    columns = _columns(b, cfg)
+    rows = zip(*(col.tolist() for col in columns.values()))
+    results = [
+        _report(cfg.example, point, dict(zip(columns, row)), cfg) for point, row in zip(b.jets.point.tolist(), rows)
+    ]
     if cfg.entry.isoparametric:
-        variance = {"isoparametric_variance": isoparametric_variance(spec0.thetas)}
+        variance = {"isoparametric_variance": isoparametric_variance(b.spec0.thetas)}
         results.append(_report(cfg.example, ["all"], variance, cfg))
     summary = _summary(results, _skipped_checks(cfg))
     if cfg.entry.isoparametric:
-        summary["distinct_angles"] = classify_by_angles(spec0.thetas)
+        summary["distinct_angles"] = classify_by_angles(b.spec0.thetas)
     payload = {
         "config": cfg.to_dict(),
         "results": [r.to_dict() for r in results],

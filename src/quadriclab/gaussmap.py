@@ -12,7 +12,7 @@ are needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,8 +80,7 @@ class FdSteps:
 class GaussJet:
     """Second-order data of the Gauss-map lift at one chart point or at a batch of them.
 
-    At a batch every array carries the batch axes in front; jet[k] is the jet
-    at row k.
+    At a batch every array carries the batch axes in front.
     """
 
     stencil: ChartStencil  # embed, normal and lift with first derivatives
@@ -109,13 +108,6 @@ class GaussJet:
     def dim(self) -> int:
         return self.chart.dim
 
-    def __getitem__(self, k) -> "GaussJet":
-        """The jet at row k of a batch, sharing every value already computed."""
-        row = replace(self, **{f.name: getattr(self, f.name)[k] for f in fields(self) if f.name != "steps"})
-        if "coord_second" in vars(self):
-            vars(row)["coord_second"] = self.coord_second[k]
-        return row
-
     @cached_property
     def coord_second(self) -> np.ndarray:
         """(..., n, n, n+2) complex second chart derivatives of the lift.
@@ -128,7 +120,7 @@ class GaussJet:
         at, corners = hessian_stencil(self.chart.lift, self.point, h2, (2.0, 1.0, -1.0, -2.0))
         return np.moveaxis(second_derivative(h2, self.stencil.lift, at, corners), (0, 1), (-3, -2))
 
-    def lagrangian_residual(self) -> float:
+    def lagrangian_residual(self) -> np.ndarray:
         """Largest defect of the lifted orthonormal frame from a Lagrangian one, per row at a batch."""
         w = self.on_frame_vel @ self.coord_first
         herm = np.conj(w) @ w.swapaxes(-1, -2)
@@ -138,10 +130,13 @@ class GaussJet:
             np.abs(herm.real - np.eye(self.dim)).max(axis=(-2, -1)),
         )
 
-    def horizontality_residual(self) -> float:
-        """Largest Hermitian product of the lift derivatives with z and with conj z."""
-        z = self.lift.z
-        return float(max(np.abs(self.coord_first @ np.conj(z)).max(), np.abs(self.coord_first @ z).max()))
+    def horizontality_residual(self) -> np.ndarray:
+        """Largest Hermitian product of the lift derivatives with z and with conj z, per row at a batch."""
+        z = self.lift.z[..., :, None]
+        return np.maximum(
+            np.abs(self.coord_first @ np.conj(z)).max(axis=(-2, -1)),
+            np.abs(self.coord_first @ z).max(axis=(-2, -1)),
+        )
 
 
 def gauss_map(
@@ -264,24 +259,6 @@ class AngleSpectrum:
 
     def cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
         return np.cos(2.0 * self.thetas), np.sin(2.0 * self.thetas)
-
-    def __getitem__(self, k) -> "AngleSpectrum":
-        """The spectrum at row k of a batch, its gauge angle a float where it is one number at the row.
-
-        A gauge angle that broadcasts over further batch axes, as one angle per
-        point of a stencil batch does, keeps row k as an array.
-        """
-        phi = self.gauge.phi
-        if np.ndim(phi):
-            phi = np.broadcast_to(phi, self.thetas.shape[:-1])[k]
-        return AngleSpectrum(
-            thetas=self.thetas[k],
-            frame_vel=self.frame_vel[k],
-            frame_ambient=self.frame_ambient[k],
-            gauge=StructureGauge(phi if np.ndim(phi) else float(phi)),
-            lift=self.lift[k],
-            diag_residual=self.diag_residual[k],
-        )
 
 
 def mod_pi_distance(a, b):
@@ -449,6 +426,5 @@ def second_fundamental_form(
 
 
 def mean_curvature(ff: FundamentalForm) -> np.ndarray:
-    """Components of the mean curvature vector against the rotated frame."""
-    n = ff.h.shape[0]
-    return np.einsum("jji->i", ff.h) / n
+    """Components of the mean curvature vector against the rotated frame, batch axes in front."""
+    return np.einsum("...jji->...i", ff.h) / ff.h.shape[-1]

@@ -30,6 +30,7 @@ from .numerics import (
     eigen_solve,
     flagged_row,
     gram_schmidt,
+    row_dot,
     stencil_values,
     symmetric_eigen,
 )
@@ -141,8 +142,7 @@ class ChartStencil:
 
     p may be a batch of points (..., n): the stencils of all of them go to
     the chart in one embed and one normal call, and every quantity below
-    carries the batch shape in front, its eigendecompositions stacked; only
-    invariants reads a single point. stencil[k] is the stencil of row k.
+    carries the batch shape in front, its eigendecompositions stacked.
     """
 
     def __init__(self, chart: HypersurfaceChart, p, h: float):
@@ -154,15 +154,6 @@ class ChartStencil:
         self.d_embed = central_first(*a, h)
         self.d_normal = central_first(*b, h)
         self.d_lift = central_first(*_lift(a, b), h)
-
-    def __getitem__(self, k) -> "ChartStencil":
-        """The stencil of row k of a batch, sharing every value already computed."""
-        row = object.__new__(ChartStencil)
-        for name, value in vars(self).items():
-            if name != "chart":
-                value = tuple(v[k] for v in value) if isinstance(value, tuple) else value[k]
-            vars(row)[name] = value
-        return row
 
     def _embed_normal(self, x):
         return np.stack([self.chart.embed(x), self.chart.normal(x)], axis=-2)
@@ -192,15 +183,15 @@ class ChartStencil:
         """Ascending spectrum of the Gram matrix of the coordinate tangents, (..., n)."""
         return self.gram_eigen[0]
 
-    def invariants(self) -> dict[str, float]:
-        """Norms, orthogonality and tangency of embed and normal, and the rank margin."""
-        a, b = self.center
+    def invariants(self) -> dict[str, np.ndarray]:
+        """Norms, orthogonality and tangency of embed and normal, and the rank margin, per point."""
+        a, b = self.center[..., 0, :], self.center[..., 1, :]
         return {
-            "embed_norm": abs(float(a @ a) - 1.0),
-            "normal_norm": abs(float(b @ b) - 1.0),
-            "orthogonality": abs(float(a @ b)),
-            "normal_tangency": float(np.abs(self.d_embed @ b).max()),
-            "min_singular_value": float(np.sqrt(max(self.gram_spectrum[0], 0.0))),
+            "embed_norm": np.abs(row_dot(a, a) - 1.0),
+            "normal_norm": np.abs(row_dot(b, b) - 1.0),
+            "orthogonality": np.abs(row_dot(a, b)),
+            "normal_tangency": np.abs(self.d_embed @ b[..., :, None]).max(axis=(-2, -1)),
+            "min_singular_value": np.sqrt(np.maximum(self.gram_spectrum[..., 0], 0.0)),
         }
 
     def principal_curvatures(self) -> ShapeSpectrum:

@@ -27,6 +27,7 @@ __all__ = [
     "symmetric_eigen",
     "eigen_solve",
     "gram_schmidt",
+    "row_dot",
     "axis",
     "central_first",
     "central_second",
@@ -175,6 +176,15 @@ def gram_schmidt(vectors, dependence_tol: float = 1e-10) -> np.ndarray:
                 vs[..., i, :] -= dot(vs[..., i, :], vs[..., j, :]) * vs[..., j, :]
             vs[..., i, :] /= np.sqrt(dot(vs[..., i, :], vs[..., i, :]))
     return vs
+
+
+def row_dot(a, b) -> np.ndarray:
+    """The dot product of each row (..., k) of a with the same row of b, as one stacked matmul.
+
+    Every row reads bitwise the 1-D product a_row @ b_row; an einsum or a
+    product sum over the last axis rounds some rows differently.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def axis(n: int, i: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gram_schmidt
+from .numerics import gram_schmidt, row_dot
 
 __all__ = [
     "GeometryError",
@@ -48,20 +48,12 @@ class StiefelPoint:
     def z(self) -> np.ndarray:
         return self.u + 1j * self.v
 
-    def __getitem__(self, k) -> "StiefelPoint":
-        """Row k of a batch of lifts (..., n+2)."""
-        return StiefelPoint(u=self.u[k], v=self.v[k])
-
     def invariant_residuals(self) -> dict[str, float]:
         """Norm and orthogonality defects, as arrays over a batch of lifts."""
-
-        def dot(a, b):
-            return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
         return {
-            "u_norm": np.abs(dot(self.u, self.u) - 0.5),
-            "v_norm": np.abs(dot(self.v, self.v) - 0.5),
-            "orthogonality": np.abs(dot(self.u, self.v)),
+            "u_norm": np.abs(row_dot(self.u, self.u) - 0.5),
+            "v_norm": np.abs(row_dot(self.v, self.v) - 0.5),
+            "orthogonality": np.abs(row_dot(self.u, self.v)),
         }
 
     @staticmethod

@@ -318,9 +318,9 @@ class QuinticHermite:
         return self.value_and_derivative(t)[0]
 
 
-def rotational_angles(alpha: float, n: int) -> tuple[float, float]:
-    """Expected mod-pi angle pair (profile, orbit) for the profile angle."""
-    return float(np.mod((n - 1) * alpha, np.pi)), float(np.mod(-alpha, np.pi))
+def rotational_angles(alpha, n: int):
+    """Expected mod-pi angle pair (profile, orbit) for the profile angle, or for an array of them."""
+    return np.mod((n - 1) * alpha, np.pi), np.mod(-alpha, np.pi)
 
 
 def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
@@ -420,17 +420,13 @@ def _orbit_and_profile_angles(thetas: np.ndarray, n: int) -> tuple[float, float]
     return float(groups[0][0]), float(np.mod(mean, np.pi))
 
 
-def principal_pattern_residual(jet: GaussJet, n: int) -> float:
-    """Principal curvatures against the (1, n-1) cotangent pattern of the profile angle."""
-    alpha = jet.chart.meta["interp"].value(float(jet.point[0]))
+def principal_pattern_residual(jet: GaussJet, n: int) -> np.ndarray:
+    """Principal curvatures against the (1, n-1) cotangent pattern of the profile angle, per row at a batch."""
+    alpha = jet.chart.meta["interp"].value(jet.point[..., 0])
     prof_th, orbit_th = rotational_angles(alpha, n)
-    expected = np.sort(
-        np.array(
-            [np.cos(prof_th) / np.sin(prof_th)]
-            + [np.cos(orbit_th) / np.sin(orbit_th)] * (n - 1)
-        )
-    )
-    return float(np.abs(np.sort(jet.lambdas) - expected).max())
+    cots = [np.cos(prof_th) / np.sin(prof_th)] + [np.cos(orbit_th) / np.sin(orbit_th)] * (n - 1)
+    expected = np.sort(np.stack(cots, axis=-1), axis=-1)
+    return np.abs(np.sort(jet.lambdas, axis=-1) - expected).max(axis=-1)
 
 
 def warped_curvature_check(
@@ -511,5 +507,5 @@ def warped_curvature_check(
         "profile_second_order_ode": abs(
             e1_e1_alpha - (n + 1) / np.tan(n * alpha) * e1_alpha**2 - np.sin(2 * n * alpha)
         ),
-        "principal_vs_angle_pattern": principal_pattern_residual(jets[2], n),
+        "principal_vs_angle_pattern": float(principal_pattern_residual(jets, n)[2]),
     }

@@ -1,20 +1,22 @@
 """Residual verification of the structural identities of the Lagrangian frame.
 
-Each check compares two independently computed sides of an identity and
-returns its worst residual by report name; the caller applies tolerances.
+Each check compares two independently computed sides of an identity at
+every sample point of a run and returns, by report name, one worst residual
+per point; the caller applies tolerances. The checks read one SampleBatch,
+which holds every quantity of the run's points as one batch each.
 Curvature is computed twice, once algebraically from angles and the cubic
 form and once from finite differences of the induced metric, so that
 sign-convention bugs in either route cannot hide.
 
 Every identity is one numpy broadcast or einsum expression over its tensor
-indices; one taken over distinct indices masks the rest out, and its
-residual over an empty index set is 0.
+indices, the batch axes in front, reduced over the trailing axes; one taken
+over distinct indices masks the rest out, and its residual over an empty
+index set is 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,9 +44,9 @@ __all__ = [
     "VerifyError",
     "CheckResult",
     "ResidualReport",
-    "GaugePolicy",
-    "SamplePoint",
     "ConnectionData",
+    "SampleBatch",
+    "sample_batch",
     "FieldDerivatives",
     "field_derivatives",
     "connection_and_s",
@@ -105,103 +107,6 @@ class ResidualReport:
         }
 
 
-@dataclass(frozen=True)
-class GaugePolicy:
-    """How the structure gauge varies across nearby sample points.
-
-    'fixed' keeps one constant gauge angle; 'normalized' re-normalizes the
-    angle sum at every point (a genuinely varying gauge on non-minimal
-    examples), keeping the discrete family choice aligned to the reference;
-    at a batched jet, one angle per row.
-    """
-
-    mode: str = "fixed"
-    phi: float = 0.0
-
-    def spectrum(
-        self, jet: GaussJet, spec0: AngleSpectrum | None = None, ref_phi: float | None = None
-    ) -> AngleSpectrum:
-        """Angle spectrum of a jet, or a batch of jets, in the policy gauge.
-
-        The normalized mode reads its gauge from the canonical spectrum spec0,
-        solved here unless the caller holds it.
-        """
-        if self.mode == "fixed":
-            return angle_spectrum(jet, StructureGauge(self.phi))
-        if self.mode == "normalized":
-            return gauge_normalize(jet, angle_spectrum(jet) if spec0 is None else spec0, ref_phi)
-        raise VerifyError(f"unknown gauge mode '{self.mode}'")
-
-
-class SamplePoint:
-    """Every quantity the checks read at one sample point, each built once.
-
-    Wraps the Gauss-map jet at the point with its angle spectra in the
-    canonical gauge (spec0) and in the point's gauge (spec). A caller holding
-    both spectra, rows of one batch, passes them; otherwise they are solved
-    here, spec in the policy gauge; the metric-route curvature tensor and the
-    field derivatives likewise, rows of a run's batches or else computed on
-    first use by the same routines at the one point. The policy sets how the
-    gauge varies over the field-derivative stencils, by default held fixed at
-    the point's. Each other field is computed on first use and kept, so
-    checks sharing a point share its cubic form, field derivatives and
-    curvature tensor.
-    """
-
-    def __init__(
-        self,
-        jet: GaussJet,
-        policy: GaugePolicy | None = None,
-        spectra: tuple[AngleSpectrum, AngleSpectrum] | None = None,
-        curvature: np.ndarray | None = None,
-        fields: FieldDerivatives | None = None,
-    ):
-        if spectra is None:
-            spec0 = angle_spectrum(jet)
-            spectra = spec0, (spec0 if policy is None else policy.spectrum(jet, spec0))
-        self.jet = jet
-        self.spec0, self.spec = spectra
-        self.policy = policy or GaugePolicy("fixed", self.spec.gauge.phi)
-        self._curvature = curvature
-        self._fields = fields
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.jet.point
-
-    @property
-    def phi(self) -> float:
-        """Structure gauge angle at the point."""
-        return self.spec.gauge.phi
-
-    @cached_property
-    def ff(self) -> FundamentalForm:
-        return second_fundamental_form(self.jet, self.spec)
-
-    @property
-    def fields(self) -> FieldDerivatives:
-        """Field derivatives along the frame at the point."""
-        if self._fields is None:
-            self._fields = field_derivatives(self.jet, self.spec, self.policy)
-        return self._fields
-
-    @cached_property
-    def connection(self) -> ConnectionData:
-        return connection_and_s(self)
-
-    @property
-    def metric(self) -> np.ndarray:
-        """Induced metric of the Gauss map at the point, in chart coordinates."""
-        return self.jet.stencil.lift_metric
-
-    @property
-    def curvature(self) -> np.ndarray:
-        """Coordinate curvature tensor of the induced metric (metric route)."""
-        if self._curvature is None:
-            self._curvature = metric_curvature(self.jet)
-        return self._curvature
-
-
 # ---------------------------------------------------------------------------
 # frame transport and field derivatives
 # ---------------------------------------------------------------------------
@@ -210,7 +115,8 @@ def _align_to_reference(spec: AngleSpectrum, ref: AngleSpectrum, points: np.ndar
     """Permute and rotate nearby spectra so their frames follow the reference.
 
     ref is one spectrum or a batch of them, and the batch axes of spec begin
-    with those of ref: each row of spec[k] is aligned on its own to ref[k].
+    with those of ref: each row of spec under batch index k of ref is aligned
+    on its own to reference k.
     points holds the chart point of each row of spec. Frame vectors are
     matched cluster by cluster, clusters taken from the reference angles;
     inside each matched block the frame is rotated by the orthogonal
@@ -297,21 +203,19 @@ class FieldDerivatives:
     d_normal_lift: np.ndarray  # (n, n+2) complex: e_i(gauged conjugate lift)
     d_angle_sum: np.ndarray  # (n,): e_i(sum_j arctan lambda_j)
 
-    def __getitem__(self, k) -> "FieldDerivatives":
-        """The derivatives at row k of a batch."""
-        return FieldDerivatives(**{name: value[k] for name, value in vars(self).items()})
 
-
-def field_derivatives(jet: GaussJet, spec: AngleSpectrum, policy: GaugePolicy) -> FieldDerivatives:
+def field_derivatives(jet: GaussJet, spec: AngleSpectrum, renormalize: bool = False) -> FieldDerivatives:
     """Fourth-order derivatives of angles, frame, cubic form, normal lift, angle sum.
 
     At the point of a jet, or at every row of a batched jet, with spec its
-    spectra and policy one gauge angle or one per row. Evaluates the whole
-    pointwise pipeline at p +- {H, H/2} along every frame direction of every
-    point as one batch of 4n jets per point, aligns each stencil frame to its
-    center frame and differences the aligned fields along the offset axis.
-    The stencil gauge follows the policy, a normalized one kept nearest each
-    point's gauge. The result carries the batch axes in front.
+    spectra. Evaluates the whole pointwise pipeline at p +- {H, H/2} along
+    every frame direction of every point as one batch of 4n jets per point,
+    aligns each stencil frame to its center frame and differences the aligned
+    fields along the offset axis. Each point's gauge angle is held fixed over
+    its stencil; renormalize instead normalizes the gauge at every stencil
+    point, kept nearest the point's own (a varying gauge on a non-minimal
+    chart, which gives the gauge one-form s). The result carries the batch
+    axes in front.
     """
     h_step = jet.steps.field
     lead = np.ndim(jet.point) - 1
@@ -320,9 +224,12 @@ def field_derivatives(jet: GaussJet, spec: AngleSpectrum, policy: GaugePolicy) -
     offsets = np.array([1.0, 0.5, -0.5, -1.0]) * h_step
     q = jet.point[..., None, None, :] + offsets[:, None, None] * spec.frame_vel[..., None, :, :]
     jets = gauss_map(jet.chart, q, jet.steps)
-    # the gauge angles of each point, broadcast over its stencil rows
-    stencil_policy = replace(policy, phi=np.asarray(policy.phi)[..., None, None])
-    spec_q = stencil_policy.spectrum(jets, ref_phi=np.asarray(spec.gauge.phi)[..., None, None])
+    # the gauge angle of each point, broadcast over its stencil rows
+    phi = np.asarray(spec.gauge.phi)[..., None, None]
+    if renormalize:
+        spec_q = gauge_normalize(jets, angle_spectrum(jets), ref_phi=phi)
+    else:
+        spec_q = angle_spectrum(jets, StructureGauge(phi))
     spec_q = _align_to_reference(spec_q, spec, q)
     normal_lift = np.exp(1j * np.asarray(spec_q.gauge.phi))[..., None] * np.conj(jets.lift.z)
 
@@ -346,28 +253,60 @@ def field_derivatives(jet: GaussJet, spec: AngleSpectrum, policy: GaugePolicy) -
 
 @dataclass(frozen=True)
 class ConnectionData:
-    """Connection forms of the angle frame and the gauge one-form values.
+    """Connection forms of the angle frame and the gauge one-form values, batch axes in front.
 
-    omega[i, j, k] is the (j -> k) rotation rate along the i-th frame
-    direction; s[i] the pairing of the normal-lift derivative with its own
-    complex rotation.
+    omega[..., i, j, k] is the (j -> k) rotation rate along the i-th frame
+    direction; s[..., i] the pairing of the normal-lift derivative with its
+    own complex rotation; antisymmetry_defect one value per point.
     """
 
     omega: np.ndarray
     s: np.ndarray
-    antisymmetry_defect: float
+    antisymmetry_defect: np.ndarray
 
 
-def connection_and_s(pt: SamplePoint) -> ConnectionData:
+def connection_and_s(spec: AngleSpectrum, fields: FieldDerivatives) -> ConnectionData:
     """Connection forms and the gauge one-form from frame-field derivatives."""
-    fd = pt.fields
-    frame = pt.spec.frame_ambient
-    raw = np.einsum("ijm,km->ijk", fd.d_frame, np.conj(frame)).real
-    omega = 0.5 * (raw - np.transpose(raw, (0, 2, 1)))
-    defect = float(np.abs(raw + np.transpose(raw, (0, 2, 1))).max())
-    xi = np.exp(1j * pt.phi) * np.conj(pt.spec.lift.z)
-    s_vals = np.einsum("im,m->i", fd.d_normal_lift, np.conj(1j * xi)).real
-    return ConnectionData(omega=omega, s=s_vals, antisymmetry_defect=defect)
+    raw = np.einsum("...ijm,...km->...ijk", fields.d_frame, np.conj(spec.frame_ambient)).real
+    raw_t = raw.swapaxes(-1, -2)
+    xi = np.exp(1j * np.asarray(spec.gauge.phi))[..., None] * np.conj(spec.lift.z)
+    return ConnectionData(
+        omega=0.5 * (raw - raw_t),
+        s=np.einsum("...im,...m->...i", fields.d_normal_lift, np.conj(1j * xi)).real,
+        antisymmetry_defect=np.abs(raw + raw_t).max(axis=(-3, -2, -1)),
+    )
+
+
+@dataclass(frozen=True)
+class SampleBatch:
+    """Every quantity the checks read at a run's sample points, each one batch built once by sample_batch.
+
+    jets holds the Gauss-map jets of the points, spec0 and spec their angle
+    spectra in the canonical gauge and in the run's gauge; the cubic form,
+    the field derivatives, the metric-route curvature tensor and the
+    connection data carry the same batch axes in front.
+    """
+
+    jets: GaussJet
+    spec0: AngleSpectrum
+    spec: AngleSpectrum
+    ff: FundamentalForm
+    fields: FieldDerivatives
+    curvature: np.ndarray
+    connection: ConnectionData
+
+
+def sample_batch(jets: GaussJet, spec0: AngleSpectrum, spec: AngleSpectrum) -> SampleBatch:
+    """The checks' quantities at the jets of a run's sample points, given their two spectra.
+
+    The lift Hessians (for the cubic form), the metric route and the field
+    derivatives are one batch each for all the points; each point's gauge is
+    held fixed over its field stencil.
+    """
+    ff = second_fundamental_form(jets, spec)
+    curvature = metric_curvature(jets)
+    fields = field_derivatives(jets, spec)
+    return SampleBatch(jets, spec0, spec, ff, fields, curvature, connection_and_s(spec, fields))
 
 
 def _distinct(n: int, k: int) -> np.ndarray:
@@ -376,55 +315,54 @@ def _distinct(n: int, k: int) -> np.ndarray:
     return np.all(np.diff(idx, axis=0) > 0, axis=0)
 
 
-def structure_residuals(pt: SamplePoint) -> dict[str, float]:
-    """Structure operators B, C in the point's gauge: B^2 + C^2 = 1 and BC = CB."""
-    b, c = structure_operators(pt.jet, StructureGauge(pt.phi))
+def structure_residuals(b: SampleBatch) -> dict[str, np.ndarray]:
+    """Structure operators B, C in each point's gauge: B^2 + C^2 = 1 and BC = CB."""
+    op_b, op_c = structure_operators(b.jets, b.spec.gauge)
     return {
-        "structure_unit_norm": float(np.abs(b @ b + c @ c - np.eye(pt.jet.dim)).max()),
-        "structure_commute": float(np.abs(b @ c - c @ b).max()),
+        "structure_unit_norm": np.abs(op_b @ op_b + op_c @ op_c - np.eye(b.jets.dim)).max(axis=(-2, -1)),
+        "structure_commute": np.abs(op_b @ op_c - op_c @ op_b).max(axis=(-2, -1)),
     }
 
 
-def cotangent_residual(pt: SamplePoint) -> dict[str, float]:
+def cotangent_residual(b: SampleBatch) -> dict[str, np.ndarray]:
     """Descending principal curvatures against cot of the ascending canonical angles with |sin| > 1e-3."""
-    lam, th = pt.jet.lambdas, pt.spec0.thetas
-    far = np.abs(np.sin(th)) > 1e-3
-    res = np.abs(lam[far] - np.cos(th[far]) / np.sin(th[far]))
-    return {"curvature_angle_cotangent": float(res.max(initial=0.0))}
+    lam, th = b.jets.lambdas, b.spec0.thetas
+    sin = np.sin(th)
+    far = np.abs(sin) > 1e-3
+    res = np.abs(lam - np.cos(th) / np.where(far, sin, 1.0))
+    return {"curvature_angle_cotangent": np.where(far, res, 0.0).max(axis=-1, initial=0.0)}
 
 
-def check_prop1(pt: SamplePoint) -> dict[str, float]:
+def check_prop1(b: SampleBatch) -> dict[str, np.ndarray]:
     """First-order identities: angle gradients and frame rotation rates.
 
     angle_gradient_identity: e_i(theta_j) = h_jj^i - s(e_i)/2.
     frame_rotation_identity: sin(dtheta) omega = cos(dtheta) h for j != k.
     """
-    conn = pt.connection
-    th = pt.spec.thetas
-    h = pt.ff.h
-    gradient = pt.fields.d_theta - np.einsum("jji->ij", h) + 0.5 * conn.s[:, None]
-    dth = th[:, None] - th[None, :]  # [j, k] = theta_j - theta_k
+    conn, th, h = b.connection, b.spec.thetas, b.ff.h
+    gradient = b.fields.d_theta - np.einsum("...jji->...ij", h) + 0.5 * conn.s[..., :, None]
+    dth = (th[..., :, None] - th[..., None, :])[..., None, :, :]  # [j, k] = theta_j - theta_k
     rotation = np.sin(dth) * conn.omega - np.cos(dth) * h
     return {
-        "angle_gradient_identity": float(np.abs(gradient).max()),
-        "frame_rotation_identity": float(np.abs(rotation[:, _distinct(len(th), 2)]).max(initial=0.0)),
+        "angle_gradient_identity": np.abs(gradient).max(axis=(-2, -1)),
+        "frame_rotation_identity": np.abs(rotation[..., _distinct(b.jets.dim, 2)]).max(axis=(-2, -1), initial=0.0),
     }
 
 
-def palmer_residual(pt: SamplePoint) -> dict[str, float]:
+def palmer_residual(b: SampleBatch) -> dict[str, np.ndarray]:
     """Residual of Palmer's formula H = (1/n) J grad sum_j arctan lambda_j.
 
     The mean curvature comes from second derivatives of the lift at the
     point, the gradient from the shape operators at the field stencil points.
     Returns the largest frame component of the difference and of each side.
     """
-    lhs = -mean_curvature(pt.ff)
+    lhs = -mean_curvature(b.ff)
     # with the complex structure fixed as multiplication by +i the
     # gradient side enters with the opposite sign of the usual statement
     # (the one-form pairing flips with the orientation of J)
-    rhs = pt.fields.d_angle_sum / pt.jet.dim
+    rhs = b.fields.d_angle_sum / b.jets.dim
     sides = {"residual": lhs - rhs, "lhs": lhs, "rhs": rhs}
-    return {name: float(np.abs(v).max()) for name, v in sides.items()}
+    return {name: np.abs(v).max(axis=-1) for name, v in sides.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -500,77 +438,72 @@ def sectional_from_metric(r: np.ndarray, g: np.ndarray, x, y):
 def _in_frame(r: np.ndarray, f: np.ndarray) -> np.ndarray:
     """R(f_i, f_j, f_k, f_l) for the rows f_i of f: four single-index contractions
     in a fixed order, O(n^5) each (the five-operand einsum is one O(n^8) loop)."""
-    for spec in ("abcd,ld->abcl", "abcl,kc->abkl", "abkl,jb->ajkl", "ajkl,ia->ijkl"):
+    for spec in ("...abcd,...ld->...abcl", "...abcl,...kc->...abkl", "...abkl,...jb->...ajkl", "...ajkl,...ia->...ijkl"):
         r = np.einsum(spec, r, f)
     return r
 
 
-def gauss_equation_residual(pt: SamplePoint) -> dict[str, float]:
+def gauss_equation_residual(b: SampleBatch) -> dict[str, np.ndarray]:
     """Full curvature comparison: metric route against the algebraic route."""
-    spec = pt.spec
-    n = pt.jet.dim
-    r_frame = _in_frame(pt.curvature, spec.frame_vel)
-    cos2, sin2 = spec.cos_sin()
-    h = pt.ff.h
-    delta = np.eye(n)
-    pair = 1.0 + np.outer(cos2, cos2) + np.outer(sin2, sin2)
+    r_frame = _in_frame(b.curvature, b.spec.frame_vel)
+    cos2, sin2 = b.spec.cos_sin()
+    h = b.ff.h
+    delta = np.eye(b.jets.dim)
+    pair = 1.0 + cos2[..., :, None] * cos2[..., None, :] + sin2[..., :, None] * sin2[..., None, :]
     rhs = (
-        np.einsum("jk,il,ij->ijkl", delta, delta, pair)
-        - np.einsum("ik,jl,ij->ijkl", delta, delta, pair)
-        + np.einsum("jkm,ilm->ijkl", h, h)
-        - np.einsum("ikm,jlm->ijkl", h, h)
+        np.einsum("jk,il,...ij->...ijkl", delta, delta, pair)
+        - np.einsum("ik,jl,...ij->...ijkl", delta, delta, pair)
+        + np.einsum("...jkm,...ilm->...ijkl", h, h)
+        - np.einsum("...ikm,...jlm->...ijkl", h, h)
     )
-    return {"gauss_equation": float(np.abs(r_frame - rhs).max())}
+    return {"gauss_equation": np.abs(r_frame - rhs).max(axis=(-4, -3, -2, -1))}
 
 
-def codazzi_residual(pt: SamplePoint) -> dict[str, float]:
+def codazzi_residual(b: SampleBatch) -> dict[str, np.ndarray]:
     """Residual of the antisymmetrized covariant derivative of the cubic form."""
-    conn = pt.connection
-    n = pt.jet.dim
-    h = pt.ff.h
-    dh = pt.fields.d_cubic
-    omega = conn.omega
+    omega, h = b.connection.omega, b.ff.h
     nabla = (
-        dh
-        + np.einsum("jkm,iml->ijkl", h, omega)
-        - np.einsum("ijm,mkl->ijkl", omega, h)
-        - np.einsum("ikm,jml->ijkl", omega, h)
+        b.fields.d_cubic
+        + np.einsum("...jkm,...iml->...ijkl", h, omega)
+        - np.einsum("...ijm,...mkl->...ijkl", omega, h)
+        - np.einsum("...ikm,...jml->...ijkl", omega, h)
     )
-    th = pt.spec.thetas
-    delta = np.eye(n)
-    sin2d = np.sin(2.0 * (th[None, :] - th[:, None]))  # [i, j] = sin(2(theta_j - theta_i))
-    rhs = np.einsum("ij,jk,il->ijkl", sin2d, delta, delta) + np.einsum(
-        "ij,ik,jl->ijkl", sin2d, delta, delta
+    th = b.spec.thetas
+    delta = np.eye(b.jets.dim)
+    sin2d = np.sin(2.0 * (th[..., None, :] - th[..., :, None]))  # [i, j] = sin(2(theta_j - theta_i))
+    rhs = np.einsum("...ij,jk,il->...ijkl", sin2d, delta, delta) + np.einsum(
+        "...ij,ik,jl->...ijkl", sin2d, delta, delta
     )
-    lhs = nabla - np.transpose(nabla, (1, 0, 2, 3))
-    return {"codazzi_equation": float(np.abs(lhs - rhs).max())}
+    lhs = nabla - nabla.swapaxes(-4, -3)
+    return {"codazzi_equation": np.abs(lhs - rhs).max(axis=(-4, -3, -2, -1))}
 
 
 def sectional_curvature(spec: AngleSpectrum, ff: FundamentalForm) -> np.ndarray:
-    """Plane curvatures K[i, j] from angles and the cubic form (algebraic); K[i, i] = 0."""
+    """Plane curvatures K[..., i, j] from angles and the cubic form (algebraic); K[..., i, i] = 0."""
     th = spec.thetas
     h = ff.h
-    k = 2.0 * np.cos(th[:, None] - th[None, :]) ** 2 + (
-        np.einsum("iim,jjm->ij", h, h) - np.einsum("ijm,ijm->ij", h, h)
+    k = 2.0 * np.cos(th[..., :, None] - th[..., None, :]) ** 2 + (
+        np.einsum("...iim,...jjm->...ij", h, h) - np.einsum("...ijm,...ijm->...ij", h, h)
     )
-    np.fill_diagonal(k, 0.0)
-    return k
+    return np.where(np.eye(spec.dim, dtype=bool), 0.0, k)
 
 
-def sectional_residuals(pt: SamplePoint, target: float | None) -> dict[str, float]:
+def sectional_residuals(b: SampleBatch, target: float | None) -> dict[str, np.ndarray]:
     """Every frame plane's curvature: algebraic against metric route, and metric route against a target."""
-    i, j = np.triu_indices(pt.jet.dim, 1)
-    f = pt.spec.frame_vel
-    k_met = sectional_from_metric(pt.curvature, pt.metric, f[i], f[j])
-    k_alg = sectional_curvature(pt.spec, pt.ff)[i, j]
-    res = {"sectional_two_route": float(np.abs(k_alg - k_met).max(initial=0.0))}
+    i, j = np.triu_indices(b.jets.dim, 1)
+    f = b.spec.frame_vel
+    # the planes of each point share its tensor and metric
+    r, g = b.curvature[..., None, :, :, :, :], b.jets.stencil.lift_metric[..., None, :, :]
+    k_met = sectional_from_metric(r, g, f[..., i, :], f[..., j, :])
+    k_alg = sectional_curvature(b.spec, b.ff)[..., i, j]
+    res = {"sectional_two_route": np.abs(k_alg - k_met).max(axis=-1, initial=0.0)}
     if target is not None:
-        res["sectional_value"] = float(np.abs(k_met - target).max(initial=0.0))
+        res["sectional_value"] = np.abs(k_met - target).max(axis=-1, initial=0.0)
     return res
 
 
-def check_csc_identities(spec: AngleSpectrum, ff: FundamentalForm) -> dict[str, float]:
-    """Constant-curvature balance identities on the cubic form.
+def check_csc_identities(spec: AngleSpectrum, ff: FundamentalForm) -> dict[str, np.ndarray]:
+    """Constant-curvature balance identities on the cubic form, one residual per point.
 
     Only meaningful for examples with constant sectional curvature. With
     fewer than three frame directions every admissible index set is empty
@@ -581,19 +514,20 @@ def check_csc_identities(spec: AngleSpectrum, ff: FundamentalForm) -> dict[str, 
         return {}
     th = spec.thetas
     h = ff.h
-    s1 = np.sin(th[:, None] - th[None, :])  # [i, j] = sin(theta_i - theta_j)
-    s2 = np.sin(th[:, None, None] + th[None, :, None] - 2 * th)  # [i, j, k] = sin(theta_i + theta_j - 2 theta_k)
+    s1 = np.sin(th[..., :, None] - th[..., None, :])  # [i, j] = sin(theta_i - theta_j)
+    # [i, j, k] = sin(theta_i + theta_j - 2 theta_k)
+    s2 = np.sin(th[..., :, None, None] + th[..., None, :, None] - 2 * th[..., None, None, :])
     # [i, k, j] = h_iik sin(theta_i - theta_k) sin(theta_i + theta_k - 2 theta_j), symmetric in i, j
-    balance = (np.einsum("iik->ik", h) * s1)[..., None] * s2
+    balance = (np.einsum("...iik->...ik", h) * s1)[..., None] * s2
     # [i, j, k, l] = h_ijk sin(theta_i - theta_j) sin(theta_i + theta_j - 2 theta_l)
-    terms = h[..., None] * s1[:, :, None, None] * s2[:, :, None, :]
+    terms = h[..., None] * s1[..., :, :, None, None] * s2[..., :, :, None, :]
     distinct3 = _distinct(n, 3)
     residuals = {
-        "csc_diagonal_balance": float(np.abs(balance - balance.transpose(2, 1, 0))[distinct3].max()),
-        "csc_triple_vanishing": float(np.abs(np.einsum("ijkk->ijk", terms))[distinct3].max()),
+        "csc_diagonal_balance": np.abs(balance - balance.swapaxes(-3, -1))[..., distinct3].max(axis=-1),
+        "csc_triple_vanishing": np.abs(np.einsum("...ijkk->...ijk", terms))[..., distinct3].max(axis=-1),
     }
     if n >= 4:
-        residuals["csc_quadruple_vanishing"] = float(np.abs(terms)[_distinct(n, 4)].max())
+        residuals["csc_quadruple_vanishing"] = np.abs(terms)[..., _distinct(n, 4)].max(axis=-1)
     return residuals
 
 

@@ -4,9 +4,27 @@ Import them in a test module with `from references import ...` (pytest puts
 this directory on the import path).
 """
 
+import dataclasses
+
 import numpy as np
 
-from quadriclab.quadric import HorizontalVector, StiefelPoint, horizontal_project
+from quadriclab.gaussmap import (
+    angle_spectrum,
+    gauge_normalize,
+    gauss_map,
+    mean_curvature,
+    mod_pi_distance,
+    second_fundamental_form,
+    structure_operators,
+)
+from quadriclab.quadric import HorizontalVector, StiefelPoint, StructureGauge, horizontal_project
+from quadriclab.verify import (
+    ConnectionData,
+    connection_and_s,
+    field_derivatives,
+    sample_batch,
+    sectional_from_metric,
+)
 
 
 def box_sample(box, rng: np.random.Generator, margin: float = 0.0) -> np.ndarray:
@@ -42,3 +60,178 @@ def profile_velocity(theta: float, alpha: float, dalpha: float, n: int) -> np.nd
     w = np.sqrt(max(0.0, 1.0 - dalpha * dalpha))
     kappa = w * np.sin((n - 1) * alpha) / np.sin(n * alpha)
     return kappa * np.array([-dalpha, w * np.cos(theta), w * np.sin(theta)])
+
+
+def point_batch(chart, p, steps=None, normalized=False):
+    """The SampleBatch of the one point p, as a batch of one.
+
+    Canonical by default. normalized takes the normalized gauge at p and
+    normalizes the gauge again at every field-stencil point, a varying gauge
+    on a non-minimal chart.
+    """
+    jets = gauss_map(chart, np.reshape(p, (1, -1)), steps)
+    spec0 = angle_spectrum(jets)
+    if not normalized:
+        return sample_batch(jets, spec0, spec0)
+    spec = gauge_normalize(jets, spec0)
+    fields = field_derivatives(jets, spec, renormalize=True)
+    return dataclasses.replace(sample_batch(jets, spec0, spec), fields=fields, connection=connection_and_s(spec, fields))
+
+
+# ---------------------------------------------------------------------------
+# the per-point residual math of a verify report, one point at a time
+# ---------------------------------------------------------------------------
+
+def _distinct(n, k):
+    idx = np.sort(np.indices((n,) * k), axis=0)
+    return np.all(np.diff(idx, axis=0) > 0, axis=0)
+
+
+def ref_connection_and_s(spec, fields, phi):
+    raw = np.einsum("ijm,km->ijk", fields.d_frame, np.conj(spec.frame_ambient)).real
+    omega = 0.5 * (raw - np.transpose(raw, (0, 2, 1)))
+    defect = float(np.abs(raw + np.transpose(raw, (0, 2, 1))).max())
+    xi = np.exp(1j * phi) * np.conj(spec.lift.z)
+    s_vals = np.einsum("im,m->i", fields.d_normal_lift, np.conj(1j * xi)).real
+    return ConnectionData(omega=omega, s=s_vals, antisymmetry_defect=defect)
+
+
+def ref_in_frame_contractions(r, f):
+    """The frame transform of one point's curvature tensor as four single-index contractions."""
+    for spec in ("abcd,ld->abcl", "abcl,kc->abkl", "abkl,jb->ajkl", "ajkl,ia->ijkl"):
+        r = np.einsum(spec, r, f)
+    return r
+
+
+def ref_sectional_curvature_point(spec, h):
+    th = spec.thetas
+    k = 2.0 * np.cos(th[:, None] - th[None, :]) ** 2 + (
+        np.einsum("iim,jjm->ij", h, h) - np.einsum("ijm,ijm->ij", h, h)
+    )
+    np.fill_diagonal(k, 0.0)
+    return k
+
+
+def ref_csc_point(spec, h):
+    n = spec.thetas.shape[-1]
+    if n < 3:
+        return {}
+    th = spec.thetas
+    s1 = np.sin(th[:, None] - th[None, :])
+    s2 = np.sin(th[:, None, None] + th[None, :, None] - 2 * th)
+    balance = (np.einsum("iik->ik", h) * s1)[..., None] * s2
+    terms = h[..., None] * s1[:, :, None, None] * s2[:, :, None, :]
+    distinct3 = _distinct(n, 3)
+    residuals = {
+        "csc_diagonal_balance": float(np.abs(balance - balance.transpose(2, 1, 0))[distinct3].max()),
+        "csc_triple_vanishing": float(np.abs(np.einsum("ijkk->ijk", terms))[distinct3].max()),
+    }
+    if n >= 4:
+        residuals["csc_quadruple_vanishing"] = float(np.abs(terms)[_distinct(n, 4)].max())
+    return residuals
+
+
+def ref_chart_invariants(stencil):
+    a, b = stencil.center
+    return {
+        "embed_norm": abs(float(a @ a) - 1.0),
+        "normal_norm": abs(float(b @ b) - 1.0),
+        "orthogonality": abs(float(a @ b)),
+        "normal_tangency": float(np.abs(stencil.d_embed @ b).max()),
+        "min_singular_value": float(np.sqrt(max(stencil.gram_spectrum[0], 0.0))),
+    }
+
+
+def ref_horizontality(jet):
+    z = jet.lift.z
+    return float(max(np.abs(jet.coord_first @ np.conj(z)).max(), np.abs(jet.coord_first @ z).max()))
+
+
+def ref_principal_pattern(jet, n):
+    alpha = jet.chart.meta["interp"].value(float(jet.point[0]))
+    prof_th, orbit_th = float(np.mod((n - 1) * alpha, np.pi)), float(np.mod(-alpha, np.pi))
+    expected = np.sort(
+        np.array([np.cos(prof_th) / np.sin(prof_th)] + [np.cos(orbit_th) / np.sin(orbit_th)] * (n - 1))
+    )
+    return float(np.abs(np.sort(jet.lambdas) - expected).max())
+
+
+def ref_point_residuals(jet, spec0, spec, fields, curvature, example, gauge, target):
+    """Every residual of one point's verify report, in report order, from that point's own data.
+
+    jet is the Gauss-map jet at the point, spec0 and spec its spectra in the
+    canonical and the run's gauge (the gauge angle a float), fields its field
+    derivatives and curvature its metric-route tensor; example, gauge and the
+    sectional target select the checks as cli.cmd_verify does.
+    """
+    n = jet.dim
+    phi = spec.gauge.phi
+    ff = second_fundamental_form(jet, spec)
+    h = ff.h
+    conn = ref_connection_and_s(spec, fields, phi)
+    inv = ref_chart_invariants(jet.stencil)
+    b_op, c_op = structure_operators(jet, StructureGauge(phi))
+    lam, th0 = jet.lambdas, spec0.thetas
+    far = np.abs(np.sin(th0)) > 1e-3
+    lhs = -mean_curvature(ff)
+    rhs = fields.d_angle_sum / n
+    res = {
+        "chart_invariants": max(v for k, v in inv.items() if k != "min_singular_value"),
+        "chart_rank_margin": max(0.0, 1e-6 - inv["min_singular_value"]),
+        "lagrangian": float(jet.lagrangian_residual()),
+        "horizontality": ref_horizontality(jet),
+        "structure_unit_norm": float(np.abs(b_op @ b_op + c_op @ c_op - np.eye(n)).max()),
+        "structure_commute": float(np.abs(b_op @ c_op - c_op @ b_op).max()),
+        "curvature_angle_cotangent": float(
+            np.abs(lam[far] - np.cos(th0[far]) / np.sin(th0[far])).max(initial=0.0)
+        ),
+        "cubic_symmetry": float(ff.symmetry_defect),
+        "mean_curvature_norm": float(np.linalg.norm(mean_curvature(ff))),
+        "palmer_formula": float(np.abs(lhs - rhs).max()),
+    }
+    if gauge == "normalized":
+        res["gauge_one_form"] = float(np.abs(conn.s).max())
+    res["connection_antisymmetry"] = conn.antisymmetry_defect
+    th = spec.thetas
+    gradient = fields.d_theta - np.einsum("jji->ij", h) + 0.5 * conn.s[:, None]
+    dth = th[:, None] - th[None, :]
+    rotation = np.sin(dth) * conn.omega - np.cos(dth) * h
+    res["angle_gradient_identity"] = float(np.abs(gradient).max())
+    res["frame_rotation_identity"] = float(np.abs(rotation[:, _distinct(n, 2)]).max(initial=0.0))
+    cos2, sin2 = spec.cos_sin()
+    delta = np.eye(n)
+    pair = 1.0 + np.outer(cos2, cos2) + np.outer(sin2, sin2)
+    gauss_rhs = (
+        np.einsum("jk,il,ij->ijkl", delta, delta, pair)
+        - np.einsum("ik,jl,ij->ijkl", delta, delta, pair)
+        + np.einsum("jkm,ilm->ijkl", h, h)
+        - np.einsum("ikm,jlm->ijkl", h, h)
+    )
+    res["gauss_equation"] = float(np.abs(ref_in_frame_contractions(curvature, spec.frame_vel) - gauss_rhs).max())
+    omega = conn.omega
+    nabla = (
+        fields.d_cubic
+        + np.einsum("jkm,iml->ijkl", h, omega)
+        - np.einsum("ijm,mkl->ijkl", omega, h)
+        - np.einsum("ikm,jml->ijkl", omega, h)
+    )
+    sin2d = np.sin(2.0 * (th[None, :] - th[:, None]))
+    codazzi_rhs = np.einsum("ij,jk,il->ijkl", sin2d, delta, delta) + np.einsum("ij,ik,jl->ijkl", sin2d, delta, delta)
+    res["codazzi_equation"] = float(np.abs(nabla - np.transpose(nabla, (1, 0, 2, 3)) - codazzi_rhs).max())
+    i, j = np.triu_indices(n, 1)
+    f = spec.frame_vel
+    k_met = sectional_from_metric(curvature, jet.stencil.lift_metric, f[i], f[j])
+    k_alg = ref_sectional_curvature_point(spec, h)[i, j]
+    res["sectional_two_route"] = float(np.abs(k_alg - k_met).max(initial=0.0))
+    if target is not None:
+        res["sectional_value"] = float(np.abs(k_met - target).max(initial=0.0))
+    if example == "sphere":
+        res["angles_equal"] = float(np.max(mod_pi_distance(th[i], th[j]), initial=0.0))
+    elif example == "cartan":
+        res["angle_gaps_third_pi"] = max(abs(th[1] - th[0] - np.pi / 3.0), abs(th[2] - th[1] - np.pi / 3.0))
+        res["cubic_component_squared"] = abs(h[0, 1, 2] ** 2 - 0.375)
+    elif example == "rotational":
+        res["principal_vs_angle_pattern"] = ref_principal_pattern(jet, n)
+    if target is not None:
+        res.update(ref_csc_point(spec, h))
+    return {name: float(v) for name, v in res.items()}

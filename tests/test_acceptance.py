@@ -42,8 +42,6 @@ from quadriclab.rotational import (
     warped_curvature_check,
 )
 from quadriclab.verify import (
-    GaugePolicy,
-    SamplePoint,
     check_prop1,
     codazzi_residual,
     curvature_from_metric,
@@ -53,7 +51,7 @@ from quadriclab.verify import (
     reconstruct_hypersurface,
     sectional_from_metric,
 )
-from references import box_sample, quadric_distance, random_horizontal, random_stiefel
+from references import box_sample, point_batch, quadric_distance, random_horizontal, random_stiefel
 
 
 def report(criterion, ok, detail):
@@ -108,11 +106,11 @@ def test_criterion_02_sphere_gauss_map():
     for n in (2, 3, 4):
         chart = round_sphere(n, 1.0 / np.sqrt(2.0))
         for x in sample_points(chart, 10, seed=n):
-            pt = SamplePoint(gauss_map(chart, x, steps))
+            pt = point_batch(chart, x, steps)
             spec = pt.spec0
-            worst_gap = max(worst_gap, float(np.ptp(spec.thetas)))
+            worst_gap = max(worst_gap, float(np.ptp(spec.thetas[0])))
             k = sectional_from_metric(
-                pt.curvature, pt.metric, spec.frame_vel[0], spec.frame_vel[1]
+                pt.curvature[0], pt.jets.stencil.lift_metric[0], spec.frame_vel[0, 0], spec.frame_vel[0, 1]
             )
             worst_k = max(worst_k, abs(k - 2.0))
     elapsed = time.monotonic() - start
@@ -148,7 +146,7 @@ def test_criterion_04_cartan_tube():
     worst_gap = worst_h = worst_k = 0.0
     for x in sample_points(chart, 3):
         jet = gauss_map(chart, x, steps)
-        pt = SamplePoint(jet)
+        pt = point_batch(chart, x, steps)
         spec = gauge_normalize(jet, angle_spectrum(jet))
         th = np.sort(spec.thetas)
         worst_gap = max(
@@ -161,7 +159,7 @@ def test_criterion_04_cartan_tube():
         for i in range(3):
             for j in range(i + 1, 3):
                 k = sectional_from_metric(
-                    pt.curvature, pt.metric, spec.frame_vel[i], spec.frame_vel[j]
+                    pt.curvature[0], pt.jets.stencil.lift_metric[0], spec.frame_vel[i], spec.frame_vel[j]
                 )
                 worst_k = max(worst_k, abs(k - 0.125))
     elapsed = time.monotonic() - start
@@ -182,7 +180,7 @@ def test_criterion_05_minimality():
             jet = gauss_map(chart, x, steps)
             ff = second_fundamental_form(jet, angle_spectrum(jet))
             worst_h = max(worst_h, float(np.linalg.norm(mean_curvature(ff))))
-            worst_p = max(worst_p, palmer_residual(SamplePoint(jet))["residual"])
+            worst_p = max(worst_p, float(palmer_residual(point_batch(chart, x, steps))["residual"][0]))
     report(
         5,
         worst_h < 1e-5 and worst_p < 1e-5,
@@ -243,11 +241,11 @@ def test_criterion_08_first_order_identities(rotational_chart):
     worst_iso = 0.0
     for chart in isoparametric_catalog():
         x = chart.box.center + 0.05
-        rep = check_prop1(SamplePoint(gauss_map(chart, x, steps), GaugePolicy("normalized")))
-        worst_iso = max(worst_iso, max(rep.values()))
+        rep = check_prop1(point_batch(chart, x, steps, normalized=True))
+        worst_iso = max(worst_iso, max(float(v[0]) for v in rep.values()))
     x = rotational_chart.box.center
-    rep = check_prop1(SamplePoint(gauss_map(rotational_chart, x, steps), GaugePolicy("normalized")))
-    worst_rot = max(rep.values())
+    rep = check_prop1(point_batch(rotational_chart, x, steps, normalized=True))
+    worst_rot = max(float(v[0]) for v in rep.values())
     report(
         8,
         worst_iso < 1e-8 and worst_rot < 1e-4,
@@ -262,11 +260,11 @@ def test_criterion_09_gauss_codazzi(rotational_chart):
     charts = isoparametric_catalog() + [rotational_chart]
     for chart in charts:
         x = chart.box.center + (0.05 if chart.name != "rotational" else 0.0)
-        pt = SamplePoint(gauss_map(chart, x, steps), GaugePolicy("normalized"))
+        pt = point_batch(chart, x, steps, normalized=True)
         worst = max(
             worst,
-            gauss_equation_residual(pt)["gauss_equation"],
-            codazzi_residual(pt)["codazzi_equation"],
+            float(gauss_equation_residual(pt)["gauss_equation"][0]),
+            float(codazzi_residual(pt)["codazzi_equation"][0]),
         )
     ode_form = warped_curvature_check(rotational_chart, 3, rotational_chart.meta["c1"], steps)[
         "profile_second_order_ode"

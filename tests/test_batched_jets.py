@@ -9,7 +9,9 @@ solves one stacked polar factor per reference cluster, the sample points of a
 run take their spectra from one batch per gauge, the metric route of those
 points is one curvature_from_metric call, and warped_curvature_check reads
 its five jets as one batch and its side metrics as one call; the per-jet,
-per-row and per-point code they replaced is kept below as the reference. A
+per-row and per-point code they replaced is kept below as the reference, and
+every report entry of a verify run, one column over the run's batch, equals
+the per-point residual math of tests/references.py fed by it. A
 failing row must raise naming that row's point, and a stacked eigensolve
 checks each matrix on its own.
 """
@@ -71,16 +73,16 @@ from quadriclab.rotational import (
 )
 from quadriclab.verify import (
     FieldDerivatives,
-    GaugePolicy,
-    SamplePoint,
     VerifyError,
     _align_to_reference,
     curvature_from_metric,
     field_derivatives,
     gauss_metric_fn,
     metric_curvature,
+    sample_batch,
     sectional_from_metric,
 )
+from references import point_batch, ref_point_residuals
 
 STEPS = FdSteps()
 
@@ -180,10 +182,15 @@ def ref_align_to_reference(spec, ref):
 # reference: field_derivatives of one point, jet by jet
 # ---------------------------------------------------------------------------
 
-def ref_field_derivatives(pt):
-    spec = pt.spec
-    n = pt.jet.dim
-    h_step = pt.jet.steps.field
+def ref_field_derivatives(jet, spec, renormalize=False):
+    """The field derivatives at the one point of jet, spec its spectrum there.
+
+    The stencil gauge is the point's, or with renormalize each stencil jet's
+    normalized one nearest the point's.
+    """
+    n = jet.dim
+    h_step = jet.steps.field
+    phi = spec.gauge.phi
     d_cos2 = np.empty((n, n))
     d_sin2 = np.empty((n, n))
     d_frame = np.empty((n, n, n + 2), dtype=complex)
@@ -194,8 +201,8 @@ def ref_field_derivatives(pt):
         vel = spec.frame_vel[i]
         cos2_s, sin2_s, frame_s, cubic_s, lift_s, sum_s = [], [], [], [], [], []
         for c in (1.0, 0.5, -0.5, -1.0):
-            jet_q = gauss_map(pt.jet.chart, pt.p + c * h_step * vel, pt.jet.steps)
-            phi_q = pt.policy.phi if pt.policy.mode == "fixed" else ref_normalized_phase(jet_q, pt.phi)
+            jet_q = gauss_map(jet.chart, jet.point + c * h_step * vel, jet.steps)
+            phi_q = ref_normalized_phase(jet_q, phi) if renormalize else phi
             spec_q = ref_align_to_reference(ref_angle_spectrum(jet_q, StructureGauge(phi_q)), spec)
             cos2_q, sin2_q = spec_q.cos_sin()
             cos2_s.append(cos2_q)
@@ -221,7 +228,7 @@ def ref_field_derivatives(pt):
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-point gauge loop of cli._sample_points
+# reference: the per-point gauge loop of a run's sample points
 # ---------------------------------------------------------------------------
 
 def ref_normalized_phase(jet, ref_phi=None):
@@ -243,15 +250,15 @@ def ref_gauge_normalize(jet, ref_phi=None):
 
 
 def ref_sample_points(chart, cfg):
-    """(phase, canonical spectrum, gauged spectrum) of each sample point, solved point by point."""
+    """(jet, phase, canonical spectrum, gauged spectrum) of each sample point, solved point by point."""
     margin = max(0.03, 3.0 * cfg.steps().stencil_margin)
-    jets = gauss_map(chart, cli.kronecker_points(chart.box, cfg.grid, cfg.seed, margin), cfg.steps())
     points = []
-    for k in range(cfg.grid):
-        ref_phi = points[0][0] if points else None
-        phi = 0.0 if cfg.gauge == "canonical" else ref_gauge_normalize(jets[k], ref_phi).phi
-        spectra = (ref_angle_spectrum(jets[k], StructureGauge(0.0)), ref_angle_spectrum(jets[k], StructureGauge(phi)))
-        points.append((phi, *spectra))
+    for p in cli.kronecker_points(chart.box, cfg.grid, cfg.seed, margin):
+        jet = gauss_map(chart, p, cfg.steps())
+        ref_phi = points[0][1] if points else None
+        phi = 0.0 if cfg.gauge == "canonical" else ref_gauge_normalize(jet, ref_phi).phi
+        spectra = (ref_angle_spectrum(jet, StructureGauge(0.0)), ref_angle_spectrum(jet, StructureGauge(phi)))
+        points.append((jet, phi, *spectra))
     return points
 
 
@@ -281,8 +288,7 @@ def ref_warped_curvature_check(chart, n, c1, steps):
         return float(np.pi - orbit)
 
     offsets = (-2, -1, 0, 1, 2)
-    batch = gauss_map(chart, p + (np.array(offsets) * h)[:, None] * e0, steps)
-    jets = {c: batch[k] for k, c in enumerate(offsets)}
+    jets = {c: gauss_map(chart, p + c * h * e0, steps) for c in offsets}
     gs = {c: jet.stencil.lift_metric for c, jet in jets.items()}
     alphas = {c: alpha_from_gauss(jet) for c, jet in jets.items()}
     vs = {c: float(np.sqrt(g[0, 0])) for c, g in gs.items()}
@@ -327,7 +333,7 @@ def ref_warped_curvature_check(chart, n, c1, steps):
         "profile_second_order_ode": abs(
             e1_e1_alpha - (n + 1) / np.tan(n * alpha) * e1_alpha**2 - np.sin(2 * n * alpha)
         ),
-        "principal_vs_angle_pattern": principal_pattern_residual(jets[0], n),
+        "principal_vs_angle_pattern": float(principal_pattern_residual(jets[0], n)),
     }
 
 
@@ -385,12 +391,9 @@ def test_batch_rows_equal_single_points(name, size, seed):
         # without a reference, every row takes the gauge nearest row 0's
         phi = normalized_phase(angle_spectrum(one), ref_phi=phis[0])
         assert phis[k] == phi
-        row = jets[k]
-        for got in (jets.lift.z[k], row.lift.z):
-            assert np.array_equal(got, one.lift.z)
+        assert np.array_equal(jets.lift.z[k], one.lift.z)
         for field in ("lambdas", "principal_vel", "principal_ambient", "on_frame_vel", "coord_first", "coord_second"):
             assert np.array_equal(getattr(jets, field)[k], getattr(one, field))
-            assert np.array_equal(getattr(row, field), getattr(one, field))
         for spec, gauge in ((canonical, 0.0), (normalized, phi)):
             want = angle_spectrum(one, StructureGauge(gauge))
             for field in ("thetas", "frame_vel", "frame_ambient"):
@@ -399,9 +402,10 @@ def test_batch_rows_equal_single_points(name, size, seed):
         assert np.array_equal(cubic[k], want)
 
 
-def assert_fields_equal(got, want):
+def assert_fields_equal(got, want, k):
+    """Row k of the field derivatives of a batch equals the one point's."""
     for field in ("d_theta", "d_frame", "d_cubic", "d_normal_lift", "d_angle_sum"):
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert np.array_equal(getattr(got, field)[k], getattr(want, field)), field
 
 
 @pytest.mark.parametrize("mode", ["fixed", "normalized"])
@@ -410,24 +414,23 @@ def test_field_derivatives_match_per_jet_loop(example, n, mode):
     # fixed: a run's sample points, in either gauge, share one field-derivative
     # batch, each point's gauge held fixed over its stencil; normalized: the
     # stencil gauge re-normalized at every jet, nearest each point's own gauge,
-    # for a batch of points and for a standalone point. Each point's row is the
-    # jet-by-jet reference.
+    # for a batch of points and for a batch of one point in its own normalized
+    # gauge. Each point's row is the jet-by-jet reference.
+    renormalize = mode == "normalized"
     for gauge in ("normalized", "canonical"):
         cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
-        if mode == "fixed":
-            for pt in cli._sample_points(*cli._sample_jets(build_example(cfg), cfg)):
-                assert pt.policy == GaugePolicy("fixed", pt.phi)
-                assert_fields_equal(pt.fields, ref_field_derivatives(pt))
-            continue
-        jets, spec0, spec = cli._sample_jets(build_example(cfg), cfg)
-        batch = field_derivatives(jets, spec, GaugePolicy("normalized"))
-        for k in range(cfg.grid):
-            pt = SamplePoint(jets[k], GaugePolicy("normalized"), spectra=(spec0[k], spec[k]))
-            want = ref_field_derivatives(pt)
-            assert_fields_equal(batch[k], want)
-            assert_fields_equal(pt.fields, want)
-            alone = SamplePoint(jets[k], GaugePolicy("normalized"))
-            assert_fields_equal(alone.fields, ref_field_derivatives(alone))
+        chart = build_example(cfg)
+        jets, spec0, spec = cli._sample_jets(chart, cfg)
+        if renormalize:
+            batch = field_derivatives(jets, spec, renormalize=True)
+        else:
+            batch = sample_batch(jets, spec0, spec).fields
+        for k, (jet, _, _, spec_k) in enumerate(ref_sample_points(chart, cfg)):
+            assert_fields_equal(batch, ref_field_derivatives(jet, spec_k, renormalize), k)
+            if renormalize:
+                alone = point_batch(chart, jet.point, cfg.steps(), normalized=True)
+                own = ref_angle_spectrum(jet, StructureGauge(ref_normalized_phase(jet)))
+                assert_fields_equal(alone.fields, ref_field_derivatives(jet, own, True), 0)
 
 
 def mixed_pattern_stack():
@@ -473,8 +476,14 @@ def test_angle_spectrum_matches_per_row_sub_solves(example, n, gauge):
         for field in ("thetas", "frame_vel", "frame_ambient", "diag_residual"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         for k in np.ndindex(jet.point.shape[:-1]):
-            one = angle_spectrum(jet[k], StructureGauge(np.broadcast_to(g.phi, jet.point.shape[:-1])[k]))
+            alone = gauss_map(jet.chart, jet.point[k], STEPS)
+            one = angle_spectrum(alone, StructureGauge(np.broadcast_to(g.phi, jet.point.shape[:-1])[k]))
             assert np.array_equal(got.frame_ambient[k], one.frame_ambient)
+
+
+def frames_at(spec, k):
+    """Row k of the angle and frame arrays of a batch of spectra, the fields alignment reads."""
+    return dataclasses.replace(spec, **{f: getattr(spec, f)[k] for f in ("thetas", "frame_vel", "frame_ambient")})
 
 
 @pytest.mark.parametrize("gauge", ["normalized", "canonical"])
@@ -493,53 +502,23 @@ def test_alignment_matches_per_row_polar_factors(example, n, gauge):
     got = _align_to_reference(spec_q, spec, q)
     for k in range(len(q)):
         # the stencil of point k, a batch of 4n rows
-        rows = dataclasses.replace(
-            spec_q, **{f: getattr(spec_q, f)[k] for f in ("thetas", "frame_vel", "frame_ambient")}
-        )
-        want = ref_align_to_reference(rows, spec[k])
+        rows = frames_at(spec_q, k)
+        want = ref_align_to_reference(rows, frames_at(spec, k))
         for field in ("thetas", "frame_vel", "frame_ambient"):
             assert np.array_equal(getattr(got, field)[k], getattr(want, field)), field
         # a single reference aligns the same rows alike
-        one = _align_to_reference(rows, spec[k], q[k])
+        one = _align_to_reference(rows, frames_at(spec, k), q[k])
         assert np.array_equal(one.frame_ambient, want.frame_ambient)
-
-
-@pytest.mark.parametrize("gauge", ["normalized", "canonical"])
-@pytest.mark.parametrize("example, n", BENCHMARK_CONFIGS + [("mixed", 3)])
-def test_stencil_spectrum_rows_match_hand_slicing(example, n, gauge):
-    # spec_q[k], whose gauge angle is per point and broadcast over the 4n
-    # stencil rows, raised TypeError from float(phi[k])
-    if example == "mixed":
-        jets, phis = mixed_pattern_stack()
-        spec = angle_spectrum(jets, StructureGauge(phis if gauge == "normalized" else 0.0))
-    else:
-        cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
-        jets, _, spec = cli._sample_jets(build_example(cfg), cfg)
-    stencil, stencil_gauge = stencil_jets(jets, spec)
-    spec_q = angle_spectrum(stencil, stencil_gauge)
-    for k in range(len(stencil.point)):
-        row = spec_q[k]
-        # the hand slicing of test_alignment_matches_per_row_polar_factors
-        for field in ("thetas", "frame_vel", "frame_ambient"):
-            assert np.array_equal(getattr(row, field), getattr(spec_q, field)[k]), field
-        assert np.array_equal(row.diag_residual, spec_q.diag_residual[k])
-        assert np.array_equal(row.lift.z, spec_q.lift.z[k])
-        assert np.array_equal(row.gauge.phi, np.broadcast_to(stencil_gauge.phi, stencil.point.shape[:-1])[k])
-        # the row's gauge solves the row's spectrum again
-        again = angle_spectrum(stencil[k], row.gauge)
-        assert np.array_equal(again.frame_ambient, row.frame_ambient)
-    # a row of a batch whose gauge is one angle per row is still a float
-    assert all(type(spec[k].gauge.phi) is float for k in range(len(jets.point)))
 
 
 def test_mixed_pattern_field_derivatives_match_per_jet_loop():
     # rows of one field-derivative batch whose references differ in cluster pattern
     jets, phis = mixed_pattern_stack()
     spec = angle_spectrum(jets, StructureGauge(phis))
-    batch = field_derivatives(jets, spec, GaugePolicy("fixed", phis))
+    batch = field_derivatives(jets, spec)
     for k in range(len(phis)):
-        pt = SamplePoint(jets[k], spectra=(angle_spectrum(jets[k]), spec[k]))
-        assert_fields_equal(batch[k], ref_field_derivatives(pt))
+        jet = gauss_map(jets.chart, jets.point[k], STEPS)
+        assert_fields_equal(batch, ref_field_derivatives(jet, ref_angle_spectrum(jet, StructureGauge(phis[k]))), k)
 
 
 @pytest.mark.parametrize("gauge", ["normalized", "canonical"])
@@ -549,16 +528,16 @@ def test_sample_points_match_per_point_gauge_loop(example, n, gauge):
     # phase and spectra that the point-by-point loop solved
     cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
     chart = build_example(cfg)
-    got = cli._sample_points(*cli._sample_jets(chart, cfg))
-    assert len(got) == cfg.grid
-    for pt, (phi, spec0, spec) in zip(got, ref_sample_points(chart, cfg)):
-        assert pt.phi == phi and type(pt.phi) is float
-        assert pt.policy == GaugePolicy("fixed", phi)
-        for have, want in ((pt.spec0, spec0), (pt.spec, spec)):
-            assert have.gauge == want.gauge
-            assert np.array_equal(have.lift.z, want.lift.z)
+    got = sample_batch(*cli._sample_jets(chart, cfg))
+    refs = ref_sample_points(chart, cfg)
+    assert len(got.jets.point) == len(refs) == cfg.grid
+    for k, (jet, phi, spec0, spec) in enumerate(refs):
+        assert np.array_equal(got.jets.point[k], jet.point)
+        for have, want in ((got.spec0, spec0), (got.spec, spec)):
+            assert np.broadcast_to(have.gauge.phi, (cfg.grid,))[k] == want.gauge.phi
+            assert np.array_equal(have.lift.z[k], want.lift.z)
             for field in ("thetas", "frame_vel", "frame_ambient", "diag_residual"):
-                assert np.array_equal(getattr(have, field), getattr(want, field))
+                assert np.array_equal(getattr(have, field)[k], getattr(want, field))
 
 
 @pytest.mark.parametrize("example, n", BENCHMARK_CONFIGS)
@@ -575,9 +554,33 @@ def test_batched_curvature_equals_single_points(example, n):
     nested = curvature_from_metric(metric, jets.point[None], steps.metric, jets.stencil.lift_metric[None])
     assert np.array_equal(nested[0], batch)
     for k in range(cfg.grid):
-        one = curvature_from_metric(metric, jets.point[k], steps.metric, jets[k].stencil.lift_metric)
+        one = curvature_from_metric(metric, jets.point[k], steps.metric, jets.stencil.lift_metric[k])
         assert np.array_equal(batch[k], one)
-        assert np.array_equal(SamplePoint(jets[k]).curvature, one)
+        assert np.array_equal(metric_curvature(gauss_map(chart, jets.point[k], steps)), one)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("gauge", ["normalized", "canonical"])
+@pytest.mark.parametrize("example, n", BENCHMARK_CONFIGS + [("sphere", 1), ("sphere", 2), ("sphere", 8)])
+def test_report_columns_match_per_point_twin(example, n, gauge, seed):
+    # every report entry of a verify run, read from one column over the run's
+    # batch, equals bitwise the per-point residual math fed by the per-point
+    # references: each point's own jet, spectra, field derivatives and
+    # metric-route tensor. Sphere n = 1 and 2 have empty distinct-index sets
+    # and no constant-curvature balance checks; n = 8 is the largest tensors
+    cfg = RunConfig(command="verify", example=example, n=n, grid=2 if n == 8 else 3, gauge=gauge, seed=seed)
+    chart = build_example(cfg)
+    _, payload = cli.cmd_verify(cfg)
+    refs = ref_sample_points(chart, cfg)
+    assert len(payload["results"]) == cfg.grid + cfg.entry.isoparametric
+    for row, (jet, _, spec0, spec) in zip(payload["results"], refs):
+        assert row["point"] == jet.point.tolist()
+        fields = ref_field_derivatives(jet, spec)
+        target = cfg.entry.sectional(n)
+        want = ref_point_residuals(jet, spec0, spec, fields, metric_curvature(jet), example, gauge, target)
+        got = {c["name"]: c["residual"] for c in row["checks"]}
+        assert list(got) == list(want)
+        assert got == want
 
 
 def test_benchmark_configs_cover_every_example():

@@ -611,23 +611,6 @@ class TestAnglesCommand:
         assert run(out, *argv, "--seed", str(seed)) == 0
         assert load_report(out, "angles", name)["summary"]["distinct_angles"] == distinct
 
-    def test_rows_read_the_batch_arrays(self, tmp_path, monkeypatch):
-        # the report rows and the classification come from the run's arrays,
-        # with no per-row spectrum built
-        calls = []
-        original = gaussmap.AngleSpectrum.__getitem__
-
-        def counted(self, k):
-            calls.append(k)
-            return original(self, k)
-
-        monkeypatch.setattr(gaussmap.AngleSpectrum, "__getitem__", counted)
-        for gauge in ("normalized", "canonical"):
-            assert run(tmp_path, "angles", "--grid", "12", "--gauge", gauge) == 0
-            rep = load_report(tmp_path, "angles", "sphere")
-            assert len(rep["results"]) == 12 and rep["summary"]["distinct_angles"] == 1
-        assert calls == []
-
     def test_angles_below_pi(self, tmp_path):
         code = run(
             tmp_path, "angles", "--example", "sphere", "--n", "3", "--r", "0.7071067811865475",
@@ -765,6 +748,68 @@ class TestOdeCommand:
                 monkeypatch.setattr(module, "angle_spectrum", counted)
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert len(calls) == solves
+
+    # the residual functions of a verify run and the calls each makes per run:
+    # one column pass over all sample points, whatever the grid. gauss_map's
+    # own check of the sample jets and of the field-stencil jets adds two
+    # lagrangian_residual calls, and Palmer's left side is the mean curvature
+    IDENTITY_BUDGET = {
+        "verify.connection_and_s": 1,
+        "verify.structure_residuals": 1,
+        "verify.cotangent_residual": 1,
+        "verify.check_prop1": 1,
+        "verify.palmer_residual": 1,
+        "verify.gauss_equation_residual": 1,
+        "verify.codazzi_residual": 1,
+        "verify.sectional_curvature": 1,
+        "verify.sectional_residuals": 1,
+        "verify.check_csc_identities": 1,
+        "gaussmap.mean_curvature": 2,
+        "rotational.principal_pattern_residual": 1,
+        "hypersurfaces.ChartStencil.invariants": 1,
+        "gaussmap.GaussJet.lagrangian_residual": 3,
+        "gaussmap.GaussJet.horizontality_residual": 1,
+        "cli.EXAMPLES.checks": 1,
+    }
+
+    @pytest.mark.parametrize("grid", [1, 3, 12])
+    @pytest.mark.parametrize("gauge", ["normalized", "canonical"])
+    @pytest.mark.parametrize("example", ["sphere", "cartan", "rotational"])
+    def test_identity_budget(self, tmp_path, monkeypatch, example, gauge, grid):
+        # a residual function called once per sample point multiplies these
+        calls = dict.fromkeys(self.IDENTITY_BUDGET, 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        modules = {name.split(".")[-1]: m for name, m in sys.modules.items() if name.split(".")[0] == "quadriclab"}
+        for name in self.IDENTITY_BUDGET:
+            module, *owner, attr = name.split(".")
+            if owner == ["EXAMPLES"]:
+                entry = cli.EXAMPLES[example]
+                monkeypatch.setitem(cli.EXAMPLES, example, dataclasses.replace(entry, checks=counting(name, entry.checks)))
+            elif owner:
+                cls = getattr(modules[module], owner[0])
+                monkeypatch.setattr(cls, attr, counting(name, getattr(cls, attr)))
+            else:
+                original = getattr(modules[module], attr)
+                for m in modules.values():
+                    if getattr(m, attr, None) is original:
+                        monkeypatch.setattr(m, attr, counting(name, original))
+        n = {"sphere": "4", "cartan": "3", "rotational": "3"}[example]
+        argv = ["verify", "--example", example, "--n", n, "--grid", str(grid), "--gauge", gauge]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        # csc checks need a constant-curvature target, the profile pattern a rotational chart
+        skipped = {
+            "sphere": ["rotational.principal_pattern_residual"],
+            "cartan": ["rotational.principal_pattern_residual"],
+            "rotational": ["verify.check_csc_identities"],
+        }[example]
+        assert calls == {name: 0 if name in skipped else count for name, count in self.IDENTITY_BUDGET.items()}
 
     @pytest.mark.parametrize("gauge, solves", [("normalized", 13), ("canonical", 11)])
     def test_eigensolve_budget(self, tmp_path, monkeypatch, gauge, solves):

@@ -24,8 +24,9 @@ from quadriclab.hypersurfaces import (
     sphere_chart,
 )
 from quadriclab.quadric import StructureGauge
-from quadriclab.verify import SamplePoint, palmer_residual
-from references import box_sample, quadric_distance
+from quadriclab.verify import palmer_residual
+from quadriclab.numerics import row_dot
+from references import box_sample, point_batch, quadric_distance, ref_horizontality
 
 
 def mod_pi_gap(a, b):
@@ -34,6 +35,42 @@ def mod_pi_gap(a, b):
 
 
 P3 = np.array([0.1, -0.2, 0.15])
+
+
+CATALOG_FIXTURES = ["sphere_half", "clifford_torus", "product_13", "tube", "rotational_chart", "wavy_sphere"]
+
+
+def batch_and_points(chart, count=5, seed=12):
+    """A Gauss-map jet batch of count points of the chart (more points than n), and each point's own jet."""
+    rng = np.random.default_rng(seed)
+    q = np.array([box_sample(chart.box, rng, margin=0.05) for _ in range(count)])
+    return gauss_map(chart, q), [gauss_map(chart, x) for x in q]
+
+
+@pytest.mark.parametrize("fixture", CATALOG_FIXTURES)
+def test_horizontality_rows_equal_single_points(request, fixture):
+    # on a batch, the matmul against the lifts raised a core-dimension mismatch
+    jets, ones = batch_and_points(request.getfixturevalue(fixture))
+    rows = jets.horizontality_residual()
+    assert rows.shape == (len(ones),)
+    for k, one in enumerate(ones):
+        assert rows[k] == one.horizontality_residual() == ref_horizontality(one)
+
+
+@pytest.mark.parametrize("fixture", CATALOG_FIXTURES)
+def test_mean_curvature_rows_equal_single_points(request, fixture):
+    # on a batch, the subscripts lacked the batch axes and n was read from the
+    # batch size; the norm is the stacked matmul, bitwise np.linalg.norm of a row
+    jets, ones = batch_and_points(request.getfixturevalue(fixture))
+    mean = mean_curvature(second_fundamental_form(jets, angle_spectrum(jets)))
+    norms = np.sqrt(row_dot(mean, mean))
+    assert mean.shape == (len(ones), jets.dim)
+    for k, one in enumerate(ones):
+        h = second_fundamental_form(one, angle_spectrum(one)).h
+        alone = mean_curvature(FundamentalForm(h=h, symmetry_defect=0.0))
+        # the single-point formula of the mean curvature
+        assert np.array_equal(mean[k], alone) and np.array_equal(alone, np.einsum("jji->i", h) / jets.dim)
+        assert norms[k] == np.linalg.norm(alone)
 
 
 class TestModPiDistance:
@@ -324,26 +361,31 @@ class TestMeanCurvature:
             assert np.linalg.norm(mean_curvature(ff)) < 1e-5
 
 
+def palmer_at(chart, p):
+    """palmer_residual at the one point p, a batch of one, as floats."""
+    return {name: float(v[0]) for name, v in palmer_residual(point_batch(chart, p)).items()}
+
+
 class TestPalmer:
     def test_isoparametric_both_sides_vanish(self, sphere_half, tube):
         for chart in (sphere_half, tube):
-            res = palmer_residual(SamplePoint(gauss_map(chart, P3)))
+            res = palmer_at(chart, P3)
             assert res["residual"] < 1e-5
             assert res["lhs"] < 1e-5 and res["rhs"] < 1e-5
 
     def test_equator(self):
         chart = round_sphere(2, 1.0)
-        assert palmer_residual(SamplePoint(gauss_map(chart, np.array([0.1, 0.2]))))["residual"] < 1e-6
+        assert palmer_at(chart, np.array([0.1, 0.2]))["residual"] < 1e-6
 
     def test_rotational_within_tolerance(self, rotational_chart):
-        res = palmer_residual(SamplePoint(gauss_map(rotational_chart, rotational_chart.box.center)))
+        res = palmer_at(rotational_chart, rotational_chart.box.center)
         assert res["residual"] < 1e-4
 
     def test_nonminimal_chart_has_nonzero_sides(self, wavy_sphere):
         # a perturbed sphere is not isoparametric: both sides of the identity
         # are genuinely nonzero yet agree
         p = np.array([0.1, -0.15])
-        res = palmer_residual(SamplePoint(gauss_map(wavy_sphere, p)))
+        res = palmer_at(wavy_sphere, p)
         assert res["lhs"] > 1e-3
         assert res["rhs"] > 1e-3
         assert res["residual"] < 1e-4

@@ -23,7 +23,7 @@ from quadriclab.hypersurfaces import (
 )
 from quadriclab.numerics import eigen_solve, symmetric_eigen
 from quadriclab.rotational import build_rotational_chart
-from references import box_sample
+from references import box_sample, ref_chart_invariants
 
 RNG = np.random.default_rng(42)
 
@@ -36,6 +36,22 @@ def sample_points(chart, count):
 def shape_operator(chart, p, h=1e-4):
     """Matrix of the shape operator in an orthonormal tangent frame at p, as principal_curvatures reads it."""
     return hypersurfaces._shape_data(ChartStencil(chart, p, h))[0]
+
+
+@pytest.mark.parametrize("name", ["sphere", "product", "cartan", "rotational"])
+def test_invariants_rows_equal_single_points(memo_charts, name):
+    # invariants unpacked the batch axis as (embed, normal) and read one point
+    chart = memo_charts[name]()
+    rng = np.random.default_rng(3)
+    q = np.array([box_sample(chart.box, rng, margin=0.02) for _ in range(5)])
+    rows = ChartStencil(chart, q, 1e-4).invariants()
+    for k, p in enumerate(q):
+        alone = ChartStencil(chart, p, 1e-4)
+        want = ref_chart_invariants(alone)
+        assert list(rows) == list(want)
+        for name, value in alone.invariants().items():
+            assert rows[name].shape == (len(q),)
+            assert rows[name][k] == value == want[name], name
 
 
 class TestSphereChart:

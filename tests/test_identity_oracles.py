@@ -1,9 +1,11 @@
 """Array forms of the tensor identities in `verify` against index-loop references.
 
 The references are the straightforward loops over tensor indices that the
-array expressions replace. Where the array form does the same arithmetic in
-the same order (the first-order identities, the constant-curvature balance
-and the cotangent check) it must agree bitwise; where einsum sums in another
+array expressions replace, one point at a time; the array forms take a batch
+of points and return one residual per point. Where the array form does the
+same arithmetic in the same order (the first-order identities, the
+constant-curvature balance and the cotangent check) every row must agree
+bitwise; where einsum sums in another
 order (the curvature tensor, the algebraic plane curvatures, the curvature
 tensor in the frame of the Gauss equation) it must agree to 1e-12 relative to
 the largest reference component.
@@ -173,33 +175,55 @@ def polynomial_metric(rng, n, p):
     return metric
 
 
-@st.composite
-def identity_data(draw):
-    """Angles, cubic form, connection data and a polynomial metric at one point.
-
-    The angles are ascending in [0, pi) as angle_spectrum returns them; some
-    draws repeat an angle (a degenerate cluster) or put one at 0, the pole of
-    cot that cotangent_residual leaves out.
-    """
-    n = draw(st.sampled_from((2, 3, 4, 5)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    th = rng.uniform(0.0, np.pi, n)
-    if draw(st.booleans()):
-        th[1] = th[0]
-    if draw(st.booleans()):
-        th[0] = 0.0
-    th = np.sort(th)
-    h = rng.normal(size=(n, n, n))
-    omega = rng.normal(size=(n, n, n))
+def batch_data(n, th, h, omega, s, lambdas, d_theta):
+    """The fields the identities read, as a sample batch carries them; each array may carry batch axes in front."""
     spec = SimpleNamespace(dim=n, thetas=th)
-    ff = SimpleNamespace(h=h)
-    pt = SimpleNamespace(
-        jet=SimpleNamespace(dim=n, lambdas=np.sort(rng.normal(size=n))[::-1]),
+    return SimpleNamespace(
+        jets=SimpleNamespace(dim=n, lambdas=lambdas),
         spec=spec,
         spec0=spec,
-        ff=ff,
-        fields=SimpleNamespace(d_theta=rng.normal(size=(n, n))),
-        connection=ConnectionData(omega=omega, s=rng.normal(size=n), antisymmetry_defect=0.0),
+        ff=SimpleNamespace(h=h),
+        fields=SimpleNamespace(d_theta=d_theta),
+        connection=ConnectionData(omega=omega, s=s, antisymmetry_defect=np.zeros(th.shape[:-1])),
+    )
+
+
+def row(pt, k):
+    """Point k of a batch, in the one-point form the loop references read."""
+    n = pt.spec.dim
+    one = batch_data(
+        n, pt.spec.thetas[k], pt.ff.h[k], pt.connection.omega[k], pt.connection.s[k],
+        pt.jets.lambdas[k], pt.fields.d_theta[k],
+    )
+    one.jet = one.jets
+    return one
+
+
+@st.composite
+def identity_data(draw):
+    """Angles, cubic form and connection data at a batch of points, and a polynomial metric at one point.
+
+    The angles of each point are ascending in [0, pi) as angle_spectrum
+    returns them; some draws repeat an angle (a degenerate cluster) or put
+    one at 0, the pole of cot that cotangent_residual leaves out.
+    """
+    n = draw(st.sampled_from((2, 3, 4, 5)))
+    m = draw(st.sampled_from((1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    th = rng.uniform(0.0, np.pi, (m, n))
+    if draw(st.booleans()):
+        th[:, 1] = th[:, 0]
+    if draw(st.booleans()):
+        th[:, 0] = 0.0
+    th = np.sort(th, axis=-1)
+    pt = batch_data(
+        n,
+        th,
+        rng.normal(size=(m, n, n, n)),
+        rng.normal(size=(m, n, n, n)),
+        rng.normal(size=(m, n)),
+        np.sort(rng.normal(size=(m, n)), axis=-1)[:, ::-1],
+        rng.normal(size=(m, n, n)),
     )
     p = rng.uniform(-0.5, 0.5, n)
     return pt, polynomial_metric(rng, n, p), p, rng
@@ -218,16 +242,22 @@ def assert_close(got, want, rel=1e-12):
 @given(identity_data())
 def test_pointwise_identities_bitwise(data):
     pt = data[0]
-    assert check_prop1(pt) == ref_check_prop1(pt)
-    assert check_csc_identities(pt.spec, pt.ff) == ref_check_csc_identities(pt.spec, pt.ff)
-    assert cotangent_residual(pt) == ref_cotangent_residual(pt)
+    got = (check_prop1(pt), check_csc_identities(pt.spec, pt.ff), cotangent_residual(pt))
+    for k in range(len(pt.spec.thetas)):
+        one = row(pt, k)
+        want = (ref_check_prop1(one), ref_check_csc_identities(one.spec, one.ff), ref_cotangent_residual(one))
+        for columns, values in zip(got, want):
+            assert {name: v[k] for name, v in columns.items()} == values
 
 
 @settings(max_examples=60, deadline=None)
 @given(identity_data())
 def test_curvature_tensors_match_loops(data):
     pt, metric, p, _ = data
-    assert_close(sectional_curvature(pt.spec, pt.ff), ref_sectional_curvature(pt.spec, pt.ff))
+    k_alg = sectional_curvature(pt.spec, pt.ff)
+    for k in range(len(k_alg)):
+        one = row(pt, k)
+        assert_close(k_alg[k], ref_sectional_curvature(one.spec, one.ff))
     g0 = metric(p)
     dg, ddg = _metric_derivatives(metric, p, 1e-2, g0)
     assert_close(curvature_from_metric(metric, p, 1e-2, g0), ref_curvature(dg, ddg, g0))
@@ -237,7 +267,7 @@ def test_curvature_tensors_match_loops(data):
 @given(identity_data())
 def test_sectional_batch_equals_single_planes(data):
     pt, metric, p, rng = data
-    n = pt.jet.dim
+    n = pt.spec.dim
     g = metric(p)
     r = curvature_from_metric(metric, p, 1e-2, g)
     frame = rng.normal(size=(n, n))

@@ -7,8 +7,6 @@ from quadriclab.gaussmap import angle_spectrum, gauge_normalize, gauss_map, seco
 from quadriclab.hypersurfaces import principal_curvatures, round_sphere
 from quadriclab.quadric import StructureGauge
 from quadriclab.verify import (
-    GaugePolicy,
-    SamplePoint,
     VerifyError,
     check_csc_identities,
     check_prop1,
@@ -25,23 +23,35 @@ from quadriclab.verify import (
     _cyclic_match,
 )
 from quadriclab.gaussmap import mod_pi_clusters, mod_pi_distance, nearest_mod_pi
-from references import box_sample, quadric_distance
+from references import box_sample, point_batch, quadric_distance
 
 P3 = np.array([0.1, -0.2, 0.15])
 
 
-def point(chart, p, policy=None):
-    return SamplePoint(gauss_map(chart, p), policy)
+def point(chart, p, normalized=False):
+    """The sample batch of the one point p; normalized re-normalizes the gauge at every stencil point."""
+    return point_batch(chart, p, normalized=normalized)
+
+
+def connection(b):
+    """connection_and_s of a batch of one point, at that point."""
+    conn = connection_and_s(b.spec, b.fields)
+    return type(conn)(omega=conn.omega[0], s=conn.s[0], antisymmetry_defect=float(conn.antisymmetry_defect[0]))
+
+
+def at_point(res):
+    """The residuals of a batch of one point, as floats."""
+    return {name: float(v[0]) for name, v in res.items()}
 
 
 class TestConnection:
     def test_antisymmetry(self, tube):
-        conn = connection_and_s(point(tube, P3))
+        conn = connection(point(tube, P3))
         assert conn.antisymmetry_defect < 1e-8
 
     def test_gauge_one_form_vanishes_minimal_normalized(self, tube, sphere_half):
         for chart in (tube, sphere_half):
-            conn = connection_and_s(point(chart, P3, GaugePolicy("normalized")))
+            conn = connection(point(chart, P3, normalized=True))
             assert np.abs(conn.s).max() < 1e-5
 
     def test_gauge_one_form_nonzero_on_nonminimal(self, wavy_sphere):
@@ -49,44 +59,44 @@ class TestConnection:
         # varying gauge; its one-form must show up and intcond-style
         # consistency must still hold (checked via prop1 below)
         p = np.array([0.1, -0.15])
-        conn = connection_and_s(point(wavy_sphere, p, GaugePolicy("normalized")))
+        conn = connection(point(wavy_sphere, p, normalized=True))
         assert np.abs(conn.s).max() > 1e-3
 
     def test_cartan_rotation_rate_nonzero(self, tube):
-        conn = connection_and_s(point(tube, P3, GaugePolicy("normalized")))
+        conn = connection(point(tube, P3, normalized=True))
         assert np.abs(conn.omega).max() > 0.1
 
 
 class TestProp1:
     def test_isoparametric_tight(self, sphere_half, product_13, tube):
         for chart in (sphere_half, product_13, tube):
-            rep = check_prop1(point(chart, P3, GaugePolicy("normalized")))
+            rep = at_point(check_prop1(point(chart, P3, normalized=True)))
             for residual in rep.values():
                 assert residual < 1e-8
 
     def test_rotational_nontrivial(self, rotational_chart):
-        pt = point(rotational_chart, rotational_chart.box.center, GaugePolicy("normalized"))
+        pt = point(rotational_chart, rotational_chart.box.center, normalized=True)
         # the angle gradients along the profile direction are genuinely nonzero
         assert np.abs(pt.fields.d_theta).max() > 0.1
         assert np.abs(pt.ff.h).max() > 0.1
-        rep = check_prop1(pt)
+        rep = at_point(check_prop1(pt))
         for residual in rep.values():
             assert residual < 1e-4
 
     def test_nonminimal_with_varying_gauge(self, wavy_sphere):
         # s != 0 here, so the angle-gradient identity exercises its s-term
         p = np.array([0.1, -0.15])
-        rep = check_prop1(point(wavy_sphere, p, GaugePolicy("normalized")))
+        rep = at_point(check_prop1(point(wavy_sphere, p, normalized=True)))
         assert rep["angle_gradient_identity"] < 1e-4
         assert rep["frame_rotation_identity"] < 1e-4
 
     def test_cartan_rotation_identity_content(self, tube):
         # sin(dtheta) * omega = cos(dtheta) * h with all factors nonzero
-        pt = point(tube, P3, GaugePolicy("normalized"))
-        conn = connection_and_s(pt)
-        th = pt.spec.thetas
+        pt = point(tube, P3, normalized=True)
+        conn = connection(pt)
+        th = pt.spec.thetas[0]
         lhs = np.sin(th[0] - th[1]) * conn.omega[2, 0, 1]
-        rhs = np.cos(th[0] - th[1]) * pt.ff.h[2, 0, 1]
+        rhs = np.cos(th[0] - th[1]) * pt.ff.h[0, 2, 0, 1]
         assert abs(lhs) > 0.1
         assert abs(lhs - rhs) < 1e-8
 
@@ -154,19 +164,19 @@ class TestCurvature:
             (tube, P3),
             (rotational_chart, rotational_chart.box.center),
         ):
-            rep = gauss_equation_residual(point(chart, p, GaugePolicy("normalized")))
+            rep = at_point(gauss_equation_residual(point(chart, p, normalized=True)))
             assert rep["gauss_equation"] < 1e-3
 
 
 class TestCodazzi:
     def test_totally_geodesic_charts(self, sphere_half, product_13):
         for chart in (sphere_half, product_13):
-            rep = codazzi_residual(point(chart, P3, GaugePolicy("normalized")))
+            rep = at_point(codazzi_residual(point(chart, P3, normalized=True)))
             assert rep["codazzi_equation"] < 1e-3
 
     def test_cartan_and_rotational(self, tube, rotational_chart):
         for chart, p in ((tube, P3), (rotational_chart, rotational_chart.box.center)):
-            rep = codazzi_residual(point(chart, p, GaugePolicy("normalized")))
+            rep = at_point(codazzi_residual(point(chart, p, normalized=True)))
             assert rep["codazzi_equation"] < 1e-3
 
     def test_cartan_cyclic_component_relations(self, tube):
@@ -184,7 +194,7 @@ class TestCodazzi:
             assert abs(h2 - c) < 1e-3
 
     def test_wavy_sphere(self, wavy_sphere):
-        rep = codazzi_residual(point(wavy_sphere, np.array([0.1, -0.15]), GaugePolicy("normalized")))
+        rep = at_point(codazzi_residual(point(wavy_sphere, np.array([0.1, -0.15]), normalized=True)))
         assert rep["codazzi_equation"] < 1e-3
 
 
