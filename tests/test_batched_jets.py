@@ -511,6 +511,33 @@ def test_alignment_matches_per_row_polar_factors(example, n, gauge):
         assert np.array_equal(one.frame_ambient, want.frame_ambient)
 
 
+@pytest.mark.parametrize("gauge", ["normalized", "canonical"])
+@pytest.mark.parametrize("example, n", BENCHMARK_CONFIGS + [("mixed", 3)])
+def test_stencil_spectrum_rows_match_hand_slicing(example, n, gauge):
+    # row k of a stencil spectrum batch, whose gauge angle is per point and
+    # broadcast over the 4n stencil rows, read by hand slicing the batch
+    # arrays, is the spectrum of point k's stencil solved on its own
+    if example == "mixed":
+        jets, phis = mixed_pattern_stack()
+        spec = angle_spectrum(jets, StructureGauge(phis if gauge == "normalized" else 0.0))
+    else:
+        cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
+        jets, _, spec = cli._sample_jets(build_example(cfg), cfg)
+    stencil, stencil_gauge = stencil_jets(jets, spec)
+    spec_q = angle_spectrum(stencil, stencil_gauge)
+    phi_q = np.broadcast_to(stencil_gauge.phi, stencil.point.shape[:-1])
+    for k in range(len(stencil.point)):
+        # the stencil of point k alone, with its row of the gauge
+        alone = gauss_map(stencil.chart, stencil.point[k], STEPS)
+        row = angle_spectrum(alone, StructureGauge(phi_q[k]))
+        for field in ("thetas", "frame_vel", "frame_ambient", "diag_residual"):
+            assert np.array_equal(getattr(row, field), getattr(spec_q, field)[k]), field
+        assert np.array_equal(row.lift.z, spec_q.lift.z[k])
+        assert np.array_equal(np.broadcast_to(row.gauge.phi, phi_q[k].shape), phi_q[k])
+    # the per-point gauge angles of the batch are the ones the stencil rows carry
+    assert np.array_equal(phi_q[:, 0, 0], np.broadcast_to(spec.gauge.phi, (len(jets.point),)))
+
+
 def test_mixed_pattern_field_derivatives_match_per_jet_loop():
     # rows of one field-derivative batch whose references differ in cluster pattern
     jets, phis = mixed_pattern_stack()

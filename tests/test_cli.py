@@ -611,6 +611,28 @@ class TestAnglesCommand:
         assert run(out, *argv, "--seed", str(seed)) == 0
         assert load_report(out, "angles", name)["summary"]["distinct_angles"] == distinct
 
+    def test_rows_read_the_batch_arrays(self, tmp_path, monkeypatch):
+        # the report rows and the classification come from the run's arrays,
+        # with no per-row spectrum built: a spectrum has no row view to build one
+        assert not hasattr(gaussmap.AngleSpectrum, "__getitem__")
+        batches = []
+        original = cli._sample_jets
+
+        def kept(chart, cfg):
+            batches.append(original(chart, cfg))
+            return batches[-1]
+
+        monkeypatch.setattr(cli, "_sample_jets", kept)
+        for gauge in ("normalized", "canonical"):
+            assert run(tmp_path, "angles", "--grid", "12", "--gauge", gauge) == 0
+            rep = load_report(tmp_path, "angles", "sphere")
+            assert len(rep["results"]) == 12 and rep["summary"]["distinct_angles"] == 1
+            jets, _, spec = batches[-1]
+            assert [row["angles"] for row in rep["results"]] == spec.thetas.tolist()
+            assert [row["point"] for row in rep["results"]] == jets.point.tolist()
+            assert [row["principal_curvatures"] for row in rep["results"]] == jets.lambdas.tolist()
+        assert len(batches) == 2
+
     def test_angles_below_pi(self, tmp_path):
         code = run(
             tmp_path, "angles", "--example", "sphere", "--n", "3", "--r", "0.7071067811865475",
