@@ -32,7 +32,6 @@ from .gaussmap import (
     angle_spectrum,
     gauge_normalize,
     gauss_map,
-    mean_curvature,
     mod_pi_distance,
 )
 from .hypersurfaces import (
@@ -281,8 +280,8 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
-def kronecker_points(box: Box, count: int, seed: int, margin: float) -> list[np.ndarray]:
-    """Low-discrepancy interior points: additive irrational rotations per axis."""
+def kronecker_points(box: Box, count: int, seed: int, margin: float) -> np.ndarray:
+    """(count, dim) low-discrepancy interior points: additive irrational rotations per axis."""
     dim = box.dim
     primes = _primes(2 * dim)
     alphas = np.array([np.sqrt(p) % 1.0 for p in primes[:dim]])
@@ -291,11 +290,8 @@ def kronecker_points(box: Box, count: int, seed: int, margin: float) -> list[np.
     )
     lows = box.lows + margin
     spans = (box.highs - margin) - lows
-    pts = []
-    for k in range(count):
-        frac = np.mod(start + (k + 1) * alphas, 1.0)
-        pts.append(lows + frac * spans)
-    return pts
+    frac = np.mod(start + np.arange(1, count + 1)[:, None] * alphas, 1.0)
+    return lows + frac * spans
 
 
 def build_example(cfg: RunConfig) -> HypersurfaceChart:
@@ -347,16 +343,15 @@ def _columns(b: SampleBatch, cfg: RunConfig) -> dict:
     jets, ff = b.jets, b.ff
     inv = jets.stencil.invariants()
     target = cfg.entry.sectional(cfg.n)
-    mean = mean_curvature(ff)
     res = {
         "chart_invariants": np.maximum.reduce([v for k, v in inv.items() if k != "min_singular_value"]),
         "chart_rank_margin": np.maximum(0.0, 1e-6 - inv["min_singular_value"]),
-        "lagrangian": jets.lagrangian_residual(),
+        "lagrangian": jets.lagrangian,
         "horizontality": jets.horizontality_residual(),
         **structure_residuals(b),
         **cotangent_residual(b),
         "cubic_symmetry": ff.symmetry_defect,
-        "mean_curvature_norm": np.sqrt(row_dot(mean, mean)),
+        "mean_curvature_norm": np.sqrt(row_dot(b.mean_curvature, b.mean_curvature)),
         "palmer_formula": palmer_residual(b)["residual"],
     }
     if cfg.gauge == "normalized":

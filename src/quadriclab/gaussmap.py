@@ -120,6 +120,11 @@ class GaussJet:
         at, corners = hessian_stencil(self.chart.lift, self.point, h2, (2.0, 1.0, -1.0, -2.0))
         return np.moveaxis(second_derivative(h2, self.stencil.lift, at, corners), (0, 1), (-3, -2))
 
+    @cached_property
+    def lagrangian(self) -> np.ndarray:
+        """lagrangian_residual, computed on first use and kept: gauss_map checks it, verify reports it."""
+        return self.lagrangian_residual()
+
     def lagrangian_residual(self) -> np.ndarray:
         """Largest defect of the lifted orthonormal frame from a Lagrangian one, per row at a batch."""
         w = self.on_frame_vel @ self.coord_first
@@ -192,7 +197,7 @@ def gauss_map(
         principal_ambient=shape.directions_ambient,
         steps=steps,
     )
-    res = jet.lagrangian_residual()
+    res = jet.lagrangian
     bad = flagged_row(res > 1e-6, res, p)
     if bad:
         raise GaussMapError(

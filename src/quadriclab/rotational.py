@@ -11,6 +11,7 @@ Gauss-map metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -100,13 +101,6 @@ class AlphaTrajectory:
         return list(map(ProfileState, self.thetas.tolist(), self.alphas.tolist(), self.dalphas.tolist()))
 
 
-def _rhs(n: int, alpha: float, dalpha: float) -> float:
-    # numpy's scalar tan, as a Python float so that the RK4 arithmetic runs on
-    # floats: math.tan differs from it in the last bit for about 0.5 % of
-    # arguments, which would change the trajectories
-    return (1.0 - dalpha * dalpha) / float(np.tan(n * alpha))
-
-
 def integrate_alpha(
     n: int,
     alpha0: float,
@@ -117,7 +111,9 @@ def integrate_alpha(
     """Classical RK4 trajectory of the profile-angle equation over theta from 0 to span.
 
     Integration stops early, flagged, when |alpha'| or sin(n alpha) enters
-    the guard band around the singular sets.
+    the guard band around the singular sets. The loop keeps numpy's scalar
+    tan (math.tan differs in the last bit for ~0.5 % of arguments); math.sin
+    screens the guard, numpy's sin decides every stop. Sample k is at k h.
     """
     if steps < 1:
         raise OdeError("steps must be positive")
@@ -132,32 +128,34 @@ def integrate_alpha(
         )
     h = span / steps
     a, p = float(alpha0), float(dalpha0)
-    thetas, alphas, dalphas = [0.0], [a], [p]
+    alphas, dalphas = [a], [p]
     stop_reason = None
-    # the stages of _rhs written out, its operations in its order, so the
-    # trajectories stay bitwise the same: each stage's dalpha is its slope
-    # k_a, and the first stage's slope is p
-    tan, sin, half_h = np.tan, np.sin, 0.5 * h
+    # the stages of alpha'' = (1 - alpha'^2) / tan(n alpha) in one fixed
+    # operation order, each stage's dalpha its slope k_a (p at the first);
+    # math.sin is within an ulp of numpy's, so outside the widened band it clears the guard
+    tan, sin, msin, half_h, nf = np.tan, np.sin, math.sin, 0.5 * h, float(n)
+    bound, screen = 1.0 - GUARD_BAND, GUARD_BAND * (1.0 + 1e-9)
+    keep_a, keep_p = alphas.append, dalphas.append
     for k in range(steps):
-        k1p = (1.0 - p * p) / float(tan(n * a))
+        k1p = (1.0 - p * p) / float(tan(nf * a))
         k2a = p + half_h * k1p
-        k2p = (1.0 - k2a * k2a) / float(tan(n * (a + half_h * p)))
+        k2p = (1.0 - k2a * k2a) / float(tan(nf * (a + half_h * p)))
         k3a = p + half_h * k2p
-        k3p = (1.0 - k3a * k3a) / float(tan(n * (a + half_h * k2a)))
+        k3p = (1.0 - k3a * k3a) / float(tan(nf * (a + half_h * k2a)))
         k4a = p + h * k3p
-        k4p = (1.0 - k4a * k4a) / float(tan(n * (a + h * k3a)))
+        k4p = (1.0 - k4a * k4a) / float(tan(nf * (a + h * k3a)))
         a = a + h * (p + 2 * k2a + 2 * k3a + k4a) / 6.0
         p = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-        theta = (k + 1) * h
-        if abs(p) >= 1.0 - GUARD_BAND:
-            stop_reason = f"|alpha'| reached {abs(p):.4f} at theta = {theta:.4f}"
+        if abs(p) >= bound:
+            stop_reason = f"|alpha'| reached {abs(p):.4f} at theta = {(k + 1) * h:.4f}"
             break
-        if abs(float(sin(n * a))) <= GUARD_BAND:
-            stop_reason = f"sin(n alpha) vanished near theta = {theta:.4f}"
+        if abs(msin(nf * a)) <= screen and abs(float(sin(nf * a))) <= GUARD_BAND:
+            stop_reason = f"sin(n alpha) vanished near theta = {(k + 1) * h:.4f}"
             break
-        thetas.append(theta)
-        alphas.append(a)
-        dalphas.append(p)
+        keep_a(a)
+        keep_p(p)
+    thetas = np.arange(len(alphas)) * h
+    thetas[0] = 0.0
     return AlphaTrajectory(n, thetas, alphas, dalphas, stop_reason)
 
 
@@ -263,36 +261,28 @@ class QuinticHermite:
 
     Interpolation error on an RK4-fine grid sits far below the chart
     tolerances, and values are C^1 across knots, so chart stencils may
-    straddle intervals. value and value_and_derivative take a number or an
-    array of abscissae, the latter giving the slope from the same interval
-    lookup; tau^2..tau^5 are one _pow pass each and the power sums run in a
-    fixed order, so every value is that of scalar arithmetic.
+    straddle intervals; the coefficients are one array expression. value and
+    value_and_derivative take a number or an array of abscissae, the latter
+    giving the slope from the same interval lookup, made once per distinct
+    abscissa and scattered back; tau^2..tau^5 are one _pow pass each and the
+    power sums run in a fixed order, so every value is that of scalar arithmetic.
     """
 
     def __init__(self, x: np.ndarray, f: np.ndarray, df: np.ndarray, ddf: np.ndarray):
         if len(x) < 2:
             raise OdeError("need at least two samples to interpolate")
-        x = np.asarray(x, dtype=float)
-        dx = np.diff(x)
-        if np.any(dx <= 0):
+        x, f, df, ddf = (np.asarray(c, dtype=float) for c in (x, f, df, ddf))
+        d = np.diff(x)
+        if np.any(d <= 0):
             raise OdeError("interpolation abscissae must increase")
-        n = len(x) - 1
-        coeffs = np.empty((n, 6))
-        for k in range(n):
-            d = dx[k]
-            a0, a1, a2 = f[k], d * df[k], 0.5 * d * d * ddf[k]
-            r0 = f[k + 1] - a0 - a1 - a2
-            r1 = d * df[k + 1] - a1 - 2 * a2
-            r2 = d * d * ddf[k + 1] - 2 * a2
-            coeffs[k] = [
-                a0,
-                a1,
-                a2,
-                10 * r0 - 4 * r1 + 0.5 * r2,
-                -15 * r0 + 7 * r1 - r2,
-                6 * r0 - 3 * r1 + 0.5 * r2,
-            ]
-        self.x, self.dx, self.coeffs = x, dx, coeffs
+        a0, a1, a2 = f[:-1], d * df[:-1], 0.5 * d * d * ddf[:-1]
+        r0 = f[1:] - a0 - a1 - a2
+        r1 = d * df[1:] - a1 - 2 * a2
+        r2 = d * d * ddf[1:] - 2 * a2
+        self.x, self.dx = x, d
+        self.coeffs = np.stack(
+            [a0, a1, a2, 10 * r0 - 4 * r1 + 0.5 * r2, -15 * r0 + 7 * r1 - r2, 6 * r0 - 3 * r1 + 0.5 * r2], axis=-1
+        )
 
     def _locate(self, t):
         """Interval coefficients, interval width and tau**j (j = 0..5) at the abscissae t."""
@@ -306,13 +296,16 @@ class QuinticHermite:
         return self.coeffs[k], self.dx[k], powers
 
     def value_and_derivative(self, t):
-        row, dx, powers = self._locate(t)
+        t = np.asarray(t, dtype=float)
+        distinct, inverse = np.unique(t, return_inverse=True)
+        row, dx, powers = self._locate(distinct)
         value = slope = 0.0
         for j in range(6):
-            value = value + row[..., j] * powers[..., j]
+            value = value + row[:, j] * powers[:, j]
             if j:
-                slope = slope + j * row[..., j] * powers[..., j - 1]
-        return value, slope / dx
+                slope = slope + j * row[:, j] * powers[:, j - 1]
+        inverse = inverse.reshape(t.shape)
+        return value[inverse], (slope / dx)[inverse]
 
     def value(self, t):
         return self.value_and_derivative(t)[0]
@@ -329,7 +322,7 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
     Principal curvatures follow the (1, n-1) pattern cot((n-1) alpha) and
     -cot(alpha). Requires sin(alpha), sin((n-1) alpha) and sin(n alpha)
     positive along the curve (the regime of the default trajectories) and a
-    non-vanishing orbit radius.
+    non-vanishing orbit radius. Knot curvatures are one array expression.
     """
     n = traj.n
     if n < 3:
@@ -358,8 +351,7 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
     if idx[-1] != len(th) - 1:
         idx.append(len(th) - 1)
     th_k, al_k, pa_k = th[idx], al[idx], pa[idx]
-    ddal = np.array([_rhs(n, a, p) for a, p in zip(al_k, pa_k)])
-    interp = QuinticHermite(th_k, al_k, pa_k, ddal)
+    interp = QuinticHermite(th_k, al_k, pa_k, (1.0 - pa_k * pa_k) / np.tan(n * al_k))
 
     pad = max(0.02, 10.0 * (th[1] - th[0]))
     lo, hi = th[0] + pad, th[-1] - pad

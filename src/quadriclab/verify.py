@@ -294,6 +294,7 @@ class SampleBatch:
     fields: FieldDerivatives
     curvature: np.ndarray
     connection: ConnectionData
+    mean_curvature: np.ndarray  # of the cubic form: mean_curvature_norm and Palmer's left side
 
 
 def sample_batch(jets: GaussJet, spec0: AngleSpectrum, spec: AngleSpectrum) -> SampleBatch:
@@ -306,7 +307,7 @@ def sample_batch(jets: GaussJet, spec0: AngleSpectrum, spec: AngleSpectrum) -> S
     ff = second_fundamental_form(jets, spec)
     curvature = metric_curvature(jets)
     fields = field_derivatives(jets, spec)
-    return SampleBatch(jets, spec0, spec, ff, fields, curvature, connection_and_s(spec, fields))
+    return SampleBatch(jets, spec0, spec, ff, fields, curvature, connection_and_s(spec, fields), mean_curvature(ff))
 
 
 def _distinct(n: int, k: int) -> np.ndarray:
@@ -356,7 +357,7 @@ def palmer_residual(b: SampleBatch) -> dict[str, np.ndarray]:
     point, the gradient from the shape operators at the field stencil points.
     Returns the largest frame component of the difference and of each side.
     """
-    lhs = -mean_curvature(b.ff)
+    lhs = -b.mean_curvature
     # with the complex structure fixed as multiplication by +i the
     # gradient side enters with the opposite sign of the usual statement
     # (the one-form pairing flips with the orientation of J)

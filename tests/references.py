@@ -235,3 +235,55 @@ def ref_point_residuals(jet, spec0, spec, fields, curvature, example, gauge, tar
     if target is not None:
         res.update(ref_csc_point(spec, h))
     return {name: float(v) for name, v in res.items()}
+
+
+def ref_rhs(n, alpha, dalpha):
+    """The profile equation's right side at one sample, numpy's scalar tan made a Python float.
+
+    The stage function the RK4 loop once called per stage and the chart per
+    interpolation knot.
+    """
+    return (1.0 - dalpha * dalpha) / float(np.tan(n * alpha))
+
+
+class RefQuinticHermite:
+    """QuinticHermite as it was built and evaluated before its arrays: one loop pass per interval, one lookup per row."""
+
+    def __init__(self, x, f, df, ddf):
+        x = np.asarray(x, dtype=float)
+        dx = np.diff(x)
+        coeffs = np.empty((len(x) - 1, 6))
+        for k in range(len(x) - 1):
+            d = dx[k]
+            a0, a1, a2 = f[k], d * df[k], 0.5 * d * d * ddf[k]
+            r0 = f[k + 1] - a0 - a1 - a2
+            r1 = d * df[k + 1] - a1 - 2 * a2
+            r2 = d * d * ddf[k + 1] - 2 * a2
+            coeffs[k] = [
+                a0,
+                a1,
+                a2,
+                10 * r0 - 4 * r1 + 0.5 * r2,
+                -15 * r0 + 7 * r1 - r2,
+                6 * r0 - 3 * r1 + 0.5 * r2,
+            ]
+        self.x, self.dx, self.coeffs = x, dx, coeffs
+
+    def value_and_derivative(self, t):
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.dx) - 1)
+        tau = (t - self.x[k]) / self.dx[k]
+        powers = np.empty(tau.shape + (6,))
+        powers[..., 0], powers[..., 1] = 1.0, tau
+        for j in range(2, 6):
+            powers[..., j] = np.reshape([float(v) ** j for v in np.ravel(tau)], tau.shape)
+        row, dx = self.coeffs[k], self.dx[k]
+        value = slope = 0.0
+        for j in range(6):
+            value = value + row[..., j] * powers[..., j]
+            if j:
+                slope = slope + j * row[..., j] * powers[..., j - 1]
+        return value, slope / dx
+
+    def value(self, t):
+        return self.value_and_derivative(t)[0]

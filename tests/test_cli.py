@@ -232,6 +232,19 @@ class TestSamplePoints:
             assert box.contains(x, margin=0.029)
         assert run(tmp_path, "verify", "--n", "7", "--grid", "1") == 0
 
+    @pytest.mark.parametrize("dim, count, seed, margin", [(2, 1, 0, 0.0), (3, 12, 11, 0.03), (7, 5, 4, 0.05)])
+    def test_array_matches_per_point_loop(self, dim, count, seed, margin):
+        # the (count, dim) array is bitwise the points built one at a time
+        box = Box(lows=np.linspace(-0.4, -0.2, dim), highs=np.linspace(0.3, 0.5, dim))
+        primes = cli._primes(2 * dim)
+        alphas = np.array([np.sqrt(p) % 1.0 for p in primes[:dim]])
+        start = np.array([((seed + 1) * np.sqrt(primes[dim + i])) % 1.0 for i in range(dim)])
+        lows = box.lows + margin
+        spans = (box.highs - margin) - lows
+        want = [lows + np.mod(start + (k + 1) * alphas, 1.0) * spans for k in range(count)]
+        got = kronecker_points(box, count, seed, margin)
+        assert got.shape == (count, dim) and got.tobytes() == np.array(want).tobytes()
+
     def test_seed_changes_points(self):
         box = Box.cube(2, 0.4)
         a = kronecker_points(box, 3, seed=0, margin=0.0)
@@ -772,9 +785,11 @@ class TestOdeCommand:
         assert len(calls) == solves
 
     # the residual functions of a verify run and the calls each makes per run:
-    # one column pass over all sample points, whatever the grid. gauss_map's
-    # own check of the sample jets and of the field-stencil jets adds two
-    # lagrangian_residual calls, and Palmer's left side is the mean curvature
+    # one column pass over all sample points, whatever the grid. gauss_map
+    # checks the Lagrangian residual of the sample jets and of the
+    # field-stencil jets, and the lagrangian column reads the sample jets'
+    # kept value; mean_curvature_norm and Palmer's left side read one mean
+    # curvature
     IDENTITY_BUDGET = {
         "verify.connection_and_s": 1,
         "verify.structure_residuals": 1,
@@ -786,10 +801,10 @@ class TestOdeCommand:
         "verify.sectional_curvature": 1,
         "verify.sectional_residuals": 1,
         "verify.check_csc_identities": 1,
-        "gaussmap.mean_curvature": 2,
+        "gaussmap.mean_curvature": 1,
         "rotational.principal_pattern_residual": 1,
         "hypersurfaces.ChartStencil.invariants": 1,
-        "gaussmap.GaussJet.lagrangian_residual": 3,
+        "gaussmap.GaussJet.lagrangian_residual": 2,
         "gaussmap.GaussJet.horizontality_residual": 1,
         "cli.EXAMPLES.checks": 1,
     }

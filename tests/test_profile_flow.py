@@ -12,9 +12,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from quadriclab import cli
+from quadriclab import cli, rotational
 from quadriclab.rotational import (
     GUARD_BAND,
     AlphaTrajectory,
@@ -137,7 +137,18 @@ def flows(draw, max_steps=2000):
 class TestIntegrator:
     @settings(max_examples=60, deadline=None)
     @given(flows())
+    @example(flow=(3, 1.0, 0.0, -1.0, 1))  # a negative span: theta_0 is 0.0, not 0 h = -0.0
     def test_matches_reference_loop(self, flow):
+        assert_same_flow(integrate_alpha(*flow), reference_integrate(*flow))
+
+    @pytest.mark.parametrize(
+        "flow",
+        [(3, 0.05, -0.99, 3.0, 2000), (3, 0.1, -0.99, 0.5, 2000), (4, np.pi / 12.0, 0.0, 0.8, 4000), (3, 0.3, 0.5, 2.0, 300)],
+    )
+    def test_numpy_sin_decides_the_guard(self, flow, monkeypatch):
+        # math.sin only screens the guard band: with a screen that never
+        # clears, numpy's sin is asked at every step and gives the same stops
+        monkeypatch.setattr(rotational, "math", SimpleNamespace(sin=lambda x: 0.0))
         assert_same_flow(integrate_alpha(*flow), reference_integrate(*flow))
 
     @pytest.mark.parametrize(

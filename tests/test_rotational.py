@@ -18,10 +18,10 @@ from quadriclab.rotational import (
     _orbit_and_profile_angles,
 )
 from quadriclab import rotational
-from quadriclab.cli import DEFAULT_TOLERANCES, ORDER_WINDOW
+from quadriclab.cli import DEFAULT_TOLERANCES, ORDER_WINDOW, main
 from quadriclab.hypersurfaces import ChartStencil, principal_curvatures
 from quadriclab.verify import gauss_metric_fn
-from references import box_sample, profile_velocity
+from references import RefQuinticHermite, box_sample, profile_velocity, ref_rhs
 
 
 def all_within_default_tolerances(residuals):
@@ -111,16 +111,16 @@ class TestIntegrator:
 
 
 def ref_integrate_alpha(n, alpha0, dalpha0, span, steps):
-    """The RK4 loop with the stage function _rhs called per stage, as integrate_alpha ran it before inlining."""
+    """The RK4 loop with the stage function called per stage, as integrate_alpha ran it before inlining."""
     h = span / steps
     a, p = float(alpha0), float(dalpha0)
     thetas, alphas, dalphas = [0.0], [a], [p]
     stop_reason = None
     for k in range(steps):
-        k1a, k1p = p, rotational._rhs(n, a, p)
-        k2a, k2p = p + 0.5 * h * k1p, rotational._rhs(n, a + 0.5 * h * k1a, p + 0.5 * h * k1p)
-        k3a, k3p = p + 0.5 * h * k2p, rotational._rhs(n, a + 0.5 * h * k2a, p + 0.5 * h * k2p)
-        k4a, k4p = p + h * k3p, rotational._rhs(n, a + h * k3a, p + h * k3p)
+        k1a, k1p = p, ref_rhs(n, a, p)
+        k2a, k2p = p + 0.5 * h * k1p, ref_rhs(n, a + 0.5 * h * k1a, p + 0.5 * h * k1p)
+        k3a, k3p = p + 0.5 * h * k2p, ref_rhs(n, a + 0.5 * h * k2a, p + 0.5 * h * k2p)
+        k4a, k4p = p + h * k3p, ref_rhs(n, a + h * k3a, p + h * k3p)
         a = a + h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
         p = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
         theta = (k + 1) * h
@@ -319,7 +319,10 @@ class TestChartMemo:
 
     def test_interpolations_per_stencil(self, traj_n4, monkeypatch):
         # one interval lookup, for value and derivative together, shared by
-        # embed and normal on the 16 stencil points, then one at the center
+        # embed and normal on the 16 stencil points, then one at the center.
+        # The lookup takes each distinct profile parameter once: the offsets
+        # along the three orbit axes leave it at the center's, so the 4 x 4
+        # stencil holds 5 of them, and the lone center point 1
         chart = build_rotational_chart(traj_n4)
         calls = []
         locate = QuinticHermite._locate
@@ -328,7 +331,90 @@ class TestChartMemo:
         )
         st = ChartStencil(chart, chart.box.center + 0.01, 1e-4)
         st.center
-        assert calls == [(4, 4), ()]
+        assert calls == [(5,), (1,)]
+
+    def test_lookups_per_verify_run(self, tmp_path, monkeypatch):
+        # verify --grid 3 at n = 4 asks the profile at 7,590 chart rows, and
+        # the interval lookups see 745 distinct profile parameters among them
+        rows, distinct = [], []
+        evaluate, locate = QuinticHermite.value_and_derivative, QuinticHermite._locate
+        monkeypatch.setattr(
+            QuinticHermite, "value_and_derivative", lambda self, t: rows.append(np.size(t)) or evaluate(self, t)
+        )
+        monkeypatch.setattr(QuinticHermite, "_locate", lambda self, t: distinct.append(np.size(t)) or locate(self, t))
+        assert main(["verify", "--example", "rotational", "--n", "4", "--grid", "3", "--out", str(tmp_path)]) == 0
+        assert (sum(rows), sum(distinct)) == (7590, 745)
+
+
+FLOWS = [
+    (3, np.pi / 12, 0.0, 0.8, 4000),
+    (4, np.pi / 12, 0.0, 0.8, 4000),
+    (5, np.pi / 12, 0.0, 0.8, 4000),
+    (4, 0.4, 0.0, 0.8, 4000),
+    (3, 0.3, 0.5, 2.0, 3000),
+]
+
+
+@pytest.fixture(scope="module", params=FLOWS, ids=lambda f: f"n{f[0]}-alpha0={f[1]:.3f}-dalpha0={f[2]}")
+def flow_chart(request):
+    traj = integrate_alpha(*request.param)
+    return traj, build_rotational_chart(traj)
+
+
+def _same(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes() and np.shape(got) == np.shape(want)
+
+
+class TestChartArrays:
+    # the interpolant is built as arrays and evaluated once per distinct
+    # abscissa; the per-interval loop, per-knot curvature and per-row lookup
+    # of RefQuinticHermite must give the same bits
+
+    @staticmethod
+    def _reference(traj, interp):
+        """RefQuinticHermite over the chart's knots, their curvatures taken one knot at a time."""
+        k = np.searchsorted(traj.thetas, interp.x)
+        assert _same(traj.thetas[k], interp.x)
+        al, pa = traj.alphas[k], traj.dalphas[k]
+        return RefQuinticHermite(interp.x, al, pa, np.array([ref_rhs(traj.n, a, p) for a, p in zip(al, pa)]))
+
+    def test_coefficients_match_interval_loop(self, flow_chart):
+        traj, chart = flow_chart
+        interp = chart.meta["interp"]
+        assert _same(interp.coeffs, self._reference(traj, interp).coeffs)
+
+    @staticmethod
+    def _inputs(chart):
+        n, rng = chart.dim, np.random.default_rng(chart.dim)
+        center = chart.box.center
+        offsets = 1e-3 * np.arange(-2.0, 3.0)[:, None, None] * np.eye(n)  # (offset, axis, n)
+        return {
+            "stencil": center + offsets,
+            "stencils": np.stack([box_sample(chart.box, rng, 0.05) for _ in range(3)])[:, None, None] + offsets,
+            "point": box_sample(chart.box, rng, 0.05),
+            "distinct": np.stack([box_sample(chart.box, rng, 0.01) for _ in range(40)]),
+        }
+
+    def test_embed_and_normal_match_per_row_lookup(self, flow_chart, monkeypatch):
+        traj, chart = flow_chart
+        monkeypatch.setattr(rotational, "QuinticHermite", RefQuinticHermite)
+        ref = build_rotational_chart(traj)
+        assert isinstance(ref.meta["interp"], RefQuinticHermite)
+        for name, x in self._inputs(chart).items():
+            assert _same(chart.embed(x), ref.embed(x)), name
+            assert _same(chart.normal(x), ref.normal(x)), name
+
+    def test_profile_matches_per_row_lookup(self, flow_chart):
+        traj, chart = flow_chart
+        interp = chart.meta["interp"]
+        ref = self._reference(traj, interp)
+        thetas = {name: x[..., 0] for name, x in self._inputs(chart).items()}
+        thetas["scalar"] = float(chart.box.center[0])
+        thetas["knot"] = interp.x[3]
+        for name, t in thetas.items():
+            for got, want in zip(interp.value_and_derivative(t), ref.value_and_derivative(t)):
+                assert type(got) is type(want) and _same(got, want), name
+            assert _same(interp.value(t), ref.value(t)), name
 
 
 def test_orbit_group_straddling_pi():
