@@ -120,6 +120,8 @@ ORDER_PROBE_STEPS = 250
 # global-error ratios under step halving that pass the order gate; a
 # fourth-order method gives 2^4 = 16
 ORDER_WINDOW = (12.0, 20.0)
+# rows of profile.csv formatted by one %-operation: %r of a float is its repr
+CSV_BLOCK_ROWS = 1024
 
 
 class ConfigError(Exception):
@@ -479,10 +481,12 @@ def _write_profile_csv(cfg: RunConfig, traj, gammas: np.ndarray) -> str:
     out_dir = _out_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "profile.csv")
+    table = np.column_stack([traj.thetas, traj.alphas, traj.dalphas, gammas])
     with open(path, "w") as fh:
         fh.write("theta,alpha,dalpha,gx,gy,gz\n")
-        rows = np.column_stack([traj.thetas, traj.alphas, traj.dalphas, gammas]).tolist()
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start : start + CSV_BLOCK_ROWS]
+            fh.write(("%r,%r,%r,%r,%r,%r\n" * len(block)) % tuple(block.ravel().tolist()))
     return path
 
 

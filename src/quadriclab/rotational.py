@@ -66,7 +66,7 @@ def _pow(x: np.ndarray, y: float) -> np.ndarray:
     numpy's own power loop rounds differently in the last bit. OverflowError
     where the power overflows, ZeroDivisionError for 0 to a negative power.
     """
-    return np.fromiter(map(pow, x.ravel().tolist(), repeat(y)), float, x.size).reshape(x.shape)
+    return np.fromiter(map(pow, x.ravel().tolist(), repeat(float(y))), float, x.size).reshape(x.shape)
 
 
 class OdeError(Exception):
@@ -111,7 +111,8 @@ def integrate_alpha(
     """Classical RK4 trajectory of the profile-angle equation over theta from 0 to span.
 
     Integration stops early, flagged, when |alpha'| or sin(n alpha) enters
-    the guard band around the singular sets. The loop keeps numpy's scalar
+    the guard band around the singular sets, or when the state stops being
+    finite (a step far too long for the flow). The loop keeps numpy's scalar
     tan (math.tan differs in the last bit for ~0.5 % of arguments); math.sin
     screens the guard, numpy's sin decides every stop. Sample k is at k h.
     """
@@ -136,24 +137,33 @@ def integrate_alpha(
     tan, sin, msin, half_h, nf = np.tan, np.sin, math.sin, 0.5 * h, float(n)
     bound, screen = 1.0 - GUARD_BAND, GUARD_BAND * (1.0 + 1e-9)
     keep_a, keep_p = alphas.append, dalphas.append
-    for k in range(steps):
-        k1p = (1.0 - p * p) / float(tan(nf * a))
-        k2a = p + half_h * k1p
-        k2p = (1.0 - k2a * k2a) / float(tan(nf * (a + half_h * p)))
-        k3a = p + half_h * k2p
-        k3p = (1.0 - k3a * k3a) / float(tan(nf * (a + half_h * k2a)))
-        k4a = p + h * k3p
-        k4p = (1.0 - k4a * k4a) / float(tan(nf * (a + h * k3a)))
-        a = a + h * (p + 2 * k2a + 2 * k3a + k4a) / 6.0
-        p = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-        if abs(p) >= bound:
-            stop_reason = f"|alpha'| reached {abs(p):.4f} at theta = {(k + 1) * h:.4f}"
-            break
-        if abs(msin(nf * a)) <= screen and abs(float(sin(nf * a))) <= GUARD_BAND:
-            stop_reason = f"sin(n alpha) vanished near theta = {(k + 1) * h:.4f}"
-            break
-        keep_a(a)
-        keep_p(p)
+    # both guards are negated comparisons, which also hold for NaN; numpy's
+    # tan of an infinite stage argument is NaN, and the guards stop on it
+    with np.errstate(invalid="ignore"):
+        try:
+            for k in range(steps):
+                k1p = (1.0 - p * p) / float(tan(nf * a))
+                k2a = p + half_h * k1p
+                k2p = (1.0 - k2a * k2a) / float(tan(nf * (a + half_h * p)))
+                k3a = p + half_h * k2p
+                k3p = (1.0 - k3a * k3a) / float(tan(nf * (a + half_h * k2a)))
+                k4a = p + h * k3p
+                k4p = (1.0 - k4a * k4a) / float(tan(nf * (a + h * k3a)))
+                a = a + h * (p + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
+                p = p + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+                if not abs(p) < bound:
+                    stop_reason = f"|alpha'| reached {abs(p):.4f} at theta = {(k + 1) * h:.4f}"
+                    break
+                if not abs(msin(nf * a)) > screen and not abs(float(sin(nf * a))) > GUARD_BAND:
+                    stop_reason = f"sin(n alpha) vanished near theta = {(k + 1) * h:.4f}"
+                    break
+                keep_a(a)
+                keep_p(p)
+        except ZeroDivisionError:
+            # a stage whose n alpha is exactly 0.0 divides by its zero tan
+            p = float("inf")
+    if not (np.isfinite(a) and np.isfinite(p)):
+        stop_reason = f"the state left the finite numbers near theta = {(k + 1) * h:.4f}"
     thetas = np.arange(len(alphas)) * h
     thetas[0] = 0.0
     return AlphaTrajectory(n, thetas, alphas, dalphas, stop_reason)
@@ -236,10 +246,13 @@ def ode_equivalence_residual(traj: AlphaTrajectory) -> float:
 
     Transforms the trajectory to the arclength parameter and checks the
     second-order equation there with interior finite differences; validates
-    that the two forms of the flow agree.
+    that the two forms of the flow agree. 0.0 below five samples, where no
+    interior point has a five-point stencil.
     """
     n = traj.n
     th = traj.thetas
+    if len(th) < 5:
+        return 0.0
     al = traj.alphas
     pa = traj.dalphas
     w = np.sqrt(1.0 - pa**2)
@@ -328,6 +341,8 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
     if n < 3:
         raise OdeError("rotational charts need n >= 3")
     al, pa, th = traj.alphas, traj.dalphas, traj.thetas
+    if len(th) < 2:
+        raise OdeError(f"a chart needs at least two samples, the trajectory has {len(th)}")
     if np.min(np.sin(n * al)) <= GUARD_BAND:
         raise OdeError("sin(n alpha) leaves the positive regime on this trajectory")
     if np.min(np.sin((n - 1) * al)) <= 1e-6 or np.min(np.sin(al)) <= 1e-6:

@@ -953,3 +953,44 @@ class TestOdeCommand:
         code = main(["ode", "--n", "3", "--steps", "1000", "--span", "0.5"])
         assert code == 0
         assert os.path.exists(tmp_path / "env" / "profile.csv")
+
+
+# runs whose trajectory stops at its first step or leaves the finite numbers:
+# each is a bad input, exit 2 with one `error:` line
+STOPPED_FLOWS = {
+    "first-step-sin": ["ode", "--n", "3", "--alpha0", "0.0004", "--dalpha0", "-0.5"],
+    "first-step-slope": ["ode", "--span", "1e10", "--steps", "3"],
+    "non-finite": ["ode", "--span", "1e300", "--steps", "100"],
+}
+
+
+class TestStoppedFlows:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *STOPPED_FLOWS.values(),
+            ["verify", "--example", "rotational", "--span", "1e300", "--steps", "100"],
+            ["angles", "--example", "rotational", "--span", "1e300", "--steps", "100"],
+            ["ode", "--n", "3", "--alpha0", "0.1", "--dalpha0", "-0.5", "--span", "0.4", "--steps", "1"],
+        ],
+        ids=[*STOPPED_FLOWS, "verify-non-finite", "angles-non-finite", "zero-tan"],
+    )
+    def test_one_error_line(self, tmp_path, capsys, argv):
+        # a one-sample trajectory raised IndexError in the equivalence
+        # residual, a traceback with exit code 1; a NaN state passed the
+        # guards and numpy warned on stderr
+        assert run(tmp_path, *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", STOPPED_FLOWS.values(), ids=STOPPED_FLOWS)
+    def test_one_stderr_line_in_a_process(self, tmp_path, argv):
+        # in process, pytest turns numpy's RuntimeWarnings into exceptions;
+        # only a process shows the stderr a user sees
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadriclab.cli", *argv, "--out", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -8,6 +8,7 @@ formats one row at a time. The package must reproduce them bit for bit.
 
 import os
 import tempfile
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,6 +90,14 @@ def reference_csv(traj, gammas) -> bytes:
         )
         lines.append(",".join(repr(float(v)) for v in row) + "\n")
     return "".join(lines).encode()
+
+
+def reference_row_list_writer(path, traj, gammas):
+    """The writer before its rows were formatted in blocks: one list of Python floats per row."""
+    with open(path, "w") as fh:
+        fh.write("theta,alpha,dalpha,gx,gy,gz\n")
+        rows = np.column_stack([traj.thetas, traj.alphas, traj.dalphas, gammas]).tolist()
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def written_csv(traj, gammas) -> bytes:
@@ -214,7 +223,58 @@ class TestFirstIntegral:
             assert first_integral_residual(trajectory(3, states)) == want
 
 
+@pytest.fixture(scope="module")
+def long_flow():
+    """The 16,001-sample trajectory of ode --n 4 --steps 16000 and its curve points."""
+    traj = integrate_alpha(4, np.pi / 12.0, 0.0, 0.8, 16000)
+    return traj, profile_curve(traj)
+
+
+def _head(traj, gammas, rows):
+    return AlphaTrajectory(traj.n, traj.thetas[:rows], traj.alphas[:rows], traj.dalphas[:rows]), gammas[:rows]
+
+
 class TestProfileCsv:
+    """cli._write_profile_csv formats CSV_BLOCK_ROWS rows per write, bytewise the row-by-row reference."""
+
+    B = cli.CSV_BLOCK_ROWS
+
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_block_edges(self, long_flow, rows):
+        traj, gammas = _head(*long_flow, rows)
+        csv = written_csv(traj, gammas)
+        assert csv == reference_csv(traj, gammas)
+        assert csv.count(b"\n") == rows + 1
+
+    def test_negative_span(self):
+        # sample k at k h with h < 0 puts -0.0 in the first theta row, whose
+        # repr keeps the sign
+        traj = integrate_alpha(3, np.pi / 12.0, 0.0, -0.8, 2000)
+        h = -0.8 / 2000
+        signed = AlphaTrajectory(3, np.arange(len(traj.thetas)) * h, traj.alphas, traj.dalphas)
+        for t in (traj, signed):
+            gammas = profile_curve(t)
+            assert written_csv(t, gammas) == reference_csv(t, gammas)
+        assert written_csv(signed, profile_curve(signed)).split(b"\n")[1].startswith(b"-0.0,")
+
+    def test_peak_memory_below_row_list_writer(self, long_flow, tmp_path):
+        # the row-list writer holds 16,001 six-float lists at once; the block
+        # writer holds the float table and one block of Python floats
+        traj, gammas = long_flow
+
+        def peak(write):
+            tracemalloc.start()
+            try:
+                write()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ours = peak(lambda: cli._write_profile_csv(SimpleNamespace(out=str(tmp_path / "block")), traj, gammas))
+        theirs = peak(lambda: reference_row_list_writer(tmp_path / "rows.csv", traj, gammas))
+        assert (tmp_path / "block" / "profile.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert ours < 0.4 * theirs
+
     @settings(max_examples=25, deadline=None)
     @given(flows(max_steps=400))
     def test_rows_match_reference_writer(self, flow):
@@ -236,3 +296,4 @@ class TestProfileCsv:
         traj = trajectory(4, states)
         with open(os.path.join(tmp_path, "profile.csv"), "rb") as fh:
             assert fh.read() == reference_csv(traj, profile_curve(traj))
+

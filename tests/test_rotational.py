@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,32 @@ class TestIntegrator:
         assert "sin" in traj.stop_reason
         assert 1 <= len(traj.states) < 2001
 
+    @pytest.mark.parametrize(
+        "flow",
+        [
+            (3, np.pi / 12, 0.0, 1e300, 100),  # numpy's tan of an infinite stage argument is NaN
+            (3, 0.1, -0.5, 0.4, 1),  # the second stage's n alpha is exactly 0.0, its tan 0.0
+        ],
+        ids=["nan-tan", "zero-tan"],
+    )
+    def test_non_finite_state_stops(self, flow):
+        # NaN fails every comparison, so the guards are negated comparisons
+        # that stop on it; the stage tan gives no RuntimeWarning
+        traj = integrate_alpha(*flow)
+        theta = flow[3] / flow[4]
+        assert traj.stop_reason == f"the state left the finite numbers near theta = {theta:.4f}"
+        assert len(traj.thetas) == 1
+        assert np.isfinite([traj.thetas, traj.alphas, traj.dalphas]).all()
+
+    def test_nan_slope_alone_stops(self, monkeypatch):
+        # a NaN from the fourth stage's tan reaches alpha' but not alpha, so
+        # only the |alpha'| guard can stop on it
+        calls, tan = itertools.count(1), np.tan
+        monkeypatch.setattr(np, "tan", lambda x: np.nan if next(calls) == 4 else tan(x))
+        traj = integrate_alpha(3, np.pi / 12, 0.0, 0.8, 10)
+        assert traj.stop_reason == "the state left the finite numbers near theta = 0.0800"
+        assert len(traj.thetas) == 1
+
 
 def ref_integrate_alpha(n, alpha0, dalpha0, span, steps):
     """The RK4 loop with the stage function called per stage, as integrate_alpha ran it before inlining."""
@@ -203,6 +231,20 @@ class TestProfileCurve:
 class TestOdeEquivalence:
     def test_arclength_form_residual(self, rotational_trajectory):
         assert ode_equivalence_residual(rotational_trajectory) < 1e-5
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 4])
+    def test_no_interior_point(self, rotational_trajectory, samples):
+        # below five samples no point has a five-point stencil
+        t = rotational_trajectory
+        short = AlphaTrajectory(3, t.thetas[:samples], t.alphas[:samples], t.dalphas[:samples])
+        assert ode_equivalence_residual(short) == 0.0
+
+    def test_stop_at_first_step(self):
+        traj = integrate_alpha(3, 0.0004, -0.5, 0.8, 4000)
+        assert traj.stopped_early and len(traj.thetas) == 1
+        assert ode_equivalence_residual(traj) == 0.0
+        with pytest.raises(OdeError, match="at least two samples"):
+            build_rotational_chart(traj)
 
     def test_chart_side_second_order_form(self, rotational_chart):
         res = warped_curvature_check(rotational_chart, 3, rotational_chart.meta["c1"])
