@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -437,12 +437,21 @@ def cmd_angles(cfg: RunConfig) -> tuple[int, dict]:
 def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
     p = cfg.example_params()
     traj = _flow(cfg.n, p)
-    residuals = {
-        "first_integral": first_integral_residual(traj),
-        "ode_forms_equivalent": ode_equivalence_residual(traj),
-    }
-    order = ode_order_ratio(cfg.n, p["alpha0"], p["dalpha0"], p["span"], ORDER_PROBE_STEPS)
-    gammas = profile_curve(traj)
+    try:
+        residuals = {
+            "first_integral": first_integral_residual(traj),
+            "ode_forms_equivalent": ode_equivalence_residual(traj),
+        }
+        order = ode_order_ratio(cfg.n, p["alpha0"], p["dalpha0"], p["span"], ORDER_PROBE_STEPS)
+        gammas = profile_curve(traj)
+        chart = build_rotational_chart(traj)
+        residuals.update(warped_curvature_check(chart, cfg.n, chart.meta["c1"], cfg.steps()))
+    except (ChartError, OdeError, VerifyError, GaussMapError, NumericsError) as exc:
+        # a run that cannot go on past its trajectory's early stop names that
+        # stop, not what it broke in the order probe or the chart
+        if traj.stopped_early:
+            raise OdeError(f"trajectory stopped early: {traj.stop_reason}") from exc
+        raise
     payload: dict = {
         "config": cfg.to_dict(),
         "trajectory": {
@@ -452,8 +461,6 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
             "order_ratio": order,
         },
     }
-    chart = build_rotational_chart(traj)
-    residuals.update(warped_curvature_check(chart, cfg.n, chart.meta["c1"], cfg.steps()))
     report = _report(cfg.example, [0.0], residuals, cfg)
     # the order gate counts in the summary only, and is skipped when the probe
     # runs differ by round-off only
@@ -490,15 +497,88 @@ def _write_profile_csv(cfg: RunConfig, traj, gammas: np.ndarray) -> str:
     return path
 
 
+# float.__repr__ of the non-finite floats -> the text json writes for them
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_leaf(o) -> str | None:
+    """The JSON text of a str, None, bool, int or float, or None for anything else.
+
+    The tests run in json's order, so a bool is not an int and an int or
+    float subclass writes as its base value.
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _JSON_NON_FINITE.get(text, text)
+    return None
+
+
+def _json_text(o, indent: str) -> str:
+    """The text of o in json.dumps(..., indent=2, sort_keys=True), o nested at indent."""
+    leaf = _json_leaf(o)
+    if leaf is not None:
+        return leaf
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        brackets = "[]"
+        if set(map(type, o)) == {float}:
+            # the rows of numbers: their reprs, with no call per item
+            texts = list(map(float.__repr__, o))
+            if not _JSON_NON_FINITE.keys().isdisjoint(texts):
+                texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
+        else:
+            texts = [_json_text(item, inner) for item in o]
+    elif isinstance(o, dict):
+        if not o:
+            return "{}"
+        brackets = "{}"
+        texts = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(o.items())]
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + brackets[1]
+
+
+def _json_key(k) -> str:
+    """A dict key as json writes it: a str as it is, a number, bool or None as its JSON text, quoted."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    text = _json_leaf(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return encode_basestring_ascii(text)
+
+
+def report_text(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) + "\\n", built in one pass.
+
+    Python's json falls back to its pure-Python encoder whenever it indents,
+    a generator frame per container and a write per chunk; this builds each
+    container with one join.
+    """
+    return _json_text(payload, "") + "\n"
+
+
 def write_report(cfg: RunConfig, payload: dict) -> str:
     out_dir = _out_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{cfg.command}_{cfg.example}_report.json")
     payload = dict(payload)
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    text = report_text(payload)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     return path
 
 

@@ -176,7 +176,7 @@ def gauss_map(
         )
 
     # orthonormal frame for the induced metric, as coordinate velocities
-    w_eval, v = symmetric_eigen(st.lift_metric)
+    w_eval, v = st.lift_eigen
     bad = flagged_row(w_eval[..., 0] <= 1e-10, p, w_eval)
     if bad:
         raise GaussMapError(f"degenerate induced metric at {bad[0]}: spectrum {bad[1]}")

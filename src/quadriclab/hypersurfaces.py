@@ -174,9 +174,21 @@ class ChartStencil:
         return 0.5 * (g + g.swapaxes(-1, -2))
 
     @cached_property
+    def _metric_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of the lift metric (row 0) and the Gram matrix (row 1): independent problems, one stacked solve."""
+        return symmetric_eigen(np.stack([self.lift_metric, self.d_embed @ self.d_embed.swapaxes(-1, -2)]))
+
+    @property
+    def lift_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition of the induced metric of the Gauss-map lift."""
+        w, v = self._metric_eigen
+        return w[0], v[0]
+
+    @property
     def gram_eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of the Gram matrix of the coordinate tangents."""
-        return symmetric_eigen(self.d_embed @ self.d_embed.swapaxes(-1, -2))
+        w, v = self._metric_eigen
+        return w[1], v[1]
 
     @property
     def gram_spectrum(self) -> np.ndarray:

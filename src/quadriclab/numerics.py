@@ -71,6 +71,25 @@ def flagged_row(flags, *arrays):
     return tuple(np.asarray(a)[k] for a in arrays)
 
 
+# a matrix whose scale 1 + max |entry| is below 2^1023 has only finite
+# entries, and no entry of m + m^T overflows; only a larger or non-finite
+# scale calls for the entry-wise finiteness check
+_FINITE_SCALE = 2.0**1023
+
+
+def _symmetry_scale(a: np.ndarray, at: np.ndarray, tol: float) -> np.ndarray:
+    """Each matrix's scale 1 + max |entry|, after checking its asymmetry defect |a - at| against tol * scale."""
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
+    defect = np.abs(a - at).max(axis=(-2, -1), initial=0.0)
+    asymmetric = defect > tol * scale
+    if asymmetric.any():
+        raise NumericsError(
+            f"matrix is not symmetric: asymmetry defect {flagged_row(asymmetric, defect)[0]:.3e} "
+            f"exceeds {tol:.1e} * scale"
+        )
+    return scale
+
+
 def symmetrize(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Return (m + m^T)/2 after checking each matrix's asymmetry defect against tol.
 
@@ -79,14 +98,7 @@ def symmetrize(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     mt = m.swapaxes(-1, -2)
-    scale = 1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0)
-    defect = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
-    bad = flagged_row(defect > tol * scale, defect)
-    if bad:
-        raise NumericsError(
-            f"matrix is not symmetric: asymmetry defect {bad[0]:.3e} exceeds "
-            f"{tol:.1e} * scale"
-        )
+    _symmetry_scale(m, mt, tol)
     return 0.5 * (m + mt)
 
 
@@ -97,27 +109,39 @@ def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so that its largest-magnitude entry is positive; a stack (..., k, k)
     gives (..., k) and (..., k, k).
 
-    Each matrix is checked on its own: NumericsError on non-finite entries,
-    and ConvergenceError naming the first matrix whose ||m v - v lam||_F
-    exceeds 1e-10 (1 + ||m||_F).
+    Each matrix is checked on its own, in this order over the whole stack:
+    NumericsError on an asymmetry defect above 1e-12 (1 + max |entry|), then
+    on non-finite entries, and ConvergenceError naming the first matrix whose
+    ||m v - v lam||_F exceeds 1e-10 (1 + ||m||_F). Only a failing check pays
+    for naming its matrix.
     """
-    a = symmetrize(m)
-    if a.shape[-1] == 0:
+    a = np.asarray(m, dtype=float)
+    at = a.swapaxes(-1, -2)
+    scale = _symmetry_scale(a, at, 1e-12)
+    a = 0.5 * (a + at)
+    if not (scale < _FINITE_SCALE).all():
+        bad = flagged_row(~np.isfinite(a).all(axis=(-2, -1)), m)
+        if bad:
+            raise NumericsError(f"symmetric_eigen: matrix has non-finite entries:\n{bad[0]}")
+    k = a.shape[-1]
+    if k == 0:
         return np.zeros(a.shape[:-1]), np.zeros(a.shape)
-    bad = flagged_row(~np.isfinite(a).all(axis=(-2, -1)), m)
-    if bad:
-        raise NumericsError(f"symmetric_eigen: matrix has non-finite entries:\n{bad[0]}")
     w, v = np.linalg.eigh(a)
-    residual = np.linalg.norm(a @ v - v * w[..., None, :], axis=(-2, -1))
-    bad = flagged_row(~(residual <= 1e-10 * (1.0 + np.linalg.norm(a, axis=(-2, -1)))), residual, m)
-    if bad:
+    # Frobenius norms in np.linalg.norm's own arithmetic, sqrt(sum(x * x))
+    r = a @ v - v * w[..., None, :]
+    residual = np.sqrt(np.add.reduce(r * r, axis=(-2, -1)))
+    failed = ~(residual <= 1e-10 * (1.0 + np.sqrt(np.add.reduce(a * a, axis=(-2, -1)))))
+    if failed.any():
+        bad = flagged_row(failed, residual, m)
         raise ConvergenceError(
             f"symmetric_eigen: residual {bad[0]:.3e} exceeds 1e-10 * (1 + ||m||) "
             f"on\n{bad[1]}"
         )
-    # fix column signs for reproducibility
-    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
-    return w, v * np.where(top < 0, -1.0, 1.0)
+    # fix column signs for reproducibility: each column's first largest-magnitude
+    # entry, gathered by its flat index in v
+    rows = np.argmax(np.abs(v), axis=-2)
+    flat = rows * k + np.arange(k) + np.arange(0, rows.size * k, k * k).reshape(rows.shape[:-1] + (1,))
+    return w, v * np.where(v.reshape(-1)[flat] < 0, -1.0, 1.0)[..., None, :]
 
 
 def eigen_solve(eigen: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:

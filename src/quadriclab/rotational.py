@@ -101,6 +101,11 @@ class AlphaTrajectory:
         return list(map(ProfileState, self.thetas.tolist(), self.alphas.tolist(), self.dalphas.tolist()))
 
 
+def _stop_number(x: float) -> str:
+    """x in a stop reason: four decimals, or exponent form from 1e6 on, so the reason stays one short line."""
+    return f"{x:.4f}" if abs(x) < 1e6 else f"{x:.4e}"
+
+
 def integrate_alpha(
     n: int,
     alpha0: float,
@@ -152,10 +157,10 @@ def integrate_alpha(
                 a = a + h * (p + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
                 p = p + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
                 if not abs(p) < bound:
-                    stop_reason = f"|alpha'| reached {abs(p):.4f} at theta = {(k + 1) * h:.4f}"
+                    stop_reason = f"|alpha'| reached {_stop_number(abs(p))} at theta = {_stop_number((k + 1) * h)}"
                     break
                 if not abs(msin(nf * a)) > screen and not abs(float(sin(nf * a))) > GUARD_BAND:
-                    stop_reason = f"sin(n alpha) vanished near theta = {(k + 1) * h:.4f}"
+                    stop_reason = f"sin(n alpha) vanished near theta = {_stop_number((k + 1) * h)}"
                     break
                 keep_a(a)
                 keep_p(p)
@@ -163,7 +168,7 @@ def integrate_alpha(
             # a stage whose n alpha is exactly 0.0 divides by its zero tan
             p = float("inf")
     if not (np.isfinite(a) and np.isfinite(p)):
-        stop_reason = f"the state left the finite numbers near theta = {(k + 1) * h:.4f}"
+        stop_reason = f"the state left the finite numbers near theta = {_stop_number((k + 1) * h)}"
     thetas = np.arange(len(alphas)) * h
     thetas[0] = 0.0
     return AlphaTrajectory(n, thetas, alphas, dalphas, stop_reason)

@@ -5,6 +5,9 @@ this directory on the import path).
 """
 
 import dataclasses
+import json
+import os
+import time
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from quadriclab.gaussmap import (
     second_fundamental_form,
     structure_operators,
 )
+from quadriclab.numerics import ConvergenceError, NumericsError, flagged_row
 from quadriclab.quadric import HorizontalVector, StiefelPoint, StructureGauge, horizontal_project
 from quadriclab.verify import (
     ConnectionData,
@@ -246,6 +250,11 @@ def ref_rhs(n, alpha, dalpha):
     return (1.0 - dalpha * dalpha) / float(np.tan(n * alpha))
 
 
+def ref_stop_number(x):
+    """A number in a stop reason: four decimals below 1e6, exponent form from there on."""
+    return f"{x:.4f}" if abs(x) < 1e6 else f"{x:.4e}"
+
+
 class RefQuinticHermite:
     """QuinticHermite as it was built and evaluated before its arrays: one loop pass per interval, one lookup per row."""
 
@@ -287,3 +296,39 @@ class RefQuinticHermite:
 
     def value(self, t):
         return self.value_and_derivative(t)[0]
+
+
+def ref_symmetric_eigen(m):
+    """symmetric_eigen as it was before its fast path: symmetrize, then a finiteness pass, np.linalg.norm and take_along_axis."""
+    a = np.asarray(m, dtype=float)
+    mt = a.swapaxes(-1, -2)
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0)
+    defect = np.abs(a - mt).max(axis=(-2, -1), initial=0.0)
+    bad = flagged_row(defect > 1e-12 * scale, defect)
+    if bad:
+        raise NumericsError(f"matrix is not symmetric: asymmetry defect {bad[0]:.3e} exceeds {1e-12:.1e} * scale")
+    a = 0.5 * (a + mt)
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1]), np.zeros(a.shape)
+    bad = flagged_row(~np.isfinite(a).all(axis=(-2, -1)), m)
+    if bad:
+        raise NumericsError(f"symmetric_eigen: matrix has non-finite entries:\n{bad[0]}")
+    w, v = np.linalg.eigh(a)
+    residual = np.linalg.norm(a @ v - v * w[..., None, :], axis=(-2, -1))
+    bad = flagged_row(~(residual <= 1e-10 * (1.0 + np.linalg.norm(a, axis=(-2, -1)))), residual, m)
+    if bad:
+        raise ConvergenceError(f"symmetric_eigen: residual {bad[0]:.3e} exceeds 1e-10 * (1 + ||m||) on\n{bad[1]}")
+    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    return w, v * np.where(top < 0, -1.0, 1.0)
+
+
+def ref_write_report(out_dir, command, example, payload):
+    """The report writer as it was: json.dump through the file, chunk by chunk, then a newline."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{command}_{example}_report.json")
+    payload = dict(payload)
+    payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path

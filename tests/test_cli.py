@@ -18,6 +18,22 @@ def run(tmp_path, *args):
     return main(list(args) + ["--out", str(tmp_path)])
 
 
+def eigensolves(tmp_path, monkeypatch, argv) -> int:
+    """symmetric_eigen calls of one passing in-process run of argv."""
+    calls = []
+    original = numerics.symmetric_eigen
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "quadriclab"]:
+        if getattr(module, "symmetric_eigen", None) is original:
+            monkeypatch.setattr(module, "symmetric_eigen", counted)
+    assert run(tmp_path, *argv) == 0
+    return len(calls)
+
+
 def load_report(tmp_path, command, example):
     with open(tmp_path / f"{command}_{example}_report.json") as fh:
         return json.load(fh)
@@ -848,27 +864,39 @@ class TestOdeCommand:
         }[example]
         assert calls == {name: 0 if name in skipped else count for name, count in self.IDENTITY_BUDGET.items()}
 
-    @pytest.mark.parametrize("gauge, solves", [("normalized", 13), ("canonical", 11)])
+    @pytest.mark.parametrize("gauge, solves", [("normalized", 11), ("canonical", 9)])
     def test_eigensolve_budget(self, tmp_path, monkeypatch, gauge, solves):
         # symmetric_eigen calls of verify --grid 3 on the round 3-sphere, each
-        # a stack: 3 for the sample jets (induced metric, Gram matrix and
-        # shape operator) and 3 more for the field-derivative jets, 2 per
+        # a stack: 2 for the sample jets (the induced metric and the Gram
+        # matrix as one stack, then the shape operator) and 2 more for the
+        # field-derivative jets, 2 per angle_spectrum call (tangential
+        # operator and the stacked sub-solve of the degenerate run) and 1 for
+        # the stacked polar factor of the frame alignment; a per-row or
+        # per-point solve multiplies these (the per-point stencils and per-row
+        # solves made 95 and 91)
+        argv = ["verify", "--grid", "3", "--gauge", gauge]
+        assert eigensolves(tmp_path, monkeypatch, argv) == solves
+
+    @pytest.mark.parametrize(
+        "example, n, gauge, solves",
+        [
+            (example, n, gauge, solves + (example == "cartan"))
+            for example, n in (("sphere", "3"), ("product", "2"), ("product", "3"), ("cartan", "3"))
+            for gauge, solves in (("normalized", 6), ("canonical", 4))
+        ],
+    )
+    def test_angles_eigensolve_budget(self, tmp_path, monkeypatch, example, n, gauge, solves):
+        # symmetric_eigen calls of one angles --grid 12 operation of the
+        # benchmark's angles-scan: 2 for the jets (the induced metric and the
+        # Gram matrix as one stack, then the shape operator) and 2 per
         # angle_spectrum call (tangential operator and the stacked sub-solve
-        # of the degenerate run) and 1 for the stacked polar factor of the
-        # frame alignment; a per-row or per-point solve multiplies these (the
-        # per-point stencils and per-row solves made 95 and 91)
-        calls = []
-        original = numerics.symmetric_eigen
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "quadriclab"]:
-            if getattr(module, "symmetric_eigen", None) is original:
-                monkeypatch.setattr(module, "symmetric_eigen", counted)
-        assert main(["verify", "--grid", "3", "--gauge", gauge, "--out", str(tmp_path)]) == 0
-        assert len(calls) == solves
+        # of a degenerate run), one call in the canonical gauge and two in
+        # the normalized one. Cartan's canonical angles are distinct, so its
+        # spectrum makes no sub-solve, but building its chart takes the
+        # principal curvatures at the center (2 more). Each call costs a
+        # fixed overhead, so a split stack shows here
+        argv = ["angles", "--example", example, "--n", n, "--grid", "12", "--gauge", gauge]
+        assert eigensolves(tmp_path, monkeypatch, argv) == solves
 
     def test_order_probe_at_many_steps(self, tmp_path):
         # the order probe keeps its own step count, so a fine --steps does not
@@ -982,6 +1010,30 @@ class TestStoppedFlows:
         assert run(tmp_path, *argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            # the order probe's own stop was named: |alpha'| reached 1.1392 at theta = 0.0032
+            (STOPPED_FLOWS["first-step-sin"], "sin(n alpha) vanished near theta = 0.0002"),
+            # the chart's "a chart needs at least two samples" was named
+            (
+                ["ode", "--n", "3", "--alpha0", "0.1", "--dalpha0", "-0.5", "--span", "0.4", "--steps", "1"],
+                "the state left the finite numbers near theta = 0.4000",
+            ),
+        ],
+        ids=["first-step-sin", "zero-tan"],
+    )
+    def test_names_the_main_trajectory_stop(self, tmp_path, capsys, argv, line):
+        assert run(tmp_path, *argv) == 2
+        assert capsys.readouterr().err == f"error: trajectory stopped early: {line}\n"
+
+    @pytest.mark.parametrize("argv", STOPPED_FLOWS.values(), ids=STOPPED_FLOWS)
+    def test_error_line_is_short(self, tmp_path, capsys, argv):
+        # a theta of 1e298 or an |alpha'| of 1e142 printed every digit
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 120
 
     @pytest.mark.parametrize("argv", STOPPED_FLOWS.values(), ids=STOPPED_FLOWS)
     def test_one_stderr_line_in_a_process(self, tmp_path, argv):

@@ -354,6 +354,17 @@ class TestShapeOperatorSolves:
         principal_curvatures(product_13, np.array([0.1, -0.2, 0.15]))
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("chart", ["sphere_half", "clifford_torus", "product_13", "tube", "rotational_chart"])
+    def test_stacked_metric_solve_matches_separate_solves(self, request, chart):
+        # the lift metric and the Gram matrix are solved as one stack; each
+        # reads bitwise what its own solve gives
+        chart = request.getfixturevalue(chart)
+        st = ChartStencil(chart, np.array(sample_points(chart, 12)), 1e-4)
+        gram = st.d_embed @ st.d_embed.swapaxes(-1, -2)
+        for (w, v), m in ((st.lift_eigen, st.lift_metric), (st.gram_eigen, gram)):
+            w_alone, v_alone = symmetric_eigen(m)
+            assert w.tobytes() == w_alone.tobytes() and v.tobytes() == v_alone.tobytes()
+
     def test_velocities_match_the_eigen_solve(self, product_13):
         st = ChartStencil(product_13, np.array([0.1, -0.2, 0.15]), 1e-4)
         e, t, m = tangent_data(st)

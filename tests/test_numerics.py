@@ -22,6 +22,7 @@ from quadriclab.numerics import (
     symmetric_eigen,
     symmetrize,
 )
+from references import ref_symmetric_eigen
 
 
 class TestSymmetricEigen:
@@ -100,6 +101,112 @@ class TestSymmetricEigen:
         w_flipped, v_flipped = symmetric_eigen(m)
         np.testing.assert_array_equal(w_flipped, w)
         np.testing.assert_array_equal(v_flipped, v)
+
+
+def _symmetric(rng, shape):
+    m = rng.standard_normal(shape)
+    return m + m.swapaxes(-1, -2)
+
+
+def _degenerate(rng, spectrum):
+    q, _ = np.linalg.qr(rng.standard_normal((len(spectrum), len(spectrum))))
+    return (q * spectrum) @ q.T
+
+
+def _outcome(solve, m):
+    try:
+        return solve(m)
+    except NumericsError as exc:
+        return type(exc), str(exc)
+
+
+class TestEigenTwin:
+    """symmetric_eigen against its twin from before the fast path: bitwise (w, v), the same errors in the same order."""
+
+    rng = np.random.default_rng(25)
+    CASES = {
+        "random-3x3": _symmetric(rng, (3, 3)),
+        "random-stack": _symmetric(rng, (12, 3, 3)),
+        "random-2d-stack": _symmetric(rng, (2, 5, 4, 4)),
+        "random-6x6-stack": _symmetric(rng, (4, 6, 6)) * 40.0,
+        "1x1": np.array([[-2.5]]),
+        "repeated-eigenvalue": _degenerate(rng, [1.0, 1.0, 2.0]),
+        "triple-eigenvalue-stack": np.stack([_degenerate(rng, [0.5, 0.5, 0.5]), _degenerate(rng, [-1.0, 3.0, 3.0])]),
+        "zero": np.zeros((3, 3)),
+        "identity": np.eye(4),
+        "ones-blocks": np.kron(np.eye(3), np.ones((2, 2))),
+        "ones-2x2-stack": np.stack([np.ones((2, 2)), -np.ones((2, 2)), 2.0 * np.eye(2)]),
+        "k=0": np.zeros((0, 0)),
+        "k=0-stack": np.zeros((5, 0, 0)),
+        "empty-stack": np.zeros((0, 3, 3)),
+        "nested-list": [[2.0, 1.0], [1.0, 2.0]],
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_bitwise_twin(self, name):
+        m = self.CASES[name]
+        w, v = symmetric_eigen(m)
+        w_ref, v_ref = ref_symmetric_eigen(m)
+        for got, want in ((w, w_ref), (v, v_ref)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=7))
+    @settings(max_examples=30, deadline=None)
+    def test_bitwise_twin_random_stacks(self, seed, k):
+        rng = np.random.default_rng(seed)
+        m = _symmetric(rng, (int(rng.integers(1, 6)), k, k)) * rng.uniform(1e-3, 1e3)
+        w, v = symmetric_eigen(m)
+        w_ref, v_ref = ref_symmetric_eigen(m)
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+    @pytest.mark.parametrize("name", ["random-stack", "random-2d-stack", "triple-eigenvalue-stack", "ones-2x2-stack"])
+    def test_stack_matches_separate_solves(self, name):
+        m = self.CASES[name]
+        w, v = symmetric_eigen(m)
+        for idx in np.ndindex(m.shape[:-2]):
+            w1, v1 = symmetric_eigen(m[idx])
+            assert w[idx].tobytes() == w1.tobytes() and v[idx].tobytes() == v1.tobytes()
+
+    ASYMMETRIC = np.array([[0.0, 1.0], [0.0, 0.0]])
+    NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    ERRORS = {
+        "asymmetric-stack": np.stack([np.eye(2), ASYMMETRIC, 2.0 * ASYMMETRIC]),
+        "nan": NAN,
+        "inf": np.array([[1.0, 0.0], [0.0, np.inf]]),
+        "nan-stack": np.stack([np.eye(2), NAN]),
+        # the asymmetry check runs over the whole stack before the finiteness check
+        "nan-then-asymmetric": np.stack([NAN, ASYMMETRIC]),
+        "asymmetric-then-nan": np.stack([ASYMMETRIC, NAN]),
+        # finite entries whose sum m + m^T overflows
+        "overflowing-sum": np.full((2, 2), 1.7e308),
+    }
+
+    @pytest.mark.parametrize("name", ERRORS)
+    def test_errors_match_twin(self, name):
+        m = self.ERRORS[name]
+        # an infinite entry or an overflowing sum warns on the way, in both
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, want = _outcome(symmetric_eigen, m), _outcome(ref_symmetric_eigen, m)
+        assert isinstance(got, tuple) and got == want
+        kind = "not symmetric" if "asymmetric" in name else "non-finite"
+        assert got[0] is NumericsError and kind in got[1]
+
+    def test_convergence_error_matches_twin(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            # eigenvalues off by 1e-6 on the matrices whose first entry exceeds 1.5
+            w, v = eigh(a)
+            return w + 1e-6 * (a[..., 0, 0] > 1.5)[..., None], v
+
+        monkeypatch.setattr(numerics.np.linalg, "eigh", perturbed)
+        # the second and third matrices fail; the error names the second
+        m = np.stack([np.eye(3), 2.0 * np.eye(3) + 0.1, 3.0 * np.eye(3)])
+        got = _outcome(symmetric_eigen, m)
+        assert got == _outcome(ref_symmetric_eigen, m)
+        assert got[0] is ConvergenceError and str(m[1]) in got[1]
 
 
 class TestGramSchmidt:

@@ -25,6 +25,7 @@ from quadriclab.rotational import (
     profile_curve,
     warp_constant,
 )
+from references import ref_stop_number
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +51,9 @@ def reference_integrate(n, alpha0, dalpha0, span, steps):
         p = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
         theta = t0 + (k + 1) * h
         if abs(p) >= 1.0 - GUARD_BAND:
-            return states, True, f"|alpha'| reached {abs(p):.4f} at theta = {theta:.4f}"
+            return states, True, f"|alpha'| reached {ref_stop_number(abs(p))} at theta = {ref_stop_number(theta)}"
         if abs(np.sin(n * a)) <= GUARD_BAND:
-            return states, True, f"sin(n alpha) vanished near theta = {theta:.4f}"
+            return states, True, f"sin(n alpha) vanished near theta = {ref_stop_number(theta)}"
         states.append(ProfileState(theta, a, p))
     return states, False, None
 

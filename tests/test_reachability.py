@@ -1,10 +1,11 @@
 """Every function in the package is reached by a command, or claimed.
 
 The CLI runs below cover every example in both gauges, `angles`, `ode` at
-n = 3 and 4, one configuration error and one usage error. They run in
-process under sys.setprofile. Each function or method defined in
-src/quadriclab, closures and lambdas included, must be called by one of
-them or be covered by an entry of LIBRARY_ONLY, which names what claims it:
+n = 3 and 4, one configuration error, one usage error and one trajectory
+that stops early. They run in process under sys.setprofile. Each function
+or method defined in src/quadriclab, closures and lambdas included, must be
+called by one of them or be covered by an entry of LIBRARY_ONLY, which
+names what claims it:
 a ROADMAP item, an acceptance test, bench/tracing.py, or an error path that
 needs a bad chart. An entry covers the functions nested in the one it names.
 """
@@ -30,6 +31,7 @@ RUNS = [
     ["ode", "--n", "4"],
     ["verify", "--example", "sphere", "--k", "2"],  # configuration error: a parameter sphere does not read
     ["verify", "--grid", "x"],  # usage error
+    ["ode", "--span", "1e10", "--steps", "3"],  # a trajectory that stops early: exit 2 naming the stop
 ]
 
 AMBIENT = "the ambient model of the hyperquadric, for ROADMAP item 13(a)"
