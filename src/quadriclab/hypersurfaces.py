@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (
-    NumericsError,
     axis_stencil,
     central_first,
     eigen_solve,
@@ -386,15 +385,20 @@ def _veronese(x, y) -> np.ndarray:
 
     x and y are arrays (..., 3), and B comes back as (..., 5). B(s, s) for s
     on the unit 2-sphere is the degree-2 spherical-harmonic (Veronese)
-    embedding, scaled so the image lies in the unit 4-sphere.
+    embedding, scaled so the image lies in the unit 4-sphere. Each component
+    is its own expression in the coordinates, with the operations of the
+    outer-product form x_i y_j + x_j y_i in the same order.
     """
-    o = x[..., :, None] * y[..., None, :]
-    sym = o + o.swapaxes(-1, -2)
-    return np.concatenate(
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    d0, d1 = x0 * y0, x1 * y1
+    return np.stack(
         [
-            _HALF_SQRT3 * sym[..., [0, 0, 1], [1, 2, 2]],
-            (_HALF_SQRT3 * (o[..., 0, 0] - o[..., 1, 1]))[..., None],
-            (0.5 * (o[..., 0, 0] + o[..., 1, 1]) - o[..., 2, 2])[..., None],
+            _HALF_SQRT3 * (x0 * y1 + x1 * y0),
+            _HALF_SQRT3 * (x0 * y2 + x2 * y0),
+            _HALF_SQRT3 * (x1 * y2 + x2 * y1),
+            _HALF_SQRT3 * (d0 - d1),
+            0.5 * (d0 + d1) - x2 * y2,
         ],
         axis=-1,
     )
@@ -435,11 +439,18 @@ def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
     """Tube of radius t around the Veronese surface in the unit 4-sphere.
 
     This is the three-dimensional isoparametric family with three distinct
-    principal curvatures; coordinates are (two Veronese chart angles, one
-    normal-circle angle).
+    principal curvatures, -cot(t + k pi/3) for k = 0, 1, 2; coordinates are
+    (two Veronese chart angles, one normal-circle angle). FocalRadiusError
+    when one of them exceeds 1e5 in size, read from that closed form: the
+    radius is then focal or nearly so.
     """
     if not np.isfinite(t):
         raise ChartError(f"tube radius t must be finite, got {t}")
+    for k in range(3):
+        if abs(math.cos(t + k * math.pi / 3.0)) > 1e5 * abs(math.sin(t + k * math.pi / 3.0)):
+            raise FocalRadiusError(
+                f"tube radius {t} is focal or nearly focal; choose a radius away from multiples of pi/3"
+            )
 
     ct, st = math.cos(t), math.sin(t)
 
@@ -457,7 +468,7 @@ def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
         v, u = frame(x)
         return -st * v + ct * u
 
-    chart = HypersurfaceChart(
+    return HypersurfaceChart(
         dim=3,
         embed=embed,
         normal=normal,
@@ -465,19 +476,6 @@ def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
         name="cartan",
         meta={"t": t},
     )
-    try:
-        spec = principal_curvatures(chart, chart.box.center, 1e-4)
-    except (ChartError, NumericsError) as exc:
-        raise FocalRadiusError(
-            f"tube radius {t} is focal or nearly focal; choose a radius away "
-            f"from multiples of pi/3 ({exc})"
-        ) from exc
-    if np.abs(spec.lambdas).max() > 1e5:
-        raise FocalRadiusError(
-            f"tube radius {t} is nearly focal (principal curvature "
-            f"{spec.lambdas}); choose a radius away from multiples of pi/3"
-        )
-    return chart
 
 
 def parallel_hypersurface(chart: HypersurfaceChart, t: float) -> HypersurfaceChart:

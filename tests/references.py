@@ -6,6 +6,7 @@ this directory on the import path).
 
 import dataclasses
 import json
+import math
 import os
 import time
 
@@ -241,13 +242,13 @@ def ref_point_residuals(jet, spec0, spec, fields, curvature, example, gauge, tar
     return {name: float(v) for name, v in res.items()}
 
 
-def ref_rhs(n, alpha, dalpha):
-    """The profile equation's right side at one sample, numpy's scalar tan made a Python float.
+def ref_rhs(n, alpha, dalpha, tan=math.tan):
+    """The profile equation's right side at one sample: the stage function the RK4 loop once called per stage.
 
-    The stage function the RK4 loop once called per stage and the chart per
-    interpolation knot.
+    tan is the C library's, as in the loop; the chart's interpolation knots
+    take numpy's tan, which the knot references pass.
     """
-    return (1.0 - dalpha * dalpha) / float(np.tan(n * alpha))
+    return (1.0 - dalpha * dalpha) / tan(n * alpha)
 
 
 def ref_stop_number(x):

@@ -602,6 +602,12 @@ class TestAnglesCommand:
         assert err.startswith(f"error: tube radius t must be finite, got {t}")
         assert len(err.strip().splitlines()) == 1
 
+    def test_focal_cartan_radius_exits_2(self, tmp_path, capsys):
+        assert run(tmp_path, "verify", "--example", "cartan", "--t", "1e-6") == 2
+        assert capsys.readouterr().err == (
+            "error: tube radius 1e-06 is focal or nearly focal; choose a radius away from multiples of pi/3\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, distinct",
         [
@@ -880,7 +886,7 @@ class TestOdeCommand:
     @pytest.mark.parametrize(
         "example, n, gauge, solves",
         [
-            (example, n, gauge, solves + (example == "cartan"))
+            (example, n, gauge, solves - (example == "cartan"))
             for example, n in (("sphere", "3"), ("product", "2"), ("product", "3"), ("cartan", "3"))
             for gauge, solves in (("normalized", 6), ("canonical", 4))
         ],
@@ -892,9 +898,9 @@ class TestOdeCommand:
         # angle_spectrum call (tangential operator and the stacked sub-solve
         # of a degenerate run), one call in the canonical gauge and two in
         # the normalized one. Cartan's canonical angles are distinct, so its
-        # spectrum makes no sub-solve, but building its chart takes the
-        # principal curvatures at the center (2 more). Each call costs a
-        # fixed overhead, so a split stack shows here
+        # spectrum makes no sub-solve, and its chart reads focality from the
+        # closed form, without a solve. Each call costs a fixed overhead, so a
+        # split stack shows here
         argv = ["angles", "--example", example, "--n", n, "--grid", "12", "--gauge", gauge]
         assert eigensolves(tmp_path, monkeypatch, argv) == solves
 

@@ -169,10 +169,24 @@ class TestCartanTube:
         assert "t must be finite" in str(err.value)
 
     def test_focal_radius_rejected(self):
-        with pytest.raises(FocalRadiusError):
-            cartan_tube(0.0)
-        with pytest.raises(FocalRadiusError):
-            cartan_tube(np.pi / 3.0)
+        for t in (0.0, 1e-6, 9e-6, np.pi / 3.0, 2.0 * np.pi / 3.0, np.pi - 1e-7, np.pi + 1e-7):
+            with pytest.raises(FocalRadiusError):
+                cartan_tube(t)
+
+    @pytest.mark.parametrize("focal", [0.0, np.pi / 3.0, 2.0 * np.pi / 3.0, np.pi])
+    def test_radius_beside_focal_band_accepted(self, focal):
+        # |cot| of 9.1e4 at 1.1e-5 from a focal radius, below the 1e5 bound
+        for t in (focal - 1.1e-5, focal + 1.1e-5):
+            assert cartan_tube(t).meta == {"t": t}
+
+    @pytest.mark.parametrize("t", np.linspace(0.05, np.pi - 0.05, 14))
+    def test_closed_form_matches_stencil(self, t):
+        # the constructor reads focality from -cot(t + k pi/3); the shape
+        # operator of the chart's own stencil at the box center agrees
+        chart = cartan_tube(t)
+        got = np.sort(ChartStencil(chart, chart.box.center, 1e-4).principal_curvatures().lambdas)
+        want = np.sort([-1.0 / np.tan(t + k * np.pi / 3.0) for k in range(3)])
+        assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + want**2))
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,12 @@
 """The profile flow on plain floats against its earlier loop forms.
 
 The references below are the forms the flow had before its samples were held
-as arrays: an RK4 loop over numpy scalars that builds one ProfileState per
-step, the first integral as a loop over those states, and the CSV writer that
-formats one row at a time. The package must reproduce them bit for bit.
+as arrays: an RK4 loop that builds one ProfileState per step, the first
+integral as a loop over those states, and the CSV writer that formats one row
+at a time. The package must reproduce them bit for bit.
 """
 
+import math
 import os
 import tempfile
 import tracemalloc
@@ -33,11 +34,11 @@ from references import ref_stop_number
 # ---------------------------------------------------------------------------
 
 def _reference_rhs(n, alpha, dalpha):
-    return (1.0 - dalpha * dalpha) / np.tan(n * alpha)
+    return (1.0 - dalpha * dalpha) / math.tan(n * alpha)
 
 
 def reference_integrate(n, alpha0, dalpha0, span, steps):
-    """(states, stopped_early, stop_reason) of the RK4 loop over numpy scalars, from theta = 0."""
+    """(states, stopped_early, stop_reason) of the RK4 loop with numpy's scalar sin guard, from theta = 0."""
     t0, t1 = 0.0, float(span)
     h = (t1 - t0) / steps
     states = [ProfileState(t0, float(alpha0), float(dalpha0))]
@@ -158,7 +159,7 @@ class TestIntegrator:
     def test_numpy_sin_decides_the_guard(self, flow, monkeypatch):
         # math.sin only screens the guard band: with a screen that never
         # clears, numpy's sin is asked at every step and gives the same stops
-        monkeypatch.setattr(rotational, "math", SimpleNamespace(sin=lambda x: 0.0))
+        monkeypatch.setattr(rotational, "math", SimpleNamespace(tan=math.tan, sin=lambda x: 0.0))
         assert_same_flow(integrate_alpha(*flow), reference_integrate(*flow))
 
     @pytest.mark.parametrize(

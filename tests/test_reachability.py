@@ -50,6 +50,7 @@ LIBRARY_ONLY = {
     "quadric._to_complex": AMBIENT,
     "quadric.horizontal_frame": AMBIENT + "; acceptance criterion 01",
     "quadric.ricci_matrix": AMBIENT + "; acceptance criterion 01 (Einstein constant 2n)",
+    "hypersurfaces.principal_curvatures": "acceptance criteria 06, 07 and 10 (tests/test_acceptance.py)",
     "hypersurfaces.parallel_hypersurface": "ROADMAP item 8(c): parallel families share one Gauss map",
     "hypersurfaces.perturbed_sphere": "ROADMAP item 7: the non-minimal example",
     "hypersurfaces._rho_jet": "ROADMAP item 7: the perturbed sphere's height function",

@@ -1,4 +1,6 @@
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,7 +116,7 @@ class TestIntegrator:
     @pytest.mark.parametrize(
         "flow, theta",
         [
-            # numpy's tan of an infinite stage argument is NaN; a theta from 1e6
+            # math's tan of an infinite stage argument raises; a theta from 1e6
             # on is in exponent form, not 300 digits
             ((3, np.pi / 12, 0.0, 1e300, 100), "1.0000e+298"),
             ((3, 0.1, -0.5, 0.4, 1), "0.4000"),  # the second stage's n alpha is exactly 0.0, its tan 0.0
@@ -132,24 +134,28 @@ class TestIntegrator:
     def test_nan_slope_alone_stops(self, monkeypatch):
         # a NaN from the fourth stage's tan reaches alpha' but not alpha, so
         # only the |alpha'| guard can stop on it
-        calls, tan = itertools.count(1), np.tan
-        monkeypatch.setattr(np, "tan", lambda x: np.nan if next(calls) == 4 else tan(x))
+        calls = itertools.count(1)
+        tan = lambda x: math.nan if next(calls) == 4 else math.tan(x)
+        monkeypatch.setattr(rotational, "math", SimpleNamespace(tan=tan, sin=math.sin))
         traj = integrate_alpha(3, np.pi / 12, 0.0, 0.8, 10)
         assert traj.stop_reason == "the state left the finite numbers near theta = 0.0800"
         assert len(traj.thetas) == 1
 
 
-def ref_integrate_alpha(n, alpha0, dalpha0, span, steps):
-    """The RK4 loop with the stage function called per stage, as integrate_alpha ran it before inlining."""
+def ref_integrate_alpha(n, alpha0, dalpha0, span, steps, tan=math.tan):
+    """The RK4 loop with the stage function called per stage, as integrate_alpha ran it before inlining.
+
+    tan is the stage tangent: the C library's, as in integrate_alpha, or numpy's, as the loop had it before.
+    """
     h = span / steps
     a, p = float(alpha0), float(dalpha0)
     thetas, alphas, dalphas = [0.0], [a], [p]
     stop_reason = None
     for k in range(steps):
-        k1a, k1p = p, ref_rhs(n, a, p)
-        k2a, k2p = p + 0.5 * h * k1p, ref_rhs(n, a + 0.5 * h * k1a, p + 0.5 * h * k1p)
-        k3a, k3p = p + 0.5 * h * k2p, ref_rhs(n, a + 0.5 * h * k2a, p + 0.5 * h * k2p)
-        k4a, k4p = p + h * k3p, ref_rhs(n, a + h * k3a, p + h * k3p)
+        k1a, k1p = p, ref_rhs(n, a, p, tan)
+        k2a, k2p = p + 0.5 * h * k1p, ref_rhs(n, a + 0.5 * h * k1a, p + 0.5 * h * k1p, tan)
+        k3a, k3p = p + 0.5 * h * k2p, ref_rhs(n, a + 0.5 * h * k2a, p + 0.5 * h * k2p, tan)
+        k4a, k4p = p + h * k3p, ref_rhs(n, a + h * k3a, p + h * k3p, tan)
         a = a + h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
         p = p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
         theta = (k + 1) * h
@@ -182,6 +188,32 @@ def test_inlined_rk4_matches_stage_function_loop(n, alpha0, dalpha0, span, steps
     for name in ("thetas", "alphas", "dalphas"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.stop_reason == want.stop_reason
+
+
+@pytest.mark.parametrize(
+    "n, steps",
+    [(n, steps) for n in (3, 4, 5) for steps in (4000, 250, 500, 1000)] + [(3, 16000)],
+)
+def test_default_flows_match_numpy_tan_loop(n, steps):
+    # where numpy vectorizes tan it differs from the C library's in the last
+    # bit on some arguments; on the default flows (alpha0 = pi/12, span 0.8)
+    # that verify and ode integrate, and their order-probe runs, each such
+    # ulp is absorbed in the step's sum, sample for sample
+    got = integrate_alpha(n, np.pi / 12, 0.0, 0.8, steps)
+    want = ref_integrate_alpha(n, np.pi / 12, 0.0, 0.8, steps, np.tan)
+    for name in ("thetas", "alphas", "dalphas"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.stop_reason is want.stop_reason is None
+
+
+def test_loop_calls_no_numpy_tan(monkeypatch):
+    # a numpy scalar tan costs several times the C library's; the loop takes none
+    calls, tan = [], np.tan
+    monkeypatch.setattr(np, "tan", lambda x: calls.append(x) or tan(x))
+    traj = integrate_alpha(4, np.pi / 12, 0.0, 0.8, 4000)
+    assert len(traj.thetas) == 4001
+    assert calls == []
+    assert all(value is not tan for value in vars(rotational).values())
 
 
 class TestFirstIntegral:
@@ -419,7 +451,7 @@ class TestChartArrays:
         k = np.searchsorted(traj.thetas, interp.x)
         assert _same(traj.thetas[k], interp.x)
         al, pa = traj.alphas[k], traj.dalphas[k]
-        return RefQuinticHermite(interp.x, al, pa, np.array([ref_rhs(traj.n, a, p) for a, p in zip(al, pa)]))
+        return RefQuinticHermite(interp.x, al, pa, np.array([ref_rhs(traj.n, a, p, np.tan) for a, p in zip(al, pa)]))
 
     def test_coefficients_match_interval_loop(self, flow_chart):
         traj, chart = flow_chart
