@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .hypersurfaces import ChartError, ChartStencil, HypersurfaceChart
-from .numerics import flagged_row, hessian_stencil, second_derivative, symmetric_eigen, symmetrize
+from .numerics import flagged_row, gather, hessian_stencil, second_derivative, symmetric_eigen, symmetrize
 from .quadric import StiefelPoint, StructureGauge
 
 __all__ = [
@@ -300,27 +300,28 @@ def angle_spectrum(jet: GaussJet, gauge: StructureGauge | None = None) -> AngleS
 
     The tangential operator is diagonalized first, in one stacked solve at a
     batched jet. A degenerate eigenspace, a maximal run lo..hi-1 of its
-    ascending eigenvalues with consecutive gaps of at most 1e-7, is resolved
-    by diagonalizing the second operator inside it: the rows sharing a run
-    share one stacked solve. Inconsistent residuals raise GaussMapError
-    naming the point.
+    ascending eigenvalues with consecutive gaps of at most ANGLE_CLUSTER_GAP,
+    is resolved by diagonalizing the second operator inside it: the rows
+    sharing a run share one stacked solve, and a batch without a run skips
+    the search for them. The angles and frame columns are sorted by one flat
+    gather each. Inconsistent residuals raise GaussMapError naming the point.
     """
     gauge = gauge or StructureGauge(0.0)
     b, c = structure_operators(jet, gauge)
-    wb, vb = symmetric_eigen(b)
-    rot = vb.copy()
-    close = np.diff(wb, axis=-1) <= ANGLE_CLUSTER_GAP
-    # edge[..., j]: a run boundary just before eigenvalue j
-    edge = np.pad(~close, [(0, 0)] * (close.ndim - 1) + [(1, 1)], constant_values=True)
-    for lo in range(jet.dim - 1):
-        for hi in range(lo + 2, jet.dim + 1):
-            rows = edge[..., lo] & edge[..., hi] & close[..., lo : hi - 1].all(axis=-1)
-            if not rows.any():
-                continue
-            basis = vb[rows][..., list(range(lo, hi))]
-            c_sub = symmetrize(basis.swapaxes(-1, -2) @ c[rows] @ basis, tol=1e-5)
-            _, v_sub = symmetric_eigen(c_sub)
-            rot[rows, :, lo:hi] = basis @ v_sub
+    wb, rot = symmetric_eigen(b)
+    close = wb[..., 1:] - wb[..., :-1] <= ANGLE_CLUSTER_GAP
+    if close.any():
+        # edge[..., j]: a run boundary before eigenvalue j; a row's runs are disjoint, so rot changes in place
+        edge = np.concatenate([np.ones_like(close[..., :1]), ~close, np.ones_like(close[..., :1])], axis=-1)
+        for lo in range(jet.dim - 1):
+            for hi in range(lo + 2, jet.dim + 1):
+                rows = edge[..., lo] & edge[..., hi] & close[..., lo : hi - 1].all(axis=-1)
+                if not rows.any():
+                    continue
+                basis = rot[rows][..., list(range(lo, hi))]
+                c_sub = symmetrize(basis.swapaxes(-1, -2) @ c[rows] @ basis, tol=1e-5)
+                _, v_sub = symmetric_eigen(c_sub)
+                rot[rows, :, lo:hi] = basis @ v_sub
     b_diag = rot.swapaxes(-1, -2) @ b @ rot
     c_diag = rot.swapaxes(-1, -2) @ c @ rot
     off_diagonal = ~np.eye(jet.dim, dtype=bool)
@@ -341,8 +342,7 @@ def angle_spectrum(jet: GaussJet, gauge: StructureGauge | None = None) -> AngleS
     # a tiny negative angle reduces to a representative that rounds to pi
     thetas[thetas >= np.pi] = 0.0
     order = np.argsort(thetas, axis=-1, kind="stable")
-    thetas = np.take_along_axis(thetas, order, axis=-1)
-    rot = np.take_along_axis(rot, order[..., None, :], axis=-1)
+    thetas, rot = gather(thetas, order), gather(rot, order)
     frame_vel = rot.swapaxes(-1, -2) @ jet.on_frame_vel
     frame_ambient = frame_vel @ jet.coord_first
     return AngleSpectrum(

@@ -4,9 +4,9 @@ Charts are immutable bundles of two callables (embedding and unit normal, both
 landing in R^(n+2)) over a closed coordinate box. Both take a batch: an array
 of points (..., n) maps to an array (..., n+2), with a single point (n,) as
 the empty batch, and every row gets the arithmetic a lone point gets. A
-ChartStencil evaluates both once, in one call each, on the first-order stencil
-of a point or of a batch of points; the work they share is built once per
-embed/normal pair on the same points (shared_work, a one-entry memo that
+ChartStencil evaluates both once, in one call each, at a point or a batch of
+points and on their first-order stencils; the work they share is built once
+per embed/normal pair on the same points (shared_work, a one-entry memo that
 keeps the last batch's shared arrays alive). The catalog covers the three
 isoparametric families with at most three distinct principal curvatures:
 geodesic spheres, products of spheres, and tubes around the Veronese surface,
@@ -24,13 +24,13 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (
-    axis_stencil,
     central_first,
+    centered_axis_stencil,
     eigen_solve,
     flagged_row,
+    gather,
     gram_schmidt,
     row_dot,
-    stencil_values,
     symmetric_eigen,
 )
 
@@ -44,6 +44,7 @@ __all__ = [
     "sphere_chart",
     "sphere_chart_with_derivatives",
     "tangent_data",
+    "lift_metric",
     "principal_curvatures",
     "round_sphere",
     "product_spheres",
@@ -110,6 +111,12 @@ def _lift(a, b):
     return (a + 1j * b) / np.sqrt(2.0)
 
 
+def lift_metric(d_lift) -> np.ndarray:
+    """Induced metric of the Gauss-map lift from its chart derivatives (..., n, n+2): their symmetrized real Gram."""
+    g = (d_lift @ np.conj(d_lift.swapaxes(-1, -2))).real
+    return 0.5 * (g + g.swapaxes(-1, -2))
+
+
 def shared_work(build: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
     """build(q) behind a one-entry memo keyed on the points' shape and bytes.
 
@@ -130,14 +137,14 @@ def shared_work(build: Callable[[np.ndarray], object]) -> Callable[[np.ndarray],
 
 
 class ChartStencil:
-    """embed and normal on the first-order stencil of a point, each evaluated once.
+    """embed and normal on the first-order stencil of a point and at the point, in one call each.
 
-    The stencil is p +- h e_i and p +- 2h e_i along every coordinate axis. The
-    five-point first derivatives of embed, normal and the Gauss-map lift all
-    difference these values, and every first-order quantity at the point
-    (tangent frame, shape operator, chart invariants, induced metric of the
-    lift) reads them. The values at p itself are evaluated on first use: the
-    metric route needs the derivatives only.
+    The stencil is p +- h e_i and p +- 2h e_i along every coordinate axis,
+    and p's own rows follow the stencil's in the same call. The five-point
+    first derivatives of embed, normal and the Gauss-map lift all difference
+    the stencil values, and every first-order quantity at the point (tangent
+    frame, shape operator, chart invariants, induced metric of the lift)
+    reads them.
 
     p may be a batch of points (..., n): the stencils of all of them go to
     the chart in one embed and one normal call, and every quantity below
@@ -147,30 +154,24 @@ class ChartStencil:
     def __init__(self, chart: HypersurfaceChart, p, h: float):
         self.chart = chart
         self.point = p = np.asarray(p, dtype=float)
-        # (4, ..., n, 2, n+2): offset (+2h, +h, -h, -2h), batch, axis, (embed, normal)
-        values = axis_stencil(self._embed_normal, p, h, (2.0, 1.0, -1.0, -2.0))
+        # values (4, ..., n, 2, n+2): offset (+2h, +h, -h, -2h), batch, axis, (embed, normal)
+        values, self.center = centered_axis_stencil(
+            lambda x: np.stack([chart.embed(x), chart.normal(x)], axis=-2), p, h, (2.0, 1.0, -1.0, -2.0)
+        )
         a, b = values[..., 0, :], values[..., 1, :]
         self.d_embed = central_first(*a, h)
         self.d_normal = central_first(*b, h)
         self.d_lift = central_first(*_lift(a, b), h)
 
-    def _embed_normal(self, x):
-        return np.stack([self.chart.embed(x), self.chart.normal(x)], axis=-2)
-
-    @cached_property
-    def center(self) -> np.ndarray:
-        """embed and normal at p, as the rows of a (..., 2, n+2) array."""
-        return stencil_values(self._embed_normal, self.point)
-
     @property
     def lift(self) -> np.ndarray:
+        """The Gauss-map lift at p from center, the (..., 2, n+2) rows of embed and normal there."""
         return _lift(self.center[..., 0, :], self.center[..., 1, :])
 
     @cached_property
     def lift_metric(self) -> np.ndarray:
         """Induced metric of the Gauss-map lift in chart coordinates, (..., n, n)."""
-        g = (self.d_lift @ np.conj(self.d_lift.swapaxes(-1, -2))).real
-        return 0.5 * (g + g.swapaxes(-1, -2))
+        return lift_metric(self.d_lift)
 
     @cached_property
     def _metric_eigen(self) -> tuple[np.ndarray, np.ndarray]:
@@ -210,10 +211,8 @@ class ChartStencil:
         s, t, m = _shape_data(self)
         w, v = symmetric_eigen(s)
         order = np.argsort(-w, axis=-1, kind="stable")
-        vt = np.take_along_axis(v, order[..., None, :], axis=-1).swapaxes(-1, -2)
-        return ShapeSpectrum(
-            lambdas=np.take_along_axis(w, order, axis=-1), directions_chart=vt @ m, directions_ambient=vt @ t
-        )
+        vt = gather(v, order).swapaxes(-1, -2)
+        return ShapeSpectrum(lambdas=gather(w, order), directions_chart=vt @ m, directions_ambient=vt @ t)
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,13 @@ __all__ = [
     "eigen_solve",
     "gram_schmidt",
     "row_dot",
+    "gather",
     "axis",
     "central_first",
     "central_second",
     "stencil_values",
     "axis_stencil",
+    "centered_axis_stencil",
     "hessian_stencil",
     "second_derivative",
 ]
@@ -211,6 +213,18 @@ def row_dot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def gather(a: np.ndarray, index: np.ndarray, axis: int = -1) -> np.ndarray:
+    """np.take_along_axis as one gather at flat indices, C contiguous alike, for an index (..., k) on the batch
+    axes of a: entries of vectors (..., n) or columns of matrices (..., r, n) along axis -1, rows along -2."""
+    size = a.shape[-1] * (a.shape[-2] if a.ndim > index.ndim else 1)
+    base = np.arange(0, a.size, size).reshape(index.shape[:-1] + (1,))
+    if axis == -2:
+        return a.reshape(-1)[(index * a.shape[-1] + base)[..., None] + np.arange(a.shape[-1])]
+    if a.ndim > index.ndim:
+        return a.reshape(-1)[(index + base)[..., None, :] + np.arange(0, size, a.shape[-1])[:, None]]
+    return a.reshape(-1)[index + base]
+
+
 def axis(n: int, i: int) -> np.ndarray:
     """The i-th coordinate unit vector of R^n."""
     e = np.zeros(n)
@@ -284,6 +298,19 @@ def axis_stencil(f, p, h: float, offsets) -> np.ndarray:
     return stencil_values(f, _axis_points(p, h, offsets))
 
 
+def _joint_values(f, first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f on two point arrays (..., n) in one stencil_values call, the first's rows first, each split back."""
+    n = first.shape[-1]
+    values = stencil_values(f, np.concatenate([first.reshape(-1, n), second.reshape(-1, n)]))
+    split, shape = first.size // n, values.shape[1:]
+    return values[:split].reshape(first.shape[:-1] + shape), values[split:].reshape(second.shape[:-1] + shape)
+
+
+def centered_axis_stencil(f, p, h: float, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """axis_stencil(f, p, h, offsets) and f at p itself, in one call of f: p's rows follow the stencil's."""
+    return _joint_values(f, _axis_points(p, h, offsets), np.asarray(p, dtype=float))
+
+
 def hessian_stencil(f, p, h: float, offsets) -> tuple[np.ndarray, np.ndarray]:
     """f on the axis points of axis_stencil and the corner points of second_derivative, in one call.
 
@@ -293,14 +320,7 @@ def hessian_stencil(f, p, h: float, offsets) -> tuple[np.ndarray, np.ndarray]:
     batch axes of p.
     """
     p = np.asarray(p, dtype=float)
-    n = p.shape[-1]
-    axis_pts, corner_pts = np.moveaxis(_axis_points(p, h, offsets), -2, 1), _corner_points(p, h)
-    values = stencil_values(f, np.concatenate([axis_pts.reshape(-1, n), corner_pts.reshape(-1, n)]))
-    split, shape = axis_pts.size // n, values.shape[1:]
-    return (
-        values[:split].reshape(axis_pts.shape[:-1] + shape),
-        values[split:].reshape(corner_pts.shape[:-1] + shape),
-    )
+    return _joint_values(f, np.moveaxis(_axis_points(p, h, offsets), -2, 1), _corner_points(p, h))
 
 
 def second_derivative(h: float, f0, at, corners) -> np.ndarray:

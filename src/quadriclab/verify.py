@@ -36,8 +36,8 @@ from .gaussmap import (
     second_fundamental_form,
     structure_operators,
 )
-from .hypersurfaces import Box, ChartStencil, HypersurfaceChart
-from .numerics import central_first, flagged_row, hessian_stencil, second_derivative, symmetric_eigen
+from .hypersurfaces import Box, HypersurfaceChart, lift_metric
+from .numerics import axis_stencil, central_first, flagged_row, gather, hessian_stencil, second_derivative, symmetric_eigen
 from .quadric import StructureGauge
 
 __all__ = [
@@ -122,7 +122,7 @@ def _align_to_reference(spec: AngleSpectrum, ref: AngleSpectrum, points: np.ndar
     inside each matched block the frame is rotated by the orthogonal
     Procrustes factor, which realizes transport by projection for degenerate
     angles. The references sharing one cluster pattern solve one stacked
-    polar factor per cluster for all their rows. Raises VerifyError naming
+    polar factor per cluster size for all their rows. Raises VerifyError naming
     the point of the first failing row when its clusters changed, a block
     overlap is singular, or one lies farther than 0.1 from the identity.
     """
@@ -148,13 +148,15 @@ def _align_to_reference(spec: AngleSpectrum, ref: AngleSpectrum, points: np.ndar
         order = np.argsort(owner, axis=-1, kind="stable")
         sizes = [len(cl) for cl in clusters]
         expected = np.repeat(np.arange(len(clusters)), sizes)
-        changed[ks] = (np.take_along_axis(owner, order, axis=-1) != expected).any(axis=-1)
+        changed[ks] = (np.sort(owner, axis=-1) != expected).any(axis=-1)
+        by_size = {}
         for cl, members in zip(map(list, clusters), np.split(order, np.cumsum(sizes)[:-1], axis=-1)):
-            ambient = np.take_along_axis(frame_ambient[ks], members[..., None], axis=-2)
-            overlap = np.real(np.conj(ambient) @ ref_frames[ks][:, None, cl].swapaxes(-1, -2))
+            by_size.setdefault(len(cl), []).append((cl, members, gather(frame_ambient[ks], members, axis=-2)))
+        for group in by_size.values():
+            overlap = np.stack([np.conj(a) @ ref_frames[ks][:, None, cl].swapaxes(-1, -2) for cl, _, a in group]).real
             w, v = symmetric_eigen(overlap.swapaxes(-1, -2) @ overlap)
-            singular[ks] |= w[..., 0] <= 1e-12
-            blocks.append((ks, cl, members, ambient, overlap, w, v))
+            singular[ks] |= (w[..., 0] <= 1e-12).any(axis=0)
+            blocks.append((ks, group, overlap, w, v))
     bad = flagged_row(changed, points, np.broadcast_to(ref_thetas[:, None], thetas.shape), thetas)
     if bad:
         raise VerifyError(
@@ -166,17 +168,16 @@ def _align_to_reference(spec: AngleSpectrum, ref: AngleSpectrum, points: np.ndar
 
     new_thetas, new_frame_vel, new_frame_ambient = map(np.empty_like, (thetas, frame_vel, frame_ambient))
     mismatch = np.zeros(thetas.shape[:-1])
-    for ks, cl, members, ambient, overlap, w, v in blocks:
-        # the orthogonal polar factor of the overlap, transposed
-        inv_sqrt = v @ (np.eye(len(cl)) * (1.0 / np.sqrt(w))[..., None, :]) @ v.swapaxes(-1, -2)
+    for ks, group, overlap, w, v in blocks:
+        # the orthogonal polar factors of the overlaps, transposed
+        inv_sqrt = v @ (np.eye(w.shape[-1]) * (1.0 / np.sqrt(w))[..., None, :]) @ v.swapaxes(-1, -2)
         rot_t = (overlap @ inv_sqrt).swapaxes(-1, -2)
-        mismatch[ks] = np.maximum(mismatch[ks], np.abs(rot_t @ overlap - np.eye(len(cl))).max(axis=(-2, -1)))
-        block = np.ix_(ks, range(thetas.shape[1]), cl)
-        new_frame_vel[block] = rot_t @ np.take_along_axis(frame_vel[ks], members[..., None], axis=-2)
-        new_frame_ambient[block] = rot_t @ ambient
-        new_thetas[block] = nearest_mod_pi(
-            np.take_along_axis(thetas[ks], members, axis=-1), ref_thetas[ks][:, None, cl]
-        )
+        mismatch[ks] = np.maximum(mismatch[ks], np.abs(rot_t @ overlap - np.eye(w.shape[-1])).max(axis=(0, -2, -1)))
+        for (cl, members, ambient), block_rot_t in zip(group, rot_t):
+            block = np.ix_(ks, range(thetas.shape[1]), cl)
+            new_frame_vel[block] = block_rot_t @ gather(frame_vel[ks], members, axis=-2)
+            new_frame_ambient[block] = block_rot_t @ ambient
+            new_thetas[block] = nearest_mod_pi(gather(thetas[ks], members), ref_thetas[ks][:, None, cl])
     bad = flagged_row(mismatch > 0.1, mismatch, points)
     if bad:
         raise VerifyError(f"frame transport mismatch {bad[0]:.3f} exceeds 0.1 at {bad[1]}")
@@ -374,11 +375,11 @@ def gauss_metric_fn(chart: HypersurfaceChart, steps: FdSteps | None = None):
     """Function q -> induced metric of the Gauss map in chart coordinates.
 
     q is a point (n,) or a batch of points (..., n), and the metrics come back
-    as (..., n, n): the first-order stencils of the whole batch go to the
-    chart in one embed and one normal call.
+    as (..., n, n), bitwise ChartStencil(chart, q, h).lift_metric: chart.lift on
+    the first-order stencils of the whole batch, one embed and one normal call.
     """
     h = (steps or FdSteps()).first
-    return lambda q: ChartStencil(chart, q, h).lift_metric
+    return lambda q: lift_metric(central_first(*axis_stencil(chart.lift, q, h, (2.0, 1.0, -1.0, -2.0)), h))
 
 
 def _metric_derivatives(metric_fn, p, h: float, g0: np.ndarray):

@@ -13,6 +13,8 @@ import time
 import numpy as np
 
 from quadriclab.gaussmap import (
+    ANGLE_CLUSTER_GAP,
+    AngleSpectrum,
     angle_spectrum,
     gauge_normalize,
     gauss_map,
@@ -21,7 +23,8 @@ from quadriclab.gaussmap import (
     second_fundamental_form,
     structure_operators,
 )
-from quadriclab.numerics import ConvergenceError, NumericsError, flagged_row
+from quadriclab.hypersurfaces import ShapeSpectrum, _shape_data
+from quadriclab.numerics import ConvergenceError, NumericsError, flagged_row, symmetric_eigen, symmetrize
 from quadriclab.quadric import HorizontalVector, StiefelPoint, StructureGauge, horizontal_project
 from quadriclab.verify import (
     ConnectionData,
@@ -321,6 +324,73 @@ def ref_symmetric_eigen(m):
         raise ConvergenceError(f"symmetric_eigen: residual {bad[0]:.3e} exceeds 1e-10 * (1 + ||m||) on\n{bad[1]}")
     top = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
     return w, v * np.where(top < 0, -1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the np.take_along_axis forms that numerics.gather replaced
+# ---------------------------------------------------------------------------
+
+def ref_take_along(a, index, axis=-1):
+    """numerics.gather as the np.take_along_axis call it replaced: entries or matrix columns (axis -1), rows (axis -2)."""
+    if axis == -2:
+        return np.take_along_axis(a, index[..., None], axis=-2)
+    return np.take_along_axis(a, index if a.ndim == index.ndim else index[..., None, :], axis=-1)
+
+
+def ref_sort_angles(thetas, rot):
+    """angle_spectrum's stable ascending sort of the angles and the frame columns, in take_along_axis form."""
+    order = np.argsort(thetas, axis=-1, kind="stable")
+    return np.take_along_axis(thetas, order, axis=-1), np.take_along_axis(rot, order[..., None, :], axis=-1)
+
+
+def ref_sort_curvatures(w, v):
+    """principal_curvatures' stable descending sort, curvatures and direction rows, in take_along_axis form."""
+    order = np.argsort(-w, axis=-1, kind="stable")
+    return np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1).swapaxes(-1, -2)
+
+
+def ref_principal_curvatures(st):
+    """ChartStencil.principal_curvatures with its take_along_axis sort."""
+    s, t, m = _shape_data(st)
+    lambdas, vt = ref_sort_curvatures(*symmetric_eigen(s))
+    return ShapeSpectrum(lambdas=lambdas, directions_chart=vt @ m, directions_ambient=vt @ t)
+
+
+def ref_angle_spectrum(jet, gauge):
+    """angle_spectrum as it was: run boundaries from np.diff and np.pad, the run search on every batch, take_along_axis sorts."""
+    b, c = structure_operators(jet, gauge)
+    wb, vb = symmetric_eigen(b)
+    rot = vb.copy()
+    close = np.diff(wb, axis=-1) <= ANGLE_CLUSTER_GAP
+    edge = np.pad(~close, [(0, 0)] * (close.ndim - 1) + [(1, 1)], constant_values=True)
+    for lo in range(jet.dim - 1):
+        for hi in range(lo + 2, jet.dim + 1):
+            rows = edge[..., lo] & edge[..., hi] & close[..., lo : hi - 1].all(axis=-1)
+            if not rows.any():
+                continue
+            basis = vb[rows][..., list(range(lo, hi))]
+            c_sub = symmetrize(basis.swapaxes(-1, -2) @ c[rows] @ basis, tol=1e-5)
+            _, v_sub = symmetric_eigen(c_sub)
+            rot[rows, :, lo:hi] = basis @ v_sub
+    b_diag = rot.swapaxes(-1, -2) @ b @ rot
+    c_diag = rot.swapaxes(-1, -2) @ c @ rot
+    off_diagonal = ~np.eye(jet.dim, dtype=bool)
+    off = np.maximum(
+        np.abs(b_diag[..., off_diagonal]).max(axis=-1, initial=0.0),
+        np.abs(c_diag[..., off_diagonal]).max(axis=-1, initial=0.0),
+    )
+    thetas = np.mod(0.5 * np.arctan2(np.diagonal(c_diag, axis1=-2, axis2=-1), np.diagonal(b_diag, axis1=-2, axis2=-1)), np.pi)
+    thetas[thetas >= np.pi] = 0.0
+    thetas, rot = ref_sort_angles(thetas, rot)
+    frame_vel = rot.swapaxes(-1, -2) @ jet.on_frame_vel
+    return AngleSpectrum(
+        thetas=thetas,
+        frame_vel=frame_vel,
+        frame_ambient=frame_vel @ jet.coord_first,
+        gauge=gauge,
+        lift=jet.lift,
+        diag_residual=off,
+    )
 
 
 def ref_write_report(out_dir, command, example, payload):

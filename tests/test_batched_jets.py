@@ -5,7 +5,7 @@ every row of a batched jet, of its angle spectra and of its cubic form must
 equal the single-point call bitwise. field_derivatives builds the 4n jets of
 every sample point of a run as one batch, angle_spectrum solves the
 degenerate clusters of all rows sharing one in a stack, _align_to_reference
-solves one stacked polar factor per reference cluster, the sample points of a
+solves one stacked polar factor per cluster size, the sample points of a
 run take their spectra from one batch per gauge, the metric route of those
 points is one curvature_from_metric call, and warped_curvature_check reads
 its five jets as one batch and its side metrics as one call; the per-jet,
@@ -489,7 +489,7 @@ def frames_at(spec, k):
 @pytest.mark.parametrize("gauge", ["normalized", "canonical"])
 @pytest.mark.parametrize("example, n", BENCHMARK_CONFIGS + [("mixed", 3)])
 def test_alignment_matches_per_row_polar_factors(example, n, gauge):
-    # one stacked polar factor per reference cluster; the mixed stack's
+    # one stacked polar factor per cluster size; the mixed stack's
     # references have two cluster patterns mod pi
     if example == "mixed":
         jets, phis = mixed_pattern_stack()

@@ -312,24 +312,23 @@ class TestChartMemo:
 
     def test_rho_jet_per_stencil(self, monkeypatch):
         # perturbed sphere: one height-function jet for embed and one for
-        # normal on the 8 stencil points, then the same at the center
+        # normal on the 8 stencil points and the center, in one call each
         calls = []
         jet = hypersurfaces._rho_jet
         monkeypatch.setattr(hypersurfaces, "_rho_jet", lambda q, *a: calls.append(q.shape) or jet(q, *a))
         chart = perturbed_sphere()
-        st = ChartStencil(chart, np.array([0.1, -0.05]), 1e-4)
-        assert calls == [(4, 2, 2)] * 2
-        st.center
-        assert calls == [(4, 2, 2)] * 2 + [(2,)] * 2
+        p = np.array([0.1, -0.05])
+        st = ChartStencil(chart, p, 1e-4)
+        assert calls == [(9, 2)] * 2
+        assert np.array_equal(st.center, np.stack([perturbed_sphere().embed(p), perturbed_sphere().normal(p)]))
 
     def test_frames_per_stencil(self, frame_calls):
         # one Veronese frame build per embed/normal pair: on the 12 stencil
-        # points, then at the center
+        # points and the center, together
         chart = cartan_tube(0.35)
         frame_calls.clear()
-        st = ChartStencil(chart, np.array([0.1, -0.05, 0.2]), 1e-4)
-        st.center
-        assert frame_calls == [(4, 3, 3), (3,)]
+        ChartStencil(chart, np.array([0.1, -0.05, 0.2]), 1e-4)
+        assert frame_calls == [(13, 3)]
 
 
 class TestParallel:

@@ -394,23 +394,23 @@ class TestChartMemo:
 
     def test_interpolations_per_stencil(self, traj_n4, monkeypatch):
         # one interval lookup, for value and derivative together, shared by
-        # embed and normal on the 16 stencil points, then one at the center.
-        # The lookup takes each distinct profile parameter once: the offsets
-        # along the three orbit axes leave it at the center's, so the 4 x 4
-        # stencil holds 5 of them, and the lone center point 1
+        # embed and normal on the 16 stencil points and the center. The
+        # lookup takes each distinct profile parameter once: the offsets
+        # along the three orbit axes leave it at the center's, so the 17
+        # points hold 5 of them
         chart = build_rotational_chart(traj_n4)
         calls = []
         locate = QuinticHermite._locate
         monkeypatch.setattr(
             QuinticHermite, "_locate", lambda self, t: calls.append(np.shape(t)) or locate(self, t)
         )
-        st = ChartStencil(chart, chart.box.center + 0.01, 1e-4)
-        st.center
-        assert calls == [(5,), (1,)]
+        ChartStencil(chart, chart.box.center + 0.01, 1e-4)
+        assert calls == [(5,)]
 
     def test_lookups_per_verify_run(self, tmp_path, monkeypatch):
         # verify --grid 3 at n = 4 asks the profile at 7,590 chart rows, and
-        # the interval lookups see 745 distinct profile parameters among them
+        # the interval lookups see 696 distinct profile parameters among them:
+        # each stencil's points share one lookup with its centers
         rows, distinct = [], []
         evaluate, locate = QuinticHermite.value_and_derivative, QuinticHermite._locate
         monkeypatch.setattr(
@@ -418,7 +418,7 @@ class TestChartMemo:
         )
         monkeypatch.setattr(QuinticHermite, "_locate", lambda self, t: distinct.append(np.size(t)) or locate(self, t))
         assert main(["verify", "--example", "rotational", "--n", "4", "--grid", "3", "--out", str(tmp_path)]) == 0
-        assert (sum(rows), sum(distinct)) == (7590, 745)
+        assert (sum(rows), sum(distinct)) == (7590, 696)
 
 
 FLOWS = [
