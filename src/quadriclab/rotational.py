@@ -2,11 +2,12 @@
 
 The profile angle alpha obeys  alpha'' = (1 - alpha'^2) cot(n alpha)  in the
 profile parameter, subject to |alpha'| < 1 and sin(n alpha) != 0. A fixed-step
-fourth-order Runge-Kutta trajectory feeds a quintic Hermite interpolant, which
-in turn drives a rotational hypersurface chart: the first profile-curve
-coordinate scales an (n-1)-sphere orbit, the other two live in the fixed
-plane. The conserved quantity of the flow is the warp factor of the induced
-Gauss-map metric.
+fourth-order Runge-Kutta trajectory is fitted by one Chebyshev series of alpha
+over its span, whose degree the coefficient decay sets; the series and its
+derivative series drive a rotational hypersurface chart: the first
+profile-curve coordinate scales an (n-1)-sphere orbit, the other two live in
+the fixed plane. The conserved quantity of the flow is the warp factor of the
+induced Gauss-map metric.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ __all__ = [
     "warp_constant",
     "profile_curve",
     "ode_equivalence_residual",
-    "QuinticHermite",
+    "ProfileSeries",
+    "profile_series",
     "build_rotational_chart",
     "rotational_angles",
     "principal_pattern_residual",
@@ -276,62 +278,64 @@ def ode_equivalence_residual(traj: AlphaTrajectory) -> float:
 
 
 # ---------------------------------------------------------------------------
-# interpolation and the rotational chart
+# the profile series and the rotational chart
 # ---------------------------------------------------------------------------
 
-class QuinticHermite:
-    """Per-interval quintic matching value, slope and curvature at both ends.
+# a Chebyshev coefficient at most SERIES_TAIL times the largest one is negligible
+SERIES_TAIL = 1e-13
+SERIES_START_DEGREE = 32
 
-    Interpolation error on an RK4-fine grid sits far below the chart
-    tolerances, and values are C^1 across knots, so chart stencils may
-    straddle intervals; the coefficients are one array expression. value and
-    value_and_derivative take a number or an array of abscissae, the latter
-    giving the slope from the same interval lookup, made once per distinct
-    abscissa and scattered back; tau^2..tau^5 are one _pow pass each and the
-    power sums run in a fixed order, so every value is that of scalar arithmetic.
+
+class ProfileSeries:
+    """Chebyshev series of alpha and of alpha' over [lo, hi].
+
+    coeffs[:, 0] holds the coefficients of alpha, coeffs[:, 1] those of its
+    derivative series, both in T_k(t), t = (2 theta - (lo + hi)) / (hi - lo).
+    Called on an array of theta, it gives the arrays alpha and alpha' from
+    one Clenshaw recurrence over both columns, element by element, so every
+    row is that of its abscissa alone.
     """
 
-    def __init__(self, x: np.ndarray, f: np.ndarray, df: np.ndarray, ddf: np.ndarray):
-        if len(x) < 2:
-            raise OdeError("need at least two samples to interpolate")
-        x, f, df, ddf = (np.asarray(c, dtype=float) for c in (x, f, df, ddf))
-        d = np.diff(x)
-        if np.any(d <= 0):
-            raise OdeError("interpolation abscissae must increase")
-        a0, a1, a2 = f[:-1], d * df[:-1], 0.5 * d * d * ddf[:-1]
-        r0 = f[1:] - a0 - a1 - a2
-        r1 = d * df[1:] - a1 - 2 * a2
-        r2 = d * d * ddf[1:] - 2 * a2
-        self.x, self.dx = x, d
-        self.coeffs = np.stack(
-            [a0, a1, a2, 10 * r0 - 4 * r1 + 0.5 * r2, -15 * r0 + 7 * r1 - r2, 6 * r0 - 3 * r1 + 0.5 * r2], axis=-1
-        )
+    def __init__(self, lo: float, hi: float, coeffs: np.ndarray):
+        dc = np.zeros(len(coeffs) + 1)
+        for k in range(len(coeffs) - 1, 0, -1):
+            dc[k - 1] = dc[k + 1] + 2.0 * k * coeffs[k]
+        dc[0] *= 0.5
+        self.lo, self.hi = lo, hi
+        self.coeffs = np.stack([coeffs, dc[:-1] * (2.0 / (hi - lo))], axis=-1)
 
-    def _locate(self, t):
-        """Interval coefficients, interval width and tau**j (j = 0..5) at the abscissae t."""
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.dx) - 1)
-        tau = (t - self.x[k]) / self.dx[k]
-        powers = np.empty(tau.shape + (6,))
-        powers[..., 0], powers[..., 1] = 1.0, tau
-        for j in range(2, 6):
-            powers[..., j] = _pow(tau, j)
-        return self.coeffs[k], self.dx[k], powers
+    def __call__(self, theta):
+        t = ((2.0 * np.asarray(theta, dtype=float) - (self.lo + self.hi)) / (self.hi - self.lo))[..., None]
+        two_t, b1, b2 = 2.0 * t, 0.0, 0.0
+        for c in self.coeffs[:0:-1]:
+            b1, b2 = c + two_t * b1 - b2, b1
+        out = self.coeffs[0] + t * b1 - b2
+        return out[..., 0], out[..., 1]
 
-    def value_and_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        distinct, inverse = np.unique(t, return_inverse=True)
-        row, dx, powers = self._locate(distinct)
-        value = slope = 0.0
-        for j in range(6):
-            value = value + row[:, j] * powers[:, j]
-            if j:
-                slope = slope + j * row[:, j] * powers[:, j - 1]
-        inverse = inverse.reshape(t.shape)
-        return value[inverse], (slope / dx)[inverse]
 
-    def value(self, t):
-        return self.value_and_derivative(t)[0]
+def profile_series(traj: AlphaTrajectory) -> ProfileSeries:
+    """The Chebyshev series of alpha over the trajectory's span, fitted on a few of its samples.
+
+    At degree d the fit takes the samples nearest 2 (d + 1) Chebyshev points,
+    where the Chebyshev rows are well conditioned enough for the normal
+    equations. d doubles from SERIES_START_DEGREE until the last quarter of
+    the coefficients is negligible; the negligible tail is dropped. OdeError
+    when a degree takes more Chebyshev points than the trajectory has samples.
+    """
+    th, al = traj.thetas, traj.alphas
+    lo, hi, degree = float(th[0]), float(th[-1]), SERIES_START_DEGREE
+    while (m := 2 * (degree + 1)) <= len(th):
+        nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * (np.arange(m) + 0.5) / m)
+        rows = np.rint(np.interp(nodes, th, np.arange(len(th)))).astype(int)
+        t = np.clip((2.0 * th[rows] - (lo + hi)) / (hi - lo), -1.0, 1.0)
+        v = np.cos(np.arccos(t)[:, None] * np.arange(degree + 1))
+        c = np.linalg.solve(v.T @ v, v.T @ al[rows])
+        kept = np.flatnonzero(np.abs(c) > SERIES_TAIL * np.abs(c).max())[-1] + 1
+        if kept <= degree + 1 - (degree + 1) // 4:
+            return ProfileSeries(lo, hi, c[:kept])
+        degree *= 2
+    raise OdeError(f"a Chebyshev series of degree {degree} for the profile takes {m} samples, "
+                   f"the trajectory has {len(th)}")
 
 
 def rotational_angles(alpha, n: int):
@@ -345,7 +349,8 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
     Principal curvatures follow the (1, n-1) pattern cot((n-1) alpha) and
     -cot(alpha). Requires sin(alpha), sin((n-1) alpha) and sin(n alpha)
     positive along the curve (the regime of the default trajectories) and a
-    non-vanishing orbit radius. Knot curvatures are one array expression.
+    non-vanishing orbit radius. alpha and alpha' come from the trajectory's
+    one profile_series, kept as meta["alpha"].
     """
     n = traj.n
     if n < 3:
@@ -367,21 +372,11 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
             f"orbit radius vanishes along the curve (min {radius.min():.2e}): "
             f"the rotation axis is hit"
         )
-    # coarsen the knot grid to ~0.01: chart stencils then live inside single
-    # interpolation intervals, where the quintic is smooth, and the rounding
-    # noise of the Hermite coefficients (~eps / spacing) stays negligible
-    spacing = th[1] - th[0]
-    stride = max(1, int(round(0.01 / spacing)))
-    idx = list(range(0, len(th), stride))
-    if idx[-1] != len(th) - 1:
-        idx.append(len(th) - 1)
-    th_k, al_k, pa_k = th[idx], al[idx], pa[idx]
-    interp = QuinticHermite(th_k, al_k, pa_k, (1.0 - pa_k * pa_k) / np.tan(n * al_k))
-
     pad = max(0.02, 10.0 * (th[1] - th[0]))
     lo, hi = th[0] + pad, th[-1] - pad
     if hi - lo < 0.05:
         raise OdeError("trajectory too short to carve out a chart box")
+    alpha = profile_series(traj)
     lows = np.concatenate([[lo], np.full(n - 1, -0.4)])
     highs = np.concatenate([[hi], np.full(n - 1, 0.4)])
 
@@ -389,7 +384,7 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
     def profile(x):
         """The profile parameter, alpha and alpha' there, and the orbit sphere point."""
         theta = x[..., 0]
-        return (theta, *interp.value_and_derivative(theta), sphere_chart(n - 1, x[..., 1:]))
+        return (theta, *alpha(theta), sphere_chart(n - 1, x[..., 1:]))
 
     def embed(x):
         theta, a, p, orbit = profile(x)
@@ -413,7 +408,7 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
         normal=normal,
         box=Box(lows=lows, highs=highs),
         name="rotational",
-        meta={"n": n, "c1": warp_constant(traj), "interp": interp},
+        meta={"n": n, "c1": warp_constant(traj), "alpha": alpha},
     )
 
 
@@ -439,7 +434,7 @@ def _orbit_and_profile_angles(thetas: np.ndarray, n: int) -> tuple[float, float]
 
 def principal_pattern_residual(jet: GaussJet, n: int) -> np.ndarray:
     """Principal curvatures against the (1, n-1) cotangent pattern of the profile angle, per row at a batch."""
-    alpha = jet.chart.meta["interp"].value(jet.point[..., 0])
+    alpha = jet.chart.meta["alpha"](jet.point[..., 0])[0]
     prof_th, orbit_th = rotational_angles(alpha, n)
     cots = [np.cos(prof_th) / np.sin(prof_th)] + [np.cos(orbit_th) / np.sin(orbit_th)] * (n - 1)
     expected = np.sort(np.stack(cots, axis=-1), axis=-1)

@@ -156,7 +156,7 @@ def ref_horizontality(jet):
 
 
 def ref_principal_pattern(jet, n):
-    alpha = jet.chart.meta["interp"].value(float(jet.point[0]))
+    alpha = ref_profile(jet.chart.meta["alpha"], jet.point[0])[0]
     prof_th, orbit_th = float(np.mod((n - 1) * alpha, np.pi)), float(np.mod(-alpha, np.pi))
     expected = np.sort(
         np.array([np.cos(prof_th) / np.sin(prof_th)] + [np.cos(orbit_th) / np.sin(orbit_th)] * (n - 1))
@@ -248,8 +248,7 @@ def ref_point_residuals(jet, spec0, spec, fields, curvature, example, gauge, tar
 def ref_rhs(n, alpha, dalpha, tan=math.tan):
     """The profile equation's right side at one sample: the stage function the RK4 loop once called per stage.
 
-    tan is the C library's, as in the loop; the chart's interpolation knots
-    take numpy's tan, which the knot references pass.
+    tan is the C library's, as in the loop.
     """
     return (1.0 - dalpha * dalpha) / tan(n * alpha)
 
@@ -259,47 +258,16 @@ def ref_stop_number(x):
     return f"{x:.4f}" if abs(x) < 1e6 else f"{x:.4e}"
 
 
-class RefQuinticHermite:
-    """QuinticHermite as it was built and evaluated before its arrays: one loop pass per interval, one lookup per row."""
-
-    def __init__(self, x, f, df, ddf):
-        x = np.asarray(x, dtype=float)
-        dx = np.diff(x)
-        coeffs = np.empty((len(x) - 1, 6))
-        for k in range(len(x) - 1):
-            d = dx[k]
-            a0, a1, a2 = f[k], d * df[k], 0.5 * d * d * ddf[k]
-            r0 = f[k + 1] - a0 - a1 - a2
-            r1 = d * df[k + 1] - a1 - 2 * a2
-            r2 = d * d * ddf[k + 1] - 2 * a2
-            coeffs[k] = [
-                a0,
-                a1,
-                a2,
-                10 * r0 - 4 * r1 + 0.5 * r2,
-                -15 * r0 + 7 * r1 - r2,
-                6 * r0 - 3 * r1 + 0.5 * r2,
-            ]
-        self.x, self.dx, self.coeffs = x, dx, coeffs
-
-    def value_and_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.dx) - 1)
-        tau = (t - self.x[k]) / self.dx[k]
-        powers = np.empty(tau.shape + (6,))
-        powers[..., 0], powers[..., 1] = 1.0, tau
-        for j in range(2, 6):
-            powers[..., j] = np.reshape([float(v) ** j for v in np.ravel(tau)], tau.shape)
-        row, dx = self.coeffs[k], self.dx[k]
-        value = slope = 0.0
-        for j in range(6):
-            value = value + row[..., j] * powers[..., j]
-            if j:
-                slope = slope + j * row[..., j] * powers[..., j - 1]
-        return value, slope / dx
-
-    def value(self, t):
-        return self.value_and_derivative(t)[0]
+def ref_profile(series, theta):
+    """alpha and alpha' of a ProfileSeries at one abscissa: a Clenshaw recurrence on Python floats per series."""
+    t = (2.0 * float(theta) - (series.lo + series.hi)) / (series.hi - series.lo)
+    values = []
+    for column in series.coeffs.T.tolist():
+        b1 = b2 = 0.0
+        for c in reversed(column[1:]):
+            b1, b2 = c + 2.0 * t * b1 - b2, b1
+        values.append(column[0] + t * b1 - b2)
+    return tuple(values)
 
 
 def ref_symmetric_eigen(m):

@@ -285,11 +285,11 @@ def test_criterion_10_ode_suite(rotational_chart):
     equivalence = ode_equivalence_residual(traj)
     chart = rotational_chart
     rho_law = warped_curvature_check(chart, 3, chart.meta["c1"])["warp_factor_law"]
-    interp = chart.meta["interp"]
+    series = chart.meta["alpha"]
     worst_pattern = 0.0
     for x in sample_points(chart, 3):
         lam = principal_curvatures(chart, x).lambdas
-        alpha = interp.value(float(x[0]))
+        alpha = series(x[0])[0]
         expected = np.sort([1.0 / np.tan(2 * alpha)] + [-1.0 / np.tan(alpha)] * 2)[::-1]
         worst_pattern = max(worst_pattern, float(np.abs(lam - expected).max()))
     elapsed = time.monotonic() - start

@@ -1,12 +1,13 @@
 """The batched chart kernels against single-point numpy reference formulations.
 
 The references below evaluate one point at a time: the numpy sphere chart,
-the round-sphere, product and rotational chart bodies, the quintic Hermite
-evaluation, Python's float power as an object ufunc, the Veronese normal frame by projected Gram-Schmidt, and the
-point-by-point stencil build with its own finiteness check. Values and
-stencil derivatives must match them bitwise; the closed-form Veronese frame,
-which rounds differently, to 1e-14. Every row of a batch must equal the same
-chart called at that row alone.
+the round-sphere, product and rotational chart bodies, the Chebyshev profile
+series by a scalar Clenshaw recurrence (references.ref_profile), Python's
+float power as an object ufunc, the Veronese normal frame by projected
+Gram-Schmidt, and the point-by-point stencil build with its own finiteness
+check. Values and stencil derivatives must match them bitwise; the
+closed-form Veronese frame, which rounds differently, to 1e-14. Every row of
+a batch must equal the same chart called at that row alone.
 """
 
 import functools
@@ -32,6 +33,7 @@ from quadriclab.hypersurfaces import (
 from quadriclab.numerics import StencilError, axis, central_first, gram_schmidt
 from quadriclab.rotational import _pow, build_rotational_chart, integrate_alpha
 from quadriclab.verify import reconstruct_hypersurface
+from references import ref_profile
 
 H = 1e-4
 
@@ -72,17 +74,6 @@ def ref_product(k, n, r1):
     return embed, normal
 
 
-def ref_hermite(interp, t, derivative=False):
-    x, dx, coeffs = (np.array(a) for a in (interp.x, interp.dx, interp.coeffs))
-    k = int(np.searchsorted(x, t, side="right") - 1)
-    k = min(max(k, 0), len(dx) - 1)
-    tau = (t - x[k]) / dx[k]
-    c = coeffs[k]
-    if derivative:
-        return float(sum(j * c[j] * tau ** (j - 1) for j in range(1, 6)) / dx[k])
-    return float(sum(c[j] * tau**j for j in range(6)))
-
-
 def ref_pow(x, y):
     """Python's float power on each element through np.frompyfunc, as an array of x's shape."""
     return np.asarray(np.frompyfunc(pow, 2, 1)(x, y), dtype=object).astype(float)
@@ -100,10 +91,10 @@ def ref_gamma_point(theta, alpha, dalpha):
     )
 
 
-def ref_rotational(interp, n):
+def ref_rotational(series, n):
     def profile(x):
         theta = float(x[0])
-        return theta, ref_hermite(interp, theta), ref_hermite(interp, theta, derivative=True)
+        return (theta, *ref_profile(series, theta))
 
     def embed(x):
         theta, a, p = profile(x)
@@ -267,18 +258,17 @@ class TestAgainstReferences:
     def test_rotational(self, case):
         n, x = case
         chart = rotational(n)
-        embed, normal = ref_rotational(chart.meta["interp"], n)
+        embed, normal = ref_rotational(chart.meta["alpha"], n)
         assert np.array_equal(chart.embed(x), embed(x))
         assert np.array_equal(chart.normal(x), normal(x))
         assert_stencil_equal(chart, embed, normal, x)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=-0.5, max_value=1.5))
-    def test_quintic_hermite(self, t):
-        # inside the knots and extrapolated past both ends
-        interp = rotational(3).meta["interp"]
-        assert interp.value(t) == ref_hermite(interp, t)
-        assert interp.value_and_derivative(t)[1] == ref_hermite(interp, t, derivative=True)
+    def test_profile_series(self, t):
+        # inside the span and extrapolated past both ends
+        series = rotational(3).meta["alpha"]
+        assert tuple(map(float, series(t))) == ref_profile(series, t)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -354,8 +344,8 @@ def test_non_finite_coordinates_end_in_stencil_error(name, bad):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_profile_overflow_ends_in_stencil_error(n):
-    # far outside its knots the quintic's powers overflow: numpy gave inf,
-    # Python float powers raise OverflowError
+    # far outside its span the profile series overflows in the Clenshaw
+    # recurrence, which the stencil's numpy error state raises
     chart = rotational(n)
     p = chart.box.center.copy()
     p[0] = 1e80
@@ -372,8 +362,8 @@ def _batch_cases():
         "product": (product_spheres(1, 3, 0.55), ref_product(1, 3, 0.55)),
         "product-2-4": (product_spheres(2, 4, 0.4), ref_product(2, 4, 0.4)),
         "cartan": (CHARTS["cartan"], None),
-        "rotational-3": (rotational(3), ref_rotational(rotational(3).meta["interp"], 3)),
-        "rotational-4": (rotational(4), ref_rotational(rotational(4).meta["interp"], 4)),
+        "rotational-3": (rotational(3), ref_rotational(rotational(3).meta["alpha"], 3)),
+        "rotational-4": (rotational(4), ref_rotational(rotational(4).meta["alpha"], 4)),
         "perturbed": (CHARTS["perturbed"], None),
         "parallel": (CHARTS["parallel"], None),
         "reconstructed": (reconstruct_hypersurface(sphere.lift, sphere.box, spec, 0.2, 3), None),
@@ -404,6 +394,12 @@ def test_batch_rows_equal_single_points(name, size, seed):
     if refs is not None:
         for got, ref in zip((chart.embed(q), chart.normal(q)), refs):
             assert all(np.array_equal(got[i], ref(q[i])) for i in rows)
+    if name.startswith("rotational"):
+        series = chart.meta["alpha"]
+        batch = series(q[..., 0])
+        for i in rows:
+            lone = series(q[i][0])
+            assert all(float(b[i]) == float(v) == r for b, v, r in zip(batch, lone, ref_profile(series, q[i][0])))
     if name == "cartan":
         frames = hypersurfaces._veronese_frame(q)
         for i in rows:

@@ -380,7 +380,7 @@ class TestVerifyCommand:
     )
     def test_one_shared_build_per_embed_normal_pair(self, cfg, chart_calls, monkeypatch, tmp_path):
         # over a whole run, the work embed and normal share (Veronese frames,
-        # profile interpolations, orbit spheres) is built once per pair of
+        # profile series evaluations, orbit spheres) is built once per pair of
         # chart calls: every embed call is followed by normal on its points
         calls, builds = [], []
         shared_work = hypersurfaces.shared_work
@@ -683,13 +683,14 @@ class TestAnglesCommand:
 class TestOdeCommand:
     @settings(max_examples=8, deadline=None)
     @given(
-        st.sampled_from([3, 4]),
-        st.floats(min_value=0.2, max_value=0.8),
+        st.sampled_from([3, 4, 5, 6]),
+        st.floats(min_value=0.02, max_value=0.98),
         st.integers(min_value=0, max_value=10**6),
     )
     def test_passes_over_alpha0_range(self, tmp_path_factory, n, frac, seed):
-        # alpha0 in [0.2, 0.8] pi/n, inside the positive regime 0 < alpha < pi/n
-        # of the rotational chart; pi/(2n) is the constant solution
+        # alpha0 in [0.02, 0.98] pi/n, the documented range inside the
+        # positive regime 0 < alpha < pi/n of the rotational chart; pi/(2n)
+        # is the constant solution
         alpha0 = repr(frac * np.pi / n)
         out = tmp_path_factory.mktemp("rotational")
         argv = ["--example", "rotational", "--n", str(n), "--alpha0", alpha0]
@@ -698,18 +699,21 @@ class TestOdeCommand:
         assert run(out, "ode", *argv) == 0
         assert load_report(out, "ode", "rotational")["summary"]["all_pass"]
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 18: a knot seam of the quintic Hermite profile puts "
-        "connection_antisymmetry at 1.57e-7 against 1e-8 here",
-    )
     def test_passes_at_the_knot_seam_point(self, tmp_path):
-        # ROADMAP item 6(c): a regime-end failure inside the documented range,
-        # traced to the C^1 knots of the profile interpolant. Strict, so the
-        # marker has to go the day a seam-free profile makes this pass
+        # a regime-end failure inside the documented range while the profile
+        # was a piecewise quintic: this point sat 3.5e-5 from one of its C^1
+        # knots, and connection_antisymmetry read 1.57e-7 against 1e-8
         argv = ["--example", "rotational", "--n", "4", "--alpha0", "0.7461282552275759"]
         assert run(tmp_path, "verify", *argv, "--grid", "1", "--seed", "276891") == 0
+
+    def test_passes_where_the_series_needs_a_high_degree(self, tmp_path):
+        # at n = 6, alpha0 = 0.02 pi/6 the fit goes past degree 64
+        # (test_rotational.py); a series fixed at degree 64 failed
+        # profile_second_order_ode (1.91e-3 against 1e-3) and
+        # connection_antisymmetry (1.1e-6 against 1e-8)
+        argv = ["--example", "rotational", "--n", "6", "--alpha0", repr(0.02 * np.pi / 6)]
+        assert run(tmp_path, "ode", *argv) == 0
+        assert run(tmp_path, "verify", *argv, "--grid", "2", "--seed", "5") == 0
 
     def test_defaults_pass(self, tmp_path):
         code = run(tmp_path, "ode", "--n", "3", "--steps", "2000", "--span", "0.6")

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,13 +12,14 @@ from quadriclab.gaussmap import angle_spectrum, gauss_map
 from quadriclab.rotational import (
     AlphaTrajectory,
     OdeError,
-    QuinticHermite,
+    ProfileSeries,
     build_rotational_chart,
     first_integral_residual,
     integrate_alpha,
     ode_equivalence_residual,
     ode_order_ratio,
     profile_curve,
+    profile_series,
     rotational_angles,
     warp_constant,
     warped_curvature_check,
@@ -25,7 +29,7 @@ from quadriclab import rotational
 from quadriclab.cli import DEFAULT_TOLERANCES, ORDER_WINDOW, main
 from quadriclab.hypersurfaces import ChartStencil, principal_curvatures
 from quadriclab.verify import gauss_metric_fn
-from references import RefQuinticHermite, box_sample, profile_velocity, ref_rhs, ref_stop_number
+from references import box_sample, profile_velocity, ref_profile, ref_rhs, ref_stop_number
 
 
 def all_within_default_tolerances(residuals):
@@ -284,14 +288,48 @@ class TestOdeEquivalence:
         assert res["profile_second_order_ode"] < 1e-3
 
 
-class TestQuinticHermite:
+class TestProfileSeries:
     def test_reproduces_smooth_function(self):
-        xs = np.linspace(0.0, 1.0, 21)
-        f, df, ddf = np.sin(3 * xs), 3 * np.cos(3 * xs), -9 * np.sin(3 * xs)
-        interp = QuinticHermite(xs, f, df, ddf)
-        for t in (0.013, 0.42, 0.77, 0.999):
-            assert abs(interp.value(t) - np.sin(3 * t)) < 1e-9
-            assert abs(interp.value_and_derivative(t)[1] - 3 * np.cos(3 * t)) < 1e-7
+        xs = np.linspace(0.0, 1.0, 201)
+        series = profile_series(AlphaTrajectory(3, xs, np.sin(3 * xs), 3 * np.cos(3 * xs)))
+        assert len(series.coeffs) < 33
+        for t in (0.0, 0.013, 0.42, 0.77, 0.999, 1.0):
+            alpha, dalpha = series(t)
+            assert abs(alpha - np.sin(3 * t)) < 1e-13
+            assert abs(dalpha - 3 * np.cos(3 * t)) < 1e-11
+
+    def test_derivative_series_matches_numpy(self):
+        # the derivative recurrence against numpy.polynomial, which the
+        # package itself does not import
+        from numpy.polynomial import chebyshev
+
+        c = np.random.default_rng(3).normal(size=12)
+        series = ProfileSeries(0.25, 1.5, c)
+        assert np.array_equal(series.coeffs[:, 0], c) and series.coeffs[-1, 1] == 0.0
+        want = chebyshev.chebder(c) * (2.0 / 1.25)
+        np.testing.assert_allclose(series.coeffs[:-1, 1], want, rtol=1e-14, atol=1e-14)
+        t = np.linspace(-0.3, 1.9, 7)
+        u = (2.0 * t - 1.75) / 1.25
+        np.testing.assert_allclose(series(t)[0], chebyshev.chebval(u, c), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_every_sample_of_the_default_flows(self, n):
+        traj = integrate_alpha(n, np.pi / 12, 0.0, 0.8, 4000)
+        alpha, dalpha = profile_series(traj)(traj.thetas)
+        assert np.abs(alpha - traj.alphas).max() < 1e-13
+        assert np.abs(dalpha - traj.dalphas).max() < 1e-10
+
+    def test_degree_from_the_coefficient_tail(self):
+        # the default flow trims below the starting degree; near the end of
+        # the range at n = 6 the last coefficient at degree 64 is still 3e-9
+        # of the largest, so the fit doubles past it
+        assert len(profile_series(integrate_alpha(3, np.pi / 12, 0.0, 0.8, 4000)).coeffs) - 1 < 32
+        assert len(profile_series(integrate_alpha(6, 0.02 * np.pi / 6, 0.0, 0.8, 4000)).coeffs) - 1 > 64
+
+    def test_too_few_samples(self):
+        traj = integrate_alpha(3, np.pi / 12, 0.0, 0.8, 50)
+        with pytest.raises(OdeError, match="degree 32 for the profile takes 66 samples, the trajectory has 51"):
+            profile_series(traj)
 
 
 class TestRotationalChart:
@@ -304,21 +342,21 @@ class TestRotationalChart:
 
     def test_principal_multiplicity_pattern(self, rotational_chart):
         rng = np.random.default_rng(6)
-        interp = rotational_chart.meta["interp"]
+        series = rotational_chart.meta["alpha"]
         for _ in range(10):
             x = box_sample(rotational_chart.box, rng, 0.03)
             lam = principal_curvatures(rotational_chart, x).lambdas
-            alpha = interp.value(float(x[0]))
+            alpha = series(x[0])[0]
             expected = np.sort([1.0 / np.tan(2 * alpha)] + [-1.0 / np.tan(alpha)] * 2)[::-1]
             np.testing.assert_allclose(lam, expected, atol=1e-4)
 
     def test_gauss_angle_pattern(self, rotational_chart):
         rng = np.random.default_rng(7)
-        interp = rotational_chart.meta["interp"]
+        series = rotational_chart.meta["alpha"]
         for _ in range(3):
             x = box_sample(rotational_chart.box, rng, 0.03)
             spec = angle_spectrum(gauss_map(rotational_chart, x))
-            alpha = interp.value(float(x[0]))
+            alpha = series(x[0])[0]
             prof, orb = rotational_angles(alpha, 3)
             gaps = sorted(min(mod_pi_gap(t, v) for t in spec.thetas) for v in (prof, orb))
             assert max(gaps) < 1e-4
@@ -329,7 +367,7 @@ class TestRotationalChart:
         x = rotational_chart.box.center
         g = gauss_metric_fn(rotational_chart)(x)
         assert abs(g[0, 1]) < 1e-10 and abs(g[0, 2]) < 1e-10
-        alpha = rotational_chart.meta["interp"].value(float(x[0]))
+        alpha = rotational_chart.meta["alpha"](x[0])[0]
         c1 = rotational_chart.meta["c1"]
         rho2 = (c1 * np.sin(3 * alpha) ** (-1.0 / 3.0)) ** 2
         # orbit coordinates at the box center: round metric = diag(cos^2, 1)
@@ -374,8 +412,8 @@ def traj_n4():
 
 
 class TestChartMemo:
-    # a chart interpolates the profile once per embed/normal pair on the same
-    # points, for the whole batch, and again for any other points
+    # a chart evaluates the profile series once per embed/normal pair on the
+    # same points, for the whole batch, and again for any other points
 
     def test_interleaved_points_match_fresh_charts(self, traj_n4):
         chart = build_rotational_chart(traj_n4)
@@ -393,32 +431,24 @@ class TestChartMemo:
             assert np.array_equal(got, want)
 
     def test_interpolations_per_stencil(self, traj_n4, monkeypatch):
-        # one interval lookup, for value and derivative together, shared by
-        # embed and normal on the 16 stencil points and the center. The
-        # lookup takes each distinct profile parameter once: the offsets
-        # along the three orbit axes leave it at the center's, so the 17
-        # points hold 5 of them
+        # one series evaluation, for alpha and alpha' together, shared by
+        # embed and normal on the 16 stencil points and the center, row by row
         chart = build_rotational_chart(traj_n4)
         calls = []
-        locate = QuinticHermite._locate
-        monkeypatch.setattr(
-            QuinticHermite, "_locate", lambda self, t: calls.append(np.shape(t)) or locate(self, t)
-        )
+        evaluate = ProfileSeries.__call__
+        monkeypatch.setattr(ProfileSeries, "__call__", lambda self, t: calls.append(np.shape(t)) or evaluate(self, t))
         ChartStencil(chart, chart.box.center + 0.01, 1e-4)
-        assert calls == [(5,)]
+        assert calls == [(17,)]
 
     def test_lookups_per_verify_run(self, tmp_path, monkeypatch):
-        # verify --grid 3 at n = 4 asks the profile at 7,590 chart rows, and
-        # the interval lookups see 696 distinct profile parameters among them:
-        # each stencil's points share one lookup with its centers
-        rows, distinct = [], []
-        evaluate, locate = QuinticHermite.value_and_derivative, QuinticHermite._locate
-        monkeypatch.setattr(
-            QuinticHermite, "value_and_derivative", lambda self, t: rows.append(np.size(t)) or evaluate(self, t)
-        )
-        monkeypatch.setattr(QuinticHermite, "_locate", lambda self, t: distinct.append(np.size(t)) or locate(self, t))
+        # verify --grid 3 at n = 4 asks the profile at 7,590 chart rows in 5
+        # series calls, one per embed/normal pair, and the principal-pattern
+        # check at its 3 sample points in one more
+        calls = []
+        evaluate = ProfileSeries.__call__
+        monkeypatch.setattr(ProfileSeries, "__call__", lambda self, t: calls.append(np.size(t)) or evaluate(self, t))
         assert main(["verify", "--example", "rotational", "--n", "4", "--grid", "3", "--out", str(tmp_path)]) == 0
-        assert (sum(rows), sum(distinct)) == (7590, 696)
+        assert (len(calls), sum(calls[:-1]), calls[-1]) == (6, 7590 - 3, 3)
 
 
 FLOWS = [
@@ -441,22 +471,14 @@ def _same(got, want):
 
 
 class TestChartArrays:
-    # the interpolant is built as arrays and evaluated once per distinct
-    # abscissa; the per-interval loop, per-knot curvature and per-row lookup
-    # of RefQuinticHermite must give the same bits
+    # the series is evaluated on whole batches; every row must be bitwise
+    # the series at that row alone and the scalar recurrence of ref_profile
 
-    @staticmethod
-    def _reference(traj, interp):
-        """RefQuinticHermite over the chart's knots, their curvatures taken one knot at a time."""
-        k = np.searchsorted(traj.thetas, interp.x)
-        assert _same(traj.thetas[k], interp.x)
-        al, pa = traj.alphas[k], traj.dalphas[k]
-        return RefQuinticHermite(interp.x, al, pa, np.array([ref_rhs(traj.n, a, p, np.tan) for a, p in zip(al, pa)]))
-
-    def test_coefficients_match_interval_loop(self, flow_chart):
+    def test_fit_is_the_chart_profile(self, flow_chart):
         traj, chart = flow_chart
-        interp = chart.meta["interp"]
-        assert _same(interp.coeffs, self._reference(traj, interp).coeffs)
+        series, fitted = chart.meta["alpha"], profile_series(traj)
+        assert (series.lo, series.hi) == (traj.thetas[0], traj.thetas[-1])
+        assert _same(series.coeffs, fitted.coeffs)
 
     @staticmethod
     def _inputs(chart):
@@ -470,26 +492,26 @@ class TestChartArrays:
             "distinct": np.stack([box_sample(chart.box, rng, 0.01) for _ in range(40)]),
         }
 
-    def test_embed_and_normal_match_per_row_lookup(self, flow_chart, monkeypatch):
-        traj, chart = flow_chart
-        monkeypatch.setattr(rotational, "QuinticHermite", RefQuinticHermite)
-        ref = build_rotational_chart(traj)
-        assert isinstance(ref.meta["interp"], RefQuinticHermite)
+    def test_embed_and_normal_match_per_row_lookup(self, flow_chart):
+        _, chart = flow_chart
         for name, x in self._inputs(chart).items():
-            assert _same(chart.embed(x), ref.embed(x)), name
-            assert _same(chart.normal(x), ref.normal(x)), name
+            rows = x.reshape(-1, chart.dim)
+            for fn in (chart.embed, chart.normal):
+                want = np.stack([fn(row) for row in rows]).reshape(x.shape[:-1] + (chart.dim + 2,))
+                assert _same(fn(x), want), name
 
     def test_profile_matches_per_row_lookup(self, flow_chart):
-        traj, chart = flow_chart
-        interp = chart.meta["interp"]
-        ref = self._reference(traj, interp)
+        _, chart = flow_chart
+        series = chart.meta["alpha"]
         thetas = {name: x[..., 0] for name, x in self._inputs(chart).items()}
         thetas["scalar"] = float(chart.box.center[0])
-        thetas["knot"] = interp.x[3]
+        thetas["ends"] = np.array([series.lo, series.hi])
         for name, t in thetas.items():
-            for got, want in zip(interp.value_and_derivative(t), ref.value_and_derivative(t)):
-                assert type(got) is type(want) and _same(got, want), name
-            assert _same(interp.value(t), ref.value(t)), name
+            got = series(t)
+            want = [ref_profile(series, v) for v in np.ravel(t)]
+            for k in range(2):
+                assert np.shape(got[k]) == np.shape(t), name
+                assert _same(np.ravel(got[k]), [w[k] for w in want]), name
 
 
 def test_orbit_group_straddling_pi():
@@ -514,7 +536,17 @@ def test_rotational_chart_n4(traj_n4):
     chart = build_rotational_chart(traj_n4)
     x = chart.box.center
     lam = principal_curvatures(chart, x).lambdas
-    alpha = chart.meta["interp"].value(float(x[0]))
+    alpha = chart.meta["alpha"](x[0])[0]
     expected = np.sort([1.0 / np.tan(3 * alpha)] + [-1.0 / np.tan(alpha)] * 3)[::-1]
     np.testing.assert_allclose(lam, expected, atol=1e-4)
     assert all_within_default_tolerances(warped_curvature_check(chart, 4, chart.meta["c1"]))
+
+
+def test_import_leaves_numpy_polynomial_out():
+    # numpy.polynomial costs about 4 ms of start-up after numpy itself; the
+    # profile series is fitted and summed by hand
+    src = os.path.dirname(os.path.dirname(rotational.__file__))
+    code = "import sys, quadriclab, quadriclab.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
