@@ -26,10 +26,8 @@ import numpy as np
 from .numerics import (
     central_first,
     centered_axis_stencil,
-    eigen_solve,
     flagged_row,
     gather,
-    gram_schmidt,
     row_dot,
     symmetric_eigen,
 )
@@ -271,22 +269,31 @@ class ShapeSpectrum:
 
 
 def tangent_data(st: ChartStencil):
-    """Coordinate tangents, an orthonormal tangent frame and its velocities, batch axes in front."""
+    """Coordinate tangents e, an orthonormal tangent frame t and its velocities m (m @ e = t), batch axes in front.
+
+    The velocities come from the eigenpairs (w, v) = st.gram_eigen of the
+    Gram matrix G = e e^T the stencil already holds: m = (v / sqrt(w))^T
+    gives t t^T = m G m^T = I up to eps * cond(G), and one Newton-Schulz step,
+    m <- (3 I - t t^T) m / 2, brings that defect down to eps. ChartError when
+    the smallest Gram eigenvalue is at most 1e-10, where the tangents are
+    numerically dependent.
+    """
     e = st.d_embed
-    bad = flagged_row(st.gram_spectrum[..., 0] <= 1e-12, st.point, st.gram_spectrum)
+    w, v = st.gram_eigen
+    bad = flagged_row(w[..., 0] <= 1e-10, st.point, w)
     if bad:
         raise ChartError(
             f"chart '{st.chart.name}' has rank-deficient differential at {bad[0]} "
             f"(Gram spectrum {bad[1]})"
         )
-    t = gram_schmidt(e)
-    # velocities: rows m with m @ e = t, through the Gram matrix's eigenpairs
-    m = eigen_solve(st.gram_eigen, e @ t.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return e, t, m
+    m = (v / np.sqrt(w)[..., None, :]).swapaxes(-1, -2)
+    t = m @ e
+    m = 1.5 * m - 0.5 * ((t @ t.swapaxes(-1, -2)) @ m)
+    return e, m @ e, m
 
 
 def _shape_data(st: ChartStencil):
-    """Shape operator in an orthonormal tangent frame, with the frame and its velocities.
+    """Shape operator in the orthonormal tangent frame of tangent_data, with the frame and its velocities.
 
     Realized as S X = -(derivative of the normal along X), projected onto the
     tangent plane; the result is symmetrized, with the defect checked.

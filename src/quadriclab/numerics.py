@@ -25,7 +25,6 @@ __all__ = [
     "flagged_row",
     "symmetrize",
     "symmetric_eigen",
-    "eigen_solve",
     "gram_schmidt",
     "row_dot",
     "gather",
@@ -144,20 +143,6 @@ def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.argmax(np.abs(v), axis=-2)
     flat = rows * k + np.arange(k) + np.arange(0, rows.size * k, k * k).reshape(rows.shape[:-1] + (1,))
     return w, v * np.where(v.reshape(-1)[flat] < 0, -1.0, 1.0)[..., None, :]
-
-
-def eigen_solve(eigen: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b from the symmetric_eigen pair (w, v) of positive-definite a, or of a stack of them.
-
-    b is a matrix (k, m) per matrix a, its columns the right-hand sides.
-    """
-    w, v = eigen
-    bad = flagged_row(w[..., 0] <= 0.0, w)
-    if bad:
-        raise RankDeficiencyError(
-            f"eigen_solve: matrix is not positive definite (spectrum {bad[0]})", bad[0]
-        )
-    return v @ ((v.swapaxes(-1, -2) @ np.asarray(b, dtype=float)) / w[..., None])
 
 
 def gram_schmidt(vectors, dependence_tol: float = 1e-10) -> np.ndarray:

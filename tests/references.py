@@ -24,7 +24,7 @@ from quadriclab.gaussmap import (
     structure_operators,
 )
 from quadriclab.hypersurfaces import ShapeSpectrum, _shape_data
-from quadriclab.numerics import ConvergenceError, NumericsError, flagged_row, symmetric_eigen, symmetrize
+from quadriclab.numerics import ConvergenceError, NumericsError, flagged_row, gram_schmidt, symmetric_eigen, symmetrize
 from quadriclab.quadric import HorizontalVector, StiefelPoint, StructureGauge, horizontal_project
 from quadriclab.verify import (
     ConnectionData,
@@ -322,6 +322,48 @@ def ref_principal_curvatures(st):
     s, t, m = _shape_data(st)
     lambdas, vt = ref_sort_curvatures(*symmetric_eigen(s))
     return ShapeSpectrum(lambdas=lambdas, directions_chart=vt @ m, directions_ambient=vt @ t)
+
+
+# ---------------------------------------------------------------------------
+# the tangent frame as Gram-Schmidt built it
+# ---------------------------------------------------------------------------
+
+def ref_tangent_data(st):
+    """tangent_data as it was: two-pass Gram-Schmidt on the coordinate tangents, then the velocities m
+    with m @ e = t solved from the Gram matrix's eigenpairs, G m^T = e t^T."""
+    e = st.d_embed
+    t = gram_schmidt(e)
+    w, v = st.gram_eigen
+    m = v @ ((v.swapaxes(-1, -2) @ (e @ t.swapaxes(-1, -2))) / w[..., None])
+    return e, t, m.swapaxes(-1, -2)
+
+
+def ref_frame_principal_curvatures(st):
+    """ChartStencil.principal_curvatures on the Gram-Schmidt frame of ref_tangent_data."""
+    _, t, m = ref_tangent_data(st)
+    raw = -(m @ st.d_normal) @ t.swapaxes(-1, -2)
+    lambdas, vt = ref_sort_curvatures(*symmetric_eigen(0.5 * (raw + raw.swapaxes(-1, -2))))
+    return ShapeSpectrum(lambdas=lambdas, directions_chart=vt @ m, directions_ambient=vt @ t)
+
+
+def ref_exact_principal_curvatures(st):
+    """Principal curvatures (descending) of the stencil's tangents e and normal derivatives, to round-off.
+
+    The shape operator S and the Gram matrix P = t t^T are formed in long
+    double on the frame t = m @ e, m = (v / sqrt(w))^T from st.gram_eigen,
+    which is orthonormal only to about eps * cond(G); P^(-1/2) S P^(-1/2), to
+    second order in P - I, is S in an orthonormal frame of the same span. Its
+    spectrum does not depend on the frame, since any two frames are
+    congruent. Needs a long double wider than double, as on x86-64 Linux.
+    """
+    w, v = st.gram_eigen
+    m = (v / np.sqrt(w)[..., None, :]).swapaxes(-1, -2).astype(np.longdouble)
+    t = m @ st.d_embed.astype(np.longdouble)
+    raw = -(m @ st.d_normal.astype(np.longdouble)) @ t.swapaxes(-1, -2)
+    d = t @ t.swapaxes(-1, -2) - np.eye(t.shape[-2])
+    root = np.eye(t.shape[-2]) - 0.5 * d + 0.375 * (d @ d)
+    s = root @ (0.5 * (raw + raw.swapaxes(-1, -2))) @ root
+    return -np.sort(-np.linalg.eigvalsh(s.astype(float)), axis=-1)
 
 
 def ref_angle_spectrum(jet, gauge):

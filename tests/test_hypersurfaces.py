@@ -21,9 +21,9 @@ from quadriclab.hypersurfaces import (
     sphere_chart_with_derivatives,
     tangent_data,
 )
-from quadriclab.numerics import eigen_solve, symmetric_eigen
+from quadriclab.numerics import RankDeficiencyError, symmetric_eigen
 from quadriclab.rotational import build_rotational_chart
-from references import box_sample, ref_chart_invariants
+from references import box_sample, ref_chart_invariants, ref_tangent_data
 
 RNG = np.random.default_rng(42)
 
@@ -358,7 +358,7 @@ class TestParallel:
 class TestShapeOperatorSolves:
     def test_principal_curvatures_eigensolves(self, monkeypatch, product_13):
         # the Gram matrix of the coordinate tangents is decomposed once, for the
-        # rank check and the velocity solve, and the shape operator once
+        # rank check and the tangent frame, and the shape operator once
         calls = []
         eig = numerics.symmetric_eigen
         spy = lambda m: calls.append(1) or eig(m)
@@ -379,9 +379,14 @@ class TestShapeOperatorSolves:
             assert w.tobytes() == w_alone.tobytes() and v.tobytes() == v_alone.tobytes()
 
     def test_velocities_match_the_eigen_solve(self, product_13):
+        # the frame's velocities carry the tangents onto it bitwise, and the
+        # Gram-Schmidt route's eigen solve of G m^T = e t^T gives the same
+        # velocities, rotated onto its own frame
         st = ChartStencil(product_13, np.array([0.1, -0.2, 0.15]), 1e-4)
         e, t, m = tangent_data(st)
-        assert np.array_equal(m, eigen_solve(symmetric_eigen(e @ e.T), e @ t.T).T)
+        _, t_ref, m_ref = ref_tangent_data(st)
+        assert np.array_equal(m @ e, t)
+        np.testing.assert_allclose((t_ref @ t.T) @ m, m_ref, rtol=0, atol=1e-13 * np.abs(m_ref).max())
 
 
 class TestShapeOperatorErrors:
@@ -398,3 +403,21 @@ class TestShapeOperatorErrors:
         with pytest.raises(ChartError) as err:
             shape_operator(flat, np.array([0.1, 0.1]))
         assert "rank" in str(err.value)
+
+    def test_nearly_dependent_tangents_rejected(self, sphere_half):
+        # the smallest Gram eigenvalue lies in (1e-12, 1e-10]: Gram-Schmidt's
+        # rank gate (RankDeficiencyError) rejected these tangents, and so does
+        # the frame from the Gram eigenpairs (ChartError); without a 1e-10
+        # gate their curvatures come back silently
+        scale = np.array([3e-6, 1.0, 1.0])
+        squeezed = HypersurfaceChart(
+            dim=3,
+            embed=lambda q: sphere_half.embed(q * scale),
+            normal=lambda q: sphere_half.normal(q * scale),
+            box=sphere_half.box,
+            name="squeezed",
+        )
+        p = np.array([0.1, -0.2, 0.15])
+        assert 1e-12 < ChartStencil(squeezed, p, 1e-4).gram_spectrum[0] <= 1e-10
+        with pytest.raises((ChartError, RankDeficiencyError), match="rank-deficient"):
+            principal_curvatures(squeezed, p)

@@ -14,7 +14,6 @@ from quadriclab.numerics import (
     axis_stencil,
     central_first,
     central_second,
-    eigen_solve,
     gram_schmidt,
     hessian_stencil,
     second_derivative,
@@ -286,22 +285,6 @@ class TestGramSchmidt:
                 gram_schmidt(vs, dependence_tol=tol)
         else:
             np.testing.assert_allclose(gram_schmidt(vs, dependence_tol=tol), np.eye(2))
-
-
-class TestEigenSolve:
-    def test_solves(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 4))
-        a = a @ a.T + 0.5 * np.eye(4)
-        b = rng.standard_normal(4)
-        x = eigen_solve(symmetric_eigen(a), b[:, None])
-        np.testing.assert_allclose(a @ x, b[:, None], atol=1e-10)
-
-    def test_rejects_indefinite(self):
-        # the message names the function that raised it
-        with pytest.raises(RankDeficiencyError, match=r"^eigen_solve: matrix is not positive definite") as err:
-            eigen_solve(symmetric_eigen(np.diag([1.0, -1.0])), np.ones(2)[:, None])
-        np.testing.assert_array_equal(err.value.gram_spectrum, [-1.0, 1.0])
 
 
 def first_jet(f, p, h):

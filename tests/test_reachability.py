@@ -56,8 +56,9 @@ LIBRARY_ONLY = {
     "hypersurfaces._rho_jet": "ROADMAP item 7: the perturbed sphere's height function",
     "verify.reconstruct_hypersurface": "acceptance criterion 07; ROADMAP item 13(b)",
     "rotational.AlphaTrajectory.states": "bench/tracing.py counts RK4 steps with it (ROADMAP item 1)",
-    "numerics.RankDeficiencyError.__init__": "error path: dependent vectors or an indefinite Gram matrix, "
-    "which need a rank-deficient chart",
+    "numerics.gram_schmidt": AMBIENT + ": its one caller is quadric.horizontal_frame; "
+    "the tangent frames come from the Gram eigenpairs",
+    "numerics.RankDeficiencyError.__init__": "error path: gram_schmidt on dependent vectors, for ROADMAP item 13(a)",
 }
 
 
