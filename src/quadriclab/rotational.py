@@ -234,17 +234,24 @@ def first_integral_residual(traj: AlphaTrajectory, c1: float | None = None) -> f
 # profile curve
 # ---------------------------------------------------------------------------
 
-def _gamma_point(theta, alpha, dalpha):
-    """The three profile-curve coordinates at arrays (or numbers) of samples."""
+def _curve_and_conormal(theta, alpha, dalpha):
+    """The three profile-curve coordinates at arrays (or numbers) of samples, then the three of its conormal.
+
+    The unit conormal is in the moving frame of the orbit sphere; all six
+    come from one set of cos and sin.
+    """
     c, s = np.cos(alpha), np.sin(alpha)
     ct, st = np.cos(theta), np.sin(theta)
     w = np.sqrt(np.maximum(0.0, 1.0 - dalpha * dalpha))
-    return -s * w, c * st - s * ct * dalpha, -c * ct - s * st * dalpha
+    return (
+        -s * w, c * st - s * ct * dalpha, -c * ct - s * st * dalpha,
+        -(w * c), -(c * dalpha * ct + s * st), -(c * dalpha * st - s * ct),
+    )
 
 
 def profile_curve(traj: AlphaTrajectory) -> np.ndarray:
     """The (N, 3) profile-curve points of the trajectory's samples, each checked to lie on the unit sphere."""
-    gammas = np.stack(_gamma_point(traj.thetas, traj.alphas, traj.dalphas), axis=-1)
+    gammas = np.stack(_curve_and_conormal(traj.thetas, traj.alphas, traj.dalphas)[:3], axis=-1)
     norms = np.linalg.norm(gammas, axis=1)
     if np.abs(norms - 1.0).max() > 1e-8:
         raise OdeError(
@@ -293,7 +300,8 @@ class ProfileSeries:
     derivative series, both in T_k(t), t = (2 theta - (lo + hi)) / (hi - lo).
     Called on an array of theta, it gives the arrays alpha and alpha' from
     one Clenshaw recurrence over both columns, element by element, so every
-    row is that of its abscissa alone.
+    row is that of its abscissa alone. A chart calls it once per batch, on
+    the batch's distinct theta only.
     """
 
     def __init__(self, lo: float, hi: float, coeffs: np.ndarray):
@@ -382,25 +390,25 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
 
     @shared_work
     def profile(x):
-        """The profile parameter, alpha and alpha' there, and the orbit sphere point."""
-        theta = x[..., 0]
-        return (theta, *alpha(theta), sphere_chart(n - 1, x[..., 1:]))
+        """Per row, the profile-curve point and its conormal (..., 6), and the orbit sphere point.
+
+        Everything of theta alone is computed once per distinct theta of the
+        batch (a stencil steps theta along one axis only) and gathered back
+        to the rows. Distinct means distinct bits, so +0.0 and -0.0 keep
+        their own rows.
+        """
+        bits, rows = np.unique(x[..., 0].view(np.int64), return_inverse=True)
+        theta = bits.view(float)
+        curve = np.stack(_curve_and_conormal(theta, *alpha(theta)), axis=-1)
+        return curve[rows.reshape(x.shape[:-1])], sphere_chart(n - 1, x[..., 1:])
 
     def embed(x):
-        theta, a, p, orbit = profile(x)
-        g0, g1, g2 = _gamma_point(theta, a, p)
-        return np.concatenate([g0[..., None] * orbit, g1[..., None], g2[..., None]], axis=-1)
+        curve, orbit = profile(x)
+        return np.concatenate([curve[..., :1] * orbit, curve[..., 1:3]], axis=-1)
 
     def normal(x):
-        theta, a, p, orbit = profile(x)
-        c, s = np.cos(a), np.sin(a)
-        ct, st = np.cos(theta), np.sin(theta)
-        w_loc = np.sqrt(np.maximum(0.0, 1.0 - p * p))
-        # unit conormal of the profile curve in the moving frame of the sphere
-        b0 = -(w_loc * c)
-        b1 = -(c * p * ct + s * st)
-        b2 = -(c * p * st - s * ct)
-        return np.concatenate([b0[..., None] * orbit, b1[..., None], b2[..., None]], axis=-1)
+        curve, orbit = profile(x)
+        return np.concatenate([curve[..., 3:4] * orbit, curve[..., 4:]], axis=-1)
 
     return HypersurfaceChart(
         dim=n,

@@ -1099,3 +1099,26 @@ class TestStoppedFlows:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+class TestSeriesSampleFloor:
+    # a chart's Chebyshev series starts at degree 32, whose 66 Chebyshev
+    # points need 66 samples: steps + 1 of them
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["ode", "--n", "3"],
+            ["verify", "--example", "rotational", "--n", "3", "--grid", "1"],
+            ["angles", "--example", "rotational", "--n", "3", "--grid", "1"],
+        ],
+        ids=["ode", "verify", "angles"],
+    )
+    def test_one_sample_short_exits_2(self, tmp_path, capsys, command):
+        assert run(tmp_path, *command, "--steps", "64") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a Chebyshev series of degree 32 for the profile takes 66 samples, the trajectory has 65\n"
+
+    def test_at_the_floor_passes(self, tmp_path):
+        assert run(tmp_path, "ode", "--n", "3", "--steps", "65") == 0

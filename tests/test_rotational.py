@@ -28,6 +28,7 @@ from quadriclab.rotational import (
 from quadriclab import rotational
 from quadriclab.cli import DEFAULT_TOLERANCES, ORDER_WINDOW, main
 from quadriclab.hypersurfaces import ChartStencil, principal_curvatures
+from quadriclab.numerics import hessian_stencil
 from quadriclab.verify import gauss_metric_fn
 from references import box_sample, profile_velocity, ref_profile, ref_rhs, ref_stop_number
 
@@ -253,6 +254,13 @@ class TestProfileCurve:
         norms = np.linalg.norm(profile_curve(rotational_trajectory), axis=1)
         assert np.abs(norms - 1.0).max() < 1e-8
 
+    def test_off_the_sphere_raises(self):
+        # |alpha'| > 1 clips the warp factor to 0, which integrate_alpha's
+        # slope guard never lets through: a defect of 5.32e-02
+        with pytest.raises(OdeError, match=r"profile curve left the unit sphere \(defect 5.32e-02\)"):
+            profile_curve(AlphaTrajectory(3, [0.1], [0.3], [1.5]))
+        assert profile_curve(AlphaTrajectory(3, [0.1], [0.3], [0.5])).shape == (1, 3)
+
     def test_velocity_matches_samples(self, rotational_trajectory):
         traj = rotational_trajectory
         gammas = profile_curve(traj)
@@ -413,7 +421,8 @@ def traj_n4():
 
 class TestChartMemo:
     # a chart evaluates the profile series once per embed/normal pair on the
-    # same points, for the whole batch, and again for any other points
+    # same points, on the distinct profile parameters of the batch, and again
+    # for any other points
 
     def test_interleaved_points_match_fresh_charts(self, traj_n4):
         chart = build_rotational_chart(traj_n4)
@@ -430,25 +439,37 @@ class TestChartMemo:
             want = getattr(build_rotational_chart(traj_n4), kind)(points[i])
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def _series_calls(monkeypatch, measure):
+        calls = []
+        evaluate = ProfileSeries.__call__
+        monkeypatch.setattr(ProfileSeries, "__call__", lambda self, t: calls.append(measure(t)) or evaluate(self, t))
+        return calls
+
     def test_interpolations_per_stencil(self, traj_n4, monkeypatch):
         # one series evaluation, for alpha and alpha' together, shared by
-        # embed and normal on the 16 stencil points and the center, row by row
+        # embed and normal on the 16 stencil points and the center: the 4
+        # steps along the profile axis and the center's own profile parameter
         chart = build_rotational_chart(traj_n4)
-        calls = []
-        evaluate = ProfileSeries.__call__
-        monkeypatch.setattr(ProfileSeries, "__call__", lambda self, t: calls.append(np.shape(t)) or evaluate(self, t))
+        calls = self._series_calls(monkeypatch, np.shape)
         ChartStencil(chart, chart.box.center + 0.01, 1e-4)
-        assert calls == [(17,)]
+        assert calls == [(5,)]
 
     def test_lookups_per_verify_run(self, tmp_path, monkeypatch):
-        # verify --grid 3 at n = 4 asks the profile at 7,590 chart rows in 5
-        # series calls, one per embed/normal pair, and the principal-pattern
-        # check at its 3 sample points in one more
-        calls = []
-        evaluate = ProfileSeries.__call__
-        monkeypatch.setattr(ProfileSeries, "__call__", lambda self, t: calls.append(np.size(t)) or evaluate(self, t))
+        # verify --grid 3 at n = 4 asks the profile at 7,587 chart rows in 5
+        # series calls, one per embed/normal pair on the batch's 453 distinct
+        # profile parameters, and the principal-pattern check at its 3 sample
+        # points in one more
+        calls = self._series_calls(monkeypatch, np.size)
         assert main(["verify", "--example", "rotational", "--n", "4", "--grid", "3", "--out", str(tmp_path)]) == 0
-        assert (len(calls), sum(calls[:-1]), calls[-1]) == (6, 7590 - 3, 3)
+        assert (len(calls), sum(calls[:-1]), calls[-1]) == (6, 453, 3)
+
+    def test_lookups_per_ode_run(self, tmp_path, monkeypatch):
+        # the largest embed/normal pair of the warped check at n = 5 sends
+        # 6,600 chart rows, on 95 distinct profile parameters
+        calls = self._series_calls(monkeypatch, np.size)
+        assert main(["ode", "--n", "5", "--out", str(tmp_path)]) == 0
+        assert max(calls) == 95
 
 
 FLOWS = [
@@ -460,9 +481,18 @@ FLOWS = [
 ]
 
 
-@pytest.fixture(scope="module", params=FLOWS, ids=lambda f: f"n{f[0]}-alpha0={f[1]:.3f}-dalpha0={f[2]}")
+def _equilibrium_n4():
+    # alpha = pi/8 at rest: the fit keeps one coefficient, so alpha' is
+    # exactly 0.0 and embed's profile-plane coordinate at theta = +-0.0 is
+    # +-0.0, which only a per-row (or per-bit) evaluation tells apart
+    thetas = np.linspace(0.0, 0.8, 4001)
+    return AlphaTrajectory(4, thetas, np.full_like(thetas, np.pi / 8), np.zeros_like(thetas))
+
+
+@pytest.fixture(scope="module", params=[*FLOWS, None],
+                ids=lambda f: f"n{f[0]}-alpha0={f[1]:.3f}-dalpha0={f[2]}" if f else "n4-equilibrium")
 def flow_chart(request):
-    traj = integrate_alpha(*request.param)
+    traj = integrate_alpha(*request.param) if request.param else _equilibrium_n4()
     return traj, build_rotational_chart(traj)
 
 
@@ -470,9 +500,17 @@ def _same(got, want):
     return np.asarray(got).tobytes() == np.asarray(want).tobytes() and np.shape(got) == np.shape(want)
 
 
+def _same_or_nan(got, want):
+    """Bitwise equal where want is a number, signed zeros included, and NaN where want is NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return np.shape(got) == np.shape(want) and np.array_equal(np.isnan(got), nan) and _same(got[~nan], want[~nan])
+
+
 class TestChartArrays:
-    # the series is evaluated on whole batches; every row must be bitwise
-    # the series at that row alone and the scalar recurrence of ref_profile
+    # the series is evaluated on whole batches, once per distinct profile
+    # parameter; every row must be bitwise the series at that row alone and
+    # the scalar recurrence of ref_profile
 
     def test_fit_is_the_chart_profile(self, flow_chart):
         traj, chart = flow_chart
@@ -485,12 +523,27 @@ class TestChartArrays:
         n, rng = chart.dim, np.random.default_rng(chart.dim)
         center = chart.box.center
         offsets = 1e-3 * np.arange(-2.0, 3.0)[:, None, None] * np.eye(n)  # (offset, axis, n)
-        return {
+        inputs = {
             "stencil": center + offsets,
             "stencils": np.stack([box_sample(chart.box, rng, 0.05) for _ in range(3)])[:, None, None] + offsets,
             "point": box_sample(chart.box, rng, 0.05),
             "distinct": np.stack([box_sample(chart.box, rng, 0.01) for _ in range(40)]),
         }
+        # the batches verify sends, which repeat each profile parameter: the
+        # Hessian stencil of three points, as hessian_stencil hands it to the
+        # chart, and a field stencil (point, offset, frame direction) of
+        # shape (3, 4, n, n)
+        three = np.stack([box_sample(chart.box, rng, 0.05) for _ in range(3)])
+        sent = []
+        hessian_stencil(lambda q: sent.append(q) or q, three, 1e-3, (2.0, 1.0, -1.0, -2.0))
+        frames = np.linalg.qr(rng.normal(size=(3, n, n)))[0]
+        inputs["hessian"] = sent[0]
+        inputs["field"] = three[:, None, None] + 1e-3 * np.array([1.0, 0.5, -0.5, -1.0])[:, None, None] * frames[:, None]
+        # abscissae the bits of theta tell apart where its value does not
+        edge = np.repeat(center[None], 5, axis=0)
+        edge[:, 0] = [0.0, -0.0, np.nan, center[0], -0.0]
+        inputs["edge"] = edge
+        return inputs
 
     def test_embed_and_normal_match_per_row_lookup(self, flow_chart):
         _, chart = flow_chart
@@ -498,7 +551,7 @@ class TestChartArrays:
             rows = x.reshape(-1, chart.dim)
             for fn in (chart.embed, chart.normal):
                 want = np.stack([fn(row) for row in rows]).reshape(x.shape[:-1] + (chart.dim + 2,))
-                assert _same(fn(x), want), name
+                assert _same_or_nan(fn(x), want), name
 
     def test_profile_matches_per_row_lookup(self, flow_chart):
         _, chart = flow_chart
@@ -511,7 +564,7 @@ class TestChartArrays:
             want = [ref_profile(series, v) for v in np.ravel(t)]
             for k in range(2):
                 assert np.shape(got[k]) == np.shape(t), name
-                assert _same(np.ravel(got[k]), [w[k] for w in want]), name
+                assert _same_or_nan(np.ravel(got[k]), [w[k] for w in want]), name
 
 
 def test_orbit_group_straddling_pi():
