@@ -46,7 +46,6 @@ from .gaussmap import (
 )
 from .verify import (
     ConnectionData,
-    ResidualReport,
     SampleBatch,
     VerifyError,
     check_csc_identities,

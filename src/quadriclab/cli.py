@@ -55,8 +55,6 @@ from .rotational import (
     warped_curvature_check,
 )
 from .verify import (
-    CheckResult,
-    ResidualReport,
     SampleBatch,
     VerifyError,
     check_csc_identities,
@@ -318,19 +316,22 @@ def _sample_jets(chart: HypersurfaceChart, cfg: RunConfig) -> tuple[GaussJet, An
     return jets, spec0, (spec0 if cfg.gauge == "canonical" else gauge_normalize(jets, spec0))
 
 
-def _report(example: str, point: list, residuals: dict, cfg: RunConfig) -> ResidualReport:
-    """Named residuals against their configured tolerances: the one place both meet."""
-    entries = {
-        name: CheckResult(float(residual), cfg.tol(name)) for name, residual in residuals.items()
-    }
-    return ResidualReport(example=example, point=point, entries=entries)
+def _report(example: str, point: list, residuals: dict, cfg: RunConfig) -> dict:
+    """One report row, {example, point, checks: [{name, residual, tolerance, pass}]}.
+
+    The one place residuals meet their configured tolerances: a check passes
+    when its residual is at most its tolerance, so a NaN residual fails.
+    """
+    checks = []
+    for name, residual in residuals.items():
+        residual, tolerance = float(residual), cfg.tol(name)
+        checks.append({"name": name, "residual": residual, "tolerance": tolerance, "pass": residual <= tolerance})
+    return {"example": example, "point": point, "checks": checks}
 
 
-def _summary(
-    results: list[ResidualReport], skipped: list[dict], gates=(), stopped_early: bool = False
-) -> dict:
-    """Pass counts over every report entry plus summary-only gates."""
-    passed = [e.passed for r in results for e in r.entries.values()] + list(gates)
+def _summary(rows: list[dict], skipped: list[dict], gates=(), stopped_early: bool = False) -> dict:
+    """Pass counts over every check of the report rows plus summary-only gates."""
+    passed = [check["pass"] for row in rows for check in row["checks"]] + list(gates)
     return {
         "total": len(passed),
         "passed": sum(passed),
@@ -409,7 +410,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
         summary["distinct_angles"] = classify_by_angles(b.spec0.thetas)
     payload = {
         "config": cfg.to_dict(),
-        "results": [r.to_dict() for r in results],
+        "results": results,
         "summary": summary,
     }
     return (0 if summary["all_pass"] else 1), payload
@@ -461,7 +462,7 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
             "order_ratio": order,
         },
     }
-    report = _report(cfg.example, [0.0], residuals, cfg)
+    results = [_report(cfg.example, [0.0], residuals, cfg)]
     # the order gate counts in the summary only, and is skipped when the probe
     # runs differ by round-off only
     gates = [] if order is None else [ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1]]
@@ -472,8 +473,8 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
             "(an equilibrium or a very short span), so they measure no order",
         }
     ]
-    payload["results"] = [report.to_dict()]
-    payload["summary"] = _summary([report], skipped, gates, traj.stopped_early)
+    payload["results"] = results
+    payload["summary"] = _summary(results, skipped, gates, traj.stopped_early)
     payload["csv"] = _write_profile_csv(cfg, traj, gammas)
     return (0 if payload["summary"]["all_pass"] else 1), payload
 
@@ -658,7 +659,8 @@ def main(argv=None) -> int:
             code, payload = cmd_ode(cfg)
         path = write_report(cfg, payload)
     except (ConfigError, ChartError, OdeError, VerifyError, GaussMapError, NumericsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, also where a message holds a numpy array that wraps
+        print("error:", " ".join(line.strip() for line in str(exc).splitlines()), file=sys.stderr)
         return 2
     summary = payload.get("summary", {})
     status = "PASS" if code == 0 else "FAIL"

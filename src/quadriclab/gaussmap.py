@@ -248,7 +248,7 @@ class AngleSpectrum:
     thetas are mod-pi representatives in [0, pi), ascending; frame_vel[k] is
     the coordinate velocity of the k-th frame vector, frame_ambient[k] its
     horizontal lift. The spectra of a batched jet carry its batch axes in
-    front.
+    front; diag_residual holds one value per row.
     """
 
     thetas: np.ndarray
@@ -256,7 +256,7 @@ class AngleSpectrum:
     frame_ambient: np.ndarray
     gauge: StructureGauge
     lift: StiefelPoint
-    diag_residual: float
+    diag_residual: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -390,10 +390,10 @@ def gauge_normalize(jet: GaussJet, spec0: AngleSpectrum, ref_phi: float | None =
 
 @dataclass(frozen=True)
 class FundamentalForm:
-    """Cubic-form components h[i, j, k] in the angle-spectrum frame."""
+    """Cubic-form components h[i, j, k] in the angle-spectrum frame; symmetry_defect holds one value per row."""
 
     h: np.ndarray
-    symmetry_defect: float
+    symmetry_defect: np.ndarray
 
 
 def second_fundamental_form(

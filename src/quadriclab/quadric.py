@@ -48,7 +48,7 @@ class StiefelPoint:
     def z(self) -> np.ndarray:
         return self.u + 1j * self.v
 
-    def invariant_residuals(self) -> dict[str, float]:
+    def invariant_residuals(self) -> dict[str, np.ndarray]:
         """Norm and orthogonality defects, as arrays over a batch of lifts."""
         return {
             "u_norm": np.abs(row_dot(self.u, self.u) - 0.5),

@@ -131,15 +131,16 @@ def integrate_alpha(
     """
     if steps < 1:
         raise OdeError("steps must be positive")
-    span = float(span)
-    if not np.all(np.isfinite([alpha0, dalpha0, span])):
-        raise OdeError(f"non-finite initial data: alpha0 = {alpha0}, dalpha0 = {dalpha0}, span = {span}")
+    # n alpha0 in Python floats: a product that overflows is inf, with no numpy warning
+    span, n_alpha0 = float(span), float(n) * float(alpha0)
+    if not np.all(np.isfinite([n_alpha0, dalpha0, span])):
+        raise OdeError(
+            f"non-finite initial data: alpha0 = {alpha0}, n alpha0 = {n_alpha0}, dalpha0 = {dalpha0}, span = {span}"
+        )
     if abs(dalpha0) >= 1.0 - GUARD_BAND:
         raise OdeError(f"|dalpha0| = {abs(dalpha0)} violates the |alpha'| < 1 bound")
-    if abs(np.sin(n * alpha0)) <= GUARD_BAND:
-        raise OdeError(
-            f"sin(n alpha0) = {np.sin(n * alpha0):.2e} too close to zero"
-        )
+    if not abs(np.sin(n_alpha0)) > GUARD_BAND:
+        raise OdeError(f"sin(n alpha0) = {np.sin(n_alpha0):.2e} too close to zero")
     h = span / steps
     a, p = float(alpha0), float(dalpha0)
     alphas, dalphas = [a], [p]

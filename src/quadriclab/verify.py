@@ -42,8 +42,6 @@ from .quadric import StructureGauge
 
 __all__ = [
     "VerifyError",
-    "CheckResult",
-    "ResidualReport",
     "ConnectionData",
     "SampleBatch",
     "sample_batch",
@@ -71,40 +69,6 @@ __all__ = [
 
 class VerifyError(Exception):
     """A verification routine could not be carried out."""
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
-
-
-@dataclass
-class ResidualReport:
-    """Named residuals with tolerances for one sample point of one example."""
-
-    example: str
-    point: list
-    entries: dict[str, CheckResult]
-
-    def to_dict(self) -> dict:
-        return {
-            "example": self.example,
-            "point": [x if isinstance(x, str) else float(x) for x in self.point],
-            "checks": [
-                {
-                    "name": name,
-                    "residual": e.residual,
-                    "tolerance": e.tolerance,
-                    "pass": e.passed,
-                }
-                for name, e in self.entries.items()
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------

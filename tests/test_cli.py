@@ -977,6 +977,11 @@ class TestOdeCommand:
             ["ode", "--span", "nan"],
             ["ode", "--alpha0", "nan"],
             ["verify", "--example", "rotational", "--span", "nan", "--grid", "1"],
+            # n alpha0 overflows to inf: the sin guard (and, in ode, the
+            # profile curve and its checks) printed numpy warnings first
+            ["ode", "--alpha0", "1e308"],
+            ["verify", "--example", "rotational", "--alpha0", "1e308", "--grid", "1"],
+            ["angles", "--example", "rotational", "--alpha0", "1e308", "--grid", "1"],
         ],
     )
     def test_non_finite_flow_input_exits_2(self, tmp_path, capsys, argv):
@@ -1099,6 +1104,46 @@ class TestStoppedFlows:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize("command", ["verify", "angles"])
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_rank_deficiency_is_one_line(self, tmp_path, capsys, command, n):
+        # the message holds the point and the Gram spectrum, numpy arrays
+        # whose repr wraps from n = 6 on: two or three stderr lines
+        assert run(tmp_path, command, "--example", "sphere", "--n", str(n), "--r", "1e-9", "--grid", "1") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "rank-deficient" in err
+
+
+class TestNanResiduals:
+    # a NaN residual fails its check: residual <= tolerance is False for NaN
+
+    @staticmethod
+    def nan_checks(rows):
+        return [c for row in rows for c in row["checks"] if c["residual"] != c["residual"]]
+
+    def test_verify_column(self, tmp_path, monkeypatch):
+        nan_column = lambda b, n: {"angles_equal": np.full(len(b.spec.thetas), np.nan)}
+        monkeypatch.setitem(cli.EXAMPLES, "sphere", dataclasses.replace(cli.EXAMPLES["sphere"], checks=nan_column))
+        assert run(tmp_path, "verify", "--example", "sphere", "--grid", "2") == 1
+        rep = load_report(tmp_path, "verify", "sphere")
+        nans = self.nan_checks(rep["results"])
+        assert [(c["name"], c["pass"]) for c in nans] == [("angles_equal", False)] * 2
+        assert rep["summary"]["failed"] == 2 and not rep["summary"]["all_pass"]
+        assert (tmp_path / "verify_sphere_report.json").read_text().count('"residual": NaN') == 2
+
+    def test_ode_row(self, tmp_path, monkeypatch):
+        # ode's residuals reach the row as numpy floats
+        monkeypatch.setattr(cli, "first_integral_residual", lambda traj: np.float64(np.nan))
+        assert run(tmp_path, "ode", "--steps", "1000") == 1
+        rep = load_report(tmp_path, "ode", "rotational")
+        nans = self.nan_checks(rep["results"])
+        assert [(c["name"], c["pass"]) for c in nans] == [("first_integral", False)]
+        assert (rep["summary"]["total"], rep["summary"]["failed"]) == (11, 1)
+        assert (tmp_path / "ode_rotational_report.json").read_text().count('"residual": NaN') == 1
 
 
 class TestSeriesSampleFloor:

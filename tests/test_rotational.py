@@ -109,6 +109,13 @@ class TestIntegrator:
         with pytest.raises(OdeError):
             integrate_alpha(3, np.pi / 12, 1.0, 0.5, 100)  # slope bound
 
+    @pytest.mark.parametrize("alpha0", [1e308, np.float64(1e308), -1e308], ids=["float", "numpy-float", "negative"])
+    def test_overflowing_n_alpha0_is_non_finite_initial_data(self, alpha0):
+        # n alpha0 overflowed to inf, and numpy warned in the sin guard (NaN
+        # fails its comparison) before the RK4 loop met the non-finite state
+        with pytest.raises(OdeError, match="non-finite initial data: .* n alpha0 = -?inf"):
+            integrate_alpha(3, alpha0, 0.0, 0.8, 100)
+
     def test_guard_band_stops_early(self):
         # initial data whose conserved quantity puts the turning point inside
         # the guard band: the flow reaches sin(n alpha) -> 0 and must stop
