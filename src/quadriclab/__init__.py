@@ -9,14 +9,13 @@ curvature, including the rotational-hypersurface profile flow.
 
 from .quadric import (
     GeometryError,
-    HorizontalVector,
     StiefelPoint,
     StructureGauge,
-    apply_conjugation_structure,
+    horizontal_frame,
+    product_structure,
     quadric_curvature,
     quadric_residual,
     ricci_matrix,
-    rotate_structure,
 )
 from .hypersurfaces import (
     Box,

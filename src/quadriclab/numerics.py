@@ -1,15 +1,14 @@
-"""Small dense numerics: symmetric eigensolver, orthonormalization, finite-difference stencils.
+"""Small dense numerics: symmetric eigensolver, finite-difference stencils.
 
 Everything here operates on plain numpy arrays (float or complex) and is pure:
-no global state, safe to call concurrently. The eigensolver and the
-orthonormalization take one matrix or a stack (..., k, k) of them and check
-each matrix on its own. The eigensolver is LAPACK's (np.linalg.eigh) behind
-explicit diagnostics: a finiteness check, a residual check that names the
-matrix, ascending eigenvalues and a deterministic column-sign rule. Every
-stencil passes its whole point set, an array of shape (..., n), to
-stencil_values, which calls the stencil function once on it and is the one
-finiteness guard. The five-point weights live only in
-central_first and central_second; the mixed derivative extrapolates a
+no global state, safe to call concurrently. The eigensolver takes one matrix
+or a stack (..., k, k) of them and checks each matrix on its own: it is
+LAPACK's (np.linalg.eigh) behind explicit diagnostics, a finiteness check, a
+residual check that names the matrix, ascending eigenvalues and a
+deterministic column-sign rule. Every stencil passes its whole point set, an
+array of shape (..., n), to stencil_values, which calls the stencil function
+once on it and is the one finiteness guard. The five-point weights live only
+in central_first and central_second; the mixed derivative extrapolates a
 four-point corner rule.
 """
 
@@ -20,12 +19,10 @@ import numpy as np
 __all__ = [
     "NumericsError",
     "ConvergenceError",
-    "RankDeficiencyError",
     "StencilError",
     "flagged_row",
     "symmetrize",
     "symmetric_eigen",
-    "gram_schmidt",
     "row_dot",
     "gather",
     "axis",
@@ -45,14 +42,6 @@ class NumericsError(Exception):
 
 class ConvergenceError(NumericsError):
     """An eigendecomposition failed its residual check ||A V - V diag(w)||."""
-
-
-class RankDeficiencyError(NumericsError):
-    """Input vectors are numerically dependent; carries the Gram spectrum."""
-
-    def __init__(self, message: str, gram_spectrum: np.ndarray):
-        super().__init__(message)
-        self.gram_spectrum = gram_spectrum
 
 
 class StencilError(NumericsError):
@@ -143,50 +132,6 @@ def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.argmax(np.abs(v), axis=-2)
     flat = rows * k + np.arange(k) + np.arange(0, rows.size * k, k * k).reshape(rows.shape[:-1] + (1,))
     return w, v * np.where(v.reshape(-1)[flat] < 0, -1.0, 1.0)[..., None, :]
-
-
-def gram_schmidt(vectors, dependence_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormalize a sequence of real vectors, preserving span and order.
-
-    vectors is (k, d) or a stack (..., k, d) of sequences, each on its own.
-    Runs two modified Gram-Schmidt passes (the second mops up cancellation)
-    so pairwise inner products land below 1e-12; they are matrix products,
-    which round as 1-d dot products do. A rank check on each Gram matrix
-    precedes the sweep; dependent input raises RankDeficiencyError carrying
-    the Gram spectrum of the most nearly dependent sequence, and non-finite
-    input raises NumericsError.
-
-    The rank check is a Cholesky factorization of gram - dependence_tol * I,
-    which exists exactly when the smallest Gram eigenvalue exceeds
-    dependence_tol; the spectrum is computed only to report a failure.
-    """
-    vs = np.array(vectors, dtype=float)
-    if vs.ndim < 2:
-        raise NumericsError("gram_schmidt expects a sequence of 1-d vectors")
-    if not np.all(np.isfinite(vs)):
-        raise NumericsError("gram_schmidt: input has non-finite entries")
-    gram = vs @ vs.swapaxes(-1, -2)
-    k = vs.shape[-2]
-    try:
-        np.linalg.cholesky(gram - dependence_tol * np.eye(k))
-    except np.linalg.LinAlgError:
-        spectra, _ = symmetric_eigen(gram)
-        spectrum = spectra[np.unravel_index(np.argmin(spectra[..., 0]), spectra.shape[:-1])]
-        raise RankDeficiencyError(
-            f"gram_schmidt: input is numerically rank-deficient "
-            f"(smallest Gram eigenvalue {spectrum[0]:.3e})",
-            spectrum,
-        ) from None
-
-    def dot(a, b):
-        return (a[..., None, :] @ b[..., :, None])[..., 0]
-
-    for _ in range(2):
-        for i in range(k):
-            for j in range(i):
-                vs[..., i, :] -= dot(vs[..., i, :], vs[..., j, :]) * vs[..., j, :]
-            vs[..., i, :] /= np.sqrt(dot(vs[..., i, :], vs[..., i, :]))
-    return vs
 
 
 def row_dot(a, b) -> np.ndarray:

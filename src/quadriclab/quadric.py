@@ -3,10 +3,14 @@
 A point of the hyperquadric is represented by a lift z = u + iv with
 <u,u> = <v,v> = 1/2 and <u,v> = 0; tangent vectors of the quadric are carried
 as horizontal vectors at such lifts (complex (n+2)-vectors orthogonal, in the
-Hermitian sense, to both z and its conjugate). The metric is the real part of
-the Hermitian product, the complex structure is multiplication by i, and the
-distinguished family of almost product structures acts by
-w -> -exp(i*phi) * conj(w). Projective classes are never stored.
+Hermitian sense, to both z and its conjugate). The model is a set of array
+functions of one lift p and of vectors of shape (..., n+2), which broadcast
+over their leading axes. The metric is the real part of the Hermitian
+product, the complex structure is multiplication by i, and the distinguished
+family of almost product structures acts by w -> -exp(i*phi) * conj(w).
+Every Hermitian product is an element-wise product summed over the last
+axis, so each row of a batch reads bitwise what its single-vector call
+reads. Projective classes are never stored.
 """
 
 from __future__ import annotations
@@ -15,26 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gram_schmidt, row_dot
+from .numerics import row_dot, symmetric_eigen
 
 __all__ = [
     "GeometryError",
     "StiefelPoint",
-    "HorizontalVector",
     "StructureGauge",
     "quadric_residual",
     "horizontal_project",
-    "apply_conjugation_structure",
-    "rotate_structure",
-    "j_mult",
+    "horizontality_residual",
     "metric",
+    "product_structure",
     "quadric_curvature",
     "horizontal_frame",
     "ricci_matrix",
 ]
 
 class GeometryError(Exception):
-    """Invalid geometric input (broken invariants, mismatched base points)."""
+    """Invalid geometric input (a lift off the quadric)."""
 
 
 @dataclass(frozen=True)
@@ -63,24 +65,6 @@ class StiefelPoint:
 
 
 @dataclass(frozen=True)
-class HorizontalVector:
-    """Tangent vector of the quadric, carried as a horizontal vector at a lift."""
-
-    base: StiefelPoint
-    w: np.ndarray
-
-    def horizontality_residual(self) -> float:
-        z = self.base.z
-        zb = np.conj(z)
-        return float(
-            max(
-                abs(np.vdot(z, self.w)),  # kills both z and i*z components
-                abs(np.vdot(zb, self.w)),
-            )
-        )
-
-
-@dataclass(frozen=True)
 class StructureGauge:
     """Angle selecting one almost product structure out of the circle family."""
 
@@ -93,7 +77,12 @@ def quadric_residual(p: StiefelPoint) -> float:
     return float(abs(np.sum(z * z)))
 
 
-def horizontal_project(p: StiefelPoint, w: np.ndarray) -> np.ndarray:
+def _hermitian(a, b) -> np.ndarray:
+    """<a, b> = sum conj(a) b over the last axis, one value per row."""
+    return np.sum(np.conj(a) * b, axis=-1)
+
+
+def horizontal_project(p: StiefelPoint, w) -> np.ndarray:
     """Project w onto the horizontal space at p.
 
     Removes the components along z, i z, conj(z), i conj(z); with unit z and
@@ -102,123 +91,66 @@ def horizontal_project(p: StiefelPoint, w: np.ndarray) -> np.ndarray:
     z = p.z
     zb = np.conj(z)
     w = np.asarray(w, dtype=complex)
-    return w - np.vdot(z, w) * z - np.vdot(zb, w) * zb
+    return w - _hermitian(z, w)[..., None] * z - _hermitian(zb, w)[..., None] * zb
 
 
-def apply_conjugation_structure(x: HorizontalVector) -> HorizontalVector:
-    """The canonical almost product structure: w -> -conj(w), re-horizontalized."""
-    return HorizontalVector(
-        base=x.base, w=-horizontal_project(x.base, np.conj(x.w))
-    )
+def horizontality_residual(p: StiefelPoint, w) -> np.ndarray:
+    """max(|<z, w>|, |<conj z, w>|) per row: the Hermitian product with z kills both z and i z components."""
+    z = p.z
+    return np.maximum(np.abs(_hermitian(z, w)), np.abs(_hermitian(np.conj(z), w)))
 
 
-def rotate_structure(g: StructureGauge, x: HorizontalVector) -> HorizontalVector:
-    """cos(phi) * A0 x + sin(phi) * J A0 x for the family gauge phi."""
-    a0 = apply_conjugation_structure(x).w
-    return HorizontalVector(base=x.base, w=np.exp(1j * g.phi) * a0)
+def metric(x, y) -> np.ndarray:
+    """Real part of the Hermitian product (the quadric metric on lifts), per row."""
+    return _hermitian(x, y).real
 
 
-def j_mult(x: HorizontalVector) -> HorizontalVector:
-    return HorizontalVector(base=x.base, w=1j * x.w)
+def product_structure(g: StructureGauge, p: StiefelPoint, w) -> np.ndarray:
+    """The almost product structure of gauge phi, -exp(i phi) P(conj w); gauge 0 is w -> -P(conj w)."""
+    return -np.exp(1j * g.phi) * horizontal_project(p, np.conj(w))
 
 
-def _same_base(*xs: HorizontalVector) -> StiefelPoint:
-    base = xs[0].base
-    for x in xs[1:]:
-        if x.base is base:
-            continue
-        if (
-            np.max(np.abs(x.base.u - base.u)) > 1e-12
-            or np.max(np.abs(x.base.v - base.v)) > 1e-12
-        ):
-            raise GeometryError("horizontal vectors live at different base points")
-    return base
-
-
-def metric(x: HorizontalVector, y: HorizontalVector) -> float:
-    """Real part of the Hermitian product (the quadric metric on lifts)."""
-    _same_base(x, y)
-    return float(np.vdot(x.w, y.w).real)
-
-
-def quadric_curvature(
-    g: StructureGauge,
-    x: HorizontalVector,
-    y: HorizontalVector,
-    z: HorizontalVector,
-) -> HorizontalVector:
-    """Curvature tensor R(x, y)z of the hyperquadric, gauge-independent."""
-    base = _same_base(x, y, z)
-    a_x = rotate_structure(g, x)
-    a_y = rotate_structure(g, y)
-    ja_x = 1j * a_x.w
-    ja_y = 1j * a_y.w
-    jx, jy, jz = 1j * x.w, 1j * y.w, 1j * z.w
+def quadric_curvature(g: StructureGauge, p: StiefelPoint, x, y, z) -> np.ndarray:
+    """Curvature tensor R(x, y)z of the hyperquadric at p, gauge-independent."""
+    a_x = product_structure(g, p, x)
+    a_y = product_structure(g, p, y)
 
     def re(u, v):
-        return np.vdot(u, v).real
+        return metric(u, v)[..., None]
 
-    w = (
-        re(y.w, z.w) * x.w
-        - re(x.w, z.w) * y.w
-        + re(x.w, jz) * jy
-        - re(y.w, jz) * jx
-        + 2.0 * re(x.w, jy) * jz
-        + re(a_y.w, z.w) * a_x.w
-        - re(a_x.w, z.w) * a_y.w
-        + re(ja_y, z.w) * ja_x
-        - re(ja_x, z.w) * ja_y
+    return (
+        re(y, z) * x
+        - re(x, z) * y
+        + re(x, 1j * z) * (1j * y)
+        - re(y, 1j * z) * (1j * x)
+        + 2.0 * re(x, 1j * y) * (1j * z)
+        + re(a_y, z) * a_x
+        - re(a_x, z) * a_y
+        + re(1j * a_y, z) * (1j * a_x)
+        - re(1j * a_x, z) * (1j * a_y)
     )
-    return HorizontalVector(base=base, w=w)
 
 
-def _to_real(w: np.ndarray) -> np.ndarray:
-    return np.concatenate([w.real, w.imag])
+def horizontal_frame(p: StiefelPoint) -> np.ndarray:
+    """Orthonormal basis of the horizontal space at p, as a (2n, n+2) array.
 
-
-def _to_complex(x: np.ndarray) -> np.ndarray:
-    m = x.size // 2
-    return x[:m] + 1j * x[m:]
-
-
-def horizontal_frame(p: StiefelPoint) -> list[HorizontalVector]:
-    """Deterministic orthonormal basis (2n vectors) of the horizontal space at p."""
-    dim = p.u.shape[0]
-    n = dim - 2
-    candidates = []
-    for m in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[m] = 1.0
-        candidates.append(e)
-        candidates.append(1j * e)
-    kept: list[np.ndarray] = []
-    for c in candidates:
-        w = horizontal_project(p, c)
-        r = _to_real(w)
-        for k in kept:
-            r = r - (r @ k) * k
-        nr = np.linalg.norm(r)
-        if nr > 1e-6:
-            kept.append(r / nr)
-        if len(kept) == 2 * n:
-            break
-    if len(kept) < 2 * n:
-        raise GeometryError("failed to build a full horizontal frame")
-    kept = [v for v in gram_schmidt(kept)]
-    return [HorizontalVector(base=p, w=_to_complex(v)) for v in kept]
+    The rows are the eigenvalue-1 eigenvectors of the real form of the
+    horizontal projector I - z z^H - conj(z) z^T. GeometryError when its
+    spectrum is not four 0s and 2n 1s to 1e-9: the lift is off the quadric.
+    """
+    z = p.z
+    m = z.shape[-1]
+    proj = np.eye(m) - np.outer(z, np.conj(z)) - np.outer(np.conj(z), z)
+    lam, vecs = symmetric_eigen(np.block([[proj.real, -proj.imag], [proj.imag, proj.real]]))
+    defect = np.abs(lam - (np.arange(2 * m) >= 4)).max()
+    if defect > 1e-9:
+        raise GeometryError(f"lift off the quadric: projector spectrum {defect:.3e} away from four 0s and 2n 1s")
+    frame = vecs[:, 4:].T
+    return frame[:, :m] + 1j * frame[:, m:]
 
 
 def ricci_matrix(g: StructureGauge, p: StiefelPoint) -> np.ndarray:
-    """Ricci tensor of the quadric in an orthonormal horizontal frame at p."""
-    frame = horizontal_frame(p)
-    m = len(frame)
-    ric = np.zeros((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            total = 0.0
-            for k in range(m):
-                r = quadric_curvature(g, frame[k], frame[a], frame[b])
-                total += metric(r, frame[k])
-            ric[a, b] = total
-            ric[b, a] = total
-    return ric
+    """Ricci tensor of the quadric in the horizontal frame at p: sum over k of <R(e_k, e_a) e_b, e_k>."""
+    e = horizontal_frame(p)
+    r = quadric_curvature(g, p, e[:, None, None], e[None, :, None], e[None, None, :])
+    return metric(r, e[:, None, None]).sum(axis=0)

@@ -33,7 +33,7 @@ from .gaussmap import (
     mod_pi_clusters,
     nearest_mod_pi,
 )
-from .numerics import axis, central_first, central_second
+from .numerics import axis, central_first, central_second, row_dot
 from .verify import curvature_from_metric, gauss_metric_fn, sectional_from_metric
 
 __all__ = [
@@ -56,9 +56,10 @@ __all__ = [
 
 GUARD_BAND = 1e-3
 
-# finer order-probe difference, in units of eps |final state| per square root
-# of the finest run's step count, at or below which the probe runs differ by
-# round-off only: RK4's round-off walks randomly over the steps
+# finer order-probe difference, in units of eps times the largest state norm
+# per square root of the finest run's step count, at or below which the
+# probe runs differ by round-off only: RK4's round-off walks randomly over
+# the steps
 PROBE_ROUNDOFF = 8.0
 
 
@@ -185,21 +186,28 @@ def integrate_alpha(
 def ode_order_ratio(n, alpha0, dalpha0, span, steps: int) -> float | None:
     """Global-error ratio e1/e2 under step halving; about 16 for a 4th-order method.
 
-    e1 and e2 are the differences of the final states of the runs at steps,
-    2 steps and 4 steps. None when the finer difference e2 is at round-off
-    level, at most PROBE_ROUNDOFF sqrt(4 steps) eps |final state| (an
-    equilibrium, or a span too short for any truncation error to show): the
-    ratio would then measure round-off, not order.
+    e1 and e2 are the largest 2-norms of the differences of the states
+    (alpha, alpha') of the runs at steps, 2 steps and 4 steps, over the
+    steps + 1 samples the three share: a final state alone can sit where the
+    leading error term nearly vanishes. None when the finer difference e2 is
+    at round-off level, at most PROBE_ROUNDOFF sqrt(4 steps) eps times the
+    finest run's largest state norm there (an equilibrium, or a span too
+    short for any truncation error to show): the ratio would then measure
+    round-off, not order.
     """
-    finals = []
-    for m in (steps, 2 * steps, 4 * steps):
-        traj = integrate_alpha(n, alpha0, dalpha0, span, m)
+    states = []
+    for k in (1, 2, 4):
+        traj = integrate_alpha(n, alpha0, dalpha0, span, k * steps)
         if traj.stopped_early:
             raise OdeError(f"trajectory stopped early: {traj.stop_reason}")
-        finals.append(np.array([traj.alphas[-1], traj.dalphas[-1]]))
-    e1 = np.linalg.norm(finals[0] - finals[1])
-    e2 = np.linalg.norm(finals[1] - finals[2])
-    if e2 <= PROBE_ROUNDOFF * np.sqrt(4 * steps) * np.finfo(float).eps * np.linalg.norm(finals[2]):
+        states.append(np.stack([traj.alphas[::k], traj.dalphas[::k]], axis=-1))
+
+    def largest_norm(d):
+        return np.sqrt(row_dot(d, d).max())
+
+    e1 = largest_norm(states[0] - states[1])
+    e2 = largest_norm(states[1] - states[2])
+    if e2 <= PROBE_ROUNDOFF * np.sqrt(4 * steps) * np.finfo(float).eps * largest_norm(states[2]):
         return None
     return float(e1 / e2)
 

@@ -24,8 +24,8 @@ from quadriclab.gaussmap import (
     structure_operators,
 )
 from quadriclab.hypersurfaces import ShapeSpectrum, _shape_data
-from quadriclab.numerics import ConvergenceError, NumericsError, flagged_row, gram_schmidt, symmetric_eigen, symmetrize
-from quadriclab.quadric import HorizontalVector, StiefelPoint, StructureGauge, horizontal_project
+from quadriclab.numerics import ConvergenceError, NumericsError, flagged_row, symmetric_eigen, symmetrize
+from quadriclab.quadric import StiefelPoint, StructureGauge, horizontal_project
 from quadriclab.verify import (
     ConnectionData,
     connection_and_s,
@@ -47,13 +47,47 @@ def random_stiefel(n: int, rng: np.random.Generator) -> StiefelPoint:
     return StiefelPoint(u=q[:, 0] / np.sqrt(2.0), v=q[:, 1] / np.sqrt(2.0))
 
 
-def random_horizontal(p: StiefelPoint, rng: np.random.Generator, unit: bool = False) -> HorizontalVector:
+def random_horizontal(p: StiefelPoint, rng: np.random.Generator, unit: bool = False) -> np.ndarray:
     """Random horizontal vector at the lift p, of unit length when unit is set."""
     dim = p.u.shape[0]
     w = horizontal_project(p, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     if unit:
         w = w / np.sqrt(np.vdot(w, w).real)
-    return HorizontalVector(base=p, w=w)
+    return w
+
+
+# ---------------------------------------------------------------------------
+# the ambient model as it was: one vector at a time, Hermitian products by np.vdot
+# ---------------------------------------------------------------------------
+
+def ref_rotate_structure(g: StructureGauge, p: StiefelPoint, w: np.ndarray) -> np.ndarray:
+    """exp(i phi) times the base structure -P(conj w), for one vector w at the lift p."""
+    z = p.z
+    zb = np.conj(z)
+    wb = np.conj(w)
+    return np.exp(1j * g.phi) * -(wb - np.vdot(z, wb) * z - np.vdot(zb, wb) * zb)
+
+
+def ref_quadric_curvature(g: StructureGauge, p: StiefelPoint, x, y, z) -> np.ndarray:
+    """R(x, y)z of the hyperquadric for single vectors, in the object form's order of terms."""
+    a_x, a_y = ref_rotate_structure(g, p, x), ref_rotate_structure(g, p, y)
+    ja_x, ja_y = 1j * a_x, 1j * a_y
+    jx, jy, jz = 1j * x, 1j * y, 1j * z
+
+    def re(u, v):
+        return np.vdot(u, v).real
+
+    return (
+        re(y, z) * x
+        - re(x, z) * y
+        + re(x, jz) * jy
+        - re(y, jz) * jx
+        + 2.0 * re(x, jy) * jz
+        + re(a_y, z) * a_x
+        - re(a_x, z) * a_y
+        + re(ja_y, z) * ja_x
+        - re(ja_x, z) * ja_y
+    )
 
 
 def quadric_distance(p1: StiefelPoint, p2: StiefelPoint) -> float:
@@ -328,11 +362,30 @@ def ref_principal_curvatures(st):
 # the tangent frame as Gram-Schmidt built it
 # ---------------------------------------------------------------------------
 
+def ref_gram_schmidt(vectors) -> np.ndarray:
+    """Two passes of modified Gram-Schmidt over a sequence (k, d) of real vectors, or a stack (..., k, d) of them.
+
+    Each dot product is a matrix product, which rounds as a 1-d dot product
+    does; no rank check.
+    """
+    vs = np.array(vectors, dtype=float)
+
+    def dot(a, b):
+        return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+    for _ in range(2):
+        for i in range(vs.shape[-2]):
+            for j in range(i):
+                vs[..., i, :] -= dot(vs[..., i, :], vs[..., j, :]) * vs[..., j, :]
+            vs[..., i, :] /= np.sqrt(dot(vs[..., i, :], vs[..., i, :]))
+    return vs
+
+
 def ref_tangent_data(st):
     """tangent_data as it was: two-pass Gram-Schmidt on the coordinate tangents, then the velocities m
     with m @ e = t solved from the Gram matrix's eigenpairs, G m^T = e t^T."""
     e = st.d_embed
-    t = gram_schmidt(e)
+    t = ref_gram_schmidt(e)
     w, v = st.gram_eigen
     m = v @ ((v.swapaxes(-1, -2) @ (e @ t.swapaxes(-1, -2))) / w[..., None])
     return e, t, m.swapaxes(-1, -2)

@@ -54,12 +54,10 @@ from quadriclab.hypersurfaces import (
 from quadriclab.numerics import (
     ConvergenceError,
     NumericsError,
-    RankDeficiencyError,
     axis,
     central_first,
     central_second,
     flagged_row,
-    gram_schmidt,
     symmetric_eigen,
     symmetrize,
 )
@@ -752,7 +750,7 @@ def test_failing_row_exits_2(tmp_path, capsys, monkeypatch, case, command):
 
 
 # ---------------------------------------------------------------------------
-# stacked eigensolves and orthonormalization
+# stacked eigensolves
 # ---------------------------------------------------------------------------
 
 def _symmetric_stack(seed, shape=(4, 3)):
@@ -764,12 +762,9 @@ def _symmetric_stack(seed, shape=(4, 3)):
 def test_stacks_equal_single_matrices(shape):
     m = _symmetric_stack(7, shape)
     w, v = symmetric_eigen(m)
-    vs = np.random.default_rng(8).standard_normal(shape + (shape[-1] + 1,))
-    out = gram_schmidt(vs)
     for idx in np.ndindex(shape[:-1]):
         w1, v1 = symmetric_eigen(m[idx])
         assert np.array_equal(w[idx], w1) and np.array_equal(v[idx], v1)
-        assert np.array_equal(out[idx], gram_schmidt(vs[idx]))
 
 
 def test_stack_with_non_finite_matrix_names_it():
@@ -802,11 +797,3 @@ def test_stack_residual_check_names_its_matrix(monkeypatch):
         symmetric_eigen(m)
     assert str(m[3]) in str(err.value)
     assert not any(str(m[j]) in str(err.value) for j in range(3))
-
-
-def test_stack_with_dependent_sequence_carries_its_spectrum():
-    vs = np.random.default_rng(4).standard_normal((3, 2, 3))
-    vs[1, 1] = 2.0 * vs[1, 0]
-    with pytest.raises(RankDeficiencyError) as err:
-        gram_schmidt(vs)
-    assert np.array_equal(err.value.gram_spectrum, symmetric_eigen(vs[1] @ vs[1].T)[0])

@@ -30,10 +30,10 @@ from quadriclab.hypersurfaces import (
     round_sphere,
     sphere_chart,
 )
-from quadriclab.numerics import StencilError, axis, central_first, gram_schmidt
+from quadriclab.numerics import StencilError, axis, central_first
 from quadriclab.rotational import _pow, build_rotational_chart, integrate_alpha
 from quadriclab.verify import reconstruct_hypersurface
-from references import ref_profile
+from references import ref_gram_schmidt, ref_profile
 
 H = 1e-4
 
@@ -146,7 +146,7 @@ def ref_veronese_frame(q):
     ddv = 2.0 * np.einsum("bi,aij,cj->bca", d, _FORMS, d) + 2.0 * np.einsum(
         "i,aij,bcj->bca", sigma, _FORMS, dd
     )
-    basis = np.vstack([v, gram_schmidt([dv[0], dv[1]])])
+    basis = np.vstack([v, ref_gram_schmidt([dv[0], dv[1]])])
 
     def project(w):
         return w - basis.T @ (basis @ w)

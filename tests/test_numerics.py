@@ -9,12 +9,10 @@ from quadriclab import numerics
 from quadriclab.numerics import (
     ConvergenceError,
     NumericsError,
-    RankDeficiencyError,
     StencilError,
     axis_stencil,
     central_first,
     central_second,
-    gram_schmidt,
     hessian_stencil,
     second_derivative,
     stencil_values,
@@ -206,85 +204,6 @@ class TestEigenTwin:
         got = _outcome(symmetric_eigen, m)
         assert got == _outcome(ref_symmetric_eigen, m)
         assert got[0] is ConvergenceError and str(m[1]) in got[1]
-
-
-class TestGramSchmidt:
-    def test_standard_basis_fixed(self):
-        basis = np.eye(4)
-        np.testing.assert_allclose(gram_schmidt(basis), basis, atol=1e-15)
-
-    def test_forced_result(self):
-        out = gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
-        np.testing.assert_allclose(out[0], [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(out[1], [0.0, 1.0], atol=1e-15)
-
-    def test_gram_matrix_identity(self):
-        rng = np.random.default_rng(5)
-        vs = rng.standard_normal((5, 8))
-        out = gram_schmidt(vs)
-        np.testing.assert_allclose(out @ out.T, np.eye(5), atol=1e-12)
-
-    def test_span_preserved(self):
-        rng = np.random.default_rng(9)
-        vs = rng.standard_normal((3, 6))
-        out = gram_schmidt(vs)
-        # every output vector must be a combination of the inputs
-        coeffs, *_ = np.linalg.lstsq(vs.T, out.T, rcond=None)
-        np.testing.assert_allclose(vs.T @ coeffs, out.T, atol=1e-10)
-
-    def test_rank_deficiency_carries_spectrum(self):
-        v = np.array([1.0, 2.0, 0.0])
-        with pytest.raises(RankDeficiencyError) as err:
-            gram_schmidt([v, 2.0 * v])
-        assert err.value.gram_spectrum.shape == (2,)
-        assert err.value.gram_spectrum[0] < 1e-10
-
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_more_vectors_than_dimension(self, k):
-        vs = np.random.default_rng(k).standard_normal((k, 2))
-        with pytest.raises(RankDeficiencyError) as err:
-            gram_schmidt(vs)
-        assert err.value.gram_spectrum.shape == (k,)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_rejected(self, bad):
-        vs = np.array([[1.0, 0.0, 0.0], [0.5, bad, 1.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericsError, match="non-finite"):
-                gram_schmidt(vs)
-
-    def test_independent_input_skips_eigensolver(self, monkeypatch):
-        # the rank check is a Cholesky factorization; the spectrum is only
-        # computed to report a failure
-        calls = []
-        monkeypatch.setattr(
-            numerics, "symmetric_eigen", lambda m: calls.append(m) or symmetric_eigen(m)
-        )
-        gram_schmidt(np.random.default_rng(3).standard_normal((4, 7)))
-        assert calls == []
-
-    @pytest.mark.parametrize("shape", [(2, 5), (3, 3), (5, 8)])
-    def test_matches_two_pass_mgs(self, shape):
-        vs = np.random.default_rng(shape[1]).standard_normal(shape)
-        ref = vs.copy()
-        for _ in range(2):
-            for i in range(len(ref)):
-                for j in range(i):
-                    ref[i] -= (ref[i] @ ref[j]) * ref[j]
-                ref[i] /= np.linalg.norm(ref[i])
-        assert np.array_equal(gram_schmidt(vs), ref)
-
-    @pytest.mark.parametrize("scale", [0.9, 1.1])
-    def test_gate_at_the_tolerance(self, scale):
-        # smallest Gram eigenvalue just below or just above dependence_tol
-        tol = 1e-10
-        vs = np.array([[1.0, 0.0], [0.0, np.sqrt(scale * tol)]])
-        if scale < 1.0:
-            with pytest.raises(RankDeficiencyError):
-                gram_schmidt(vs, dependence_tol=tol)
-        else:
-            np.testing.assert_allclose(gram_schmidt(vs, dependence_tol=tol), np.eye(2))
 
 
 def first_jet(f, p, h):

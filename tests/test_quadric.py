@@ -3,24 +3,35 @@ import pytest
 
 from quadriclab.quadric import (
     GeometryError,
-    HorizontalVector,
     StiefelPoint,
     StructureGauge,
-    apply_conjugation_structure,
     horizontal_frame,
     horizontal_project,
-    j_mult,
+    horizontality_residual,
     metric,
+    product_structure,
     quadric_curvature,
     quadric_residual,
     ricci_matrix,
-    rotate_structure,
 )
-from references import quadric_distance, random_horizontal, random_stiefel
+from references import (
+    quadric_distance,
+    random_horizontal,
+    random_stiefel,
+    ref_quadric_curvature,
+    ref_rotate_structure,
+)
+
+BASE = StructureGauge(0.0)
 
 
 def worst_invariant(p):
     return max(p.invariant_residuals().values())
+
+
+def structure(p, w):
+    """The base almost product structure w -> -P(conj w) at p."""
+    return product_structure(BASE, p, w)
 
 
 class TestStiefelPoint:
@@ -52,16 +63,16 @@ class TestProductStructure:
         rng = np.random.default_rng(1)
         p = random_stiefel(3, rng)
         x = random_horizontal(p, rng)
-        twice = apply_conjugation_structure(apply_conjugation_structure(x))
-        assert np.abs(twice.w - x.w).max() < 1e-10
+        twice = structure(p, structure(p, x))
+        assert np.abs(twice - x).max() < 1e-10
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         p = random_stiefel(3, rng)
         x = random_horizontal(p, rng)
         y = random_horizontal(p, rng)
-        lhs = metric(apply_conjugation_structure(x), y)
-        rhs = metric(x, apply_conjugation_structure(y))
+        lhs = metric(structure(p, x), y)
+        rhs = metric(x, structure(p, y))
         assert abs(lhs - rhs) < 1e-10
 
     def test_anticommutes_with_j(self):
@@ -69,54 +80,59 @@ class TestProductStructure:
         p = random_stiefel(4, rng)
         for _ in range(5):
             x = random_horizontal(p, rng)
-            s = apply_conjugation_structure(j_mult(x)).w + j_mult(
-                apply_conjugation_structure(x)
-            ).w
+            s = structure(p, 1j * x) + 1j * structure(p, x)
             assert np.abs(s).max() < 1e-10
 
     def test_projection_keeps_horizontal(self):
         rng = np.random.default_rng(4)
         p = random_stiefel(3, rng)
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        h = HorizontalVector(base=p, w=horizontal_project(p, w))
-        assert h.horizontality_residual() < 1e-12
+        assert horizontality_residual(p, horizontal_project(p, w)) < 1e-12
 
     def test_gauge_zero_matches_base_structure(self):
         rng = np.random.default_rng(5)
         p = random_stiefel(3, rng)
         x = random_horizontal(p, rng)
-        a0 = apply_conjugation_structure(x)
-        r0 = rotate_structure(StructureGauge(0.0), x)
-        np.testing.assert_allclose(r0.w, a0.w, atol=1e-14)
+        a0 = -horizontal_project(p, np.conj(x))
+        r0 = product_structure(StructureGauge(0.0), p, x)
+        np.testing.assert_allclose(r0, a0, atol=1e-14)
 
     def test_gauge_pi_negates(self):
         rng = np.random.default_rng(6)
         p = random_stiefel(3, rng)
         x = random_horizontal(p, rng)
-        a0 = apply_conjugation_structure(x)
-        rpi = rotate_structure(StructureGauge(np.pi), x)
-        np.testing.assert_allclose(rpi.w, -a0.w, atol=1e-12)
+        a0 = structure(p, x)
+        rpi = product_structure(StructureGauge(np.pi), p, x)
+        np.testing.assert_allclose(rpi, -a0, atol=1e-12)
 
     def test_gauge_shifts_eigenangles_by_half(self):
-        # a real horizontal frame has all angles pi/2 at gauge 0; rotating the
-        # structure by phi moves every angle to pi/2 - phi/2
+        # a real horizontal vector has angle pi/2 at gauge 0; rotating the
+        # structure by phi moves it to pi/2 - phi/2. The eigen frame holds no
+        # real vectors, so x is a real vector made orthogonal to u and v
         rng = np.random.default_rng(7)
         p = random_stiefel(3, rng)
-        frame = horizontal_frame(p)
-        real_vecs = [
-            f for f in frame if np.abs(f.w.imag).max() < 1e-9
-        ]
-        # the deterministic frame contains real vectors orthogonal to u, v
-        assert real_vecs, "expected real horizontal directions"
-        x = real_vecs[0]
+        r = rng.standard_normal(5)
+        r = r - 2.0 * (r @ p.u) * p.u - 2.0 * (r @ p.v) * p.v
+        x = r.astype(complex)
+        assert horizontality_residual(p, x) < 1e-12
         for phi in (0.0, 0.4, 1.1):
-            ax = rotate_structure(StructureGauge(phi), x)
+            ax = product_structure(StructureGauge(phi), p, x)
             cos2t = metric(ax, x)
-            sin2t = -metric(ax, j_mult(x))
+            sin2t = -metric(ax, 1j * x)
             theta = 0.5 * np.arctan2(sin2t, cos2t)
             expected = np.pi / 2.0 - phi / 2.0
             delta = (theta - expected) % np.pi
             assert min(delta, np.pi - delta) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_single_vector_reference(self, n):
+        rng = np.random.default_rng(20 + n)
+        p = random_stiefel(n, rng)
+        for phi in (0.0, 0.4, 2.9):
+            g = StructureGauge(phi)
+            for _ in range(5):
+                x = random_horizontal(p, rng)
+                assert np.abs(product_structure(g, p, x) - ref_rotate_structure(g, p, x)).max() <= 1e-13
 
 
 class TestCurvature:
@@ -126,8 +142,8 @@ class TestCurvature:
         g = StructureGauge(0.0)
         x = random_horizontal(p, rng)
         z = random_horizontal(p, rng)
-        r = quadric_curvature(g, x, x, z)
-        assert np.abs(r.w).max() < 1e-10
+        r = quadric_curvature(g, p, x, x, z)
+        assert np.abs(r).max() < 1e-10
 
     def test_first_bianchi(self):
         rng = np.random.default_rng(9)
@@ -135,9 +151,9 @@ class TestCurvature:
         g = StructureGauge(0.3)
         x, y, z = (random_horizontal(p, rng, unit=True) for _ in range(3))
         cyc = (
-            quadric_curvature(g, x, y, z).w
-            + quadric_curvature(g, y, z, x).w
-            + quadric_curvature(g, z, x, y).w
+            quadric_curvature(g, p, x, y, z)
+            + quadric_curvature(g, p, y, z, x)
+            + quadric_curvature(g, p, z, x, y)
         )
         assert np.abs(cyc).max() < 1e-9
 
@@ -146,33 +162,70 @@ class TestCurvature:
         p = random_stiefel(3, rng)
         g = StructureGauge(0.0)
         x, y, z, w = (random_horizontal(p, rng, unit=True) for _ in range(4))
-        lhs = metric(quadric_curvature(g, x, y, z), w)
-        rhs = metric(quadric_curvature(g, z, w, x), y)
+        lhs = metric(quadric_curvature(g, p, x, y, z), w)
+        rhs = metric(quadric_curvature(g, p, z, w, x), y)
         assert abs(lhs - rhs) < 1e-9
 
     def test_gauge_independence(self):
         rng = np.random.default_rng(11)
         p = random_stiefel(3, rng)
         x, y, z = (random_horizontal(p, rng, unit=True) for _ in range(3))
-        r0 = quadric_curvature(StructureGauge(0.0), x, y, z)
-        r1 = quadric_curvature(StructureGauge(0.7), x, y, z)
-        assert np.abs(r0.w - r1.w).max() < 1e-10
-
-    def test_mismatched_base_points_raise(self):
-        rng = np.random.default_rng(12)
-        p1 = random_stiefel(3, rng)
-        p2 = random_stiefel(3, rng)
-        x = random_horizontal(p1, rng)
-        y = random_horizontal(p2, rng)
-        with pytest.raises(GeometryError):
-            quadric_curvature(StructureGauge(0.0), x, y, x)
+        r0 = quadric_curvature(StructureGauge(0.0), p, x, y, z)
+        r1 = quadric_curvature(StructureGauge(0.7), p, x, y, z)
+        assert np.abs(r0 - r1).max() < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_single_vector_reference(self, n):
+        rng = np.random.default_rng(30 + n)
+        p = random_stiefel(n, rng)
+        for phi in (0.0, 1.3):
+            g = StructureGauge(phi)
+            for _ in range(5):
+                x, y, z = (random_horizontal(p, rng) for _ in range(3))
+                got = quadric_curvature(g, p, x, y, z)
+                assert np.abs(got - ref_quadric_curvature(g, p, x, y, z)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rows_of_a_batch_equal_single_calls(self, n):
+        # a (4, n+2) stack in each slot: every row reads bitwise its own call
+        rng = np.random.default_rng(40 + n)
+        p = random_stiefel(n, rng)
+        g = StructureGauge(0.9)
+        x, y, z = (np.stack([random_horizontal(p, rng) for _ in range(4)]) for _ in range(3))
+        batch = {
+            "curvature": (quadric_curvature(g, p, x, y, z), lambda k: quadric_curvature(g, p, x[k], y[k], z[k])),
+            "structure": (product_structure(g, p, x), lambda k: product_structure(g, p, x[k])),
+            "metric": (metric(x, y), lambda k: metric(x[k], y[k])),
+            "projection": (horizontal_project(p, x), lambda k: horizontal_project(p, x[k])),
+            "horizontality": (horizontality_residual(p, x), lambda k: horizontality_residual(p, x[k])),
+        }
+        for name, (rows, single) in batch.items():
+            for k in range(4):
+                assert np.array_equal(rows[k], single(k)), (name, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_einstein_constant(self, n):
         rng = np.random.default_rng(100 + n)
         p = random_stiefel(n, rng)
         ric = ricci_matrix(StructureGauge(0.0), p)
         assert np.abs(ric - 2 * n * np.eye(2 * n)).max() < 1e-8
+
+
+class TestHorizontalFrame:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_orthonormal_and_horizontal(self, n):
+        p = random_stiefel(n, np.random.default_rng(50 + n))
+        frame = horizontal_frame(p)
+        assert frame.shape == (2 * n, n + 2)
+        assert np.abs(metric(frame[:, None], frame[None, :]) - np.eye(2 * n)).max() < 1e-14
+        assert horizontality_residual(p, frame).max() < 1e-14
+
+    def test_lift_off_the_quadric_raises(self):
+        # u = v: z^T z = i, so the horizontal projector is no projector
+        e1 = np.zeros(5)
+        e1[0] = 1.0 / np.sqrt(2.0)
+        with pytest.raises(GeometryError, match="off the quadric"):
+            horizontal_frame(StiefelPoint(u=e1, v=e1.copy()))
 
 
 def test_quadric_distance_phase_invariant():

@@ -37,17 +37,13 @@ RUNS = [
 AMBIENT = "the ambient model of the hyperquadric, for ROADMAP item 13(a)"
 
 LIBRARY_ONLY = {
-    "quadric.HorizontalVector.horizontality_residual": AMBIENT,
+    "quadric.horizontality_residual": AMBIENT,
     "quadric.quadric_residual": AMBIENT,
     "quadric.horizontal_project": AMBIENT,
-    "quadric.apply_conjugation_structure": AMBIENT + "; acceptance criterion 11",
-    "quadric.rotate_structure": AMBIENT,
-    "quadric.j_mult": AMBIENT + "; acceptance criterion 11",
-    "quadric._same_base": AMBIENT,
+    "quadric._hermitian": AMBIENT,
+    "quadric.product_structure": AMBIENT + "; acceptance criterion 11",
     "quadric.metric": AMBIENT + "; acceptance criterion 11",
     "quadric.quadric_curvature": AMBIENT + "; acceptance criterion 01",
-    "quadric._to_real": AMBIENT,
-    "quadric._to_complex": AMBIENT,
     "quadric.horizontal_frame": AMBIENT + "; acceptance criterion 01",
     "quadric.ricci_matrix": AMBIENT + "; acceptance criterion 01 (Einstein constant 2n)",
     "hypersurfaces.principal_curvatures": "acceptance criteria 06, 07 and 10 (tests/test_acceptance.py)",
@@ -56,9 +52,6 @@ LIBRARY_ONLY = {
     "hypersurfaces._rho_jet": "ROADMAP item 7: the perturbed sphere's height function",
     "verify.reconstruct_hypersurface": "acceptance criterion 07; ROADMAP item 13(b)",
     "rotational.AlphaTrajectory.states": "bench/tracing.py counts RK4 steps with it (ROADMAP item 1)",
-    "numerics.gram_schmidt": AMBIENT + ": its one caller is quadric.horizontal_frame; "
-    "the tangent frames come from the Gram eigenpairs",
-    "numerics.RankDeficiencyError.__init__": "error path: gram_schmidt on dependent vectors, for ROADMAP item 13(a)",
 }
 
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadriclab.gaussmap import angle_spectrum, gauss_map
 from quadriclab.rotational import (
@@ -96,6 +97,14 @@ class TestIntegrator:
         for f in np.linspace(0.49, 0.51, 401)[scan_indices]:
             ratio = ode_order_ratio(n, f * np.pi / n, 0.0, 0.8, 250)
             assert ratio is None or ORDER_WINDOW[0] <= ratio <= ORDER_WINDOW[1], (f, ratio)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 4, 5, 6]), st.floats(min_value=0.02, max_value=0.98))
+    def test_order_gate_over_the_documented_range(self, n, f):
+        # alpha0 = f pi/n: the largest state difference over the shared
+        # samples gives a ratio in the window, or the round-off guard skips it
+        ratio = ode_order_ratio(n, f * np.pi / n, 0.0, 0.8, 250)
+        assert ratio is None or ORDER_WINDOW[0] <= ratio <= ORDER_WINDOW[1], (n, f, ratio)
 
     def test_no_order_when_runs_agree_exactly(self, monkeypatch):
         # probe runs that agree exactly measure no order either
@@ -246,6 +255,26 @@ class TestFirstIntegral:
         # residual vanishes when the constant is fed back explicitly
         c1 = warp_constant(rotational_trajectory)
         assert first_integral_residual(rotational_trajectory, c1) < 1e-6
+
+
+class TestWarpLawNegativeControl:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_wrong_c1_fails_by_stated_factors(self, n):
+        # the default flow with c1 scaled by 1.01: the checks that read c1
+        # fail (margins 6.7-7.0, 20.1 and 2.0e4), and the chart-side checks
+        # read what they read with the true c1
+        traj = integrate_alpha(n, np.pi / 12.0, 0.0, 0.8, 4000)
+        chart = build_rotational_chart(traj)
+        c1 = chart.meta["c1"]
+        true, wrong = (warped_curvature_check(chart, n, c) for c in (c1, 1.01 * c1))
+        assert all_within_default_tolerances(true)
+        assert wrong["warp_factor_law"] >= 5.0 * DEFAULT_TOLERANCES["warp_factor_law"]
+        assert wrong["fiber_curvature_chain"] >= 10.0 * DEFAULT_TOLERANCES["fiber_curvature_chain"]
+        assert first_integral_residual(traj, c1) <= DEFAULT_TOLERANCES["first_integral"]
+        assert first_integral_residual(traj, 1.01 * c1) >= 1e3 * DEFAULT_TOLERANCES["first_integral"]
+        unread = sorted(set(true) - {"warp_factor_law", "fiber_curvature_chain"})
+        assert len(unread) == 6
+        assert [wrong[name] for name in unread] == [true[name] for name in unread]
 
 
 class TestProfileCurve:
