@@ -9,8 +9,6 @@ curvature, including the rotational-hypersurface profile flow.
 
 from .quadric import (
     GeometryError,
-    StiefelPoint,
-    StructureGauge,
     horizontal_frame,
     product_structure,
     quadric_curvature,

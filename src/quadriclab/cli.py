@@ -420,7 +420,7 @@ def cmd_angles(cfg: RunConfig) -> tuple[int, dict]:
     jets, _, spec = _sample_jets(build_example(cfg), cfg)
     columns = (
         jets.point.tolist(),
-        np.broadcast_to(spec.gauge.phi, (cfg.grid,)).tolist(),
+        np.broadcast_to(spec.phi, (cfg.grid,)).tolist(),
         spec.thetas.tolist(),
         jets.lambdas.tolist(),
     )

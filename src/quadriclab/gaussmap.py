@@ -19,7 +19,7 @@ import numpy as np
 
 from .hypersurfaces import ChartError, ChartStencil, HypersurfaceChart
 from .numerics import flagged_row, gather, hessian_stencil, second_derivative, symmetric_eigen, symmetrize
-from .quadric import StiefelPoint, StructureGauge
+from .quadric import stiefel_residuals
 
 __all__ = [
     "GaussMapError",
@@ -84,7 +84,6 @@ class GaussJet:
     """
 
     stencil: ChartStencil  # embed, normal and lift with first derivatives
-    lift: StiefelPoint
     on_frame_vel: np.ndarray  # (n, n) velocities of an orthonormal frame
     lambdas: np.ndarray  # principal curvatures, descending
     principal_vel: np.ndarray  # (n, n) velocities of unit principal directions
@@ -98,6 +97,11 @@ class GaussJet:
     @property
     def point(self) -> np.ndarray:
         return self.stencil.point
+
+    @property
+    def lift(self) -> np.ndarray:
+        """(..., n+2) complex Gauss-map lift at the point, the stencil's own array."""
+        return self.stencil.lift
 
     @property
     def coord_first(self) -> np.ndarray:
@@ -118,7 +122,7 @@ class GaussJet:
         """
         h2 = self.steps.second
         at, corners = hessian_stencil(self.chart.lift, self.point, h2, (2.0, 1.0, -1.0, -2.0))
-        return np.moveaxis(second_derivative(h2, self.stencil.lift, at, corners), (0, 1), (-3, -2))
+        return np.moveaxis(second_derivative(h2, self.lift, at, corners), (0, 1), (-3, -2))
 
     @cached_property
     def lagrangian(self) -> np.ndarray:
@@ -137,7 +141,7 @@ class GaussJet:
 
     def horizontality_residual(self) -> np.ndarray:
         """Largest Hermitian product of the lift derivatives with z and with conj z, per row at a batch."""
-        z = self.lift.z[..., :, None]
+        z = self.lift[..., :, None]
         return np.maximum(
             np.abs(self.coord_first @ np.conj(z)).max(axis=(-2, -1)),
             np.abs(self.coord_first @ z).max(axis=(-2, -1)),
@@ -166,13 +170,12 @@ def gauss_map(
         )
 
     st = ChartStencil(chart, p, steps.first)
-    lift = StiefelPoint.from_complex(st.lift)
-    res = lift.invariant_residuals()
+    res = stiefel_residuals(st.lift)
     bad = flagged_row(np.maximum.reduce(list(res.values())) > 1e-9, p, *res.values())
     if bad:
+        defects = ", ".join(f"{name} {value:.2e}" for name, value in zip(res, bad[1:]))
         raise GaussMapError(
-            f"chart '{chart.name}' does not lift to the Stiefel manifold at "
-            f"{bad[0]}: residuals {dict(zip(res, bad[1:]))}"
+            f"chart '{chart.name}' does not lift to the Stiefel manifold at {bad[0]}: residuals {defects}"
         )
 
     # orthonormal frame for the induced metric, as coordinate velocities
@@ -190,7 +193,6 @@ def gauss_map(
 
     jet = GaussJet(
         stencil=st,
-        lift=lift,
         on_frame_vel=on_frame_vel,
         lambdas=shape.lambdas,
         principal_vel=shape.directions_chart,
@@ -222,20 +224,18 @@ def gauss_map(
 # structure operators and angles
 # ---------------------------------------------------------------------------
 
-def structure_operators(
-    jet: GaussJet, gauge: StructureGauge
-) -> tuple[np.ndarray, np.ndarray]:
+def structure_operators(jet: GaussJet, phi) -> tuple[np.ndarray, np.ndarray]:
     """Matrices of the tangential and twisted-normal parts of the structure.
 
     In an orthonormal tangent frame w the gauged structure acts by
     w -> -exp(i phi) conj(w); the two returned matrices are its tangential
     component and the complex-structure rotation of its normal component.
     They commute and their squares sum to the identity. At a batched jet the
-    gauge angle is a number or one angle per row.
+    gauge angle phi is a number or one angle per row.
     """
     w = jet.on_frame_vel @ jet.coord_first
     bilinear = w @ w.swapaxes(-1, -2)
-    eta = -np.exp(1j * np.asarray(gauge.phi))[..., None, None] * np.conj(bilinear)
+    eta = -np.exp(1j * np.asarray(phi))[..., None, None] * np.conj(bilinear)
     b = 0.5 * (eta.real + eta.real.swapaxes(-1, -2))
     c = -0.5 * (eta.imag + eta.imag.swapaxes(-1, -2))
     return b, c
@@ -245,17 +245,17 @@ def structure_operators(
 class AngleSpectrum:
     """Angle functions with the diagonalizing orthonormal tangent frame.
 
-    thetas are mod-pi representatives in [0, pi), ascending; frame_vel[k] is
-    the coordinate velocity of the k-th frame vector, frame_ambient[k] its
-    horizontal lift. The spectra of a batched jet carry its batch axes in
-    front; diag_residual holds one value per row.
+    thetas are mod-pi representatives in [0, pi), ascending, in the gauge of
+    angle phi; frame_vel[k] is the coordinate velocity of the k-th frame
+    vector, frame_ambient[k] its horizontal lift. The spectra of a batched
+    jet carry its batch axes in front; phi is a number or one angle per row,
+    and diag_residual holds one value per row.
     """
 
     thetas: np.ndarray
     frame_vel: np.ndarray
     frame_ambient: np.ndarray
-    gauge: StructureGauge
-    lift: StiefelPoint
+    phi: float | np.ndarray
     diag_residual: np.ndarray
 
     @property
@@ -295,8 +295,8 @@ def mod_pi_clusters(thetas, gap: float) -> list[list[int]]:
     return clusters
 
 
-def angle_spectrum(jet: GaussJet, gauge: StructureGauge | None = None) -> AngleSpectrum:
-    """Joint eigenangles of the structure operators, sorted ascending in [0, pi).
+def angle_spectrum(jet: GaussJet, phi=0.0) -> AngleSpectrum:
+    """Joint eigenangles of the structure operators of gauge angle phi, sorted ascending in [0, pi).
 
     The tangential operator is diagonalized first, in one stacked solve at a
     batched jet. A degenerate eigenspace, a maximal run lo..hi-1 of its
@@ -306,8 +306,7 @@ def angle_spectrum(jet: GaussJet, gauge: StructureGauge | None = None) -> AngleS
     the search for them. The angles and frame columns are sorted by one flat
     gather each. Inconsistent residuals raise GaussMapError naming the point.
     """
-    gauge = gauge or StructureGauge(0.0)
-    b, c = structure_operators(jet, gauge)
+    b, c = structure_operators(jet, phi)
     wb, rot = symmetric_eigen(b)
     close = wb[..., 1:] - wb[..., :-1] <= ANGLE_CLUSTER_GAP
     if close.any():
@@ -349,8 +348,7 @@ def angle_spectrum(jet: GaussJet, gauge: StructureGauge | None = None) -> AngleS
         thetas=thetas,
         frame_vel=frame_vel,
         frame_ambient=frame_ambient,
-        gauge=gauge,
-        lift=jet.lift,
+        phi=phi,
         diag_residual=off,
     )
 
@@ -376,7 +374,7 @@ def gauge_normalize(jet: GaussJet, spec0: AngleSpectrum, ref_phi: float | None =
 
     Each row's angle sum is verified to vanish mod pi to 1e-8.
     """
-    spec = angle_spectrum(jet, StructureGauge(normalized_phase(spec0, ref_phi)))
+    spec = angle_spectrum(jet, normalized_phase(spec0, ref_phi))
     defect = mod_pi_distance(np.sum(spec.thetas, axis=-1), 0.0)
     bad = flagged_row(defect > 1e-8, defect, jet.point)
     if bad:

@@ -161,9 +161,9 @@ class ChartStencil:
         self.d_normal = central_first(*b, h)
         self.d_lift = central_first(*_lift(a, b), h)
 
-    @property
+    @cached_property
     def lift(self) -> np.ndarray:
-        """The Gauss-map lift at p from center, the (..., 2, n+2) rows of embed and normal there."""
+        """The (..., n+2) complex Gauss-map lift at p from center, the (..., 2, n+2) rows of embed and normal there."""
         return _lift(self.center[..., 0, :], self.center[..., 1, :])
 
     @cached_property

@@ -38,7 +38,6 @@ from .gaussmap import (
 )
 from .hypersurfaces import Box, HypersurfaceChart, lift_metric
 from .numerics import axis_stencil, central_first, flagged_row, gather, hessian_stencil, second_derivative, symmetric_eigen
-from .quadric import StructureGauge
 
 __all__ = [
     "VerifyError",
@@ -190,13 +189,13 @@ def field_derivatives(jet: GaussJet, spec: AngleSpectrum, renormalize: bool = Fa
     q = jet.point[..., None, None, :] + offsets[:, None, None] * spec.frame_vel[..., None, :, :]
     jets = gauss_map(jet.chart, q, jet.steps)
     # the gauge angle of each point, broadcast over its stencil rows
-    phi = np.asarray(spec.gauge.phi)[..., None, None]
+    phi = np.asarray(spec.phi)[..., None, None]
     if renormalize:
         spec_q = gauge_normalize(jets, angle_spectrum(jets), ref_phi=phi)
     else:
-        spec_q = angle_spectrum(jets, StructureGauge(phi))
+        spec_q = angle_spectrum(jets, phi)
     spec_q = _align_to_reference(spec_q, spec, q)
-    normal_lift = np.exp(1j * np.asarray(spec_q.gauge.phi))[..., None] * np.conj(jets.lift.z)
+    normal_lift = np.exp(1j * np.asarray(spec_q.phi))[..., None] * np.conj(jets.lift)
 
     def d(f):
         return central_first(*np.moveaxis(f, lead, 0), 0.5 * h_step)
@@ -230,11 +229,11 @@ class ConnectionData:
     antisymmetry_defect: np.ndarray
 
 
-def connection_and_s(spec: AngleSpectrum, fields: FieldDerivatives) -> ConnectionData:
-    """Connection forms and the gauge one-form from frame-field derivatives."""
+def connection_and_s(jet: GaussJet, spec: AngleSpectrum, fields: FieldDerivatives) -> ConnectionData:
+    """Connection forms and the gauge one-form from frame-field derivatives, spec the angle spectrum of jet."""
     raw = np.einsum("...ijm,...km->...ijk", fields.d_frame, np.conj(spec.frame_ambient)).real
     raw_t = raw.swapaxes(-1, -2)
-    xi = np.exp(1j * np.asarray(spec.gauge.phi))[..., None] * np.conj(spec.lift.z)
+    xi = np.exp(1j * np.asarray(spec.phi))[..., None] * np.conj(jet.lift)
     return ConnectionData(
         omega=0.5 * (raw - raw_t),
         s=np.einsum("...im,...m->...i", fields.d_normal_lift, np.conj(1j * xi)).real,
@@ -272,7 +271,8 @@ def sample_batch(jets: GaussJet, spec0: AngleSpectrum, spec: AngleSpectrum) -> S
     ff = second_fundamental_form(jets, spec)
     curvature = metric_curvature(jets)
     fields = field_derivatives(jets, spec)
-    return SampleBatch(jets, spec0, spec, ff, fields, curvature, connection_and_s(spec, fields), mean_curvature(ff))
+    connection = connection_and_s(jets, spec, fields)
+    return SampleBatch(jets, spec0, spec, ff, fields, curvature, connection, mean_curvature(ff))
 
 
 def _distinct(n: int, k: int) -> np.ndarray:
@@ -283,7 +283,7 @@ def _distinct(n: int, k: int) -> np.ndarray:
 
 def structure_residuals(b: SampleBatch) -> dict[str, np.ndarray]:
     """Structure operators B, C in each point's gauge: B^2 + C^2 = 1 and BC = CB."""
-    op_b, op_c = structure_operators(b.jets, b.spec.gauge)
+    op_b, op_c = structure_operators(b.jets, b.spec.phi)
     return {
         "structure_unit_norm": np.abs(op_b @ op_b + op_c @ op_c - np.eye(b.jets.dim)).max(axis=(-2, -1)),
         "structure_commute": np.abs(op_b @ op_c - op_c @ op_b).max(axis=(-2, -1)),
@@ -572,7 +572,7 @@ def reconstruct_hypersurface(
     sin(theta_j + phi/2 + t) below the guard raise VerifyError (the map
     degenerates there).
     """
-    c = spec.gauge.phi / 2.0 + t
+    c = spec.phi / 2.0 + t
     sines = np.abs(np.sin(spec.thetas + c))
     if sines.min() < guard:
         raise VerifyError(
@@ -593,5 +593,5 @@ def reconstruct_hypersurface(
         normal=normal,
         box=box,
         name=name,
-        meta={"offset": t, "gauge_phi": spec.gauge.phi},
+        meta={"offset": t, "gauge_phi": spec.phi},
     )

@@ -25,7 +25,7 @@ from quadriclab.gaussmap import (
 )
 from quadriclab.hypersurfaces import ShapeSpectrum, _shape_data
 from quadriclab.numerics import ConvergenceError, NumericsError, flagged_row, symmetric_eigen, symmetrize
-from quadriclab.quadric import StiefelPoint, StructureGauge, horizontal_project
+from quadriclab.quadric import horizontal_project
 from quadriclab.verify import (
     ConnectionData,
     connection_and_s,
@@ -40,16 +40,16 @@ def box_sample(box, rng: np.random.Generator, margin: float = 0.0) -> np.ndarray
     return rng.uniform(box.lows + margin, box.highs - margin)
 
 
-def random_stiefel(n: int, rng: np.random.Generator) -> StiefelPoint:
-    """Random valid lift in dimension n (vectors have length n+2)."""
+def random_stiefel(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random valid lift u + iv in dimension n, a complex (n+2)-vector."""
     m = rng.standard_normal((n + 2, 2))
     q, _ = np.linalg.qr(m)
-    return StiefelPoint(u=q[:, 0] / np.sqrt(2.0), v=q[:, 1] / np.sqrt(2.0))
+    return q[:, 0] / np.sqrt(2.0) + 1j * (q[:, 1] / np.sqrt(2.0))
 
 
-def random_horizontal(p: StiefelPoint, rng: np.random.Generator, unit: bool = False) -> np.ndarray:
+def random_horizontal(p: np.ndarray, rng: np.random.Generator, unit: bool = False) -> np.ndarray:
     """Random horizontal vector at the lift p, of unit length when unit is set."""
-    dim = p.u.shape[0]
+    dim = p.shape[-1]
     w = horizontal_project(p, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     if unit:
         w = w / np.sqrt(np.vdot(w, w).real)
@@ -60,17 +60,16 @@ def random_horizontal(p: StiefelPoint, rng: np.random.Generator, unit: bool = Fa
 # the ambient model as it was: one vector at a time, Hermitian products by np.vdot
 # ---------------------------------------------------------------------------
 
-def ref_rotate_structure(g: StructureGauge, p: StiefelPoint, w: np.ndarray) -> np.ndarray:
+def ref_rotate_structure(phi: float, p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """exp(i phi) times the base structure -P(conj w), for one vector w at the lift p."""
-    z = p.z
-    zb = np.conj(z)
+    pb = np.conj(p)
     wb = np.conj(w)
-    return np.exp(1j * g.phi) * -(wb - np.vdot(z, wb) * z - np.vdot(zb, wb) * zb)
+    return np.exp(1j * phi) * -(wb - np.vdot(p, wb) * p - np.vdot(pb, wb) * pb)
 
 
-def ref_quadric_curvature(g: StructureGauge, p: StiefelPoint, x, y, z) -> np.ndarray:
+def ref_quadric_curvature(phi: float, p: np.ndarray, x, y, z) -> np.ndarray:
     """R(x, y)z of the hyperquadric for single vectors, in the object form's order of terms."""
-    a_x, a_y = ref_rotate_structure(g, p, x), ref_rotate_structure(g, p, y)
+    a_x, a_y = ref_rotate_structure(phi, p, x), ref_rotate_structure(phi, p, y)
     ja_x, ja_y = 1j * a_x, 1j * a_y
     jx, jy, jz = 1j * x, 1j * y, 1j * z
 
@@ -90,9 +89,9 @@ def ref_quadric_curvature(g: StructureGauge, p: StiefelPoint, x, y, z) -> np.nda
     )
 
 
-def quadric_distance(p1: StiefelPoint, p2: StiefelPoint) -> float:
-    """Distance between the underlying quadric points (phase-insensitive chord)."""
-    overlap = abs(np.vdot(p1.z, p2.z))
+def quadric_distance(p1: np.ndarray, p2: np.ndarray) -> float:
+    """Distance between the quadric points of two lifts (phase-insensitive chord)."""
+    overlap = abs(np.vdot(p1, p2))
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * overlap)))
 
 
@@ -117,7 +116,8 @@ def point_batch(chart, p, steps=None, normalized=False):
         return sample_batch(jets, spec0, spec0)
     spec = gauge_normalize(jets, spec0)
     fields = field_derivatives(jets, spec, renormalize=True)
-    return dataclasses.replace(sample_batch(jets, spec0, spec), fields=fields, connection=connection_and_s(spec, fields))
+    connection = connection_and_s(jets, spec, fields)
+    return dataclasses.replace(sample_batch(jets, spec0, spec), fields=fields, connection=connection)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +129,11 @@ def _distinct(n, k):
     return np.all(np.diff(idx, axis=0) > 0, axis=0)
 
 
-def ref_connection_and_s(spec, fields, phi):
+def ref_connection_and_s(lift, spec, fields, phi):
     raw = np.einsum("ijm,km->ijk", fields.d_frame, np.conj(spec.frame_ambient)).real
     omega = 0.5 * (raw - np.transpose(raw, (0, 2, 1)))
     defect = float(np.abs(raw + np.transpose(raw, (0, 2, 1))).max())
-    xi = np.exp(1j * phi) * np.conj(spec.lift.z)
+    xi = np.exp(1j * phi) * np.conj(lift)
     s_vals = np.einsum("im,m->i", fields.d_normal_lift, np.conj(1j * xi)).real
     return ConnectionData(omega=omega, s=s_vals, antisymmetry_defect=defect)
 
@@ -185,7 +185,7 @@ def ref_chart_invariants(stencil):
 
 
 def ref_horizontality(jet):
-    z = jet.lift.z
+    z = jet.lift
     return float(max(np.abs(jet.coord_first @ np.conj(z)).max(), np.abs(jet.coord_first @ z).max()))
 
 
@@ -207,12 +207,12 @@ def ref_point_residuals(jet, spec0, spec, fields, curvature, example, gauge, tar
     sectional target select the checks as cli.cmd_verify does.
     """
     n = jet.dim
-    phi = spec.gauge.phi
+    phi = spec.phi
     ff = second_fundamental_form(jet, spec)
     h = ff.h
-    conn = ref_connection_and_s(spec, fields, phi)
+    conn = ref_connection_and_s(jet.lift, spec, fields, phi)
     inv = ref_chart_invariants(jet.stencil)
-    b_op, c_op = structure_operators(jet, StructureGauge(phi))
+    b_op, c_op = structure_operators(jet, phi)
     lam, th0 = jet.lambdas, spec0.thetas
     far = np.abs(np.sin(th0)) > 1e-3
     lhs = -mean_curvature(ff)
@@ -419,9 +419,9 @@ def ref_exact_principal_curvatures(st):
     return -np.sort(-np.linalg.eigvalsh(s.astype(float)), axis=-1)
 
 
-def ref_angle_spectrum(jet, gauge):
+def ref_angle_spectrum(jet, phi):
     """angle_spectrum as it was: run boundaries from np.diff and np.pad, the run search on every batch, take_along_axis sorts."""
-    b, c = structure_operators(jet, gauge)
+    b, c = structure_operators(jet, phi)
     wb, vb = symmetric_eigen(b)
     rot = vb.copy()
     close = np.diff(wb, axis=-1) <= ANGLE_CLUSTER_GAP
@@ -450,8 +450,7 @@ def ref_angle_spectrum(jet, gauge):
         thetas=thetas,
         frame_vel=frame_vel,
         frame_ambient=frame_vel @ jet.coord_first,
-        gauge=gauge,
-        lift=jet.lift,
+        phi=phi,
         diag_residual=off,
     )
 

@@ -27,7 +27,6 @@ from quadriclab.hypersurfaces import (
     round_sphere,
 )
 from quadriclab.quadric import (
-    StructureGauge,
     metric,
     product_structure,
     ricci_matrix,
@@ -86,7 +85,7 @@ def test_criterion_01_einstein_constant():
     for n in (2, 3, 4):
         rng = np.random.default_rng(n)
         p = random_stiefel(n, rng)
-        ric = ricci_matrix(StructureGauge(0.2 * n), p)
+        ric = ricci_matrix(0.2 * n, p)
         worst = max(worst, float(np.abs(ric - 2 * n * np.eye(2 * n)).max()))
     elapsed = time.monotonic() - start
     report(
@@ -195,7 +194,7 @@ def test_criterion_06_curvature_angle_correspondence():
     for chart in (round_sphere(3, 0.65), product_spheres(1, 3, 0.55), cartan_tube(0.35)):
         x = chart.box.center + 0.05
         jet = gauss_map(chart, x, steps)
-        spec = angle_spectrum(jet, StructureGauge(0.0))
+        spec = angle_spectrum(jet, 0.0)
         lams = np.sort(jet.lambdas)[::-1]
         for lam, th in zip(lams, spec.thetas):
             worst_canonical = max(worst_canonical, abs(lam - 1.0 / np.tan(th)))
@@ -317,7 +316,7 @@ def test_criterion_11_algebraic_suite():
         p = random_stiefel(n, rng)
         x = random_horizontal(p, rng, unit=True)
         y = random_horizontal(p, rng, unit=True)
-        base = StructureGauge(0.0)
+        base = 0.0
         a2 = product_structure(base, p, product_structure(base, p, x))
         worst_amb = max(worst_amb, float(np.abs(a2 - x).max()))
         sym = metric(product_structure(base, p, x), y) - metric(
@@ -337,14 +336,14 @@ def test_criterion_11_algebraic_suite():
         x = box_sample(chart.box, rng, margin=0.04)
         jet = gauss_map(chart, x, steps)
         phi = float(rng.uniform(0.0, 2 * np.pi))
-        b, c = structure_operators(jet, StructureGauge(phi))
+        b, c = structure_operators(jet, phi)
         eye = np.eye(jet.dim)
         worst_bc = max(
             worst_bc,
             float(np.abs(b @ b + c @ c - eye).max()),
             float(np.abs(b @ c - c @ b).max()),
         )
-        spec = angle_spectrum(jet, StructureGauge(phi))
+        spec = angle_spectrum(jet, phi)
         ff = second_fundamental_form(jet, spec)
         worst_sym = max(worst_sym, ff.symmetry_defect)
         count += 1

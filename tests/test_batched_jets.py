@@ -61,7 +61,6 @@ from quadriclab.numerics import (
     symmetric_eigen,
     symmetrize,
 )
-from quadriclab.quadric import StructureGauge
 from quadriclab.rotational import (
     _orbit_and_profile_angles,
     build_rotational_chart,
@@ -100,9 +99,8 @@ def ref_cluster(values, gap):
     return clusters
 
 
-def ref_angle_spectrum(jet, gauge=None):
-    gauge = gauge or StructureGauge(0.0)
-    b, c = structure_operators(jet, gauge)
+def ref_angle_spectrum(jet, phi=0.0):
+    b, c = structure_operators(jet, phi)
     wb, vb = symmetric_eigen(b)
     rot = vb.copy()
     for row in np.ndindex(wb.shape[:-1]):
@@ -133,8 +131,7 @@ def ref_angle_spectrum(jet, gauge=None):
         thetas=thetas,
         frame_vel=frame_vel,
         frame_ambient=frame_vel @ jet.coord_first,
-        gauge=gauge,
-        lift=jet.lift,
+        phi=phi,
         diag_residual=off,
     )
 
@@ -188,7 +185,7 @@ def ref_field_derivatives(jet, spec, renormalize=False):
     """
     n = jet.dim
     h_step = jet.steps.field
-    phi = spec.gauge.phi
+    phi = spec.phi
     d_cos2 = np.empty((n, n))
     d_sin2 = np.empty((n, n))
     d_frame = np.empty((n, n, n + 2), dtype=complex)
@@ -201,12 +198,12 @@ def ref_field_derivatives(jet, spec, renormalize=False):
         for c in (1.0, 0.5, -0.5, -1.0):
             jet_q = gauss_map(jet.chart, jet.point + c * h_step * vel, jet.steps)
             phi_q = ref_normalized_phase(jet_q, phi) if renormalize else phi
-            spec_q = ref_align_to_reference(ref_angle_spectrum(jet_q, StructureGauge(phi_q)), spec)
+            spec_q = ref_align_to_reference(ref_angle_spectrum(jet_q, phi_q), spec)
             cos2_q, sin2_q = spec_q.cos_sin()
             cos2_s.append(cos2_q)
             sin2_s.append(sin2_q)
             frame_s.append(spec_q.frame_ambient)
-            lift_s.append(np.exp(1j * phi_q) * np.conj(jet_q.lift.z))
+            lift_s.append(np.exp(1j * phi_q) * np.conj(jet_q.lift))
             cubic_s.append(second_fundamental_form(jet_q, spec_q).h)
             sum_s.append(np.sum(np.arctan(jet_q.lambdas)))
         d_cos2[i] = central_first(*cos2_s, 0.5 * h_step)
@@ -230,7 +227,7 @@ def ref_field_derivatives(jet, spec, renormalize=False):
 # ---------------------------------------------------------------------------
 
 def ref_normalized_phase(jet, ref_phi=None):
-    spec0 = ref_angle_spectrum(jet, StructureGauge(0.0))
+    spec0 = ref_angle_spectrum(jet, 0.0)
     n = jet.dim
     period = 2.0 * np.pi / n
     phi = np.mod(2.0 * np.sum(spec0.thetas, axis=-1) / n, period)
@@ -242,9 +239,9 @@ def ref_normalized_phase(jet, ref_phi=None):
 
 def ref_gauge_normalize(jet, ref_phi=None):
     phi = ref_normalized_phase(jet, ref_phi)
-    spec = ref_angle_spectrum(jet, StructureGauge(phi))
+    spec = ref_angle_spectrum(jet, phi)
     assert mod_pi_distance(np.sum(spec.thetas), 0.0) <= 1e-8
-    return StructureGauge(phi)
+    return phi
 
 
 def ref_sample_points(chart, cfg):
@@ -254,8 +251,8 @@ def ref_sample_points(chart, cfg):
     for p in cli.kronecker_points(chart.box, cfg.grid, cfg.seed, margin):
         jet = gauss_map(chart, p, cfg.steps())
         ref_phi = points[0][1] if points else None
-        phi = 0.0 if cfg.gauge == "canonical" else ref_gauge_normalize(jet, ref_phi).phi
-        spectra = (ref_angle_spectrum(jet, StructureGauge(0.0)), ref_angle_spectrum(jet, StructureGauge(phi)))
+        phi = 0.0 if cfg.gauge == "canonical" else ref_gauge_normalize(jet, ref_phi)
+        spectra = (ref_angle_spectrum(jet, 0.0), ref_angle_spectrum(jet, phi))
         points.append((jet, phi, *spectra))
     return points
 
@@ -382,21 +379,21 @@ def test_batch_rows_equal_single_points(name, size, seed):
     jets = gauss_map(c, q, STEPS)
     canonical = angle_spectrum(jets)
     phis = normalized_phase(canonical)
-    normalized = angle_spectrum(jets, StructureGauge(phis))
+    normalized = angle_spectrum(jets, phis)
     cubic = second_fundamental_form(jets, normalized).h
     for k in range(m):
         one = gauss_map(c, q[k], STEPS)
         # without a reference, every row takes the gauge nearest row 0's
         phi = normalized_phase(angle_spectrum(one), ref_phi=phis[0])
         assert phis[k] == phi
-        assert np.array_equal(jets.lift.z[k], one.lift.z)
+        assert np.array_equal(jets.lift[k], one.lift)
         for field in ("lambdas", "principal_vel", "principal_ambient", "on_frame_vel", "coord_first", "coord_second"):
             assert np.array_equal(getattr(jets, field)[k], getattr(one, field))
         for spec, gauge in ((canonical, 0.0), (normalized, phi)):
-            want = angle_spectrum(one, StructureGauge(gauge))
+            want = angle_spectrum(one, gauge)
             for field in ("thetas", "frame_vel", "frame_ambient"):
                 assert np.array_equal(getattr(spec, field)[k], getattr(want, field))
-        want = second_fundamental_form(one, angle_spectrum(one, StructureGauge(phi))).h
+        want = second_fundamental_form(one, angle_spectrum(one, phi)).h
         assert np.array_equal(cubic[k], want)
 
 
@@ -427,7 +424,7 @@ def test_field_derivatives_match_per_jet_loop(example, n, mode):
             assert_fields_equal(batch, ref_field_derivatives(jet, spec_k, renormalize), k)
             if renormalize:
                 alone = point_batch(chart, jet.point, cfg.steps(), normalized=True)
-                own = ref_angle_spectrum(jet, StructureGauge(ref_normalized_phase(jet)))
+                own = ref_angle_spectrum(jet, ref_normalized_phase(jet))
                 assert_fields_equal(alone.fields, ref_field_derivatives(jet, own, True), 0)
 
 
@@ -442,10 +439,10 @@ def mixed_pattern_stack():
     jets = gauss_map(c, q, STEPS)
     th = angle_spectrum(jets).thetas
     phis = np.array([0.0, th[1, 0] + th[1, 1], 2.0 * th[2, 1], 0.3])
-    w = symmetric_eigen(structure_operators(jets, StructureGauge(phis))[0])[0]
+    w = symmetric_eigen(structure_operators(jets, phis)[0])[0]
     close = np.diff(w, axis=-1) <= ANGLE_CLUSTER_GAP
     assert close.tolist() == [[True, False], [True, True], [False, True], [True, False]]
-    spec = angle_spectrum(jets, StructureGauge(phis))
+    spec = angle_spectrum(jets, phis)
     assert len({str(mod_pi_clusters(spec.thetas[k], 1e-6)) for k in range(len(q))}) == 2
     return jets, phis
 
@@ -454,7 +451,7 @@ def stencil_jets(jets, spec):
     """The field-derivative stencil jets of a batch of points, and each point's gauge broadcast over its rows."""
     h = STEPS.field * np.array([1.0, 0.5, -0.5, -1.0])
     q = jets.point[:, None, None] + h[:, None, None] * spec.frame_vel[:, None]
-    return gauss_map(jets.chart, q, STEPS), StructureGauge(np.asarray(spec.gauge.phi)[..., None, None])
+    return gauss_map(jets.chart, q, STEPS), np.asarray(spec.phi)[..., None, None]
 
 
 @pytest.mark.parametrize("gauge", ["normalized", "canonical"])
@@ -464,18 +461,18 @@ def test_angle_spectrum_matches_per_row_sub_solves(example, n, gauge):
     # have different degenerate runs: each run's rows share one sub-solve
     if example == "mixed":
         jets, phis = mixed_pattern_stack()
-        cases = [(jets, StructureGauge(phis if gauge == "normalized" else 0.0))]
+        cases = [(jets, phis if gauge == "normalized" else 0.0)]
     else:
         cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
         jets, _, spec = cli._sample_jets(build_example(cfg), cfg)
-        cases = [(jets, StructureGauge(0.0)), (jets, spec.gauge), stencil_jets(jets, spec)]
+        cases = [(jets, 0.0), (jets, spec.phi), stencil_jets(jets, spec)]
     for jet, g in cases:
         got, want = angle_spectrum(jet, g), ref_angle_spectrum(jet, g)
         for field in ("thetas", "frame_vel", "frame_ambient", "diag_residual"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         for k in np.ndindex(jet.point.shape[:-1]):
             alone = gauss_map(jet.chart, jet.point[k], STEPS)
-            one = angle_spectrum(alone, StructureGauge(np.broadcast_to(g.phi, jet.point.shape[:-1])[k]))
+            one = angle_spectrum(alone, np.broadcast_to(g, jet.point.shape[:-1])[k])
             assert np.array_equal(got.frame_ambient[k], one.frame_ambient)
 
 
@@ -491,12 +488,12 @@ def test_alignment_matches_per_row_polar_factors(example, n, gauge):
     # references have two cluster patterns mod pi
     if example == "mixed":
         jets, phis = mixed_pattern_stack()
-        spec = angle_spectrum(jets, StructureGauge(phis if gauge == "normalized" else 0.0))
+        spec = angle_spectrum(jets, phis if gauge == "normalized" else 0.0)
     else:
         cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
         jets, _, spec = cli._sample_jets(build_example(cfg), cfg)
-    stencil, stencil_gauge = stencil_jets(jets, spec)
-    q, spec_q = stencil.point, angle_spectrum(stencil, stencil_gauge)
+    stencil, stencil_phi = stencil_jets(jets, spec)
+    q, spec_q = stencil.point, angle_spectrum(stencil, stencil_phi)
     got = _align_to_reference(spec_q, spec, q)
     for k in range(len(q)):
         # the stencil of point k, a batch of 4n rows
@@ -517,33 +514,33 @@ def test_stencil_spectrum_rows_match_hand_slicing(example, n, gauge):
     # arrays, is the spectrum of point k's stencil solved on its own
     if example == "mixed":
         jets, phis = mixed_pattern_stack()
-        spec = angle_spectrum(jets, StructureGauge(phis if gauge == "normalized" else 0.0))
+        spec = angle_spectrum(jets, phis if gauge == "normalized" else 0.0)
     else:
         cfg = RunConfig(command="verify", example=example, n=n, grid=3, gauge=gauge, seed=11)
         jets, _, spec = cli._sample_jets(build_example(cfg), cfg)
-    stencil, stencil_gauge = stencil_jets(jets, spec)
-    spec_q = angle_spectrum(stencil, stencil_gauge)
-    phi_q = np.broadcast_to(stencil_gauge.phi, stencil.point.shape[:-1])
+    stencil, stencil_phi = stencil_jets(jets, spec)
+    spec_q = angle_spectrum(stencil, stencil_phi)
+    phi_q = np.broadcast_to(stencil_phi, stencil.point.shape[:-1])
     for k in range(len(stencil.point)):
         # the stencil of point k alone, with its row of the gauge
         alone = gauss_map(stencil.chart, stencil.point[k], STEPS)
-        row = angle_spectrum(alone, StructureGauge(phi_q[k]))
+        row = angle_spectrum(alone, phi_q[k])
         for field in ("thetas", "frame_vel", "frame_ambient", "diag_residual"):
             assert np.array_equal(getattr(row, field), getattr(spec_q, field)[k]), field
-        assert np.array_equal(row.lift.z, spec_q.lift.z[k])
-        assert np.array_equal(np.broadcast_to(row.gauge.phi, phi_q[k].shape), phi_q[k])
+        assert np.array_equal(alone.lift, stencil.lift[k])
+        assert np.array_equal(np.broadcast_to(row.phi, phi_q[k].shape), phi_q[k])
     # the per-point gauge angles of the batch are the ones the stencil rows carry
-    assert np.array_equal(phi_q[:, 0, 0], np.broadcast_to(spec.gauge.phi, (len(jets.point),)))
+    assert np.array_equal(phi_q[:, 0, 0], np.broadcast_to(spec.phi, (len(jets.point),)))
 
 
 def test_mixed_pattern_field_derivatives_match_per_jet_loop():
     # rows of one field-derivative batch whose references differ in cluster pattern
     jets, phis = mixed_pattern_stack()
-    spec = angle_spectrum(jets, StructureGauge(phis))
+    spec = angle_spectrum(jets, phis)
     batch = field_derivatives(jets, spec)
     for k in range(len(phis)):
         jet = gauss_map(jets.chart, jets.point[k], STEPS)
-        assert_fields_equal(batch, ref_field_derivatives(jet, ref_angle_spectrum(jet, StructureGauge(phis[k]))), k)
+        assert_fields_equal(batch, ref_field_derivatives(jet, ref_angle_spectrum(jet, phis[k])), k)
 
 
 @pytest.mark.parametrize("gauge", ["normalized", "canonical"])
@@ -558,9 +555,9 @@ def test_sample_points_match_per_point_gauge_loop(example, n, gauge):
     assert len(got.jets.point) == len(refs) == cfg.grid
     for k, (jet, phi, spec0, spec) in enumerate(refs):
         assert np.array_equal(got.jets.point[k], jet.point)
+        assert np.array_equal(got.jets.lift[k], jet.lift)
         for have, want in ((got.spec0, spec0), (got.spec, spec)):
-            assert np.broadcast_to(have.gauge.phi, (cfg.grid,))[k] == want.gauge.phi
-            assert np.array_equal(have.lift.z[k], want.lift.z)
+            assert np.broadcast_to(have.phi, (cfg.grid,))[k] == want.phi
             for field in ("thetas", "frame_vel", "frame_ambient", "diag_residual"):
                 assert np.array_equal(getattr(have, field)[k], getattr(want, field))
 

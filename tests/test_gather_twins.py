@@ -28,7 +28,6 @@ from quadriclab.hypersurfaces import (
     round_sphere,
 )
 from quadriclab.numerics import gather
-from quadriclab.quadric import StructureGauge
 from quadriclab.rotational import build_rotational_chart, integrate_alpha
 from quadriclab.verify import gauss_metric_fn
 from references import (
@@ -124,7 +123,6 @@ def structure_jet(thetas, rng):
         point=np.zeros(batch + (n,)),
         on_frame_vel=np.ascontiguousarray(np.broadcast_to(np.eye(n), batch + (n, n))),
         coord_first=lift_d,
-        lift=None,
     )
 
 
@@ -158,9 +156,9 @@ def test_angle_spectrum_matches_scan_form(n, batch, rows, monkeypatch):
     solves = []
     eigen = gaussmap.symmetric_eigen
     monkeypatch.setattr(gaussmap, "symmetric_eigen", lambda m: solves.append(m.shape) or eigen(m))
-    for gauge in (StructureGauge(0.0), StructureGauge(0.3)):
+    for phi in (0.0, 0.3):
         solves.clear()
-        got, want = angle_spectrum(jet, gauge), ref_angle_spectrum(jet, gauge)
+        got, want = angle_spectrum(jet, phi), ref_angle_spectrum(jet, phi)
         for field in ("thetas", "frame_vel", "frame_ambient", "diag_residual"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         # a batch without a degenerate run solves the tangential operator only

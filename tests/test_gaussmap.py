@@ -23,7 +23,7 @@ from quadriclab.hypersurfaces import (
     round_sphere,
     sphere_chart,
 )
-from quadriclab.quadric import StructureGauge
+from quadriclab.quadric import stiefel_residuals
 from quadriclab.verify import palmer_residual
 from quadriclab.numerics import row_dot
 from references import box_sample, point_batch, quadric_distance, ref_horizontality
@@ -116,7 +116,7 @@ class TestModPiClusters:
 class TestGaussJet:
     def test_lift_is_stiefel(self, sphere_half):
         jet = gauss_map(sphere_half, P3)
-        assert max(jet.lift.invariant_residuals().values()) < 1e-10
+        assert max(stiefel_residuals(jet.lift).values()) < 1e-10
 
     def test_frame_norm_half_radius(self, sphere_half):
         # |d(lift) e_j|^2 = (1 + lambda^2)/2 = 1 at lambda = 1
@@ -191,6 +191,23 @@ class TestGaussJet:
         with pytest.raises(GaussMapError):
             gauss_map(broken, np.array([0.1, 0.2]))
 
+    def test_stiefel_gate_negative_control(self):
+        # a normal off unit length by 1e-6 breaks <v,v> = 1/2 by 1e-6, past
+        # the 1e-9 gate; by 1e-12 it stays inside
+        base = round_sphere(3, 1.0 / np.sqrt(2.0))
+        p = base.box.center
+
+        def scaled(factor):
+            return dataclasses.replace(base, normal=lambda q: factor * base.normal(q))
+
+        with pytest.raises(GaussMapError, match="does not lift to the Stiefel manifold") as err:
+            gauss_map(scaled(1.0 + 1e-6), p)
+        gauss_map(scaled(1.0 + 1e-12), p)
+        message = str(err.value)
+        assert "\n" not in message
+        assert "np.float64(" not in message
+        assert "v_norm 1.00e-06" in message
+
     def test_nonorthogonal_normal_rejected(self):
         base = round_sphere(2, 0.8)
         broken = HypersurfaceChart(
@@ -221,7 +238,7 @@ class TestStructureOperators:
         # lambda = 1 means the tangential part vanishes and the twisted
         # normal part is the identity
         jet = gauss_map(sphere_half, P3)
-        b, c = structure_operators(jet, StructureGauge(0.0))
+        b, c = structure_operators(jet, 0.0)
         assert np.abs(b).max() < 1e-8
         assert np.abs(c - np.eye(3)).max() < 1e-8
 
@@ -231,7 +248,7 @@ class TestStructureOperators:
             p = box_sample(chart.box, rng, margin=0.05)
             jet = gauss_map(chart, p)
             for phi in (0.0, 0.9):
-                b, c = structure_operators(jet, StructureGauge(phi))
+                b, c = structure_operators(jet, phi)
                 eye = np.eye(jet.dim)
                 assert np.abs(b @ b + c @ c - eye).max() < 1e-8
                 assert np.abs(b @ c - c @ b).max() < 1e-8
@@ -244,16 +261,16 @@ class TestAngleSpectrum:
 
     def test_gauge_shift_law(self, tube):
         jet = gauss_map(tube, P3)
-        spec0 = angle_spectrum(jet, StructureGauge(0.0))
+        spec0 = angle_spectrum(jet, 0.0)
         for phi in (0.3, 1.0, 2.2):
-            spec = angle_spectrum(jet, StructureGauge(phi))
+            spec = angle_spectrum(jet, phi)
             for a, b in zip(np.sort(spec.thetas), np.sort(np.mod(spec0.thetas - phi / 2.0, np.pi))):
                 assert mod_pi_gap(a, b) < 1e-8
 
     def test_frame_gauge_independent_up_to_eigenspace(self, tube):
         jet = gauss_map(tube, P3)
-        s0 = angle_spectrum(jet, StructureGauge(0.0))
-        s1 = angle_spectrum(jet, StructureGauge(0.7))
+        s0 = angle_spectrum(jet, 0.0)
+        s1 = angle_spectrum(jet, 0.7)
         # distinct angles here, so frames must agree up to order and sign
         overlap = np.abs(np.real(np.conj(s0.frame_ambient) @ s1.frame_ambient.T))
         # each row should have exactly one entry ~1
@@ -265,7 +282,7 @@ class TestAngleSpectrum:
         for chart in (product_13, tube, rotational_chart):
             p = box_sample(chart.box, rng, margin=0.05)
             jet = gauss_map(chart, p)
-            spec = angle_spectrum(jet, StructureGauge(0.0))
+            spec = angle_spectrum(jet, 0.0)
             lams = np.sort(jet.lambdas)[::-1]
             for lam, th in zip(lams, spec.thetas):
                 assert abs(lam - np.cos(th) / np.sin(th)) < 1e-5
@@ -285,7 +302,7 @@ class TestGaugeNormalize:
         jet = gauss_map(chart, np.array([0.1, -0.2]))
         spec = gauge_normalize(jet, angle_spectrum(jet))
         # canonical angles are (pi/4, pi/4); phi = pi/2 renormalizes the sum
-        assert abs(spec.gauge.phi - np.pi / 2.0) < 1e-8
+        assert abs(spec.phi - np.pi / 2.0) < 1e-8
         for th in spec.thetas:
             assert mod_pi_gap(th, 0.0) < 1e-8
 
@@ -303,7 +320,7 @@ class TestGaugeNormalize:
     def test_smallest_nonnegative_member(self, tube):
         jet = gauss_map(tube, P3)
         spec0 = angle_spectrum(jet)
-        phi = gauge_normalize(jet, spec0).gauge.phi
+        phi = gauge_normalize(jet, spec0).phi
         assert 0.0 <= phi < 2.0 * np.pi / 3.0
         shifted = normalized_phase(spec0, ref_phi=phi + 2.0 * np.pi / 3.0)
         assert abs(shifted - phi - 2.0 * np.pi / 3.0) < 1e-12

@@ -5,7 +5,6 @@ import pytest
 
 from quadriclab.gaussmap import angle_spectrum, gauge_normalize, gauss_map, second_fundamental_form
 from quadriclab.hypersurfaces import principal_curvatures, round_sphere
-from quadriclab.quadric import StructureGauge
 from quadriclab.verify import (
     VerifyError,
     check_csc_identities,
@@ -35,7 +34,7 @@ def point(chart, p, normalized=False):
 
 def connection(b):
     """connection_and_s of a batch of one point, at that point."""
-    conn = connection_and_s(b.spec, b.fields)
+    conn = connection_and_s(b.jets, b.spec, b.fields)
     return type(conn)(omega=conn.omega[0], s=conn.s[0], antisymmetry_defect=float(conn.antisymmetry_defect[0]))
 
 
@@ -289,7 +288,7 @@ class TestClassification:
     def gauged_samples(self, tube):
         rng = np.random.default_rng(23)
         return [
-            angle_spectrum(gauss_map(tube, box_sample(tube.box, rng, 0.03)), StructureGauge(0.9))
+            angle_spectrum(gauss_map(tube, box_sample(tube.box, rng, 0.03)), 0.9)
             for _ in range(4)
         ]
 
@@ -441,6 +440,6 @@ class TestReconstruction:
         t = 0.15
         rec = reconstruct_hypersurface(tube.lift, tube.box, spec, t, 3)
         lam = np.sort(principal_curvatures(rec, P3).lambdas)
-        c = spec.gauge.phi / 2.0 + t
+        c = spec.phi / 2.0 + t
         expected = np.sort(1.0 / np.tan(spec.thetas + c))
         np.testing.assert_allclose(lam, expected, atol=1e-4)
