@@ -12,10 +12,12 @@ is multiplication by i. Projective classes are never stored.
 The model is a set of array functions. stiefel_residuals, quadric_residual,
 horizontal_project, horizontality_residual, metric, product_structure and
 quadric_curvature broadcast over the leading axes of a batch of lifts p
-(..., n+2), of vectors (..., n+2) and of angles phi (a number or an array
-over the leading axes). Every Hermitian product is an element-wise product
-summed over the last axis, so each row of a batch reads bitwise what its
-single call reads. horizontal_frame and ricci_matrix take one lift of shape
+(..., n+2) and of vectors (..., n+2). The angle phi is a number or an array
+that broadcasts against the vectors' leading axes (the output's shape
+without its last axis), not against the lift's: for frame vectors
+(B, k, n+2) at lifts p[:, None, :], one angle per lift is phi[:, None].
+Every Hermitian product is an element-wise product summed over the last
+axis, so each row of a batch reads bitwise what its single call reads. horizontal_frame and ricci_matrix take one lift of shape
 (n+2,).
 """
 

@@ -88,6 +88,29 @@ class TestStiefelPoint:
             for name, value in calls(k).items():
                 assert np.array_equal(batch[name][k], value), (name, k)
 
+        # four frame vectors per lift: lifts (4, 1, n+2), vectors (4, 4, n+2), the
+        # angle of lift k on every one of its vectors through phi[:, None]
+        fx, fy, fz = (np.stack([[random_horizontal(p[k], rng) for _ in range(4)] for k in range(4)])
+                      for _ in range(3))
+
+        def frame_calls(k, j):
+            if k is None:
+                f, q, a, b, c = phi[:, None], p[:, None, :], fx, fy, fz
+            else:
+                f, q, a, b, c = phi[k], p[k], fx[k, j], fy[k, j], fz[k, j]
+            return {
+                "curvature": quadric_curvature(f, q, a, b, c),
+                "structure": product_structure(f, q, a),
+                "projection": horizontal_project(q, a),
+                "horizontality": horizontality_residual(q, a),
+            }
+
+        batch = frame_calls(None, None)
+        for k in range(4):
+            for j in range(4):
+                for name, value in frame_calls(k, j).items():
+                    assert np.array_equal(batch[name][k, j], value), (name, k, j)
+
 
 class TestProductStructure:
     def test_involution(self):
