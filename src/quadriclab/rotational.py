@@ -66,8 +66,9 @@ PROBE_ROUNDOFF = 8.0
 def _pow(x: np.ndarray, y: float) -> np.ndarray:
     """x ** y by Python's float power on each element, bitwise that of scalar floats.
 
-    numpy's own power loop rounds differently in the last bit. OverflowError
-    where the power overflows, ZeroDivisionError for 0 to a negative power.
+    For the fractional powers of the first integral: there numpy's own power
+    loop rounds differently in the last bit. OverflowError where the power
+    overflows, ZeroDivisionError for 0 to a negative power.
     """
     return np.fromiter(map(pow, x.ravel().tolist(), repeat(float(y))), float, x.size).reshape(x.shape)
 
@@ -127,8 +128,10 @@ def integrate_alpha(
     is absorbed in the sum: the default flows at n = 3, 4, 5 and their order
     probes are the same sample for sample under either tan, and of 120 drawn
     flows (n = 3..6, 250 to 4000 steps) four moved, by at most 2.2e-16, with
-    no stop reason changed. math.sin screens the guard, numpy's sin decides
-    every stop. Sample k is at k h.
+    no stop reason changed. tan(n alpha) is taken once per state, at the end
+    of each step: it screens the sin guard and is the next step's first
+    stage. numpy's sin decides every stop. Sample k is at k h. OdeError when
+    span / steps underflows to a zero step.
     """
     if steps < 1:
         raise OdeError("steps must be positive")
@@ -143,19 +146,23 @@ def integrate_alpha(
     if not abs(np.sin(n_alpha0)) > GUARD_BAND:
         raise OdeError(f"sin(n alpha0) = {np.sin(n_alpha0):.2e} too close to zero")
     h = span / steps
+    if h == 0.0:
+        raise OdeError(f"span / steps underflows to a zero step: span = {span}, steps = {steps}")
     a, p = float(alpha0), float(dalpha0)
     alphas, dalphas = [a], [p]
     stop_reason = None
     # the stages of alpha'' = (1 - alpha'^2) / tan(n alpha) in one fixed
-    # operation order, each stage's dalpha its slope k_a (p at the first);
-    # math.sin is within an ulp of numpy's, so outside the widened band it clears the guard
-    tan, sin, msin, half_h, nf = math.tan, np.sin, math.sin, 0.5 * h, float(n)
-    bound, screen = 1.0 - GUARD_BAND, GUARD_BAND * (1.0 + 1e-9)
+    # operation order, each stage's dalpha its slope k_a (p at the first).
+    # |sin x| <= g gives |tan x| <= g / sqrt(1 - g^2) < g (1 + 1e-6) at
+    # g = GUARD_BAND, so outside the widened band the state's tan clears the guard
+    tan, sin, half_h, nf = math.tan, np.sin, 0.5 * h, float(n)
+    bound, screen = 1.0 - GUARD_BAND, GUARD_BAND * (1.0 + 1e-6)
     keep_a, keep_p = alphas.append, dalphas.append
+    t = tan(n_alpha0)
     # both guards are negated comparisons, which also hold for NaN
     try:
         for k in range(steps):
-            k1p = (1.0 - p * p) / tan(nf * a)
+            k1p = (1.0 - p * p) / t
             k2a = p + half_h * k1p
             k2p = (1.0 - k2a * k2a) / tan(nf * (a + half_h * p))
             k3a = p + half_h * k2p
@@ -167,14 +174,15 @@ def integrate_alpha(
             if not abs(p) < bound:
                 stop_reason = f"|alpha'| reached {_stop_number(abs(p))} at theta = {_stop_number((k + 1) * h)}"
                 break
-            if not abs(msin(nf * a)) > screen and not abs(float(sin(nf * a))) > GUARD_BAND:
+            t = tan(nf * a)
+            if not abs(t) > screen and not abs(float(sin(nf * a))) > GUARD_BAND:
                 stop_reason = f"sin(n alpha) vanished near theta = {_stop_number((k + 1) * h)}"
                 break
             keep_a(a)
             keep_p(p)
     except (ZeroDivisionError, ValueError):
         # a stage whose n alpha is exactly 0.0 divides by its zero tan; an
-        # infinite stage argument has no tan (or sin) in math
+        # infinite stage argument has no tan in math
         p = float("inf")
     if not (np.isfinite(a) and np.isfinite(p)):
         stop_reason = f"the state left the finite numbers near theta = {_stop_number((k + 1) * h)}"
@@ -222,19 +230,21 @@ def first_integral_residual(traj: AlphaTrajectory, c1: float | None = None) -> f
     """Conservation defect of the first integral along the trajectory.
 
     The invariant combines the warp factor with the arclength derivative of
-    alpha; c1 is fixed at the first sample unless supplied. Each power is one
-    _pow pass, so each sample's value is that of scalar arithmetic (numpy's
-    array power and square differ from it in the last bit).
+    alpha; c1 is fixed at the first sample unless supplied. The squares are
+    products, each the correctly rounded square; the one fractional power
+    |sin n alpha|^(-1/n) is a _pow pass, so each sample's value is that of
+    scalar arithmetic (numpy's array power differs from it in the last bit).
     """
     n = traj.n
     if c1 is None:
         c1 = warp_constant(traj)
     pa = traj.dalphas
-    w = np.sqrt(1.0 - _pow(pa, 2))
+    w = np.sqrt(1.0 - pa * pa)
     sn = np.sin(n * traj.alphas)
     ds_dtheta = -w / (np.sqrt(2.0) * sn)
     dalpha_ds = pa / ds_dtheta
-    lhs = _pow(c1 * _pow(np.abs(sn), -1.0 / n), 2) * (2.0 + _pow(dalpha_ds, 2) / _pow(sn, 2))
+    warp = c1 * _pow(np.abs(sn), -1.0 / n)
+    lhs = warp * warp * (2.0 + dalpha_ds * dalpha_ds / (sn * sn))
     # fmax skips NaN samples, as a running Python max does
     return float(np.fmax.reduce(np.abs(lhs - 1.0), initial=0.0))
 

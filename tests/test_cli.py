@@ -1,13 +1,19 @@
+import collections
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadriclab import cli, gaussmap, hypersurfaces, numerics, rotational
 from quadriclab.cli import RunConfig, ConfigError, kronecker_points, main
@@ -834,6 +840,24 @@ class TestOdeCommand:
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert len(calls) == solves
 
+    def test_profile_kernel_budget(self, tmp_path, monkeypatch):
+        # one ode --n 3 run: 4000 steps and the 250/500/1000-step order probe.
+        # Each step takes four tans (three stages and its state's, which also
+        # screens the sin guard), each trajectory one for its initial state;
+        # the first integral takes one _pow pass, its fractional power
+        calls = collections.Counter()
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(rotational, "math", SimpleNamespace(tan=counted("tan", math.tan), sin=counted("sin", math.sin)))
+        monkeypatch.setattr(rotational, "_pow", counted("_pow", rotational._pow))
+        assert main(["ode", "--n", "3", "--out", str(tmp_path)]) == 0
+        assert (calls["sin"], calls["tan"], calls["_pow"]) == (0, 4 * (4000 + 250 + 500 + 1000) + 4, 1)
+
     # the residual functions of a verify run and the calls each makes per run:
     # one column pass over all sample points, whatever the grid. gauss_map
     # checks the Lagrangian residual of the sample jets and of the
@@ -1048,13 +1072,18 @@ class TestStoppedFlows:
             ["verify", "--example", "rotational", "--span", "1e300", "--steps", "100"],
             ["angles", "--example", "rotational", "--span", "1e300", "--steps", "100"],
             ["ode", "--n", "3", "--alpha0", "0.1", "--dalpha0", "-0.5", "--span", "0.4", "--steps", "1"],
+            ["ode", "--span", "5e-324"],
+            ["verify", "--example", "rotational", "--span", "5e-324", "--grid", "1"],
+            ["angles", "--example", "rotational", "--span", "5e-324", "--grid", "1"],
         ],
-        ids=[*STOPPED_FLOWS, "verify-non-finite", "angles-non-finite", "zero-tan"],
+        ids=[*STOPPED_FLOWS, "verify-non-finite", "angles-non-finite", "zero-tan", "ode-zero-step", "verify-zero-step",
+             "angles-zero-step"],
     )
     def test_one_error_line(self, tmp_path, capsys, argv):
         # a one-sample trajectory raised IndexError in the equivalence
         # residual, a traceback with exit code 1; a NaN state passed the
-        # guards and numpy warned on stderr
+        # guards and numpy warned on stderr; a span / steps that underflows
+        # to 0.0 made ode's equivalence residual divide by the zero step
         assert run(tmp_path, *argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
@@ -1157,3 +1186,51 @@ class TestSeriesSampleFloor:
 
     def test_at_the_floor_passes(self, tmp_path):
         assert run(tmp_path, "ode", "--n", "3", "--steps", "65") == 0
+
+
+# values at the edges of the float flags: signed zeros, the smallest
+# subnormal and a small one, a value whose product with n overflows, and
+# non-finite ones
+EDGE_FLOATS = ["0.0", "-0.0", "5e-324", "1e-321", "1e308", "nan", "inf", "-inf"]
+
+
+def flag_value(low, high):
+    return st.one_of(st.floats(low, high).map(repr), st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def ode_argv(draw):
+    """An ode command line: n, and each flow flag, --steps and --h given or left at its default.
+
+    Values follow an = sign, so that argparse reads -inf or -1e-05 as a value, not a flag.
+    """
+    argv = ["ode", f"--n={draw(st.integers(1, 8))}"]
+    flags = {
+        "--alpha0": flag_value(-4.0, 4.0),
+        "--dalpha0": flag_value(-1.0, 1.0),
+        "--span": flag_value(-1.0, 20.0),
+        "--steps": st.sampled_from([-1, 0, 1, 5, 64, 65, 66, 250, 4000, 8000]).map(str),
+        "--h": st.sampled_from(["1e-7", "1.1e-7", "1e-3", "0.00999", "0.01", "nan"]),
+    }
+    for flag, value in flags.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(value)}")
+    return argv
+
+
+class TestOdeInputContract:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(ode_argv())
+    @example(argv=["ode", "--span=5e-324"])  # span / steps underflows to a zero step
+    def test_exit_code_and_stderr(self, argv):
+        # every ode command line that parses ends in a report (0 or 1, nothing
+        # on stderr) or one `error:` line (2); a numpy warning, raised here by
+        # the test configuration, or any other exception breaks the contract
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", tmp])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""

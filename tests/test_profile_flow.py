@@ -70,11 +70,12 @@ def reference_first_integral(n, states, c1=None):
         c1 = reference_warp_constant(n, states)
     worst = 0.0
     for s in states:
-        w = np.sqrt(1.0 - s.dalpha**2)
+        w = np.sqrt(1.0 - s.dalpha * s.dalpha)
         sn = np.sin(n * s.alpha)
         ds_dtheta = -w / (np.sqrt(2.0) * sn)
         dalpha_ds = s.dalpha / ds_dtheta
-        lhs = (c1 * np.abs(sn) ** (-1.0 / n)) ** 2 * (2.0 + dalpha_ds**2 / sn**2)
+        warp = c1 * np.abs(sn) ** (-1.0 / n)
+        lhs = warp * warp * (2.0 + dalpha_ds * dalpha_ds / (sn * sn))
         worst = max(worst, abs(lhs - 1.0))
     return worst
 
@@ -157,10 +158,20 @@ class TestIntegrator:
         [(3, 0.05, -0.99, 3.0, 2000), (3, 0.1, -0.99, 0.5, 2000), (4, np.pi / 12.0, 0.0, 0.8, 4000), (3, 0.3, 0.5, 2.0, 300)],
     )
     def test_numpy_sin_decides_the_guard(self, flow, monkeypatch):
-        # math.sin only screens the guard band: with a screen that never
-        # clears, numpy's sin is asked at every step and gives the same stops
-        monkeypatch.setattr(rotational, "math", SimpleNamespace(tan=math.tan, sin=lambda x: 0.0))
-        assert_same_flow(integrate_alpha(*flow), reference_integrate(*flow))
+        # the state's tan only screens the guard band: with a screen that
+        # never clears (a tan whose magnitude reads 0 but which divides as
+        # itself), numpy's sin is asked at every step and gives the same stops
+        class NeverClears(float):
+            def __abs__(self):
+                return 0.0
+
+        asked, sin = [], np.sin
+        monkeypatch.setattr(rotational, "math", SimpleNamespace(tan=lambda x: NeverClears(math.tan(x))))
+        monkeypatch.setattr(np, "sin", lambda x: asked.append(1) or sin(x))
+        traj = integrate_alpha(*flow)
+        # once for the initial data, once after each step taken
+        assert len(asked) == len(traj.thetas) + traj.stopped_early
+        assert_same_flow(traj, reference_integrate(*flow))
 
     @pytest.mark.parametrize(
         "flow, samples, reason",
@@ -203,15 +214,27 @@ class TestFirstIntegral:
         assert warp_constant(traj) == reference_warp_constant(n, states)
         assert first_integral_residual(traj, c1) == reference_first_integral(n, states, c1)
 
+    # (alpha, alpha', c1) found by a scan of the draws below: pow(alpha', 2.0)
+    # is not alpha' * alpha', and the one-sample defect moves with it
+    POW_SQUARE_SAMPLES = {
+        3: [(0.7428537619381971, -0.8885638026509269, 0.7259770448010976),
+            (0.9684585974643417, -0.7977291049780609, 0.5905101381088971)],
+        4: [(0.09742023046115693, 0.6235200587218016, 0.4791082849765126),
+            (0.32361854915178123, 0.8422721783503803, 0.3596864689143892)],
+        5: [(0.17380452835699084, -0.8421897651196291, 0.5938930893974903),
+            (0.3400449346165796, -0.8870427060490933, 0.37501424509486314)],
+        6: [(0.4232269273939285, -0.7577077375846742, 0.6107990560925565),
+            (0.08528286845622161, 0.5517694069548295, 0.5151165393058207)],
+    }
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_every_sample_matches(self, n):
         # one-sample trajectories with a constant off the sample's own give
         # each sample's defect to full precision, so a power rounded another
-        # way (numpy's array square is one) shows at some of them
+        # way (numpy's array square, or Python's pow(x, 2.0)) shows at some of them
         rng = np.random.default_rng(n)
-        for alpha, dalpha, c1 in zip(
-            rng.uniform(0.02, 0.98, 800) * np.pi / n, rng.uniform(-0.9, 0.9, 800), rng.uniform(0.3, 0.8, 800)
-        ):
+        drawn = zip(rng.uniform(0.02, 0.98, 800) * np.pi / n, rng.uniform(-0.9, 0.9, 800), rng.uniform(0.3, 0.8, 800))
+        for alpha, dalpha, c1 in [*self.POW_SQUARE_SAMPLES[n], *drawn]:
             states = [ProfileState(0.0, alpha, dalpha)]
             got = first_integral_residual(trajectory(n, states), c1)
             assert got == reference_first_integral(n, states, c1)

@@ -117,6 +117,8 @@ class TestIntegrator:
             integrate_alpha(3, 0.0, 0.0, 0.5, 100)  # sin(n alpha) = 0
         with pytest.raises(OdeError):
             integrate_alpha(3, np.pi / 12, 1.0, 0.5, 100)  # slope bound
+        with pytest.raises(OdeError, match="span / steps underflows to a zero step: span = 5e-324, steps = 4000"):
+            integrate_alpha(3, np.pi / 12, 0.0, 5e-324, 4000)
 
     @pytest.mark.parametrize("alpha0", [1e308, np.float64(1e308), -1e308], ids=["float", "numpy-float", "negative"])
     def test_overflowing_n_alpha0_is_non_finite_initial_data(self, alpha0):
@@ -157,7 +159,7 @@ class TestIntegrator:
         # only the |alpha'| guard can stop on it
         calls = itertools.count(1)
         tan = lambda x: math.nan if next(calls) == 4 else math.tan(x)
-        monkeypatch.setattr(rotational, "math", SimpleNamespace(tan=tan, sin=math.sin))
+        monkeypatch.setattr(rotational, "math", SimpleNamespace(tan=tan))
         traj = integrate_alpha(3, np.pi / 12, 0.0, 0.8, 10)
         assert traj.stop_reason == "the state left the finite numbers near theta = 0.0800"
         assert len(traj.thetas) == 1
@@ -205,10 +207,41 @@ def ref_integrate_alpha(n, alpha0, dalpha0, span, steps, tan=math.tan):
     ],
 )
 def test_inlined_rk4_matches_stage_function_loop(n, alpha0, dalpha0, span, steps):
+    assert_matches_stage_function_loop(n, alpha0, dalpha0, span, steps)
+
+
+def assert_matches_stage_function_loop(n, alpha0, dalpha0, span, steps):
     got, want = integrate_alpha(n, alpha0, dalpha0, span, steps), ref_integrate_alpha(n, alpha0, dalpha0, span, steps)
     for name in ("thetas", "alphas", "dalphas"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.stop_reason == want.stop_reason
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 6),
+    st.floats(0.005, 0.995),
+    st.floats(-0.995, 0.995, exclude_min=True, exclude_max=True),
+    st.floats(0.8, 20.0),
+    st.integers(50, 4000),
+)
+def test_inlined_rk4_matches_stage_function_loop_over_drawn_flows(n, frac, dalpha0, span, steps):
+    # the loop screens the sin guard with the state's tan, the reference with
+    # numpy's sin alone; long spans at few steps stop on |alpha'|, and some
+    # flows run into sin(n alpha) = 0
+    assert_matches_stage_function_loop(n, frac * np.pi / n, dalpha0, span, steps)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 10**6, 10**12])
+@settings(max_examples=200, deadline=None)
+@given(offset=st.floats(-1.01e-3, 1.01e-3))
+def test_tan_screen_holds_every_guard_stop(k, offset):
+    # |sin x| <= g bounds |tan x| by g / sqrt(1 - g^2) < g (1 + 1e-6): the
+    # screen the loop puts before numpy's sin lets through every x that sin
+    # stops on, here about multiples of pi near and far from 0
+    x = k * math.pi + offset
+    if abs(float(np.sin(x))) <= rotational.GUARD_BAND:
+        assert abs(math.tan(x)) <= rotational.GUARD_BAND * (1.0 + 1e-6)
 
 
 @pytest.mark.parametrize(
