@@ -20,11 +20,9 @@ from .hypersurfaces import (
     ChartError,
     FocalRadiusError,
     HypersurfaceChart,
-    ShapeSpectrum,
     cartan_tube,
     parallel_hypersurface,
     perturbed_sphere,
-    principal_curvatures,
     product_spheres,
     round_sphere,
 )

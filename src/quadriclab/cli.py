@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 import time
 from collections.abc import Callable
@@ -344,13 +345,13 @@ def _summary(rows: list[dict], skipped: list[dict], gates=(), stopped_early: boo
 def _columns(b: SampleBatch, cfg: RunConfig) -> dict:
     """Every check of a verify run as one column over its sample points, in report order."""
     jets, ff = b.jets, b.ff
-    inv = jets.stencil.invariants()
+    inv = jets.invariants()
     target = cfg.entry.sectional(cfg.n)
     res = {
         "chart_invariants": np.maximum.reduce([v for k, v in inv.items() if k != "min_singular_value"]),
         "chart_rank_margin": np.maximum(0.0, 1e-6 - inv["min_singular_value"]),
         "lagrangian": jets.lagrangian,
-        "horizontality": jets.horizontality_residual(),
+        "horizontality": jets.horizontality_residual,
         **structure_residuals(b),
         **cotangent_residual(b),
         "cubic_symmetry": ff.symmetry_defect,
@@ -589,6 +590,11 @@ def write_report(cfg: RunConfig, payload: dict) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is one `error:` line and exit code 2, like every other bad input."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # in this parser and its subparsers, built with its class, a negative float (-1e-05, -inf) is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

@@ -76,41 +76,32 @@ class FdSteps:
         return 2.0 * max(2.0 * self.first, 2.0 * self.second, self.field + 2.0 * self.second, 2.0 * self.metric)
 
 
-@dataclass(frozen=True)
-class GaussJet:
+class GaussJet(ChartStencil):
     """Second-order data of the Gauss-map lift at one chart point or at a batch of them.
 
-    At a batch every array carries the batch axes in front.
+    The stencil at steps.first, with the Gauss-map quantities on it computed
+    on first use and kept. At a batch every array carries the batch axes in
+    front.
     """
 
-    stencil: ChartStencil  # embed, normal and lift with first derivatives
-    on_frame_vel: np.ndarray  # (n, n) velocities of an orthonormal frame
-    lambdas: np.ndarray  # principal curvatures, descending
-    principal_vel: np.ndarray  # (n, n) velocities of unit principal directions
-    principal_ambient: np.ndarray  # (n, n+2) their images in the sphere
-    steps: FdSteps
-
-    @property
-    def chart(self) -> HypersurfaceChart:
-        return self.stencil.chart
-
-    @property
-    def point(self) -> np.ndarray:
-        return self.stencil.point
-
-    @property
-    def lift(self) -> np.ndarray:
-        """(..., n+2) complex Gauss-map lift at the point, the stencil's own array."""
-        return self.stencil.lift
-
-    @property
-    def coord_first(self) -> np.ndarray:
-        """(n, n+2) complex first chart derivatives of the lift."""
-        return self.stencil.d_lift
+    def __init__(self, chart: HypersurfaceChart, p, steps: FdSteps):
+        super().__init__(chart, p, steps.first)
+        self.steps = steps
 
     @property
     def dim(self) -> int:
         return self.chart.dim
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        """Principal curvatures, descending."""
+        return self.shape_eigen[0]
+
+    @cached_property
+    def on_frame_vel(self) -> np.ndarray:
+        """(..., n, n) velocities of an orthonormal frame of the induced metric."""
+        w, v = self.lift_eigen
+        return (v / np.sqrt(w)[..., None, :]).swapaxes(-1, -2)
 
     @cached_property
     def coord_second(self) -> np.ndarray:
@@ -126,12 +117,11 @@ class GaussJet:
 
     @cached_property
     def lagrangian(self) -> np.ndarray:
-        """lagrangian_residual, computed on first use and kept: gauss_map checks it, verify reports it."""
-        return self.lagrangian_residual()
+        """Largest defect of the lifted orthonormal frame from a Lagrangian one, per row at a batch.
 
-    def lagrangian_residual(self) -> np.ndarray:
-        """Largest defect of the lifted orthonormal frame from a Lagrangian one, per row at a batch."""
-        w = self.on_frame_vel @ self.coord_first
+        gauss_map checks it, verify reports it.
+        """
+        w = self.on_frame_vel @ self.d_lift
         herm = np.conj(w) @ w.swapaxes(-1, -2)
         # imaginary parts are the inner products against the rotated frame
         return np.maximum(
@@ -139,12 +129,13 @@ class GaussJet:
             np.abs(herm.real - np.eye(self.dim)).max(axis=(-2, -1)),
         )
 
+    @cached_property
     def horizontality_residual(self) -> np.ndarray:
         """Largest Hermitian product of the lift derivatives with z and with conj z, per row at a batch."""
         z = self.lift[..., :, None]
         return np.maximum(
-            np.abs(self.coord_first @ np.conj(z)).max(axis=(-2, -1)),
-            np.abs(self.coord_first @ z).max(axis=(-2, -1)),
+            np.abs(self.d_lift @ np.conj(z)).max(axis=(-2, -1)),
+            np.abs(self.d_lift @ z).max(axis=(-2, -1)),
         )
 
 
@@ -169,8 +160,8 @@ def gauss_map(
             f"for stencil margin {steps.stencil_margin:.3g}"
         )
 
-    st = ChartStencil(chart, p, steps.first)
-    res = stiefel_residuals(st.lift)
+    jet = GaussJet(chart, p, steps)
+    res = stiefel_residuals(jet.lift)
     bad = flagged_row(np.maximum.reduce(list(res.values())) > 1e-9, p, *res.values())
     if bad:
         defects = ", ".join(f"{name} {value:.2e}" for name, value in zip(res, bad[1:]))
@@ -178,27 +169,17 @@ def gauss_map(
             f"chart '{chart.name}' does not lift to the Stiefel manifold at {bad[0]}: residuals {defects}"
         )
 
-    # orthonormal frame for the induced metric, as coordinate velocities
-    w_eval, v = st.lift_eigen
+    w_eval = jet.lift_eigen[0]
     bad = flagged_row(w_eval[..., 0] <= 1e-10, p, w_eval)
     if bad:
         raise GaussMapError(f"degenerate induced metric at {bad[0]}: spectrum {bad[1]}")
-    on_frame_vel = (v / np.sqrt(w_eval)[..., None, :]).swapaxes(-1, -2)
 
     # principal curvature data from the hypersurface side
     try:
-        shape = st.principal_curvatures()
+        lam, principal_vel, principal_ambient = jet.shape_eigen
     except ChartError as exc:
         raise GaussMapError(f"no principal curvatures on chart '{chart.name}': {exc}") from exc
 
-    jet = GaussJet(
-        stencil=st,
-        on_frame_vel=on_frame_vel,
-        lambdas=shape.lambdas,
-        principal_vel=shape.directions_chart,
-        principal_ambient=shape.directions_ambient,
-        steps=steps,
-    )
     res = jet.lagrangian
     bad = flagged_row(res > 1e-6, res, p)
     if bad:
@@ -208,9 +189,8 @@ def gauss_map(
         )
     # frame relation: d(lift) along the j-th principal direction must be
     # (1 - i lambda_j)/sqrt(2) times that direction
-    lam = jet.lambdas
-    predicted = (1.0 - 1j * lam[..., None]) / np.sqrt(2.0) * jet.principal_ambient
-    defect = np.abs(jet.principal_vel @ jet.coord_first - predicted).max(axis=-1) / (1.0 + np.abs(lam))
+    predicted = (1.0 - 1j * lam[..., None]) / np.sqrt(2.0) * principal_ambient
+    defect = np.abs(principal_vel @ jet.d_lift - predicted).max(axis=-1) / (1.0 + np.abs(lam))
     bad = flagged_row((defect > 1e-5).any(axis=-1), p, defect)
     if bad:
         raise GaussMapError(
@@ -233,7 +213,7 @@ def structure_operators(jet: GaussJet, phi) -> tuple[np.ndarray, np.ndarray]:
     They commute and their squares sum to the identity. At a batched jet the
     gauge angle phi is a number or one angle per row.
     """
-    w = jet.on_frame_vel @ jet.coord_first
+    w = jet.on_frame_vel @ jet.d_lift
     bilinear = w @ w.swapaxes(-1, -2)
     eta = -np.exp(1j * np.asarray(phi))[..., None, None] * np.conj(bilinear)
     b = 0.5 * (eta.real + eta.real.swapaxes(-1, -2))
@@ -343,7 +323,7 @@ def angle_spectrum(jet: GaussJet, phi=0.0) -> AngleSpectrum:
     order = np.argsort(thetas, axis=-1, kind="stable")
     thetas, rot = gather(thetas, order), gather(rot, order)
     frame_vel = rot.swapaxes(-1, -2) @ jet.on_frame_vel
-    frame_ambient = frame_vel @ jet.coord_first
+    frame_ambient = frame_vel @ jet.d_lift
     return AngleSpectrum(
         thetas=thetas,
         frame_vel=frame_vel,

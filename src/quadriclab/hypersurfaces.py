@@ -38,12 +38,10 @@ __all__ = [
     "Box",
     "HypersurfaceChart",
     "ChartStencil",
-    "ShapeSpectrum",
     "sphere_chart",
     "sphere_chart_with_derivatives",
     "tangent_data",
     "lift_metric",
-    "principal_curvatures",
     "round_sphere",
     "product_spheres",
     "cartan_tube",
@@ -188,11 +186,6 @@ class ChartStencil:
         w, v = self._metric_eigen
         return w[1], v[1]
 
-    @property
-    def gram_spectrum(self) -> np.ndarray:
-        """Ascending spectrum of the Gram matrix of the coordinate tangents, (..., n)."""
-        return self.gram_eigen[0]
-
     def invariants(self) -> dict[str, np.ndarray]:
         """Norms, orthogonality and tangency of embed and normal, and the rank margin, per point."""
         a, b = self.center[..., 0, :], self.center[..., 1, :]
@@ -201,16 +194,22 @@ class ChartStencil:
             "normal_norm": np.abs(row_dot(b, b) - 1.0),
             "orthogonality": np.abs(row_dot(a, b)),
             "normal_tangency": np.abs(self.d_embed @ b[..., :, None]).max(axis=(-2, -1)),
-            "min_singular_value": np.sqrt(np.maximum(self.gram_spectrum[..., 0], 0.0)),
+            "min_singular_value": np.sqrt(np.maximum(self.gram_eigen[0][..., 0], 0.0)),
         }
 
-    def principal_curvatures(self) -> ShapeSpectrum:
-        """Eigendecomposition of the shape operator, curvatures descending."""
+    @cached_property
+    def shape_eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigendecomposition of the shape operator, curvatures descending.
+
+        The principal curvatures (..., n) come with the unit principal
+        directions as rows: their chart velocities (..., n, n) and their
+        images in R^(n+2) (..., n, n+2).
+        """
         s, t, m = _shape_data(self)
         w, v = symmetric_eigen(s)
         order = np.argsort(-w, axis=-1, kind="stable")
         vt = gather(v, order).swapaxes(-1, -2)
-        return ShapeSpectrum(lambdas=gather(w, order), directions_chart=vt @ m, directions_ambient=vt @ t)
+        return gather(w, order), vt @ m, vt @ t
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +253,6 @@ def sphere_chart_with_derivatives(m: int, q: np.ndarray):
 # shape operator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShapeSpectrum:
-    """Principal curvatures (descending) with their principal directions.
-
-    directions_chart[k] is the coordinate velocity of the k-th unit principal
-    direction; directions_ambient[k] its image in R^(n+2). At a batch of
-    points every field carries the batch axes in front.
-    """
-
-    lambdas: np.ndarray
-    directions_chart: np.ndarray
-    directions_ambient: np.ndarray
-
-
 def tangent_data(st: ChartStencil):
     """Coordinate tangents e, an orthonormal tangent frame t and its velocities m (m @ e = t), batch axes in front.
 
@@ -310,13 +295,6 @@ def _shape_data(st: ChartStencil):
             f"'{st.chart.name}' (bad step size or broken normal)"
         )
     return 0.5 * (raw + raw_t), t, m
-
-
-def principal_curvatures(
-    chart: HypersurfaceChart, p, h: float = 1e-4
-) -> ShapeSpectrum:
-    """Eigendecomposition of the shape operator at p, curvatures descending."""
-    return ChartStencil(chart, p, h).principal_curvatures()
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +398,7 @@ def _veronese_frame(q):
     orthogonal pair B(e1, e1) - B(e2, e2) and B(e1, e2), of norms sqrt(3) and
     sqrt(3)/2 at every point; normalized, they are the frame, each a positive
     multiple of the corresponding second derivative projected off the tangent
-    plane. Returns three (..., 5) arrays; ChartError names the first row
-    whose frame degenerates.
+    plane. Returns three (..., 5) arrays.
     """
     q = np.asarray(q, dtype=float)
     c1, s1, c2, s2 = np.cos(q[..., 0]), np.sin(q[..., 0]), np.cos(q[..., 1]), np.sin(q[..., 1])
@@ -432,12 +409,7 @@ def _veronese_frame(q):
     # B(e1, e1), B(e2, e2), B(e1, e2), B(s, s)
     forms = _veronese(vectors[..., [0, 1, 0, 2], :], vectors[..., [0, 1, 1, 2], :])
     w = np.stack([forms[..., 0, :] - forms[..., 1, :], forms[..., 2, :]], axis=-2)
-    norms = np.linalg.norm(w, axis=-1, keepdims=True)
-    degenerate = (norms < 1e-8).any(axis=(-2, -1)).ravel()
-    if degenerate.any():
-        row = q.reshape(-1, q.shape[-1])[degenerate][0]
-        raise ChartError(f"degenerate normal frame for the Veronese surface at {row}")
-    xi = w / norms
+    xi = w / np.linalg.norm(w, axis=-1, keepdims=True)
     return forms[..., 3, :], xi[..., 0, :], xi[..., 1, :]
 
 
@@ -505,7 +477,7 @@ def parallel_hypersurface(chart: HypersurfaceChart, t: float) -> HypersurfaceCha
         name=f"{chart.name}-parallel",
         meta={**chart.meta, "parallel_offset": t},
     )
-    gram_min = ChartStencil(out, out.box.center, 1e-4).gram_spectrum[0]
+    gram_min = ChartStencil(out, out.box.center, 1e-4).gram_eigen[0][0]
     if gram_min <= 1e-12:
         raise ChartError(
             f"parallel offset {t} degenerates the immersion "

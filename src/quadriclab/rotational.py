@@ -203,6 +203,8 @@ def ode_order_ratio(n, alpha0, dalpha0, span, steps: int) -> float | None:
     short for any truncation error to show): the ratio would then measure
     round-off, not order.
     """
+    if span / (4 * steps) == 0.0:
+        raise OdeError(f"the order probe's finest step underflows to zero: span = {span} over {4 * steps} steps")
     states = []
     for k in (1, 2, 4):
         traj = integrate_alpha(n, alpha0, dalpha0, span, k * steps)
@@ -513,7 +515,7 @@ def warped_curvature_check(
     x = centers + (np.arange(-2.0, 3.0) * h)[:, None, None] * e0  # (offset, center, coordinates)
     jets = gauss_map(chart, x[:, 1], steps)
     sides = metric(x[:, ::2])
-    gs = np.stack([sides[:, 0], jets.stencil.lift_metric, sides[:, 1]], axis=1)
+    gs = np.stack([sides[:, 0], jets.lift_metric, sides[:, 1]], axis=1)
     alphas = [np.pi - _orbit_and_profile_angles(th, n)[1] for th in angle_spectrum(jets).thetas]
     vs = np.sqrt(gs[:, 1, 0, 0]).tolist()
     rhos, off_blocks, spreads = warp_at(x, gs)

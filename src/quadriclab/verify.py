@@ -52,7 +52,6 @@ __all__ = [
     "check_prop1",
     "palmer_residual",
     "curvature_from_metric",
-    "metric_curvature",
     "gauss_metric_fn",
     "sectional_from_metric",
     "gauss_equation_residual",
@@ -269,7 +268,8 @@ def sample_batch(jets: GaussJet, spec0: AngleSpectrum, spec: AngleSpectrum) -> S
     held fixed over its field stencil.
     """
     ff = second_fundamental_form(jets, spec)
-    curvature = metric_curvature(jets)
+    metric = gauss_metric_fn(jets.chart, jets.steps)
+    curvature = curvature_from_metric(metric, jets.point, jets.steps.metric, jets.lift_metric)
     fields = field_derivatives(jets, spec)
     connection = connection_and_s(jets, spec, fields)
     return SampleBatch(jets, spec0, spec, ff, fields, curvature, connection, mean_curvature(ff))
@@ -378,12 +378,6 @@ def curvature_from_metric(metric_fn, p, h: float, g0: np.ndarray) -> np.ndarray:
     return np.einsum("...acbd->...abcd", s) - np.einsum("...adbc->...abcd", s)
 
 
-def metric_curvature(jet: GaussJet) -> np.ndarray:
-    """curvature_from_metric at the point of a jet, or at every row of a batched jet in one call."""
-    metric = gauss_metric_fn(jet.chart, jet.steps)
-    return curvature_from_metric(metric, jet.point, jet.steps.metric, jet.stencil.lift_metric)
-
-
 def sectional_from_metric(r: np.ndarray, g: np.ndarray, x, y):
     """Sectional curvature of span(x, y) from a coordinate curvature tensor.
 
@@ -459,7 +453,7 @@ def sectional_residuals(b: SampleBatch, target: float | None) -> dict[str, np.nd
     i, j = np.triu_indices(b.jets.dim, 1)
     f = b.spec.frame_vel
     # the planes of each point share its tensor and metric
-    r, g = b.curvature[..., None, :, :, :, :], b.jets.stencil.lift_metric[..., None, :, :]
+    r, g = b.curvature[..., None, :, :, :, :], b.jets.lift_metric[..., None, :, :]
     k_met = sectional_from_metric(r, g, f[..., i, :], f[..., j, :])
     k_alg = sectional_curvature(b.spec, b.ff)[..., i, j]
     res = {"sectional_two_route": np.abs(k_alg - k_met).max(axis=-1, initial=0.0)}

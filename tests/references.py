@@ -23,7 +23,7 @@ from quadriclab.gaussmap import (
     second_fundamental_form,
     structure_operators,
 )
-from quadriclab.hypersurfaces import ShapeSpectrum, _shape_data
+from quadriclab.hypersurfaces import _shape_data
 from quadriclab.numerics import ConvergenceError, NumericsError, flagged_row, symmetric_eigen, symmetrize
 from quadriclab.quadric import horizontal_project
 from quadriclab.verify import (
@@ -180,13 +180,13 @@ def ref_chart_invariants(stencil):
         "normal_norm": abs(float(b @ b) - 1.0),
         "orthogonality": abs(float(a @ b)),
         "normal_tangency": float(np.abs(stencil.d_embed @ b).max()),
-        "min_singular_value": float(np.sqrt(max(stencil.gram_spectrum[0], 0.0))),
+        "min_singular_value": float(np.sqrt(max(stencil.gram_eigen[0][0], 0.0))),
     }
 
 
 def ref_horizontality(jet):
     z = jet.lift
-    return float(max(np.abs(jet.coord_first @ np.conj(z)).max(), np.abs(jet.coord_first @ z).max()))
+    return float(max(np.abs(jet.d_lift @ np.conj(z)).max(), np.abs(jet.d_lift @ z).max()))
 
 
 def ref_principal_pattern(jet, n):
@@ -211,7 +211,7 @@ def ref_point_residuals(jet, spec0, spec, fields, curvature, example, gauge, tar
     ff = second_fundamental_form(jet, spec)
     h = ff.h
     conn = ref_connection_and_s(jet.lift, spec, fields, phi)
-    inv = ref_chart_invariants(jet.stencil)
+    inv = ref_chart_invariants(jet)
     b_op, c_op = structure_operators(jet, phi)
     lam, th0 = jet.lambdas, spec0.thetas
     far = np.abs(np.sin(th0)) > 1e-3
@@ -220,7 +220,7 @@ def ref_point_residuals(jet, spec0, spec, fields, curvature, example, gauge, tar
     res = {
         "chart_invariants": max(v for k, v in inv.items() if k != "min_singular_value"),
         "chart_rank_margin": max(0.0, 1e-6 - inv["min_singular_value"]),
-        "lagrangian": float(jet.lagrangian_residual()),
+        "lagrangian": float(jet.lagrangian),
         "horizontality": ref_horizontality(jet),
         "structure_unit_norm": float(np.abs(b_op @ b_op + c_op @ c_op - np.eye(n)).max()),
         "structure_commute": float(np.abs(b_op @ c_op - c_op @ b_op).max()),
@@ -262,7 +262,7 @@ def ref_point_residuals(jet, spec0, spec, fields, curvature, example, gauge, tar
     res["codazzi_equation"] = float(np.abs(nabla - np.transpose(nabla, (1, 0, 2, 3)) - codazzi_rhs).max())
     i, j = np.triu_indices(n, 1)
     f = spec.frame_vel
-    k_met = sectional_from_metric(curvature, jet.stencil.lift_metric, f[i], f[j])
+    k_met = sectional_from_metric(curvature, jet.lift_metric, f[i], f[j])
     k_alg = ref_sectional_curvature_point(spec, h)[i, j]
     res["sectional_two_route"] = float(np.abs(k_alg - k_met).max(initial=0.0))
     if target is not None:
@@ -346,16 +346,16 @@ def ref_sort_angles(thetas, rot):
 
 
 def ref_sort_curvatures(w, v):
-    """principal_curvatures' stable descending sort, curvatures and direction rows, in take_along_axis form."""
+    """ChartStencil.shape_eigen's stable descending sort, curvatures and direction rows, in take_along_axis form."""
     order = np.argsort(-w, axis=-1, kind="stable")
     return np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[..., None, :], axis=-1).swapaxes(-1, -2)
 
 
 def ref_principal_curvatures(st):
-    """ChartStencil.principal_curvatures with its take_along_axis sort."""
+    """ChartStencil.shape_eigen with its take_along_axis sort: curvatures, chart and ambient direction rows."""
     s, t, m = _shape_data(st)
     lambdas, vt = ref_sort_curvatures(*symmetric_eigen(s))
-    return ShapeSpectrum(lambdas=lambdas, directions_chart=vt @ m, directions_ambient=vt @ t)
+    return lambdas, vt @ m, vt @ t
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +392,11 @@ def ref_tangent_data(st):
 
 
 def ref_frame_principal_curvatures(st):
-    """ChartStencil.principal_curvatures on the Gram-Schmidt frame of ref_tangent_data."""
+    """ChartStencil.shape_eigen on the Gram-Schmidt frame of ref_tangent_data."""
     _, t, m = ref_tangent_data(st)
     raw = -(m @ st.d_normal) @ t.swapaxes(-1, -2)
     lambdas, vt = ref_sort_curvatures(*symmetric_eigen(0.5 * (raw + raw.swapaxes(-1, -2))))
-    return ShapeSpectrum(lambdas=lambdas, directions_chart=vt @ m, directions_ambient=vt @ t)
+    return lambdas, vt @ m, vt @ t
 
 
 def ref_exact_principal_curvatures(st):
@@ -449,7 +449,7 @@ def ref_angle_spectrum(jet, phi):
     return AngleSpectrum(
         thetas=thetas,
         frame_vel=frame_vel,
-        frame_ambient=frame_vel @ jet.coord_first,
+        frame_ambient=frame_vel @ jet.d_lift,
         phi=phi,
         diag_residual=off,
     )

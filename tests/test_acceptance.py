@@ -20,9 +20,9 @@ from quadriclab.gaussmap import (
     structure_operators,
 )
 from quadriclab.hypersurfaces import (
+    ChartStencil,
     cartan_tube,
     parallel_hypersurface,
-    principal_curvatures,
     product_spheres,
     round_sphere,
 )
@@ -108,7 +108,7 @@ def test_criterion_02_sphere_gauss_map():
             spec = pt.spec0
             worst_gap = max(worst_gap, float(np.ptp(spec.thetas[0])))
             k = sectional_from_metric(
-                pt.curvature[0], pt.jets.stencil.lift_metric[0], spec.frame_vel[0, 0], spec.frame_vel[0, 1]
+                pt.curvature[0], pt.jets.lift_metric[0], spec.frame_vel[0, 0], spec.frame_vel[0, 1]
             )
             worst_k = max(worst_k, abs(k - 2.0))
     elapsed = time.monotonic() - start
@@ -157,7 +157,7 @@ def test_criterion_04_cartan_tube():
         for i in range(3):
             for j in range(i + 1, 3):
                 k = sectional_from_metric(
-                    pt.curvature[0], pt.jets.stencil.lift_metric[0], spec.frame_vel[i], spec.frame_vel[j]
+                    pt.curvature[0], pt.jets.lift_metric[0], spec.frame_vel[i], spec.frame_vel[j]
                 )
                 worst_k = max(worst_k, abs(k - 0.125))
     elapsed = time.monotonic() - start
@@ -200,7 +200,7 @@ def test_criterion_06_curvature_angle_correspondence():
             worst_canonical = max(worst_canonical, abs(lam - 1.0 / np.tan(th)))
         for c in (0.1, 0.3):
             par = parallel_hypersurface(chart, c)
-            lam_par = np.sort(principal_curvatures(par, x, steps.first).lambdas)[::-1]
+            lam_par = np.sort(ChartStencil(par, x, steps.first).shape_eigen[0])[::-1]
             for lam, th in zip(lam_par, spec.thetas):
                 worst_parallel = max(worst_parallel, abs(lam - 1.0 / np.tan(th + c)))
     report(
@@ -222,7 +222,7 @@ def test_criterion_07_reconstruction_round_trip():
     for t in (0.0, 0.3):
         rec = reconstruct_hypersurface(lift, chart.box, spec, t, 3)
         for x in sample_points(chart, 3):
-            lam = principal_curvatures(rec, x, steps.first).lambdas
+            lam = ChartStencil(rec, x, steps.first).shape_eigen[0]
             worst_lam = max(worst_lam, float(np.abs(lam - 1.0 / np.tan(np.pi / 4.0 + t)).max()))
             d = quadric_distance(gauss_map(rec, x, steps).lift, gauss_map(chart, x, steps).lift)
             worst_q = max(worst_q, d)
@@ -286,7 +286,7 @@ def test_criterion_10_ode_suite(rotational_chart):
     series = chart.meta["alpha"]
     worst_pattern = 0.0
     for x in sample_points(chart, 3):
-        lam = principal_curvatures(chart, x).lambdas
+        lam = ChartStencil(chart, x, 1e-4).shape_eigen[0]
         alpha = series(x[0])[0]
         expected = np.sort([1.0 / np.tan(2 * alpha)] + [-1.0 / np.tan(alpha)] * 2)[::-1]
         worst_pattern = max(worst_pattern, float(np.abs(lam - expected).max()))

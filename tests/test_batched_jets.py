@@ -75,7 +75,6 @@ from quadriclab.verify import (
     curvature_from_metric,
     field_derivatives,
     gauss_metric_fn,
-    metric_curvature,
     sample_batch,
     sectional_from_metric,
 )
@@ -130,7 +129,7 @@ def ref_angle_spectrum(jet, phi=0.0):
     return AngleSpectrum(
         thetas=thetas,
         frame_vel=frame_vel,
-        frame_ambient=frame_vel @ jet.coord_first,
+        frame_ambient=frame_vel @ jet.d_lift,
         phi=phi,
         diag_residual=off,
     )
@@ -284,7 +283,7 @@ def ref_warped_curvature_check(chart, n, c1, steps):
 
     offsets = (-2, -1, 0, 1, 2)
     jets = {c: gauss_map(chart, p + c * h * e0, steps) for c in offsets}
-    gs = {c: jet.stencil.lift_metric for c, jet in jets.items()}
+    gs = {c: jet.lift_metric for c, jet in jets.items()}
     alphas = {c: alpha_from_gauss(jet) for c, jet in jets.items()}
     vs = {c: float(np.sqrt(g[0, 0])) for c, g in gs.items()}
     warps = {c: warp_at(jets[c].point, g) for c, g in gs.items()}
@@ -387,8 +386,11 @@ def test_batch_rows_equal_single_points(name, size, seed):
         phi = normalized_phase(angle_spectrum(one), ref_phi=phis[0])
         assert phis[k] == phi
         assert np.array_equal(jets.lift[k], one.lift)
-        for field in ("lambdas", "principal_vel", "principal_ambient", "on_frame_vel", "coord_first", "coord_second"):
+        for field in ("lambdas", "on_frame_vel", "d_lift", "coord_second"):
             assert np.array_equal(getattr(jets, field)[k], getattr(one, field))
+        # the principal curvatures, chart directions and ambient directions
+        for rows, alone in zip(jets.shape_eigen, one.shape_eigen, strict=True):
+            assert np.array_equal(rows[k], alone)
         for spec, gauge in ((canonical, 0.0), (normalized, phi)):
             want = angle_spectrum(one, gauge)
             for field in ("thetas", "frame_vel", "frame_ambient"):
@@ -568,17 +570,19 @@ def test_batched_curvature_equals_single_points(example, n):
     # call; every row, and a standalone point's own tensor, is the single call
     cfg = RunConfig(command="verify", example=example, n=n, grid=3, seed=11)
     chart = build_example(cfg)
-    jets, steps = cli._sample_jets(chart, cfg)[0], cfg.steps()
+    sample, steps = cli._sample_jets(chart, cfg), cfg.steps()
+    jets = sample[0]
     metric = gauss_metric_fn(chart, steps)
-    batch = curvature_from_metric(metric, jets.point, steps.metric, jets.stencil.lift_metric)
+    batch = curvature_from_metric(metric, jets.point, steps.metric, jets.lift_metric)
     assert batch.shape == (cfg.grid,) + (n,) * 4
-    assert np.array_equal(metric_curvature(jets), batch)
-    nested = curvature_from_metric(metric, jets.point[None], steps.metric, jets.stencil.lift_metric[None])
+    assert np.array_equal(sample_batch(*sample).curvature, batch)
+    nested = curvature_from_metric(metric, jets.point[None], steps.metric, jets.lift_metric[None])
     assert np.array_equal(nested[0], batch)
     for k in range(cfg.grid):
-        one = curvature_from_metric(metric, jets.point[k], steps.metric, jets.stencil.lift_metric[k])
+        one = curvature_from_metric(metric, jets.point[k], steps.metric, jets.lift_metric[k])
         assert np.array_equal(batch[k], one)
-        assert np.array_equal(metric_curvature(gauss_map(chart, jets.point[k], steps)), one)
+        alone = gauss_map(chart, jets.point[k], steps)
+        assert np.array_equal(curvature_from_metric(metric, alone.point, steps.metric, alone.lift_metric), one)
 
 
 @pytest.mark.parametrize("seed", [0, 11])
@@ -599,7 +603,8 @@ def test_report_columns_match_per_point_twin(example, n, gauge, seed):
         assert row["point"] == jet.point.tolist()
         fields = ref_field_derivatives(jet, spec)
         target = cfg.entry.sectional(n)
-        want = ref_point_residuals(jet, spec0, spec, fields, metric_curvature(jet), example, gauge, target)
+        curvature = curvature_from_metric(gauss_metric_fn(chart, jet.steps), jet.point, jet.steps.metric, jet.lift_metric)
+        want = ref_point_residuals(jet, spec0, spec, fields, curvature, example, gauge, target)
         got = {c["name"]: c["residual"] for c in row["checks"]}
         assert list(got) == list(want)
         assert got == want

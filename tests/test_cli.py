@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import dataclasses
+import functools
 import importlib.util
 import io
 import json
@@ -862,8 +863,8 @@ class TestOdeCommand:
     # one column pass over all sample points, whatever the grid. gauss_map
     # checks the Lagrangian residual of the sample jets and of the
     # field-stencil jets, and the lagrangian column reads the sample jets'
-    # kept value; mean_curvature_norm and Palmer's left side read one mean
-    # curvature
+    # cached value; mean_curvature_norm and Palmer's left side read one mean
+    # curvature. A cached property counts its computations, not its reads
     IDENTITY_BUDGET = {
         "verify.connection_and_s": 1,
         "verify.structure_residuals": 1,
@@ -878,7 +879,7 @@ class TestOdeCommand:
         "gaussmap.mean_curvature": 1,
         "rotational.principal_pattern_residual": 1,
         "hypersurfaces.ChartStencil.invariants": 1,
-        "gaussmap.GaussJet.lagrangian_residual": 2,
+        "gaussmap.GaussJet.lagrangian": 2,
         "gaussmap.GaussJet.horizontality_residual": 1,
         "cli.EXAMPLES.checks": 1,
     }
@@ -905,7 +906,13 @@ class TestOdeCommand:
                 monkeypatch.setitem(cli.EXAMPLES, example, dataclasses.replace(entry, checks=counting(name, entry.checks)))
             elif owner:
                 cls = getattr(modules[module], owner[0])
-                monkeypatch.setattr(cls, attr, counting(name, getattr(cls, attr)))
+                fn = getattr(cls, attr)
+                if isinstance(fn, functools.cached_property):
+                    fn = functools.cached_property(counting(name, fn.func))
+                    fn.__set_name__(cls, attr)
+                else:
+                    fn = counting(name, fn)
+                monkeypatch.setattr(cls, attr, fn)
             else:
                 original = getattr(modules[module], attr)
                 for m in modules.values():
@@ -996,6 +1003,8 @@ class TestOdeCommand:
             ["ode", "--alpha0", "1e308"],
             ["verify", "--example", "rotational", "--alpha0", "1e308", "--grid", "1"],
             ["angles", "--example", "rotational", "--alpha0", "1e308", "--grid", "1"],
+            # argparse read a spaced -inf as an option: "expected one argument"
+            ["ode", "--dalpha0", "-inf"],
         ],
     )
     def test_non_finite_flow_input_exits_2(self, tmp_path, capsys, argv):
@@ -1062,6 +1071,11 @@ STOPPED_FLOWS = {
     "first-step-slope": ["ode", "--span", "1e10", "--steps", "3"],
     "non-finite": ["ode", "--span", "1e300", "--steps", "100"],
 }
+# flows whose own step is not zero but whose order probe's is: at its 500 and its 1000 steps
+PROBE_ZERO_STEPS = {
+    "probe-zero-step-500": ["ode", "--span", "1e-321", "--steps", "1"],
+    "probe-zero-step-1000": ["ode", "--span", "2e-321", "--steps", "66"],
+}
 
 
 class TestStoppedFlows:
@@ -1075,9 +1089,10 @@ class TestStoppedFlows:
             ["ode", "--span", "5e-324"],
             ["verify", "--example", "rotational", "--span", "5e-324", "--grid", "1"],
             ["angles", "--example", "rotational", "--span", "5e-324", "--grid", "1"],
+            *PROBE_ZERO_STEPS.values(),
         ],
         ids=[*STOPPED_FLOWS, "verify-non-finite", "angles-non-finite", "zero-tan", "ode-zero-step", "verify-zero-step",
-             "angles-zero-step"],
+             "angles-zero-step", *PROBE_ZERO_STEPS],
     )
     def test_one_error_line(self, tmp_path, capsys, argv):
         # a one-sample trajectory raised IndexError in the equivalence
@@ -1104,6 +1119,17 @@ class TestStoppedFlows:
     def test_names_the_main_trajectory_stop(self, tmp_path, capsys, argv, line):
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr().err == f"error: trajectory stopped early: {line}\n"
+
+    @pytest.mark.parametrize("argv", PROBE_ZERO_STEPS.values(), ids=PROBE_ZERO_STEPS)
+    def test_names_the_order_probe_underflow(self, tmp_path, capsys, argv):
+        # the main run's step is not zero, its order probe's is: the line said
+        # "span / steps underflows" with the probe's 500 or 1000 steps, which
+        # --steps never gave
+        assert run(tmp_path, *argv) == 2
+        span = argv[argv.index("--span") + 1]
+        assert capsys.readouterr().err == (
+            f"error: the order probe's finest step underflows to zero: span = {span} over 1000 steps\n"
+        )
 
     @pytest.mark.parametrize("argv", STOPPED_FLOWS.values(), ids=STOPPED_FLOWS)
     def test_error_line_is_short(self, tmp_path, capsys, argv):
@@ -1202,7 +1228,7 @@ def flag_value(low, high):
 def ode_argv(draw):
     """An ode command line: n, and each flow flag, --steps and --h given or left at its default.
 
-    Values follow an = sign, so that argparse reads -inf or -1e-05 as a value, not a flag.
+    A given value is spelled as `--flag value` or as `--flag=value`.
     """
     argv = ["ode", f"--n={draw(st.integers(1, 8))}"]
     flags = {
@@ -1214,7 +1240,8 @@ def ode_argv(draw):
     }
     for flag, value in flags.items():
         if draw(st.booleans()):
-            argv.append(f"{flag}={draw(value)}")
+            text = draw(value)
+            argv += draw(st.sampled_from([[flag, text], [f"{flag}={text}"]]))
     return argv
 
 
@@ -1234,3 +1261,18 @@ class TestOdeInputContract:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         else:
             assert err.getvalue() == ""
+
+    def test_spaced_negative_exponent_is_a_value(self, tmp_path):
+        # argparse read -1e-05, as repr writes it, as an option and exited 2
+        # with "expected one argument"; spaced, it gives the report bytes of
+        # the = spelling
+        def lines(path):
+            return [l for l in open(path) if '"timestamp"' not in l and '"csv"' not in l]
+
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert run(spaced, "ode", "--dalpha0", "-1e-05") == 0
+        assert run(joined, "ode", "--dalpha0=-1e-05") == 0
+        name = "ode_rotational_report.json"
+        assert lines(spaced / name) == lines(joined / name)
+        assert '"dalpha0": -1e-05' in open(spaced / name).read()
+        assert open(spaced / "profile.csv").read() == open(joined / "profile.csv").read()

@@ -1,7 +1,7 @@
 """Twins of the Gauss-map path's index gathers and one-call stencils, bitwise.
 
 numerics.gather replaced np.take_along_axis in the sorts of angle_spectrum
-and ChartStencil.principal_curvatures and in the gathers of
+and ChartStencil.shape_eigen and in the gathers of
 _align_to_reference; angle_spectrum finds its run boundaries by a slice
 difference and searches for degenerate runs only in a batch that has one;
 ChartStencil evaluates p in its stencil's chart call; gauss_metric_fn
@@ -70,7 +70,7 @@ def test_sorts_match_take_along_axis(n, batch):
     order = np.argsort(w, axis=-1, kind="stable")
     for got, want in zip((gather(w, order), gather(v, order)), ref_sort_angles(w, v)):
         assert_same(got, want)
-    # principal_curvatures: descending curvatures and the direction rows
+    # shape_eigen: descending curvatures and the direction rows
     order = np.argsort(-w, axis=-1, kind="stable")
     for got, want in zip((gather(w, order), gather(v, order).swapaxes(-1, -2)), ref_sort_curvatures(w, v)):
         assert_same(got, want)
@@ -122,7 +122,7 @@ def structure_jet(thetas, rng):
         dim=n,
         point=np.zeros(batch + (n,)),
         on_frame_vel=np.ascontiguousarray(np.broadcast_to(np.eye(n), batch + (n, n))),
-        coord_first=lift_d,
+        d_lift=lift_d,
     )
 
 
@@ -209,9 +209,9 @@ def test_metric_route_is_the_stencil_lift_metric(name, batch):
 def test_principal_curvatures_match_take_along_axis_sort(name, batch):
     chart = CHARTS[name]()
     st = ChartStencil(chart, batch_points(chart, batch, 8), STEPS.first)
-    got, want = st.principal_curvatures(), ref_principal_curvatures(st)
-    for field in ("lambdas", "directions_chart", "directions_ambient"):
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    got, want = st.shape_eigen, ref_principal_curvatures(st)
+    for field, a, b in zip(("lambdas", "directions_chart", "directions_ambient"), got, want, strict=True):
+        assert np.array_equal(a, b), field
 
 
 @pytest.mark.parametrize("name", sorted(CHARTS))
@@ -231,4 +231,4 @@ def test_one_chart_call_per_gauss_map_batch(name):
     rows = 4 * chart.dim * len(p) + len(p)
     assert calls == [("embed", (rows, chart.dim)), ("normal", (rows, chart.dim))]
     want = np.stack([CHARTS[name]().embed(p), CHARTS[name]().normal(p)], axis=-2)
-    assert np.array_equal(jet.stencil.center, want)
+    assert np.array_equal(jet.center, want)

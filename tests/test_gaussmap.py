@@ -51,10 +51,10 @@ def batch_and_points(chart, count=5, seed=12):
 def test_horizontality_rows_equal_single_points(request, fixture):
     # on a batch, the matmul against the lifts raised a core-dimension mismatch
     jets, ones = batch_and_points(request.getfixturevalue(fixture))
-    rows = jets.horizontality_residual()
+    rows = jets.horizontality_residual
     assert rows.shape == (len(ones),)
     for k, one in enumerate(ones):
-        assert rows[k] == one.horizontality_residual() == ref_horizontality(one)
+        assert rows[k] == one.horizontality_residual == ref_horizontality(one)
 
 
 @pytest.mark.parametrize("fixture", CATALOG_FIXTURES)
@@ -121,7 +121,8 @@ class TestGaussJet:
     def test_frame_norm_half_radius(self, sphere_half):
         # |d(lift) e_j|^2 = (1 + lambda^2)/2 = 1 at lambda = 1
         jet = gauss_map(sphere_half, P3)
-        for w in jet.principal_vel @ jet.coord_first:
+        _, principal_vel, _ = jet.shape_eigen
+        for w in principal_vel @ jet.d_lift:
             assert abs(np.vdot(w, w).real - 1.0) < 1e-8
 
     def test_equator_scales_by_half(self):
@@ -129,9 +130,10 @@ class TestGaussJet:
         jet = gauss_map(chart, P3)
         # lambda = 0: d(lift) e_j = e_j / sqrt(2), so the induced metric is
         # half the chart metric
-        for k, w in enumerate(jet.principal_vel @ jet.coord_first):
+        _, principal_vel, principal_ambient = jet.shape_eigen
+        for k, w in enumerate(principal_vel @ jet.d_lift):
             assert abs(np.vdot(w, w).real - 0.5) < 1e-8
-            ambient = jet.principal_ambient[k] / np.sqrt(2.0)
+            ambient = principal_ambient[k] / np.sqrt(2.0)
             np.testing.assert_allclose(w, ambient.astype(complex), atol=1e-8)
 
     def test_horizontality_all_catalog(self, sphere_half, clifford_torus, tube):
@@ -139,13 +141,13 @@ class TestGaussJet:
         for chart in (sphere_half, clifford_torus, tube):
             p = box_sample(chart.box, rng, margin=0.03)
             jet = gauss_map(chart, p)
-            assert jet.horizontality_residual() < 1e-9
+            assert jet.horizontality_residual < 1e-9
 
     def test_lagrangian_all_catalog(self, sphere_half, product_13, tube, rotational_chart):
         rng = np.random.default_rng(4)
         for chart in (sphere_half, product_13, tube, rotational_chart):
             p = box_sample(chart.box, rng, margin=0.05)
-            assert gauss_map(chart, p).lagrangian_residual() < 1e-8
+            assert gauss_map(chart, p).lagrangian < 1e-8
 
     @pytest.mark.parametrize(
         "chart", [round_sphere(3, 1.0 / np.sqrt(2.0)), product_spheres(1, 2, 0.6)]
@@ -290,7 +292,7 @@ class TestAngleSpectrum:
     def test_frame_orthonormal_and_diagonalizing(self, tube):
         jet = gauss_map(tube, P3)
         spec = angle_spectrum(jet)
-        w = spec.frame_vel @ jet.coord_first
+        w = spec.frame_vel @ jet.d_lift
         herm = np.conj(w) @ w.T
         np.testing.assert_allclose(herm.real, np.eye(3), atol=1e-8)
         assert spec.diag_residual < 1e-6

@@ -14,7 +14,6 @@ from quadriclab.hypersurfaces import (
     cartan_tube,
     parallel_hypersurface,
     perturbed_sphere,
-    principal_curvatures,
     product_spheres,
     round_sphere,
     sphere_chart,
@@ -34,7 +33,7 @@ def sample_points(chart, count):
 
 
 def shape_operator(chart, p, h=1e-4):
-    """Matrix of the shape operator in an orthonormal tangent frame at p, as principal_curvatures reads it."""
+    """Matrix of the shape operator in an orthonormal tangent frame at p, as ChartStencil.shape_eigen reads it."""
     return hypersurfaces._shape_data(ChartStencil(chart, p, h))[0]
 
 
@@ -95,7 +94,7 @@ class TestRoundSphere:
         # lambda = cot(rho) with r = sin(rho), i.e. sqrt(1 - r^2) / r
         for r in (0.4, 0.6, 0.9):
             chart = round_sphere(3, r)
-            lam = principal_curvatures(chart, np.array([0.05, 0.1, -0.2])).lambdas
+            lam = ChartStencil(chart, np.array([0.05, 0.1, -0.2]), 1e-4).shape_eigen[0]
             expected = np.sqrt(1 - r * r) / r
             np.testing.assert_allclose(lam, expected, atol=1e-8)
 
@@ -106,7 +105,7 @@ class TestRoundSphere:
 
     def test_isoparametric_constancy(self):
         chart = round_sphere(2, 0.7)
-        lams = np.array([principal_curvatures(chart, p).lambdas for p in sample_points(chart, 10)])
+        lams = np.array([ChartStencil(chart, p, 1e-4).shape_eigen[0] for p in sample_points(chart, 10)])
         assert lams.var(axis=0).max() < 1e-8
 
     def test_invalid_radius(self):
@@ -118,14 +117,14 @@ class TestRoundSphere:
 
 class TestProductSpheres:
     def test_clifford_torus(self, clifford_torus):
-        lam = principal_curvatures(clifford_torus, np.array([0.2, -0.1])).lambdas
+        lam = ChartStencil(clifford_torus, np.array([0.2, -0.1]), 1e-4).shape_eigen[0]
         np.testing.assert_allclose(lam, [1.0, -1.0], atol=1e-8)
 
     def test_general_radii_oracle(self):
         k, n, r1 = 2, 4, 0.6
         r2 = np.sqrt(1 - r1 * r1)
         chart = product_spheres(k, n, r1)
-        lam = principal_curvatures(chart, np.array([0.1, -0.2, 0.15, 0.05])).lambdas
+        lam = ChartStencil(chart, np.array([0.1, -0.2, 0.15, 0.05]), 1e-4).shape_eigen[0]
         expected = np.sort(np.array([r2 / r1] * k + [-r1 / r2] * (n - k)))[::-1]
         np.testing.assert_allclose(lam, expected, atol=1e-8)
 
@@ -143,13 +142,13 @@ class TestProductSpheres:
 
 class TestCartanTube:
     def test_three_distinct_constant_curvatures(self, tube):
-        lams = np.array([principal_curvatures(tube, p).lambdas for p in sample_points(tube, 10)])
+        lams = np.array([ChartStencil(tube, p, 1e-4).shape_eigen[0] for p in sample_points(tube, 10)])
         assert lams.var(axis=0).max() < 1e-8
         lam = lams[0]
         assert min(abs(lam[0] - lam[1]), abs(lam[1] - lam[2])) > 0.1
 
     def test_angle_gaps_are_pi_thirds(self, tube):
-        lam = principal_curvatures(tube, np.array([0.05, -0.1, 0.2])).lambdas
+        lam = ChartStencil(tube, np.array([0.05, -0.1, 0.2]), 1e-4).shape_eigen[0]
         angles = np.sort(np.arctan2(1.0, lam) % np.pi)
         gaps = np.diff(angles)
         np.testing.assert_allclose(gaps, np.pi / 3.0, atol=1e-5)
@@ -184,7 +183,7 @@ class TestCartanTube:
         # the constructor reads focality from -cot(t + k pi/3); the shape
         # operator of the chart's own stencil at the box center agrees
         chart = cartan_tube(t)
-        got = np.sort(ChartStencil(chart, chart.box.center, 1e-4).principal_curvatures().lambdas)
+        got = np.sort(ChartStencil(chart, chart.box.center, 1e-4).shape_eigen[0])
         want = np.sort([-1.0 / np.tan(t + k * np.pi / 3.0) for k in range(3)])
         assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + want**2))
 
@@ -343,9 +342,9 @@ class TestParallel:
         # lambda(t) = cot(arccot(lambda) + t), checked on a non-umbilic chart
         chart = product_spheres(1, 3, 0.55)
         p = np.array([0.1, -0.2, 0.25])
-        lam0 = principal_curvatures(chart, p).lambdas
+        lam0 = ChartStencil(chart, p, 1e-4).shape_eigen[0]
         par = parallel_hypersurface(chart, t)
-        lam_t = principal_curvatures(par, p).lambdas
+        lam_t = ChartStencil(par, p, 1e-4).shape_eigen[0]
         expected = 1.0 / np.tan(np.arctan2(1.0, lam0) + t)
         np.testing.assert_allclose(lam_t, np.sort(expected)[::-1], atol=1e-5)
 
@@ -364,7 +363,7 @@ class TestShapeOperatorSolves:
         spy = lambda m: calls.append(1) or eig(m)
         for module in (numerics, hypersurfaces):
             monkeypatch.setattr(module, "symmetric_eigen", spy)
-        principal_curvatures(product_13, np.array([0.1, -0.2, 0.15]))
+        ChartStencil(product_13, np.array([0.1, -0.2, 0.15]), 1e-4).shape_eigen
         assert len(calls) == 2
 
     @pytest.mark.parametrize("chart", ["sphere_half", "clifford_torus", "product_13", "tube", "rotational_chart"])
@@ -417,6 +416,6 @@ class TestShapeOperatorErrors:
             name="squeezed",
         )
         p = np.array([0.1, -0.2, 0.15])
-        assert 1e-12 < ChartStencil(squeezed, p, 1e-4).gram_spectrum[0] <= 1e-10
+        assert 1e-12 < ChartStencil(squeezed, p, 1e-4).gram_eigen[0][0] <= 1e-10
         with pytest.raises(ChartError, match="rank-deficient"):
-            principal_curvatures(squeezed, p)
+            ChartStencil(squeezed, p, 1e-4).shape_eigen

@@ -34,7 +34,7 @@ RUNS = [
     ["ode", "--span", "1e10", "--steps", "3"],  # a trajectory that stops early: exit 2 naming the stop
 ]
 
-AMBIENT = "the ambient model of the hyperquadric, for ROADMAP item 13(a)"
+AMBIENT = "the ambient model of the hyperquadric, for ROADMAP items 13 and 20"
 
 LIBRARY_ONLY = {
     "quadric.horizontality_residual": AMBIENT,
@@ -46,11 +46,10 @@ LIBRARY_ONLY = {
     "quadric.quadric_curvature": AMBIENT + "; acceptance criterion 01",
     "quadric.horizontal_frame": AMBIENT + "; acceptance criterion 01",
     "quadric.ricci_matrix": AMBIENT + "; acceptance criterion 01 (Einstein constant 2n)",
-    "hypersurfaces.principal_curvatures": "acceptance criteria 06, 07 and 10 (tests/test_acceptance.py)",
     "hypersurfaces.parallel_hypersurface": "ROADMAP item 8(c): parallel families share one Gauss map",
     "hypersurfaces.perturbed_sphere": "ROADMAP item 7: the non-minimal example",
     "hypersurfaces._rho_jet": "ROADMAP item 7: the perturbed sphere's height function",
-    "verify.reconstruct_hypersurface": "acceptance criterion 07; ROADMAP item 13(b)",
+    "verify.reconstruct_hypersurface": "acceptance criterion 07",
     "rotational.AlphaTrajectory.states": "bench/tracing.py counts RK4 steps with it (ROADMAP item 1)",
 }
 

@@ -28,7 +28,7 @@ from quadriclab.rotational import (
 )
 from quadriclab import rotational
 from quadriclab.cli import DEFAULT_TOLERANCES, ORDER_WINDOW, main
-from quadriclab.hypersurfaces import ChartStencil, principal_curvatures
+from quadriclab.hypersurfaces import ChartStencil
 from quadriclab.numerics import hessian_stencil
 from quadriclab.verify import gauss_metric_fn
 from references import box_sample, profile_velocity, ref_profile, ref_rhs, ref_stop_number
@@ -422,7 +422,7 @@ class TestRotationalChart:
         series = rotational_chart.meta["alpha"]
         for _ in range(10):
             x = box_sample(rotational_chart.box, rng, 0.03)
-            lam = principal_curvatures(rotational_chart, x).lambdas
+            lam = ChartStencil(rotational_chart, x, 1e-4).shape_eigen[0]
             alpha = series(x[0])[0]
             expected = np.sort([1.0 / np.tan(2 * alpha)] + [-1.0 / np.tan(alpha)] * 2)[::-1]
             np.testing.assert_allclose(lam, expected, atol=1e-4)
@@ -657,7 +657,7 @@ def test_rotational_chart_n4(traj_n4):
     # the machinery is dimension generic; exercise n = 4 end to end
     chart = build_rotational_chart(traj_n4)
     x = chart.box.center
-    lam = principal_curvatures(chart, x).lambdas
+    lam = ChartStencil(chart, x, 1e-4).shape_eigen[0]
     alpha = chart.meta["alpha"](x[0])[0]
     expected = np.sort([1.0 / np.tan(3 * alpha)] + [-1.0 / np.tan(alpha)] * 3)[::-1]
     np.testing.assert_allclose(lam, expected, atol=1e-4)

@@ -53,7 +53,7 @@ def ref_coord_second(jet):
     for a in range(n):
         e = axis(n, a)
         at = {c: ref_stencil_value(lift, p + c * h2 * e) for c in (2, 1, -1, -2)}
-        second[a, a] = central_second(at[2], at[1], jet.stencil.lift, at[-1], at[-2], h2)
+        second[a, a] = central_second(at[2], at[1], jet.lift, at[-1], at[-2], h2)
         for b in range(a + 1, n):
             m = ref_mixed_derivative(lift, p, e, axis(n, b), h2)
             second[a, b] = m

@@ -74,23 +74,24 @@ def check_frame(chart, frac):
     assert np.abs(t @ t.swapaxes(-1, -2) - np.eye(n)).max() <= 1e-13
     assert np.array_equal(m @ e, t)
 
-    got, ref = stencil.principal_curvatures(), ref_frame_principal_curvatures(stencil)
+    # (curvatures, chart directions, ambient directions)
+    got, ref = stencil.shape_eigen, ref_frame_principal_curvatures(stencil)
     exact = ref_exact_principal_curvatures(stencil)
-    w = stencil.gram_spectrum
+    w = stencil.gram_eigen[0]
     # the reference's own error, eps * cond(G), per point
     allowance = 1e-13 + 4.0 * EPS * (w[:, -1] / w[:, 0])
-    scale = 1.0 + np.abs(ref.lambdas)
-    assert np.all(np.abs(got.lambdas - exact) <= 1e-13 * scale)
-    assert np.all(np.abs(got.lambdas - ref.lambdas) <= allowance[:, None] * scale)
+    scale = 1.0 + np.abs(ref[0])
+    assert np.all(np.abs(got[0] - exact) <= 1e-13 * scale)
+    assert np.all(np.abs(got[0] - ref[0]) <= allowance[:, None] * scale)
 
     for k in range(len(q)):
-        lam = ref.lambdas[k]
+        lam = ref[0][k]
         for group in clusters(lam):
             rest = np.delete(lam, group)
             gap = min(np.abs(lam[group][:, None] - rest).min(initial=np.inf), 1.0)
             tol = allowance[k] * scale[k].max() / gap
-            for field in ("directions_ambient", "directions_chart"):
-                a, b = getattr(got, field)[k][group], getattr(ref, field)[k][group]
+            for field, index in (("directions_ambient", 2), ("directions_chart", 1)):
+                a, b = got[index][k][group], ref[index][k][group]
                 # the span's Gram form, the same for any orthonormal basis of a cluster
                 assert np.abs(a.T @ a - b.T @ b).max() <= tol * np.abs(b.T @ b).max(), (field, group)
 
