@@ -342,11 +342,12 @@ def _summary(rows: list[dict], skipped: list[dict], gates=(), stopped_early: boo
     }
 
 
-def _columns(b: SampleBatch, cfg: RunConfig) -> dict:
-    """Every check of a verify run as one column over its sample points, in report order."""
+def _columns(b: SampleBatch, cfg: RunConfig) -> tuple[dict, list[dict]]:
+    """Every check of a verify run as one column over its sample points, in report order, and the checks it skips."""
     jets, ff = b.jets, b.ff
     inv = jets.invariants()
     target = cfg.entry.sectional(cfg.n)
+    normalized = cfg.gauge == "normalized"
     res = {
         "chart_invariants": np.maximum.reduce([v for k, v in inv.items() if k != "min_singular_value"]),
         "chart_rank_margin": np.maximum(0.0, 1e-6 - inv["min_singular_value"]),
@@ -358,7 +359,7 @@ def _columns(b: SampleBatch, cfg: RunConfig) -> dict:
         "mean_curvature_norm": np.sqrt(row_dot(b.mean_curvature, b.mean_curvature)),
         "palmer_formula": palmer_residual(b)["residual"],
     }
-    if cfg.gauge == "normalized":
+    if normalized:
         res["gauge_one_form"] = np.abs(b.connection.s).max(axis=-1)
     res["connection_antisymmetry"] = b.connection.antisymmetry_defect
     res.update(check_prop1(b))
@@ -366,39 +367,27 @@ def _columns(b: SampleBatch, cfg: RunConfig) -> dict:
     res.update(codazzi_residual(b))
     res.update(sectional_residuals(b, target))
     res.update(cfg.entry.checks(b, cfg.n))
-    if target is not None:
-        res.update(check_csc_identities(b.spec, ff))
-    return res
-
-
-def _skipped_checks(cfg: RunConfig) -> list[dict]:
     skipped = []
-    if cfg.entry.sectional(cfg.n) is None:
-        skipped.append(
-            {
-                "name": "sectional_value",
-                "reason": f"'{cfg.example}' (n={cfg.n}) has no constant-curvature target",
-            }
-        )
-        skipped.append(
+    if target is None:
+        skipped += [
+            {"name": "sectional_value", "reason": f"'{cfg.example}' (n={cfg.n}) has no constant-curvature target"},
             {
                 "name": "csc_identities",
                 "reason": "constant-curvature balance applies to the constant-curvature catalog only",
-            }
-        )
-    if cfg.gauge == "canonical":
+            },
+        ]
+    else:
+        res.update(check_csc_identities(b.spec, ff))
+    if not normalized:
         skipped.append(
-            {
-                "name": "gauge_one_form",
-                "reason": "gauge one-form vanishing is asserted for the normalized gauge",
-            }
+            {"name": "gauge_one_form", "reason": "gauge one-form vanishing is asserted for the normalized gauge"}
         )
-    return skipped
+    return res, skipped
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     b = sample_batch(*_sample_jets(build_example(cfg), cfg))
-    columns = _columns(b, cfg)
+    columns, skipped = _columns(b, cfg)
     rows = zip(*(col.tolist() for col in columns.values()))
     results = [
         _report(cfg.example, point, dict(zip(columns, row)), cfg) for point, row in zip(b.jets.point.tolist(), rows)
@@ -406,7 +395,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.entry.isoparametric:
         variance = {"isoparametric_variance": isoparametric_variance(b.spec0.thetas)}
         results.append(_report(cfg.example, ["all"], variance, cfg))
-    summary = _summary(results, _skipped_checks(cfg))
+    summary = _summary(results, skipped)
     if cfg.entry.isoparametric:
         summary["distinct_angles"] = classify_by_angles(b.spec0.thetas)
     payload = {
@@ -667,6 +656,11 @@ def main(argv=None) -> int:
     except (ConfigError, ChartError, OdeError, VerifyError, GaussMapError, NumericsError, OSError) as exc:
         # one line, also where a message holds a numpy array that wraps
         print("error:", " ".join(line.strip() for line in str(exc).splitlines()), file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's failed allocations are MemoryErrors too; their size grows with n
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory at n = {args.n}" + (f": {detail}" if detail else ""), file=sys.stderr)
         return 2
     summary = payload.get("summary", {})
     status = "PASS" if code == 0 else "FAIL"

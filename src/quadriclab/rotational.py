@@ -228,6 +228,18 @@ def warp_constant(traj: AlphaTrajectory) -> float:
     return float(w0 / np.sqrt(2.0) * np.abs(np.sin(traj.n * traj.alphas[0])) ** (1.0 / traj.n))
 
 
+def _arclength(traj: AlphaTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin n alpha, ds/dtheta = -sqrt(1 - alpha'^2) / (sqrt(2) sin n alpha) and d alpha/ds at every sample.
+
+    s is the arclength of the profile; the square is a product, the
+    correctly rounded square.
+    """
+    pa = traj.dalphas
+    sn = np.sin(traj.n * traj.alphas)
+    ds_dtheta = -np.sqrt(1.0 - pa * pa) / (np.sqrt(2.0) * sn)
+    return sn, ds_dtheta, pa / ds_dtheta
+
+
 def first_integral_residual(traj: AlphaTrajectory, c1: float | None = None) -> float:
     """Conservation defect of the first integral along the trajectory.
 
@@ -240,11 +252,7 @@ def first_integral_residual(traj: AlphaTrajectory, c1: float | None = None) -> f
     n = traj.n
     if c1 is None:
         c1 = warp_constant(traj)
-    pa = traj.dalphas
-    w = np.sqrt(1.0 - pa * pa)
-    sn = np.sin(n * traj.alphas)
-    ds_dtheta = -w / (np.sqrt(2.0) * sn)
-    dalpha_ds = pa / ds_dtheta
+    sn, _, dalpha_ds = _arclength(traj)
     warp = c1 * _pow(np.abs(sn), -1.0 / n)
     lhs = warp * warp * (2.0 + dalpha_ds * dalpha_ds / (sn * sn))
     # fmax skips NaN samples, as a running Python max does
@@ -293,14 +301,9 @@ def ode_equivalence_residual(traj: AlphaTrajectory) -> float:
     th = traj.thetas
     if len(th) < 5:
         return 0.0
-    al = traj.alphas
-    pa = traj.dalphas
-    w = np.sqrt(1.0 - pa**2)
-    sn = np.sin(n * al)
-    ds_dtheta = -w / (np.sqrt(2.0) * sn)
-    q = pa / ds_dtheta  # d alpha / d s
+    _, ds_dtheta, q = _arclength(traj)
     dq_ds = central_first(q[4:], q[3:-1], q[1:-3], q[:-4], th[1] - th[0]) / ds_dtheta[2:-2]
-    mid_al, mid_q = al[2:-2], q[2:-2]
+    mid_al, mid_q = traj.alphas[2:-2], q[2:-2]
     resid = dq_ds - (n + 1) / np.tan(n * mid_al) * mid_q**2 - np.sin(2 * n * mid_al)
     return float(np.abs(resid).max(initial=0.0))
 

@@ -246,8 +246,9 @@ class SampleBatch:
 
     jets holds the Gauss-map jets of the points, spec0 and spec their angle
     spectra in the canonical gauge and in the run's gauge; the cubic form,
-    the field derivatives, the metric-route curvature tensor and the
-    connection data carry the same batch axes in front.
+    the field derivatives, the metric-route curvature tensor (in chart
+    coordinates and in the angle frame of spec) and the connection data
+    carry the same batch axes in front.
     """
 
     jets: GaussJet
@@ -256,6 +257,7 @@ class SampleBatch:
     ff: FundamentalForm
     fields: FieldDerivatives
     curvature: np.ndarray
+    r_frame: np.ndarray  # R(f_i, f_j, f_k, f_l) for the frame rows f_i of spec.frame_vel
     connection: ConnectionData
     mean_curvature: np.ndarray  # of the cubic form: mean_curvature_norm and Palmer's left side
 
@@ -272,7 +274,8 @@ def sample_batch(jets: GaussJet, spec0: AngleSpectrum, spec: AngleSpectrum) -> S
     curvature = curvature_from_metric(metric, jets.point, jets.steps.metric, jets.lift_metric)
     fields = field_derivatives(jets, spec)
     connection = connection_and_s(jets, spec, fields)
-    return SampleBatch(jets, spec0, spec, ff, fields, curvature, connection, mean_curvature(ff))
+    r_frame = _in_frame(curvature, spec.frame_vel)
+    return SampleBatch(jets, spec0, spec, ff, fields, curvature, r_frame, connection, mean_curvature(ff))
 
 
 def _distinct(n: int, k: int) -> np.ndarray:
@@ -378,23 +381,6 @@ def curvature_from_metric(metric_fn, p, h: float, g0: np.ndarray) -> np.ndarray:
     return np.einsum("...acbd->...abcd", s) - np.einsum("...adbc->...abcd", s)
 
 
-def sectional_from_metric(r: np.ndarray, g: np.ndarray, x, y):
-    """Sectional curvature of span(x, y) from a coordinate curvature tensor.
-
-    r is curvature_from_metric's tensor at a point and g the metric there;
-    x, y are one plane (n,), giving a float, or a batch (..., n), giving one
-    curvature per plane, each summed in the same order as it would be alone.
-    """
-    xyyx = np.einsum("...a,...b,...c,...d->...abcd", x, y, y, x)
-    num = np.sum(r * xyyx, axis=(-4, -3, -2, -1))
-    gxx, gyy, gxy = (
-        np.sum(g * np.einsum("...a,...b->...ab", u, v), axis=(-2, -1))
-        for u, v in ((x, x), (y, y), (x, y))
-    )
-    k = num / (gxx * gyy - gxy * gxy)
-    return float(k) if k.ndim == 0 else k
-
-
 def _in_frame(r: np.ndarray, f: np.ndarray) -> np.ndarray:
     """R(f_i, f_j, f_k, f_l) for the rows f_i of f: four single-index contractions
     in a fixed order, O(n^5) each (the five-operand einsum is one O(n^8) loop)."""
@@ -403,9 +389,28 @@ def _in_frame(r: np.ndarray, f: np.ndarray) -> np.ndarray:
     return r
 
 
+def _plane_curvatures(r_frame: np.ndarray, f: np.ndarray, g: np.ndarray, i, j) -> np.ndarray:
+    """Sectional curvatures of the planes span(f_i, f_j), from the tensor in the frame of the rows of f and the metric g."""
+    gram = f @ g @ f.swapaxes(-1, -2)
+    return r_frame[..., i, j, j, i] / (gram[..., i, i] * gram[..., j, j] - gram[..., i, j] * gram[..., i, j])
+
+
+def sectional_from_metric(r: np.ndarray, g: np.ndarray, x, y):
+    """Sectional curvature of span(x, y) from a coordinate curvature tensor.
+
+    r is curvature_from_metric's tensor at a point and g the metric there;
+    x, y are one plane (n,), giving a float, or a batch (..., n), giving one
+    curvature per plane, each summed in the same order as it would be alone.
+    On a plane of two coordinate axes a, b the value is exactly
+    r[..., a, b, b, a] / (g_aa g_bb - g_ab g_ab).
+    """
+    f = np.stack(np.broadcast_arrays(x, y), axis=-2)
+    k = _plane_curvatures(_in_frame(r, f), f, g, 0, 1)
+    return float(k) if k.ndim == 0 else k
+
+
 def gauss_equation_residual(b: SampleBatch) -> dict[str, np.ndarray]:
     """Full curvature comparison: metric route against the algebraic route."""
-    r_frame = _in_frame(b.curvature, b.spec.frame_vel)
     cos2, sin2 = b.spec.cos_sin()
     h = b.ff.h
     delta = np.eye(b.jets.dim)
@@ -416,7 +421,7 @@ def gauss_equation_residual(b: SampleBatch) -> dict[str, np.ndarray]:
         + np.einsum("...jkm,...ilm->...ijkl", h, h)
         - np.einsum("...ikm,...jlm->...ijkl", h, h)
     )
-    return {"gauss_equation": np.abs(r_frame - rhs).max(axis=(-4, -3, -2, -1))}
+    return {"gauss_equation": np.abs(b.r_frame - rhs).max(axis=(-4, -3, -2, -1))}
 
 
 def codazzi_residual(b: SampleBatch) -> dict[str, np.ndarray]:
@@ -451,10 +456,7 @@ def sectional_curvature(spec: AngleSpectrum, ff: FundamentalForm) -> np.ndarray:
 def sectional_residuals(b: SampleBatch, target: float | None) -> dict[str, np.ndarray]:
     """Every frame plane's curvature: algebraic against metric route, and metric route against a target."""
     i, j = np.triu_indices(b.jets.dim, 1)
-    f = b.spec.frame_vel
-    # the planes of each point share its tensor and metric
-    r, g = b.curvature[..., None, :, :, :, :], b.jets.lift_metric[..., None, :, :]
-    k_met = sectional_from_metric(r, g, f[..., i, :], f[..., j, :])
+    k_met = _plane_curvatures(b.r_frame, b.spec.frame_vel, b.jets.lift_metric, i, j)
     k_alg = sectional_curvature(b.spec, b.ff)[..., i, j]
     res = {"sectional_two_route": np.abs(k_alg - k_met).max(axis=-1, initial=0.0)}
     if target is not None:

@@ -31,7 +31,6 @@ from quadriclab.verify import (
     connection_and_s,
     field_derivatives,
     sample_batch,
-    sectional_from_metric,
 )
 
 
@@ -145,6 +144,19 @@ def ref_in_frame_contractions(r, f):
     return r
 
 
+def ref_sectional_from_metric(r, g, x, y):
+    """Sectional curvature of span(x, y) through the plane's outer product x y y x, an n^4 array per plane.
+
+    r and g broadcast against the planes (..., n) of x and y.
+    """
+    xyyx = np.einsum("...a,...b,...c,...d->...abcd", x, y, y, x)
+    num = np.sum(r * xyyx, axis=(-4, -3, -2, -1))
+    gxx, gyy, gxy = (
+        np.sum(g * np.einsum("...a,...b->...ab", u, v), axis=(-2, -1)) for u, v in ((x, x), (y, y), (x, y))
+    )
+    return num / (gxx * gyy - gxy * gxy)
+
+
 def ref_sectional_curvature_point(spec, h):
     th = spec.thetas
     k = 2.0 * np.cos(th[:, None] - th[None, :]) ** 2 + (
@@ -249,7 +261,9 @@ def ref_point_residuals(jet, spec0, spec, fields, curvature, example, gauge, tar
         + np.einsum("jkm,ilm->ijkl", h, h)
         - np.einsum("ikm,jlm->ijkl", h, h)
     )
-    res["gauss_equation"] = float(np.abs(ref_in_frame_contractions(curvature, spec.frame_vel) - gauss_rhs).max())
+    f = spec.frame_vel
+    r_frame = ref_in_frame_contractions(curvature, f)
+    res["gauss_equation"] = float(np.abs(r_frame - gauss_rhs).max())
     omega = conn.omega
     nabla = (
         fields.d_cubic
@@ -261,8 +275,8 @@ def ref_point_residuals(jet, spec0, spec, fields, curvature, example, gauge, tar
     codazzi_rhs = np.einsum("ij,jk,il->ijkl", sin2d, delta, delta) + np.einsum("ij,ik,jl->ijkl", sin2d, delta, delta)
     res["codazzi_equation"] = float(np.abs(nabla - np.transpose(nabla, (1, 0, 2, 3)) - codazzi_rhs).max())
     i, j = np.triu_indices(n, 1)
-    f = spec.frame_vel
-    k_met = sectional_from_metric(curvature, jet.lift_metric, f[i], f[j])
+    gram = f @ jet.lift_metric @ f.T
+    k_met = r_frame[i, j, j, i] / (gram[i, i] * gram[j, j] - gram[i, j] * gram[i, j])
     k_alg = ref_sectional_curvature_point(spec, h)[i, j]
     res["sectional_two_route"] = float(np.abs(k_alg - k_met).max(initial=0.0))
     if target is not None:

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy._core._exceptions import _ArrayMemoryError
 
 from quadriclab import cli, gaussmap, hypersurfaces, numerics, rotational
 from quadriclab.cli import RunConfig, ConfigError, kronecker_points, main
@@ -1161,6 +1162,31 @@ class TestOneLineErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert "rank-deficient" in err
+
+
+class TestOutOfMemory:
+    # a MemoryError that left a command was a traceback. Each stage here
+    # raises it itself, so no test allocates a large array; numpy's
+    # allocation failure is built, not provoked
+    @pytest.mark.parametrize(
+        "error, detail",
+        [
+            (MemoryError(), ""),
+            (
+                _ArrayMemoryError((24,) * 6, np.dtype(float)),
+                ": Unable to allocate 1.42 GiB for an array with shape (24, 24, 24, 24, 24, 24) and data type float64",
+            ),
+        ],
+        ids=["bare", "numpy"],
+    )
+    @pytest.mark.parametrize("command, stage", [("verify", "sample_batch"), ("angles", "_sample_jets"), ("ode", "_flow")])
+    def test_one_error_line_names_n(self, tmp_path, capsys, monkeypatch, command, stage, error, detail):
+        def exhausted(*args):
+            raise error
+
+        monkeypatch.setattr(cli, stage, exhausted)
+        assert run(tmp_path, command, "--n", "24") == 2
+        assert capsys.readouterr() == ("", f"error: out of memory at n = 24{detail}\n")
 
 
 class TestNanResiduals:

@@ -23,7 +23,6 @@ CONTRACTIONS = {
     # but it rounds differently, so the cubic-form residuals would move
     ("gaussmap", "second_fundamental_form", "...ia,...jb,...abm->...ijm"): (4, 1, "jet"),
     ("verify", "curvature_from_metric", "...ef,...eac,...fbd->...acbd"): (6, 0, "point"),
-    ("verify", "sectional_from_metric", "...a,...b,...c,...d->...abcd"): (4, 0, "plane"),
     ("verify", "gauss_equation_residual", "jk,il,...ij->...ijkl"): (4, 0, "point"),
     ("verify", "gauss_equation_residual", "ik,jl,...ij->...ijkl"): (4, 0, "point"),
     ("verify", "codazzi_residual", "...ij,jk,il->...ijkl"): (4, 0, "point"),

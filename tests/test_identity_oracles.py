@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quadriclab.verify import (
     ConnectionData,
@@ -280,6 +281,35 @@ def test_sectional_batch_equals_single_planes(data):
             single = sectional_from_metric(r, g, x[idx], y[idx])
             assert isinstance(single, float)
             assert single == batch[idx]
+
+
+@st.composite
+def axis_plane_data(draw):
+    """A curvature tensor and a metric, both with or without a batch axis, and two distinct coordinate axes."""
+    n = draw(st.integers(2, 5))
+    lead = draw(st.sampled_from(((), (3,))))
+    values = st.floats(-1e3, 1e3)
+    r = draw(arrays(np.float64, lead + (n,) * 4, elements=values))
+    g = draw(arrays(np.float64, lead + (n, n), elements=values))
+    a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return r, g, a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(axis_plane_data())
+def test_sectional_on_axis_planes_reads_one_entry(data):
+    # the warped-product check's orbit plane is two coordinate axes: there
+    # the value is one tensor entry over the 2x2 Gram determinant, bitwise.
+    # A zero determinant gives inf or nan either way, the sign of an inf
+    # that of a signed zero, which the sums do not keep
+    r, g, a, b = data
+    eye = np.eye(r.shape[-1])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        got = sectional_from_metric(r, g, eye[a], eye[b])
+        want = r[..., a, b, b, a] / (g[..., a, a] * g[..., b, b] - g[..., a, b] * g[..., a, b])
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(np.where(finite, got, 0.0), np.where(finite, want, 0.0))
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 12])

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from quadriclab import cli
 from quadriclab.gaussmap import angle_spectrum, gauge_normalize, gauss_map, second_fundamental_form
 from quadriclab.hypersurfaces import ChartStencil, round_sphere
 from quadriclab.verify import (
@@ -17,12 +19,14 @@ from quadriclab.verify import (
     gauss_metric_fn,
     isoparametric_variance,
     reconstruct_hypersurface,
+    sample_batch,
     sectional_curvature,
     sectional_from_metric,
+    sectional_residuals,
     _cyclic_match,
 )
 from quadriclab.gaussmap import mod_pi_clusters, mod_pi_distance, nearest_mod_pi
-from references import box_sample, point_batch, quadric_distance
+from references import box_sample, point_batch, quadric_distance, ref_sectional_from_metric
 
 P3 = np.array([0.1, -0.2, 0.15])
 
@@ -165,6 +169,49 @@ class TestCurvature:
         ):
             rep = at_point(gauss_equation_residual(point(chart, p, normalized=True)))
             assert rep["gauss_equation"] < 1e-3
+
+
+def run_batch(example, n, grid=3):
+    """The SampleBatch of a verify run's sample points, with the run's sectional target."""
+    cfg = cli.RunConfig(command="verify", example=example, n=n, grid=grid)
+    return sample_batch(*cli._sample_jets(cli.build_example(cfg), cfg)), cfg.entry.sectional(n)
+
+
+@pytest.fixture(scope="module")
+def sphere_12():
+    # round_sphere(12, 1/sqrt(2)) at 3 points
+    return run_batch("sphere", 12)
+
+
+class TestSectionalFromFrame:
+    def test_peak_memory_is_not_per_plane(self, sphere_12):
+        # the per-plane outer product x y y x of the 66 frame planes held
+        # about 63 MB at n = 12; reading the frame tensor holds a few n^2 arrays
+        b, target = sphere_12
+        tracemalloc.start()
+        try:
+            sectional_residuals(b, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * b.curvature.nbytes
+
+    @pytest.mark.parametrize("example, n", [("sphere", 12), ("sphere", 3), ("product", 3), ("cartan", 3), ("rotational", 4)])
+    def test_matches_per_plane_outer_product(self, sphere_12, example, n):
+        b, target = sphere_12 if (example, n) == ("sphere", 12) else run_batch(example, n)
+        i, j = np.triu_indices(n, 1)
+        f = b.spec.frame_vel
+        k_met = ref_sectional_from_metric(
+            b.curvature[..., None, :, :, :, :], b.jets.lift_metric[..., None, :, :], f[..., i, :], f[..., j, :]
+        )
+        k_alg = sectional_curvature(b.spec, b.ff)[..., i, j]
+        want = {"sectional_two_route": np.abs(k_alg - k_met).max(axis=-1)}
+        if target is not None:
+            want["sectional_value"] = np.abs(k_met - target).max(axis=-1)
+        got = sectional_residuals(b, target)
+        assert list(got) == list(want)
+        for name in want:
+            assert np.abs(got[name] - want[name]).max() <= 1e-13 * np.abs(k_met).max(), name
 
 
 class TestCodazzi:
