@@ -119,7 +119,8 @@ ORDER_PROBE_STEPS = 250
 # global-error ratios under step halving that pass the order gate; a
 # fourth-order method gives 2^4 = 16
 ORDER_WINDOW = (12.0, 20.0)
-# rows of profile.csv formatted by one %-operation: %r of a float is its repr
+# rows of profile.csv per _csv_lines call and per write: the kernel's
+# temporaries, about 1 MB at six columns, are what one block holds
 CSV_BLOCK_ROWS = 1024
 
 
@@ -235,6 +236,18 @@ class RunConfig:
         if not low <= self.n <= (high or self.n):
             need = f"n >= {low}" if high is None else f"n = {low}" if low == high else f"{low} <= n <= {high}"
             raise ConfigError(f"example '{self.example}' needs {need}, got n = {self.n}")
+        if self.command != "ode":
+            # the sample points start from arrays of n and of grid numbers and
+            # from (seed + 1) as a float; ode samples no points. numpy refuses
+            # arrays past sys.maxsize // 16 items of 8 bytes with a ValueError,
+            # where a smaller one that does not fit is a MemoryError
+            for name, size in (("n", self.n), ("grid", self.grid)):
+                if size > sys.maxsize // 16:
+                    raise ConfigError(f"{name} = {size} is more than an array can hold ({sys.maxsize // 16} numbers)")
+            try:
+                float(self.seed + 1)
+            except OverflowError:
+                raise ConfigError(f"seed has {len(str(abs(self.seed)))} digits; seed + 1 must fit in a float") from None
 
     @property
     def entry(self) -> Example:
@@ -476,16 +489,182 @@ def _out_dir(cfg: RunConfig) -> str:
 
 
 def _write_profile_csv(cfg: RunConfig, traj, gammas: np.ndarray) -> str:
+    """Write profile.csv: a header, then theta, alpha, dalpha, gx, gy, gz per sample.
+
+    Every number is the text float.__repr__ gives it, so the bytes are those
+    of a row-by-row repr writer. Each block of CSV_BLOCK_ROWS rows is stacked
+    from the columns, formatted by one _csv_lines call and written at once.
+    """
     out_dir = _out_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "profile.csv")
-    table = np.column_stack([traj.thetas, traj.alphas, traj.dalphas, gammas])
-    with open(path, "w") as fh:
-        fh.write("theta,alpha,dalpha,gx,gy,gz\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start : start + CSV_BLOCK_ROWS]
-            fh.write(("%r,%r,%r,%r,%r,%r\n" * len(block)) % tuple(block.ravel().tolist()))
+    columns = (traj.thetas, traj.alphas, traj.dalphas, gammas)
+    with open(path, "wb") as fh:
+        fh.write(b"theta,alpha,dalpha,gx,gy,gz")
+        for start in range(0, len(traj.thetas), CSV_BLOCK_ROWS):
+            fh.write(_csv_lines(np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in columns])))
+        fh.write(b"\n")
     return path
+
+
+# ---------------------------------------------------------------------------
+# float.__repr__ of a block of floats at once
+# ---------------------------------------------------------------------------
+#
+# repr writes the shortest decimal that reads back as the same double, and of
+# several such, the nearest. _shortest_digits finds it with integer arithmetic
+# on one exact product per value (after F. Loitsch, "Printing floating-point
+# numbers quickly and accurately with integers", PLDI 2010), and leaves every
+# value it cannot certify to float.__repr__ itself.
+
+def _veltkamp(x):
+    """x as a high part of 26 bits plus the exact rest: products of two such parts are exact."""
+    t = x * 134217729.0  # 2**27 + 1
+    high = t - (t - x)
+    return high, x - high
+
+
+# 10**k for k = 0..22, each an exact double (5**22 < 2**53), and its parts
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HIGH, _POW10_LOW = _veltkamp(_POW10)
+# the distances below take one rounding, an error under 1e-14, and their
+# bounds are exact: a value this close to a tie or to its round-trip bound,
+# where either decides, goes to float.__repr__
+_REPR_MARGIN = 1e-9
+
+
+def _times_power_of_ten(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a 10**k exactly, as high + low, high the rounded product (Dekker's product; 0 <= k <= 22)."""
+    scale = np.take(_POW10, k)
+    high = a * scale
+    ah, al = _veltkamp(a)
+    sh, sl = np.take(_POW10_HIGH, k), np.take(_POW10_LOW, k)
+    return high, al * sl - (((high - ah * sh) - al * sh) - ah * sl)
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digits float.__repr__ writes for each float of x, where they can be certified.
+
+    Returns (d, point, fast). Where fast, |x| reads back from 0.D x 10**point,
+    D the 17 digits of d (10**16 <= d < 10**17, or d = 0 for a zero) with its
+    trailing zeros dropped, and that is repr's choice. fast is False, and d
+    and point mean nothing, for the non-finite values, for 0 < |x| < 1e-6 or
+    |x| >= 1e16 (10**k below is then no exact double), for a mantissa that is
+    a power of two (its rounding interval is lopsided), and for a value within
+    _REPR_MARGIN of a tie or of its round-trip bound where that decides.
+    """
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= 1e-6) & (a < 1e16)
+    a = np.where(fast, a, 3.0)  # a stand-in for the rest: no warnings, no NaN cast to int
+    mantissa, exponent = np.frexp(a)
+    fast &= mantissa != 0.5
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    # p = a 10**k in [1e16, 1e17); where log10 misrounds near a power of ten,
+    # p falls outside and the value falls back
+    high, low = _times_power_of_ten(a, 16 - e10)
+    fast &= ((high > 1e16) | ((high == 1e16) & (low >= 0.0))) & (high < 1e17)
+    whole = high.astype(np.int64)  # high >= 2**53 holds a whole number
+    # a decimal reads back as a when it lies within half an ulp of a: of p, times 10**k
+    bound = np.ldexp(np.take(_POW10, 16 - e10), exponent - 54)
+    # the nearest 15-, 16- and 17-digit decimals to p, the first that reads
+    # back kept; the 15-digit grid is wider than an ulp, so no shorter decimal
+    # reads back unless the nearest 15-digit one does, and the nearest 17-digit
+    # one always does. A value is unsure where a decimal that decides is near
+    # its bound, or is kept while near a tie with the next nearest
+    d = np.zeros_like(whole)
+    settled = np.zeros(x.shape, bool)
+    for step in (100, 10, 1):
+        q = whole // step
+        r = (whole - q * step).astype(np.float64)
+        c = np.rint((r + low) / step)
+        dist = np.abs((r - c * step) + low)
+        reads_back = dist < bound
+        near_tie = np.abs(dist - 0.5 * step) <= _REPR_MARGIN
+        fast &= settled | ~((np.abs(dist - bound) <= _REPR_MARGIN) | (reads_back & near_tie))
+        np.copyto(d, (q + c.astype(np.int64)) * step, where=reads_back & ~settled)
+        settled |= reads_back
+    fast &= d < 10**17
+    d[zero] = 0
+    return d, np.where(zero, 0, e10 + 1), fast | zero
+
+
+_WORD = np.dtype("<u4")
+# The text of a value is picked from a slot of 48 bytes, built as 12 words:
+#   0- 3  separator, '-', '0', '.'    the separator goes before the value
+#   4- 7  '0', '0', '0', D[0]         the zeros of 0.000D, then the digits once,
+#   8-23  D[1:17]                     for the part before the point ...
+#  24-27  '.', -, -, D[0]
+#  28-43  D[1:17]                     ... and once for the part after it
+#  44-47  'e', '-', '0', exponent     for 1e-6 <= |x| < 1e-4
+_SLOT = np.frombuffer(b",-0.000\0" + b"0" * 16 + b".\0\0\0" + b"0" * 16 + b"e-0\0", _WORD)
+_NEWLINE_WORD = np.frombuffer(b"\n-0.", _WORD)[0]
+
+
+# the four ASCII digits of each g < 10**4 as one word; for g the j-th four
+# digits of D[1:17], _DIGIT_COUNT[j, g] is the length of D up to its last
+# nonzero digit if that is among them, else 1
+_D = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1)  # column g: the digits of g
+_DIGIT_WORDS = np.ascontiguousarray(_D.T + ord("0")).view(_WORD).ravel()
+_TRAILING_ZEROS = np.argmax(_D[::-1] != 0, axis=0)
+_DIGIT_COUNT = np.where(_D.any(axis=0), 4 * np.arange(4)[:, None] + 5 - _TRAILING_ZEROS, 1).astype(np.int8)
+# which slot bytes are the text, one row of 12 words per key
+# ((point + 5) 17 + digit count - 1) 2 + sign; repr writes exponent form
+# for point <= -4 (and for point > 16, left to repr itself)
+_P, _N, _S, _C = np.ogrid[-5:17, 1:18, 0:2, 0:48]
+_EXP, _FRACTION = _P <= -4, (-4 < _P) & (_P <= 0)
+_BEFORE = np.where(_EXP, 1, np.maximum(_P, 0))  # digits before the point
+_CSV_KEEP = (
+    (_C == 0)
+    | ((_C == 1) & (_S == 1))
+    | ((_C >= 2) & (_C <= 3) & _FRACTION)
+    | ((_C >= 4) & (_C <= 6) & _FRACTION & (_C - 4 < -_P))
+    | ((_C >= 7) & (_C - 7 < _BEFORE))
+    | ((_C == 24) & ((_P >= 1) | (_EXP & (_N > 1))))
+    | ((_C - 27 >= _BEFORE) & (_C - 27 < np.maximum(_N, _P + 1)))
+    | ((_C >= 44) & _EXP)
+).reshape(-1, 48).view(_WORD)
+del _D, _TRAILING_ZEROS, _P, _N, _S, _C, _EXP, _FRACTION, _BEFORE
+
+
+def _csv_slots(d: np.ndarray, point: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (values, 48) byte slots of _shortest_digits' values, and the length of each D without its trailing zeros."""
+    first = d // 10**16
+    rest = d - first * 10**16
+    upper = rest // 10**8
+    halves = np.stack([upper, rest - upper * 10**8]).astype(np.int32)  # int32 divides faster
+    tops = halves // 10**4
+    groups = np.stack([tops, halves - tops * 10**4], axis=1).reshape(4, -1)  # D[1:17], four digits each
+    words = np.empty((12, len(d)), _WORD)
+    words[0] = _SLOT[0]
+    words[0, ::cols] = _NEWLINE_WORD
+    words[1] = _SLOT[1] | (first + ord("0")) << 24
+    words[6] = _SLOT[6] | (first + ord("0")) << 24
+    words[11] = _SLOT[11] | (ord("1") - point) << 24  # e-05 or e-06 at point -4 or -5
+    counts = []
+    for j, g in enumerate(groups):
+        words[2 + j] = words[7 + j] = np.take(_DIGIT_WORDS, g)
+        counts.append(np.take(_DIGIT_COUNT[j], g))
+    return np.ascontiguousarray(words.T).view(np.uint8), np.maximum.reduce(counts)
+
+
+def _csv_lines(block: np.ndarray) -> bytes:
+    """The rows of a (rows, columns) float64 block as CSV text, each value as float.__repr__ writes it.
+
+    Each row follows its line end: the writer ends the header without one and
+    the file with one.
+    """
+    x = block.ravel()
+    d, point, fast = _shortest_digits(x)
+    text, count = _csv_slots(d, point, block.shape[1])
+    key = ((point + 5) * 17 + count - 1) * 2 + np.signbit(x)
+    key[~fast] = 0  # any row: the loop below replaces it
+    keep = np.take(_CSV_KEEP, key, axis=0).view(bool)
+    for i in np.flatnonzero(~fast).tolist():
+        line = text[i, :1].tobytes() + repr(x.item(i)).encode()
+        text[i, : len(line)] = np.frombuffer(line, np.uint8)
+        keep[i] = np.arange(48) < len(line)
+    return text[keep].tobytes()
 
 
 # float.__repr__ of the non-finite floats -> the text json writes for them

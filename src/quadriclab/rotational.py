@@ -281,11 +281,10 @@ def _curve_and_conormal(theta, alpha, dalpha):
 def profile_curve(traj: AlphaTrajectory) -> np.ndarray:
     """The (N, 3) profile-curve points of the trajectory's samples, each checked to lie on the unit sphere."""
     gammas = np.stack(_curve_and_conormal(traj.thetas, traj.alphas, traj.dalphas)[:3], axis=-1)
-    norms = np.linalg.norm(gammas, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-8:
-        raise OdeError(
-            f"profile curve left the unit sphere (defect {np.abs(norms-1).max():.2e})"
-        )
+    defect = np.abs(np.linalg.norm(gammas, axis=1) - 1.0).max()
+    # negated, so that a NaN defect fails too
+    if not defect <= 1e-8:
+        raise OdeError(f"profile curve left the unit sphere (defect {defect:.2e})")
     return gammas
 
 
@@ -390,16 +389,17 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
     al, pa, th = traj.alphas, traj.dalphas, traj.thetas
     if len(th) < 2:
         raise OdeError(f"a chart needs at least two samples, the trajectory has {len(th)}")
-    if np.min(np.sin(n * al)) <= GUARD_BAND:
+    # each gate negated, so that a NaN sample fails it too
+    if not np.min(np.sin(n * al)) > GUARD_BAND:
         raise OdeError("sin(n alpha) leaves the positive regime on this trajectory")
-    if np.min(np.sin((n - 1) * al)) <= 1e-6 or np.min(np.sin(al)) <= 1e-6:
+    if not (np.min(np.sin((n - 1) * al)) > 1e-6 and np.min(np.sin(al)) > 1e-6):
         raise OdeError(
             "profile angle leaves the regime 0 < alpha < pi/(n-1) supported "
             "by the chart formulas"
         )
     w = np.sqrt(1.0 - pa**2)
     radius = np.abs(np.sin(al) * w)
-    if radius.min() <= 1e-4:
+    if not radius.min() > 1e-4:
         raise OdeError(
             f"orbit radius vanishes along the curve (min {radius.min():.2e}): "
             f"the rotation axis is hit"

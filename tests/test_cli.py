@@ -1152,6 +1152,71 @@ class TestStoppedFlows:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+HUGE = str(10**20)
+SEED_401_DIGITS = "1" + "0" * 400
+SEED_LINE = "error: seed has 401 digits; seed + 1 must fit in a float\n"
+
+
+def size_line(name, size):
+    return f"error: {name} = {size} is more than an array can hold ({sys.maxsize // 16} numbers)\n"
+
+
+# runs whose n, grid or seed the sample points cannot take: each is a bad
+# input, exit 2 with one `error:` line
+OVERSIZED_INTEGERS = {
+    "verify-seed-401-digits": (["verify", "--seed", SEED_401_DIGITS], SEED_LINE),
+    "angles-seed-401-digits": (["angles", "--seed", SEED_401_DIGITS], SEED_LINE),
+    "verify-negative-seed-401-digits": (["verify", "--seed", "-" + SEED_401_DIGITS], SEED_LINE),
+    "angles-n-1e20": (["angles", "--n", HUGE], size_line("n", HUGE)),
+    "verify-grid-1e20": (["verify", "--grid", HUGE], size_line("grid", HUGE)),
+    "verify-grid-2e62": (["verify", "--grid", str(2**62)], size_line("grid", 2**62)),
+}
+
+
+class TestOversizedIntegers:
+    @pytest.mark.parametrize("argv, line", OVERSIZED_INTEGERS.values(), ids=OVERSIZED_INTEGERS)
+    def test_one_error_line(self, tmp_path, capsys, argv, line):
+        # each was a traceback with exit code 1: OverflowError in
+        # kronecker_points, or numpy's ValueError for an array past its size
+        assert run(tmp_path, *argv) == 2
+        assert capsys.readouterr() == ("", line)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ode", "--seed", SEED_401_DIGITS, "--steps", "400"],
+            ["ode", "--grid", HUGE, "--steps", "400"],
+            ["verify", "--seed", str(10**18), "--grid", "1"],
+            ["angles", "--seed", str(-(10**300)), "--grid", "1"],
+        ],
+        ids=["ode-seed", "ode-grid", "verify-seed-1e18", "angles-seed-minus-1e300"],
+    )
+    def test_values_that_ran_still_run(self, tmp_path, argv):
+        # ode samples no points, and a seed whose float is finite has a start
+        assert run(tmp_path, *argv) == 0
+
+
+# one small run per command; under -W error a numpy warning is an error
+WARNING_FREE_RUNS = {
+    "ode": ["ode", "--n", "3"],
+    "verify": ["verify", "--example", "rotational", "--n", "4", "--grid", "2"],
+    "angles": ["angles", "--example", "cartan", "--grid", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", WARNING_FREE_RUNS.values(), ids=WARNING_FREE_RUNS)
+def test_warning_free_in_a_process(tmp_path, argv):
+    # in process, pytest's filter turns RuntimeWarnings into errors, and a
+    # warning inside code that catches the error would not show; a process
+    # under -W error exits with a traceback on any warning
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "quadriclab.cli", *argv, "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestOneLineErrors:
     @pytest.mark.parametrize("command", ["verify", "angles"])
     @pytest.mark.parametrize("n", [6, 7, 8])

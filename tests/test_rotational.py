@@ -342,6 +342,35 @@ class TestProfileCurve:
         assert np.abs(fd - analytic).max() < 1e-5
 
 
+def _with_nan(field: str) -> AlphaTrajectory:
+    """The 401-sample default n = 3 trajectory with one NaN sample of alpha or alpha'."""
+    traj = integrate_alpha(3, np.pi / 12.0, 0.0, 0.8, 400)
+    columns = {"alphas": traj.alphas.copy(), "dalphas": traj.dalphas.copy()}
+    columns[field][200] = np.nan
+    return AlphaTrajectory(3, traj.thetas, columns["alphas"], columns["dalphas"])
+
+
+class TestNanSamples:
+    """Every gate on a trajectory is a negated comparison: a NaN sample fails it.
+
+    integrate_alpha never appends a non-finite sample, so no command reaches
+    these; before, each call returned one NaN row or a chart.
+    """
+
+    @pytest.mark.parametrize("field", ["alphas", "dalphas"])
+    def test_profile_curve_raises(self, field):
+        with pytest.raises(OdeError, match=r"profile curve left the unit sphere \(defect nan\)"):
+            profile_curve(_with_nan(field))
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("alphas", r"sin\(n alpha\) leaves the positive regime"), ("dalphas", r"orbit radius vanishes .* \(min nan\)")],
+    )
+    def test_chart_raises(self, field, message):
+        with pytest.raises(OdeError, match=message):
+            build_rotational_chart(_with_nan(field))
+
+
 class TestOdeEquivalence:
     def test_arclength_form_residual(self, rotational_trajectory):
         assert ode_equivalence_residual(rotational_trajectory) < 1e-5
