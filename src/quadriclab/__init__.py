@@ -21,8 +21,6 @@ from .hypersurfaces import (
     FocalRadiusError,
     HypersurfaceChart,
     cartan_tube,
-    parallel_hypersurface,
-    perturbed_sphere,
     product_spheres,
     round_sphere,
 )
@@ -50,7 +48,6 @@ from .verify import (
     connection_and_s,
     gauss_equation_residual,
     palmer_residual,
-    reconstruct_hypersurface,
     sample_batch,
     sectional_curvature,
 )

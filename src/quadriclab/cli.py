@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -266,17 +267,10 @@ class RunConfig:
         return FdSteps(self.h)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "example": self.example,
-            "n": self.n,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "grid": self.grid,
-            "h": self.h,
-            "gauge": self.gauge,
-            "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
-            "seed": self.seed,
-        }
+        """Every field but out, as the report's config; report_text sorts the keys."""
+        config = asdict(self)
+        del config["out"]
+        return config
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +289,15 @@ def _primes(count: int) -> list[int]:
 
 
 def kronecker_points(box: Box, count: int, seed: int, margin: float) -> np.ndarray:
-    """(count, dim) low-discrepancy interior points: additive irrational rotations per axis."""
+    """(count, dim) low-discrepancy interior points: additive irrational rotations per axis.
+
+    The start of axis i is (seed + 1)·sqrt(p) mod 1 for the (dim + i)-th
+    prime p; a seed whose start overflows a float is a ConfigError.
+    """
     dim = box.dim
     primes = _primes(2 * dim)
+    if math.isinf(float(seed + 1) * math.sqrt(primes[-1])):
+        raise ConfigError(f"seed = {seed}: the start (seed + 1) * sqrt({primes[-1]}) overflows a float")
     alphas = np.array([np.sqrt(p) % 1.0 for p in primes[:dim]])
     start = np.array(
         [((seed + 1) * np.sqrt(primes[dim + i])) % 1.0 for i in range(dim)]
@@ -837,9 +837,11 @@ def main(argv=None) -> int:
         print("error:", " ".join(line.strip() for line in str(exc).splitlines()), file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # numpy's failed allocations are MemoryErrors too; their size grows with n
+        # numpy's failed allocations are MemoryErrors too; their size grows
+        # with n, and in verify and angles with the grid of sample points
         detail = " ".join(str(exc).split())
-        print(f"error: out of memory at n = {args.n}" + (f": {detail}" if detail else ""), file=sys.stderr)
+        where = f"n = {args.n}" if args.command == "ode" else f"n = {args.n}, grid = {args.grid}"
+        print(f"error: out of memory at {where}" + (f": {detail}" if detail else ""), file=sys.stderr)
         return 2
     summary = payload.get("summary", {})
     status = "PASS" if code == 0 else "FAIL"

@@ -9,9 +9,7 @@ points and on their first-order stencils; the work they share is built once
 per embed/normal pair on the same points (shared_work, a one-entry memo that
 keeps the last batch's shared arrays alive). The catalog covers the three
 isoparametric families with at most three distinct principal curvatures:
-geodesic spheres, products of spheres, and tubes around the Veronese surface,
-plus parallel hypersurfaces of any chart and a perturbed (non-isoparametric)
-sphere used to exercise the non-minimal code paths.
+geodesic spheres, products of spheres, and tubes around the Veronese surface.
 """
 
 from __future__ import annotations
@@ -45,8 +43,6 @@ __all__ = [
     "round_sphere",
     "product_spheres",
     "cartan_tube",
-    "parallel_hypersurface",
-    "perturbed_sphere",
 ]
 
 
@@ -453,86 +449,4 @@ def cartan_tube(t: float = 0.35) -> HypersurfaceChart:
         box=Box(lows=np.array([-0.35, -0.35, -0.6]), highs=np.array([0.35, 0.35, 0.6])),
         name="cartan",
         meta={"t": t},
-    )
-
-
-def parallel_hypersurface(chart: HypersurfaceChart, t: float) -> HypersurfaceChart:
-    """Parallel hypersurface at oriented distance t along the normal.
-
-    Shares the Gauss map of the input chart; each principal curvature moves by
-    lam -> cot(arccot(lam) + t).
-    """
-
-    def embed(q):
-        return np.cos(t) * chart.embed(q) - np.sin(t) * chart.normal(q)
-
-    def normal(q):
-        return np.sin(t) * chart.embed(q) + np.cos(t) * chart.normal(q)
-
-    out = HypersurfaceChart(
-        dim=chart.dim,
-        embed=embed,
-        normal=normal,
-        box=chart.box,
-        name=f"{chart.name}-parallel",
-        meta={**chart.meta, "parallel_offset": t},
-    )
-    gram_min = ChartStencil(out, out.box.center, 1e-4).gram_eigen[0][0]
-    if gram_min <= 1e-12:
-        raise ChartError(
-            f"parallel offset {t} degenerates the immersion "
-            f"(smallest Gram eigenvalue {gram_min:.2e})"
-        )
-    return out
-
-
-def _rho_jet(q, rho0: float, eps: float):
-    """Height function of the perturbed sphere with its gradient, for a point or a batch."""
-    a = 1.3 * q[..., 0] + 0.4
-    b = 0.9 * q[..., 1] - 0.2
-    rho = rho0 + eps * np.sin(a) * np.cos(b)
-    grad = np.stack([1.3 * eps * np.cos(a) * np.cos(b), -0.9 * eps * np.sin(a) * np.sin(b)], axis=-1)
-    return rho, grad
-
-
-def perturbed_sphere(n: int = 2, rho0: float = 0.9, eps: float = 0.08) -> HypersurfaceChart:
-    """Radial graph over a geodesic sphere; non-isoparametric test surface.
-
-    The height function rho(q) = rho0 + eps * sin(1.3 q1 + 0.4) cos(0.9 q2 - 0.2)
-    yields genuinely varying principal curvatures and a non-minimal Gauss map.
-    """
-    if n != 2:
-        raise ChartError("perturbed sphere is implemented for n = 2 only")
-
-    def embed(q):
-        q = np.asarray(q, dtype=float)
-        rho, _ = _rho_jet(q, rho0, eps)
-        return np.concatenate([np.sin(rho)[..., None] * sphere_chart(n, q), np.cos(rho)[..., None]], axis=-1)
-
-    def normal(q):
-        q = np.asarray(q, dtype=float)
-        rho, grad = _rho_jet(q, rho0, eps)
-        sigma, dsigma = sphere_chart_with_derivatives(n, q)
-        sr, cr = np.sin(rho)[..., None], np.cos(rho)[..., None]
-        # (..., i, n+2): the coordinate tangents d_i embed
-        tangents = np.concatenate(
-            [
-                (cr * grad)[..., None] * sigma[..., None, :] + sr[..., None] * dsigma,
-                (-sr * grad)[..., None],
-            ],
-            axis=-1,
-        )
-        v = np.concatenate([cr * sigma, -sr], axis=-1)
-        gram = tangents @ tangents.swapaxes(-1, -2)
-        coeff = np.linalg.solve(gram, grad[..., None])
-        b = v - (coeff.swapaxes(-1, -2) @ tangents)[..., 0, :]
-        return b / np.linalg.norm(b, axis=-1, keepdims=True)
-
-    return HypersurfaceChart(
-        dim=n,
-        embed=embed,
-        normal=normal,
-        box=Box.cube(n, 0.4),
-        name="perturbed",
-        meta={"rho0": rho0, "eps": eps},
     )

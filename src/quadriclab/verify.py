@@ -6,7 +6,8 @@ per point; the caller applies tolerances. The checks read one SampleBatch,
 which holds every quantity of the run's points as one batch each.
 Curvature is computed twice, once algebraically from angles and the cubic
 form and once from finite differences of the induced metric, so that
-sign-convention bugs in either route cannot hide.
+sign-convention bugs in either route cannot hide. Besides the checks, the
+module classifies a run by the distinct angles of its samples.
 
 Every identity is one numpy broadcast or einsum expression over its tensor
 indices, the batch axes in front, reduced over the trailing axes; one taken
@@ -17,7 +18,6 @@ index set is 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .gaussmap import (
     second_fundamental_form,
     structure_operators,
 )
-from .hypersurfaces import Box, HypersurfaceChart, lift_metric
+from .hypersurfaces import HypersurfaceChart, lift_metric
 from .numerics import axis_stencil, central_first, flagged_row, gather, hessian_stencil, second_derivative, symmetric_eigen
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "check_csc_identities",
     "isoparametric_variance",
     "classify_by_angles",
-    "reconstruct_hypersurface",
 ]
 
 
@@ -550,44 +549,3 @@ def classify_by_angles(thetas: np.ndarray) -> int:
             f"{{1, 2, 3, 4, 6}}"
         )
     return distinct
-
-
-def reconstruct_hypersurface(
-    lift_field: Callable[[np.ndarray], np.ndarray],
-    box: Box,
-    spec: AngleSpectrum,
-    t: float,
-    dim: int,
-    guard: float = 1e-4,
-    name: str = "reconstructed",
-) -> HypersurfaceChart:
-    """Hypersurface whose Gauss map realizes the given complex lift field (chart.lift).
-
-    The embedding is sqrt(2) times the real part of the phase-rotated lift;
-    principal curvatures come out as cot(theta_j + phi/2 + t). Angles with
-    sin(theta_j + phi/2 + t) below the guard raise VerifyError (the map
-    degenerates there).
-    """
-    c = spec.phi / 2.0 + t
-    sines = np.abs(np.sin(spec.thetas + c))
-    if sines.min() < guard:
-        raise VerifyError(
-            f"reconstruction offset t={t} makes sin(theta + c) = "
-            f"{sines.min():.2e} nearly vanish: not an immersion"
-        )
-    phase = np.exp(1j * t)
-
-    def embed(p):
-        return np.sqrt(2.0) * (phase * lift_field(p)).real
-
-    def normal(p):
-        return np.sqrt(2.0) * (phase * lift_field(p)).imag
-
-    return HypersurfaceChart(
-        dim=dim,
-        embed=embed,
-        normal=normal,
-        box=box,
-        name=name,
-        meta={"offset": t, "gauge_phi": spec.phi},
-    )

@@ -3,11 +3,11 @@ import pytest
 
 from quadriclab.hypersurfaces import (
     cartan_tube,
-    perturbed_sphere,
     product_spheres,
     round_sphere,
 )
 from quadriclab.rotational import build_rotational_chart, integrate_alpha
+from references import perturbed_sphere
 
 
 @pytest.fixture(scope="session")

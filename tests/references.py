@@ -1,4 +1,4 @@
-"""Reference helpers that only tests use: random test data and formulas the package does not ship.
+"""Reference helpers that only tests use: random test data, charts and formulas the package does not ship.
 
 Import them in a test module with `from references import ...` (pytest puts
 this directory on the import path).
@@ -23,11 +23,20 @@ from quadriclab.gaussmap import (
     second_fundamental_form,
     structure_operators,
 )
-from quadriclab.hypersurfaces import _shape_data
+from quadriclab.hypersurfaces import (
+    Box,
+    ChartError,
+    ChartStencil,
+    HypersurfaceChart,
+    _shape_data,
+    sphere_chart,
+    sphere_chart_with_derivatives,
+)
 from quadriclab.numerics import ConvergenceError, NumericsError, flagged_row, symmetric_eigen, symmetrize
 from quadriclab.quadric import horizontal_project
 from quadriclab.verify import (
     ConnectionData,
+    VerifyError,
     connection_and_s,
     field_derivatives,
     sample_batch,
@@ -117,6 +126,130 @@ def point_batch(chart, p, steps=None, normalized=False):
     fields = field_derivatives(jets, spec, renormalize=True)
     connection = connection_and_s(jets, spec, fields)
     return dataclasses.replace(sample_batch(jets, spec0, spec), fields=fields, connection=connection)
+
+
+# ---------------------------------------------------------------------------
+# charts that only tests build: parallel, perturbed and reconstructed hypersurfaces
+# ---------------------------------------------------------------------------
+
+def parallel_hypersurface(chart, t: float) -> HypersurfaceChart:
+    """Parallel hypersurface at oriented distance t along the normal.
+
+    Shares the Gauss map of the input chart; each principal curvature moves by
+    lam -> cot(arccot(lam) + t). Raises ChartError when the offset degenerates
+    the immersion at the box center.
+    """
+
+    def embed(q):
+        return np.cos(t) * chart.embed(q) - np.sin(t) * chart.normal(q)
+
+    def normal(q):
+        return np.sin(t) * chart.embed(q) + np.cos(t) * chart.normal(q)
+
+    out = HypersurfaceChart(
+        dim=chart.dim,
+        embed=embed,
+        normal=normal,
+        box=chart.box,
+        name=f"{chart.name}-parallel",
+        meta={**chart.meta, "parallel_offset": t},
+    )
+    gram_min = ChartStencil(out, out.box.center, 1e-4).gram_eigen[0][0]
+    if gram_min <= 1e-12:
+        raise ChartError(
+            f"parallel offset {t} degenerates the immersion "
+            f"(smallest Gram eigenvalue {gram_min:.2e})"
+        )
+    return out
+
+
+PERTURBED_RHO0 = 0.9
+PERTURBED_EPS = 0.08
+
+
+def _rho_jet(q):
+    """Height function of the perturbed sphere with its gradient, for a point or a batch."""
+    a = 1.3 * q[..., 0] + 0.4
+    b = 0.9 * q[..., 1] - 0.2
+    rho = PERTURBED_RHO0 + PERTURBED_EPS * np.sin(a) * np.cos(b)
+    grad = np.stack(
+        [1.3 * PERTURBED_EPS * np.cos(a) * np.cos(b), -0.9 * PERTURBED_EPS * np.sin(a) * np.sin(b)], axis=-1
+    )
+    return rho, grad
+
+
+def perturbed_sphere() -> HypersurfaceChart:
+    """Radial graph over a geodesic 2-sphere; non-isoparametric test surface.
+
+    The height function rho(q) = 0.9 + 0.08 sin(1.3 q1 + 0.4) cos(0.9 q2 - 0.2)
+    yields genuinely varying principal curvatures and a non-minimal Gauss map.
+    """
+
+    def embed(q):
+        q = np.asarray(q, dtype=float)
+        rho, _ = _rho_jet(q)
+        return np.concatenate([np.sin(rho)[..., None] * sphere_chart(2, q), np.cos(rho)[..., None]], axis=-1)
+
+    def normal(q):
+        q = np.asarray(q, dtype=float)
+        rho, grad = _rho_jet(q)
+        sigma, dsigma = sphere_chart_with_derivatives(2, q)
+        sr, cr = np.sin(rho)[..., None], np.cos(rho)[..., None]
+        # (..., i, 4): the coordinate tangents d_i embed
+        tangents = np.concatenate(
+            [
+                (cr * grad)[..., None] * sigma[..., None, :] + sr[..., None] * dsigma,
+                (-sr * grad)[..., None],
+            ],
+            axis=-1,
+        )
+        v = np.concatenate([cr * sigma, -sr], axis=-1)
+        gram = tangents @ tangents.swapaxes(-1, -2)
+        coeff = np.linalg.solve(gram, grad[..., None])
+        b = v - (coeff.swapaxes(-1, -2) @ tangents)[..., 0, :]
+        return b / np.linalg.norm(b, axis=-1, keepdims=True)
+
+    return HypersurfaceChart(
+        dim=2,
+        embed=embed,
+        normal=normal,
+        box=Box.cube(2, 0.4),
+        name="perturbed",
+        meta={"rho0": PERTURBED_RHO0, "eps": PERTURBED_EPS},
+    )
+
+
+def reconstruct_hypersurface(lift_field, box, spec: AngleSpectrum, t: float) -> HypersurfaceChart:
+    """Hypersurface whose Gauss map realizes the given complex lift field (chart.lift).
+
+    The embedding is sqrt(2) times the real part of the phase-rotated lift;
+    principal curvatures come out as cot(theta_j + phi/2 + t). Angles with
+    sin(theta_j + phi/2 + t) below 1e-4 raise VerifyError (the map
+    degenerates there).
+    """
+    c = spec.phi / 2.0 + t
+    sines = np.abs(np.sin(spec.thetas + c))
+    if sines.min() < 1e-4:
+        raise VerifyError(
+            f"reconstruction offset t={t} makes sin(theta + c) = "
+            f"{sines.min():.2e} nearly vanish: not an immersion"
+        )
+    phase = np.exp(1j * t)
+
+    def embed(p):
+        return np.sqrt(2.0) * (phase * lift_field(p)).real
+
+    def normal(p):
+        return np.sqrt(2.0) * (phase * lift_field(p)).imag
+
+    return HypersurfaceChart(
+        dim=spec.dim,
+        embed=embed,
+        normal=normal,
+        box=box,
+        name="reconstructed",
+        meta={"offset": t, "gauge_phi": spec.phi},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from quadriclab.gaussmap import (
 from quadriclab.hypersurfaces import (
     ChartStencil,
     cartan_tube,
-    parallel_hypersurface,
     product_spheres,
     round_sphere,
 )
@@ -46,10 +45,17 @@ from quadriclab.verify import (
     gauss_equation_residual,
     gauss_metric_fn,
     palmer_residual,
-    reconstruct_hypersurface,
     sectional_from_metric,
 )
-from references import box_sample, point_batch, quadric_distance, random_horizontal, random_stiefel
+from references import (
+    box_sample,
+    parallel_hypersurface,
+    point_batch,
+    quadric_distance,
+    random_horizontal,
+    random_stiefel,
+    reconstruct_hypersurface,
+)
 
 
 def report(criterion, ok, detail):
@@ -220,7 +226,7 @@ def test_criterion_07_reconstruction_round_trip():
     worst_lam = 0.0
     worst_q = 0.0
     for t in (0.0, 0.3):
-        rec = reconstruct_hypersurface(lift, chart.box, spec, t, 3)
+        rec = reconstruct_hypersurface(lift, chart.box, spec, t)
         for x in sample_points(chart, 3):
             lam = ChartStencil(rec, x, steps.first).shape_eigen[0]
             worst_lam = max(worst_lam, float(np.abs(lam - 1.0 / np.tan(np.pi / 4.0 + t)).max()))

@@ -44,8 +44,6 @@ from quadriclab.hypersurfaces import (
     Box,
     HypersurfaceChart,
     cartan_tube,
-    parallel_hypersurface,
-    perturbed_sphere,
     product_spheres,
     round_sphere,
     sphere_chart,
@@ -78,7 +76,7 @@ from quadriclab.verify import (
     sample_batch,
     sectional_from_metric,
 )
-from references import point_batch, ref_point_residuals
+from references import parallel_hypersurface, perturbed_sphere, point_batch, ref_point_residuals
 
 STEPS = FdSteps()
 

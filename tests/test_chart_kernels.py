@@ -24,16 +24,13 @@ from quadriclab.hypersurfaces import (
     ChartStencil,
     _lift,
     cartan_tube,
-    parallel_hypersurface,
-    perturbed_sphere,
     product_spheres,
     round_sphere,
     sphere_chart,
 )
 from quadriclab.numerics import StencilError, axis, central_first
 from quadriclab.rotational import _pow, build_rotational_chart, integrate_alpha
-from quadriclab.verify import reconstruct_hypersurface
-from references import ref_gram_schmidt, ref_profile
+from references import parallel_hypersurface, perturbed_sphere, reconstruct_hypersurface, ref_gram_schmidt, ref_profile
 
 H = 1e-4
 
@@ -366,7 +363,7 @@ def _batch_cases():
         "rotational-4": (rotational(4), ref_rotational(rotational(4).meta["alpha"], 4)),
         "perturbed": (CHARTS["perturbed"], None),
         "parallel": (CHARTS["parallel"], None),
-        "reconstructed": (reconstruct_hypersurface(sphere.lift, sphere.box, spec, 0.2, 3), None),
+        "reconstructed": (reconstruct_hypersurface(sphere.lift, sphere.box, spec, 0.2), None),
     }
 
 

@@ -1155,6 +1155,12 @@ class TestStoppedFlows:
 HUGE = str(10**20)
 SEED_401_DIGITS = "1" + "0" * 400
 SEED_LINE = "error: seed has 401 digits; seed + 1 must fit in a float\n"
+SEED_1E308 = str(10**308)
+
+
+def start_line(seed):
+    # sqrt(13): the largest start factor of the default sphere's three axes
+    return f"error: seed = {seed}: the start (seed + 1) * sqrt(13) overflows a float\n"
 
 
 def size_line(name, size):
@@ -1167,6 +1173,8 @@ OVERSIZED_INTEGERS = {
     "verify-seed-401-digits": (["verify", "--seed", SEED_401_DIGITS], SEED_LINE),
     "angles-seed-401-digits": (["angles", "--seed", SEED_401_DIGITS], SEED_LINE),
     "verify-negative-seed-401-digits": (["verify", "--seed", "-" + SEED_401_DIGITS], SEED_LINE),
+    "verify-seed-1e308": (["verify", "--seed", SEED_1E308], start_line(SEED_1E308)),
+    "angles-negative-seed-1e308": (["angles", "--seed", "-" + SEED_1E308], start_line("-" + SEED_1E308)),
     "angles-n-1e20": (["angles", "--n", HUGE], size_line("n", HUGE)),
     "verify-grid-1e20": (["verify", "--grid", HUGE], size_line("grid", HUGE)),
     "verify-grid-2e62": (["verify", "--grid", str(2**62)], size_line("grid", 2**62)),
@@ -1177,7 +1185,8 @@ class TestOversizedIntegers:
     @pytest.mark.parametrize("argv, line", OVERSIZED_INTEGERS.values(), ids=OVERSIZED_INTEGERS)
     def test_one_error_line(self, tmp_path, capsys, argv, line):
         # each was a traceback with exit code 1: OverflowError in
-        # kronecker_points, or numpy's ValueError for an array past its size
+        # kronecker_points, or numpy's ValueError for an array past its size;
+        # a seed whose start overflowed printed two RuntimeWarnings and a NaN point
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr() == ("", line)
 
@@ -1251,7 +1260,23 @@ class TestOutOfMemory:
 
         monkeypatch.setattr(cli, stage, exhausted)
         assert run(tmp_path, command, "--n", "24") == 2
-        assert capsys.readouterr() == ("", f"error: out of memory at n = 24{detail}\n")
+        where = "n = 24" if command == "ode" else "n = 24, grid = 3"
+        assert capsys.readouterr() == ("", f"error: out of memory at {where}{detail}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "angles"])
+    def test_grid_is_named(self, tmp_path, capsys, monkeypatch, command):
+        # the array that fails is the grid's: np.arange of the point indices
+        # in kronecker_points, whose error (numpy's text) is raised in its place
+        def exhausted(*args):
+            raise _ArrayMemoryError((576460752303423488,), np.dtype(np.int64))
+
+        monkeypatch.setattr(cli, "kronecker_points", exhausted)
+        assert run(tmp_path, command, "--grid", "576460752303423487") == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: out of memory at n = 3, grid = 576460752303423487: Unable to allocate 4.00 EiB"
+            " for an array with shape (576460752303423488,) and data type int64\n",
+        )
 
 
 class TestNanResiduals:

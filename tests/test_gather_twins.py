@@ -22,8 +22,6 @@ from quadriclab.gaussmap import FdSteps, angle_spectrum, gauss_map
 from quadriclab.hypersurfaces import (
     ChartStencil,
     cartan_tube,
-    parallel_hypersurface,
-    perturbed_sphere,
     product_spheres,
     round_sphere,
 )
@@ -32,6 +30,8 @@ from quadriclab.rotational import build_rotational_chart, integrate_alpha
 from quadriclab.verify import gauss_metric_fn
 from references import (
     box_sample,
+    parallel_hypersurface,
+    perturbed_sphere,
     ref_angle_spectrum,
     ref_principal_curvatures,
     ref_sort_angles,

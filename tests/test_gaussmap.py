@@ -26,7 +26,7 @@ from quadriclab.hypersurfaces import (
 from quadriclab.quadric import stiefel_residuals
 from quadriclab.verify import palmer_residual
 from quadriclab.numerics import row_dot
-from references import box_sample, point_batch, quadric_distance, ref_horizontality
+from references import box_sample, parallel_hypersurface, point_batch, quadric_distance, ref_horizontality
 
 
 def mod_pi_gap(a, b):
@@ -225,8 +225,6 @@ class TestGaussJet:
 
 class TestParallelGaussMap:
     def test_parallel_chart_shares_gauss_map(self, product_13):
-        from quadriclab.hypersurfaces import parallel_hypersurface
-
         par = parallel_hypersurface(product_13, 0.2)
         rng = np.random.default_rng(12)
         for _ in range(3):

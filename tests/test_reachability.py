@@ -5,9 +5,10 @@ n = 3 and 4, one configuration error, one usage error and one trajectory
 that stops early. They run in process under sys.setprofile. Each function
 or method defined in src/quadriclab, closures and lambdas included, must be
 called by one of them or be covered by an entry of LIBRARY_ONLY, which
-names what claims it:
-a ROADMAP item, an acceptance test, bench/tracing.py, or an error path that
-needs a bad chart. An entry covers the functions nested in the one it names.
+names what claims it: the ambient model that ROADMAP items 13 and 20 put on
+a command's path, or bench/tracing.py. Code that only tests call belongs in
+tests/references.py. An entry covers the functions nested in the one it
+names.
 """
 
 import inspect
@@ -46,10 +47,6 @@ LIBRARY_ONLY = {
     "quadric.quadric_curvature": AMBIENT + "; acceptance criterion 01",
     "quadric.horizontal_frame": AMBIENT + "; acceptance criterion 01",
     "quadric.ricci_matrix": AMBIENT + "; acceptance criterion 01 (Einstein constant 2n)",
-    "hypersurfaces.parallel_hypersurface": "ROADMAP item 8(c): parallel families share one Gauss map",
-    "hypersurfaces.perturbed_sphere": "ROADMAP item 7: the non-minimal example",
-    "hypersurfaces._rho_jet": "ROADMAP item 7: the perturbed sphere's height function",
-    "verify.reconstruct_hypersurface": "acceptance criterion 07",
     "rotational.AlphaTrajectory.states": "bench/tracing.py counts RK4 steps with it (ROADMAP item 1)",
 }
 
@@ -106,3 +103,9 @@ def test_allow_list_names_only_unreached_functions(reached):
     assert sorted(entry for entry in LIBRARY_ONLY if entry not in names) == []
     reached_names = {name for key, name in functions.items() if key in reached}
     assert sorted(entry for entry in LIBRARY_ONLY if entry in reached_names) == []
+
+
+def test_allow_list_holds_only_the_ambient_model_and_the_tracer_hook():
+    # a function that only tests call belongs in tests/references.py, not in
+    # src/ with an entry here
+    assert sorted(e for e in LIBRARY_ONLY if not e.startswith("quadric.")) == ["rotational.AlphaTrajectory.states"]

@@ -14,10 +14,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from quadriclab.gaussmap import FdSteps, gauss_map
-from quadriclab.hypersurfaces import cartan_tube, perturbed_sphere, product_spheres, round_sphere
+from quadriclab.hypersurfaces import cartan_tube, product_spheres, round_sphere
 from quadriclab.numerics import StencilError, axis, central_first, central_second
 from quadriclab.rotational import build_rotational_chart, integrate_alpha
 from quadriclab.verify import _metric_derivatives, gauss_metric_fn
+from references import perturbed_sphere
 
 STEPS = FdSteps()
 

