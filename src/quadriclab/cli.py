@@ -23,6 +23,7 @@ import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
+from types import NoneType
 
 import numpy as np
 
@@ -411,12 +412,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     summary = _summary(results, skipped)
     if cfg.entry.isoparametric:
         summary["distinct_angles"] = classify_by_angles(b.spec0.thetas)
-    payload = {
-        "config": cfg.to_dict(),
-        "results": results,
-        "summary": summary,
-    }
-    return (0 if summary["all_pass"] else 1), payload
+    return (0 if summary["all_pass"] else 1), {"config": cfg.to_dict(), "results": results, "summary": summary}
 
 
 def cmd_angles(cfg: RunConfig) -> tuple[int, dict]:
@@ -434,8 +430,7 @@ def cmd_angles(cfg: RunConfig) -> tuple[int, dict]:
     summary = {"all_pass": True, "skipped": []}
     if cfg.entry.isoparametric:
         summary["distinct_angles"] = classify_by_angles(spec.thetas)
-    payload = {"config": cfg.to_dict(), "results": rows, "summary": summary}
-    return 0, payload
+    return 0, {"config": cfg.to_dict(), "results": rows, "summary": summary}
 
 
 def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
@@ -456,15 +451,6 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
         if traj.stopped_early:
             raise OdeError(f"trajectory stopped early: {traj.stop_reason}") from exc
         raise
-    payload: dict = {
-        "config": cfg.to_dict(),
-        "trajectory": {
-            "samples": len(traj.thetas),
-            "stopped_early": traj.stopped_early,
-            "stop_reason": traj.stop_reason,
-            "order_ratio": order,
-        },
-    }
     results = [_report(cfg.example, [0.0], residuals, cfg)]
     # the order gate counts in the summary only, and is skipped when the probe
     # runs differ by round-off only
@@ -476,16 +462,23 @@ def cmd_ode(cfg: RunConfig) -> tuple[int, dict]:
             "(an equilibrium or a very short span), so they measure no order",
         }
     ]
-    payload["results"] = results
-    payload["summary"] = _summary(results, skipped, gates, traj.stopped_early)
-    payload["csv"] = _write_profile_csv(cfg, traj, gammas)
-    return (0 if payload["summary"]["all_pass"] else 1), payload
+    summary = _summary(results, skipped, gates, traj.stopped_early)
+    trajectory = {
+        "samples": len(traj.thetas),
+        "stopped_early": traj.stopped_early,
+        "stop_reason": traj.stop_reason,
+        "order_ratio": order,
+    }
+    csv = _write_profile_csv(cfg, traj, gammas)
+    payload = {"config": cfg.to_dict(), "trajectory": trajectory, "results": results, "summary": summary, "csv": csv}
+    return (0 if summary["all_pass"] else 1), payload
 
 
-def _out_dir(cfg: RunConfig) -> str:
-    if cfg.out:
-        return cfg.out
-    return os.environ.get("QUADRICLAB_OUT_DIR", ".")
+def _out_path(cfg: RunConfig, name: str) -> str:
+    """Where the run writes the file name: in --out, else in $QUADRICLAB_OUT_DIR, else here; the directory is made."""
+    out_dir = cfg.out or os.environ.get("QUADRICLAB_OUT_DIR", ".")
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def _write_profile_csv(cfg: RunConfig, traj, gammas: np.ndarray) -> str:
@@ -495,9 +488,7 @@ def _write_profile_csv(cfg: RunConfig, traj, gammas: np.ndarray) -> str:
     of a row-by-row repr writer. Each block of CSV_BLOCK_ROWS rows is stacked
     from the columns, formatted by one _csv_lines call and written at once.
     """
-    out_dir = _out_dir(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "profile.csv")
+    path = _out_path(cfg, "profile.csv")
     columns = (traj.thetas, traj.alphas, traj.dalphas, gammas)
     with open(path, "wb") as fh:
         fh.write(b"theta,alpha,dalpha,gx,gy,gz")
@@ -526,20 +517,11 @@ def _veltkamp(x):
 
 # 10**k for k = 0..22, each an exact double (5**22 < 2**53), and its parts
 _POW10 = np.array([float(10**k) for k in range(23)])
-_POW10_HIGH, _POW10_LOW = _veltkamp(_POW10)
+_POW10_PARTS = np.stack([_POW10, *_veltkamp(_POW10)])
 # the distances below take one rounding, an error under 1e-14, and their
 # bounds are exact: a value this close to a tie or to its round-trip bound,
 # where either decides, goes to float.__repr__
 _REPR_MARGIN = 1e-9
-
-
-def _times_power_of_ten(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a 10**k exactly, as high + low, high the rounded product (Dekker's product; 0 <= k <= 22)."""
-    scale = np.take(_POW10, k)
-    high = a * scale
-    ah, al = _veltkamp(a)
-    sh, sl = np.take(_POW10_HIGH, k), np.take(_POW10_LOW, k)
-    return high, al * sl - (((high - ah * sh) - al * sh) - ah * sl)
 
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -552,6 +534,8 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     |x| >= 1e16 (10**k below is then no exact double), for a mantissa that is
     a power of two (its rounding interval is lopsided), and for a value within
     _REPR_MARGIN of a tie or of its round-trip bound where that decides.
+    Exact ties, common above about 1e12, still go to float.__repr__, which
+    rounds them half to even.
     """
     a = np.abs(x)
     zero = a == 0.0
@@ -560,31 +544,36 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     mantissa, exponent = np.frexp(a)
     fast &= mantissa != 0.5
     e10 = np.floor(np.log10(a)).astype(np.int64)
-    # p = a 10**k in [1e16, 1e17); where log10 misrounds near a power of ten,
-    # p falls outside and the value falls back
-    high, low = _times_power_of_ten(a, 16 - e10)
+    # p = a 10**k in [1e16, 1e17), exactly high + low (Dekker's product); where
+    # log10 misrounds near a power of ten, p falls outside and the value falls back
+    scale, scale_high, scale_low = np.take(_POW10_PARTS, 16 - e10, axis=1)
+    high = a * scale
+    a_high, a_low = _veltkamp(a)
+    low = a_low * scale_low - (((high - a_high * scale_high) - a_low * scale_high) - a_high * scale_low)
     fast &= ((high > 1e16) | ((high == 1e16) & (low >= 0.0))) & (high < 1e17)
     whole = high.astype(np.int64)  # high >= 2**53 holds a whole number
-    # a decimal reads back as a when it lies within half an ulp of a: of p, times 10**k
-    bound = np.ldexp(np.take(_POW10, 16 - e10), exponent - 54)
-    # the nearest 15-, 16- and 17-digit decimals to p, the first that reads
-    # back kept; the 15-digit grid is wider than an ulp, so no shorter decimal
-    # reads back unless the nearest 15-digit one does, and the nearest 17-digit
-    # one always does. A value is unsure where a decimal that decides is near
-    # its bound, or is kept while near a tie with the next nearest
-    d = np.zeros_like(whole)
-    settled = np.zeros(x.shape, bool)
-    for step in (100, 10, 1):
+    # a decimal reads back as a when it lies within half an ulp of a: of p,
+    # times 10**k, which is above 2**-54 1e16 > 0.555. So the nearest
+    # 17-digit decimal, at most 0.5 from p, always reads back; the nearest
+    # 16- and then 15-digit ones replace it where they read back too. The
+    # 15-digit grid is wider than an ulp, so no shorter decimal reads back
+    # unless the nearest 15-digit one does. A value is unsure where a decimal
+    # that decides is near its bound, or where the kept one is near a tie
+    # with the next nearest
+    bound = np.ldexp(scale, exponent - 54)
+    c = np.rint(low)
+    d = whole + c.astype(np.int64)
+    unsure = np.abs(np.abs(low - c) - 0.5) <= _REPR_MARGIN
+    for step in (10, 100):
         q = whole // step
         r = (whole - q * step).astype(np.float64)
         c = np.rint((r + low) / step)
         dist = np.abs((r - c * step) + low)
         reads_back = dist < bound
         near_tie = np.abs(dist - 0.5 * step) <= _REPR_MARGIN
-        fast &= settled | ~((np.abs(dist - bound) <= _REPR_MARGIN) | (reads_back & near_tie))
-        np.copyto(d, (q + c.astype(np.int64)) * step, where=reads_back & ~settled)
-        settled |= reads_back
-    fast &= d < 10**17
+        unsure = np.where(reads_back, near_tie, unsure) | (np.abs(dist - bound) <= _REPR_MARGIN)
+        np.copyto(d, (q + c.astype(np.int64)) * step, where=reads_back)
+    fast &= ~unsure & (d < 10**17)
     d[zero] = 0
     return d, np.where(zero, 0, e10 + 1), fast | zero
 
@@ -669,65 +658,56 @@ def _csv_lines(block: np.ndarray) -> bytes:
 
 # float.__repr__ of the non-finite floats -> the text json writes for them
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# json's value types; an instance of a subclass writes as its base
+_JSON_BASES = (str, int, float, list, tuple, dict)
+_JSON_TYPES = frozenset(_JSON_BASES) | {bool, NoneType}
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
-def _json_leaf(o) -> str | None:
-    """The JSON text of a str, None, bool, int or float, or None for anything else.
+@functools.cache
+def _json_layout(depth: int) -> tuple[str, str, str]:
+    """The text that opens the items of a container at depth, the one between them and the one that closes them."""
+    inner = "\n" + "  " * (depth + 1)
+    return inner, "," + inner, inner[:-2]
 
-    The tests run in json's order, so a bool is not an int and an int or
-    float subclass writes as its base value.
+
+def _json_text(o, depth: int = 0) -> str:
+    """The text of o in json.dumps(..., indent=2, sort_keys=True), o nested depth containers deep.
+
+    Each value's type is looked up once. As in json, a bool is not an int,
+    and an instance of a subclass of a JSON type writes as that type: an int
+    or float subclass as its base value.
     """
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
+    kind = type(o)
+    if kind not in _JSON_TYPES:
+        kind = next((base for base in _JSON_BASES if isinstance(o, base)), kind)
+    if kind is float:
         text = float.__repr__(o)
         return _JSON_NON_FINITE.get(text, text)
-    return None
-
-
-def _json_text(o, indent: str) -> str:
-    """The text of o in json.dumps(..., indent=2, sort_keys=True), o nested at indent."""
-    leaf = _json_leaf(o)
-    if leaf is not None:
-        return leaf
-    inner = indent + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        brackets = "[]"
-        if set(map(type, o)) == {float}:
-            # the rows of numbers: their reprs, with no call per item
-            texts = list(map(float.__repr__, o))
-            if not _JSON_NON_FINITE.keys().isdisjoint(texts):
-                texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
-        else:
-            texts = [_json_text(item, inner) for item in o]
-    elif isinstance(o, dict):
+    if kind is str:
+        return encode_basestring_ascii(o)
+    if kind is dict:
         if not o:
             return "{}"
-        brackets = "{}"
-        texts = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(o.items())]
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + brackets[1]
-
-
-def _json_key(k) -> str:
-    """A dict key as json writes it: a str as it is, a number, bool or None as its JSON text, quoted."""
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    text = _json_leaf(k)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-    return encode_basestring_ascii(text)
+        inner, sep, close = _json_layout(depth)
+        texts = []
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):  # a number, bool or None key is its JSON text, quoted
+                if not isinstance(k, (int, float, NoneType)):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+                k = _json_text(k)
+            texts.append(encode_basestring_ascii(k) + ": " + _json_text(v, depth + 1))
+        return "{" + inner + sep.join(texts) + close + "}"
+    if kind is list or kind is tuple:
+        if not o:
+            return "[]"
+        inner, sep, close = _json_layout(depth)
+        return "[" + inner + sep.join([_json_text(item, depth + 1) for item in o]) + close + "]"
+    if kind is int:
+        return int.__repr__(o)
+    if kind is bool or kind is NoneType:
+        return _JSON_CONSTANTS[o]
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def report_text(payload) -> str:
@@ -735,18 +715,15 @@ def report_text(payload) -> str:
 
     Python's json falls back to its pure-Python encoder whenever it indents,
     a generator frame per container and a write per chunk; this builds each
-    container with one join.
+    container with one join, its separator and closing indent built once per
+    depth.
     """
-    return _json_text(payload, "") + "\n"
+    return _json_text(payload) + "\n"
 
 
 def write_report(cfg: RunConfig, payload: dict) -> str:
-    out_dir = _out_dir(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{cfg.command}_{cfg.example}_report.json")
-    payload = dict(payload)
-    payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    text = report_text(payload)
+    path = _out_path(cfg, f"{cfg.command}_{cfg.example}_report.json")
+    text = report_text({**payload, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")})
     with open(path, "w") as fh:
         fh.write(text)
     return path
@@ -825,12 +802,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "verify":
-            code, payload = cmd_verify(cfg)
-        elif args.command == "angles":
-            code, payload = cmd_angles(cfg)
-        else:
-            code, payload = cmd_ode(cfg)
+        code, payload = {"verify": cmd_verify, "angles": cmd_angles, "ode": cmd_ode}[args.command](cfg)
         path = write_report(cfg, payload)
     except (ConfigError, ChartError, OdeError, VerifyError, GaussMapError, NumericsError, OSError) as exc:
         # one line, also where a message holds a numpy array that wraps
@@ -845,13 +817,14 @@ def main(argv=None) -> int:
         return 2
     summary = payload.get("summary", {})
     status = "PASS" if code == 0 else "FAIL"
-    print(f"{status}: {summary.get('passed', 0)}/{summary.get('total', 0)} checks; report at {path}")
+    lines = [f"{status}: {summary.get('passed', 0)}/{summary.get('total', 0)} checks; report at {path}"]
     if args.command == "angles":
         for row in payload["results"]:
             angles = ", ".join(f"{a:.6f}" for a in row["angles"])
-            print(f"  point {row['point']}: angles [{angles}] (gauge {row['gauge_phi']:.6f})")
+            lines.append(f"  point {row['point']}: angles [{angles}] (gauge {row['gauge_phi']:.6f})")
         if "distinct_angles" in summary:
-            print(f"  distinct angles mod pi: {summary['distinct_angles']}")
+            lines.append(f"  distinct angles mod pi: {summary['distinct_angles']}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return code
 
 

@@ -240,20 +240,19 @@ def _arclength(traj: AlphaTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return sn, ds_dtheta, pa / ds_dtheta
 
 
-def first_integral_residual(traj: AlphaTrajectory, c1: float | None = None) -> float:
+def first_integral_residual(traj: AlphaTrajectory) -> float:
     """Conservation defect of the first integral along the trajectory.
 
-    The invariant combines the warp factor with the arclength derivative of
-    alpha; c1 is fixed at the first sample unless supplied. The squares are
-    products, each the correctly rounded square; the one fractional power
-    |sin n alpha|^(-1/n) is a _pow pass, so each sample's value is that of
-    scalar arithmetic (numpy's array power differs from it in the last bit).
+    The invariant combines the warp factor, whose constant warp_constant
+    fixes at the first sample, with the arclength derivative of alpha. The
+    squares are products, each the correctly rounded square; the one
+    fractional power |sin n alpha|^(-1/n) is a _pow pass, so each sample's
+    value is that of scalar arithmetic (numpy's array power differs from it
+    in the last bit).
     """
     n = traj.n
-    if c1 is None:
-        c1 = warp_constant(traj)
     sn, _, dalpha_ds = _arclength(traj)
-    warp = c1 * _pow(np.abs(sn), -1.0 / n)
+    warp = warp_constant(traj) * _pow(np.abs(sn), -1.0 / n)
     lhs = warp * warp * (2.0 + dalpha_ds * dalpha_ds / (sn * sn))
     # fmax skips NaN samples, as a running Python max does
     return float(np.fmax.reduce(np.abs(lhs - 1.0), initial=0.0))
@@ -407,7 +406,10 @@ def build_rotational_chart(traj: AlphaTrajectory) -> HypersurfaceChart:
     pad = max(0.02, 10.0 * (th[1] - th[0]))
     lo, hi = th[0] + pad, th[-1] - pad
     if hi - lo < 0.05:
-        raise OdeError("trajectory too short to carve out a chart box")
+        raise OdeError(
+            f"trajectory too short to carve out a chart box: span {th[-1] - th[0]:.4g} over {len(th) - 1} steps, "
+            f"less a pad of {pad:.4g} = max(0.02, 10 h) at each end, leaves {hi - lo:.4g} < 0.05"
+        )
     alpha = profile_series(traj)
     lows = np.concatenate([[lo], np.full(n - 1, -0.4)])
     highs = np.concatenate([[hi], np.full(n - 1, 0.4)])

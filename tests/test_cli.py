@@ -677,6 +677,23 @@ class TestAnglesCommand:
             assert [row["principal_curvatures"] for row in rep["results"]] == jets.lambdas.tolist()
         assert len(batches) == 2
 
+    @pytest.mark.parametrize("gauge", ["normalized", "canonical"])
+    @pytest.mark.parametrize("example, distinct", [("sphere", 1), ("cartan", 3), ("rotational", None)])
+    def test_stdout_lines_read_the_report(self, tmp_path, capsys, example, distinct, gauge):
+        # the pass line, one line per point with six decimals, and the
+        # distinct-angle count of an isoparametric example
+        assert run(tmp_path, "angles", "--example", example, "--grid", "4", "--gauge", gauge) == 0
+        rep = load_report(tmp_path, "angles", example)
+        want = [f"PASS: 0/0 checks; report at {tmp_path / f'angles_{example}_report.json'}"]
+        for row in rep["results"]:
+            angles = ", ".join(f"{a:.6f}" for a in row["angles"])
+            want.append(f"  point {row['point']}: angles [{angles}] (gauge {row['gauge_phi']:.6f})")
+        if distinct is not None:
+            assert rep["summary"]["distinct_angles"] == distinct
+            want.append(f"  distinct angles mod pi: {distinct}")
+        assert len(want) == 5 + (distinct is not None)
+        assert capsys.readouterr() == ("\n".join(want) + "\n", "")
+
     def test_angles_below_pi(self, tmp_path):
         code = run(
             tmp_path, "angles", "--example", "sphere", "--n", "3", "--r", "0.7071067811865475",
@@ -1132,6 +1149,26 @@ class TestStoppedFlows:
             f"error: the order probe's finest step underflows to zero: span = {span} over 1000 steps\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, span, steps, pad, left",
+        [
+            # a pad of ten steps at each end takes all of the default span 0.8
+            (["ode", "--steps", "5"], "0.8", 5, "1.6", "-2.4"),
+            (["angles", "--example", "rotational", "--steps", "5"], "0.8", 5, "1.6", "-2.4"),
+            (["ode", "--span", "0.05"], "0.05", 4000, "0.02", "0.01"),
+        ],
+        ids=["ode-steps-5", "angles-steps-5", "ode-span-0.05"],
+    )
+    def test_short_chart_box_names_span_pad_and_steps(self, tmp_path, capsys, argv, span, steps, pad, left):
+        # the line read "trajectory too short" alone, also where the span is
+        # 0.8 and only the pad left too little
+        assert run(tmp_path, *argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: trajectory too short to carve out a chart box: span {span} over {steps} steps, "
+            f"less a pad of {pad} = max(0.02, 10 h) at each end, leaves {left} < 0.05\n",
+        )
+
     @pytest.mark.parametrize("argv", STOPPED_FLOWS.values(), ids=STOPPED_FLOWS)
     def test_error_line_is_short(self, tmp_path, capsys, argv):
         # a theta of 1e298 or an |alpha'| of 1e142 printed every digit
@@ -1361,22 +1398,75 @@ def ode_argv(draw):
     return argv
 
 
+def assert_input_contract(argv):
+    """A command line that parses ends in a report (0 or 1, nothing on stderr) or one `error:` line (2).
+
+    A numpy warning, raised here by the test configuration, or any other
+    exception breaks the contract.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", tmp])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
+# seeds at the float limits: seed + 1 is no float (401 digits), the start
+# (seed + 1) sqrt(p) overflows (1e308 and the largest float), and seeds of
+# 1e306, whose start stays finite at n = 1 to 8
+LIMIT_SEEDS = [
+    "1" + "0" * 400, str(10**308), "-" + str(10**308), str(int(sys.float_info.max)), str(10**306), "-" + str(10**306),
+]
+
+
+@st.composite
+def angles_argv(draw):
+    """An angles command line: an example that takes angles, n and --grid, then --gauge, --seed, --h and --tol or not.
+
+    n is 0 to 8 and the grid 1 to 3, so no draw asks for a large run.
+    """
+    examples = [name for name, entry in cli.EXAMPLES.items() if "angles" in entry.commands]
+    argv = [
+        "angles",
+        f"--example={draw(st.sampled_from(examples))}",
+        f"--n={draw(st.integers(0, 8))}",
+        f"--grid={draw(st.integers(1, 3))}",
+    ]
+    flags = {
+        "--gauge": st.sampled_from(["normalized", "canonical", "unitary"]),
+        "--seed": st.one_of(st.integers(-(10**6), 10**6).map(str), st.sampled_from(["-1", "-2", *LIMIT_SEEDS])),
+        "--h": st.sampled_from(["1e-7", "1.1e-7", "1e-3", "0.00999", "0.01", "nan", "-inf"]),
+        "--tol": st.sampled_from(
+            ["cubic_symmetry", "=1e-3", "cubic_symmetry=", "cubic_symmetry=abc", "cubic_symmetry=-1",
+             "cubic_symmetry=inf", "cubic_symmetry=nan", "angle_sum=1", "cubic_symmetry=1e-3"]
+        ),
+    }
+    for flag, value in flags.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(value)}")
+    return argv
+
+
+class TestAnglesInputContract:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(angles_argv())
+    @example(argv=["angles", "--example=rotational", "--n=3", "--grid=1", f"--seed={LIMIT_SEEDS[1]}"])
+    @example(argv=["angles", "--example=rotational", "--n=4", "--grid=3", "--seed=-7", "--gauge=canonical"])
+    @example(argv=["angles", "--example=sphere", "--n=8", "--grid=3", f"--seed={LIMIT_SEEDS[4]}", "--h=0.00999"])
+    def test_exit_code_and_stderr(self, argv):
+        assert_input_contract(argv)
+
+
 class TestOdeInputContract:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(ode_argv())
     @example(argv=["ode", "--span=5e-324"])  # span / steps underflows to a zero step
     def test_exit_code_and_stderr(self, argv):
-        # every ode command line that parses ends in a report (0 or 1, nothing
-        # on stderr) or one `error:` line (2); a numpy warning, raised here by
-        # the test configuration, or any other exception breaks the contract
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + ["--out", tmp])
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        else:
-            assert err.getvalue() == ""
+        assert_input_contract(argv)
 
     def test_spaced_negative_exponent_is_a_value(self, tmp_path):
         # argparse read -1e-05, as repr writes it, as an option and exited 2

@@ -65,9 +65,8 @@ def reference_warp_constant(n, states):
     return float(w0 / np.sqrt(2.0) * np.abs(np.sin(n * s0.alpha)) ** (1.0 / n))
 
 
-def reference_first_integral(n, states, c1=None):
-    if c1 is None:
-        c1 = reference_warp_constant(n, states)
+def reference_first_integral(n, states):
+    c1 = reference_warp_constant(n, states)
     worst = 0.0
     for s in states:
         w = np.sqrt(1.0 - s.dalpha * s.dalpha)
@@ -206,38 +205,44 @@ class TestFirstIntegral:
 
     @settings(max_examples=40, deadline=None)
     @given(flows(), st.booleans())
-    def test_matches_reference_loop(self, flow, explicit_constant):
+    def test_matches_reference_loop(self, flow, off_flow_start):
+        # a first sample moved off the flow fixes a constant off the flow's
+        # own, so every later sample's defect is large
         n = flow[0]
         states, _, _ = reference_integrate(*flow)
-        traj = integrate_alpha(*flow)
-        c1 = reference_warp_constant(n, states) * 1.01 if explicit_constant else None
+        if off_flow_start:
+            states[0] = ProfileState(states[0].theta, states[0].alpha, 0.9 * states[0].dalpha + 0.05)
+        traj = trajectory(n, states) if off_flow_start else integrate_alpha(*flow)
         assert warp_constant(traj) == reference_warp_constant(n, states)
-        assert first_integral_residual(traj, c1) == reference_first_integral(n, states, c1)
+        assert first_integral_residual(traj) == reference_first_integral(n, states)
 
-    # (alpha, alpha', c1) found by a scan of the draws below: pow(alpha', 2.0)
-    # is not alpha' * alpha', and the one-sample defect moves with it
+    # (alpha, alpha') of a first and a second sample, found by a scan of the
+    # draws below: pow(x, 2.0) is not x * x at the second, for x = alpha' in
+    # the first pair and for x = d alpha / ds in the second, and the defect
+    # moves with it
     POW_SQUARE_SAMPLES = {
-        3: [(0.7428537619381971, -0.8885638026509269, 0.7259770448010976),
-            (0.9684585974643417, -0.7977291049780609, 0.5905101381088971)],
-        4: [(0.09742023046115693, 0.6235200587218016, 0.4791082849765126),
-            (0.32361854915178123, 0.8422721783503803, 0.3596864689143892)],
-        5: [(0.17380452835699084, -0.8421897651196291, 0.5938930893974903),
-            (0.3400449346165796, -0.8870427060490933, 0.37501424509486314)],
-        6: [(0.4232269273939285, -0.7577077375846742, 0.6107990560925565),
-            (0.08528286845622161, 0.5517694069548295, 0.5151165393058207)],
+        3: [(0.7141117545520438, -0.021166121121402037, 0.7900527869459668, -0.6621647273512663),
+            (0.2660475715173493, -0.49237702157247304, 0.5981121301496887, 0.6236386471823464)],
+        4: [(0.4597713605392017, 0.26183606672595594, 0.4214957444769782, -0.8462949197918992),
+            (0.3643874435962214, -0.7435280899479426, 0.5769159703708477, -0.5511112379493077)],
+        5: [(0.3754495968464407, 0.2770488729920576, 0.03404090321833765, 0.4875883256991381),
+            (0.38088702617394127, 0.21189134799892362, 0.05641842982446339, -0.5877477953203525)],
+        6: [(0.3305635635241579, -0.2920285943083366, 0.29171964948495, 0.8763368392646153),
+            (0.1814495247004345, 0.25563706366380556, 0.4250617948225572, -0.6006041129402154)],
     }
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_every_sample_matches(self, n):
-        # one-sample trajectories with a constant off the sample's own give
-        # each sample's defect to full precision, so a power rounded another
-        # way (numpy's array square, or Python's pow(x, 2.0)) shows at some of them
+        # two-sample trajectories: the first sample fixes a constant off the
+        # second's own, so the defect is the second sample's to full
+        # precision, and a power rounded another way (numpy's array square,
+        # or Python's pow(x, 2.0)) shows at some of them
         rng = np.random.default_rng(n)
-        drawn = zip(rng.uniform(0.02, 0.98, 800) * np.pi / n, rng.uniform(-0.9, 0.9, 800), rng.uniform(0.3, 0.8, 800))
-        for alpha, dalpha, c1 in [*self.POW_SQUARE_SAMPLES[n], *drawn]:
-            states = [ProfileState(0.0, alpha, dalpha)]
-            got = first_integral_residual(trajectory(n, states), c1)
-            assert got == reference_first_integral(n, states, c1)
+        alphas, dalphas = rng.uniform(0.02, 0.98, (2, 800)) * np.pi / n, rng.uniform(-0.9, 0.9, (2, 800))
+        drawn = zip(alphas[0], dalphas[0], alphas[1], dalphas[1])
+        for alpha0, dalpha0, alpha, dalpha in [*self.POW_SQUARE_SAMPLES[n], *drawn]:
+            states = [ProfileState(0.0, alpha0, dalpha0), ProfileState(0.1, alpha, dalpha)]
+            assert first_integral_residual(trajectory(n, states)) == reference_first_integral(n, states)
 
     def test_nan_samples_are_skipped(self):
         # |alpha'| > 1 makes the second sample NaN: a running max never takes

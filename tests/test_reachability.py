@@ -78,8 +78,10 @@ def reached(tmp_path_factory) -> set:
         if event == "call":
             codes.add(frame.f_code)
 
-    # a parser cached by an earlier test would keep the traced runs out of _build_parser
+    # a parser or a report layout cached by an earlier test would keep the
+    # traced runs out of _build_parser or _json_layout
     cli._build_parser.cache_clear()
+    cli._json_layout.cache_clear()
     sys.setprofile(profile)
     try:
         for argv in RUNS:

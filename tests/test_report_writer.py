@@ -1,6 +1,9 @@
 """The one-pass report writer against json.dumps and against the json.dump writer it replaced."""
 
+import functools
+import io
 import json
+import sys
 import time
 
 import pytest
@@ -60,6 +63,8 @@ class TestReportText:
     @example({True: True, False: False})
     @example({None: None})
     @example(10**100)
+    # 60 containers deep, past any depth a report reaches
+    @example(functools.reduce(lambda inner, depth: {str(depth): [inner, float(depth)]}, range(30), -0.0))
     @example("plain")
     def test_matches_json_dumps(self, payload):
         assert report_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -140,14 +145,14 @@ class _CountingFile:
         return self._fh.__exit__(*exc)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--grid", "3"],
-        ["angles", "--example", "cartan", "--grid", "12"],
-        ["ode", "--steps", "1000"],
-    ],
-)
+ONE_WRITE_RUNS = [
+    ["verify", "--grid", "3"],
+    ["angles", "--example", "cartan", "--grid", "12"],
+    ["ode", "--steps", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_WRITE_RUNS)
 def test_one_write_per_report(tmp_path, monkeypatch, argv):
     # json.dump wrote a report in hundreds of chunks; the writer builds its
     # text first and writes it once
@@ -161,3 +166,15 @@ def test_one_write_per_report(tmp_path, monkeypatch, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     reports = {path: n for path, n in counts.items() if path.endswith("_report.json")}
     assert list(reports.values()) == [1]
+
+
+@pytest.mark.parametrize("argv", ONE_WRITE_RUNS)
+def test_one_stdout_write_per_call(tmp_path, monkeypatch, argv):
+    # main joins its stdout lines and writes them once; angles printed one
+    # line per sample point
+    counts = {"stdout": 0}
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", _CountingFile(out, counts, "stdout"))
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert counts["stdout"] == 1
+    assert out.getvalue().startswith("PASS: ") and out.getvalue().count("\n") == (14 if argv[0] == "angles" else 1)

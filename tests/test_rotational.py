@@ -284,11 +284,6 @@ class TestFirstIntegral:
         assert 8.0 < r1 < 32.0
         assert 8.0 < r2 < 32.0
 
-    def test_explicit_constant(self, rotational_trajectory):
-        # residual vanishes when the constant is fed back explicitly
-        c1 = warp_constant(rotational_trajectory)
-        assert first_integral_residual(rotational_trajectory, c1) < 1e-6
-
 
 class TestWarpLawNegativeControl:
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -303,8 +298,14 @@ class TestWarpLawNegativeControl:
         assert all_within_default_tolerances(true)
         assert wrong["warp_factor_law"] >= 5.0 * DEFAULT_TOLERANCES["warp_factor_law"]
         assert wrong["fiber_curvature_chain"] >= 10.0 * DEFAULT_TOLERANCES["fiber_curvature_chain"]
-        assert first_integral_residual(traj, c1) <= DEFAULT_TOLERANCES["first_integral"]
-        assert first_integral_residual(traj, 1.01 * c1) >= 1e3 * DEFAULT_TOLERANCES["first_integral"]
+        # the first integral fixes its constant at the first sample: an alpha'
+        # there that makes it 0.99 c1 fails it
+        dalphas = traj.dalphas.copy()
+        dalphas[0] = np.sqrt(1.0 - 0.99**2)
+        moved = AlphaTrajectory(n, traj.thetas, traj.alphas, dalphas)
+        assert warp_constant(moved) == pytest.approx(0.99 * c1, rel=1e-12)
+        assert first_integral_residual(traj) <= DEFAULT_TOLERANCES["first_integral"]
+        assert first_integral_residual(moved) >= 1e3 * DEFAULT_TOLERANCES["first_integral"]
         unread = sorted(set(true) - {"warp_factor_law", "fiber_curvature_chain"})
         assert len(unread) == 6
         assert [wrong[name] for name in unread] == [true[name] for name in unread]
