@@ -14,6 +14,8 @@ four-point corner rule.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 __all__ = [
@@ -228,12 +230,12 @@ def axis_stencil(f, p, h: float, offsets) -> np.ndarray:
     return stencil_values(f, _axis_points(p, h, offsets))
 
 
-def _joint_values(f, first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f on two point arrays (..., n) in one stencil_values call, the first's rows first, each split back."""
-    n = first.shape[-1]
-    values = stencil_values(f, np.concatenate([first.reshape(-1, n), second.reshape(-1, n)]))
-    split, shape = first.size // n, values.shape[1:]
-    return values[:split].reshape(first.shape[:-1] + shape), values[split:].reshape(second.shape[:-1] + shape)
+def _joint_values(f, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """f on k point arrays (..., n) in one stencil_values call, their rows in order, each array's values split back."""
+    n = arrays[0].shape[-1]
+    values = stencil_values(f, np.concatenate([a.reshape(-1, n) for a in arrays]))
+    ends = accumulate(a.size // n for a in arrays)
+    return tuple(values[end - a.size // n : end].reshape(a.shape[:-1] + values.shape[1:]) for a, end in zip(arrays, ends))
 
 
 def centered_axis_stencil(f, p, h: float, offsets) -> tuple[np.ndarray, np.ndarray]:

@@ -33,8 +33,8 @@ from .gaussmap import (
     mod_pi_clusters,
     nearest_mod_pi,
 )
-from .numerics import axis, central_first, central_second, row_dot
-from .verify import curvature_from_metric, gauss_metric_fn, sectional_from_metric
+from .numerics import _joint_values, axis, central_first, central_second, row_dot
+from .verify import _curvature, _metric_derivatives, _metric_stencil, gauss_metric_fn
 
 __all__ = [
     "OdeError",
@@ -486,16 +486,19 @@ def warped_curvature_check(
     About each center q of p - 5H e_0, p and p + 5H e_0 (H the field step),
     the points q + c (H/2) e_0, c = -2..2, give the induced metric: about p
     as one batch of Gauss-map jets, which also give the profile angle alpha
-    (from the angle functions), about the other centers as one metric call.
-    The metrics give the factor sqrt(g_00) and the warp factor rho of the
-    orbit block, and all of these their five-point derivatives in the profile
+    (from the angle functions), about the other centers from one metric
+    call. That call also takes the metric route's stencil of the orbit plane
+    (e_1, e_2) at the three centers: the six offsets along every axis, which
+    the Christoffel symbols need, and the corners of that one pair. The
+    metrics give the factor sqrt(g_00) and the warp factor rho of the orbit
+    block, and all of these their five-point derivatives in the profile
     coordinate. In report order: the orbit block of the metric is conformally
     round with warp factor c1 (sin n alpha)^(-1/n); the rescaled fiber
-    curvature, its orbit-plane curvature from one metric-route call at the
-    three centers, is the constant 1 at each and chains at p through the warp
-    factor and the arclength derivative of alpha; alpha satisfies the
-    arclength form of the profile equation; and the principal curvatures at
-    p follow the (1, n-1) pattern of alpha. Nothing from the integrator
+    curvature, from the orbit plane's curvature R_1221 / (g_11 g_22 - g_12^2)
+    at the three centers, is the constant 1 at each and chains at p through
+    the warp factor and the arclength derivative of alpha; alpha satisfies
+    the arclength form of the profile equation; and the principal curvatures
+    at p follow the (1, n-1) pattern of alpha. Nothing from the integrator
     enters except the chart.
     """
     steps = steps or FdSteps()
@@ -519,7 +522,8 @@ def warped_curvature_check(
     centers = chart.box.center + (np.array([-5.0, 0.0, 5.0]) * dth)[:, None] * e0
     x = centers + (np.arange(-2.0, 3.0) * h)[:, None, None] * e0  # (offset, center, coordinates)
     jets = gauss_map(chart, x[:, 1], steps)
-    sides = metric(x[:, ::2])
+    orbit_plane = [1, 2]
+    at, corners, sides = _joint_values(metric, *_metric_stencil(centers, steps.metric, orbit_plane), x[:, ::2])
     gs = np.stack([sides[:, 0], jets.lift_metric, sides[:, 1]], axis=1)
     alphas = [np.pi - _orbit_and_profile_angles(th, n)[1] for th in angle_spectrum(jets).thetas]
     vs = np.sqrt(gs[:, 1, 0, 0]).tolist()
@@ -536,8 +540,8 @@ def warped_curvature_check(
     e1_e1_alpha = (ddu * v0 - du * dv) / v0**3
 
     g_c = gs[2]
-    r = curvature_from_metric(metric, centers, steps.metric, g_c)
-    k_orbit = sectional_from_metric(r, g_c, axis(n, 1), axis(n, 2))
+    r = _curvature(*_metric_derivatives(steps.metric, g_c, at, corners, orbit_plane), g_c, orbit_plane)
+    k_orbit = r[:, 0, 1, 1, 0] / (g_c[:, 1, 1] * g_c[:, 2, 2] - g_c[:, 1, 2] * g_c[:, 1, 2])
     e1_rho = d_dtheta(rhos) / np.sqrt(g_c[:, 0, 0])
     kf_samples = rhos[2] ** 2 * (k_orbit + (e1_rho / rhos[2]) ** 2)
     k_fiber = kf_samples[1]

@@ -37,7 +37,17 @@ from .gaussmap import (
     structure_operators,
 )
 from .hypersurfaces import HypersurfaceChart, lift_metric
-from .numerics import axis_stencil, central_first, flagged_row, gather, hessian_stencil, second_derivative, symmetric_eigen
+from .numerics import (
+    _axis_points,
+    _corner_points,
+    _joint_values,
+    axis_stencil,
+    central_first,
+    flagged_row,
+    gather,
+    second_derivative,
+    symmetric_eigen,
+)
 
 __all__ = [
     "VerifyError",
@@ -53,7 +63,6 @@ __all__ = [
     "palmer_residual",
     "curvature_from_metric",
     "gauss_metric_fn",
-    "sectional_from_metric",
     "gauss_equation_residual",
     "codazzi_residual",
     "sectional_curvature",
@@ -348,36 +357,62 @@ def gauss_metric_fn(chart: HypersurfaceChart, steps: FdSteps | None = None):
     return lambda q: lift_metric(central_first(*axis_stencil(chart.lift, q, h, (2.0, 1.0, -1.0, -2.0)), h))
 
 
-def _metric_derivatives(metric_fn, p, h: float, g0: np.ndarray):
-    """dg[c] = d_c g (step h/2) and ddg[c, d] = d_c d_d g (step h) at p, sharing p +- h e_c.
+def _metric_stencil(p, h: float, axes=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The points where the metric route evaluates the metric about p, a point (n,) or a batch (..., n).
 
-    Batch axes of p follow the derivative axes. Every metric on the stencil
-    comes from one metric_fn call.
+    As hessian_stencil lays them out: the axis points p + c h e_a for c = 2, 1,
+    1/2, -1/2, -1, -2 along every axis a, (offset, axis, ..., n), since the
+    Christoffel symbols need every first derivative, and the corner points of
+    the mixed rule, (pair, step, corner, ..., n), of every pair of the
+    coordinates axes (all by default).
     """
-    at, corners = hessian_stencil(metric_fn, p, h, (2.0, 1.0, 0.5, -0.5, -1.0, -2.0))
+    p = np.asarray(p, dtype=float)
+    plane = _corner_points(p[..., axes], h)
+    corners = np.broadcast_to(p, plane.shape[:-1] + p.shape[-1:]).copy()
+    corners[..., axes] = plane
+    return np.moveaxis(_axis_points(p, h, (2.0, 1.0, 0.5, -0.5, -1.0, -2.0)), -2, 1), corners
+
+
+def _metric_derivatives(h: float, g0: np.ndarray, at: np.ndarray, corners: np.ndarray, axes=slice(None)):
+    """dg[c] = d_c g (step h/2) along every axis and ddg[c, d] = d_c d_d g (step h) for c, d over axes.
+
+    at and corners hold the metric on the points of _metric_stencil(p, h,
+    axes) and g0 the metric at p; batch axes of p follow the derivative axes.
+    """
     dg = central_first(at[1], at[2], at[3], at[4], 0.5 * h)
-    return dg, second_derivative(h, g0, at[[0, 1, 4, 5]], corners)
+    return dg, second_derivative(h, g0, at[[0, 1, 4, 5]][:, axes], corners)
+
+
+def _curvature(dg: np.ndarray, ddg: np.ndarray, g0: np.ndarray, axes=slice(None)) -> np.ndarray:
+    """R[..., a, b, c, d] = <R(d_a, d_b) d_c, d_d> for a, b, c, d over the coordinates axes (all by default).
+
+    dg and ddg are _metric_derivatives' over the same axes, g0 the metric at
+    the points. The second differences of the metric components plus the
+    Christoffel quadratic terms, which sum over every coordinate either way,
+    so each entry over axes is bitwise the full tensor's; the convention is
+    fixed so that the unit round sphere has sectional curvature +1.
+    """
+    dg, ddg = np.moveaxis(dg, 0, -3), np.moveaxis(ddg, (0, 1), (-4, -3))  # batch axes in front
+    # Christoffel symbols of the second kind gamma[..., e, a, b]; dg[..., c, a, b] = d_c g_ab
+    lowered = dg + np.einsum("...bda->...adb", dg) - np.einsum("...dab->...adb", dg)  # [..., a, d, b]
+    gamma = 0.5 * np.einsum("...ed,...adb->...eab", np.linalg.inv(g0), lowered)
+    gamma, ddg = gamma[..., axes, :][..., axes], ddg[..., axes, :][..., axes]
+    # with ddg[..., c, d, a, b] = d_c d_d g_ab, R_abcd = s[a, c, b, d] - s[a, d, b, c] for
+    # s[a, c, b, d] = (d_a d_c g_bd + d_b d_d g_ac) / 2 + g(Gamma_ac, Gamma_bd)
+    sym = ddg + np.einsum("...bdac->...acbd", ddg)
+    s = 0.5 * sym + np.einsum("...ef,...eac,...fbd->...acbd", g0, gamma, gamma)
+    return np.einsum("...acbd->...abcd", s) - np.einsum("...adbc->...abcd", s)
 
 
 def curvature_from_metric(metric_fn, p, h: float, g0: np.ndarray) -> np.ndarray:
     """Coordinate curvature tensor R[..., a, b, c, d] = <R(d_a, d_b) d_c, d_d>.
 
     p is a point (n,) or a batch of points (..., n) and g0 the metric there,
-    (..., n, n), which the caller already holds; one metric_fn call serves
-    the whole batch. Uses fourth-order differences of the metric components
-    plus the Christoffel quadratic terms; the convention is fixed so that the
-    unit round sphere has sectional curvature +1.
+    (..., n, n), which the caller already holds; one metric_fn call on the
+    whole stencil of the batch, then fourth-order differences and _curvature.
     """
-    dg, ddg = _metric_derivatives(metric_fn, p, h, g0)
-    dg, ddg = np.moveaxis(dg, 0, -3), np.moveaxis(ddg, (0, 1), (-4, -3))  # batch axes in front
-    # Christoffel symbols of the second kind gamma[..., e, a, b]; dg[..., c, a, b] = d_c g_ab
-    lowered = dg + np.einsum("...bda->...adb", dg) - np.einsum("...dab->...adb", dg)  # [..., a, d, b]
-    gamma = 0.5 * np.einsum("...ed,...adb->...eab", np.linalg.inv(g0), lowered)
-    # with ddg[..., c, d, a, b] = d_c d_d g_ab, R_abcd = s[a, c, b, d] - s[a, d, b, c] for
-    # s[a, c, b, d] = (d_a d_c g_bd + d_b d_d g_ac) / 2 + g(Gamma_ac, Gamma_bd)
-    sym = ddg + np.einsum("...bdac->...acbd", ddg)
-    s = 0.5 * sym + np.einsum("...ef,...eac,...fbd->...acbd", g0, gamma, gamma)
-    return np.einsum("...acbd->...abcd", s) - np.einsum("...adbc->...abcd", s)
+    at, corners = _joint_values(metric_fn, *_metric_stencil(p, h))
+    return _curvature(*_metric_derivatives(h, g0, at, corners), g0)
 
 
 def _in_frame(r: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -392,20 +427,6 @@ def _plane_curvatures(r_frame: np.ndarray, f: np.ndarray, g: np.ndarray, i, j) -
     """Sectional curvatures of the planes span(f_i, f_j), from the tensor in the frame of the rows of f and the metric g."""
     gram = f @ g @ f.swapaxes(-1, -2)
     return r_frame[..., i, j, j, i] / (gram[..., i, i] * gram[..., j, j] - gram[..., i, j] * gram[..., i, j])
-
-
-def sectional_from_metric(r: np.ndarray, g: np.ndarray, x, y):
-    """Sectional curvature of span(x, y) from a coordinate curvature tensor.
-
-    r is curvature_from_metric's tensor at a point and g the metric there;
-    x, y are one plane (n,), giving a float, or a batch (..., n), giving one
-    curvature per plane, each summed in the same order as it would be alone.
-    On a plane of two coordinate axes a, b the value is exactly
-    r[..., a, b, b, a] / (g_aa g_bb - g_ab g_ab).
-    """
-    f = np.stack(np.broadcast_arrays(x, y), axis=-2)
-    k = _plane_curvatures(_in_frame(r, f), f, g, 0, 1)
-    return float(k) if k.ndim == 0 else k
 
 
 def gauss_equation_residual(b: SampleBatch) -> dict[str, np.ndarray]:

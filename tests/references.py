@@ -37,10 +37,29 @@ from quadriclab.quadric import horizontal_project
 from quadriclab.verify import (
     ConnectionData,
     VerifyError,
+    _in_frame,
+    _plane_curvatures,
     connection_and_s,
     field_derivatives,
     sample_batch,
 )
+
+
+def embed_rows(monkeypatch, module, factory: str) -> list:
+    """The row count of every embed call of the charts that module's chart factory builds from now on.
+
+    The factory is replaced where module binds it, for the rest of the test;
+    the list grows with the calls.
+    """
+    rows, make = [], getattr(module, factory)
+
+    def build(*args):
+        chart = make(*args)
+        embed = chart.embed
+        return dataclasses.replace(chart, embed=lambda q: rows.append(np.size(q) // chart.dim) or embed(q))
+
+    monkeypatch.setattr(module, factory, build)
+    return rows
 
 
 def box_sample(box, rng: np.random.Generator, margin: float = 0.0) -> np.ndarray:
@@ -275,6 +294,21 @@ def ref_in_frame_contractions(r, f):
     for spec in ("abcd,ld->abcl", "abcl,kc->abkl", "abkl,jb->ajkl", "ajkl,ia->ijkl"):
         r = np.einsum(spec, r, f)
     return r
+
+
+def sectional_from_metric(r, g, x, y):
+    """Sectional curvature of span(x, y) from a coordinate curvature tensor, through the frame transform of verify.
+
+    r is curvature_from_metric's tensor at a point and g the metric there;
+    x, y are one plane (n,), giving a float, or a batch (..., n), giving one
+    curvature per plane, each summed in the same order as it would be alone.
+    On a plane of two coordinate axes a, b the value is exactly
+    r[..., a, b, b, a] / (g_aa g_bb - g_ab g_ab), which is how
+    warped_curvature_check reads its orbit plane.
+    """
+    f = np.stack(np.broadcast_arrays(x, y), axis=-2)
+    k = _plane_curvatures(_in_frame(r, f), f, g, 0, 1)
+    return float(k) if k.ndim == 0 else k
 
 
 def ref_sectional_from_metric(r, g, x, y):

@@ -45,7 +45,6 @@ from quadriclab.verify import (
     gauss_equation_residual,
     gauss_metric_fn,
     palmer_residual,
-    sectional_from_metric,
 )
 from references import (
     box_sample,
@@ -55,6 +54,7 @@ from references import (
     random_horizontal,
     random_stiefel,
     reconstruct_hypersurface,
+    sectional_from_metric,
 )
 
 

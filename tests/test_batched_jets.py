@@ -8,12 +8,12 @@ degenerate clusters of all rows sharing one in a stack, _align_to_reference
 solves one stacked polar factor per cluster size, the sample points of a
 run take their spectra from one batch per gauge, the metric route of those
 points is one curvature_from_metric call, and warped_curvature_check reads
-its five jets as one batch and its side metrics as one call; the per-jet,
-per-row and per-point code they replaced is kept below as the reference, and
-every report entry of a verify run, one column over the run's batch, equals
-the per-point residual math of tests/references.py fed by it. A
-failing row must raise naming that row's point, and a stacked eigensolve
-checks each matrix on its own.
+its five jets as one batch and its side metrics with the metric route of
+its orbit plane as one call; the per-jet, per-row and per-point code they
+replaced is kept below as the reference, and every report entry of a verify
+run, one column over the run's batch, equals the per-point residual math of
+tests/references.py fed by it. A failing row must raise naming that row's
+point, and a stacked eigensolve checks each matrix on its own.
 """
 
 import dataclasses
@@ -74,9 +74,8 @@ from quadriclab.verify import (
     field_derivatives,
     gauss_metric_fn,
     sample_batch,
-    sectional_from_metric,
 )
-from references import parallel_hypersurface, perturbed_sphere, point_batch, ref_point_residuals
+from references import parallel_hypersurface, perturbed_sphere, point_batch, ref_point_residuals, sectional_from_metric
 
 STEPS = FdSteps()
 
@@ -612,7 +611,7 @@ def test_benchmark_configs_cover_every_example():
     assert {example for example, _ in BENCHMARK_CONFIGS} == set(cli.EXAMPLES)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_warped_check_matches_per_offset_dicts(n):
     c = build_rotational_chart(integrate_alpha(n, np.pi / 12.0, 0.0, 0.8, 4000))
     got = warped_curvature_check(c, n, c.meta["c1"], STEPS)

@@ -20,6 +20,7 @@ from numpy._core._exceptions import _ArrayMemoryError
 from quadriclab import cli, gaussmap, hypersurfaces, numerics, rotational
 from quadriclab.cli import RunConfig, ConfigError, kronecker_points, main
 from quadriclab.hypersurfaces import Box, round_sphere
+from references import embed_rows
 
 
 def run(tmp_path, *args):
@@ -382,7 +383,7 @@ class TestVerifyCommand:
             (RunConfig(command="verify", example="cartan", n=3, grid=3), 10),
             (RunConfig(command="verify", example="rotational", n=4, grid=3), 10),
             (RunConfig(command="verify", example="product", n=3, grid=3), 10),
-            (RunConfig(command="ode", example="rotational", n=3), 6),
+            (RunConfig(command="ode", example="rotational", n=3), 4),
         ],
         ids=["verify-cartan", "verify-rotational-4", "verify-product-3", "ode"],
     )
@@ -802,9 +803,9 @@ class TestOdeCommand:
     def test_chart_evaluation_budget(self, tmp_path, monkeypatch):
         # embed and normal evaluations of one ode run at n = 3; the profile
         # checks build their five Gauss-map jets once, as one batch, and reach
-        # the chart in 6 calls: 2 for the jets (stencil with the points), 2
-        # for the metrics about the side centers and 2 for the metric route
-        # at all three centers
+        # the chart in 4 calls: 2 for the jets (stencil with the points) and 2
+        # for the one metric call, the metric route at all three centers with
+        # the metrics about the side centers
         rows = []
         jets = []
 
@@ -828,9 +829,26 @@ class TestOdeCommand:
         monkeypatch.setattr(rotational, "gauss_map", counted(rotational.gauss_map, jets, lambda _, q, *a: len(q)))
         code, _ = cli.cmd_ode(RunConfig(command="ode", example="rotational", out=str(tmp_path)))
         assert code == 0
-        assert sum(rows) == 3394
-        assert len(rows) == 6
+        assert sum(rows) == 2242
+        assert len(rows) == 4
         assert jets == [5]
+
+    @pytest.mark.parametrize(
+        "argv, total",
+        [(["--n", "3"], 1121), (["--n", "5"], 2585), (["--n", "12", "--alpha0", "0.06544984694978735"], 12245)],
+        ids=["n3", "n5", "n12"],
+    )
+    def test_embed_row_budget(self, tmp_path, monkeypatch, argv, total):
+        # the rows ode sends to embed: 4n + 1 for each of the five jets (the
+        # first-order stencil and the point itself), then one metric call of
+        # 4n rows per point on 6n + 8 points about each of the three centers
+        # (six offsets along every axis and the eight corners of the orbit
+        # plane) and the ten side points; every profile check passes
+        n = int(argv[1])
+        rows = embed_rows(monkeypatch, cli, "build_rotational_chart")
+        assert main(["ode", *argv, "--out", str(tmp_path)]) == 0
+        assert rows == [5 * (4 * n + 1), (3 * (6 * n + 8) + 10) * 4 * n]
+        assert sum(rows) == total
 
     @pytest.mark.parametrize(
         "argv, solves",
@@ -1399,14 +1417,18 @@ def ode_argv(draw):
 
 
 def assert_input_contract(argv):
-    """A command line that parses ends in a report (0 or 1, nothing on stderr) or one `error:` line (2).
+    """A command line ends in a report (0 or 1, nothing on stderr) or one `error:` line (2).
 
-    A numpy warning, raised here by the test configuration, or any other
-    exception breaks the contract.
+    A value the parser refuses exits 2 from the parser itself. A numpy
+    warning, raised here by the test configuration, or any other exception
+    breaks the contract.
     """
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--out", tmp])
+        try:
+            code = main(argv + ["--out", tmp])
+        except SystemExit as exc:
+            code = exc.code
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
@@ -1420,6 +1442,13 @@ def assert_input_contract(argv):
 # 1e306, whose start stays finite at n = 1 to 8
 LIMIT_SEEDS = [
     "1" + "0" * 400, str(10**308), "-" + str(10**308), str(int(sys.float_info.max)), str(10**306), "-" + str(10**306),
+]
+
+
+# malformed and out-of-range --tol items, shared by the verify and angles grammars
+TOL_ITEMS = [
+    "cubic_symmetry", "=1e-3", "cubic_symmetry=", "cubic_symmetry=abc", "cubic_symmetry=-1",
+    "cubic_symmetry=inf", "cubic_symmetry=nan", "angle_sum=1", "cubic_symmetry=1e-3",
 ]
 
 
@@ -1440,15 +1469,52 @@ def angles_argv(draw):
         "--gauge": st.sampled_from(["normalized", "canonical", "unitary"]),
         "--seed": st.one_of(st.integers(-(10**6), 10**6).map(str), st.sampled_from(["-1", "-2", *LIMIT_SEEDS])),
         "--h": st.sampled_from(["1e-7", "1.1e-7", "1e-3", "0.00999", "0.01", "nan", "-inf"]),
-        "--tol": st.sampled_from(
-            ["cubic_symmetry", "=1e-3", "cubic_symmetry=", "cubic_symmetry=abc", "cubic_symmetry=-1",
-             "cubic_symmetry=inf", "cubic_symmetry=nan", "angle_sum=1", "cubic_symmetry=1e-3"]
-        ),
+        "--tol": st.sampled_from(TOL_ITEMS),
     }
     for flag, value in flags.items():
         if draw(st.booleans()):
             argv.append(f"{flag}={draw(value)}")
     return argv
+
+
+@st.composite
+def verify_argv(draw):
+    """A verify command line: any example, n and --grid, then --gauge, example parameters and --tol or not.
+
+    n is 0 to 8 and the grid 1 to 3, so no draw asks for a large run. Each
+    parameter of the example is given or not, now and then with one of
+    another example; one value in five is a word or a fraction, the wrong
+    type for an int parameter. --steps, rotational's, is at most 8000.
+    """
+    example = draw(st.sampled_from(sorted(cli.EXAMPLES)))
+    argv = ["verify", f"--example={example}", f"--n={draw(st.integers(0, 8))}", f"--grid={draw(st.integers(1, 3))}"]
+    if draw(st.booleans()):
+        argv.append(f"--gauge={draw(st.sampled_from(['canonical', 'normalized'] * 2 + ['unitary']))}")
+    names = [name for name in cli.EXAMPLES[example].params if draw(st.booleans())]
+    if draw(st.integers(0, 4)) == 0:
+        names.append(draw(st.sampled_from(sorted(cli.PARAM_TYPES))))
+    values = {
+        int: ["-1", "0", "1", "2", "3", "7"],
+        float: ["-1", "0", "0.05", "0.35", "0.7", "0.9", "1", "1.5", "3", "nan", "-inf", "1e400"],
+    }
+    for name in names:
+        if draw(st.integers(0, 4)) == 0:
+            value = draw(st.sampled_from(["x", "", "0.5"]))
+        elif name == "steps":
+            value = draw(st.sampled_from(["-1", "0", "1", "5", "64", "250", "4000", "8000"]))
+        else:
+            value = draw(st.sampled_from(values[cli.PARAM_TYPES[name]]))
+        argv.append(f"--{name}={value}")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--tol={draw(st.sampled_from(TOL_ITEMS))}")
+    return argv
+
+
+class TestVerifyInputContract:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(verify_argv())
+    def test_exit_code_and_stderr(self, argv):
+        assert_input_contract(argv)
 
 
 class TestAnglesInputContract:

@@ -22,7 +22,7 @@ CONTRACTIONS = {
     # open: a fixed pair of two-operand contractions would cost n^3 (n+2) per jet,
     # but it rounds differently, so the cubic-form residuals would move
     ("gaussmap", "second_fundamental_form", "...ia,...jb,...abm->...ijm"): (4, 1, "jet"),
-    ("verify", "curvature_from_metric", "...ef,...eac,...fbd->...acbd"): (6, 0, "point"),
+    ("verify", "_curvature", "...ef,...eac,...fbd->...acbd"): (6, 0, "point"),
     ("verify", "gauss_equation_residual", "jk,il,...ij->...ijkl"): (4, 0, "point"),
     ("verify", "gauss_equation_residual", "ik,jl,...ij->...ijkl"): (4, 0, "point"),
     ("verify", "codazzi_residual", "...ij,jk,il->...ijkl"): (4, 0, "point"),

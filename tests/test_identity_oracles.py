@@ -18,17 +18,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from quadriclab.numerics import _joint_values
 from quadriclab.verify import (
     ConnectionData,
+    _curvature,
     _in_frame,
     _metric_derivatives,
+    _metric_stencil,
     check_csc_identities,
     check_prop1,
     cotangent_residual,
     curvature_from_metric,
     sectional_curvature,
-    sectional_from_metric,
 )
+from references import sectional_from_metric
 
 # ---------------------------------------------------------------------------
 # index-loop references
@@ -260,8 +263,25 @@ def test_curvature_tensors_match_loops(data):
         one = row(pt, k)
         assert_close(k_alg[k], ref_sectional_curvature(one.spec, one.ff))
     g0 = metric(p)
-    dg, ddg = _metric_derivatives(metric, p, 1e-2, g0)
+    dg, ddg = _metric_derivatives(1e-2, g0, *_joint_values(metric, *_metric_stencil(p, 1e-2)))
     assert_close(curvature_from_metric(metric, p, 1e-2, g0), ref_curvature(dg, ddg, g0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(identity_data(), st.sampled_from(((), (3,))))
+def test_curvature_over_two_axes_is_the_full_tensors_block(data, lead):
+    # warped_curvature_check differences only its orbit plane's corners and
+    # takes the Christoffel product over that plane's indices alone: each
+    # entry must be the full tensor's, bitwise, at a point and at a batch
+    _, metric, p, rng = data
+    n = p.size
+    axes = sorted(rng.choice(n, 2, replace=False).tolist())
+    p = p + rng.uniform(-0.1, 0.1, lead + (n,))
+    g0 = metric(p)
+    at, corners = _joint_values(metric, *_metric_stencil(p, 1e-2, axes))
+    block = _curvature(*_metric_derivatives(1e-2, g0, at, corners, axes), g0, axes)
+    full = curvature_from_metric(metric, p, 1e-2, g0)
+    assert np.array_equal(block, full[(Ellipsis, *np.ix_(axes, axes, axes, axes))])
 
 
 @settings(max_examples=60, deadline=None)

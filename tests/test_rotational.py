@@ -564,11 +564,12 @@ class TestChartMemo:
         assert (len(calls), sum(calls[:-1]), calls[-1]) == (6, 453, 3)
 
     def test_lookups_per_ode_run(self, tmp_path, monkeypatch):
-        # the largest embed/normal pair of the warped check at n = 5 sends
-        # 6,600 chart rows, on 95 distinct profile parameters
+        # the warped check at n = 5: its five jets, then its one metric call,
+        # whose embed/normal pair sends 2,480 chart rows on 135 distinct
+        # profile parameters, then the profile angle of the principal pattern
         calls = self._series_calls(monkeypatch, np.size)
         assert main(["ode", "--n", "5", "--out", str(tmp_path)]) == 0
-        assert max(calls) == 95
+        assert calls == [25, 135, 5]
 
 
 FLOWS = [

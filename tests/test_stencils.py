@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from quadriclab.gaussmap import FdSteps, gauss_map
 from quadriclab.hypersurfaces import cartan_tube, product_spheres, round_sphere
-from quadriclab.numerics import StencilError, axis, central_first, central_second
+from quadriclab.numerics import StencilError, _joint_values, axis, central_first, central_second
 from quadriclab.rotational import build_rotational_chart, integrate_alpha
-from quadriclab.verify import _metric_derivatives, gauss_metric_fn
+from quadriclab.verify import _metric_derivatives, _metric_stencil, gauss_metric_fn
 from references import perturbed_sphere
 
 STEPS = FdSteps()
@@ -129,7 +129,7 @@ def test_metric_derivatives_match_point_loops(case):
     metric_fn = gauss_metric_fn(chart(name), STEPS)
     g0 = metric_fn(p)
     for got, want in zip(
-        _metric_derivatives(metric_fn, p, STEPS.metric, g0),
+        _metric_derivatives(STEPS.metric, g0, *_joint_values(metric_fn, *_metric_stencil(p, STEPS.metric))),
         ref_metric_derivatives(metric_fn, p, STEPS.metric, g0),
     ):
         assert np.array_equal(got, want)

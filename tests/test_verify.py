@@ -20,12 +20,18 @@ from quadriclab.verify import (
     isoparametric_variance,
     sample_batch,
     sectional_curvature,
-    sectional_from_metric,
     sectional_residuals,
     _cyclic_match,
 )
 from quadriclab.gaussmap import mod_pi_clusters, mod_pi_distance, nearest_mod_pi
-from references import box_sample, point_batch, quadric_distance, reconstruct_hypersurface, ref_sectional_from_metric
+from references import (
+    box_sample,
+    point_batch,
+    quadric_distance,
+    reconstruct_hypersurface,
+    ref_sectional_from_metric,
+    sectional_from_metric,
+)
 
 P3 = np.array([0.1, -0.2, 0.15])
 
